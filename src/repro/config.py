@@ -267,6 +267,13 @@ class Config:
     index_storage_format: str = "row"
     #: Rows per column chunk when index_storage_format == "columnar".
     columnar_chunk_rows: int = 4096
+    #: Run full-table filters, projections and partial aggregates over
+    #: indexed data as column kernels on per-task views of the row batches
+    #: (DESIGN.md §18). False is the paper-faithful row-only Indexed
+    #: DataFrame — every scanned row is decoded and handled one at a time —
+    #: which the Fig. 8 / Fig. 13 reproductions run on. Read when a scan
+    #: executes, so the same plan serves both settings.
+    indexed_column_kernels: bool = True
     #: Entries in the session's normalized-SQL plan cache (DESIGN.md §11);
     #: 0 disables plan caching (every query re-parses and re-plans).
     plan_cache_capacity: int = 256

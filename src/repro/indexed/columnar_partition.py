@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.ctrie import CTrie
 from repro.indexed.pointers import MAX_OFFSET, NULL_POINTER, pack
+from repro.sql.columnar import ColumnBatch
 from repro.sql.types import Schema, StringType
 from repro.utils.hashing import hash32
 from repro.utils.memory import deep_sizeof
@@ -239,22 +240,19 @@ class ColumnarIndexedPartition:
         :meth:`iter_rows` already vectorizes when contiguous."""
         return list(self.iter_rows())
 
-    def scan_columns(self, names: "list[str]") -> "dict[str, np.ndarray] | None":
-        """Vectorized column access over visible rows, or None when the
-        version is non-contiguous (diverged sibling wrote into a shared
-        chunk) — callers then fall back to :meth:`iter_rows`."""
+    def scan_columns(self, names: "list[str]") -> "list[ColumnBatch] | None":
+        """One :class:`ColumnBatch` per chunk over the visible rows (array
+        slices, no copy) — the contract of ``IndexedPartition.scan_columns``
+        — or None when the version is non-contiguous (diverged sibling wrote
+        into a shared chunk): callers then fall back to :meth:`iter_rows`."""
         if not self.contiguous:
             return None
-        parts: dict[str, list[np.ndarray]] = {n: [] for n in names}
-        for chunk_idx, chunk in enumerate(self.chunks):
-            n = self._watermarks[chunk_idx]
-            if n == 0:
-                continue
-            for name in names:
-                parts[name].append(chunk.arrays[name][:n])
-        return {
-            n: (np.concatenate(v) if v else np.empty(0)) for n, v in parts.items()
-        }
+        schema = self.schema.select(names)
+        return [
+            ColumnBatch(schema, {name: chunk.arrays[name][:n] for name in names}, n)
+            for chunk, n in zip(self.chunks, self._watermarks)
+            if n
+        ]
 
     def contains_key(self, key: Any) -> bool:
         if self.key_is_string and self.hash_string_keys:

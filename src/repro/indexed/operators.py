@@ -1,8 +1,9 @@
 """Physical operators over indexed data (the "indexed execution" of Fig. 2).
 
-* :class:`IndexedScanExec` — full scan that decodes rows from the binary
-  batches (the fallback path; row-wise, hence slower than the columnar
-  baseline on projections — Fig. 8).
+* :class:`IndexedScanExec` — full scan with fused filter/projection: column
+  kernels over per-task views of the binary batches, or (bare ``SELECT *``,
+  unviewable partitions, the row-only configuration) the row-wise decode
+  that loses to the columnar baseline on projections — Fig. 8.
 * :class:`IndexedLookupExec` — point lookup(s) scheduled *only* on the
   owning partition(s).
 * :class:`IndexedJoinExec` — the indexed join: the index is always the
@@ -30,6 +31,8 @@ from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD
 from repro.engine.shuffle import estimate_size
 from repro.indexed.pointers import NULL_POINTER
 from repro.indexed.shared_batches import chain_handles, scan_handles
+from repro.sql.analysis import resolve_expression
+from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.joins import make_key_func
 from repro.sql.physical import PhysicalPlan, estimate_row_bytes
@@ -195,31 +198,111 @@ def _offload_lookup_many(part: Any, keys: Any, ctx: Any) -> "dict | None":
 
 
 class IndexedScanExec(PhysicalPlan):
-    """Full scan: walk every partition's cTrie and decode all rows."""
+    """Full scan of the indexed data, with filter and projection fused in.
 
-    def __init__(self, session: "Session", idf: "IndexedDataFrame") -> None:
-        super().__init__(session, idf.schema)
+    ``condition`` / ``required`` come from the rules' fusion of
+    ``Project?(Filter?(IndexedRelation))`` (what the lookup and range
+    operators did not claim). A fused scan runs the column kernels of
+    :class:`~repro.sql.columnar.ColumnBatch` — exactly what
+    ``ColumnarScanExec`` runs — over per-task column views of the row
+    batches (``scan_columns``, DESIGN.md §18); rows are materialized only
+    for what survives. A partition that cannot be viewed (non-contiguous
+    version, a NULL) and ``Config.indexed_column_kernels=False`` take the
+    row path instead: decode every row, filter and project row by row —
+    the paper's row-wise behaviour, same answer. A bare ``SELECT *`` scan
+    always decodes rows (``decode_all``, offloaded in "processes" mode).
+    """
+
+    def __init__(
+        self,
+        session: "Session",
+        idf: "IndexedDataFrame",
+        required: "list[str] | None" = None,
+        condition: "Expression | None" = None,
+    ) -> None:
+        super().__init__(session, idf.schema.select(required) if required else idf.schema)
         self.idf = idf
+        self.required = required or None
+        self.condition = (
+            resolve_expression(condition, idf.schema) if condition is not None else None
+        )
+
+    def _scan_rows(self, part: Any, ctx: Any) -> list[tuple]:
+        """The row path: decode every row, then filter and project each."""
+        rows = _offload_scan(part, ctx)
+        if rows is None:
+            rows = part.scan_rows()
+        if self.condition is not None:
+            keep = self.condition.eval
+            rows = [row for row in rows if keep(row)]
+        if self.required is not None:
+            ordinals = [self.idf.schema.index_of(n) for n in self.required]
+            rows = [tuple(row[i] for i in ordinals) for row in rows]
+        return rows
+
+    def _scan_batches(self, part: Any, columns: "list[str]") -> "list[ColumnBatch] | None":
+        """The kernel path: filtered batches holding ``columns``, or None
+        when this partition cannot be viewed column-major."""
+        condition = self.condition
+        names = list(columns)
+        if condition is not None:
+            names += sorted(condition.references() - set(names))
+        batches = part.scan_columns(names)
+        if batches is None:
+            return None
+        return [batch.scan(condition, columns) for batch in batches]
 
     def do_execute(self) -> RDD:
+        # Bare SELECT * has nothing to fuse: every field of every row is
+        # wanted, which is what the row decode kernel produces.
+        kernels = self.session.context.config.indexed_column_kernels and (
+            self.condition is not None or self.required is not None
+        )
+        columns = self.schema.names()
+
         def scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
-            # Batch-at-a-time: decode whole row batches in one compiled
-            # pass (falls back to the chain walk when non-contiguous).
             part = next(iter(parts))
             with ctx.span("indexed_scan"):
-                rows = _offload_scan(part, ctx)
-                if rows is None:
-                    rows = part.scan_rows()
+                batches = self._scan_batches(part, columns) if kernels else None
+                if batches is None:
+                    rows = self._scan_rows(part, ctx)
+                else:
+                    rows = []
+                    for batch in batches:
+                        rows.extend(batch.to_rows())
             return iter(rows)
+
+        return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
+
+    def do_execute_batches(self, columns: "list[str] | None") -> "RDD | None":
+        if not self.session.context.config.indexed_column_kernels:
+            return None
+        if columns is None:
+            columns = self.schema.names()
+        schema = self.schema
+
+        def scan(parts: Iterator[Any], ctx: Any) -> Iterator[ColumnBatch]:
+            part = next(iter(parts))
+            with ctx.span("indexed_scan"):
+                batches = self._scan_batches(part, columns)
+                if batches is None:
+                    batches = [ColumnBatch.from_rows(self._scan_rows(part, ctx), schema)]
+            return iter(batches)
 
         return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
 
     def estimated_rows(self) -> int:
         # Count is cheap (partition metadata), but avoid jobs during planning.
-        return max(1, self.session.context.config.get("indexed_row_estimate", 1_000_000))
+        n = max(1, self.session.context.config.get("indexed_row_estimate", 1_000_000))
+        return max(1, n // 4) if self.condition is not None else n
 
     def __repr__(self) -> str:
-        return f"IndexedScan({self.idf.name})"
+        parts = [self.idf.name]
+        if self.condition is not None:
+            parts.append(f"filter={self.condition!r}")
+        if self.required:
+            parts.append(f"cols={self.required}")
+        return f"IndexedScan({', '.join(parts)})"
 
 
 class IndexedRangeScanExec(PhysicalPlan):

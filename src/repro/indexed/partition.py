@@ -33,6 +33,7 @@ from repro.indexed.ordered_index import KeyRange, OrderedIndex
 from repro.indexed.pointers import NULL_POINTER, pack, unpack
 from repro.indexed.row_batch import RowBatch
 from repro.indexed.row_codec import RowCodec
+from repro.sql.columnar import ColumnBatch
 from repro.sql.types import Schema, StringType
 from repro.utils.hashing import hash32
 from repro.utils.memory import deep_sizeof
@@ -265,6 +266,26 @@ class IndexedPartition:
         for batch, watermark in zip(self.batches, self._watermarks):
             if watermark:
                 out.extend(decode_all(batch.buf, watermark))
+        return out
+
+    def scan_columns(self, names: "list[str]") -> "list[ColumnBatch] | None":
+        """Full scan, column-major: one :class:`ColumnBatch` per row batch,
+        viewing the batch bytes below this version's watermark in place
+        (:meth:`RowCodec.column_batch`; nothing is stored — the views live as
+        long as the caller keeps them). None when the version is
+        non-contiguous or a batch cannot be viewed (a NULL, a short record):
+        the caller then takes :meth:`scan_rows`, which answers the same.
+        """
+        if not self.contiguous:
+            return None
+        column_batch = self.codec.column_batch
+        out: list[ColumnBatch] = []
+        for batch, watermark in zip(self.batches, self._watermarks):
+            if watermark:
+                columns = column_batch(batch.buf, watermark, names)
+                if columns is None:
+                    return None
+                out.append(columns)
         return out
 
     def visible_watermarks(self) -> list[int]:

@@ -21,6 +21,9 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable
 
+import numpy as np
+
+from repro.sql.columnar import ColumnBatch
 from repro.sql.types import (
     BooleanType,
     DataType,
@@ -73,6 +76,18 @@ class RowCodec:
         # instead of re-entering Python per row.
         self._batch_scan = _compile_batch_scanner(self._segments, self.null_bitmap_bytes)
         self._chain_walk = _compile_chain_walker(self._segments, self.null_bitmap_bytes)
+        # Column views (DESIGN.md §18): numpy dtype of each field as stored;
+        # None when some field's type has no entry (no views for this schema).
+        # A string-free record is one item of a structured dtype: prev_ptr,
+        # row_len, bitmap, fields.
+        stored = [_STORED_DTYPES.get(type(f.dtype)) for f in schema.fields]
+        self._stored: "list[Any] | None" = None if any(d is None for d in stored) else stored
+        self._record_dtype: "np.dtype | None" = None
+        if all(isinstance(d, np.dtype) for d in stored):
+            self._record_dtype = np.dtype(
+                [("ptr", "<u8"), ("len", "<u2"), ("nulls", "u1", (self.null_bitmap_bytes,))]
+                + [(f"f{i}", d) for i, d in enumerate(stored)]
+            )
 
     # -- encode -----------------------------------------------------------------
 
@@ -181,11 +196,119 @@ class RowCodec:
         """
         return self._chain_walk(batches, pointer, self._decode_generic)
 
+    # -- column views --------------------------------------------------------------
+
+    def column_batch(
+        self, buf: "bytearray | memoryview", end: int, names: "list[str]"
+    ) -> "ColumnBatch | None":
+        """The records laid back-to-back in ``buf[0:end]`` as a column batch
+        over ``names`` — without decoding rows and without copying the batch.
+
+        String-free schemas: each column is a read-only strided view of
+        ``buf`` (INTEGER is widened to the int64 every column batch stores
+        it as — the one copy). Schemas with strings: one walk over the
+        ``row_len`` headers finds the record starts, fixed-width columns are
+        gathered from them and string columns are *deferred*
+        (:class:`ColumnBatch`): decoded on first use, for the rows still
+        selected. Returns None — the caller takes the row path, same answer
+        — when a record holds a NULL (or, fixed-width, is short of full
+        size), or when a field's type has no numpy form.
+        """
+        if self._stored is None:
+            return None
+        if self._record_dtype is None:
+            return self._gathered_batch(buf, end, names)
+        size = self._record_dtype.itemsize
+        if end % size:
+            return None
+        records = np.frombuffer(buf, dtype=self._record_dtype, count=end // size)
+        records.flags.writeable = False
+        if (records["len"] != size - ROW_HEADER_SIZE).any() or records["nulls"].any():
+            return None
+        index_of = self.schema.index_of
+        columns = {n: _widen(records[f"f{index_of(n)}"]) for n in names}
+        return ColumnBatch(self.schema.select(names), columns, len(records))
+
+    def _gathered_batch(
+        self, buf: "bytearray | memoryview", end: int, names: "list[str]"
+    ) -> "ColumnBatch | None":
+        """Variable-width records: see :meth:`column_batch`."""
+        starts: list[int] = []
+        note = starts.append
+        pos = 0
+        while pos < end:
+            note(pos)
+            pos += ROW_HEADER_SIZE + (buf[pos + 8] | (buf[pos + 9] << 8))
+        if pos != end:
+            return None
+        at = np.array(starts, dtype=np.intp) + ROW_HEADER_SIZE
+        for _ in range(self.null_bitmap_bytes):
+            if _window(buf, end, _U1)[at].any():
+                return None
+            at = at + 1
+        wanted = set(names)
+        last = max((self.schema.index_of(n) for n in names), default=-1)
+        columns: dict[str, np.ndarray] = {}
+        deferred: dict[str, Any] = {}
+        for field, stored in zip(self.schema.fields[: last + 1], self._stored):
+            if stored is object:
+                lengths = _window(buf, end, _LE_U2)[at].astype(np.intp)
+                at = at + 2
+                if field.name in wanted:
+                    deferred[field.name] = _string_decoder(buf, at, at + lengths)
+                at = at + lengths
+            else:
+                if field.name in wanted:
+                    columns[field.name] = _widen(_window(buf, end, stored)[at])
+                at = at + stored.itemsize
+        return ColumnBatch(self.schema.select(names), columns, len(starts), deferred)
+
     def record_size(self, buf: "bytes | bytearray | memoryview", offset: int) -> int:
         return ROW_HEADER_SIZE + HEADER_ROW_LEN.unpack_from(buf, offset + 8)[0]
 
     def read_prev_ptr(self, buf: "bytes | bytearray | memoryview", offset: int) -> int:
         return HEADER_PREV_PTR.unpack_from(buf, offset)[0]
+
+
+#: How each field type sits in a record, as a numpy dtype (``object``: a
+#: length-prefixed string, decoded not viewed).
+_STORED_DTYPES: dict[type, Any] = {
+    IntegerType: np.dtype("<i4"),
+    LongType: np.dtype("<i8"),
+    DoubleType: np.dtype("<f8"),
+    BooleanType: np.dtype("?"),
+    StringType: object,
+}
+_U1 = np.dtype("u1")
+_LE_U2 = np.dtype("<u2")
+
+
+def _widen(column: np.ndarray) -> np.ndarray:
+    """INTEGER is 4 bytes in a record and int64 in every column batch."""
+    return column.astype(np.int64) if column.dtype.itemsize == 4 else column
+
+
+def _window(buf: "bytearray | memoryview", end: int, dtype: np.dtype) -> np.ndarray:
+    """``out[p]`` is the ``dtype`` value stored at byte ``p`` of ``buf``: a
+    read-only, one-byte-stride view of ``buf[0:end]`` (no copy), so one
+    fancy index gathers a field that starts at a different byte per record."""
+    out = np.ndarray((end - dtype.itemsize + 1,), dtype=dtype, buffer=buf, strides=(1,))
+    out.flags.writeable = False
+    return out
+
+
+def _string_decoder(
+    buf: "bytearray | memoryview", starts: np.ndarray, ends: np.ndarray
+) -> Callable[["np.ndarray | None"], np.ndarray]:
+    """Deferred string column: decodes ``buf[start:end]`` for the rows asked for."""
+
+    def decode(rows: "np.ndarray | None") -> np.ndarray:
+        lo, hi = (starts, ends) if rows is None else (starts[rows], ends[rows])
+        out = np.empty(len(lo), dtype=object)
+        out[:] = [str(buf[a:b], "utf-8") for a, b in zip(lo.tolist(), hi.tolist())]
+        return out
+
+    return decode
 
 
 _FIXED_CODES = {

@@ -10,7 +10,9 @@ This module is the Section III-B machinery:
   - ``Filter(key = literal, IndexedRelation)`` (also ``IN``)  -> IndexedLookupExec,
   - ``Join(..., IndexedRelation on its index key, ...)``      -> IndexedJoinExec
     with the indexed relation as the pre-built build side,
-  - bare ``IndexedRelation``                                  -> IndexedScanExec,
+  - ``Project?(Filter?(IndexedRelation))`` the above did not
+    claim (bare relation included)                             -> IndexedScanExec
+    with the filter / column projection fused in,
 
   and returns ``None`` otherwise so planning falls through to the default
   operators ("for queries on non-indexed dataframes we fall back to the
@@ -47,7 +49,7 @@ from repro.sql.expressions import (
 )
 from repro.sql.logical import Filter, Join, LogicalPlan, Relation
 from repro.sql.physical import FilterExec, PhysicalPlan
-from repro.sql.planner import Planner
+from repro.sql.planner import Planner, match_scan_fusion
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
@@ -178,6 +180,26 @@ def extract_key_range(
     return krange, combine_conjuncts(residual)
 
 
+def _plan_by_index(
+    session: "Session", idf: "IndexedDataFrame", condition: Expression
+) -> PhysicalPlan | None:
+    """The lookup or range operator (under a residual filter, if any) for a
+    predicate that constrains the index key; None when it does not."""
+    keys, residual = extract_lookup_keys(condition, idf.key_column)
+    if keys is not None:
+        claimed: PhysicalPlan = IndexedLookupExec(session, idf, keys)
+    else:
+        # No equality on the key: try a range/prefix scan over the ordered
+        # secondary index (DESIGN.md §15) before giving up to a full scan.
+        krange, residual = extract_key_range(condition, idf.key_column)
+        if krange is None:
+            return None
+        claimed = IndexedRangeScanExec(session, idf, krange)
+    if residual is not None:
+        return FilterExec(session, resolve_expression(residual, idf.schema), claimed)
+    return claimed
+
+
 def indexed_strategy(planner: Planner, plan: LogicalPlan) -> PhysicalPlan | None:
     """The injected planner strategy (consulted before the built-ins)."""
     session = planner.session
@@ -186,22 +208,19 @@ def indexed_strategy(planner: Planner, plan: LogicalPlan) -> PhysicalPlan | None
         return IndexedScanExec(session, plan.idf)
 
     if isinstance(plan, Filter) and isinstance(plan.child, IndexedRelation):
-        idf = plan.child.idf
-        keys, residual = extract_lookup_keys(plan.condition, idf.key_column)
-        if keys is not None:
-            lookup = IndexedLookupExec(session, idf, keys)
-            if residual is not None:
-                return FilterExec(session, resolve_expression(residual, idf.schema), lookup)
-            return lookup
-        # No equality on the key: try a range/prefix scan over the ordered
-        # secondary index (DESIGN.md §15) before giving up to a full scan.
-        krange, residual = extract_key_range(plan.condition, idf.key_column)
-        if krange is None:
-            return None  # falls back to FilterExec over IndexedScanExec
-        range_scan = IndexedRangeScanExec(session, idf, krange)
-        if residual is not None:
-            return FilterExec(session, resolve_expression(residual, idf.schema), range_scan)
-        return range_scan
+        claimed = _plan_by_index(session, plan.child.idf, plan.condition)
+        if claimed is not None:
+            return claimed
+
+    # What the index cannot claim runs over the full scan, with the filter
+    # and a plain column projection fused into it (DESIGN.md §18). A Project
+    # over a claimable Filter is left to the planner, which comes back here
+    # with the Filter alone.
+    fused = match_scan_fusion(plan)
+    if fused is not None and isinstance(fused[2], IndexedRelation):
+        required, condition, relation = fused
+        if condition is None or _plan_by_index(session, relation.idf, condition) is None:
+            return IndexedScanExec(session, relation.idf, required, condition)
 
     if isinstance(plan, Join) and len(plan.left_keys) == 1:
         lk, rk = plan.left_keys[0], plan.right_keys[0]

@@ -67,8 +67,10 @@ class ExecutionMeter:
     def get(self, plan: "PhysicalPlan") -> NodeStats | None:
         return self._stats.get(id(plan))
 
-    def instrument(self, plan: "PhysicalPlan", rdd: "RDD") -> "RDD":
-        """Wrap ``rdd`` with a counting/timing pass-through partition."""
+    def instrument(self, plan: "PhysicalPlan", rdd: "RDD", batches: bool = False) -> "RDD":
+        """Wrap ``rdd`` with a counting/timing pass-through partition.
+        With ``batches`` the elements are column batches and each counts as
+        the rows it holds."""
         from repro.engine.rdd import MapPartitionsRDD
 
         stats = self.stats_for(plan)
@@ -87,7 +89,7 @@ class ExecutionMeter:
                             total += time.perf_counter() - t0
                             break
                         total += time.perf_counter() - t0
-                        n += 1
+                        n += len(row) if batches else 1
                         yield row
                 finally:
                     # Runs on exhaustion AND on early close (e.g. under a

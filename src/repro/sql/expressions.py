@@ -243,6 +243,50 @@ _BIN_OPS: dict[str, Callable[[Any, Any], Any]] = {
 
 _COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+class VectorFallback(Exception):
+    """``eval_vector`` cannot promise the row evaluator's answer for this
+    batch (int64 would wrap where Python integers grow; a zero divisor must
+    raise, or be skipped by a short-circuit, exactly as ``eval`` does).
+    Callers re-evaluate the batch row by row (``ColumnBatch.eval_rows``)."""
+
+
+def _int_bounds(x: Any) -> "tuple[int, int] | None":
+    """(min, max) of an integer operand; None when ``x`` is not integral.
+    Booleans are not integers here: numpy adds them as logical OR."""
+    if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iu":
+            return None
+        return (int(x.min()), int(x.max())) if x.size else (0, 0)
+    if isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_)):
+        return int(x), int(x)
+    return None
+
+
+def _check_int_overflow(op: str, left: Any, right: Any) -> None:
+    """Raise :class:`VectorFallback` unless ``left op right`` provably stays
+    inside int64 (interval arithmetic on the operands' extremes)."""
+    lb, rb = _int_bounds(left), _int_bounds(right)
+    if lb is None or rb is None:
+        if _is_bool(left) or _is_bool(right):
+            raise VectorFallback(f"boolean operand of {op!r}")
+        return
+    if op == "+":
+        lo, hi = lb[0] + rb[0], lb[1] + rb[1]
+    elif op == "-":
+        lo, hi = lb[0] - rb[1], lb[1] - rb[0]
+    else:
+        corners = [a * b for a in lb for b in rb]
+        lo, hi = min(corners), max(corners)
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        raise VectorFallback(f"{op!r} may leave int64")
+
+
+def _is_bool(x: Any) -> bool:
+    return x.dtype.kind == "b" if isinstance(x, np.ndarray) else isinstance(x, (bool, np.bool_))
+
 
 class BinaryOp(Expression):
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
@@ -265,6 +309,10 @@ class BinaryOp(Expression):
     def eval_vector(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         left = self.left.eval_vector(columns)
         right = self.right.eval_vector(columns)
+        if self.op in ("+", "-", "*"):
+            _check_int_overflow(self.op, left, right)
+        elif self.op in ("/", "%") and np.any(right == 0):
+            raise VectorFallback(f"zero divisor of {self.op!r}")
         if self.op in ("=", "!=") and (_is_object(left) or _is_object(right)):
             # Object (string) columns: numpy == works elementwise already.
             return self._fn(np.asarray(left, dtype=object), right)
@@ -501,10 +549,53 @@ class Alias(Expression):
 # ---------------------------------------------------------------------------
 
 
+class RowGroups:
+    """Which group each row of one column batch belongs to: ``ids[i]`` in
+    ``[0, count)``. Built once per batch, shared by every aggregate."""
+
+    __slots__ = ("count", "ids", "_segments")
+
+    def __init__(self, ids: np.ndarray, count: int) -> None:
+        self.ids = ids
+        self.count = count
+        self._segments: "tuple[np.ndarray, np.ndarray] | None" = None
+
+    def sizes(self) -> np.ndarray:
+        return np.bincount(self.ids, minlength=self.count)
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray) -> list:
+        """``ufunc`` folded over each group's values, as Python scalars."""
+        if self.count == 1:
+            return [ufunc.reduce(values).item()]
+        if self._segments is None:
+            sizes = self.sizes()
+            self._segments = (np.argsort(self.ids, kind="stable"), np.cumsum(sizes) - sizes)
+        order, starts = self._segments
+        return ufunc.reduceat(values[order], starts).tolist()
+
+
+def _numeric_kind(values: Any) -> str:
+    """``"i"`` / ``"f"`` for a 1-d int64 / float64 column; anything else
+    (NULL-bearing object columns, strings, booleans, broadcast literals)
+    has no vector reducer and goes to the row evaluator."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "if":
+        return values.dtype.kind
+    raise VectorFallback("no vector reducer for this column")
+
+
 class AggregateExpression(Expression):
-    """Base aggregate: init/update/merge/finish over scalar accumulators."""
+    """Base aggregate: init/update/merge/finish over scalar accumulators.
+
+    ``reduce_vector`` is the column-batch form of ``init`` + ``update`` over
+    every row: one accumulator per group, as Python scalars, equal to what
+    the row fold produces (float sums add in row order, like the fold) — or
+    :class:`VectorFallback` when numpy could not reproduce it.
+    """
 
     name = "agg"
+
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        raise VectorFallback(f"no vector reducer for {self.name}")
 
     def __init__(self, child: Expression | None) -> None:
         self.child = child
@@ -548,6 +639,15 @@ class Sum(AggregateExpression):
     def merge(self, a: Any, b: Any) -> Any:
         return a + b
 
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        if _numeric_kind(values) == "f":
+            return np.bincount(groups.ids, weights=values, minlength=groups.count).tolist()
+        # No group's sum can leave int64 when n * max|v| fits.
+        lo, hi = _int_bounds(values)
+        if max(-lo, hi) * len(values) > _INT64_MAX:
+            raise VectorFallback("integer sum may leave int64")
+        return groups.reduce(np.add, values)
+
     def data_type(self, schema: Schema) -> DataType:
         return self.child.data_type(schema)
 
@@ -565,6 +665,11 @@ class Count(AggregateExpression):
 
     def merge(self, a: int, b: int) -> int:
         return a + b
+
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        if values is not None:
+            _numeric_kind(values)  # typed columns hold no NULL: count(x) = count(*)
+        return groups.sizes().tolist()
 
     def data_type(self, schema: Schema) -> DataType:
         return LONG
@@ -589,6 +694,9 @@ class Min(AggregateExpression):
             return a
         return min(a, b)
 
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        return _reduce_extreme(np.minimum, values, groups)
+
     def data_type(self, schema: Schema) -> DataType:
         return self.child.data_type(schema)
 
@@ -612,8 +720,18 @@ class Max(AggregateExpression):
             return a
         return max(a, b)
 
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        return _reduce_extreme(np.maximum, values, groups)
+
     def data_type(self, schema: Schema) -> DataType:
         return self.child.data_type(schema)
+
+
+def _reduce_extreme(ufunc: np.ufunc, values: Any, groups: RowGroups) -> list:
+    # The row fold skips a NaN unless it comes first; numpy propagates it.
+    if _numeric_kind(values) == "f" and np.isnan(values).any():
+        raise VectorFallback("NaN in min/max input")
+    return groups.reduce(ufunc, values)
 
 
 class Avg(AggregateExpression):
@@ -630,6 +748,11 @@ class Avg(AggregateExpression):
 
     def merge(self, a: tuple[float, int], b: tuple[float, int]) -> tuple[float, int]:
         return (a[0] + b[0], a[1] + b[1])
+
+    def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:
+        _numeric_kind(values)
+        sums = np.bincount(groups.ids, weights=values, minlength=groups.count)
+        return list(zip(sums.tolist(), groups.sizes().tolist()))
 
     def finish(self, acc: tuple[float, int]) -> float | None:
         return acc[0] / acc[1] if acc[1] else None

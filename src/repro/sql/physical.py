@@ -7,6 +7,10 @@ The split that matters for the paper's evaluation:
 * Everything else is row-at-a-time, as the shuffle/join machinery works on
   tuples.
 
+A scan can also hand its output to the parent column-major
+(:meth:`PhysicalPlan.execute_batches`), which is how the aggregate's partial
+phase stays vectorised above either scan.
+
 The indexed package supplies additional physical operators (indexed lookup,
 indexed join) through planner strategies; they subclass
 :class:`PhysicalPlan` here.
@@ -16,8 +20,6 @@ from __future__ import annotations
 
 import itertools
 from typing import TYPE_CHECKING, Any, Iterator
-
-import numpy as np
 
 from repro.engine.rdd import RDD
 from repro.sql.cache import CachedRelation
@@ -60,6 +62,21 @@ class PhysicalPlan:
 
     def do_execute(self) -> RDD:
         raise NotImplementedError
+
+    def execute_batches(self, columns: "list[str] | None" = None) -> "RDD | None":
+        """The same output as :meth:`execute`, as an RDD of
+        :class:`ColumnBatch` holding at least ``columns`` (every output
+        column when None) — or None when this operator only produces rows.
+        Metered like :meth:`execute`, counting the rows inside each batch.
+        """
+        rdd = self.do_execute_batches(columns)
+        meter = self.session.exec_meter
+        if rdd is not None and meter is not None:
+            rdd = meter.instrument(self, rdd, batches=True)
+        return rdd
+
+    def do_execute_batches(self, columns: "list[str] | None") -> "RDD | None":
+        return None
 
     def estimated_rows(self) -> int:
         kids = self.children()
@@ -116,23 +133,28 @@ class ColumnarScanExec(PhysicalPlan):
         self.condition = condition
         self.relation_name = relation_name
 
-    def do_execute(self) -> RDD:
+    def _scan(self, materialize: bool) -> RDD:
         condition = self.condition
-        required = self.required
+        required = self.required or None
 
-        def scan(batches: Iterator[ColumnBatch], ctx: Any) -> Iterator[tuple]:
-            out: list[tuple] = []
+        def scan(batches: Iterator[ColumnBatch], ctx: Any) -> Iterator[Any]:
+            out: list[Any] = []
             with ctx.span("scan"):
                 for batch in batches:
-                    if condition is not None:
-                        mask = np.asarray(condition.eval_vector(batch.columns), dtype=bool)
-                        batch = batch.filter(mask)
-                    if required:
-                        batch = batch.project(required)
-                    out.extend(batch.to_rows())
+                    batch = batch.scan(condition, required)
+                    if materialize:
+                        out.extend(batch.to_rows())
+                    else:
+                        out.append(batch)
             return iter(out)
 
         return self.cached.batch_rdd.map_partitions_with_context(scan)
+
+    def do_execute(self) -> RDD:
+        return self._scan(materialize=True)
+
+    def do_execute_batches(self, columns: "list[str] | None") -> RDD:
+        return self._scan(materialize=False)
 
     def estimated_rows(self) -> int:
         n = self.cached.row_count

@@ -56,6 +56,29 @@ if TYPE_CHECKING:  # pragma: no cover
 Strategy = Callable[["Planner", LogicalPlan], Optional[PhysicalPlan]]
 
 
+def match_scan_fusion(
+    plan: LogicalPlan,
+) -> "tuple[list[str] | None, Expression | None, LogicalPlan] | None":
+    """Peel ``Project?(Filter?(node))`` into ``(required, condition, node)``
+    — the shape a scan with pushed-down filter/projection absorbs. None when
+    there is nothing to fuse, or the projection computes anything (only
+    plain column selections fuse: zero-copy column select)."""
+    required: list[str] | None = None
+    node = plan
+    if isinstance(node, Project):
+        if not all(isinstance(e, Column) for e in node.exprs):
+            return None
+        required = [e.output_name() for e in node.exprs]
+        node = node.child
+    condition: Expression | None = None
+    if isinstance(node, Filter):
+        condition = node.condition
+        node = node.child
+    if required is None and condition is None:
+        return None
+    return required, condition, node
+
+
 class Planner:
     def __init__(self, session: "Session") -> None:
         self.session = session
@@ -121,23 +144,12 @@ class Planner:
     def _try_fuse_scan(self, plan: LogicalPlan) -> PhysicalPlan | None:
         """Match Project(Filter(Relation)) / Filter(Relation) / Project(Relation)
         over a *cached* relation and fuse into a vectorized scan."""
-        project: Project | None = None
-        node = plan
-        if isinstance(node, Project):
-            # Only simple column projections fuse (zero-copy column select).
-            if not all(isinstance(e, Column) for e in node.exprs):
-                return None
-            project = node
-            node = node.child
-        condition: Expression | None = None
-        if isinstance(node, Filter):
-            condition = node.condition
-            node = node.child
+        fused = match_scan_fusion(plan)
+        if fused is None:
+            return None
+        required, condition, node = fused
         if not (isinstance(node, Relation) and node.cached is not None):
             return None
-        if project is None and condition is None:
-            return None
-        required = [e.output_name() for e in project.exprs] if project is not None else None
         return ColumnarScanExec(
             self.session, node.cached, required=required, condition=condition,
             relation_name=node.name,

@@ -95,6 +95,24 @@ class TestRootCounts:
         assert analysis.node_stats(analysis.physical).rows == len(joined.collect_tuples())
 
 
+    @pytest.mark.parametrize("kernels", (True, False))
+    def test_fused_indexed_scan_counts_match_collect(self, edges_df, kernels):
+        """The fused scan is one node: its count is the rows that survive the
+        filter, whether the kernels or the row path produced them; under an
+        aggregate it hands over column batches and still counts rows."""
+        edges_df.session.context.config.indexed_column_kernels = kernels
+        idf = edges_df.create_index("src")
+        q = idf.to_df().where(col("w") > 0.3).select("dst", "w")
+        analysis = q.analyze()
+        assert repr(analysis.physical).startswith("IndexedScan(") and "filter=" in analysis.text()
+        assert analysis.node_stats(analysis.physical).rows == len(q.collect_tuples()) == 240
+        agg = idf.to_df().where(col("w") > 0.3).group_by("dst").agg(sum_("w").alias("s"))
+        analysis = agg.analyze()
+        assert analysis.node_stats(analysis.physical).rows == len(agg.collect_tuples())
+        (scan,) = analysis.physical.children()
+        assert analysis.node_stats(scan).rows == 240
+
+
 class TestTreeConsistency:
     def test_filter_and_project_monotonicity(self, session, edges_df):
         q = edges_df.where(col("w") > 0.3).select("dst", (col("w") * 2).alias("w2"))

@@ -83,11 +83,17 @@ class TestColumnarSpecifics:
         p = make(chunk_rows=32)
         rows = rows_for(200)
         p.insert_rows(rows)
-        cols = p.scan_columns(["k", "w"])
-        assert cols is not None
-        assert len(cols["k"]) == 200
-        assert sorted(cols["k"].tolist()) == sorted(r[0] for r in rows)
-        assert cols["w"].dtype == np.float64
+        batches = p.scan_columns(["k", "w"])
+        assert batches is not None
+        # One batch per chunk, each a slice of the chunk's arrays (no concat).
+        assert [len(b) for b in batches] == [32] * 6 + [8]
+        assert all(
+            np.shares_memory(b.column("k"), chunk.arrays["k"])
+            for b, chunk in zip(batches, p.chunks)
+        )
+        keys = [k for b in batches for k in b.column("k").tolist()]
+        assert sorted(keys) == sorted(r[0] for r in rows)
+        assert batches[0].column("w").dtype == np.float64
 
     def test_string_keys_hash_verified(self):
         p = ColumnarIndexedPartition(STR_SCHEMA, "tail", chunk_rows=32)
@@ -120,10 +126,9 @@ class TestMVCC:
         child = parent.snapshot(1)
         child.insert_rows(rows_for(30, seed=9))
         assert child.contiguous
-        assert child.scan_columns(["k"]) is not None
-        assert len(child.scan_columns(["k"])["k"]) == 80
+        assert sum(len(b) for b in child.scan_columns(["k"])) == 80
         # The parent's vectorized scan must NOT see the child's rows.
-        assert len(parent.scan_columns(["k"])["k"]) == 50
+        assert sum(len(b) for b in parent.scan_columns(["k"])) == 50
 
     def test_divergence_degrades_to_chain_scan(self):
         parent = make(chunk_rows=64)

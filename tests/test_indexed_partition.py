@@ -3,12 +3,14 @@ string-key hashing, batch overflow, memory accounting."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.indexed.partition import IndexedPartition
-from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.sql.functions import col
+from repro.sql.types import BOOLEAN, DOUBLE, INTEGER, LONG, STRING, Schema
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 STR_SCHEMA = Schema.of(("tail", STRING), ("x", LONG))
@@ -228,3 +230,159 @@ class TestPropertyVsModel:
         for k in range(16):
             assert p.lookup(k) == model.get(k, [])
         assert sorted(p.iter_rows()) == sorted(rows)
+
+
+# -- scan_columns: per-task column views of the row batches (DESIGN.md §18) ------------
+
+WIDE_SCHEMA = Schema.of(("k", LONG), ("i", INTEGER), ("w", DOUBLE), ("ok", BOOLEAN))
+#: Strings before, between and after the fixed-width columns.
+MIXED_SCHEMA = Schema.of(
+    ("head", STRING), ("k", LONG), ("mid", STRING), ("w", DOUBLE), ("i", INTEGER), ("tail", STRING)
+)
+
+
+def wide_rows(n, seed=3):
+    rng = random.Random(seed)
+    return [
+        (rng.randrange(20), rng.randrange(-(2**31), 2**31), rng.random(), rng.random() < 0.5)
+        for _ in range(n)
+    ]
+
+
+def mixed_rows(n, seed=5):
+    rng = random.Random(seed)
+    return [
+        (
+            f"h{rng.randrange(10**rng.randrange(1, 6))}",
+            rng.randrange(20),
+            "é" * rng.randrange(4),  # multi-byte UTF-8, sometimes empty
+            rng.random(),
+            rng.randrange(-(2**31), 2**31),
+            f"t{i}",
+        )
+        for i in range(n)
+    ]
+
+
+def rows_of(batches):
+    return [row for batch in batches for row in batch.to_rows()]
+
+
+def exported(buf) -> bool:
+    """Whether any buffer export (a numpy view) of ``buf`` is still alive:
+    a bytearray refuses to change size while one is."""
+    try:
+        buf.append(0)
+    except BufferError:
+        return True
+    buf.pop()
+    return False
+
+
+class TestScanColumns:
+    def test_fixed_width_columns_are_views_of_the_batch_bytes(self):
+        p = make_partition(WIDE_SCHEMA, "k", batch_size=512)
+        rows = wide_rows(100)
+        p.insert_rows(rows)
+        batches = p.scan_columns(["k", "w", "ok"])
+        assert len(batches) == len(p.batches) > 3
+        for columns, batch in zip(batches, p.batches):
+            raw = np.frombuffer(batch.buf, dtype=np.uint8)
+            for name in ("k", "w", "ok"):
+                view = columns.column(name)
+                assert np.shares_memory(view, raw), name
+                assert not view.flags.writeable
+        assert rows_of(batches) == [(r[0], r[2], r[3]) for r in p.scan_rows()]
+
+    def test_integer_is_widened_to_the_column_batch_dtype(self):
+        p = make_partition(WIDE_SCHEMA, "k", batch_size=4096)
+        rows = wide_rows(50)
+        p.insert_rows(rows)
+        (columns,) = p.scan_columns(["i"])
+        assert columns.column("i").dtype == np.int64
+        assert columns.column("i").tolist() == [r[1] for r in rows]
+
+    def test_every_column_and_order_match_the_row_scan(self):
+        for schema, rows in ((WIDE_SCHEMA, wide_rows(300)), (MIXED_SCHEMA, mixed_rows(300))):
+            p = make_partition(schema, "k", batch_size=2048)
+            p.insert_rows(rows)
+            names = schema.names()
+            assert rows_of(p.scan_columns(names)) == p.scan_rows() == rows
+            back = names[::-1]
+            assert rows_of(p.scan_columns(back)) == [r[::-1] for r in rows]
+            assert sum(len(b) for b in p.scan_columns([])) == 300
+
+    def test_strings_decode_only_when_used_and_only_for_selected_rows(self):
+        p = make_partition(MIXED_SCHEMA, "k", batch_size=1 << 16)
+        rows = mixed_rows(200)
+        p.insert_rows(rows)
+        (columns,) = p.scan_columns(["k", "mid", "tail"])
+        assert set(columns.deferred) == {"mid", "tail"} and set(columns.columns) == {"k"}
+        decoded = []
+        for name in ("mid", "tail"):
+            inner = columns.deferred[name]
+            columns.deferred[name] = lambda sel, inner=inner, name=name: (
+                decoded.append((name, None if sel is None else len(sel))) or inner(sel)
+            )
+        kept = columns.scan(col("k") < 5, ["k", "tail"])
+        assert decoded == []  # the predicate reads no string, nothing decoded yet
+        want = [(r[1], r[5]) for r in rows if r[1] < 5]
+        assert kept.to_rows() == want
+        assert decoded == [("tail", len(want))]  # 'mid' never, 'tail' for survivors
+
+    def test_none_when_version_is_not_contiguous(self):
+        parent = make_partition(batch_size=4096)
+        parent.insert_rows([(i % 5, i, 0.5) for i in range(20)])
+        a, b = parent.snapshot(1), parent.snapshot(1)
+        a.insert_row((100, 1, 1.0))
+        b.insert_row((200, 2, 2.0))  # lands after a's row in the shared tail
+        assert a.scan_columns(["src"]) is not None
+        assert not b.contiguous and b.scan_columns(["src"]) is None
+        assert sorted(b.scan_rows()) == sorted(parent.scan_rows() + [(200, 2, 2.0)])
+
+    @pytest.mark.parametrize(
+        "schema,row",
+        [(WIDE_SCHEMA, (3, None, 0.5, True)), (MIXED_SCHEMA, ("h", 3, None, 0.5, 7, "t"))],
+        ids=["short-fixed-record", "null-beside-strings"],
+    )
+    def test_none_when_a_batch_holds_a_null(self, schema, row):
+        p = make_partition(schema, "k", batch_size=512)
+        rows = wide_rows(40) if schema is WIDE_SCHEMA else mixed_rows(40)
+        p.insert_rows(rows)
+        assert p.scan_columns(["k"]) is not None
+        p.insert_row(row)
+        assert p.scan_columns(["k"]) is None
+        assert p.scan_rows() == rows + [row]
+
+    def test_append_after_a_scan_new_version_sees_it_old_does_not(self):
+        v0 = make_partition(WIDE_SCHEMA, "k", batch_size=4096)
+        rows = wide_rows(30)
+        v0.insert_rows(rows)
+        before = v0.scan_columns(["k", "w"])
+        v1 = v0.snapshot(1)
+        extra = wide_rows(10, seed=8)
+        v1.insert_rows(extra)  # same tail batch: bytes beyond v0's watermark
+        assert rows_of(v1.scan_columns(["k", "w"])) == [(r[0], r[2]) for r in rows + extra]
+        assert rows_of(v0.scan_columns(["k", "w"])) == [(r[0], r[2]) for r in rows]
+        assert rows_of(before) == [(r[0], r[2]) for r in rows]  # the old views too
+
+    def test_spilled_batches_fault_in_and_no_view_outlives_the_caller(self, tmp_path):
+        from repro.indexed.out_of_core import fault_count, spill_partition
+
+        p = make_partition(WIDE_SCHEMA, "k", batch_size=512)
+        rows = wide_rows(120)
+        p.insert_rows(rows)
+        spill_partition(p, spill_dir=str(tmp_path), keep_tail=False)
+        assert not any(b.resident for b in p.batches)
+        batches = p.scan_columns(["k", "i"])
+        assert fault_count(p) == len(p.batches)
+        assert rows_of(batches) == [(r[0], r[1]) for r in rows]
+        buffers = [b.buf for b in p.batches]
+        assert all(exported(buf) for buf in buffers)
+        del batches
+        # Nothing was stored on the partition or its batches: with the
+        # caller's views gone the bytes are free to be released.
+        assert not any(exported(buf) for buf in buffers)
+        for b in p.batches:
+            b.spill()
+        assert not any(b.resident for b in p.batches)

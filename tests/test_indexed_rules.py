@@ -99,11 +99,41 @@ class TestPlanSelection:
         assert isinstance(p.child, IndexedLookupExec)
 
     def test_non_equality_falls_back_to_scan(self, setup):
-        session, _, _ = setup
+        session, rows, _ = setup
         p = self._plan(session, session.sql("SELECT * FROM edges_idx WHERE w > 0.5"))
-        tree = p.tree_string()
-        assert "IndexedScan" in tree
-        assert "IndexedLookup" not in tree
+        assert isinstance(p, IndexedScanExec) and p.condition is not None and p.required is None
+        assert p.tree_string() == "IndexedScan(edges_idx, filter=(w > 0.5))"
+        assert sorted(p.execute().collect()) == sorted(r for r in rows if r[2] > 0.5)
+
+    def test_projection_and_filter_fuse_into_the_scan(self, setup):
+        session, rows, _ = setup
+        p = self._plan(session, session.sql("SELECT dst, w FROM edges_idx WHERE w > 0.5 AND dst < 30"))
+        assert isinstance(p, IndexedScanExec)
+        assert p.required == ["dst", "w"] and p.schema.names() == ["dst", "w"]
+        assert "filter=" in repr(p) and "cols=['dst', 'w']" in repr(p)
+        want = sorted((r[1], r[2]) for r in rows if r[2] > 0.5 and r[1] < 30)
+        assert sorted(p.execute().collect()) == want
+        # The row-only configuration runs the same plan through the row path.
+        session.context.config.indexed_column_kernels = False
+        assert sorted(p.execute().collect()) == want
+
+    def test_index_claims_come_before_fusion(self, setup):
+        """A Project over a filter the index can serve keeps the lookup /
+        range operator; only the unclaimed remainder scans."""
+        session, _, _ = setup
+        p = self._plan(session, session.sql("SELECT dst FROM edges_idx WHERE src = 5 AND w > 0.5"))
+        assert "IndexedLookup" in p.tree_string() and "IndexedScan" not in p.tree_string()
+        p = self._plan(session, session.sql("SELECT dst FROM edges_idx WHERE src > 50"))
+        assert "IndexedRangeScan" in p.tree_string() and "IndexedScan(" not in p.tree_string()
+
+    def test_aggregate_sits_on_the_fused_scan(self, setup):
+        session, rows, _ = setup
+        p = self._plan(session, session.sql("SELECT avg(w) FROM edges_idx WHERE dst < 30"))
+        assert isinstance(p.child, IndexedScanExec) and p.child.condition is not None
+        assert p.child.execute_batches(["w"]) is not None
+        kept = [r[2] for r in rows if r[1] < 30]
+        ((got,),) = p.execute().collect()
+        assert got == pytest.approx(sum(kept) / len(kept), rel=1e-12)
 
     def test_bare_scan(self, setup):
         session, _, _ = setup

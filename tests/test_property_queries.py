@@ -10,6 +10,14 @@ queries, three executions must agree —
 A seeded generator builds random query plans (filters with random
 predicates, projections, equi-joins, aggregations, sorts/limits) through
 the public DataFrame API; hypothesis drives the seeds.
+
+The same generator, in its ``wide`` form, drives the column-kernel
+differential: every query runs over indexed data with
+``Config.indexed_column_kernels`` on and off and over uncached rows, and the
+three row multisets must be equal — across all scheduler modes and over the
+inputs that decide between the kernel and its row fallback (NULLs, strings
+around the fixed-width columns, a non-contiguous MVCC sibling, appends after
+a scan, spilled batches).
 """
 
 import random
@@ -18,7 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.topology import private_cluster
 from repro.config import Config
+from repro.engine.context import EngineContext
+from repro.sql.expressions import IsNull
 from repro.sql.functions import avg, col, count, lit, max_, min_, sum_
 from repro.sql.optimizer import Optimizer
 from repro.sql.planner import Planner
@@ -27,6 +38,11 @@ from repro.sql.types import DOUBLE, LONG, STRING, Schema
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 DIM_SCHEMA = Schema.of(("node", LONG), ("label", STRING))
+#: EDGE_SCHEMA with a string before and after the fixed-width columns, and
+#: two columns that may hold NULL.
+WIDE_SCHEMA = Schema.of(
+    ("tag", STRING), ("src", LONG), ("dst", LONG), ("w", DOUBLE), ("opt", LONG), ("note", STRING)
+)
 
 
 def _norm(value):
@@ -41,18 +57,60 @@ def _norm(value):
 
 
 def normalize(rows):
-    return sorted(tuple(_norm(v) for v in row) for row in rows)
+    # repr as the sort key: NULLs do not order against numbers.
+    return sorted((tuple(_norm(v) for v in row) for row in rows), key=repr)
 
 
 class QueryGenerator:
-    """Builds one random query over (edges, dims) given a seeded RNG."""
+    """Builds one random query over (edges, dims) given a seeded RNG.
+    ``wide``: the edges have WIDE_SCHEMA, and predicates, projections and
+    aggregates also reach its strings, its nullable columns and arithmetic
+    (always NULL-safe: no generated query raises)."""
 
-    def __init__(self, rng: random.Random, keys: int) -> None:
+    def __init__(self, rng: random.Random, keys: int, wide: bool = False) -> None:
         self.rng = rng
         self.keys = keys
+        self.wide = wide
+
+    def wide_predicate(self):
+        rng = self.rng
+        kind = rng.randrange(6)
+        if kind == 0:
+            return col("tag").like(f"t{rng.randrange(4)}%")
+        if kind == 1:
+            return (col("dst") * col("w") > rng.randrange(self.keys)) & (col("tag") != "t0")
+        if kind == 2:
+            return col("dst") % rng.randrange(2, 7) == 0
+        if kind == 3:
+            return IsNull(col("opt"), negated=True) & (col("opt") > rng.randrange(100))
+        if kind == 4:
+            return IsNull(col("note")) | (col("w") < rng.random())
+        return (col("src") > rng.randrange(self.keys)) & (col("note") == f"n{rng.randrange(5)}")
+
+    def wide_shape(self, df):
+        rng = self.rng
+        shape = rng.randrange(6)
+        if shape == 0:
+            return df.select("tag", "w", "note")
+        if shape == 1:
+            return df  # SELECT *
+        if shape == 2:
+            return df.agg(
+                avg("w").alias("a"), min_("dst").alias("lo"), max_("w").alias("hi"),
+                count("opt").alias("c"), sum_("opt").alias("s"), count().alias("n"),
+            )
+        if shape == 3:
+            return df.group_by((col("dst") % 8).alias("bucket")).agg(
+                count().alias("n"), sum_("dst").alias("s"), avg("w").alias("a")
+            )
+        if shape == 4:
+            return df.group_by("tag", "src").agg(min_("w").alias("lo"), max_("dst").alias("hi"))
+        return df.select("dst", "opt")
 
     def predicate(self):
         rng = self.rng
+        if self.wide and rng.random() < 0.5:
+            return self.wide_predicate()
         kind = rng.randrange(5)
         if kind == 0:
             return col("src") == rng.randrange(self.keys)
@@ -69,6 +127,8 @@ class QueryGenerator:
         df = edges_df
         if rng.random() < 0.8:
             df = df.where(self.predicate())
+        if self.wide and rng.random() < 0.6:
+            return self.wide_shape(df)
         shape = rng.randrange(4)
         if shape == 0:  # projection
             return df.select("dst", (col("w") * 2).alias("w2"))
@@ -226,3 +286,129 @@ def test_columnar_storage_equivalence(data, seed):
     gen2 = QueryGenerator(random.Random(seed), keys)
     got = normalize(gen2.build(indexed.to_df(), dims_df).collect_tuples())
     assert got == want
+
+
+# -- column kernels on vs off (DESIGN.md §18) ------------------------------------------
+
+KERNEL_SEEDS = list(range(30))
+
+
+def wide_rows(n, keys, seed, null_key=None):
+    """WIDE_SCHEMA rows; rows of ``null_key`` hold NULLs, so exactly the
+    partition owning that key loses its column views."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        src = rng.randrange(keys)
+        null = src == null_key and i % 2 == 0
+        rows.append(
+            (
+                f"t{rng.randrange(4)}" + "é" * rng.randrange(3),
+                src,
+                rng.randrange(keys),
+                round(rng.random(), 4),
+                None if null else rng.randrange(200),
+                None if null else f"n{rng.randrange(5)}",
+            )
+        )
+    return rows
+
+
+def kernel_session(mode, tmp_path=None, **overrides) -> Session:
+    config = Config(
+        default_parallelism=3, shuffle_partitions=3, scheduler_mode=mode, row_batch_size=2048,
+        task_retry_backoff=0.001, task_retry_backoff_max=0.01, **overrides,
+    )
+    if tmp_path is None:
+        return Session(config=config)
+    config.spill_dir = str(tmp_path)
+    topology = private_cluster(num_machines=1, executors_per_machine=2)
+    return Session(context=EngineContext(config=config, topology=topology))
+
+
+def assert_kernels_agree(session, idf, rows, dims_df, keys, what):
+    """Every generated query: kernels on == kernels off == uncached rows."""
+    config = session.context.config
+    reference = session.create_dataframe(rows, WIDE_SCHEMA, "wide_ref")
+    mismatches = []
+    for seed in KERNEL_SEEDS:
+        def run(source_df):
+            query = QueryGenerator(random.Random(seed), keys, wide=True).build(source_df, dims_df)
+            return normalize(query.collect_tuples())
+
+        want = run(reference)
+        config.indexed_column_kernels = True
+        on = run(idf.to_df())
+        config.indexed_column_kernels = False
+        try:
+            off = run(idf.to_df())
+        finally:
+            config.indexed_column_kernels = True
+        if not on == off == want:
+            mismatches.append(seed)
+    assert mismatches == [], f"{what}: kernels on/off/reference differ for seeds {mismatches}"
+
+
+def viewable(idf) -> list[bool]:
+    """Per partition: does the kernel path get column views?"""
+    return [p.scan_columns(["src"]) is not None for p in idf.materialize_partitions()]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_differential_column_kernels_on_off(mode):
+    keys = 30
+    session = kernel_session(mode)
+    dims_df = session.create_dataframe(
+        [(k, f"label{k % 4}") for k in range(keys)], DIM_SCHEMA, "dims"
+    ).cache()
+
+    def index(rows):
+        return session.create_dataframe(rows, WIDE_SCHEMA, "wide").create_index("src").cache_index()
+
+    # Strings before/after the fixed columns, no NULL: every partition views.
+    plain = wide_rows(600, keys, seed=1)
+    v0 = index(plain)
+    assert all(viewable(v0))
+    assert_kernels_agree(session, v0, plain, dims_df, keys, "plain")
+
+    # NULLs in one key's rows: that partition falls back, the others do not.
+    with_nulls = wide_rows(600, keys, seed=2, null_key=7)
+    nulls = index(with_nulls)
+    assert sorted(viewable(nulls)) == [False, True, True]
+    assert_kernels_agree(session, nulls, with_nulls, dims_df, keys, "nulls")
+
+    # An append after the scans above: new rows visible in the new version,
+    # the old version unchanged.
+    batch1 = wide_rows(24, keys, seed=3)
+    v1 = v0.append_rows(batch1).cache_index()
+    assert_kernels_agree(session, v1, plain + batch1, dims_df, keys, "appended")
+    assert_kernels_agree(session, v0, plain, dims_df, keys, "parent after append")
+
+    # A sibling of v1 diverging from v0: where both fit in v0's tail batch it
+    # appends behind v1's rows, and that partition is no longer contiguous.
+    batch2 = wide_rows(24, keys, seed=4)
+    sibling = v0.append_rows(batch2).cache_index()
+    assert not all(viewable(sibling))
+    assert_kernels_agree(session, sibling, plain + batch2, dims_df, keys, "diverged sibling")
+    assert_kernels_agree(session, v1, plain + batch1, dims_df, keys, "v1 beside its sibling")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_differential_column_kernels_over_spilled_batches(mode, tmp_path):
+    """Under a memory budget the sealed row batches spill; the kernels view
+    them through the same ``.buf`` that faults them back in."""
+    keys = 30
+    session = kernel_session(mode, tmp_path, executor_memory_bytes=40_000)
+    dims_df = session.create_dataframe(
+        [(k, f"label{k % 4}") for k in range(keys)], DIM_SCHEMA, "dims"
+    ).cache()
+    rows = wide_rows(1500, keys, seed=5)
+    idf = (
+        session.create_dataframe(rows, WIDE_SCHEMA, "wide")
+        .create_index("src", num_partitions=4)
+        .cache_index()
+    )
+    assert_kernels_agree(session, idf, rows, dims_df, keys, "spilled")
+    registry = session.context.registry
+    assert registry.counter_total("memory_spills_total") > 0
+    assert registry.counter_total("memory_faulted_back_bytes_total") > 0

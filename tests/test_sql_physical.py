@@ -142,3 +142,92 @@ class TestPhaseAccounting:
             for t in s.tasks
         ]
         assert any("scan" in p for p in phases)
+
+
+class TestVectorRowParity:
+    """The vector evaluator answers as the row evaluator does, or steps aside
+    for it: same rows, or the same error (int64 wrap, zero divisors, NULLs)."""
+
+    PAIRS = Schema.of(("a", LONG), ("b", LONG))
+    PAIR_ROWS = [(2**62, 4), (7, 0), (3, 2)]
+
+    @pytest.fixture()
+    def views(self):
+        """The same three rows uncached (row evaluator), in the columnar cache
+        and indexed — the last two evaluate vectorised."""
+        import repro.indexed  # noqa: F401 - installs DataFrame.create_index
+
+        session = Session(
+            config=Config(default_parallelism=2, shuffle_partitions=2, task_retry_backoff=0.0)
+        )
+        df = session.create_dataframe(self.PAIR_ROWS, self.PAIRS, "pairs")
+        df.create_or_replace_temp_view("pairs_rows")
+        df.cache().create_or_replace_temp_view("pairs_cached")
+        df.create_index("a").create_or_replace_temp_view("pairs_indexed")
+        return session
+
+    def answers(self, session, template):
+        out = []
+        for view in ("pairs_rows", "pairs_cached", "pairs_indexed"):
+            try:
+                out.append(sorted(session.sql(template.format(t=view)).collect_tuples()))
+            except Exception as exc:  # the job fails with the task's error text
+                out.append(str(exc).split("failed: ")[-1])
+        return out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_int64_overflow_is_not_wrapped(self, views):
+        rows, cached, indexed = self.answers(views, "SELECT * FROM {t} WHERE a * b > 0")
+        assert rows == cached == indexed == [(3, 2), (2**62, 4)]
+        rows, cached, indexed = self.answers(views, "SELECT a - b * a, a + a + a FROM {t}")
+        assert rows == cached == indexed
+        assert (2**62 - 4 * 2**62, 3 * 2**62) in rows
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_divisor_raises_as_the_row_path_does(self, views):
+        for op in ("%", "/"):
+            rows, cached, indexed = self.answers(views, f"SELECT * FROM {{t}} WHERE a {op} b = 1")
+            assert isinstance(rows, str) and "by zero" in rows
+            assert rows == cached == indexed
+        # ... and is skipped where AND short-circuits past it.
+        rows, cached, indexed = self.answers(views, "SELECT * FROM {t} WHERE b > 0 AND a % b = 1")
+        assert rows == cached == indexed == [(3, 2)]
+
+    def test_integer_sum_partials_do_not_wrap(self, views):
+        for query in (
+            "SELECT sum(a), count(*) FROM {t}",
+            "SELECT b, sum(a * 4), min(a), max(a), avg(a) FROM {t} GROUP BY b",
+        ):
+            rows, cached, indexed = self.answers(views, query)
+            assert rows == cached == indexed, query
+        big = Session(config=Config(default_parallelism=1, shuffle_partitions=1))
+        df = big.create_dataframe([(2**62, 1)] * 3, self.PAIRS, "big").cache()
+        df.create_or_replace_temp_view("big")
+        assert big.sql("SELECT sum(a) FROM big").collect_tuples() == [(3 * 2**62,)]
+
+    def test_null_in_primitive_column_of_the_cache(self):
+        """``from_rows`` used to crash on a NULL in a LONG/DOUBLE column."""
+        import repro.indexed  # noqa: F401
+
+        schema = Schema.of(("a", LONG), ("b", DOUBLE), ("c", STRING))
+        rows = [(5, 2.0, "x"), (None, 1.0, "y"), (2, None, "z")]
+        session = Session(config=Config(default_parallelism=2, shuffle_partitions=2))
+        df = session.create_dataframe(rows, schema, "n")
+        df.create_or_replace_temp_view("n_rows")
+        df.cache().create_or_replace_temp_view("n_cached")
+        df.create_index("c").create_or_replace_temp_view("n_indexed")
+        for query in (
+            "SELECT * FROM {t}",
+            "SELECT count(a), count(b), count(*) FROM {t}",
+            "SELECT sum(b), min(a), max(a), avg(a) FROM {t}",
+            "SELECT c FROM {t} WHERE a IS NOT NULL AND a > 2",
+            "SELECT c, a FROM {t} WHERE b IS NULL",
+            "SELECT a, count(*) FROM {t} GROUP BY a",
+        ):
+            want = sorted(session.sql(query.format(t="n_rows")).collect_tuples(), key=repr)
+            for view in ("n_cached", "n_indexed"):
+                got = sorted(session.sql(query.format(t=view)).collect_tuples(), key=repr)
+                assert got == want, (view, query)
+        assert sorted(session.table("n_cached").collect_tuples(), key=repr) == sorted(
+            rows, key=repr
+        )
