@@ -98,10 +98,6 @@ class FaultInjector:
     #: incoming query (always a *retryable* rejection, never a wrong
     #: answer) — chaos for client retry loops. Keyed by query index.
     serve_rejection_prob: float = 0.0
-    #: Probability that one kernel dispatch ("processes" mode) SIGKILLs its
-    #: pool worker mid-request. Keyed by (stage, split, attempt) like task
-    #: chaos, so a seed kills the same logical dispatches every run.
-    proc_kill_prob: float = 0.0
     #: Probability that one routed serve operation crashes a shard *before*
     #: the call lands (the kill-one-shard scenario). Keyed by the router's
     #: operation index; the victim shard is drawn from the same site, so a
@@ -112,17 +108,12 @@ class FaultInjector:
     #: exist to beat. Keyed by (shard_id, shard-local op index).
     shard_straggler_prob: float = 0.0
     shard_straggler_delay: float = 0.05
-    #: Corruption chaos (DESIGN.md §16): probabilities that real bytes get
-    #: damaged at each integrity boundary — a shared-memory batch segment
-    #: after its dispatch handles are built (``corrupt_shm_prob``), a spill
-    #: file after it is written (``corrupt_spill_prob``), a staged shuffle
-    #: bucket at fetch time (``corrupt_fetch_prob``). The damage mode
+    #: Corruption chaos (DESIGN.md §16): probability that real bytes get
+    #: damaged in a spill file after it is written. The damage mode
     #: (bit-flip / truncation / garbled header) is drawn from the same
     #: site. Each injection must be *detected* by a checksum boundary and
     #: repaired from lineage or a replica — never decoded into an answer.
-    corrupt_shm_prob: float = 0.0
     corrupt_spill_prob: float = 0.0
-    corrupt_fetch_prob: float = 0.0
 
     _scheduled: list[tuple[Callable[[int], bool], str]] = field(default_factory=list)
     _fired: set[int] = field(default_factory=set)
@@ -141,10 +132,6 @@ class FaultInjector:
     #: One-shot targeted shard stragglers: shard_id -> delay seconds.
     _shard_delays: dict[int, float] = field(default_factory=dict)
     _fetch_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    #: Per-(shuffle, reduce) fetch-corruption attempt counter: only a
-    #: reduce's *first* fetch can be corrupted, so the refetch after the
-    #: map recompute always reads clean bytes (transient by construction).
-    _fetch_corrupt_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     #: Monotonic spill-write counter keying corrupt_spill draws.
     _spill_writes: int = 0
     #: The no-consecutive-corruption rule for spills: a rebuild's re-spill
@@ -172,13 +159,10 @@ class FaultInjector:
         memory_squeeze_prob: float | None = None,
         memory_squeeze_factor: float | None = None,
         serve_rejection_prob: float | None = None,
-        proc_kill_prob: float | None = None,
         shard_kill_prob: float | None = None,
         shard_straggler_prob: float | None = None,
         shard_straggler_delay: float | None = None,
-        corrupt_shm_prob: float | None = None,
         corrupt_spill_prob: float | None = None,
-        corrupt_fetch_prob: float | None = None,
     ) -> None:
         with self._lock:
             if seed is not None:
@@ -197,20 +181,14 @@ class FaultInjector:
                 self.memory_squeeze_factor = memory_squeeze_factor
             if serve_rejection_prob is not None:
                 self.serve_rejection_prob = serve_rejection_prob
-            if proc_kill_prob is not None:
-                self.proc_kill_prob = proc_kill_prob
             if shard_kill_prob is not None:
                 self.shard_kill_prob = shard_kill_prob
             if shard_straggler_prob is not None:
                 self.shard_straggler_prob = shard_straggler_prob
             if shard_straggler_delay is not None:
                 self.shard_straggler_delay = shard_straggler_delay
-            if corrupt_shm_prob is not None:
-                self.corrupt_shm_prob = corrupt_shm_prob
             if corrupt_spill_prob is not None:
                 self.corrupt_spill_prob = corrupt_spill_prob
-            if corrupt_fetch_prob is not None:
-                self.corrupt_fetch_prob = corrupt_fetch_prob
 
     # -- scheduled kills -----------------------------------------------------------
 
@@ -339,18 +317,6 @@ class FaultInjector:
             return False
         return _draw(self.seed, "serve", query_index) < self.serve_rejection_prob
 
-    def on_proc_dispatch(self, stage_id: int, split: int, attempt: int) -> bool:
-        """True when this kernel dispatch should SIGKILL its pool worker.
-
-        Drawn per (stage, split, attempt): the retry of a task whose
-        dispatch was killed draws fresh, so chaos stays transient and the
-        retry can succeed — "a killed worker process is just another
-        executor death".
-        """
-        if self.proc_kill_prob <= 0:
-            return False
-        return _draw(self.seed, "prockill", stage_id, split, attempt) < self.proc_kill_prob
-
     # -- sharded serving chaos -------------------------------------------------------
 
     def kill_shard_at(self, op_index: int, shard_id: int) -> None:
@@ -413,22 +379,6 @@ class FaultInjector:
         i = int(_draw(self.seed, "corruptmode", *site) * len(CORRUPTION_MODES))
         return CORRUPTION_MODES[min(i, len(CORRUPTION_MODES) - 1)]
 
-    def on_shm_dispatch(self, stage_id: int, split: int, attempt: int) -> "str | None":
-        """Corruption mode for this kernel dispatch's segment bytes, or None.
-
-        Only first attempts are corrupted (like ``task_failure_prob``): the
-        retry after the quarantine recomputes the partition into fresh
-        segments, which must decode clean for repair to mean anything.
-        """
-        if self.corrupt_shm_prob <= 0 or attempt != 0:
-            return None
-        if _draw(self.seed, "shmcorrupt", stage_id, split) < self.corrupt_shm_prob:
-            mode = self._corruption_mode("shm", stage_id, split)
-            with self._lock:
-                self.corruptions.append(("shm", mode))
-            return mode
-        return None
-
     def on_spill_write(self) -> "str | None":
         """Corruption mode for the spill file just written, or None.
 
@@ -453,27 +403,6 @@ class FaultInjector:
                 return mode
         return None
 
-    def on_fetch_corrupt(self, shuffle_id: int, reduce_id: int) -> "str | None":
-        """Corruption mode for this staged-bucket fetch, or None.
-
-        Only the first fetch of a (shuffle, reduce) pair can be corrupted;
-        the refetch after the map-stage recompute reads fresh bytes.
-        """
-        if self.corrupt_fetch_prob <= 0:
-            return None
-        with self._lock:
-            norm = self._shuffle_order.setdefault(shuffle_id, len(self._shuffle_order))
-            n = self._fetch_corrupt_counts.get((shuffle_id, reduce_id), 0) + 1
-            self._fetch_corrupt_counts[(shuffle_id, reduce_id)] = n
-        if n > 1:
-            return None
-        if _draw(self.seed, "fetchcorrupt", norm, reduce_id) < self.corrupt_fetch_prob:
-            mode = self._corruption_mode("fetch", norm, reduce_id)
-            with self._lock:
-                self.corruptions.append(("fetch", mode))
-            return mode
-        return None
-
     def on_fetch(self, shuffle_id: int, reduce_id: int) -> bool:
         """True when this fetch should fail flakily (map output intact)."""
         if self.fetch_failure_prob <= 0:
@@ -496,7 +425,6 @@ class FaultInjector:
             self._shard_delays.clear()
             self._fetch_counts.clear()
             self._shuffle_order.clear()
-            self._fetch_corrupt_counts.clear()
             self.corruptions.clear()
             self._task_launches = 0
             self._spill_writes = 0
@@ -506,9 +434,6 @@ class FaultInjector:
             self.straggler_prob = 0.0
             self.memory_squeeze_prob = 0.0
             self.serve_rejection_prob = 0.0
-            self.proc_kill_prob = 0.0
             self.shard_kill_prob = 0.0
             self.shard_straggler_prob = 0.0
-            self.corrupt_shm_prob = 0.0
             self.corrupt_spill_prob = 0.0
-            self.corrupt_fetch_prob = 0.0

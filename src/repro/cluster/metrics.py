@@ -82,7 +82,6 @@ RECOVERY_EVENT_KINDS = (
     "fetch_failed",          # a reduce fetch found a map output missing
     "chaos_task_failure",    # injected transient task failure
     "chaos_fetch_failure",   # injected flaky fetch (map output intact)
-    "worker_process_crash",  # a kernel pool worker died mid-request (processes mode)
     "chaos_straggler",       # injected slow task
     "block_recomputed",      # a lost cached block was rebuilt from lineage
     "stale_partition_rebuilt",  # version guard refused a stale indexed copy
@@ -96,13 +95,9 @@ RECOVERY_EVENT_KINDS = (
     "shard_recovered",       # a dead shard restarted and re-pinned its partitions
     "hot_partition_replicated",  # popularity sketch promoted a partition R-ways
     "chaos_shard_kill",      # injected shard crash (kill-one-shard scenario)
-    "chaos_shm_corruption",  # injected bit damage in a dispatched shm segment
     "chaos_spill_corruption",  # injected damage to a spill file on write
-    "chaos_fetch_corruption",  # injected damage to a staged shuffle bucket
     "corrupt_block_quarantined",  # checksum mismatch: block dropped everywhere
     "corrupt_block_rebuilt",  # quarantined block rebuilt from lineage
-    "corrupt_shuffle_payload",  # staged bucket failed verification at fetch
-    "corrupt_map_recomputed",  # corrupt map output refilled by recompute
     "scrub_corruption_found",  # background scrubber caught a bad pinned batch
     "scrub_corruption_repaired",  # scrubber restored a verified copy
 )

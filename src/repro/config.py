@@ -60,11 +60,9 @@ class Config:
         How the task scheduler executes a stage's tasks: ``"sequential"``
         runs them one by one in the driver thread (deterministic, the
         original behaviour); ``"threads"`` launches them concurrently onto
-        a thread pool bounded by the topology's executor slots;
-        ``"processes"`` additionally backs sealed row batches with
-        shared-memory segments and offloads the CPU-bound decode kernels
-        (scans, chain walks) to a process pool, escaping the GIL
-        (DESIGN.md §13). All modes produce identical results.
+        a thread pool bounded by the topology's executor slots. Both modes
+        run in the one driver process and produce identical results
+        (DESIGN.md §13 records why there is no process runtime).
     max_concurrent_tasks:
         Upper bound on concurrently running tasks in ``"threads"`` mode.
         0 (the default) derives the bound from the topology:
@@ -127,32 +125,13 @@ class Config:
     scheduler_mode: str = field(default_factory=_default_scheduler_mode)
     max_concurrent_tasks: int = 0
     #: Small-job heuristic (the fig01 fix): a stage with at most this many
-    #: tasks runs inline in the caller's thread even in a parallel mode —
+    #: tasks runs inline in the caller's thread even in "threads" mode —
     #: tiny jobs stop paying pool dispatch overhead. 0 disables.
     small_stage_inline_threshold: int = 2
     #: Inline a stage whose lineage-estimated record count is at most this
     #: (broadcast probes of a handful of keys, tiny collects). 0 disables
     #: the row-based half of the heuristic.
     small_stage_inline_rows: int = 128
-    #: Kernel workers in the process pool ("processes" mode); 0 derives
-    #: ``min(4, max(2, cpu_count))``. The pool is process-global (spawn
-    #: startup is expensive) and shared by every context.
-    proc_pool_workers: int = 0
-    #: Kernel results at or above this many pickled bytes return via a
-    #: shared segment instead of the worker pipe.
-    proc_result_shm_bytes: int = 256 * KB
-    #: Minimum bytes a scan must reference before it is offloaded to the
-    #: pool (below this, inline decode beats the dispatch round trip).
-    proc_offload_min_bytes: int = 16 * KB
-    #: Minimum distinct probe keys before a chain-walk batch is offloaded.
-    proc_offload_min_keys: int = 32
-    #: Map-output buckets at or above this estimated size are staged in
-    #: shared segments in "processes" mode (fetch resolves the handle and
-    #: maps the bytes instead of holding a second in-heap copy).
-    shuffle_shm_bytes: int = 1 * MB
-    #: Back indexed row batches with shared-memory segments: "auto" (only
-    #: in "processes" mode), "on", or "off".
-    shared_batches: str = "auto"
     index_string_keys_as_hash: bool = True
     #: Maintain the per-partition ordered secondary index (DESIGN.md §15):
     #: sorted distinct key values enabling BETWEEN/</>/prefix range scans
@@ -182,10 +161,6 @@ class Config:
     #: Chaos layer: seeded, deterministic mid-stage fault injection.
     chaos_seed: int = 0
     chaos_task_failure_prob: float = 0.0
-    #: Probability that a kernel dispatch SIGKILLs its pool worker mid-fly
-    #: ("processes" mode): the dispatching task observes WorkerCrashed,
-    #: which is handled exactly like an executor death (lineage rebuild).
-    chaos_proc_kill_prob: float = 0.0
     chaos_fetch_failure_prob: float = 0.0
     chaos_straggler_prob: float = 0.0
     chaos_straggler_delay: float = 0.02
@@ -211,13 +186,10 @@ class Config:
     chaos_shard_straggler_delay: float = 0.05
     #: Corruption chaos (DESIGN.md §16): probability that real bytes get
     #: damaged (bit-flip / truncation / garbled header, drawn per site) in
-    #: a dispatched shared-memory batch segment, a just-written spill file,
-    #: or a staged shuffle bucket at fetch time. Every injection must be
-    #: caught by a checksum boundary and repaired from lineage or a
-    #: replica — never decoded into a wrong answer.
-    chaos_corrupt_shm_prob: float = 0.0
+    #: a just-written spill file. Every injection must be caught by a
+    #: checksum boundary and repaired from lineage or a replica — never
+    #: decoded into a wrong answer.
     chaos_corrupt_spill_prob: float = 0.0
-    chaos_corrupt_fetch_prob: float = 0.0
     #: CRC32 integrity checking of row batches at trust boundaries
     #: (DESIGN.md §16). Process-global; off only for A/B overhead runs.
     integrity_checks: bool = True
@@ -305,8 +277,7 @@ class Config:
                 f"got {self.chaos_memory_squeeze_factor!r}"
             )
         enums = (
-            ("scheduler_mode", ("sequential", "threads", "processes")),
-            ("shared_batches", ("auto", "on", "off")),
+            ("scheduler_mode", ("sequential", "threads")),
             ("eviction_policy", ("lru", "reference_distance", "cost")),
             ("index_storage_format", ("row", "columnar")),
         )

@@ -190,26 +190,6 @@ class BlockManagerMaster:
                 del self._locations[block_id]
 
 
-def _shm_backed_bytes(value: Any) -> "int | None":
-    """Total visible bytes when every item in the block is an indexed
-    partition fully backed by shared-memory segments, else None.
-
-    A same-machine "fetch" of such a block maps the owner's segments
-    rather than copying rows, so its bytes are *referenced*, not read.
-    """
-    if not isinstance(value, list) or not value:
-        return None
-    from repro.indexed.shared_batches import scan_handles
-
-    total = 0
-    for item in value:
-        handles = scan_handles(item) if hasattr(item, "batches") else None
-        if not handles:
-            return None
-        total += sum(h.visible for h in handles)
-    return total
-
-
 class CacheManager:
     """Cache-aware partition access: get the block or compute-and-store it.
 
@@ -251,16 +231,7 @@ class CacheManager:
                         from repro.engine.shuffle import estimate_size
 
                         nbytes = estimate_size(value if isinstance(value, list) else [value])
-                    referenced = (
-                        _shm_backed_bytes(value)
-                        if ctxm.topology.same_machine(executor_id, ctx.executor_id)
-                        else None
-                    )
-                    if referenced is not None:
-                        # Shared-memory batches on the same machine: the
-                        # "fetch" maps the owner's segments, no copy happens.
-                        ctxm.registry.inc("cache_bytes_referenced_total", referenced)
-                    elif ctxm.topology.same_machine(executor_id, ctx.executor_id):
+                    if ctxm.topology.same_machine(executor_id, ctx.executor_id):
                         ctx.shuffle_bytes_read_local += nbytes
                     else:
                         ctx.shuffle_bytes_read_remote += nbytes

@@ -7,6 +7,7 @@ schedulers), and exposes the entry points ``parallelize`` / ``run_job``.
 
 from __future__ import annotations
 
+import gc
 import threading
 from typing import Any, Callable, Iterator
 
@@ -32,6 +33,13 @@ from repro.engine.shuffle import ShuffleManager
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
+#: Gen-1 passes between full garbage collections (CPython's default: 10). A
+#: cached index is >= 10^5 long-lived node objects and every full pass walks
+#: all of them (~100 ms at 100 k rows) to find nothing: at the default, a
+#: scan that materialises 10^5 result tuples spends over half its wall time
+#: there. Process-wide, like the integrity switch. DESIGN.md §8.
+FULL_GC_EVERY = 30
+
 
 class EngineContext:
     """Driver for one simulated cluster application.
@@ -56,6 +64,7 @@ class EngineContext:
     ) -> None:
         self.config = (config or Config()).validate()
         set_integrity_enabled(self.config.integrity_checks)
+        gc.set_threshold(*gc.get_threshold()[:2], FULL_GC_EVERY)
         self.topology = topology or private_cluster()
         self.network = network or NetworkModel()
         self.numa = numa or NUMAModel()
@@ -75,13 +84,10 @@ class EngineContext:
             memory_squeeze_prob=self.config.chaos_memory_squeeze_prob,
             memory_squeeze_factor=self.config.chaos_memory_squeeze_factor,
             serve_rejection_prob=self.config.chaos_serve_rejection_prob,
-            proc_kill_prob=self.config.chaos_proc_kill_prob,
             shard_kill_prob=self.config.chaos_shard_kill_prob,
             shard_straggler_prob=self.config.chaos_shard_straggler_prob,
             shard_straggler_delay=self.config.chaos_shard_straggler_delay,
-            corrupt_shm_prob=self.config.chaos_corrupt_shm_prob,
             corrupt_spill_prob=self.config.chaos_corrupt_spill_prob,
-            corrupt_fetch_prob=self.config.chaos_corrupt_fetch_prob,
         )
         #: Cost-based cache advisor (DESIGN.md §17): passively accumulates
         #: recurrence + measured compute cost from every layer; actively
@@ -185,8 +191,8 @@ class EngineContext:
     ) -> int:
         """Drop every cached block referencing the corrupt bytes, everywhere.
 
-        MVCC versions share batch objects, so a single damaged batch (or
-        shared segment) can back several cached blocks; all of them are
+        MVCC versions share batch objects, so a single damaged batch can
+        back several cached blocks; all of them are
         removed from every executor and marked corrupt in the master —
         the retry's cache miss then rebuilds them from lineage
         (``corruption_repaired_total{how="lineage_rebuild"}`` attribution
@@ -326,35 +332,6 @@ class EngineContext:
                 if victim in self.executors and self.executors[victim].alive:
                     self.kill_executor(victim, reason="scheduled")
             return self.dag_scheduler.run_job(rdd, func, partitions, job_index=job)
-
-    # -- process executors ("processes" mode, DESIGN.md §13) ----------------------------
-
-    def shared_batches_enabled(self) -> bool:
-        """Should indexed partitions back their batches with shared memory?
-
-        ``Config.shared_batches``: "on" forces it, "off" forbids it, "auto"
-        follows the scheduler mode. Only the row format qualifies (columnar
-        partitions keep numpy chunks).
-        """
-        mode = self.config.shared_batches
-        if mode == "off" or self.config.index_storage_format != "row":
-            return False
-        return mode == "on" or self.config.scheduler_mode == "processes"
-
-    def proc_pool(self):
-        """The process-global kernel pool, or None outside "processes" mode.
-
-        Lazy: the first offloaded kernel pays the worker spawn; every later
-        context reuses the same workers (they hold no per-context state —
-        everything arrives via segment names and pipe requests).
-        """
-        if self.config.scheduler_mode != "processes":
-            return None
-        from repro.engine.proc_pool import get_pool
-
-        return get_pool(
-            self.config.proc_pool_workers, self.config.proc_result_shm_bytes
-        )
 
     # -- serving hooks ------------------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 Two behaviours here carry the paper's story:
 
-* **Shuffle reuse / amortization.** A ShuffleMapStage whose outputs are all
-  present is *skipped*. Creating an index shuffles once; afterwards every
-  query over the indexed (cached) data runs only its own narrow stages.
-  Vanilla repeated joins re-shuffle/probe each time (Fig. 1).
+* **Shuffle reuse / amortization.** A shuffle whose map outputs are all
+  present is *skipped* — no stage is even built for it. Creating an index
+  shuffles once; afterwards every query over the indexed (cached) data
+  runs only its own narrow stages. Vanilla repeated joins re-shuffle/probe
+  each time (Fig. 1). The scheduler keeps no stage between jobs: map
+  outputs belong to the :class:`ShuffleManager`, which holds them exactly
+  as long as the shuffle's dependency edge is alive.
 * **Lineage recovery.** A FetchFailedError (map output lost with its
   executor) marks the output missing and resubmits the parent stage for
   exactly the missing partitions, then retries the job — Section III-D /
@@ -35,8 +38,6 @@ class DAGScheduler:
     def __init__(self, context: "EngineContext") -> None:
         self.context = context
         self._next_stage_id = 0
-        #: shuffle_id -> its map stage; persists across jobs for reuse.
-        self._shuffle_stages: dict[int, ShuffleMapStage] = {}
         self.max_stage_attempts = 8
 
     # -- stage construction ---------------------------------------------------------
@@ -62,21 +63,6 @@ class DAGScheduler:
                 else:
                     stack.append(dep.rdd)
         return parents
-
-    def _shuffle_stage_for(self, dep: ShuffleDependency) -> ShuffleMapStage:
-        stage = self._shuffle_stages.get(dep.shuffle_id)
-        if stage is None:
-            stage = ShuffleMapStage(
-                stage_id=self._new_stage_id(),
-                rdd=dep.rdd,
-                parents=self._parent_shuffle_deps(dep.rdd),
-                dep=dep,
-            )
-            self._shuffle_stages[dep.shuffle_id] = stage
-            self.context.shuffle_manager.register_shuffle(
-                dep.shuffle_id, dep.rdd.num_partitions
-            )
-        return stage
 
     # -- job execution ---------------------------------------------------------------
 
@@ -159,7 +145,6 @@ class DAGScheduler:
         """Depth-first: compute every ancestor shuffle whose outputs are missing."""
         sm = self.context.shuffle_manager
         for dep in stage.parents:
-            map_stage = self._shuffle_stage_for(dep)
             # Idempotent re-registration: a wholly-unregistered shuffle
             # (e.g. dropped via unregister_shuffle, or a FetchFailedError
             # with map_id == -1) gets fresh empty slots instead of
@@ -168,6 +153,12 @@ class DAGScheduler:
             missing = sm.missing_maps(dep.shuffle_id)
             if not missing:
                 continue  # amortized: outputs already materialized
+            map_stage = ShuffleMapStage(
+                stage_id=self._new_stage_id(),
+                rdd=dep.rdd,
+                parents=self._parent_shuffle_deps(dep.rdd),
+                dep=dep,
+            )
             self._ensure_parents(map_stage, job_index)
             self.context.task_scheduler.run_stage(map_stage, missing, job_index)
 

@@ -60,6 +60,8 @@ class ShuffleDependency(Dependency):
     ``key_func`` extracts the partitioning key from a record (records need
     not be (k, v) pairs; SQL rows are keyed by join/index columns).
     ``combiner`` optionally pre-aggregates map-side (used by reduce_by_key).
+    The shuffle's map outputs stay registered while this edge is alive and
+    are dropped once it is collected (``ShuffleManager.release_with``).
     """
 
     _next_shuffle_id = 0
@@ -77,6 +79,7 @@ class ShuffleDependency(Dependency):
         self.combiner = combiner
         self.shuffle_id = ShuffleDependency._next_shuffle_id
         ShuffleDependency._next_shuffle_id += 1
+        rdd.context.shuffle_manager.release_with(self)
 
 
 class MapSideCombiner:

@@ -75,7 +75,6 @@ class ExecutorRuntime:
             job_index=job_index,
             tracer=tracer if span.enabled else None,
             task_span=span if span.enabled else None,
-            engine=self.context,
         )
         t0 = time.perf_counter()
         # ``with span`` also activates it on this thread, so operator spans

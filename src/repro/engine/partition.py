@@ -40,10 +40,6 @@ class TaskContext:
     #: Set by ExecutorRuntime.run_task when tracing is enabled.
     tracer: Any = None
     task_span: Any = None
-    #: The EngineContext driving this task — operators consult it for the
-    #: kernel pool and chaos hooks ("processes" mode). Always set by
-    #: ExecutorRuntime.run_task; None only in hand-built test contexts.
-    engine: Any = None
 
     def add_phase(self, name: str, seconds: float) -> None:
         self.phases[name] = self.phases.get(name, 0.0) + seconds

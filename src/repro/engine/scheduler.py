@@ -22,19 +22,13 @@ Execution modes (``Config.scheduler_mode``):
   stage's in-flight siblings and propagates to the DAG scheduler; results
   are returned in partition order either way, so the two modes produce
   byte-identical query results.
-* ``"processes"`` — orchestration is identical to ``"threads"`` (tasks are
-  closures over the driver's RDD graph and cannot cross a process
-  boundary), but operators offload their CPU-bound decode kernels to a
-  process pool over shared-memory row batches (DESIGN.md §13), so the
-  driver threads spend their time blocked in ``recv`` — GIL released —
-  instead of decoding.
 
-**Small-job heuristic** (both parallel modes): a stage with at most
+**Small-job heuristic** (``threads`` mode): a stage with at most
 ``Config.small_stage_inline_threshold`` tasks, or whose lineage-estimated
 record count is at most ``small_stage_inline_rows``, runs inline in the
 caller's thread. Tiny jobs — the 51-row broadcast probes of the fig01
 amortization workload — were paying more in pool dispatch than their
-compute cost, which is exactly the BENCH_PR1 regression (0.40x). Every
+compute cost (0.40x of sequential when the pool first landed). Every
 dispatch is counted in ``tasks_dispatched_total{mode, path}`` so the
 split is observable.
 
@@ -268,10 +262,9 @@ class TaskScheduler:
         """
         cfg = self.context.config
         mode = cfg.scheduler_mode
-        if mode not in ("sequential", "threads", "processes"):
+        if mode not in ("sequential", "threads"):
             raise ValueError(
-                f"unknown scheduler_mode {mode!r} "
-                "(expected 'sequential', 'threads' or 'processes')"
+                f"unknown scheduler_mode {mode!r} (expected 'sequential' or 'threads')"
             )
         with self._slot_lock:
             self.last_placements = []
@@ -294,7 +287,7 @@ class TaskScheduler:
             job_index=job_index,
         )
         use_pool = (
-            mode in ("threads", "processes")
+            mode == "threads"
             and len(partitions) > 1
             and not self._should_inline(stage, partitions)
         )

@@ -15,67 +15,15 @@ import itertools
 import pickle
 import threading
 import weakref
-import zlib
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partition import TaskContext
-from repro.integrity import CorruptBlockError, integrity_enabled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import EngineContext
-
-#: Segment-name prefix of shuffle-staged buckets (distinct from row-batch
-#: segments so leak diagnostics can tell the two apart in /dev/shm).
-SHUFFLE_SEGMENT_PREFIX = "repro-shuf-"
-
-
-class ShmBucket:
-    """A map-output bucket staged in a shared-memory segment (processes mode).
-
-    Buckets crossing ``Config.shuffle_shm_bytes`` are pickled once into
-    ``/dev/shm`` at map time, so the shuffle registry holds a ~100-byte
-    descriptor instead of the row list and reduce-side readers decode from
-    the mapped pages. Ownership follows the SharedRowBatch discipline: a
-    ``weakref.finalize`` unlinks the segment when the registry drops the
-    map output (executor loss, shuffle unregistration), and the atexit
-    sweep covers interrupted runs.
-    """
-
-    __slots__ = ("name", "nbytes", "count", "checksum", "_shm", "_finalizer", "__weakref__")
-
-    def __init__(self, rows: list[Any]) -> None:
-        from repro.indexed.shared_batches import release_segment, stage_segment
-
-        payload = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
-        shm = stage_segment(payload, prefix=SHUFFLE_SEGMENT_PREFIX)
-        self.name = shm.name
-        self.nbytes = len(payload)
-        self.count = len(rows)
-        #: CRC32 of the pickled payload at stage time, re-checked by every
-        #: reader before unpickling (the shuffle-transport trust boundary).
-        self.checksum = zlib.crc32(payload) if integrity_enabled() else None
-        self._shm = shm
-        self._finalizer = weakref.finalize(self, release_segment, self.name)
-
-    def rows(self) -> list[Any]:
-        data = self._shm.buf[: self.nbytes]
-        if self.checksum is not None:
-            actual = zlib.crc32(data)
-            if actual != self.checksum:
-                raise CorruptBlockError(
-                    "shuffle_fetch",
-                    detail=f"{self.nbytes} payload bytes",
-                    segment=self.name,
-                    expected=self.checksum,
-                    actual=actual,
-                )
-        return pickle.loads(data)
-
-    def __len__(self) -> int:
-        return self.count
-
 
 class FetchFailedError(Exception):
     """A reduce task could not fetch a map output (producer executor lost)."""
@@ -127,19 +75,36 @@ class ShuffleManager:
         self._lock = threading.Lock()
         #: shuffle_id -> list of MapOutput slots (None = not yet / lost)
         self._outputs: dict[int, list[MapOutput | None]] = {}
-        self._num_maps: dict[int, int] = {}
-        #: (shuffle_id, map_id) slots dropped after a fetch-side checksum
-        #: mismatch; the map recompute that refills such a slot is the
-        #: repair half of the detect -> repair contract.
-        self._corrupt_maps: set[tuple[int, int]] = set()
+        #: Ids of shuffles whose dependency edge has been collected. The
+        #: finalizer can fire inside any allocation — including one made
+        #: while ``_lock`` is held — so it only appends here;
+        #: :meth:`_drop_released` does the unregistering under the lock.
+        self._released: deque[int] = deque()
 
     # -- registration ------------------------------------------------------------
 
+    def release_with(self, dep: ShuffleDependency) -> None:
+        """Tie ``dep``'s map outputs to its lifetime: once the RDD graph
+        holding the edge is collected nothing can fetch them again, so they
+        are dropped. An index's build shuffle thus lives as long as its
+        cached RDD; a finished query's shuffle dies with its plan."""
+        weakref.finalize(dep, self._released.append, dep.shuffle_id)
+
+    def _drop_released(self) -> None:
+        while self._released:
+            self._outputs.pop(self._released.popleft(), None)
+
+    def registered_shuffles(self) -> list[int]:
+        """Ids of the shuffles whose map outputs are currently held."""
+        with self._lock:
+            self._drop_released()
+            return list(self._outputs)
+
     def register_shuffle(self, shuffle_id: int, num_maps: int) -> None:
         with self._lock:
+            self._drop_released()
             if shuffle_id not in self._outputs:
                 self._outputs[shuffle_id] = [None] * num_maps
-                self._num_maps[shuffle_id] = num_maps
 
     def is_registered(self, shuffle_id: int) -> bool:
         with self._lock:
@@ -158,7 +123,6 @@ class ShuffleManager:
         self, dep: ShuffleDependency, map_id: int, records: Iterator[Any], ctx: TaskContext
     ) -> None:
         """Bucket ``records`` by the dependency's partitioner and register them."""
-        num_reduces = dep.partitioner.num_partitions
         key_func = dep.key_func
         buckets: dict[int, list[Any]] = {}
         if dep.combiner is not None:
@@ -178,59 +142,14 @@ class ShuffleManager:
                 buckets.setdefault(p, []).append(rec)
         sizes = {p: estimate_size(rows) for p, rows in buckets.items()}
         ctx.shuffle_bytes_written += sum(sizes.values())
-        output = MapOutput(
-            executor_id=ctx.executor_id,
-            buckets=self._maybe_stage_shm(buckets, sizes),
-            sizes=sizes,
-        )
-        repaired = False
+        output = MapOutput(executor_id=ctx.executor_id, buckets=buckets, sizes=sizes)
         with self._lock:
             slots = self._outputs.get(dep.shuffle_id)
             if slots is not None:
                 slots[map_id] = output
-                if (dep.shuffle_id, map_id) in self._corrupt_maps:
-                    self._corrupt_maps.discard((dep.shuffle_id, map_id))
-                    repaired = True
             # else: the shuffle was unregistered while this map task ran;
             # drop the output — readers will see a missing map and the DAG
             # scheduler recomputes after re-registration.
-        if repaired:
-            # The recompute refilled a slot quarantined for a checksum
-            # mismatch: the map-recompute half of the detect -> repair
-            # contract (the lineage half lives in the CacheManager).
-            self._context.registry.inc("corruption_repaired_total", how="map_recompute")
-            self._context.metrics.record_recovery(
-                "corrupt_map_recomputed",
-                job_index=ctx.job_index,
-                stage_id=ctx.stage_id,
-                partition=ctx.partition_index,
-                executor_id=ctx.executor_id,
-                detail=f"shuffle={dep.shuffle_id} map={map_id}",
-            )
-        _ = num_reduces  # documented invariant: bucket ids < num_reduces
-
-    def _maybe_stage_shm(
-        self, buckets: dict[int, list[Any]], sizes: dict[int, int]
-    ) -> dict[int, Any]:
-        """Stage large buckets into shared-memory segments (processes mode)."""
-        cfg = self._context.config
-        if cfg.scheduler_mode != "processes" or cfg.shuffle_shm_bytes <= 0:
-            return buckets
-        registry = self._context.registry
-        out: dict[int, Any] = {}
-        for p, rows in buckets.items():
-            if sizes.get(p, 0) < cfg.shuffle_shm_bytes:
-                out[p] = rows
-                continue
-            try:
-                staged = ShmBucket(rows)
-            except (TypeError, AttributeError, pickle.PicklingError):
-                out[p] = rows  # unpicklable payloads stay inline
-                continue
-            registry.inc("shuffle_shm_buckets_total")
-            registry.inc("shuffle_bytes_shm_total", staged.nbytes)
-            out[p] = staged
-        return out
 
     # -- reduce side ----------------------------------------------------------------
 
@@ -264,7 +183,6 @@ class ShuffleManager:
             raise FetchFailedError(shuffle_id, 0)
         topology = self._context.topology
         chunks: list[list[Any]] = []
-        corrupt_checked = False
         for map_id, output in enumerate(slots):
             if output is None:
                 self._record_fetch_failure(shuffle_id, map_id, ctx, "map output lost")
@@ -273,92 +191,17 @@ class ShuffleManager:
             if not bucket:
                 continue
             nbytes = output.sizes.get(reduce_id, 0)
-            staged = isinstance(bucket, ShmBucket)
             if output.executor_id == ctx.executor_id:
                 pass  # in-process: free
             elif topology.same_machine(output.executor_id, ctx.executor_id):
-                if staged:
-                    # Same machine + shm-staged: the reader maps the
-                    # producer's segment; bytes are referenced, not moved.
-                    self._context.registry.inc("shuffle_bytes_shm_referenced_total", nbytes)
-                else:
-                    ctx.shuffle_bytes_read_local += nbytes
+                ctx.shuffle_bytes_read_local += nbytes
             else:
                 ctx.shuffle_bytes_read_remote += nbytes
-            if staged:
-                if not corrupt_checked:
-                    # Chaos: damage the first staged bucket in place (the
-                    # injector only fires on the first fetch of a reduce,
-                    # so the retried fetch reads the recomputed output).
-                    corrupt_checked = True
-                    self._maybe_corrupt_bucket(bucket, shuffle_id, map_id, reduce_id, ctx)
-                try:
-                    chunks.append(bucket.rows())
-                except CorruptBlockError as exc:
-                    self._quarantine_map_output(shuffle_id, map_id, reduce_id, ctx, exc)
-                    raise FetchFailedError(shuffle_id, map_id) from exc
-            else:
-                chunks.append(bucket)
+            chunks.append(bucket)
         self._context.registry.inc("shuffle_fetches_total")
         return itertools.chain.from_iterable(chunks)
 
     # -- failure handling ---------------------------------------------------------
-
-    def _maybe_corrupt_bucket(
-        self, bucket: ShmBucket, shuffle_id: int, map_id: int, reduce_id: int, ctx: TaskContext
-    ) -> None:
-        """Corruption chaos: damage a staged bucket's segment bytes in place."""
-        faults = self._context.faults
-        if faults.corrupt_fetch_prob <= 0:
-            return
-        mode = faults.on_fetch_corrupt(shuffle_id, reduce_id)
-        if mode is None:
-            return
-        from repro.integrity import corrupt_buffer
-
-        detail = corrupt_buffer(bucket._shm.buf, bucket.nbytes, mode, salt=reduce_id)
-        self._context.metrics.record_recovery(
-            "chaos_fetch_corruption",
-            job_index=ctx.job_index,
-            stage_id=ctx.stage_id,
-            partition=ctx.partition_index,
-            executor_id=ctx.executor_id,
-            detail=f"shuffle={shuffle_id} map={map_id} segment={bucket.name}: {detail}",
-        )
-
-    def _quarantine_map_output(
-        self,
-        shuffle_id: int,
-        map_id: int,
-        reduce_id: int,
-        ctx: TaskContext,
-        exc: CorruptBlockError,
-    ) -> None:
-        """Drop a map output whose staged bytes failed verification.
-
-        The slot is nulled in the *registered* output list (not the fetch's
-        local copy), so the DAG scheduler's retry sees a missing map and
-        recomputes it from lineage. Concurrent reduces hitting the same
-        damaged bucket detect it only once — the first caller records the
-        detection; later callers just re-raise the fetch failure — which
-        keeps ``corruption_detected_total == corruption_repaired_total``.
-        """
-        with self._lock:
-            fresh = (shuffle_id, map_id) not in self._corrupt_maps
-            self._corrupt_maps.add((shuffle_id, map_id))
-            slots = self._outputs.get(shuffle_id)
-            if slots is not None and 0 <= map_id < len(slots):
-                slots[map_id] = None
-        if fresh:
-            self._context.registry.inc("corruption_detected_total", where="shuffle_fetch")
-            self._context.metrics.record_recovery(
-                "corrupt_shuffle_payload",
-                job_index=ctx.job_index,
-                stage_id=ctx.stage_id,
-                partition=ctx.partition_index,
-                executor_id=ctx.executor_id,
-                detail=f"shuffle={shuffle_id} map={map_id} reduce={reduce_id}: {exc}",
-            )
 
     def _record_fetch_failure(
         self, shuffle_id: int, map_id: int, ctx: TaskContext, why: str
@@ -387,5 +230,3 @@ class ShuffleManager:
     def unregister_shuffle(self, shuffle_id: int) -> None:
         with self._lock:
             self._outputs.pop(shuffle_id, None)
-            self._num_maps.pop(shuffle_id, None)
-            self._corrupt_maps = {cm for cm in self._corrupt_maps if cm[0] != shuffle_id}

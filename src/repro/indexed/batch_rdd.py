@@ -112,13 +112,6 @@ class IndexedBatchRDD(RDD):
                 version=self.version,
                 hash_string_keys=cfg.index_string_keys_as_hash,
             )
-        batch_factory = None
-        if self.context.shared_batches_enabled():
-            # Process mode: back batches with shared-memory segments so the
-            # kernel pool can decode them without any serialization.
-            from repro.indexed.shared_batches import SharedRowBatch
-
-            batch_factory = SharedRowBatch
         return IndexedPartition(
             self.schema,
             self.key_column,
@@ -126,7 +119,6 @@ class IndexedBatchRDD(RDD):
             max_row_size=cfg.max_row_size,
             version=self.version,
             hash_string_keys=cfg.index_string_keys_as_hash,
-            batch_factory=batch_factory,
             ordered_index=cfg.ordered_index,
             ordered_compact_threshold=cfg.ordered_index_compact_threshold,
         )

@@ -9,16 +9,6 @@
 * :class:`IndexedJoinExec` — the indexed join: the index is always the
   build side ("it is actually pre-built"); the probe side is shuffled to
   the index's partitions, or broadcast when small (Section III-C).
-
-**Kernel offload ("processes" mode, DESIGN.md §13).** When the engine runs
-process executors over shared-memory batches, the CPU-bound halves of these
-operators — the full-batch scan and the backward-pointer chain decode —
-are shipped to the kernel pool as handles + offsets. The division of labor
-keeps index probes off the serialized path: the driver resolves cTrie head
-pointers (and re-verifies hashed string keys), workers burn CPU decoding
-rows from the mapped segments. Every offload has an inline fallback —
-non-contiguous versions, spilled or columnar partitions, and sub-threshold
-jobs simply run the original in-driver code.
 """
 
 from __future__ import annotations
@@ -26,11 +16,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.engine.proc_pool import WorkerCrashed
 from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD
 from repro.engine.shuffle import estimate_size
-from repro.indexed.pointers import NULL_POINTER
-from repro.indexed.shared_batches import chain_handles, scan_handles
 from repro.sql.analysis import resolve_expression
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
@@ -41,160 +28,6 @@ from repro.sql.types import Schema
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
     from repro.sql.session import Session
-
-
-# -- kernel offload helpers ("processes" mode) -----------------------------------
-
-
-def _kernel_pool(ctx: Any):
-    """(engine, pool) when this task may offload kernels, else (engine, None)."""
-    engine = getattr(ctx, "engine", None)
-    if engine is None:
-        return None, None
-    return engine, engine.proc_pool()
-
-
-def _record_offload(engine: Any, kernel: str, info: dict) -> None:
-    registry = engine.registry
-    registry.inc("proc_kernel_dispatch_total", kernel=kernel)
-    registry.inc("proc_segment_attaches_total", info.get("attaches", 0))
-    registry.inc("proc_bytes_referenced_total", info.get("bytes_referenced", 0))
-    registry.inc(
-        "proc_result_bytes_total",
-        info.get("result_bytes", 0),
-        via="shm" if info.get("via_shm") else "pipe",
-    )
-
-
-def _worker_crash(engine: Any, ctx: Any, exc: WorkerCrashed) -> None:
-    """Map a dead kernel worker onto the executor-death recovery path.
-
-    The simulated executor this task was running on "died" with its worker:
-    its cached blocks are dropped (lineage rebuilds them) and the raised
-    WorkerCrashed is retryable — the scheduler blacklists the executor and
-    re-runs the task elsewhere, exactly like any executor loss.
-    """
-    engine.registry.inc("proc_worker_crashes_total")
-    engine.metrics.record_recovery(
-        "worker_process_crash",
-        job_index=ctx.job_index,
-        stage_id=ctx.stage_id,
-        partition=ctx.partition_index,
-        executor_id=ctx.executor_id,
-        detail=str(exc),
-    )
-    runtime = engine.executors.get(ctx.executor_id)
-    if runtime is not None and runtime.alive:
-        engine.kill_executor(ctx.executor_id, reason="kernel worker died")
-    raise exc
-
-
-def _maybe_corrupt_dispatch(engine: Any, part: Any, handles: Any, ctx: Any) -> None:
-    """Corruption chaos: flip bytes in a dispatched segment before the worker
-    maps it.
-
-    Handles carry checksums anchored *before* the damage, so the worker's
-    attach-time verification is guaranteed to catch it — the proc_attach
-    trust boundary under test. Fires on first attempts only; the retry
-    (after quarantine + lineage rebuild) dispatches clean segments.
-    """
-    faults = engine.faults
-    if faults.corrupt_shm_prob <= 0:
-        return
-    mode = faults.on_shm_dispatch(ctx.stage_id, ctx.partition_index, ctx.attempt)
-    if mode is None:
-        return
-    target = next((h for h in handles if h.visible > 0 and h.checksum is not None), None)
-    if target is None:
-        return
-    batch = next((b for b in part.batches if getattr(b, "name", None) == target.name), None)
-    if batch is None:
-        return
-    from repro.integrity import corrupt_buffer
-
-    detail = corrupt_buffer(batch.buf, target.visible, mode, salt=ctx.partition_index)
-    engine.metrics.record_recovery(
-        "chaos_shm_corruption",
-        job_index=ctx.job_index,
-        stage_id=ctx.stage_id,
-        partition=ctx.partition_index,
-        executor_id=ctx.executor_id,
-        detail=f"segment={target.name}: {detail}",
-    )
-
-
-def _offload_scan(part: Any, ctx: Any) -> "list | None":
-    """Run ``part.scan_rows()`` on the kernel pool, or None to run inline."""
-    engine, pool = _kernel_pool(ctx)
-    if pool is None:
-        return None
-    handles = scan_handles(part)
-    if not handles:
-        return None
-    cfg = engine.config
-    if sum(h.visible for h in handles) < cfg.proc_offload_min_bytes:
-        return None
-    chaos_kill = engine.faults.on_proc_dispatch(
-        ctx.stage_id, ctx.partition_index, ctx.attempt
-    )
-    _maybe_corrupt_dispatch(engine, part, handles, ctx)
-    try:
-        rows, info = pool.scan(
-            part.schema, part.codec.max_row_size, handles, chaos_kill=chaos_kill
-        )
-    except WorkerCrashed as exc:
-        _worker_crash(engine, ctx, exc)
-    _record_offload(engine, "scan", info)
-    return rows
-
-
-def _offload_lookup_many(part: Any, keys: Any, ctx: Any) -> "dict | None":
-    """``part.lookup_many(keys)`` with chain decodes on the kernel pool.
-
-    Probes stay on the driver: the cTrie search happens here (and NULL
-    pointers never travel); workers only decode the backward-pointer
-    chains. Hash verification of string keys also stays driver-side, so
-    collisions behave identically to the inline path.
-    """
-    engine, pool = _kernel_pool(ctx)
-    if pool is None:
-        return None
-    keys = list(dict.fromkeys(keys))
-    if len(keys) < engine.config.proc_offload_min_keys:
-        return None
-    handles = chain_handles(part)
-    if not handles:
-        return None
-    out: dict[Any, list] = {}
-    probe_keys: list[Any] = []
-    pointers: list[int] = []
-    trie_lookup = part.ctrie.lookup
-    index_key = part.index_key
-    for key in keys:
-        pointer = trie_lookup(index_key(key), NULL_POINTER)
-        if pointer == NULL_POINTER:
-            out[key] = []
-        else:
-            probe_keys.append(key)
-            pointers.append(pointer)
-    if not pointers:
-        return out
-    chaos_kill = engine.faults.on_proc_dispatch(
-        ctx.stage_id, ctx.partition_index, ctx.attempt
-    )
-    _maybe_corrupt_dispatch(engine, part, handles, ctx)
-    try:
-        chains, info = pool.chains(
-            part.schema, part.codec.max_row_size, handles, pointers, chaos_kill=chaos_kill
-        )
-    except WorkerCrashed as exc:
-        _worker_crash(engine, ctx, exc)
-    verify = part.key_is_string and part.hash_string_keys
-    key_ord = part.key_ordinal
-    for key, chain in zip(probe_keys, chains):
-        out[key] = [r for r in chain if r[key_ord] == key] if verify else chain
-    _record_offload(engine, "chains", info)
-    return out
 
 
 class IndexedScanExec(PhysicalPlan):
@@ -210,7 +43,7 @@ class IndexedScanExec(PhysicalPlan):
     version, a NULL) and ``Config.indexed_column_kernels=False`` take the
     row path instead: decode every row, filter and project row by row —
     the paper's row-wise behaviour, same answer. A bare ``SELECT *`` scan
-    always decodes rows (``decode_all``, offloaded in "processes" mode).
+    always decodes rows (``decode_all``).
     """
 
     def __init__(
@@ -227,11 +60,9 @@ class IndexedScanExec(PhysicalPlan):
             resolve_expression(condition, idf.schema) if condition is not None else None
         )
 
-    def _scan_rows(self, part: Any, ctx: Any) -> list[tuple]:
+    def _scan_rows(self, part: Any) -> list[tuple]:
         """The row path: decode every row, then filter and project each."""
-        rows = _offload_scan(part, ctx)
-        if rows is None:
-            rows = part.scan_rows()
+        rows = part.scan_rows()
         if self.condition is not None:
             keep = self.condition.eval
             rows = [row for row in rows if keep(row)]
@@ -265,7 +96,7 @@ class IndexedScanExec(PhysicalPlan):
             with ctx.span("indexed_scan"):
                 batches = self._scan_batches(part, columns) if kernels else None
                 if batches is None:
-                    rows = self._scan_rows(part, ctx)
+                    rows = self._scan_rows(part)
                 else:
                     rows = []
                     for batch in batches:
@@ -286,7 +117,7 @@ class IndexedScanExec(PhysicalPlan):
             with ctx.span("indexed_scan"):
                 batches = self._scan_batches(part, columns)
                 if batches is None:
-                    batches = [ColumnBatch.from_rows(self._scan_rows(part, ctx), schema)]
+                    batches = [ColumnBatch.from_rows(self._scan_rows(part), schema)]
             return iter(batches)
 
         return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
@@ -331,21 +162,7 @@ class IndexedRangeScanExec(PhysicalPlan):
         def range_scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
             part = next(iter(parts))
             with ctx.span("indexed_range_scan"):
-                ordered = getattr(part, "ordered", None)
-                offloaded = None
-                if ordered is not None:
-                    # Chain decodes can ride the kernel pool exactly like
-                    # point lookups ("processes" mode): the driver
-                    # enumerates candidate keys in index order, workers
-                    # decode the chains.
-                    keys = ordered.range_keys(krange)
-                    offloaded = _offload_lookup_many(part, keys, ctx)
-                if offloaded is not None:
-                    rows = []
-                    for key in keys:
-                        rows.extend(offloaded[key])
-                    scanned = len(rows)
-                elif hasattr(part, "range_lookup"):
+                if hasattr(part, "range_lookup"):
                     rows, scanned = part.range_lookup(krange)
                 else:  # columnar partition: full scan + filter
                     all_rows = part.scan_rows()
@@ -393,13 +210,8 @@ class IndexedLookupExec(PhysicalPlan):
             keys = by_split[splits[split]]
             with ctx.span("lookup", keys=len(keys)):
                 rows: list[tuple] = []
-                offloaded = _offload_lookup_many(part, keys, ctx)
-                if offloaded is not None:
-                    for key in keys:
-                        rows.extend(offloaded[key])
-                else:
-                    for key in keys:
-                        rows.extend(part.lookup(key))
+                for key in keys:
+                    rows.extend(part.lookup(key))
             return iter(rows)
 
         return MapPartitionsRDD(pruned, lookup)
@@ -463,9 +275,7 @@ class IndexedJoinExec(PhysicalPlan):
                 by_key: dict[Any, list[tuple]] = {}
                 for row in probe_rows:
                     by_key.setdefault(probe_key(row), []).append(row)
-                matches_by_key = _offload_lookup_many(part, by_key.keys(), ctx)
-                if matches_by_key is None:
-                    matches_by_key = part.lookup_many(by_key.keys())
+                matches_by_key = part.lookup_many(by_key.keys())
                 for key, rows_for_key in by_key.items():
                     matches = matches_by_key[key]
                     for row in rows_for_key:

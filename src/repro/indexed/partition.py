@@ -43,7 +43,6 @@ class IndexedPartition:
     """One hash partition of an Indexed DataFrame."""
 
     __slots__ = (
-        "batch_factory",
         "batch_size",
         "batches",
         "codec",
@@ -68,7 +67,6 @@ class IndexedPartition:
         max_row_size: int = 1024,
         version: int = 0,
         hash_string_keys: bool = True,
-        batch_factory: "Any | None" = None,
         ordered_index: bool = True,
         ordered_compact_threshold: int = 512,
     ) -> None:
@@ -78,10 +76,6 @@ class IndexedPartition:
         self.key_is_string = isinstance(schema.field(key_column).dtype, StringType)
         self.hash_string_keys = hash_string_keys
         self.batch_size = batch_size
-        # Storage backend for new batches: private bytearray RowBatch by
-        # default; process mode swaps in SharedRowBatch so workers can map
-        # the same bytes.
-        self.batch_factory = batch_factory if batch_factory is not None else RowBatch
         self.ctrie = CTrie()
         # Ordered secondary index over distinct *actual* key values (never
         # the 32-bit string hashes — hashing destroys order). DESIGN.md §15.
@@ -124,7 +118,7 @@ class IndexedPartition:
                 batch_idx = len(self.batches) - 1
                 self._note_write(batch_idx, offset, len(data))
                 return batch_idx, offset
-        batch = self.batch_factory(self.batch_size)
+        batch = RowBatch(self.batch_size)
         offset = batch.append(data)
         if offset is None:
             raise ValueError(
@@ -289,8 +283,7 @@ class IndexedPartition:
         return out
 
     def visible_watermarks(self) -> list[int]:
-        """Per-batch byte counts visible to this version's sequential scans
-        (the offsets a remote scanner may decode up to)."""
+        """Per-batch byte counts visible to this version's sequential scans."""
         return self._watermarks
 
     def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
@@ -348,7 +341,6 @@ class IndexedPartition:
         child.key_is_string = self.key_is_string
         child.hash_string_keys = self.hash_string_keys
         child.batch_size = self.batch_size
-        child.batch_factory = self.batch_factory
         child.ctrie = self.ctrie.snapshot()
         child.ordered = self.ordered.snapshot() if self.ordered is not None else None
         child.batches = list(self.batches)  # share RowBatch objects

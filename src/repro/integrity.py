@@ -1,10 +1,9 @@
 """End-to-end data integrity: CRC32 prefix checksums over row batches.
 
 The paper's batches are "unsafe" off-heap byte buffers, and since the
-spill (PR 4), process-executor (PR 6), and sharded-serve (PR 7) work those
-raw bytes travel through disk files, ``multiprocessing.shared_memory``
-segments, shuffle buckets, and replica copies. A flipped bit on any of
-those paths would previously decode into a silently wrong answer. This
+spill (PR 4) and sharded-serve (PR 7) work those raw bytes travel through
+disk files and replica copies. A flipped bit on any of those paths would
+previously decode into a silently wrong answer. This
 module gives every batch flavour a cheap integrity vocabulary and the
 boundaries a shared error type:
 
@@ -12,11 +11,9 @@ boundaries a shared error type:
 permanent once the first ``n`` bytes are written: later appends land past
 ``n`` and cannot change it. :class:`ChecksumMixin` keeps a small
 ``byte count -> crc32`` dict per batch ("marks"). A mark is *anchored* at
-a trust-establishing moment — sealing a batch, building a dispatch
-handle, spilling to disk, pinning a serve snapshot — and *verified* by
-recomputing the prefix CRC whenever the same bytes re-enter the process
-across a boundary (spill fault-in, worker-side segment attach, shuffle
-fetch, scrub). Marks extend incrementally (CRC32 is streamable), so
+a trust-establishing moment — sealing a batch, spilling to disk, pinning
+a serve snapshot — and *verified* by recomputing the prefix CRC whenever
+the same bytes re-enter across a boundary (spill fault-in, pin, scrub). Marks extend incrementally (CRC32 is streamable), so
 re-anchoring a growing tail costs O(delta), not O(prefix).
 
 The one way an anchored prefix can legitimately change is an MVCC sibling
@@ -71,30 +68,25 @@ def set_integrity_enabled(enabled: bool) -> bool:
 class CorruptBlockError(RuntimeError):
     """A checksum mismatch at a trust boundary.
 
-    ``where`` names the boundary (``"spill_fault_in"``, ``"proc_attach"``,
-    ``"shuffle_fetch"``, ``"pin"``, ``"scrub"``); ``batch`` / ``segment``
-    identify the damaged bytes so the quarantine can find every cached
-    block that references them.
+    ``where`` names the boundary (``"spill_fault_in"``, ``"pin"``,
+    ``"scrub"``); ``batch`` identifies the damaged bytes so the quarantine
+    can find every cached block that references them.
     """
 
     def __init__(
         self,
         where: str,
         detail: str = "",
-        segment: "str | None" = None,
         batch: object = None,
         expected: "int | None" = None,
         actual: "int | None" = None,
     ) -> None:
         self.where = where
         self.detail = detail
-        self.segment = segment
         self.batch = batch
         self.expected = expected
         self.actual = actual
         msg = f"corrupt block detected at {where}"
-        if segment is not None:
-            msg += f" (segment {segment})"
         if expected is not None and actual is not None:
             msg += f": crc32 0x{expected:08x} != 0x{actual:08x}"
         if detail:
@@ -116,7 +108,7 @@ class ChecksumMixin:
     __slots__ = ()
 
     #: Keep the marks dict small on long-lived tails that are re-anchored
-    #: at many watermarks (one per dispatch): above the cap, the smallest
+    #: at many watermarks (one per pin): above the cap, the smallest
     #: marks are dropped — verification at a dropped mark silently becomes
     #: a fresh anchor, which only narrows scrub coverage, never corrupts.
     _MAX_MARKS = 32
@@ -173,7 +165,6 @@ class ChecksumMixin:
             raise CorruptBlockError(
                 where,
                 detail=f"{upto} bytes",
-                segment=getattr(self, "name", None),
                 batch=self,
                 expected=expected,
                 actual=actual,
@@ -196,9 +187,7 @@ def checkpoint_partition(partition) -> int:
 
     Returns the number of batches anchored. Columnar partitions (no
     ``batches``) are a no-op. For non-contiguous MVCC versions the
-    watermarks cover only the contiguous prefix of each batch — rows past
-    the divergence point are verified per-dispatch via their handles
-    instead.
+    watermarks cover only the contiguous prefix of each batch.
     """
     if not _ENABLED:
         return 0
@@ -245,15 +234,13 @@ def audit_partition(partition, where: str = "scrub") -> tuple[int, int]:
 
 def batch_matches(batch, exc: CorruptBlockError) -> bool:
     """Does ``batch`` hold the bytes ``exc`` flagged as corrupt?"""
-    if exc.batch is not None and batch is exc.batch:
-        return True
-    return exc.segment is not None and getattr(batch, "name", None) == exc.segment
+    return exc.batch is not None and batch is exc.batch
 
 
 def value_contains_corruption(value, exc: CorruptBlockError) -> bool:
     """Does a cached block value (partition or list of them) reference the
-    corrupt bytes? MVCC siblings share batch *objects*, so identity (or
-    segment name) finds every version touched by the damage."""
+    corrupt bytes? MVCC siblings share batch *objects*, so identity finds
+    every version touched by the damage."""
     items = value if isinstance(value, (list, tuple)) else [value]
     for item in items:
         for batch in getattr(item, "batches", ()) or ():
@@ -268,7 +255,7 @@ def value_contains_corruption(value, exc: CorruptBlockError) -> bool:
 def corrupt_buffer(buf, nbytes: int, mode: str, salt: int = 0) -> str:
     """XOR-damage the ``nbytes`` prefix of a writable buffer in place.
 
-    Shared-memory segments cannot shrink, so ``truncate`` is emulated by
+    A buffer cannot shrink in place, so ``truncate`` is emulated by
     smashing the tail. Every mode XORs with a non-zero pattern, so the
     prefix CRC is guaranteed to change. Returns a description for logs.
     """

@@ -12,6 +12,10 @@ from repro.engine.context import EngineContext
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 
+#: Every scheduler mode the engine has; suites that must agree across modes
+#: parametrize over this.
+MODES = ("sequential", "threads")
+
 
 @pytest.fixture()
 def config() -> Config:

@@ -25,6 +25,7 @@ from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from tests.conftest import MODES
 
 SCHEMA = Schema.of(("k", LONG), ("v", DOUBLE), ("payload", STRING))
 
@@ -504,7 +505,6 @@ class TestAdvisorBeatsBothBaselines:
 # Property: the advisor never changes answers (50 seeds x 3 modes x chaos)
 # ---------------------------------------------------------------------------
 
-MODES = ("sequential", "threads", "processes")
 PROPERTY_SEEDS = list(range(50))
 
 

@@ -30,9 +30,7 @@ from repro.engine.scheduler import NoAliveExecutorsError, TaskFailure
 from repro.engine.shuffle import FetchFailedError
 from repro.engine.task import ResultStage
 from repro.sql.session import Session
-from tests.conftest import EDGE_SCHEMA, make_edges
-
-MODES = ("sequential", "threads", "processes")
+from tests.conftest import EDGE_SCHEMA, MODES, make_edges
 
 
 def make_context(mode: str, **overrides) -> EngineContext:
@@ -594,54 +592,3 @@ class TestFig12ChaosRun:
         assert summary.get("executor_replaced", 0) >= 1
         assert victim in ctx.alive_executor_ids()
         assert ctx.task_scheduler.busy == {}
-
-
-# ---------------------------------------------------------------------------
-# Processes mode: kernel worker deaths (DESIGN.md §13)
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerProcessKills:
-    def test_worker_kills_yield_zero_wrong_answers(self):
-        """Seeded SIGKILLs of kernel pool workers mid-request: every query
-        must still be answered correctly (the crash maps onto the executor
-        death path → blacklist, retry, lineage rebuild), the crashes must
-        be observable, and no shared-memory segment may leak."""
-        import gc
-        import glob
-
-        from repro.indexed.shared_batches import owned_segment_count
-        from repro.sql.types import DOUBLE, LONG, Schema
-
-        session = Session(
-            config=Config(
-                scheduler_mode="processes",
-                default_parallelism=4,
-                shuffle_partitions=4,
-                proc_offload_min_bytes=0,
-                proc_offload_min_keys=1,
-                small_stage_inline_threshold=0,
-                small_stage_inline_rows=0,
-                chaos_seed=7,
-                chaos_proc_kill_prob=0.25,
-                task_retry_backoff=0.001,
-                task_retry_backoff_max=0.01,
-            )
-        )
-        schema = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
-        rows = [(i % 300, i % 97, float(i)) for i in range(8000)]
-        idf = session.create_dataframe(rows, schema, "edges").create_index("src")
-        for _ in range(3):
-            assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
-
-        crashes = session.context.registry.counter_total("proc_worker_crashes_total")
-        assert crashes > 0, "seeded chaos must kill at least one worker"
-        summary = session.context.metrics.recovery_summary()
-        assert summary.get("worker_process_crash", 0) == crashes
-        assert summary.get("executor_lost", 0) >= 1
-        assert session.context.task_scheduler.busy == {}
-
-        del idf, session
-        gc.collect()
-        assert owned_segment_count() == 0
-        assert not glob.glob("/dev/shm/repro-res-*")

@@ -1,5 +1,7 @@
 """ShuffleManager internals: registration, combining, loss, fetch accounting."""
 
+import gc
+
 import pytest
 
 from repro.config import Config
@@ -8,6 +10,9 @@ from repro.engine.dependencies import MapSideCombiner, ShuffleDependency
 from repro.engine.partition import TaskContext
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import FetchFailedError
+from repro.sql.session import Session
+from repro.sql.types import DOUBLE, LONG, Schema
+from tests.conftest import MODES
 
 
 @pytest.fixture()
@@ -145,3 +150,59 @@ class TestExecutorLoss:
         sm.write_map_output(dep, 0, iter([(1, 1)]), _ctx_for(ctx, e1))
         assert sm.on_executor_lost(other) == []
         assert sm.missing_maps(dep.shuffle_id) == []
+
+
+class TestShuffleRelease:
+    """Map outputs live as long as their ShuffleDependency, not the context."""
+
+    def test_collected_dependency_unregisters_its_shuffle(self, ctx):
+        shuffled = ctx.parallelize([(i % 3, i) for i in range(30)], 2).partition_by(
+            HashPartitioner(2)
+        )
+        shuffle_id = shuffled.dependencies[0].shuffle_id
+        assert len(shuffled.collect()) == 30
+        assert shuffle_id in ctx.shuffle_manager.registered_shuffles()
+        del shuffled
+        gc.collect()
+        assert shuffle_id not in ctx.shuffle_manager.registered_shuffles()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_finished_queries_release_their_shuffles(self, mode):
+        """Repeated group-bys and shuffled indexed joins leave a constant
+        number of registered shuffles; the index's build shuffle survives
+        with its cached RDD and still drives lineage recovery."""
+        session = Session(config=Config(
+            default_parallelism=4, shuffle_partitions=4, scheduler_mode=mode,
+            broadcast_threshold=0,  # shuffle the probe side, never broadcast
+        ))
+        edge = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
+        rows = [(i % 40, i, float(i)) for i in range(400)]
+        idf = session.create_dataframe(rows, edge, "edges").create_index("src").cache_index()
+        idf.create_or_replace_temp_view("edges")
+        probe_keys = list(range(0, 40, 4))
+        probe = session.create_dataframe(
+            [(k,) for k in probe_keys], Schema.of(("src", LONG)), "probe"
+        )
+        group_by = "SELECT dst, count(*) FROM edges GROUP BY dst"
+        want_join = sorted((k,) + r for r in rows for k in probe_keys if r[0] == k)
+        sm = session.context.shuffle_manager
+
+        def registered_after(repeats: int) -> list[int]:
+            for _ in range(repeats):
+                assert len(session.sql(group_by).collect_tuples()) == len(rows)
+                joined = probe.join(idf.to_df(), on=("src", "src")).collect_tuples()
+                assert sorted(joined) == want_join
+            gc.collect()
+            return sm.registered_shuffles()
+
+        after_20 = registered_after(20)
+        after_200 = registered_after(200)
+        assert len(after_200) == len(after_20) <= 4
+        build_shuffle = idf.rdd.shuffle_dep.shuffle_id
+        assert build_shuffle in after_200
+
+        # The build shuffle's map outputs are what lineage rebuilds from.
+        ctx = session.context
+        ctx.kill_executor(ctx.alive_executor_ids()[0])
+        assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
+        assert build_shuffle in sm.registered_shuffles()

@@ -9,7 +9,9 @@ executor ``kill()`` in the middle of a running stage converges.
 
 from __future__ import annotations
 
+import ast
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,25 @@ class TestModeEquivalence:
         # job could run against a half-built context.
         with pytest.raises(ValueError, match="scheduler_mode"):
             make_context("fibers")
+
+
+def test_engine_is_one_process():
+    """Both scheduler modes run in the driver process: nothing under
+    src/repro may import ``multiprocessing`` (DESIGN.md §13)."""
+    import repro
+
+    offenders = []
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "multiprocessing" for n in names):
+                offenders.append(f"{path}:{node.lineno}")
+    assert offenders == []
 
 
 class TestConcurrencyStress:
@@ -264,3 +285,35 @@ class TestShuffleRecovery:
         ctx.shuffle_manager.unregister_shuffle(dep.shuffle_id)
         # Next run re-registers and recomputes; results intact.
         assert len(shuffled.collect()) == 100
+
+
+class TestSmallJobInline:
+    """The small-job heuristic: tiny stages skip the pool in threads mode."""
+
+    def test_small_jobs_inline_large_jobs_pool(self):
+        session = Session(config=Config(
+            scheduler_mode="threads", default_parallelism=4, shuffle_partitions=4,
+            small_stage_inline_threshold=2, small_stage_inline_rows=64,
+        ))
+        ctx = session.context
+        # 2 partitions <= threshold: inline on the driver thread.
+        assert ctx.parallelize(range(10), 2).map(lambda x: x + 1).collect()
+        by_path = ctx.registry.counter_by_label("tasks_dispatched_total", "path")
+        assert by_path.get("inline", 0) == 2 and not by_path.get("pooled")
+        # 4 partitions with no row estimate: the thread pool.
+        assert ctx.parallelize(range(5000), 4).map(lambda x: x + 1).collect()
+        by_path = ctx.registry.counter_by_label("tasks_dispatched_total", "path")
+        assert by_path.get("pooled", 0) == 4
+
+    def test_records_hint_inlines_broadcast_probe(self):
+        session = Session(config=Config(
+            scheduler_mode="threads", default_parallelism=4, shuffle_partitions=4,
+            small_stage_inline_threshold=0, small_stage_inline_rows=64,
+        ))
+        ctx = session.context
+        rdd = ctx.parallelize(range(4000), 4).map(lambda x: x)
+        assert rdd.estimated_records() == 4000
+        assert rdd.with_estimated_records(12).estimated_records() == 12
+        rdd.collect()
+        by_path = ctx.registry.counter_by_label("tasks_dispatched_total", "path")
+        assert by_path.get("inline", 0) == 4  # hinted below the row threshold

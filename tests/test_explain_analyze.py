@@ -29,8 +29,8 @@ from repro.workloads.snb import (
 )
 from repro.workloads.snb import EDGE_SCHEMA as SNB_EDGE_SCHEMA
 from repro.workloads.snb import PERSON_SCHEMA as SNB_PERSON_SCHEMA
+from tests.conftest import MODES
 
-MODES = ("sequential", "threads")
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 DIM_SCHEMA = Schema.of(("node", LONG), ("label", STRING))

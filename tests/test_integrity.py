@@ -6,36 +6,27 @@ Covers the whole detect → quarantine → repair pipeline:
   anchoring, incremental extension, MVCC mark invalidation, pruning, and
   the global enable toggle;
 * every trust boundary raising :class:`~repro.integrity.CorruptBlockError`
-  on damaged bytes: spill fault-in, kernel-worker segment attach, staged
-  shuffle-bucket fetch, snapshot pin;
-* seeded corruption chaos (``chaos_corrupt_*`` knobs) driving the full
-  recovery loop — quarantine everywhere, lineage rebuild or map
-  recompute, ``corruption_detected_total == corruption_repaired_total``,
-  and zero wrong answers;
+  on damaged bytes: spill fault-in, snapshot pin;
+* seeded corruption chaos (``chaos_corrupt_spill_prob``) driving the full
+  recovery loop — quarantine everywhere, lineage rebuild,
+  ``corruption_detected_total == corruption_repaired_total``, and zero
+  wrong answers;
 * the serve-tier scrubber finding and repairing damage in pinned
   snapshots (single server and sharded router);
-* ``Config.validate()`` rejecting out-of-range knobs;
-* shm-segment leak audits after corruption-chaos runs.
+* ``Config.validate()`` rejecting out-of-range knobs.
 """
 
 from __future__ import annotations
 
-import gc
-import glob
 import zlib
 
 import pytest
 
 from repro.config import Config
+from repro.engine.context import EngineContext
 from repro.indexed.out_of_core import SpillableRowBatch
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.row_batch import RowBatch
-from repro.indexed.shared_batches import (
-    SEGMENT_PREFIX,
-    SharedRowBatch,
-    owned_segment_count,
-    sweep_owned_segments,
-)
 from repro.integrity import (
     CORRUPTION_MODES,
     ChecksumMixin,
@@ -57,10 +48,6 @@ EDGE = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
 def make_rows(n=3000, keys=50):
     return [(i % keys, i, float(i)) for i in range(n)]
-
-
-def shm_entries() -> set[str]:
-    return {p.rsplit("/", 1)[1] for p in glob.glob("/dev/shm/repro-*")}
 
 
 def counters(session):
@@ -135,13 +122,6 @@ class TestChecksumMixin:
             set_integrity_enabled(True)
         assert batch.checkpoint() is not None
 
-    def test_shared_batch_handle_carries_checksum(self):
-        batch = SharedRowBatch(256)
-        batch.append(b"payload")
-        handle = batch.handle()
-        assert handle.checksum == zlib.crc32(b"payload")
-        batch.release()
-
     def test_partition_helpers_anchor_and_audit(self):
         part = IndexedPartition(EDGE, "src", batch_size=2048, max_row_size=256, version=0)
         part.insert_rows(make_rows(200, keys=10))
@@ -158,15 +138,15 @@ class TestChecksumMixin:
             audit_partition(part, where="scrub")
 
     def test_exception_matching_helpers(self):
-        batch = SharedRowBatch(128)
+        batch = RowBatch(128)
         batch.append(b"abc")
-        exc = CorruptBlockError("t", segment=batch.name, batch=None)
+        exc = CorruptBlockError("t", batch=batch)
         assert batch_matches(batch, exc)
+        assert not batch_matches(RowBatch(128), exc)
         part = IndexedPartition(EDGE, "src", batch_size=2048, max_row_size=256, version=0)
         part.batches.append(batch)
         assert value_contains_corruption([part], exc)
         assert not value_contains_corruption([1, 2, 3], exc)
-        batch.release()
 
 
 # ---------------------------------------------------------------------------
@@ -226,48 +206,6 @@ class TestCorruptionChaosEndToEnd:
         assert "corrupt_block_quarantined" in kinds
         assert "corrupt_block_rebuilt" in kinds
         assert s.context.faults.corruptions
-
-    def test_shm_dispatch_corruption_heals_via_lineage(self):
-        rows = make_rows(4000, keys=40)
-        s = Session(config=Config(
-            scheduler_mode="processes", default_parallelism=4, shuffle_partitions=4,
-            proc_offload_min_bytes=0, proc_offload_min_keys=1,
-            small_stage_inline_threshold=0, small_stage_inline_rows=0,
-            chaos_seed=3, chaos_corrupt_shm_prob=1.0, task_retry_backoff=0.0,
-        ))
-        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src")
-        assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
-        detected, repaired = counters(s)
-        assert detected > 0
-        assert detected == repaired
-        kinds = s.context.metrics.recovery_summary()
-        assert "chaos_shm_corruption" in kinds
-        assert "corrupt_block_rebuilt" in kinds
-
-    def test_fetch_corruption_heals_via_map_recompute(self):
-        from collections import Counter
-
-        rows = make_rows(4000, keys=17)
-        s = Session(config=Config(
-            scheduler_mode="processes", default_parallelism=4, shuffle_partitions=4,
-            shuffle_shm_bytes=1, chaos_seed=5, chaos_corrupt_fetch_prob=1.0,
-            task_retry_backoff=0.0,
-        ))
-        ctx = s.context
-        counts = sorted(
-            ctx.parallelize(rows, 4)
-            .map(lambda r: (r[0], 1))
-            .reduce_by_key(lambda a, b: a + b)
-            .collect()
-        )
-        assert counts == sorted(Counter(r[0] for r in rows).items())
-        detected, repaired = counters(s)
-        assert detected > 0
-        assert detected == repaired
-        kinds = ctx.metrics.recovery_summary()
-        assert "chaos_fetch_corruption" in kinds
-        assert "corrupt_shuffle_payload" in kinds
-        assert "corrupt_map_recomputed" in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +330,7 @@ class TestConfigValidate:
         assert cfg.validate() is cfg
 
     @pytest.mark.parametrize("field_name", [
-        "chaos_corrupt_shm_prob",
         "chaos_corrupt_spill_prob",
-        "chaos_corrupt_fetch_prob",
         "chaos_task_failure_prob",
     ])
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
@@ -406,6 +342,13 @@ class TestConfigValidate:
         with pytest.raises(ValueError, match="scheduler_mode"):
             Config(scheduler_mode="quantum").validate()
 
+    def test_processes_mode_rejected_naming_surviving_modes(self, monkeypatch):
+        with pytest.raises(ValueError, match="sequential.*threads"):
+            Config(scheduler_mode="processes").validate()
+        monkeypatch.setenv("REPRO_SCHEDULER_MODE", "processes")
+        with pytest.raises(ValueError, match="sequential.*threads"):
+            EngineContext()
+
     def test_bad_positive_int_rejected(self):
         with pytest.raises(ValueError, match="row_batch_size"):
             Config(row_batch_size=0).validate()
@@ -416,65 +359,10 @@ class TestConfigValidate:
 
     def test_all_problems_reported_together(self):
         with pytest.raises(ValueError) as err:
-            Config(chaos_corrupt_shm_prob=2.0, scheduler_mode="quantum").validate()
-        assert "chaos_corrupt_shm_prob" in str(err.value)
+            Config(chaos_corrupt_spill_prob=2.0, scheduler_mode="quantum").validate()
+        assert "chaos_corrupt_spill_prob" in str(err.value)
         assert "scheduler_mode" in str(err.value)
 
     def test_session_rejects_invalid_config_eagerly(self):
-        with pytest.raises(ValueError, match="chaos_corrupt_fetch_prob"):
-            Session(config=Config(chaos_corrupt_fetch_prob=7.0))
-
-
-# ---------------------------------------------------------------------------
-# Leak audits: no orphan shm segments after corruption chaos
-# ---------------------------------------------------------------------------
-
-
-class TestSegmentLeakAudit:
-    def test_no_segment_leak_after_corruption_and_worker_kill_chaos(self):
-        sweep_owned_segments()
-        before = shm_entries()
-        rows = make_rows(4000, keys=40)
-        s = Session(config=Config(
-            scheduler_mode="processes", default_parallelism=4, shuffle_partitions=4,
-            proc_offload_min_bytes=0, proc_offload_min_keys=1,
-            small_stage_inline_threshold=0, small_stage_inline_rows=0,
-            chaos_seed=13, chaos_corrupt_shm_prob=0.5, chaos_proc_kill_prob=0.2,
-            executor_replacement=True, task_retry_backoff=0.0,
-        ))
-        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src")
-        assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
-        del idf, s
-        gc.collect()
-        sweep_owned_segments()
-        assert owned_segment_count() == 0
-        assert shm_entries() <= before
-
-    def test_no_shuffle_bucket_leak_after_fetch_corruption_retries(self):
-        sweep_owned_segments()
-        before = {e for e in shm_entries() if e.startswith("repro-shuf-")}
-        rows = make_rows(4000, keys=17)
-        s = Session(config=Config(
-            scheduler_mode="processes", default_parallelism=4, shuffle_partitions=4,
-            shuffle_shm_bytes=1, chaos_seed=5, chaos_corrupt_fetch_prob=1.0,
-            task_retry_backoff=0.0,
-        ))
-        ctx = s.context
-        result = (
-            ctx.parallelize(rows, 4)
-            .map(lambda r: (r[0], 1))
-            .reduce_by_key(lambda a, b: a + b)
-            .collect()
-        )
-        assert result  # stage retried through corrupt buckets and finished
-        assert ctx.registry.counter_total("corruption_detected_total") > 0
-        del result, ctx, s
-        gc.collect()
-        sweep_owned_segments()
-        after = {e for e in shm_entries() if e.startswith("repro-shuf-")}
-        assert after <= before
-        assert owned_segment_count() == 0
-
-    def test_batch_segment_prefix_unchanged(self):
-        # The leak audits grep /dev/shm by prefix; pin the contract.
-        assert SEGMENT_PREFIX.startswith("repro-")
+        with pytest.raises(ValueError, match="chaos_corrupt_spill_prob"):
+            Session(config=Config(chaos_corrupt_spill_prob=7.0))

@@ -27,8 +27,8 @@ from repro.engine.memory_manager import MemoryManager, MemoryPressureError
 from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from tests.conftest import MODES
 
-MODES = ("sequential", "threads")
 SCHEMA = Schema.of(("k", LONG), ("v", DOUBLE), ("payload", STRING))
 
 

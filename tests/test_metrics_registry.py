@@ -16,8 +16,7 @@ from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.obs.registry import MetricsRegistry
-
-MODES = ("sequential", "threads")
+from tests.conftest import MODES
 
 
 def make_context(mode: str = "sequential", **overrides) -> EngineContext:

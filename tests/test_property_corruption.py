@@ -2,12 +2,10 @@
 
 Satellite (c) of the integrity PR: 50 seeded random queries — point
 lookups, SQL equality and range predicates, full scans, and group-by
-aggregates — run against a session with ``chaos_corrupt_*`` probabilities
+aggregates — run against a session with ``chaos_corrupt_spill_prob``
 turned on, each checked against a **pure-Python oracle** computed from the
 raw row list (no engine code shared). The index is periodically spilled
-so every trust boundary keeps getting re-armed: spill fault-in in every
-mode, kernel-worker segment attach and staged shuffle fetch additionally
-in ``processes`` mode.
+so the spill fault-in boundary keeps getting re-armed.
 
 The invariants are the tentpole's acceptance criteria: zero wrong
 answers, zero unhandled crashes, and at the end of each run
@@ -29,10 +27,10 @@ import pytest
 from repro.config import Config
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
+from tests.conftest import MODES
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
-MODES = ("sequential", "threads", "processes")
 SEEDS = list(range(50))
 KEYS = 40
 SPILL_EVERY = 7  # re-spill the index every few queries to re-arm the boundary
@@ -51,29 +49,18 @@ def make_edges():
 
 
 def chaos_session(mode: str, spill_dir: str) -> Session:
-    cfg = dict(
-        default_parallelism=3,
-        shuffle_partitions=3,
-        scheduler_mode=mode,
-        row_batch_size=4096,  # multiple sealed batches per partition, so
-        spill_dir=spill_dir,  # spill_index() actually moves bytes to disk
-        chaos_seed=29,
-        chaos_corrupt_spill_prob=0.6,
-        task_retry_backoff=0.0,
-    )
-    if mode == "processes":
-        cfg.update(
-            # Force the kernel-offload and shm shuffle-staging paths even
-            # for this small dataset, so their boundaries see traffic.
-            proc_offload_min_bytes=0,
-            proc_offload_min_keys=1,
-            small_stage_inline_threshold=0,
-            small_stage_inline_rows=0,
-            shuffle_shm_bytes=1,
-            chaos_corrupt_shm_prob=0.3,
-            chaos_corrupt_fetch_prob=0.3,
+    return Session(
+        config=Config(
+            default_parallelism=3,
+            shuffle_partitions=3,
+            scheduler_mode=mode,
+            row_batch_size=4096,  # multiple sealed batches per partition, so
+            spill_dir=spill_dir,  # spill_index() actually moves bytes to disk
+            chaos_seed=29,
+            chaos_corrupt_spill_prob=0.6,
+            task_retry_backoff=0.0,
         )
-    return Session(config=Config(**cfg))
+    )
 
 
 class CorruptionQueryGenerator:
@@ -89,7 +76,7 @@ class CorruptionQueryGenerator:
             k = rng.randrange(KEYS)
             oracle = [r for r in edges if r[0] == k]
             return idf.lookup_tuples(k), oracle
-        if kind == 1:  # SQL equality predicate (indexed scan / offload path)
+        if kind == 1:  # SQL equality predicate (indexed lookup)
             k = rng.randrange(KEYS)
             sql = f"SELECT src, dst, w FROM edges_idx WHERE src = {k}"
             oracle = [r for r in edges if r[0] == k]

@@ -35,6 +35,7 @@ from repro.sql.optimizer import Optimizer
 from repro.sql.planner import Planner
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from tests.conftest import MODES
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 DIM_SCHEMA = Schema.of(("node", LONG), ("label", STRING))
@@ -189,8 +190,6 @@ def test_three_way_equivalence(data, seed):
     assert cached == baseline
     assert idx == baseline
 
-
-MODES = ("sequential", "threads", "processes")
 
 #: Satellite (a): at least 50 seeded random queries per scheduler mode.
 DIFFERENTIAL_SEEDS = list(range(50))

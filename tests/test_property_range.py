@@ -25,12 +25,12 @@ from repro.config import Config
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from tests.conftest import MODES
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 DIM_SCHEMA = Schema.of(("node", LONG), ("label", STRING))
 USER_SCHEMA = Schema.of(("name", STRING), ("uid", LONG))
 
-MODES = ("sequential", "threads", "processes")
 SEEDS = list(range(100))
 KEYS = 100
 

@@ -24,7 +24,7 @@ from repro.serve import (
 )
 from repro.sql.session import Session
 
-from .conftest import USER_SCHEMA, make_users
+from .conftest import MODES, USER_SCHEMA, make_users
 
 
 def make_server(
@@ -281,7 +281,7 @@ class TestShutdownDrain:
     resolve — completed or rejected — under every scheduler mode. A ticket
     left permanently pending is a hung client."""
 
-    @pytest.mark.parametrize("mode", ["sequential", "threads", "processes"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_drain_resolves_every_inflight_ticket(self, mode):
         config = Config(
             default_parallelism=4,
@@ -300,7 +300,7 @@ class TestShutdownDrain:
             assert result.rows, f"drained ticket returned no rows: {t.text!r}"
         assert all(t.done for t in tickets)
 
-    @pytest.mark.parametrize("mode", ["sequential", "threads"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_no_drain_fails_queued_tickets_promptly(self, mode):
         config = Config(
             default_parallelism=4,

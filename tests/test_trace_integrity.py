@@ -27,8 +27,8 @@ from repro.obs.tracer import NOOP_SPAN, Tracer, validate_chrome_trace
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from tests.conftest import MODES
 
-MODES = ("sequential", "threads")
 CHAOS_SEEDS = (11, 23, 47)
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
