@@ -69,9 +69,9 @@ def test_fig04_deployment(benchmark, measured_join, deployment):
     task_sets = []
 
     def run():
-        ctx.metrics.reset()
-        joined.collect_tuples()
-        task_sets.append(ctx.metrics.stage_task_times())
+        with ctx.metrics.capture() as tasks:
+            joined.collect_tuples()
+        task_sets.append(ctx.metrics.stage_task_times(tasks))
 
     benchmark.pedantic(run, rounds=5, iterations=1)
     makespan = _simulate(task_sets, deployment)
@@ -83,9 +83,9 @@ def test_fig04_shape_pinned_fine_grained_wins(measured_join):
     ctx, joined = measured_join
     task_sets = []
     for _ in range(5):
-        ctx.metrics.reset()
-        joined.collect_tuples()
-        task_sets.append(ctx.metrics.stage_task_times())
+        with ctx.metrics.capture() as tasks:
+            joined.collect_tuples()
+        task_sets.append(ctx.metrics.stage_task_times(tasks))
     makespans = {d: _simulate(task_sets, d) for d in DEPLOYMENTS}
     assert makespans["4x4_pinned"] < makespans["1x16_unpinned"]
     assert makespans["2x8_pinned"] <= makespans["2x8_unpinned"]

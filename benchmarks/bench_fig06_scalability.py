@@ -48,9 +48,9 @@ def _measure(benchmark, ctx, joined) -> float:
     makespans = []
 
     def run():
-        ctx.metrics.reset()
-        joined.collect_tuples()
-        makespans.append(ctx.metrics.job_makespan())
+        with ctx.metrics.capture() as tasks:
+            joined.collect_tuples()
+        makespans.append(ctx.metrics.job_makespan(tasks))
         return makespans[-1]
 
     benchmark.pedantic(run, rounds=4, iterations=1)

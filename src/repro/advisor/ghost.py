@@ -1,10 +1,10 @@
 """Ghost list: the advisor's anti-thrash memory.
 
-BENCH_PR4's bounded-budget run showed the failure mode this prevents: the
-shedding policy evicts a block, the very next access rebuilds and
-re-admits it, the re-admission pushes the store over budget, and the same
-block (or its neighbour) is shed again — 24 spills and ~1.6 MB faulted
-back of pure churn. The classical fix (ARC's ghost lists, admission
+The failure mode this prevents, under a bounded budget: the shedding
+policy evicts a block, the very next access rebuilds and re-admits it, the
+re-admission pushes the store over budget, and the same block (or its
+neighbour) is shed again — spills and fault-backs that are pure churn. The
+classical fix (ARC's ghost lists, admission
 cooldowns in web caches) is to *remember what was just shed*: a bounded
 map of recently-evicted keys with the tick they were shed at. Consumers
 use it two ways:

@@ -173,9 +173,9 @@ def fig04_numa(n_rows: int = 40_000, reps: int = 7, seed: int = 2) -> FigureResu
     joined.collect_tuples()  # warm
     task_sets: list[dict[int, list[float]]] = []
     for _ in range(reps):
-        ctx.metrics.reset()
-        joined.collect_tuples()
-        task_sets.append(ctx.metrics.stage_task_times())
+        with ctx.metrics.capture() as tasks:
+            joined.collect_tuples()
+        task_sets.append(ctx.metrics.stage_task_times(tasks))
 
     # -- re-schedule under each deployment ----------------------------------
     numa = NUMAModel()
@@ -312,9 +312,9 @@ def fig06_scalability(n_rows: int = 150_000, reps: int = 5, seed: int = 4) -> Fi
         joined.collect_tuples()  # warm
         makespans = []
         for _ in range(reps):
-            ctx.metrics.reset()
-            joined.collect_tuples()
-            makespans.append(ctx.metrics.job_makespan())
+            with ctx.metrics.capture() as tasks:
+                joined.collect_tuples()
+            makespans.append(ctx.metrics.job_makespan(tasks))
         return min(makespans)
 
     result_rows = []
@@ -382,9 +382,10 @@ def fig07_join_scales(n_rows: int = 100_000, reps: int = 3, seed: int = 5) -> Fi
 
     def timed_with_makespan(df) -> tuple[float, float]:
         df.collect_tuples()  # warm
-        session.context.metrics.reset()
-        t = median(time_call(df.collect_tuples, repeats=reps, warmup=0))
-        makespan = session.context.metrics.job_makespan() / reps
+        metrics = session.context.metrics
+        with metrics.capture() as tasks:
+            t = median(time_call(df.collect_tuples, repeats=reps, warmup=0))
+        makespan = metrics.job_makespan(tasks) / reps
         return t, makespan
 
     for label, ratio in JOIN_SCALES:

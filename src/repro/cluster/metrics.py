@@ -1,18 +1,23 @@
-"""Task/stage accounting and simulated-makespan computation.
+"""Task accounting and simulated-makespan computation.
 
-Every task that runs in-process records a :class:`TaskMetrics`: measured
+Every task that runs in-process reports a :class:`TaskMetrics`: measured
 compute seconds, bytes shuffled in/out, and where it ran. The
-:class:`MetricsCollector` aggregates these per stage and converts them into
-a *simulated makespan* by list-scheduling the measured (NUMA-adjusted) task
-times onto the topology's core slots and adding modeled transfer time for
-remote shuffle fetches. This is how a single-process run produces Fig. 4 /
-Fig. 6-shaped cluster numbers.
+:class:`MetricsCollector` folds each one into the metrics registry and keeps
+nothing else — the engine holds no per-task history. A caller that wants a
+set of jobs *modelled* opens :meth:`MetricsCollector.capture` around them
+and gets their task list; the makespan model is a function of such a list:
+it list-schedules the measured (NUMA-adjusted) task times onto the
+topology's core slots and adds modeled transfer time for remote shuffle
+fetches. This is how a single-process run produces Fig. 4 / Fig. 6-shaped
+cluster numbers.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.numa import NUMAModel
@@ -53,16 +58,6 @@ class TaskMetrics:
     @property
     def shuffle_bytes_read(self) -> int:
         return self.shuffle_bytes_read_local + self.shuffle_bytes_read_remote
-
-
-@dataclass
-class StageMetrics:
-    stage_id: int
-    tasks: list[TaskMetrics] = field(default_factory=list)
-
-    @property
-    def total_compute(self) -> float:
-        return sum(t.compute_seconds for t in self.tasks)
 
 
 #: The recovery-event taxonomy (DESIGN.md §8). Everything the runtime does
@@ -120,7 +115,8 @@ class RecoveryEvent:
 
 
 class MetricsCollector:
-    """Thread-safe sink for task metrics plus the makespan model."""
+    """Thread-safe sink for task metrics and recovery events, plus the
+    makespan model over a captured task list."""
 
     def __init__(
         self,
@@ -137,15 +133,15 @@ class MetricsCollector:
         #: their own.
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
-        self.stages: dict[int, StageMetrics] = {}
-        self.job_makespans: list[float] = []
+        #: Task lists of the currently open :meth:`capture` scopes.
+        self._captures: list[list[TaskMetrics]] = []
         self.recovery_events: list[RecoveryEvent] = []
 
     def record(self, metrics: TaskMetrics) -> None:
-        with self._lock:
-            self.stages.setdefault(metrics.stage_id, StageMetrics(metrics.stage_id)).tasks.append(
-                metrics
-            )
+        if self._captures:
+            with self._lock:
+                for tasks in self._captures:
+                    tasks.append(metrics)
         reg = self.registry
         reg.inc("tasks_completed_total")
         reg.observe("task_compute_seconds", metrics.compute_seconds)
@@ -157,6 +153,23 @@ class MetricsCollector:
             reg.inc("shuffle_bytes_read_total", metrics.shuffle_bytes_read_remote, locality="remote")
         for phase, seconds in metrics.phases.items():
             reg.observe("task_phase_seconds", seconds, phase=phase)
+
+    @contextmanager
+    def capture(self) -> Iterator[list[TaskMetrics]]:
+        """Collect the :class:`TaskMetrics` of every task recorded while the
+        scope is open — the input of the makespan model below. Scopes may
+        nest or overlap; each gets every task recorded during its own span.
+        """
+        tasks: list[TaskMetrics] = []
+        with self._lock:
+            self._captures.append(tasks)
+        try:
+            yield tasks
+        finally:
+            with self._lock:
+                # By identity: list.remove compares by value, and two empty
+                # captures are equal.
+                self._captures[:] = [t for t in self._captures if t is not tasks]
 
     def record_recovery(
         self,
@@ -209,8 +222,6 @@ class MetricsCollector:
 
     def reset(self) -> None:
         with self._lock:
-            self.stages.clear()
-            self.job_makespans.clear()
             self.recovery_events.clear()
             self.network.reset_counters()
         self.registry.reset()
@@ -228,54 +239,42 @@ class MetricsCollector:
             fetch += task.shuffle_bytes_read_local / self.network.local_bandwidth
         return compute + fetch
 
-    def stage_makespan(self, stage_id: int) -> float:
-        """List-schedule the stage's tasks (longest first) onto core slots."""
-        with self._lock:
-            stage = self.stages.get(stage_id)
-            tasks = list(stage.tasks) if stage is not None else []
-        if not tasks:
-            return 0.0
+    def stage_makespan(self, tasks: "list[TaskMetrics]") -> float:
+        """List-schedule one stage's tasks (longest first) onto core slots."""
         return lpt_makespan(
             [self.simulated_task_seconds(t) for t in tasks],
             self.topology.total_cores,
         )
 
-    def stage_task_times(self) -> dict[int, list[float]]:
-        """Raw measured compute seconds per stage (for what-if simulations)."""
-        with self._lock:
-            return {
-                sid: [t.compute_seconds for t in stage.tasks]
-                for sid, stage in self.stages.items()
-            }
-
-    def job_makespan(self, stage_ids: list[int] | None = None) -> float:
+    def job_makespan(self, tasks: "list[TaskMetrics]") -> float:
         """Sum of stage makespans (stages separated by shuffle barriers)."""
-        if stage_ids is None:
-            with self._lock:
-                ids = sorted(self.stages)
-        else:
-            ids = stage_ids
-        return sum(self.stage_makespan(s) for s in ids)
+        return sum(self.stage_makespan(stage) for stage in _by_stage(tasks).values())
 
-    # ------------------------------------------------------------------ reports
-
-    def total_shuffle_bytes(self) -> int:
-        with self._lock:
-            return sum(
-                t.shuffle_bytes_written for s in self.stages.values() for t in s.tasks
-            )
-
-    def summary(self) -> dict[str, float]:
-        with self._lock:
-            num_stages = len(self.stages)
-            tasks = [t for s in self.stages.values() for t in s.tasks]
+    @staticmethod
+    def stage_task_times(tasks: "list[TaskMetrics]") -> dict[int, list[float]]:
+        """Raw measured compute seconds per stage (for what-if simulations
+        that re-schedule one captured task set under other topologies)."""
         return {
-            "stages": float(num_stages),
+            sid: [t.compute_seconds for t in stage]
+            for sid, stage in _by_stage(tasks).items()
+        }
+
+    def summary(self, tasks: "list[TaskMetrics]") -> dict[str, float]:
+        """Totals of a captured task list plus its simulated makespan."""
+        return {
+            "stages": float(len(_by_stage(tasks))),
             "tasks": float(len(tasks)),
             "compute_seconds": sum(t.compute_seconds for t in tasks),
             "shuffle_bytes_written": float(sum(t.shuffle_bytes_written for t in tasks)),
             "shuffle_bytes_read_remote": float(
                 sum(t.shuffle_bytes_read_remote for t in tasks)
             ),
-            "simulated_makespan": self.job_makespan(),
+            "simulated_makespan": self.job_makespan(tasks),
         }
+
+
+def _by_stage(tasks: "list[TaskMetrics]") -> dict[int, list[TaskMetrics]]:
+    stages: dict[int, list[TaskMetrics]] = {}
+    for task in tasks:
+        stages.setdefault(task.stage_id, []).append(task)
+    return stages

@@ -133,12 +133,9 @@ class Config:
     #: the row-based half of the heuristic.
     small_stage_inline_rows: int = 128
     index_string_keys_as_hash: bool = True
-    #: Maintain the per-partition ordered secondary index (DESIGN.md §15):
-    #: sorted distinct key values enabling BETWEEN/</>/prefix range scans
-    #: and indexed stream-window joins. Off reverts ranges to full scans.
-    ordered_index: bool = True
-    #: Pending keys accumulated before the ordered index folds them into a
-    #: fresh immutable base array (snapshot cost is O(pending)).
+    #: Pending keys accumulated before a partition's ordered secondary index
+    #: (DESIGN.md §15) folds them into a fresh immutable base array
+    #: (snapshot cost is O(pending)).
     ordered_index_compact_threshold: int = 512
     #: Seconds of backoff before a task's first retry; doubles per attempt.
     task_retry_backoff: float = 0.005
@@ -190,9 +187,6 @@ class Config:
     #: checksum boundary and repaired from lineage or a replica — never
     #: decoded into a wrong answer.
     chaos_corrupt_spill_prob: float = 0.0
-    #: CRC32 integrity checking of row batches at trust boundaries
-    #: (DESIGN.md §16). Process-global; off only for A/B overhead runs.
-    integrity_checks: bool = True
     #: Seconds between serve-tier scrub cycles when a scrubber is started
     #: in background mode; 0 keeps scrubbing manual (``scrub_once``).
     scrub_interval: float = 0.0
@@ -234,11 +228,6 @@ class Config:
     #: trace export). Off by default: the disabled fast path is a single
     #: attribute check per instrumented site (no allocation, no clock read).
     tracing_enabled: bool = False
-    #: Storage format of indexed partitions: "row" (the paper's prototype,
-    #: binary row batches) or "columnar" (footnote 2's alternative).
-    index_storage_format: str = "row"
-    #: Rows per column chunk when index_storage_format == "columnar".
-    columnar_chunk_rows: int = 4096
     #: Run full-table filters, projections and partial aggregates over
     #: indexed data as column kernels on per-task views of the row batches
     #: (DESIGN.md §18). False is the paper-faithful row-only Indexed
@@ -279,7 +268,6 @@ class Config:
         enums = (
             ("scheduler_mode", ("sequential", "threads")),
             ("eviction_policy", ("lru", "reference_distance", "cost")),
-            ("index_storage_format", ("row", "columnar")),
         )
         for name, allowed in enums:
             value = getattr(self, name)

@@ -18,11 +18,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.numa import NUMAModel
 from repro.cluster.topology import ClusterTopology, private_cluster
 from repro.config import Config
-from repro.integrity import (
-    CorruptBlockError,
-    set_integrity_enabled,
-    value_contains_corruption,
-)
+from repro.integrity import CorruptBlockError, value_contains_corruption
 from repro.engine.block_manager import BlockManagerMaster, CacheManager
 from repro.engine.dag import DAGScheduler
 from repro.engine.executor import ExecutorRuntime
@@ -63,7 +59,6 @@ class EngineContext:
         numa: NUMAModel | None = None,
     ) -> None:
         self.config = (config or Config()).validate()
-        set_integrity_enabled(self.config.integrity_checks)
         gc.set_threshold(*gc.get_threshold()[:2], FULL_GC_EVERY)
         self.topology = topology or private_cluster()
         self.network = network or NetworkModel()

@@ -99,7 +99,7 @@ class MemoryManager:
         #: comes back within the cooldown is *protected*: the victim order
         #: defers re-shedding it (never excludes it — shedding must still
         #: be able to complete), breaking the evict -> rebuild -> re-evict
-        #: loop BENCH_PR4 measured.
+        #: loop.
         self.ghost = GhostList(cfg.advisor_ghost_size, cfg.advisor_ghost_cooldown)
         self._tick = 0
         #: block id -> tick until which re-shedding it is deferred.
@@ -233,7 +233,7 @@ class MemoryManager:
                 # tier-1 spillable once more — re-spilling beats evicting
                 # and recomputing from lineage — but protect it for the
                 # ghost cooldown so a hot block is not spilled straight
-                # back out (the spill -> fault-back churn of BENCH_PR4).
+                # back out (spill -> fault-back churn).
                 self._spilled.discard(block_id)
                 self._protected_until[block_id] = self._tick + self.ghost.cooldown
 

@@ -386,18 +386,21 @@ class UnionRDD(RDD):
         raise IndexError(split)  # pragma: no cover
 
 
+class _GroupDependency(NarrowDependency):
+    """Child partition p reads the parent partitions in ``groups[p]``."""
+
+    def __init__(self, rdd: RDD, groups: list[list[int]]) -> None:
+        super().__init__(rdd)
+        self.groups = groups
+
+    def get_parents(self, partition_index: int) -> list[int]:
+        return self.groups[partition_index]
+
+
 class CoalescedRDD(RDD):
     """Merges parent partitions into fewer, without a shuffle."""
 
     def __init__(self, parent: RDD, num_partitions: int) -> None:
-        class _GroupDependency(NarrowDependency):
-            def __init__(dep_self, rdd: RDD, groups: list[list[int]]) -> None:
-                super().__init__(rdd)
-                dep_self.groups = groups
-
-            def get_parents(dep_self, partition_index: int) -> list[int]:
-                return dep_self.groups[partition_index]
-
         n_parent = parent.num_partitions
         n = max(1, min(num_partitions, n_parent))
         groups = [[] for _ in range(n)]
@@ -442,18 +445,25 @@ class ZippedPartitionsRDD(RDD):
         return iter(self._f(split, self._left.iterator(split, ctx), self._right.iterator(split, ctx)))
 
 
+class _PruneDependency(NarrowDependency):
+    """Child partition p reads parent partition ``splits[p]``."""
+
+    def __init__(self, rdd: RDD, splits: list[int]) -> None:
+        super().__init__(rdd)
+        self.splits = splits
+
+    def get_parents(self, partition_index: int) -> list[int]:
+        return [self.splits[partition_index]]
+
+
 class PrunedRDD(RDD):
     """Exposes only selected parent partitions (for single-partition jobs,
     e.g. point lookups scheduled on the one partition owning the key)."""
 
     def __init__(self, parent: RDD, splits: list[int]) -> None:
-        class _PruneDependency(NarrowDependency):
-            def get_parents(dep_self, partition_index: int) -> list[int]:
-                return [splits[partition_index]]
-
-        super().__init__(parent.context, [_PruneDependency(parent)])
-        self._parent = parent
         self._splits = list(splits)
+        super().__init__(parent.context, [_PruneDependency(parent, self._splits)])
+        self._parent = parent
 
     @property
     def num_partitions(self) -> int:

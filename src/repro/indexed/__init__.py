@@ -20,20 +20,19 @@ rules (:mod:`repro.indexed.rules`).
 Call :func:`enable_indexing` on a session to install the rules — the
 analogue of importing the paper's implicit conversions.
 
-Beyond the paper's prototype, the extensions its text sketches are also
-implemented: :mod:`~repro.indexed.columnar_partition` (footnote 2's columnar
-storage option), :mod:`~repro.indexed.out_of_core` (SSD/NVMe spill-able row
-batches), and :mod:`~repro.indexed.mvcc` (the copy-on-write alternative the
-paper rejects, kept as a measurable reference).
+Beyond the paper's prototype, two extensions its text sketches are also
+implemented: :mod:`~repro.indexed.out_of_core` (SSD/NVMe spill-able row
+batches) and :mod:`~repro.indexed.mvcc` (the copy-on-write alternative the
+paper rejects, kept as a measurable reference). Footnote 2's columnar layout
+is not a second store: full scans read the row batches through per-task
+column views (``IndexedPartition.scan_columns``, DESIGN.md §18).
 """
 
-from repro.indexed.columnar_partition import ColumnarIndexedPartition
 from repro.indexed.indexed_dataframe import IndexedDataFrame
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.rules import enable_indexing
 
 __all__ = [
-    "ColumnarIndexedPartition",
     "IndexedDataFrame",
     "IndexedPartition",
     "enable_indexing",

@@ -46,7 +46,6 @@ class IndexedBatchRDD(RDD):
         partitioner: HashPartitioner,
         version: int,
         dependencies: list,
-        storage_format: "str | None" = None,
     ) -> None:
         super().__init__(context, dependencies)
         self.schema = schema
@@ -54,9 +53,6 @@ class IndexedBatchRDD(RDD):
         self.key_ordinal = schema.index_of(key_column)
         self.partitioner = partitioner
         self.version = version
-        self.storage_format = storage_format or context.config.index_storage_format
-        if self.storage_format not in ("row", "columnar"):
-            raise ValueError(f"unknown index storage format {self.storage_format!r}")
         self.cached = True  # indexed data always lives in the block managers
 
     @property
@@ -100,18 +96,8 @@ class IndexedBatchRDD(RDD):
     def partition_for_key(self, key: Any) -> int:
         return self.partitioner.partition(key)
 
-    def _new_partition(self):
+    def _new_partition(self) -> IndexedPartition:
         cfg = self.context.config
-        if self.storage_format == "columnar":
-            from repro.indexed.columnar_partition import ColumnarIndexedPartition
-
-            return ColumnarIndexedPartition(
-                self.schema,
-                self.key_column,
-                chunk_rows=cfg.columnar_chunk_rows,
-                version=self.version,
-                hash_string_keys=cfg.index_string_keys_as_hash,
-            )
         return IndexedPartition(
             self.schema,
             self.key_column,
@@ -119,7 +105,6 @@ class IndexedBatchRDD(RDD):
             max_row_size=cfg.max_row_size,
             version=self.version,
             hash_string_keys=cfg.index_string_keys_as_hash,
-            ordered_index=cfg.ordered_index,
             ordered_compact_threshold=cfg.ordered_index_compact_threshold,
         )
 
@@ -134,17 +119,13 @@ class CreateIndexRDD(IndexedBatchRDD):
         schema: Schema,
         key_column: str,
         num_partitions: int,
-        storage_format: "str | None" = None,
     ) -> None:
         partitioner = HashPartitioner(num_partitions)
         key_ordinal = schema.index_of(key_column)
         self.shuffle_dep = ShuffleDependency(
             source, partitioner, key_func=lambda row: row[key_ordinal]
         )
-        super().__init__(
-            context, schema, key_column, partitioner, 0, [self.shuffle_dep],
-            storage_format=storage_format,
-        )
+        super().__init__(context, schema, key_column, partitioner, 0, [self.shuffle_dep])
 
     def compute(self, split: int, ctx: TaskContext) -> Iterator[IndexedPartition]:
         import time
@@ -177,7 +158,6 @@ class AppendRDD(IndexedBatchRDD):
             parent.partitioner,
             parent.version + 1,
             [OneToOneDependency(parent), self.append_dep],
-            storage_format=parent.storage_format,
         )
         self.parent = parent
 

@@ -60,17 +60,12 @@ class IndexedDataFrame:
         column: str,
         num_partitions: int | None = None,
         name: str | None = None,
-        storage_format: str | None = None,
     ) -> "IndexedDataFrame":
         """Index ``df`` on ``column``: shuffle rows to hash partitions and
         build each partition's cTrie + row batches.
 
         Also installs the indexed optimizer rules on the session (the only
         modification a program needs, per Section III-F).
-
-        ``storage_format`` chooses between the paper's row-wise batches
-        (``"row"``, default) and the footnote-2 columnar chunks
-        (``"columnar"``); defaults to ``config.index_storage_format``.
         """
         from repro.indexed.rules import enable_indexing
 
@@ -81,9 +76,7 @@ class IndexedDataFrame:
             raise KeyError(f"index column {column!r} not in {schema.names()}")
         n = num_partitions or session.context.config.shuffle_partitions
         source = session.plan_physical(df.plan).execute()
-        rdd = CreateIndexRDD(
-            session.context, source, schema, column, n, storage_format=storage_format
-        )
+        rdd = CreateIndexRDD(session.context, source, schema, column, n)
         return cls(
             session,
             schema,

@@ -60,11 +60,10 @@ class CopyOnWriteVersioning:
             max_row_size=parent.codec.max_row_size,
             version=version,
             hash_string_keys=parent.hash_string_keys,
-            ordered_index=False,
         )
         # The ordered index stores actual key values, which cannot be
         # recovered from the (possibly hashed) cTrie keys — copy it.
-        child.ordered = parent.ordered.copy() if parent.ordered is not None else None
+        child.ordered = parent.ordered.copy()
         # Deep-copy the batches byte for byte...
         child.batches = []
         for batch in parent.batches:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD
+from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ZippedPartitionsRDD
 from repro.engine.shuffle import estimate_size
 from repro.sql.analysis import resolve_expression
 from repro.sql.columnar import ColumnBatch
@@ -144,9 +144,7 @@ class IndexedRangeScanExec(PhysicalPlan):
     its sorted key array and decodes only the chains inside the interval,
     instead of decoding every batch. Reports rows *scanned* (decoded,
     including hash-collision rejects) vs rows *matched* to the metrics
-    registry, the numbers the EXPLAIN ANALYZE selectivity story is built
-    on. Partitions without an ordered index (``ordered_index=False`` or the
-    columnar format) degrade to scan+filter, never a wrong answer.
+    registry, the numbers the EXPLAIN ANALYZE selectivity story is built on.
     """
 
     def __init__(self, session: "Session", idf: "IndexedDataFrame", krange: Any) -> None:
@@ -156,18 +154,12 @@ class IndexedRangeScanExec(PhysicalPlan):
 
     def do_execute(self) -> RDD:
         krange = self.krange
-        key_ordinal = self.idf.rdd.key_ordinal
         registry = self.session.context.registry
 
         def range_scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
             part = next(iter(parts))
             with ctx.span("indexed_range_scan"):
-                if hasattr(part, "range_lookup"):
-                    rows, scanned = part.range_lookup(krange)
-                else:  # columnar partition: full scan + filter
-                    all_rows = part.scan_rows()
-                    rows = [r for r in all_rows if krange.matches(r[key_ordinal])]
-                    scanned = len(all_rows)
+                rows, scanned = part.range_lookup(krange)
                 registry.inc("ordered_index_range_scans_total")
                 registry.inc("ordered_index_rows_scanned_total", scanned)
                 registry.inc("ordered_index_rows_matched_total", len(rows))
@@ -221,6 +213,14 @@ class IndexedLookupExec(PhysicalPlan):
 
     def __repr__(self) -> str:
         return f"IndexedLookup({self.idf.name}, keys={self.keys!r})"
+
+
+class _IndexedJoinRDD(ZippedPartitionsRDD):
+    """zip_partitions of the index and the shuffled probe side whose function
+    also gets the TaskContext: ``f(index_parts, probe_rows, ctx)``."""
+
+    def compute(self, split: int, ctx: Any) -> Iterator[tuple]:
+        return self._f(self._left.iterator(split, ctx), self._right.iterator(split, ctx), ctx)
 
 
 class IndexedJoinExec(PhysicalPlan):
@@ -313,8 +313,6 @@ class IndexedJoinExec(PhysicalPlan):
             def probe_broadcast(split: int, parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
                 return probe_partition(parts, iter(buckets.get(split, ())), ctx)
 
-            from repro.engine.rdd import MapPartitionsRDD
-
             # Lineage can't bound this RDD (the indexed parent is wide), but
             # a broadcast probe emits at most ~len(rows) matches per partition
             # — hint it so tiny probe jobs inline instead of paying pool
@@ -324,35 +322,7 @@ class IndexedJoinExec(PhysicalPlan):
             ).with_estimated_records(len(rows))
         # Shuffle the probe side to the index's partitions (Section III-C).
         shuffled = probe_rdd.partition_by(idf.partitioner, key_func=probe_key)
-        return self._zip_with_ctx(shuffled, probe_partition)
-
-    def _zip_with_ctx(self, shuffled: RDD, probe_partition: Any) -> RDD:
-        """zip_partitions variant that passes the TaskContext through."""
-        from repro.engine.dependencies import OneToOneDependency
-        from repro.engine.partition import TaskContext
-        from repro.engine.rdd import RDD as BaseRDD
-
-        idf_rdd = self.idf.rdd
-
-        class _IndexedJoinRDD(BaseRDD):
-            def __init__(join_self) -> None:
-                BaseRDD.__init__(
-                    join_self,
-                    idf_rdd.context,
-                    [OneToOneDependency(idf_rdd), OneToOneDependency(shuffled)],
-                )
-                join_self.partitioner = idf_rdd.partitioner
-
-            @property
-            def num_partitions(join_self) -> int:
-                return idf_rdd.num_partitions
-
-            def compute(join_self, split: int, ctx: TaskContext) -> Iterator[tuple]:
-                return probe_partition(
-                    idf_rdd.iterator(split, ctx), shuffled.iterator(split, ctx), ctx
-                )
-
-        return _IndexedJoinRDD()
+        return _IndexedJoinRDD(idf.rdd, shuffled, probe_partition)
 
     def estimated_rows(self) -> int:
         return self.probe.estimated_rows()

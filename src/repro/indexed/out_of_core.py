@@ -251,9 +251,7 @@ def spill_partition(
     write (see :attr:`SpillableRowBatch.chaos_corruption`).
     """
     freed = 0
-    batches = getattr(partition, "batches", None)
-    if batches is None:
-        return 0  # columnar partitions have no row batches to spill
+    batches = partition.batches
     last = len(batches) - 1
     for i, batch in enumerate(batches):
         if keep_tail and i == last:
@@ -294,7 +292,7 @@ def discard_resident_files(value: Any) -> int:
 def resident_bytes(partition: IndexedPartition) -> int:
     """Bytes of batch capacity currently held in memory."""
     total = 0
-    for batch in getattr(partition, "batches", ()) or ():
+    for batch in partition.batches:
         if isinstance(batch, SpillableRowBatch):
             if batch.resident:
                 total += batch.capacity
@@ -304,8 +302,4 @@ def resident_bytes(partition: IndexedPartition) -> int:
 
 
 def fault_count(partition: IndexedPartition) -> int:
-    return sum(
-        b.faults
-        for b in getattr(partition, "batches", ()) or ()
-        if isinstance(b, SpillableRowBatch)
-    )
+    return sum(b.faults for b in partition.batches if isinstance(b, SpillableRowBatch))

@@ -67,7 +67,6 @@ class IndexedPartition:
         max_row_size: int = 1024,
         version: int = 0,
         hash_string_keys: bool = True,
-        ordered_index: bool = True,
         ordered_compact_threshold: int = 512,
     ) -> None:
         self.schema = schema
@@ -79,18 +78,15 @@ class IndexedPartition:
         self.ctrie = CTrie()
         # Ordered secondary index over distinct *actual* key values (never
         # the 32-bit string hashes — hashing destroys order). DESIGN.md §15.
-        self.ordered: "OrderedIndex | None" = (
-            OrderedIndex(ordered_compact_threshold) if ordered_index else None
-        )
+        self.ordered = OrderedIndex(ordered_compact_threshold)
         self.batches: list[RowBatch] = []
         self.version = version
         self.row_count = 0
         self.data_bytes = 0
-        # Sequential-scan validity (same idea as the columnar partition's
-        # watermarks): every byte below a batch's watermark belongs to a row
-        # visible in *this* version. A diverged sibling writing into a
-        # shared tail batch breaks contiguity, and full scans fall back to
-        # the chain walk.
+        # Sequential-scan validity: every byte below a batch's watermark
+        # belongs to a row visible in *this* version. A diverged sibling
+        # writing into a shared tail batch breaks contiguity, and full scans
+        # fall back to the chain walk.
         self.contiguous = True
         self._watermarks: list[int] = []
 
@@ -156,8 +152,7 @@ class IndexedPartition:
         encoded = self.codec.encode(row, prev_ptr)
         batch_idx, offset = self._append_bytes(encoded)
         self.ctrie.insert(trie_key, pack(batch_idx, offset, len(encoded)))
-        if self.ordered is not None:
-            self.ordered.add(key)
+        self.ordered.add(key)
         self.row_count += 1
         self.data_bytes += len(encoded)
 
@@ -171,8 +166,7 @@ class IndexedPartition:
         trie = self.ctrie
         key_ord = self.key_ordinal
         index_key = self.index_key
-        ordered = self.ordered
-        ordered_add = ordered.add if ordered is not None else None
+        ordered_add = self.ordered.add
         n = 0
         for row in rows:
             key = row[key_ord]
@@ -181,8 +175,7 @@ class IndexedPartition:
             encoded = codec_encode(row, prev_ptr)
             batch_idx, offset = self._append_bytes(encoded)
             trie.insert(trie_key, pack(batch_idx, offset, len(encoded)))
-            if ordered_add is not None:
-                ordered_add(key)
+            ordered_add(key)
             self.data_bytes += len(encoded)
             n += 1
         self.row_count += n
@@ -289,21 +282,14 @@ class IndexedPartition:
     def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
         """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
 
-        With the ordered index: enumerate candidate keys in sorted order,
+        Enumerate candidate keys from the ordered index in sorted order,
         then reuse the point-lookup path per key — visibility and string
         hash collisions are filtered by this version's cTrie exactly as in
         :meth:`lookup`. ``scanned`` counts decoded rows (chain lengths,
         including collision-filtered ones), the number EXPLAIN ANALYZE
         compares against a full scan's ``row_count``.
-
-        Without the ordered index (``ordered_index=False`` builds, or the
-        columnar format): full scan + filter, ``scanned == row_count``.
         """
-        ordered = self.ordered
         key_ord = self.key_ordinal
-        if ordered is None:
-            rows = [row for row in self.scan_rows() if krange.matches(row[key_ord])]
-            return rows, self.row_count
         trie_lookup = self.ctrie.lookup
         index_key = self.index_key
         decode_chain = self.codec.decode_chain
@@ -311,7 +297,7 @@ class IndexedPartition:
         verify = self.key_is_string and self.hash_string_keys
         rows = []
         scanned = 0
-        for key in ordered.range_keys(krange):
+        for key in self.ordered.range_keys(krange):
             pointer = trie_lookup(index_key(key), NULL_POINTER)
             if pointer == NULL_POINTER:
                 continue  # key from a sibling lineage, invisible here
@@ -342,7 +328,7 @@ class IndexedPartition:
         child.hash_string_keys = self.hash_string_keys
         child.batch_size = self.batch_size
         child.ctrie = self.ctrie.snapshot()
-        child.ordered = self.ordered.snapshot() if self.ordered is not None else None
+        child.ordered = self.ordered.snapshot()
         child.batches = list(self.batches)  # share RowBatch objects
         child.version = new_version
         child.row_count = self.row_count

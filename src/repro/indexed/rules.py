@@ -277,14 +277,11 @@ def _dataframe_create_index(
     self: DataFrame,
     column: str,
     num_partitions: int | None = None,
-    storage_format: str | None = None,
 ) -> "IndexedDataFrame":
     """``df.create_index("col")`` — see :meth:`IndexedDataFrame.create_index`."""
     from repro.indexed.indexed_dataframe import IndexedDataFrame
 
-    return IndexedDataFrame.create_index(
-        self, column, num_partitions, storage_format=storage_format
-    )
+    return IndexedDataFrame.create_index(self, column, num_partitions)
 
 
 # The "implicit conversion": importing repro.indexed adds create_index to

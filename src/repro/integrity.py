@@ -48,9 +48,9 @@ import zlib
 #: *guaranteed* to change the prefix CRC — detection never depends on luck.
 CORRUPTION_MODES = ("bit_flip", "truncate", "garble_header")
 
-#: Process-global integrity switch (``Config.integrity_checks``). Off, the
-#: anchor/verify calls collapse to near-free no-ops — the baseline the
-#: integrity_smoke benchmark measures checksum overhead against.
+#: Process-global integrity switch. Off, the anchor/verify calls collapse
+#: to near-free no-ops — the baseline an A/B run measures checksum overhead
+#: against.
 _ENABLED = True
 
 
@@ -185,22 +185,15 @@ class ChecksumMixin:
 def checkpoint_partition(partition) -> int:
     """Anchor prefix marks at the partition's visible watermarks.
 
-    Returns the number of batches anchored. Columnar partitions (no
-    ``batches``) are a no-op. For non-contiguous MVCC versions the
-    watermarks cover only the contiguous prefix of each batch.
+    Returns the number of batches anchored. For non-contiguous MVCC
+    versions the watermarks cover only the contiguous prefix of each batch.
     """
     if not _ENABLED:
         return 0
-    batches = getattr(partition, "batches", None)
-    if batches is None:
-        return 0
     anchored = 0
-    for batch, upto in zip(batches, partition.visible_watermarks()):
-        if not upto:
-            continue
-        checkpoint = getattr(batch, "checkpoint", None)
-        if checkpoint is not None:
-            checkpoint(upto)
+    for batch, upto in zip(partition.batches, partition.visible_watermarks()):
+        if upto:
+            batch.checkpoint(upto)
             anchored += 1
     return anchored
 
@@ -214,17 +207,11 @@ def audit_partition(partition, where: str = "scrub") -> tuple[int, int]:
     """
     if not _ENABLED:
         return (0, 0)
-    batches = getattr(partition, "batches", None)
-    if batches is None:
-        return (0, 0)
     verified = anchored = 0
-    for batch, upto in zip(batches, partition.visible_watermarks()):
+    for batch, upto in zip(partition.batches, partition.visible_watermarks()):
         if not upto:
             continue
-        verify = getattr(batch, "verify", None)
-        if verify is None:
-            continue
-        if verify(upto, where=where):
+        if batch.verify(upto, where=where):
             verified += 1
         else:
             batch.checkpoint(upto)

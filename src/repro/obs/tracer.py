@@ -27,7 +27,7 @@ clock read happens on the disabled path.
 Export is Chrome trace event format (``chrome://tracing`` /
 https://ui.perfetto.dev — "X" complete events, microsecond timestamps), and
 :func:`validate_chrome_trace` checks an exported document against the
-subset of the spec this tracer promises, for CI smoke tests.
+subset of the spec this tracer promises (``tests/test_trace_integrity.py``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Capacity is modeled, not real: ``ShardConfig.service_time`` seconds of
 simulated work are paid under a per-shard service lock, so a shard behaves
 like a single-core server (~1/service_time qps). Skewed traffic therefore
 *measurably* melts one shard unless the router replicates its hot
-partitions — the effect BENCH_PR7 quantifies.
+partitions.
 """
 
 from __future__ import annotations
@@ -76,11 +76,9 @@ class ShardConfig:
     #: Concurrent calls a shard accepts before shedding (``shard_overloaded``).
     max_inflight: int = 32
     #: Simulated seconds of service time per point lookup, paid under the
-    #: shard's service lock (0.0 = tests; benchmarks set ~1e-4 to model a
-    #: single-core shard and make hot-shard saturation measurable).
+    #: shard's service lock (0.0 = no modelled capacity; a positive value
+    #: models a single-core shard and makes hot-shard saturation measurable).
     service_time: float = 0.0
-    #: Service time per scanned split (scans touch more data than lookups).
-    scan_service_time: float = 0.0
 
 
 class ShardSnapshot:
@@ -216,8 +214,6 @@ class ShardServer:
                 part = snap.parts.get(split)
                 if part is None:
                     raise PartitionNotOwned(self.shard_id, view, split)
-                if self.config.scan_service_time:
-                    time.sleep(self.config.scan_service_time)
                 if predicate is None:
                     rows.extend(part.scan_rows())
                 else:
@@ -249,16 +245,7 @@ class ShardServer:
                 part = snap.parts.get(split)
                 if part is None:
                     raise PartitionNotOwned(self.shard_id, view, split)
-                if self.config.scan_service_time:
-                    time.sleep(self.config.scan_service_time)
-                range_lookup = getattr(part, "range_lookup", None)
-                if range_lookup is not None:
-                    part_rows, _scanned = range_lookup(krange)
-                else:  # columnar partitions: scan + filter
-                    key_ord = part.key_ordinal
-                    part_rows = [
-                        r for r in part.scan_rows() if krange.matches(r[key_ord])
-                    ]
+                part_rows, _scanned = part.range_lookup(krange)
                 if residual is not None:
                     part_rows = [r for r in part_rows if residual.eval(r)]
                 rows.extend(part_rows)

@@ -93,14 +93,7 @@ class PinnedSnapshot:
         rows: list[tuple] = []
         scanned = 0
         for part in self.partitions:
-            range_lookup = getattr(part, "range_lookup", None)
-            if range_lookup is not None:
-                part_rows, part_scanned = range_lookup(krange)
-            else:  # columnar partitions: scan + filter
-                all_rows = part.scan_rows()
-                key_ord = part.key_ordinal
-                part_rows = [r for r in all_rows if krange.matches(r[key_ord])]
-                part_scanned = len(all_rows)
+            part_rows, part_scanned = part.range_lookup(krange)
             rows.extend(part_rows)
             scanned += part_scanned
         return rows, scanned

@@ -275,7 +275,7 @@ class TestCostEvictionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Anti-thrash regression (the BENCH_PR4 churn loop)
+# Anti-thrash regression (the evict -> rebuild -> re-evict churn loop)
 # ---------------------------------------------------------------------------
 
 
@@ -308,7 +308,7 @@ class TestAntiThrash:
         assert rows_ghost == rows_plain  # differential: same answers
         # The regression gate: the ghost cooldown must not *increase* churn,
         # and the repeated-probe loop must stay well under the 24-spill
-        # storm BENCH_PR4 measured for this working-set/budget shape.
+        # storm PR 4 measured for this working-set/budget shape.
         assert with_ghost["spills"] <= without["spills"]
         assert with_ghost["spills"] < 24
         assert with_ghost["evictions"] <= without["evictions"] + 1

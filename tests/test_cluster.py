@@ -150,19 +150,27 @@ class TestMetricsCollector:
     def test_record_and_summary(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
-        mc.record(TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=0.5))
-        mc.record(TaskMetrics(stage_id=0, partition=1, executor_id=ex, compute_seconds=0.3))
-        s = mc.summary()
+        outside = TaskMetrics(stage_id=0, partition=9, executor_id=ex, compute_seconds=9.0)
+        mc.record(outside)
+        with mc.capture() as tasks:
+            mc.record(TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=0.5))
+            mc.record(TaskMetrics(stage_id=0, partition=1, executor_id=ex, compute_seconds=0.3))
+        mc.record(outside)
+        # Only what ran inside the scope is captured; the registry saw it all.
+        s = mc.summary(tasks)
         assert s["tasks"] == 2
         assert s["compute_seconds"] == pytest.approx(0.8)
+        assert mc.registry.counter_value("tasks_completed_total") == 4
 
     def test_stage_makespan_uses_parallelism(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
         # 16 cores, 16 equal tasks of 1s -> makespan ~1s, not 16s.
-        for p in range(16):
-            mc.record(TaskMetrics(stage_id=1, partition=p, executor_id=ex, compute_seconds=1.0))
-        assert mc.stage_makespan(1) == pytest.approx(1.0, rel=0.1)
+        stage = [
+            TaskMetrics(stage_id=1, partition=p, executor_id=ex, compute_seconds=1.0)
+            for p in range(16)
+        ]
+        assert mc.stage_makespan(stage) == pytest.approx(1.0, rel=0.1)
 
     def test_remote_fetch_adds_time(self):
         mc = self._collector()
@@ -177,16 +185,21 @@ class TestMetricsCollector:
     def test_job_makespan_sums_stages(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
-        mc.record(TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=1.0))
-        mc.record(TaskMetrics(stage_id=1, partition=0, executor_id=ex, compute_seconds=2.0))
-        assert mc.job_makespan() == pytest.approx(mc.stage_makespan(0) + mc.stage_makespan(1))
+        first = TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=1.0)
+        second = TaskMetrics(stage_id=1, partition=0, executor_id=ex, compute_seconds=2.0)
+        assert mc.job_makespan([first, second]) == pytest.approx(
+            mc.stage_makespan([first]) + mc.stage_makespan([second])
+        )
+        assert mc.stage_task_times([first, second]) == {0: [1.0], 1: [2.0]}
 
     def test_reset(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
         mc.record(TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=1.0))
+        mc.record_recovery("task_retry")
         mc.reset()
-        assert mc.summary()["tasks"] == 0
+        assert mc.registry.counter_value("tasks_completed_total") == 0
+        assert mc.recovery_summary() == {}
 
 
 class TestFaultInjector:

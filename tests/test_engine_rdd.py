@@ -163,6 +163,8 @@ class TestPrunedRDD:
         pruned = PrunedRDD(rdd, [2])
         assert pruned.num_partitions == 1
         assert pruned.collect() == list(range(20, 30))
+        # One dependency class for all of them, not one built per query.
+        assert type(PrunedRDD(rdd, [0]).dependencies[0]) is type(pruned.dependencies[0])
 
 
 class TestPartitioners:

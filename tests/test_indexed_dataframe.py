@@ -47,6 +47,15 @@ class TestCreateIndex:
         with pytest.raises(KeyError):
             df.create_index("nope")
 
+    def test_one_storage_format(self, session, rows):
+        """The row store is the only store: the format knobs are gone, not
+        ignored (DESIGN.md §5)."""
+        df = session.create_dataframe(rows, EDGE_SCHEMA, "edges")
+        with pytest.raises(TypeError):
+            df.create_index("src", storage_format="columnar")
+        with pytest.raises(TypeError):
+            Config(index_storage_format="columnar")
+
     def test_count_matches_source(self, idf, rows):
         assert idf.count() == len(rows)
 
@@ -89,12 +98,10 @@ class TestLookup:
         assert out.columns == ["src", "dst", "w"]
 
     def test_lookup_runs_single_partition_job(self, idf):
-        metrics = idf.session.context.metrics
-        metrics.reset()
-        idf.lookup_tuples(3)
+        with idf.session.context.metrics.capture() as tasks:
+            idf.lookup_tuples(3)
         # One result stage with exactly one task (the owning partition).
-        stages = [s for s in metrics.stages.values() if s.tasks]
-        assert sum(len(s.tasks) for s in stages) == 1
+        assert len(tasks) == 1
 
 
 class TestAppend:

@@ -5,16 +5,19 @@ Fig. 9 (read-after-write correctness), Fig. 12 (executor kill mid-run),
 and the threat-detection pattern (streaming appends + interactive lookups).
 """
 
+import gc
 import random
 
 import pytest
 
+from repro.cluster.metrics import TaskMetrics
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
 from repro.workloads import broconn
+from tests.conftest import MODES
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
@@ -38,17 +41,41 @@ class TestAmortization:
         idf = df.create_index("src").cache_index()
         probe = session.create_dataframe([(k,) for k in range(0, 80, 9)],
                                          Schema.of(("k", LONG)), "p")
-        metrics = session.context.metrics
-        metrics.reset()
+        registry = session.context.registry
+        before = registry.counter_total("shuffle_bytes_written_total")
         joined = probe.join(idf.to_df(), on=("k", "src"))
         first = joined.collect_tuples()
-        shuffle_after_first = metrics.summary()["shuffle_bytes_written"]
+        shuffle_after_first = registry.counter_total("shuffle_bytes_written_total") - before
         for _ in range(4):
             assert joined.collect_tuples() == first
-        shuffle_after_five = metrics.summary()["shuffle_bytes_written"]
+        shuffle_after_five = registry.counter_total("shuffle_bytes_written_total") - before
         # No additional index-side shuffle: the only shuffles would be tiny
         # probe-side ones (broadcast path avoids even those).
         assert shuffle_after_five <= shuffle_after_first * 1.01
+
+
+class TestHeapFlatInQueries:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_point_lookups_leave_no_per_task_state(self, mode):
+        """The engine keeps no per-task history: the tracked heap after
+        2 000 SQL point lookups is the warm heap, not warm + k * tasks."""
+        session = Session(
+            config=Config(default_parallelism=4, shuffle_partitions=4, scheduler_mode=mode)
+        )
+        rows = [(i % 40, i, float(i)) for i in range(400)]
+        idf = session.create_dataframe(rows, EDGE_SCHEMA, "edges").create_index("src")
+        idf.cache_index().create_or_replace_temp_view("edges")
+
+        def tracked_after(lookups: int) -> int:
+            for i in range(lookups):
+                got = session.sql(f"SELECT * FROM edges WHERE src = {i % 40}").collect_tuples()
+                assert len(got) == 10
+            gc.collect()
+            return len(gc.get_objects())
+
+        warm = tracked_after(200)
+        assert tracked_after(2000) - warm < 200
+        assert not any(isinstance(o, TaskMetrics) for o in gc.get_objects())
 
 
 class TestReadAfterWrite:

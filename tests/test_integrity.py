@@ -148,6 +148,27 @@ class TestChecksumMixin:
         assert value_contains_corruption([part], exc)
         assert not value_contains_corruption([1, 2, 3], exc)
 
+    def test_in_memory_reads_do_no_checksum_work(self, monkeypatch):
+        """Checks cost nothing where queries spend their time: sealing a
+        batch computes a CRC, reading resident bytes never does — the count
+        behind the old checks-on-vs-off wall-clock gate (DESIGN.md §16)."""
+        calls = []
+        real_crc32 = zlib.crc32
+        monkeypatch.setattr(zlib, "crc32", lambda *a: calls.append(1) or real_crc32(*a))
+        rows = make_rows()
+        s = Session(config=Config(
+            default_parallelism=2, shuffle_partitions=2, row_batch_size=4096,
+        ))
+        idf = s.create_dataframe(rows, EDGE, "e").create_index("src").cache_index()
+        idf.create_or_replace_temp_view("e")
+        assert calls  # sealed batches were anchored during the build
+        del calls[:]
+        assert len(s.sql("SELECT src, w FROM e WHERE dst > 10").collect_tuples()) == 2989
+        assert len(s.sql("SELECT * FROM e WHERE src = 7").collect_tuples()) == 60
+        assert len(s.sql("SELECT * FROM e WHERE src BETWEEN 3 AND 5").collect_tuples()) == 180
+        assert len(s.sql("SELECT src, count(*) FROM e GROUP BY src").collect_tuples()) == 50
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # Spill fault-in boundary

@@ -269,24 +269,6 @@ def test_differential_across_mvcc_versions(data, mode):
     assert normalize(v0.to_df().collect_tuples()) == normalize(base)
 
 
-@given(seed=st.integers(min_value=0, max_value=100_000))
-@settings(max_examples=10, deadline=None)
-def test_columnar_storage_equivalence(data, seed):
-    """Same harness, footnote-2 columnar storage format."""
-    edges, dims, keys = data
-    session = Session(config=Config(default_parallelism=3, shuffle_partitions=3))
-    edges_df = session.create_dataframe(edges, EDGE_SCHEMA, "edges")
-    dims_df = session.create_dataframe(dims, DIM_SCHEMA, "dims").cache()
-    vanilla = edges_df.cache()
-    indexed = edges_df.create_index("src", storage_format="columnar")
-
-    gen = QueryGenerator(random.Random(seed), keys)
-    want = normalize(gen.build(vanilla, dims_df).collect_tuples())
-    gen2 = QueryGenerator(random.Random(seed), keys)
-    got = normalize(gen2.build(indexed.to_df(), dims_df).collect_tuples())
-    assert got == want
-
-
 # -- column kernels on vs off (DESIGN.md §18) ------------------------------------------
 
 KERNEL_SEEDS = list(range(30))

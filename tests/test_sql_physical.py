@@ -134,14 +134,9 @@ class TestEstimates:
 class TestPhaseAccounting:
     def test_columnar_scan_records_phase(self, session, cached):
         rel = Relation("t", SCHEMA, cached=cached)
-        session.context.metrics.reset()
-        session.plan_physical(Filter(col("id") < 5, rel)).execute().collect()
-        phases = [
-            t.phases
-            for s in session.context.metrics.stages.values()
-            for t in s.tasks
-        ]
-        assert any("scan" in p for p in phases)
+        with session.context.metrics.capture() as tasks:
+            session.plan_physical(Filter(col("id") < 5, rel)).execute().collect()
+        assert any("scan" in t.phases for t in tasks)
 
 
 class TestVectorRowParity:
