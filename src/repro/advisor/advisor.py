@@ -387,8 +387,8 @@ class CacheAdvisor:
     # -- serve-tier signal ----------------------------------------------------------
 
     def note_serve_view(self, view: str) -> None:
-        """One fast-path/routed hit on a served view: recurrence feeds the
-        serve tier's pin/replication decisions."""
+        """One fast-path hit on a served view: recurrence feeds the serve
+        tier's unpin-under-pressure decision."""
         with self._lock:
             counter = self._serve.get(view)
             if counter is None:

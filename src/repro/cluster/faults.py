@@ -15,8 +15,8 @@ runtime:
 * **transient task failures** (``task_failure_prob``) — a task attempt
   raises a retryable :class:`ChaosTaskError` before running;
 * **stragglers** (``straggler_prob`` / :meth:`delay_task_once`) — a task
-  sleeps before running, which is what speculative execution exists to
-  beat;
+  sleeps before running (the stage waits it out; a sibling's failure wakes
+  it early);
 * **flaky shuffle fetches** (``fetch_failure_prob``) — a reduce-side fetch
   raises a FetchFailedError even though the map output is present, forcing
   the DAG scheduler through its (cheap) resubmit path;
@@ -103,11 +103,6 @@ class FaultInjector:
     #: operation index; the victim shard is drawn from the same site, so a
     #: given seed kills the same shards at the same operations every run.
     shard_kill_prob: float = 0.0
-    #: Probability that one shard-local serve call straggles (sleeps
-    #: ``shard_straggler_delay`` before answering) — what hedged retries
-    #: exist to beat. Keyed by (shard_id, shard-local op index).
-    shard_straggler_prob: float = 0.0
-    shard_straggler_delay: float = 0.05
     #: Corruption chaos (DESIGN.md §16): probability that real bytes get
     #: damaged in a spill file after it is written. The damage mode
     #: (bit-flip / truncation / garbled header) is drawn from the same
@@ -160,8 +155,6 @@ class FaultInjector:
         memory_squeeze_factor: float | None = None,
         serve_rejection_prob: float | None = None,
         shard_kill_prob: float | None = None,
-        shard_straggler_prob: float | None = None,
-        shard_straggler_delay: float | None = None,
         corrupt_spill_prob: float | None = None,
     ) -> None:
         with self._lock:
@@ -183,10 +176,6 @@ class FaultInjector:
                 self.serve_rejection_prob = serve_rejection_prob
             if shard_kill_prob is not None:
                 self.shard_kill_prob = shard_kill_prob
-            if shard_straggler_prob is not None:
-                self.shard_straggler_prob = shard_straggler_prob
-            if shard_straggler_delay is not None:
-                self.shard_straggler_delay = shard_straggler_delay
             if corrupt_spill_prob is not None:
                 self.corrupt_spill_prob = corrupt_spill_prob
 
@@ -229,8 +218,8 @@ class FaultInjector:
     # -- targeted stragglers ---------------------------------------------------------
 
     def delay_task_once(self, split: int, delay: float, stage_id: int | None = None) -> None:
-        """Make the next non-speculative launch of partition ``split``
-        (optionally only within ``stage_id``) sleep ``delay`` seconds."""
+        """Make the next launch of partition ``split`` (optionally only
+        within ``stage_id``) sleep ``delay`` seconds."""
         with self._lock:
             self._targeted_delays.append((split, delay, stage_id))
 
@@ -242,14 +231,9 @@ class FaultInjector:
             return self._task_launches
 
     def on_task_start(
-        self, stage_id: int, split: int, attempt: int, job_index: int, salt: int = 0
+        self, stage_id: int, split: int, attempt: int, job_index: int
     ) -> ChaosDecision:
-        """Chaos decision for one task launch.
-
-        ``salt`` distinguishes a speculative copy from the original attempt
-        so the copy does not inherit the original's straggler draw (which
-        would defeat speculation).
-        """
+        """Chaos decision for one task launch."""
         with self._lock:
             self._task_launches += 1
             n = self._task_launches
@@ -285,26 +269,25 @@ class FaultInjector:
                 else:
                     squeeze_remaining.append((at, factor))
             self._memory_squeezes = squeeze_remaining
-            if salt == 0:
-                for i, (t_split, t_delay, t_stage) in enumerate(self._targeted_delays):
-                    if t_split == split and (t_stage is None or t_stage == stage_id):
-                        decision.delay_seconds = max(decision.delay_seconds, t_delay)
-                        del self._targeted_delays[i]
-                        break
+            for i, (t_split, t_delay, t_stage) in enumerate(self._targeted_delays):
+                if t_split == split and (t_stage is None or t_stage == stage_id):
+                    decision.delay_seconds = max(decision.delay_seconds, t_delay)
+                    del self._targeted_delays[i]
+                    break
         if self.task_failure_prob > 0 and attempt == 0:
             # Only first attempts fail: "transient" means the retry succeeds.
-            if _draw(self.seed, "task", stage_id, split, salt) < self.task_failure_prob:
+            if _draw(self.seed, "task", stage_id, split) < self.task_failure_prob:
                 decision.fail = ChaosTaskError(
                     f"chaos: injected transient failure (stage={stage_id}, split={split})"
                 )
         if self.straggler_prob > 0 and attempt == 0 and decision.fail is None:
-            if _draw(self.seed, "straggle", stage_id, split, salt) < self.straggler_prob:
+            if _draw(self.seed, "straggle", stage_id, split) < self.straggler_prob:
                 decision.delay_seconds = max(decision.delay_seconds, self.straggler_delay)
         if self.memory_squeeze_prob > 0 and decision.memory_squeeze_factor == 0.0:
-            # Seeded per (stage, split, attempt, salt): a given seed squeezes
-            # the same logical launches in both scheduler modes.
+            # Seeded per (stage, split, attempt): a given seed squeezes the
+            # same logical launches in both scheduler modes.
             if (
-                _draw(self.seed, "memsqueeze", stage_id, split, attempt, salt)
+                _draw(self.seed, "memsqueeze", stage_id, split, attempt)
                 < self.memory_squeeze_prob
             ):
                 decision.memory_squeeze_factor = self.memory_squeeze_factor
@@ -327,7 +310,7 @@ class FaultInjector:
 
     def delay_shard_once(self, shard_id: int, delay: float) -> None:
         """Make shard ``shard_id``'s next serve call sleep ``delay`` seconds
-        (a targeted straggler, the hedging tests' trigger)."""
+        (a targeted straggler: holds a query in flight for a test)."""
         with self._lock:
             self._shard_delays[shard_id] = max(delay, self._shard_delays.get(shard_id, 0.0))
 
@@ -356,19 +339,12 @@ class FaultInjector:
             return int(_draw(self.seed, "shardvictim", op_index) * num_shards)
         return None
 
-    def on_shard_call(self, shard_id: int, op_index: int) -> float:
+    def on_shard_call(self, shard_id: int) -> float:
         """Seconds this shard-local call must straggle (0.0 = no chaos)."""
-        delay = 0.0
-        if self._shard_delays:
-            with self._lock:
-                delay = self._shard_delays.pop(shard_id, 0.0)
-        if self.shard_straggler_prob > 0:
-            if (
-                _draw(self.seed, "shardstraggle", shard_id, op_index)
-                < self.shard_straggler_prob
-            ):
-                delay = max(delay, self.shard_straggler_delay)
-        return delay
+        if not self._shard_delays:
+            return 0.0
+        with self._lock:
+            return self._shard_delays.pop(shard_id, 0.0)
 
     # -- corruption chaos --------------------------------------------------------------
 
@@ -435,5 +411,4 @@ class FaultInjector:
             self.memory_squeeze_prob = 0.0
             self.serve_rejection_prob = 0.0
             self.shard_kill_prob = 0.0
-            self.shard_straggler_prob = 0.0
             self.corrupt_spill_prob = 0.0

@@ -69,9 +69,6 @@ RECOVERY_EVENT_KINDS = (
     "task_retry",            # a task attempt failed retryably and backed off
     "task_blacklist",        # a retry was moved off an executor that failed it
     "stage_budget_exhausted",  # a stage burned its shared retry budget
-    "speculative_launch",    # a straggler got a second copy elsewhere
-    "speculative_win",       # the copy finished first (original discarded)
-    "speculative_loss",      # the original finished first (copy discarded)
     "stage_resubmit",        # DAG scheduler re-ran parents after a fetch failure
     "job_failed",            # a job exhausted its stage attempts
     "fetch_failed",          # a reduce fetch found a map output missing
@@ -88,7 +85,6 @@ RECOVERY_EVENT_KINDS = (
     "shard_failover",        # a routed query moved to a replica mid-flight
     "shard_repaired",        # replication restored by copying from a live replica
     "shard_recovered",       # a dead shard restarted and re-pinned its partitions
-    "hot_partition_replicated",  # popularity sketch promoted a partition R-ways
     "chaos_shard_kill",      # injected shard crash (kill-one-shard scenario)
     "chaos_spill_corruption",  # injected damage to a spill file on write
     "corrupt_block_quarantined",  # checksum mismatch: block dropped everywhere

@@ -2,8 +2,7 @@
 
 Mirrors the knobs the paper exposes (Section III): row batch size (Fig. 5
 sweeps 4 KB .. 128 MB, sweet spot 4 MB), broadcast-join threshold (Spark
-default 10 MB), partitions per core (Spark tuning guide: 1-4), and the
-scheduler's locality wait (delay scheduling).
+default 10 MB) and partitions per core (Spark tuning guide: 1-4).
 
 A :class:`Config` is attached to an :class:`~repro.engine.context.EngineContext`
 and consulted by every layer; tests construct small configs, benchmarks use
@@ -45,9 +44,6 @@ class Config:
     shuffle_partitions:
         Number of reduce-side partitions for shuffles (Spark default 200 is
         scaled down for simulated clusters).
-    locality_wait:
-        Simulated seconds a task waits for a data-local slot before being
-        launched remotely (delay scheduling).
     max_task_retries:
         Attempts per task before the job is failed. Retries back off
         exponentially (``task_retry_backoff`` doubling per attempt, capped
@@ -77,14 +73,6 @@ class Config:
         launches — the cluster heals instead of shrinking forever. The
         scheduler's placement and pool-width logic pick the replacement up
         live (both consult the alive set on every decision).
-    speculation:
-        Enable speculative execution in ``"threads"`` mode: once
-        ``speculation_quantile`` of a stage's tasks have finished, tasks
-        running longer than ``speculation_multiplier`` x the median
-        completed duration (and at least ``speculation_min_runtime``
-        seconds) get a second attempt on a *different* executor.
-        First result wins; the loser is cancelled and its (idempotent)
-        side effects discarded.
     chaos_*:
         Deterministic fault injection (see
         :class:`repro.cluster.faults.FaultInjector`). All decisions are
@@ -119,7 +107,6 @@ class Config:
     max_row_size: int = KB
     broadcast_threshold: int = 10 * MB
     shuffle_partitions: int = 8
-    locality_wait: float = 3.0
     max_task_retries: int = 4
     partitions_per_core: int = 2
     scheduler_mode: str = field(default_factory=_default_scheduler_mode)
@@ -149,12 +136,6 @@ class Config:
     #: Task launches between an executor's death and its replacement
     #: registering (a deterministic stand-in for restart wall-clock time).
     executor_restart_delay_tasks: int = 8
-    #: Speculative execution ("threads" mode only).
-    speculation: bool = False
-    speculation_multiplier: float = 1.5
-    speculation_quantile: float = 0.75
-    speculation_min_runtime: float = 0.05
-    speculation_poll_interval: float = 0.02
     #: Chaos layer: seeded, deterministic mid-stage fault injection.
     chaos_seed: int = 0
     chaos_task_failure_prob: float = 0.0
@@ -177,10 +158,6 @@ class Config:
     #: never a wrong answer, ``degraded`` only when a partition has no live
     #: replica left.
     chaos_shard_kill_prob: float = 0.0
-    #: Probability that a shard-local serve call straggles (sleeps before
-    #: answering) — the condition hedged retries exist to beat.
-    chaos_shard_straggler_prob: float = 0.0
-    chaos_shard_straggler_delay: float = 0.05
     #: Corruption chaos (DESIGN.md §16): probability that real bytes get
     #: damaged (bit-flip / truncation / garbled header, drawn per site) in
     #: a just-written spill file. Every injection must be caught by a
@@ -313,7 +290,7 @@ class Config:
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 problems.append(f"{name} must be a positive int, got {value!r}")
-        for name in ("chaos_straggler_delay", "chaos_shard_straggler_delay", "scrub_interval"):
+        for name in ("chaos_straggler_delay", "scrub_interval"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or value < 0:
                 problems.append(f"{name} must be >= 0, got {value!r}")

@@ -80,8 +80,6 @@ class EngineContext:
             memory_squeeze_factor=self.config.chaos_memory_squeeze_factor,
             serve_rejection_prob=self.config.chaos_serve_rejection_prob,
             shard_kill_prob=self.config.chaos_shard_kill_prob,
-            shard_straggler_prob=self.config.chaos_shard_straggler_prob,
-            shard_straggler_delay=self.config.chaos_shard_straggler_delay,
             corrupt_spill_prob=self.config.chaos_corrupt_spill_prob,
         )
         #: Cost-based cache advisor (DESIGN.md §17): passively accumulates

@@ -160,7 +160,7 @@ class MemoryManager:
                 "memory_ghost_readmissions_total", executor=self.executor_id
             )
         if block_id in self._sizes:
-            # Overwrite (idempotent recompute/speculation): drop the old
+            # Overwrite (idempotent recompute, e.g. a retry): drop the old
             # charge first so the new bytes are metered from scratch.
             blocks.pop(block_id, None)
             self._sizes.pop(block_id, None)

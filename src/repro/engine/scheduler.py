@@ -1,13 +1,14 @@
 """Task scheduler: locality-aware placement, delay scheduling, retries,
-speculation, and chaos-hardened recovery.
+and chaos-hardened recovery.
 
 Placement policy (Spark's levels): PROCESS_LOCAL (executor holding the
 cached block) > NODE_LOCAL (same machine) > ANY (round-robin). Delay
-scheduling is modeled rather than waited out: when a preferred executor is
-saturated relative to its fair share and the configured ``locality_wait``
-is exceeded in simulated time, the task degrades to ANY — which is exactly
-the mechanism that creates the *stale replayed copies* the Indexed
-DataFrame's version numbers guard against (Section III-D).
+scheduling is modeled rather than waited out: a preferred executor whose
+busy tasks already fill its slots (``cores * partitions_per_core``) is
+passed over at once — no wait, no timer — and the task degrades to
+NODE_LOCAL, then ANY, which is exactly the mechanism that creates the
+*stale replayed copies* the Indexed DataFrame's version numbers guard
+against (Section III-D).
 
 Execution modes (``Config.scheduler_mode``):
 
@@ -41,14 +42,6 @@ Recovery behaviours (all emit structured events into
   the stage promptly instead of spinning blind immediate resubmits.
 * **Blacklisting.** A retry avoids every executor that already failed the
   task when an untried one is alive.
-* **Speculative execution** (``threads`` mode, ``Config.speculation``).
-  Once ``speculation_quantile`` of the stage's tasks have finished, a task
-  running longer than ``speculation_multiplier`` x the median completed
-  duration gets a second attempt on a *different* executor (a small
-  dedicated pool, so stragglers can't starve their own rescue). First
-  result wins; the loser's attempt is cancelled via its split-level event
-  and its side effects (cache puts, map-output writes) are idempotent
-  overwrites of identical content, so discarding it is safe.
 * **Dead clusters fail fast.** Zero alive executors (and no pending
   replacements) raises :class:`NoAliveExecutorsError` — a non-retryable
   ``JobFailedError`` — instead of burning the retry budget.
@@ -62,19 +55,11 @@ lock-free index.
 from __future__ import annotations
 
 import itertools
-import math
 import os
-import statistics
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field
+from concurrent.futures import CancelledError, ThreadPoolExecutor, as_completed
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.dag import JobFailedError
@@ -108,17 +93,6 @@ class NoAliveExecutorsError(JobFailedError, RuntimeError):
 
 class StageCancelled(Exception):
     """Internal: a sibling task failed; this task should not start/retry."""
-
-
-@dataclass
-class _TaskAttempt:
-    """Driver-side bookkeeping for one in-flight attempt (threads mode)."""
-
-    split: int
-    speculative: bool
-    start: float
-    #: Mutable holder: the worker publishes which executor it landed on.
-    executor: list = field(default_factory=lambda: [None])
 
 
 class TaskScheduler:
@@ -189,31 +163,21 @@ class TaskScheduler:
     # -- slot accounting --------------------------------------------------------------
 
     def _acquire_slot(
-        self,
-        stage: "Stage",
-        split: int,
-        tried: set[str],
-        attempt: int,
-        avoid: "set[str] | None" = None,
+        self, stage: "Stage", split: int, tried: set[str], attempt: int
     ) -> tuple[str, str]:
         """Pick an executor for one task attempt and occupy one of its slots.
 
         Blacklisting: on a retry, an executor that already failed this task
         is avoided when any untried executor is alive (as Spark's
-        blacklisting would). ``avoid`` additionally steers a speculative
-        copy away from the executor running the original attempt.
+        blacklisting would).
         """
         blacklisted_from = None
         with self._slot_lock:
             executor_id, locality = self.choose_executor(stage, split, self.busy)
-            excluded: set[str] = set(avoid or ())
-            if attempt > 0:
-                excluded |= tried
-            if executor_id in excluded:
-                others = [e for e in self._alive_executors() if e not in excluded]
+            if attempt > 0 and executor_id in tried:
+                others = [e for e in self._alive_executors() if e not in tried]
                 if others:
-                    if attempt > 0 and executor_id in tried:
-                        blacklisted_from = executor_id
+                    blacklisted_from = executor_id
                     executor_id, locality = others[0], "ANY"
             self.busy[executor_id] = self.busy.get(executor_id, 0) + 1
             self.last_placements.append((executor_id, locality))
@@ -311,12 +275,8 @@ class TaskScheduler:
         or a small lineage-estimated record count (a broadcast probe of a
         handful of keys spread over many partitions is still a tiny job).
         Unknown estimates (any wide edge in the lineage) never inline.
-        Speculation disables the heuristic outright: an inlined stage has
-        no concurrent attempts, so it could never rescue a straggler.
         """
         cfg = self.context.config
-        if cfg.speculation:
-            return False
         if 0 < cfg.small_stage_inline_threshold >= len(partitions):
             return True
         if cfg.small_stage_inline_rows > 0:
@@ -347,196 +307,39 @@ class TaskScheduler:
         when both occur, because the DAG scheduler can *recover* from it by
         recomputing parents — mirroring Spark, where a fetch failure
         supersedes the task-level error it usually causes.
-
-        With ``Config.speculation``, stragglers get a second attempt on a
-        different executor: first result wins per split; a failure of one
-        attempt is held back while its twin is still in flight.
         """
-        cfg = self.context.config
-        metrics = self.context.metrics
         width = min(self.max_concurrent_tasks(), len(partitions))
         cancel = threading.Event()
-        spec_enabled = cfg.speculation and len(self._alive_executors()) > 1
         results: dict[int, Any] = {}
-        durations: list[float] = []
         fetch_failures: list[FetchFailedError] = []
         other_failures: list[Exception] = []
-        #: split -> a failed attempt whose twin may still win the split.
-        held_failures: dict[int, Exception] = {}
-        speculated: set[int] = set()
-        inflight: dict[Future, _TaskAttempt] = {}
-        split_cancels: dict[int, threading.Event] = {
-            p: threading.Event() for p in partitions
-        }
-        spec_pool: ThreadPoolExecutor | None = None
-
-        def abort_siblings() -> None:
-            if not cancel.is_set():
-                cancel.set()
-            for f in list(inflight):
-                f.cancel()
-
-        pool = ThreadPoolExecutor(
+        with ThreadPoolExecutor(
             max_workers=max(1, width), thread_name_prefix=f"stage-{stage.stage_id}"
-        )
-        try:
-            for split in partitions:
-                att = _TaskAttempt(split=split, speculative=False, start=time.perf_counter())
-                fut = pool.submit(
-                    self._run_task_with_retries,
-                    stage,
-                    split,
-                    job_index,
-                    cancel,
-                    split_cancels[split],
-                    None,
-                    att.executor,
-                    0,
-                    stage_span,
-                )
-                inflight[fut] = att
-            while inflight:
-                done, _ = wait(
-                    list(inflight),
-                    timeout=cfg.speculation_poll_interval if spec_enabled else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for fut in done:
-                    att = inflight.pop(fut)
-                    split = att.split
-                    try:
-                        value = fut.result()
-                    except (StageCancelled, CancelledError):
-                        continue
-                    except FetchFailedError as failure:
-                        if split in results:
-                            continue  # loser of a speculative race
-                        fetch_failures.append(failure)
-                    except NoAliveExecutorsError as failure:
-                        other_failures.append(failure)
-                    except Exception as exc:  # noqa: BLE001 - collected, re-raised below
-                        if split in results:
-                            continue  # loser of a speculative race
-                        if any(a.split == split for a in inflight.values()):
-                            held_failures[split] = exc  # twin may still win
-                            continue
-                        other_failures.append(exc)
-                    else:
-                        if split not in results:
-                            results[split] = value
-                            durations.append(time.perf_counter() - att.start)
-                            held_failures.pop(split, None)
-                            # First result wins: cancel the twin attempt.
-                            split_cancels[split].set()
-                            if att.speculative:
-                                metrics.record_recovery(
-                                    "speculative_win",
-                                    job_index=job_index,
-                                    stage_id=stage.stage_id,
-                                    partition=split,
-                                    executor_id=att.executor[0],
-                                    seconds=time.perf_counter() - att.start,
-                                )
-                            elif split in speculated:
-                                metrics.record_recovery(
-                                    "speculative_loss",
-                                    job_index=job_index,
-                                    stage_id=stage.stage_id,
-                                    partition=split,
-                                    executor_id=att.executor[0],
-                                )
-                    if (fetch_failures or other_failures) and not cancel.is_set():
-                        abort_siblings()
-                if spec_enabled and not cancel.is_set() and inflight:
-                    spec_pool = self._maybe_speculate(
-                        stage,
-                        job_index,
-                        cancel,
-                        split_cancels,
-                        inflight,
-                        durations,
-                        len(partitions),
-                        speculated,
-                        spec_pool,
-                        stage_span,
-                    )
-            # Splits where *every* attempt failed (twin never rescued them).
-            for split, exc in held_failures.items():
-                if split not in results:
+        ) as pool:
+            futures = {
+                pool.submit(
+                    self._run_task_with_retries, stage, split, job_index, cancel, stage_span
+                ): split
+                for split in partitions
+            }
+            for fut in as_completed(futures):
+                try:
+                    results[futures[fut]] = fut.result()
+                except (StageCancelled, CancelledError):
+                    continue
+                except FetchFailedError as failure:
+                    fetch_failures.append(failure)
+                except Exception as exc:  # noqa: BLE001 - collected, re-raised below
                     other_failures.append(exc)
-        finally:
-            pool.shutdown(wait=True)
-            if spec_pool is not None:
-                spec_pool.shutdown(wait=True)
+                if (fetch_failures or other_failures) and not cancel.is_set():
+                    cancel.set()
+                    for sibling in futures:
+                        sibling.cancel()
         if fetch_failures:
             raise fetch_failures[0]
         if other_failures:
             raise other_failures[0]
         return [results[p] for p in partitions]
-
-    def _maybe_speculate(
-        self,
-        stage: "Stage",
-        job_index: int,
-        cancel: threading.Event,
-        split_cancels: dict[int, threading.Event],
-        inflight: dict[Future, _TaskAttempt],
-        durations: list[float],
-        num_tasks: int,
-        speculated: set[int],
-        spec_pool: "ThreadPoolExecutor | None",
-        stage_span: Any = None,
-    ) -> "ThreadPoolExecutor | None":
-        """Launch speculative copies of stragglers (at most one per split)."""
-        cfg = self.context.config
-        if len(durations) < max(1, math.ceil(cfg.speculation_quantile * num_tasks)):
-            return spec_pool
-        threshold = max(
-            cfg.speculation_min_runtime,
-            cfg.speculation_multiplier * statistics.median(durations),
-        )
-        now = time.perf_counter()
-        for att in list(inflight.values()):
-            if att.speculative or att.split in speculated:
-                continue
-            if now - att.start <= threshold:
-                continue
-            running_on = att.executor[0]
-            if running_on is None:
-                continue  # still queued behind the pool, not a straggler
-            if not any(e != running_on for e in self._alive_executors()):
-                continue  # nowhere else to run the copy
-            speculated.add(att.split)
-            if spec_pool is None:
-                # Dedicated small pool: stragglers saturating the stage pool
-                # must not be able to starve their own rescue attempts.
-                spec_pool = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix=f"stage-{stage.stage_id}-spec"
-                )
-            spec_att = _TaskAttempt(split=att.split, speculative=True, start=now)
-            avoid = {running_on} if running_on is not None else None
-            fut = spec_pool.submit(
-                self._run_task_with_retries,
-                stage,
-                att.split,
-                job_index,
-                cancel,
-                split_cancels[att.split],
-                avoid,
-                spec_att.executor,
-                1,
-                stage_span,
-            )
-            inflight[fut] = spec_att
-            self.context.metrics.record_recovery(
-                "speculative_launch",
-                job_index=job_index,
-                stage_id=stage.stage_id,
-                partition=att.split,
-                executor_id=running_on,
-                detail=f"running {now - att.start:.3f}s > threshold {threshold:.3f}s",
-            )
-        return spec_pool
 
     def _run_task_with_retries(
         self,
@@ -544,18 +347,14 @@ class TaskScheduler:
         split: int,
         job_index: int,
         cancel: "threading.Event | None" = None,
-        split_cancel: "threading.Event | None" = None,
-        avoid: "set[str] | None" = None,
-        exec_holder: "list | None" = None,
-        chaos_salt: int = 0,
         stage_span: Any = None,
     ) -> Any:
         """One task's attempt loop, shared by both modes.
 
-        ``split_cancel`` ends a speculative race (first result wins);
-        ``avoid``/``chaos_salt`` distinguish a speculative copy (placed off
-        the original's executor, with its own chaos draws); ``stage_span``
-        becomes the parent of every attempt's task span.
+        ``cancel`` (threads mode) is set when a sibling fails: the task
+        stops before its next attempt and wakes early from a backoff or an
+        injected delay; ``stage_span`` becomes the parent of every
+        attempt's task span.
         """
         cfg = self.context.config
         metrics = self.context.metrics
@@ -564,25 +363,17 @@ class TaskScheduler:
         while True:
             if cancel is not None and cancel.is_set():
                 raise StageCancelled(stage.stage_id)
-            if split_cancel is not None and split_cancel.is_set():
-                raise StageCancelled(stage.stage_id)
             self.context.note_task_launch()
-            self.context.registry.inc(
-                "task_launches_total", speculative=bool(chaos_salt)
-            )
+            self.context.registry.inc("task_launches_total")
             decision = self.context.faults.on_task_start(
-                stage.stage_id, split, attempt, job_index, salt=chaos_salt
+                stage.stage_id, split, attempt, job_index
             )
             for victim in decision.kill_executors:
                 runtime = self.context.executors.get(victim)
                 if runtime is not None and runtime.alive:
                     self.context.kill_executor(victim, reason="chaos")
-            executor_id, _locality = self._acquire_slot(
-                stage, split, tried, attempt, avoid=avoid
-            )
+            executor_id, _locality = self._acquire_slot(stage, split, tried, attempt)
             tried.add(executor_id)
-            if exec_holder is not None:
-                exec_holder[0] = executor_id
             if decision.memory_squeeze_factor > 0:
                 # Chaos memory pressure: shed the chosen executor's cached
                 # blocks down to the squeezed budget before the task runs.
@@ -616,18 +407,12 @@ class TaskScheduler:
                         executor_id=executor_id,
                         seconds=decision.delay_seconds,
                     )
-                    # Interruptible: when a speculative copy wins the split
-                    # (or the stage aborts), the sleeping straggler wakes
-                    # immediately instead of holding the stage's teardown.
-                    waiter = split_cancel or cancel
-                    if waiter is not None:
-                        waiter.wait(decision.delay_seconds)
-                        if (cancel is not None and cancel.is_set()) or (
-                            split_cancel is not None and split_cancel.is_set()
-                        ):
-                            raise StageCancelled(stage.stage_id)
-                    else:
+                    # Interruptible: when the stage aborts, the sleeping
+                    # straggler wakes at once instead of holding its teardown.
+                    if cancel is None:
                         time.sleep(decision.delay_seconds)
+                    elif cancel.wait(decision.delay_seconds):
+                        raise StageCancelled(stage.stage_id)
                 runtime = self.context.executor_runtime(executor_id)
                 return runtime.run_task(
                     stage.stage_id,

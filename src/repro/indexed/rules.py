@@ -44,6 +44,7 @@ from repro.sql.expressions import (
     In,
     Like,
     Literal,
+    Parameter,
     combine_conjuncts,
     split_conjuncts,
 )
@@ -73,10 +74,84 @@ class IndexedRelation(Relation):
         return f"IndexedRelation({self.idf.name}, key={self.idf.key_column}, v={self.idf.version})"
 
 
+#: What may stand opposite the key in a claimed conjunct: a literal, or a
+#: ``?`` of a prepared statement. The serve tier classifies a statement once,
+#: before any value is bound (:func:`index_claim`), and the classification
+#: has to be the plan its bound form gets — so the shapes are defined here,
+#: once, for both. Values are only ever *extracted* from bound conditions.
+_BINDABLE = (Literal, Parameter)
+
+#: a comparison's mirror image: ``lit OP key`` == ``key FLIP[OP] lit``.
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _opposite_key(conj: BinaryOp, key_column: str) -> "tuple[str, Expression] | None":
+    """For ``key OP x`` / ``x OP key`` with ``x`` bindable: (OP as written
+    with the key on the left, ``x``); None for any other shape."""
+    a, b = conj.left, conj.right
+    if isinstance(a, Column) and a.name == key_column and isinstance(b, _BINDABLE):
+        return conj.op, b
+    if isinstance(b, Column) and b.name == key_column and isinstance(a, _BINDABLE):
+        return _FLIP.get(conj.op, conj.op), a
+    return None
+
+
+def _pinned_to(conj: Expression, key_column: str) -> "list[Expression] | None":
+    """The operands one conjunct pins the key to by equality (``key = x``,
+    ``x = key``, ``key IN (xs)``), or None."""
+    if isinstance(conj, BinaryOp) and conj.op == "=":
+        match = _opposite_key(conj, key_column)
+        return None if match is None else [match[1]]
+    if (
+        isinstance(conj, In)
+        and isinstance(conj.child, Column)
+        and conj.child.name == key_column
+        and all(isinstance(v, _BINDABLE) for v in conj.values)
+    ):
+        return list(conj.values)
+    return None
+
+
+def _bounded_by(conj: Expression, key_column: str) -> "tuple[str, Any] | None":
+    """The bound one conjunct puts on the key: (``<`` | ``<=`` | ``>`` |
+    ``>=`` with the key on the left, the operand), (``"prefix"``, str) for
+    ``key LIKE 'x%'``, or None. A comparison with a NULL literal bounds
+    nothing; ``'x%y'`` and an empty prefix stay residual."""
+    if isinstance(conj, BinaryOp) and conj.op in _FLIP:
+        match = _opposite_key(conj, key_column)
+        if match is None or (isinstance(match[1], Literal) and match[1].value is None):
+            return None
+        return match
+    if (
+        isinstance(conj, Like)
+        and not conj.negated
+        and isinstance(conj.child, Column)
+        and conj.child.name == key_column
+    ):
+        prefix = conj.prefix()
+        if prefix:
+            return "prefix", prefix
+    return None
+
+
+def index_claim(condition: Expression, key_column: str) -> "str | None":
+    """Which index operator claims ``condition``: ``"point"`` when some
+    conjunct pins the key by equality (:func:`extract_lookup_keys` will
+    yield keys), else ``"range"`` when some conjunct bounds it
+    (:func:`extract_key_range` will yield an interval), else None. Unlike
+    the extractors it also accepts a condition whose ``?`` are unbound."""
+    conjuncts = split_conjuncts(condition)
+    if any(_pinned_to(c, key_column) is not None for c in conjuncts):
+        return "point"
+    if any(_bounded_by(c, key_column) is not None for c in conjuncts):
+        return "range"
+    return None
+
+
 def extract_lookup_keys(
     condition: Expression, key_column: str
 ) -> tuple[list[Any] | None, Expression | None]:
-    """Split a predicate into (lookup key values, residual condition).
+    """Split a bound predicate into (lookup key values, residual condition).
 
     Claims ``key = literal`` and ``key IN (literals)`` conjuncts; every other
     conjunct becomes residual. Returns (None, None) when no conjunct
@@ -86,71 +161,43 @@ def extract_lookup_keys(
     key_sets: list[set[Any]] = []
     residual: list[Expression] = []
     for conj in split_conjuncts(condition):
-        claimed = False
-        if isinstance(conj, BinaryOp) and conj.op == "=":
-            a, b = conj.left, conj.right
-            if isinstance(a, Column) and a.name == key_column and isinstance(b, Literal):
-                key_sets.append({b.value})
-                claimed = True
-            elif isinstance(b, Column) and b.name == key_column and isinstance(a, Literal):
-                key_sets.append({a.value})
-                claimed = True
-        elif isinstance(conj, In) and isinstance(conj.child, Column) and conj.child.name == key_column:
-            if all(isinstance(v, Literal) for v in conj.values):
-                key_sets.append({v.value for v in conj.values})
-                claimed = True
-        if not claimed:
+        operands = _pinned_to(conj, key_column)
+        if operands is None:
             residual.append(conj)
+        else:
+            key_sets.append({v.value for v in operands})
     if not key_sets:
         return None, None
     keys = set.intersection(*key_sets)
     return sorted(keys, key=repr), combine_conjuncts(residual)
 
 
-#: a comparison's mirror image: ``lit OP key`` == ``key FLIP[OP] lit``.
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 def _range_of_conjunct(conj: Expression, key_column: str) -> "KeyRange | None":
-    """The KeyRange one conjunct imposes on the key column, or None.
+    """The KeyRange one bound conjunct imposes on the key column, or None.
 
     Inclusivity is preserved exactly: ``<`` maps to an open bound, ``<=``
     to a closed one (never conflated — the boundary bugs this PR's tests
     pin down), and a literal on the left flips the operator.
     """
-    if isinstance(conj, BinaryOp) and conj.op in _FLIP:
-        a, b = conj.left, conj.right
-        if isinstance(a, Column) and a.name == key_column and isinstance(b, Literal):
-            op, value = conj.op, b.value
-        elif isinstance(b, Column) and b.name == key_column and isinstance(a, Literal):
-            op, value = _FLIP[conj.op], a.value
-        else:
-            return None
-        if value is None:
-            return None
-        if op == "<":
-            return KeyRange(hi=value, hi_inclusive=False)
-        if op == "<=":
-            return KeyRange(hi=value)
-        if op == ">":
-            return KeyRange(lo=value, lo_inclusive=False)
-        return KeyRange(lo=value)
-    if (
-        isinstance(conj, Like)
-        and not conj.negated
-        and isinstance(conj.child, Column)
-        and conj.child.name == key_column
-    ):
-        prefix = conj.prefix()
-        if prefix:  # 'x%' with a non-empty fixed prefix; 'x%y' stays residual
-            return KeyRange.prefix_of(prefix)
-    return None
+    bound = _bounded_by(conj, key_column)
+    if bound is None:
+        return None
+    op, operand = bound
+    if op == "prefix":
+        return KeyRange.prefix_of(operand)
+    if op == "<":
+        return KeyRange(hi=operand.value, hi_inclusive=False)
+    if op == "<=":
+        return KeyRange(hi=operand.value)
+    if op == ">":
+        return KeyRange(lo=operand.value, lo_inclusive=False)
+    return KeyRange(lo=operand.value)
 
 
 def extract_key_range(
     condition: Expression, key_column: str
 ) -> tuple["KeyRange | None", Expression | None]:
-    """Split a predicate into (key range, residual condition).
+    """Split a bound predicate into (key range, residual condition).
 
     Claims ``key < lit`` / ``<=`` / ``>`` / ``>=`` (either operand order)
     and ``key LIKE 'x%'`` prefix conjuncts, intersecting multiple bounds

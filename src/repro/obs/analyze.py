@@ -9,8 +9,8 @@ output iterator and counts the rows flowing out. Timings are therefore
 cumulative times) and exclude downstream consumption.
 
 Counts are recorded per (operator, partition) and a re-run of a partition
-(task retry, speculative twin) *overwrites* its slot rather than adding, so
-chaos-era double execution cannot inflate the reported row counts.
+(a task retry) *overwrites* its slot rather than adding, so chaos-era
+double execution cannot inflate the reported row counts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class NodeStats:
     node_id: int
     label: str
     #: partition -> (rows out, seconds spent pulling them); overwritten on
-    #: re-execution of the same partition (retries / speculation).
+    #: re-execution of the same partition (retries).
     splits: dict[int, tuple[int, float]] = field(default_factory=dict)
 
     @property

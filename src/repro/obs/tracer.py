@@ -7,8 +7,8 @@ and is shared by every layer. Spans form a tree:
   optimize / plan / execute),
 * the DAG scheduler opens one ``job`` span per ``run_job``,
 * the task scheduler opens one ``stage`` span per stage run,
-* the executor opens one ``task`` span per task *attempt* (so retries and
-  speculative copies are separate spans, attributed by their attrs),
+* the executor opens one ``task`` span per task *attempt* (so retries are
+  separate spans, attributed by their attrs),
 * indexed operators (cTrie lookups, batch scans, join probes) open
   ``operator`` spans through :meth:`repro.engine.partition.TaskContext.span`.
 

@@ -9,9 +9,11 @@ multi-tenant query *service*:
 * :class:`~repro.serve.snapshot.PinnedSnapshot` — a pinned MVCC version of
   an Indexed DataFrame whose partitions are held in-process, so point
   lookups can be served on the server thread without scheduling a job;
-* :mod:`~repro.serve.fastpath` — recognizes single-key equality queries on
-  indexed relations and compiles them to pinned-snapshot lookups, and
-  served-view scans into fan-out templates;
+* :mod:`~repro.serve.fastpath` — the one recogniser both front ends share:
+  compiles a point, range or scan read of an indexed view — classified by
+  the planner's own rule (``repro.indexed.rules.index_claim``) — into a
+  :class:`~repro.serve.fastpath.ServeTemplate` answered from pinned
+  partitions;
 * :class:`~repro.serve.ingest.IngestLoop` — concurrent MVCC appends through
   the ReplayLog while readers keep serving from pinned versions, with
   atomic publish and replay-log truncation behind a retention window;
@@ -19,18 +21,10 @@ multi-tenant query *service*:
   replicated tier (DESIGN.md §14): N :class:`~repro.serve.shard.ShardServer`
   instances each pinning only the partitions they own, behind a
   :class:`~repro.serve.router.ShardRouter` that routes point lookups,
-  fans out scans, replicates hot partitions, hedges stragglers and fails
-  over on shard death;
-* :class:`~repro.serve.sketch.SpaceSaving` — the bounded heavy-hitters
-  sketch that drives hot-key detection.
+  fans out ranges and scans, and fails over on shard death.
 """
 
-from repro.serve.fastpath import (
-    FastPathTemplate,
-    ScanTemplate,
-    recognize,
-    recognize_scan,
-)
+from repro.serve.fastpath import ServeTemplate, recognize
 from repro.serve.ingest import IngestLoop
 from repro.serve.router import RouterConfig, RouterResult, ShardRouter
 from repro.serve.server import (
@@ -46,11 +40,9 @@ from repro.serve.shard import (
     ShardDown,
     ShardServer,
 )
-from repro.serve.sketch import SpaceSaving
 from repro.serve.snapshot import PinnedSnapshot, SnapshotValidationError
 
 __all__ = [
-    "FastPathTemplate",
     "IngestLoop",
     "PartitionNotOwned",
     "PinnedSnapshot",
@@ -59,15 +51,13 @@ __all__ = [
     "RouterConfig",
     "RouterResult",
     "RoutingTable",
-    "ScanTemplate",
     "ServeConfig",
     "ServeRejected",
+    "ServeTemplate",
     "ShardConfig",
     "ShardDown",
     "ShardRouter",
     "ShardServer",
     "SnapshotValidationError",
-    "SpaceSaving",
     "recognize",
-    "recognize_scan",
 ]

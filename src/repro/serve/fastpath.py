@@ -1,225 +1,106 @@
-"""Snapshot-pinned point-lookup fast path.
+"""The serve tier's read path: one recogniser, one template.
 
-The serving workload the paper motivates (Section V's point queries) has a
-very recognizable shape::
+The serving workload the paper motivates (Section V's point queries, and
+the range reads PR 8 added) has a very recognizable shape::
 
-    SELECT [cols] FROM indexed_view WHERE key = ?|literal [AND residual...]
-    [LIMIT n]
+    SELECT [cols] FROM indexed_view [WHERE pred] [LIMIT n]
 
 The general pipeline answers it correctly — planner strategy
-``indexed_strategy`` turns it into an ``IndexedLookupExec`` job — but still
-pays job submission, stage scheduling and the context-wide ``job_lock``
-per query. :func:`recognize` compiles the shape into a
-:class:`FastPathTemplate` instead, which executes *on the server thread*
-against a :class:`~repro.serve.snapshot.PinnedSnapshot`: hash the key,
-search the partition's cTrie, apply residual/projection/limit. No job, no
-stages, no lock.
+``indexed_strategy`` turns it into an ``IndexedLookupExec`` /
+``IndexedRangeScanExec`` / ``IndexedScanExec`` job — but still pays job
+submission, stage scheduling and the context-wide ``job_lock`` per query.
+:func:`recognize` compiles the shape into a :class:`ServeTemplate` instead,
+whose ``kind`` is the operator the planner would have picked — decided by
+the same rule, :func:`repro.indexed.rules.index_claim` — and which a front
+end answers from pinned partitions on the calling thread: hash the key and
+search the cTrie (``point``), seek the ordered index (``range``), or
+evaluate the predicate over every partition (``scan``). No job, no stages,
+no lock.
 
-Anything that doesn't match — joins, aggregates, non-equality key
-predicates, computed projections, non-indexed relations — returns ``None``
-and falls back to the full planner, exactly like the planner strategies
-themselves fall back ("default Spark behavior", Section III-B).
+Anything else — joins, aggregates, computed projections, non-indexed
+relations — returns ``None`` and falls back to the full planner, exactly
+like the planner strategies themselves fall back ("default Spark
+behavior", Section III-B). So does a template whose view the front end at
+hand does not serve: the template names the catalog view, serving it is the
+front end's business.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.indexed.rules import IndexedRelation, extract_key_range, extract_lookup_keys
-from repro.sql.analysis import AnalysisError, resolve_expression
-from repro.sql.expressions import (
-    BinaryOp,
-    Column,
-    Expression,
-    In,
-    Like,
-    Literal,
-    Parameter,
-    split_conjuncts,
+from repro.indexed.rules import (
+    IndexedRelation,
+    extract_key_range,
+    extract_lookup_keys,
+    index_claim,
 )
+from repro.sql.analysis import AnalysisError, resolve_expression
+from repro.sql.expressions import Column, Expression, Parameter
 from repro.sql.logical import Filter, Limit, LogicalPlan, Project
+from repro.sql.prepared import bind_expression
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.snapshot import PinnedSnapshot
     from repro.sql.catalog import Catalog
+    from repro.sql.session import Session
 
 
-def _constrains_key(condition: Expression, key_column: str) -> bool:
-    """True when some conjunct pins the key by equality: ``key = lit|?`` or
-    ``key IN (lits|?s)`` — the same shapes ``extract_lookup_keys`` claims,
-    extended to unbound parameters (a template is recognized once, before
-    any values are bound)."""
-    bindable = (Literal, Parameter)
-    for conj in split_conjuncts(condition):
-        if isinstance(conj, BinaryOp) and conj.op == "=":
-            a, b = conj.left, conj.right
-            if isinstance(a, Column) and a.name == key_column and isinstance(b, bindable):
-                return True
-            if isinstance(b, Column) and b.name == key_column and isinstance(a, bindable):
-                return True
-        elif (
-            isinstance(conj, In)
-            and isinstance(conj.child, Column)
-            and conj.child.name == key_column
-            and all(isinstance(v, bindable) for v in conj.values)
-        ):
-            return True
-    return False
+class ServeTemplate:
+    """A compiled served-view read: everything needed to answer the query
+    from pinned partitions, with only parameter values left open."""
 
-
-def _constrains_key_range(condition: Expression, key_column: str) -> bool:
-    """True when some conjunct bounds the key by comparison (``key < lit|?``
-    etc., either operand order) or by a ``LIKE 'x%'`` prefix — the shapes
-    ``extract_key_range`` claims, extended to unbound parameters."""
-    bindable = (Literal, Parameter)
-    comparisons = ("<", "<=", ">", ">=")
-    for conj in split_conjuncts(condition):
-        if isinstance(conj, BinaryOp) and conj.op in comparisons:
-            a, b = conj.left, conj.right
-            if isinstance(a, Column) and a.name == key_column and isinstance(b, bindable):
-                return True
-            if isinstance(b, Column) and b.name == key_column and isinstance(a, bindable):
-                return True
-        elif (
-            isinstance(conj, Like)
-            and not conj.negated
-            and isinstance(conj.child, Column)
-            and conj.child.name == key_column
-            and conj.prefix()
-        ):
-            return True
-    return False
-
-
-class FastPathTemplate:
-    """A compiled point-lookup: everything needed to answer the query from
-    a pinned snapshot, with only parameter values left open."""
-
-    __slots__ = ("condition", "key_column", "limit", "num_params", "projection", "view")
+    __slots__ = ("condition", "key_column", "kind", "limit", "num_params", "projection", "view")
 
     def __init__(
         self,
+        kind: str,
         view: str,
         key_column: str,
-        condition: Expression,
+        condition: "Expression | None",
         projection: "tuple[int, ...] | None",
         limit: "int | None",
         num_params: int,
     ) -> None:
+        #: "point" | "range" | "scan": how the index claims ``condition``.
+        self.kind = kind
+        #: The catalog name whose registered plan was the query's leaf.
         self.view = view
         self.key_column = key_column
-        #: Filter condition with every Column bound to its ordinal; may
-        #: still contain :class:`Parameter` placeholders.
+        #: Filter condition with every Column bound to its ordinal (None =
+        #: unconditional scan); may still contain :class:`Parameter`s.
         self.condition = condition
         #: Output column ordinals into the relation schema (None = all).
         self.projection = projection
         self.limit = limit
         self.num_params = num_params
 
-    def bind(
-        self, params: "Iterable[Any] | None" = None
-    ) -> "tuple[list, Expression | None]":
-        """Substitute parameter values and split the condition into the
-        lookup keys and the residual predicate (``None`` when every conjunct
-        was consumed by the key constraint). The shard router calls this to
-        learn *which* keys a query needs before deciding where to send it."""
-        condition = _substitute_params(self.condition, params, self.num_params)
-        keys, residual = extract_lookup_keys(condition, self.key_column)
-        if keys is None:  # pragma: no cover - recognize() guarantees a key conjunct
-            raise RuntimeError("fast-path template lost its key constraint")
-        return list(keys), residual
-
-    def finish(self, rows: list[tuple], residual: "Expression | None") -> list[tuple]:
-        """Apply residual filter, projection and limit to looked-up rows."""
-        if residual is not None:
-            rows = [r for r in rows if residual.eval(r)]
-        if self.projection is not None:
-            ords = self.projection
-            rows = [tuple(r[i] for i in ords) for r in rows]
-        if self.limit is not None:
-            rows = rows[: self.limit]
-        return rows
-
-    def execute(
-        self, snapshot: "PinnedSnapshot", params: "Iterable[Any] | None" = None
-    ) -> list[tuple]:
-        """Answer the query from ``snapshot`` on the calling thread."""
-        keys, residual = self.bind(params)
-        rows: list[tuple] = []
-        for key in keys:
-            rows.extend(snapshot.lookup(key))
-        return self.finish(rows, residual)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"FastPathTemplate({self.view}, key={self.key_column}, "
-            f"params={self.num_params})"
-        )
-
-
-def _substitute_params(
-    condition: "Expression | None",
-    params: "Iterable[Any] | None",
-    num_params: int,
-) -> "Expression | None":
-    values = list(params) if params is not None else []
-    if len(values) != num_params:
-        raise ValueError(f"statement takes {num_params} parameter(s), got {len(values)}")
-    if condition is None or not values:
-        return condition
-
-    def substitute(e: Expression) -> "Expression | None":
-        if isinstance(e, Parameter):
-            return Literal(values[e.index])
-        return None
-
-    return condition.transform(substitute)
-
-
-class RangeTemplate:
-    """A compiled ordered-index range scan: the single-range serve shape
-    (``SELECT [cols] FROM view WHERE key BETWEEN ?|lit AND ?|lit ...``).
-
-    Like :class:`FastPathTemplate` it executes on the calling thread
-    against a pinned snapshot — the ordered index makes the interval seek
-    an in-process bisect per partition instead of a scan job. Recognition
-    sits between the point fast path (which wins when the key is pinned by
-    equality) and the fan-out scan (the fallback when nothing bounds the
-    key)."""
-
-    __slots__ = ("condition", "key_column", "limit", "num_params", "projection", "view")
-
-    def __init__(
-        self,
-        view: str,
-        key_column: str,
-        condition: Expression,
-        projection: "tuple[int, ...] | None",
-        limit: "int | None",
-        num_params: int,
-    ) -> None:
-        self.view = view
-        self.key_column = key_column
-        #: Ordinal-resolved condition; may still contain Parameters.
-        self.condition = condition
-        self.projection = projection
-        self.limit = limit
-        self.num_params = num_params
-
     def bind(self, params: "Iterable[Any] | None" = None) -> "tuple[Any, Expression | None]":
-        """Substitute parameter values; returns (KeyRange, residual).
+        """Substitute parameter values; returns (target, residual).
 
-        The shard router calls this to learn the interval before fanning
-        out (ranges span all splits under hash partitioning — the fan-out
-        prunes rows per shard, not shards)."""
-        condition = _substitute_params(self.condition, params, self.num_params)
-        krange, residual = extract_key_range(condition, self.key_column)
-        if krange is None:  # pragma: no cover - recognize_range() guarantees a bound
-            raise RuntimeError("range template lost its key bound")
-        return krange, residual
+        ``target`` is what the index is asked for — the lookup keys of a
+        point read, the ``KeyRange`` of a range read, None for a scan — and
+        ``residual`` the predicate left to evaluate on the rows that come
+        back (None when the target consumed every conjunct). The shard
+        router calls this to learn *which* keys a query needs before
+        deciding where to send it.
+        """
+        values = list(params) if params is not None else []
+        if len(values) != self.num_params:
+            raise ValueError(
+                f"statement takes {self.num_params} parameter(s), got {len(values)}"
+            )
+        condition = bind_expression(self.condition, values) if values else self.condition
+        if self.kind == "scan":
+            return None, condition
+        extract = extract_lookup_keys if self.kind == "point" else extract_key_range
+        target, residual = extract(condition, self.key_column)
+        if target is None:  # a range bound to NULL: the general pipeline raises too
+            raise ValueError(f"{self.kind} read of {self.view} lost its key constraint")
+        return target, residual
 
     def finish(self, rows: list[tuple], residual: "Expression | None") -> list[tuple]:
-        """Apply residual filter, projection and limit to ranged rows."""
+        """Apply residual filter, projection and limit to the rows read."""
         if residual is not None:
             rows = [r for r in rows if residual.eval(r)]
         if self.projection is not None:
@@ -232,91 +113,27 @@ class RangeTemplate:
     def execute(
         self, snapshot: "PinnedSnapshot", params: "Iterable[Any] | None" = None
     ) -> list[tuple]:
-        """Answer the query from ``snapshot`` on the calling thread."""
-        krange, residual = self.bind(params)
-        rows, _scanned = snapshot.range_lookup(krange)
+        """Answer a point or range read from ``snapshot`` on the calling
+        thread (the single server leaves scans to the general pipeline)."""
+        target, residual = self.bind(params)
+        if self.kind == "point":
+            rows = [r for key in target for r in snapshot.lookup(key)]
+        else:
+            rows, _scanned = snapshot.range_lookup(target)
         return self.finish(rows, residual)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"RangeTemplate({self.view}, key={self.key_column}, "
-            f"params={self.num_params})"
-        )
+        return f"ServeTemplate({self.kind}, {self.view}, params={self.num_params})"
 
 
-class ScanTemplate:
-    """A compiled served-view scan: the shape the shard router *fans out*.
-
-    Everything :class:`FastPathTemplate` rejects only because the condition
-    does not pin the key — ``SELECT [cols] FROM view [WHERE pred] [LIMIT n]``
-    — still has a data-parallel answer: every partition evaluates ``pred``
-    over its rows independently and the results concatenate. The router
-    sends each shard the splits it owns and merges, which is how a scan
-    survives a dead shard (surviving replicas cover the splits)."""
-
-    __slots__ = ("condition", "limit", "num_params", "projection", "view")
-
-    def __init__(
-        self,
-        view: str,
-        condition: "Expression | None",
-        projection: "tuple[int, ...] | None",
-        limit: "int | None",
-        num_params: int,
-    ) -> None:
-        self.view = view
-        #: Ordinal-resolved predicate (None = unconditional scan); may
-        #: still contain :class:`Parameter` placeholders.
-        self.condition = condition
-        self.projection = projection
-        self.limit = limit
-        self.num_params = num_params
-
-    def bind(self, params: "Iterable[Any] | None" = None) -> "Expression | None":
-        """The row predicate with parameter values substituted (or None)."""
-        return _substitute_params(self.condition, params, self.num_params)
-
-    def finish(self, rows: list[tuple]) -> list[tuple]:
-        """Apply projection and limit to predicate-matched rows."""
-        if self.projection is not None:
-            ords = self.projection
-            rows = [tuple(r[i] for i in ords) for r in rows]
-        if self.limit is not None:
-            rows = rows[: self.limit]
-        return rows
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ScanTemplate({self.view}, params={self.num_params})"
-
-
-def _match_served_relation(
-    plan: LogicalPlan, catalog: "Catalog", served_views: Iterable[str]
-) -> "tuple[str, IndexedRelation] | None":
-    """(view name, relation) when ``plan`` is the *currently registered*
-    IndexedRelation of one of ``served_views`` (identity match against the
-    catalog, so a template can never outlive its registration)."""
-    if not isinstance(plan, IndexedRelation):
-        return None
-    for name in served_views:
-        try:
-            if catalog.lookup(name) is plan:
-                return name, plan
-        except KeyError:
-            continue
-    return None
-
-
-def recognize_scan(
-    logical: LogicalPlan,
-    catalog: "Catalog",
-    served_views: Iterable[str],
-) -> "ScanTemplate | None":
-    """Compile ``logical`` to a fan-out scan template, or None (fall back).
+def recognize(logical: LogicalPlan, catalog: "Catalog") -> "ServeTemplate | None":
+    """Compile ``logical`` to a serve template, or None (fall back).
 
     Peels, outermost first: an optional ``Limit``, an optional all-plain-
-    column ``Project``, an optional ``Filter``, then requires the leaf to
-    be a served Indexed DataFrame. Call *after* :func:`recognize` — a query
-    that pins the key should route, not fan out.
+    column ``Project``, an optional ``Filter``, then requires the leaf to be
+    the *currently registered* IndexedRelation of some catalog view
+    (identity match, so a template can never be built against a leaf the
+    catalog no longer names).
     """
     limit: "int | None" = None
     plan = logical
@@ -324,134 +141,68 @@ def recognize_scan(
         limit, plan = plan.n, plan.child
     projected: "list[str] | None" = None
     if isinstance(plan, Project):
-        projected = []
-        for e in plan.exprs:
-            if not isinstance(e, Column):
-                return None
-            projected.append(e.name)
+        if not all(isinstance(e, Column) for e in plan.exprs):
+            return None
+        projected = [e.name for e in plan.exprs]
         plan = plan.child
     raw_condition: "Expression | None" = None
     if isinstance(plan, Filter):
         raw_condition, plan = plan.condition, plan.child
-    matched = _match_served_relation(plan, catalog, served_views)
-    if matched is None:
+    if not isinstance(plan, IndexedRelation):
         return None
-    view, relation = matched
-    schema = relation.schema
+    view = catalog.name_of(plan)
+    if view is None:
+        return None
+    schema, key_column = plan.schema, plan.idf.key_column
+    kind, condition, num_params = "scan", None, 0
     try:
-        condition = (
-            resolve_expression(raw_condition, schema) if raw_condition is not None else None
-        )
+        if raw_condition is not None:
+            kind = index_claim(raw_condition, key_column) or "scan"
+            condition = resolve_expression(raw_condition, schema)
+            num_params = _count_params(raw_condition)
         projection = (
             tuple(schema.index_of(n) for n in projected) if projected is not None else None
         )
     except (AnalysisError, KeyError):
         return None
-    counter = [0]
-    if raw_condition is not None:
-        _count_params(raw_condition, counter)
-    return ScanTemplate(view, condition, projection, limit, counter[0])
+    return ServeTemplate(kind, view, key_column, condition, projection, limit, num_params)
 
 
-def recognize(
-    logical: LogicalPlan,
-    catalog: "Catalog",
-    served_views: Iterable[str],
-) -> "FastPathTemplate | None":
-    """Compile ``logical`` to a fast-path template, or None (fall back).
+def _count_params(expr: Expression) -> int:
+    own = expr.index + 1 if isinstance(expr, Parameter) else 0
+    return max([own, *(_count_params(c) for c in expr.children())])
 
-    Peels, outermost first: an optional ``Limit``, an optional all-plain-
-    column ``Project``, then requires ``Filter(cond, IndexedRelation)``
-    where the relation is the *currently registered* plan of one of
-    ``served_views`` (identity match against the catalog, so a template
-    can never be built against a leaf the catalog no longer names) and
-    ``cond`` pins the index key by equality.
+
+def prepare_query(
+    session: "Session", text: str, params: "Sequence[Any] | None"
+) -> "tuple[ServeTemplate | None, Callable[[], list[tuple]]]":
+    """The prologue both front ends share: parse ``text`` through the plan
+    cache (as a prepared statement when ``params`` are given) and return
+    its serve template, if any, plus a thunk that answers it through the
+    general pipeline.
+
+    The recognition result (positive or negative) rides on the plan-cache
+    entry, so it shares the entry's epoch invalidation: republishing a view
+    bumps the catalog epoch, evicts the entry, and the next query
+    re-recognizes against the new leaf. It depends on the catalog alone, so
+    every front end on the session reads the same slot.
     """
-    limit: "int | None" = None
-    plan = logical
-    if isinstance(plan, Limit):
-        limit, plan = plan.n, plan.child
-    projected: "list[str] | None" = None
-    if isinstance(plan, Project):
-        projected = []
-        for e in plan.exprs:
-            if not isinstance(e, Column):
-                return None
-            projected.append(e.name)
-        plan = plan.child
-    if not isinstance(plan, Filter):
-        return None
-    matched = _match_served_relation(plan.child, catalog, served_views)
-    if matched is None:
-        return None
-    view, relation = matched
-    key_column = relation.idf.key_column
-    if not _constrains_key(plan.condition, key_column):
-        return None
-    schema = relation.schema
-    try:
-        condition = resolve_expression(plan.condition, schema)
-        projection = (
-            tuple(schema.index_of(n) for n in projected) if projected is not None else None
-        )
-    except (AnalysisError, KeyError):
-        return None
-    counter = [0]
-    _count_params(plan.condition, counter)
-    return FastPathTemplate(view, key_column, condition, projection, limit, counter[0])
+    if params is not None:
+        statement = session.prepare(text)
+        logical = statement.template
 
+        def general() -> list[tuple]:
+            return statement.execute(params)
+    else:
+        logical = session.sql_logical(text)
 
-def recognize_range(
-    logical: LogicalPlan,
-    catalog: "Catalog",
-    served_views: Iterable[str],
-) -> "RangeTemplate | None":
-    """Compile ``logical`` to a range template, or None (fall back).
+        def general() -> list[tuple]:
+            return session.execute(logical)
 
-    Same peeling as :func:`recognize` (Limit, plain-column Project,
-    Filter over a served IndexedRelation) but requires a range/prefix
-    bound on the index key instead of an equality. A condition that *also*
-    pins the key by equality returns None — the point fast path is
-    strictly better there, and this keeps recognition order-independent.
-    """
-    limit: "int | None" = None
-    plan = logical
-    if isinstance(plan, Limit):
-        limit, plan = plan.n, plan.child
-    projected: "list[str] | None" = None
-    if isinstance(plan, Project):
-        projected = []
-        for e in plan.exprs:
-            if not isinstance(e, Column):
-                return None
-            projected.append(e.name)
-        plan = plan.child
-    if not isinstance(plan, Filter):
-        return None
-    matched = _match_served_relation(plan.child, catalog, served_views)
-    if matched is None:
-        return None
-    view, relation = matched
-    key_column = relation.idf.key_column
-    if _constrains_key(plan.condition, key_column):
-        return None  # the point fast path owns equality-pinned queries
-    if not _constrains_key_range(plan.condition, key_column):
-        return None
-    schema = relation.schema
-    try:
-        condition = resolve_expression(plan.condition, schema)
-        projection = (
-            tuple(schema.index_of(n) for n in projected) if projected is not None else None
-        )
-    except (AnalysisError, KeyError):
-        return None
-    counter = [0]
-    _count_params(plan.condition, counter)
-    return RangeTemplate(view, key_column, condition, projection, limit, counter[0])
-
-
-def _count_params(expr: Expression, counter: list) -> None:
-    if isinstance(expr, Parameter):
-        counter[0] = max(counter[0], expr.index + 1)
-    for child in expr.children():
-        _count_params(child, counter)
+    entry = session.plan_cache.entry_for_logical(logical)
+    template = entry.serve_template if entry is not None else None
+    if template is None:  # never tried; False records "recognition said no"
+        template = recognize(logical, session.catalog) or False
+        if entry is not None:
+            entry.serve_template = template
+    return template or None, general

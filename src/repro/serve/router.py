@@ -3,14 +3,16 @@
 DESIGN.md §14. The router owns the control plane the shards deliberately
 don't have:
 
-* **Routing.** A query is recognized (via the plan cache) as a *point*
-  template (single-key ``=`` / ``IN``), a *range* template (``BETWEEN`` /
-  ``<`` / ``LIKE 'x%'`` on the key, served by each shard's ordered index),
-  a *scan* template, or neither. Point keys route ``key -> split`` through
-  the engine's hash partitioner and ``split -> shard`` through the
-  :class:`~repro.serve.shard.RoutingTable`; ranges and scans fan out one
-  live replica per split and merge; everything else falls back to the
-  session's general pipeline.
+* **Routing.** A query is recognized (via the plan cache, by the one
+  recogniser in :mod:`repro.serve.fastpath`) as a *point* read (``=`` /
+  ``IN`` on the key), a *range* read (``BETWEEN`` / ``<`` / ``LIKE 'x%'``
+  on the key, served by each shard's ordered index), a *scan*, or none of
+  them. Point keys route ``key -> split`` through the engine's hash
+  partitioner and ``split -> shard`` through the
+  :class:`~repro.serve.shard.RoutingTable`, rotating over a split's live
+  replicas; ranges and scans fan out one live replica per split and merge;
+  everything else — a view this router does not serve included — falls
+  back to the session's general pipeline.
 * **Failover.** Shard health is a tiny state machine (ALIVE → SUSPECT →
   DEAD) driven by heartbeats and by :class:`~repro.serve.shard.ShardDown`
   observed on the data path. A dead shard's traffic moves to the next
@@ -19,17 +21,6 @@ don't have:
   partition is dead the router degrades gracefully: partial rows with an
   explicit ``degraded`` flag and the missing partitions listed, never a
   silent wrong answer.
-* **Hedged retries.** A straggling shard (chaos, GC pause, overload) is
-  hedged: after ``hedge_delay`` seconds the same lookup is sent to a
-  replica and the first answer wins. Hedges draw from a budget
-  (``hedge_budget_fraction`` of requests, like PR 2's speculation budget)
-  so a misconfigured delay cannot double the fleet's load.
-* **Hot keys.** Every routed key feeds a :class:`~repro.serve.sketch.SpaceSaving`
-  popularity sketch. Keys the sketch calls hot are admitted to a small
-  router-side **hot-row cache** (version-tagged, so a republish invalidates
-  it wholesale), and partitions absorbing hot traffic are **replicated
-  R-ways** so skewed (Zipf) load spreads over R service locks instead of
-  melting the primary — the HMEM-Cache power-law play (SNIPPETS.md).
 * **Shedding.** Shards shed with retryable ``shard_overloaded`` rejections
   when their inflight gate fills; the router tries the other replicas
   first, then surfaces the rejection to the client's retry loop.
@@ -52,14 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.serve.fastpath import (
-    FastPathTemplate,
-    RangeTemplate,
-    ScanTemplate,
-    recognize,
-    recognize_range,
-    recognize_scan,
-)
+from repro.serve.fastpath import ServeTemplate, prepare_query
 from repro.serve.server import ServeRejected
 from repro.serve.shard import (
     PartitionNotOwned,
@@ -68,15 +52,14 @@ from repro.serve.shard import (
     ShardDown,
     ShardServer,
 )
-from repro.serve.sketch import SpaceSaving
 from repro.serve.snapshot import PinnedSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
     from repro.sql.session import Session
 
-#: ``CachedPlan.route_path`` marker: recognition ran and matched nothing.
-_NO_ROUTE = object()
+#: Threads for the range / scan fan-out (one call per live shard).
+_POOL_WORKERS = 8
 
 #: Shard health states (the failover state machine).
 ALIVE, SUSPECT, DEAD = "alive", "suspect", "dead"
@@ -88,31 +71,12 @@ class RouterConfig:
 
     #: Baseline replicas per partition (>= 2 survives any single shard death).
     replication_factor: int = 2
-    #: Replicas a *hot* partition is grown to; 0 = every shard.
-    hot_replication_factor: int = 0
-    #: Sketch count at which a key is hot enough for the hot-row cache.
-    hot_key_min_count: int = 16
-    #: Sketch count at which a key's partition is promoted (replicated).
-    hot_promotion_min_count: int = 64
-    #: SpaceSaving monitored-key capacity.
-    sketch_capacity: int = 512
-    #: Hot-row cache entries (0 disables the cache).
-    hot_cache_capacity: int = 256
-    enable_hot_cache: bool = True
-    enable_hot_promotion: bool = True
-    #: Seconds to wait on the primary before hedging a lookup to a replica
-    #: (0.0 disables hedging and keeps every lookup on the caller thread).
-    hedge_delay: float = 0.0
-    #: Hedges allowed as a fraction of routed lookups (the hedge budget).
-    hedge_budget_fraction: float = 0.1
     #: Consecutive failed heartbeats before a SUSPECT shard is declared
     #: DEAD (a ShardDown observed on the data path skips straight to DEAD).
     heartbeat_misses_to_dead: int = 2
     #: Re-replicate a dead shard's partitions from surviving replicas as
     #: soon as the death is declared (restores the replication factor).
     auto_repair: bool = True
-    #: Threads for hedges and scan fan-out.
-    pool_workers: int = 8
     #: Per-shard tunables applied to every shard the router builds.
     shard: ShardConfig = field(default_factory=ShardConfig)
 
@@ -133,10 +97,6 @@ class RouterResult:
     missing_partitions: list[int] = field(default_factory=list)
     #: Replica fail-overs this query performed mid-flight.
     failovers: int = 0
-    #: True when at least one lookup was hedged to a replica.
-    hedged: bool = False
-    #: True when every requested key was served from the hot-row cache.
-    from_hot_cache: bool = False
     total_seconds: float = 0.0
 
 
@@ -150,47 +110,6 @@ class _ViewState:
         self.version = version
         self.partitioner = idf.partitioner
         self.table = table
-
-
-class _HotRowCache:
-    """Tiny LRU of (view, key) -> (version, rows); version-tagged entries
-    make republish invalidation free (stale versions simply miss)."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[int, list[tuple]]] = {}
-        self._order: list = []  # cheap LRU: move-to-end on hit
-
-    def get(self, view: str, key: Any, version: int) -> "list[tuple] | None":
-        if self.capacity <= 0:
-            return None
-        ck = (view, key)
-        with self._lock:
-            entry = self._entries.get(ck)
-            if entry is None or entry[0] != version:
-                return None
-            return entry[1]
-
-    def put(self, view: str, key: Any, version: int, rows: list[tuple]) -> None:
-        if self.capacity <= 0:
-            return
-        ck = (view, key)
-        with self._lock:
-            if ck not in self._entries and len(self._entries) >= self.capacity:
-                victim = self._order.pop(0)
-                self._entries.pop(victim, None)
-            if ck in self._entries:
-                try:
-                    self._order.remove(ck)
-                except ValueError:  # pragma: no cover
-                    pass
-            self._entries[ck] = (version, rows)
-            self._order.append(ck)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class ShardRouter:
@@ -214,21 +133,14 @@ class ShardRouter:
         self._health = [ALIVE] * num_shards
         self._heartbeat_misses = [0] * num_shards
         self._views: dict[str, _ViewState] = {}
-        self.sketch = SpaceSaving(self.config.sketch_capacity)
-        self.hot_cache = _HotRowCache(
-            self.config.hot_cache_capacity if self.config.enable_hot_cache else 0
-        )
         self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(2, self.config.pool_workers),
-            thread_name_prefix="shard-router",
+            max_workers=_POOL_WORKERS, thread_name_prefix="shard-router"
         )
         self._admin_lock = threading.RLock()
         self._gate = threading.Condition()
         self._active_queries = 0
         self._publishing = False
         self._route_ops = itertools.count()
-        self._lookups = 0
-        self._hedges = 0
         self._rr = itertools.count()
         self._closed = False
 
@@ -236,13 +148,19 @@ class ShardRouter:
 
     def publish(self, view: str, idf: "IndexedDataFrame") -> None:
         """Pin ``idf`` (one lineage-safe job) and atomically make it the
-        served version of ``view`` on every live shard."""
+        served version of ``view`` (the catalog's spelling: lower-case) on
+        every live shard."""
+        view = view.lower()
         pin = PinnedSnapshot.pin(idf)  # outside the barrier: may rebuild partitions
-        with self._admin_lock, self._publish_barrier():
+        # Barrier first, admin lock second: an in-flight query that sees a
+        # shard die needs the admin lock to declare it dead, and the barrier
+        # waits for that query — the other order never returns. Nothing that
+        # holds the admin lock waits on the barrier.
+        with self._publish_barrier(), self._admin_lock:
             idf.create_or_replace_temp_view(view)
             state = self._views.get(view)
             if state is not None and state.table.num_partitions == idf.num_partitions:
-                table = state.table  # keep hot promotions across republish
+                table = state.table  # keep repairs and quarantines across republish
             else:
                 table = RoutingTable(
                     idf.num_partitions, len(self.shards), self.config.replication_factor
@@ -263,13 +181,13 @@ class ShardRouter:
     def pinned(self, view: str) -> _ViewState:
         """The served state of ``view`` (duck-compatible with
         :meth:`QueryServer.pinned` for ingest loops: has ``.idf``)."""
-        return self._views[view]
+        return self._views[view.lower()]
 
     def views(self) -> list[str]:
         return sorted(self._views)
 
     def routing_table(self, view: str) -> dict[int, list[int]]:
-        return self._views[view].table.as_dict()
+        return self._views[view.lower()].table.as_dict()
 
     # -- client surface ----------------------------------------------------------------
 
@@ -450,64 +368,32 @@ class ShardRouter:
         if self.config.auto_repair:
             self.repair()
 
-    # -- internals: recognition ---------------------------------------------------------
+    # -- internals: dispatch ------------------------------------------------------------
 
     def _dispatch(self, text: str, params: "Sequence[Any] | None") -> RouterResult:
-        session = self.session
-        if params is not None:
-            statement = session.prepare(text)
-            logical = statement.template
-        else:
-            statement = None
-            logical = session.sql_logical(text)
-        route = self._route_for(logical)
-        if isinstance(route, FastPathTemplate):
-            return self._run_point(route, params)
-        if isinstance(route, RangeTemplate):
-            return self._run_range(route, params)
-        if isinstance(route, ScanTemplate):
-            return self._run_scan(route, params)
-        if statement is not None:
-            rows = statement.execute(params)
-        else:
-            rows = session.execute(logical)
-        return RouterResult(rows, "general", None)
-
-    def _route_for(self, logical: Any) -> Any:
-        """Memoized routing decision for a logical plan (plan-cache entry
-        carries it, so catalog-epoch invalidation applies)."""
-        entry = self.session.plan_cache.entry_for_logical(logical)
-        if entry is not None and entry.route_path is not None:
-            return None if entry.route_path is _NO_ROUTE else entry.route_path
-        views = list(self._views)
-        template: Any = recognize(logical, self.session.catalog, views)
-        if template is None:
-            template = recognize_range(logical, self.session.catalog, views)
-        if template is None:
-            template = recognize_scan(logical, self.session.catalog, views)
-        if entry is not None:
-            entry.route_path = template if template is not None else _NO_ROUTE
-        return template
+        template, general = prepare_query(self.session, text, params)
+        state = self._views.get(template.view) if template is not None else None
+        if state is None:
+            return RouterResult(general(), "general", None)
+        if template.kind == "point":
+            return self._run_point(template, state, params)
+        return self._run_fanout(template, state, params)
 
     # -- internals: point path ----------------------------------------------------------
 
     def _run_point(
-        self, template: FastPathTemplate, params: "Sequence[Any] | None"
+        self, template: ServeTemplate, state: _ViewState, params: "Sequence[Any] | None"
     ) -> RouterResult:
-        state = self._views[template.view]
         keys, residual = template.bind(params)
         rows: list[tuple] = []
         missing: list[int] = []
         failovers = 0
-        hedged = False
-        all_cached = bool(keys)
         for key in keys:
-            key_rows, meta = self._lookup_key(template.view, state, key)
-            failovers += meta["failovers"]
-            hedged = hedged or meta["hedged"]
-            all_cached = all_cached and meta["cached"]
+            split = state.partitioner.partition(key)
+            key_rows, key_failovers = self._lookup_key(template.view, state, key, split)
+            failovers += key_failovers
             if key_rows is None:
-                missing.append(meta["split"])
+                missing.append(split)
             else:
                 rows.extend(key_rows)
         return RouterResult(
@@ -517,211 +403,77 @@ class ShardRouter:
             degraded=bool(missing),
             missing_partitions=sorted(set(missing)),
             failovers=failovers,
-            hedged=hedged,
-            from_hot_cache=all_cached,
         )
 
     def _lookup_key(
-        self, view: str, state: _ViewState, key: Any
-    ) -> "tuple[list[tuple] | None, dict]":
-        """Route one key: hot cache, then replicas with hedging/failover.
-
-        Returns (rows | None-if-no-live-replica, meta).
-        """
-        meta = {"failovers": 0, "hedged": False, "cached": False, "split": -1}
-        self.context.advisor.note_serve_view(view)
-        count = self.sketch.offer(key)
-        hot = count >= self.config.hot_key_min_count
-        split = state.partitioner.partition(key)
-        meta["split"] = split
-        promote_at = self.config.hot_promotion_min_count
-        if self.context.advisor.serve_recurrence(view) >= 4.0:
-            # Advisor-hot view: its decayed recurrence says lookups keep
-            # coming, so replicate hot splits sooner than the sketch alone
-            # would (but never below the hot-key bar).
-            promote_at = max(self.config.hot_key_min_count, promote_at // 4)
-        if self.config.enable_hot_promotion and count >= promote_at:
-            self._maybe_promote(view, state, split)
-        if hot:
-            cached = self.hot_cache.get(view, key, state.version)
-            if cached is not None:
-                self.registry.inc("serve_hot_cache_hits_total")
-                meta["cached"] = True
-                return cached, meta
-        self._lookups += 1
+        self, view: str, state: _ViewState, key: Any, split: int
+    ) -> "tuple[list[tuple] | None, int]":
+        """Route one key to a live replica of its split, failing over down
+        the list. Returns (rows | None-if-no-live-replica, failovers)."""
         candidates = [s for s in state.table.replicas(split) if self._usable(s)]
-        # Rotate across replicas so one hot key spreads over all its copies.
+        # Rotate across replicas so a split's reads spread over all its copies.
         if len(candidates) > 1:
             start = next(self._rr) % len(candidates)
             candidates = candidates[start:] + candidates[:start]
-        rows, fo, did_hedge = self._call_replicas(view, key, candidates)
-        meta["failovers"] = fo
-        meta["hedged"] = did_hedge
+        rows, failovers = self._call_replicas(view, key, candidates)
         if rows is None:
             # Candidates list may have been stale; one more look post-failover.
             retry = [s for s in state.table.replicas(split) if self._usable(s)]
             if retry:
-                rows, fo2, _ = self._call_replicas(view, key, retry)
-                meta["failovers"] += fo2
-        if rows is not None and hot:
-            self.hot_cache.put(view, key, state.version, rows)
-        return rows, meta
+                rows, more = self._call_replicas(view, key, retry)
+                failovers += more
+        return rows, failovers
 
     def _usable(self, shard_id: int) -> bool:
         return self._health[shard_id] != DEAD and self.shards[shard_id].alive
 
     def _call_replicas(
         self, view: str, key: Any, candidates: list[int]
-    ) -> "tuple[list[tuple] | None, int, bool]":
-        """Try replicas in order; hedge the first when allowed. Returns
-        (rows | None when every candidate is dead, failovers, hedged)."""
+    ) -> "tuple[list[tuple] | None, int]":
+        """Try replicas in order. Returns (rows | None when every candidate
+        is dead, failovers)."""
         failovers = 0
-        hedged = False
         shed: "ServeRejected | None" = None
-        idx = 0
-        while idx < len(candidates):
-            shard_id = candidates[idx]
+        for shard_id in candidates:
             if not self._usable(shard_id):
-                idx += 1
                 continue
-            use_hedge = (
-                self.config.hedge_delay > 0
-                and idx + 1 < len(candidates)
-                and self._hedge_budget_ok()
-            )
             try:
-                if use_hedge:
-                    rows, hedged_now = self._hedged_call(
-                        view, key, shard_id, candidates[idx + 1]
-                    )
-                    hedged = hedged or hedged_now
-                else:
-                    rows = self.shards[shard_id].lookup(view, key)
-                return rows, failovers, hedged
+                return self.shards[shard_id].lookup(view, key), failovers
             except ShardDown as exc:
-                self._declare_dead(exc.shard_id, "observed on lookup")
-                self.registry.inc("serve_shard_failovers_total")
-                self.context.metrics.record_recovery(
-                    "shard_failover", detail=f"shard={exc.shard_id} key={key!r}"
-                )
+                self._failed_over(exc, f"key={key!r}", "observed on lookup")
                 failovers += 1
-                idx += 1
             except PartitionNotOwned:
                 failovers += 1
-                idx += 1
             except ServeRejected as exc:
                 shed = exc
-                idx += 1
         if shed is not None:
             raise shed
-        return None, failovers, hedged
+        return None, failovers
 
-    def _hedge_budget_ok(self) -> bool:
-        budget = int(self._lookups * self.config.hedge_budget_fraction) + 1
-        return self._hedges < budget
-
-    def _hedged_call(
-        self, view: str, key: Any, primary: int, backup: int
-    ) -> tuple[list[tuple], bool]:
-        """Primary lookup with a budgeted hedge to ``backup``; first answer
-        wins. Raises ShardDown only when *both* attempts failed that way."""
-        futures = {self._pool.submit(self.shards[primary].lookup, view, key): primary}
-        try:
-            done, _ = concurrent.futures.wait(
-                futures, timeout=self.config.hedge_delay
-            )
-            if not done:
-                self._hedges += 1
-                self.registry.inc("serve_hedged_requests_total")
-                futures[
-                    self._pool.submit(self.shards[backup].lookup, view, key)
-                ] = backup
-            pending = set(futures)
-            last_exc: "BaseException | None" = None
-            while pending:
-                done, pending = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for fut in done:
-                    exc = fut.exception()
-                    if exc is None:
-                        if futures[fut] != primary:
-                            self.registry.inc("serve_hedge_wins_total")
-                        return fut.result(), len(futures) > 1
-                    last_exc = exc
-                    if isinstance(exc, ShardDown):
-                        self._declare_dead(exc.shard_id, "observed on hedged lookup")
-            assert last_exc is not None
-            raise last_exc
-        finally:
-            # Abandoned losers run to completion on the pool; their answers
-            # (from immutable snapshots) are simply dropped.
-            pass
-
-    # -- internals: scan path -----------------------------------------------------------
-
-    def _run_scan(
-        self, template: ScanTemplate, params: "Sequence[Any] | None"
-    ) -> RouterResult:
-        state = self._views[template.view]
-        predicate = template.bind(params)
-        remaining = list(range(state.table.num_partitions))
-        rows: list[tuple] = []
-        missing: list[int] = []
-        failovers = 0
-        rounds = 0
-        while remaining and rounds <= len(self.shards):
-            rounds += 1
-            live = set(self.live_shards())
-            assignment, no_replica = state.table.scan_assignment(remaining, live)
-            missing.extend(no_replica)
-            if not assignment:
-                break
-            futures = {
-                self._pool.submit(
-                    self.shards[shard_id].scan, template.view, splits, predicate
-                ): (shard_id, splits)
-                for shard_id, splits in assignment.items()
-            }
-            remaining = []
-            for fut in concurrent.futures.as_completed(futures):
-                shard_id, splits = futures[fut]
-                try:
-                    rows.extend(fut.result())
-                except ShardDown as exc:
-                    self._declare_dead(exc.shard_id, "observed on scan")
-                    self.registry.inc("serve_shard_failovers_total")
-                    self.context.metrics.record_recovery(
-                        "shard_failover", detail=f"shard={exc.shard_id} scan"
-                    )
-                    failovers += 1
-                    remaining.extend(splits)
-                except PartitionNotOwned as exc:
-                    failovers += 1
-                    remaining.extend(splits)
-        missing.extend(remaining)
-        return RouterResult(
-            template.finish(rows),
-            "scan",
-            state.version,
-            degraded=bool(missing),
-            missing_partitions=sorted(set(missing)),
-            failovers=failovers,
+    def _failed_over(self, exc: ShardDown, what: str, reason: str) -> None:
+        """A data-path call found its shard dead: declare it, count it."""
+        self._declare_dead(exc.shard_id, reason)
+        self.registry.inc("serve_shard_failovers_total")
+        self.context.metrics.record_recovery(
+            "shard_failover", detail=f"shard={exc.shard_id} {what}"
         )
 
-    # -- internals: range path ----------------------------------------------------------
+    # -- internals: range / scan fan-out ------------------------------------------------
 
-    def _run_range(
-        self, template: RangeTemplate, params: "Sequence[Any] | None"
+    def _run_fanout(
+        self, template: ServeTemplate, state: _ViewState, params: "Sequence[Any] | None"
     ) -> RouterResult:
-        """Fan a recognized key range out to one live replica per split.
+        """Send a range or a scan to one live replica per split and merge.
 
-        Keys are hash-partitioned, so every split may hold range members —
-        the fan-out shape is the scan's (including its failover rounds);
-        shards prune rows with their ordered index instead of scanning.
+        Keys are hash-partitioned, so every split may hold members of a key
+        range — a range fans out exactly like a scan, and the two differ
+        only in the per-shard call (a range seeks each partition's ordered
+        index instead of decoding every row). A split whose shard dies or
+        disowns it mid-call is re-assigned in the next round; one with no
+        live replica left is reported missing.
         """
-        state = self._views[template.view]
-        krange, residual = template.bind(params)
+        view, kind = template.view, template.kind
+        target, residual = template.bind(params)
         remaining = list(range(state.table.num_partitions))
         rows: list[tuple] = []
         missing: list[int] = []
@@ -734,37 +486,30 @@ class ShardRouter:
             missing.extend(no_replica)
             if not assignment:
                 break
-            futures = {
-                self._pool.submit(
-                    self.shards[shard_id].range_scan,
-                    template.view,
-                    splits,
-                    krange,
-                    residual,
-                ): (shard_id, splits)
-                for shard_id, splits in assignment.items()
-            }
+            futures = {}
+            for shard_id, splits in assignment.items():
+                shard = self.shards[shard_id]
+                if kind == "range":
+                    fut = self._pool.submit(shard.range_scan, view, splits, target, residual)
+                else:
+                    fut = self._pool.submit(shard.scan, view, splits, residual)
+                futures[fut] = splits
             remaining = []
             for fut in concurrent.futures.as_completed(futures):
-                shard_id, splits = futures[fut]
                 try:
                     rows.extend(fut.result())
                 except ShardDown as exc:
-                    self._declare_dead(exc.shard_id, "observed on range scan")
-                    self.registry.inc("serve_shard_failovers_total")
-                    self.context.metrics.record_recovery(
-                        "shard_failover", detail=f"shard={exc.shard_id} range"
-                    )
+                    self._failed_over(exc, kind, f"observed on {kind}")
                     failovers += 1
-                    remaining.extend(splits)
+                    remaining.extend(futures[fut])
                 except PartitionNotOwned:
                     failovers += 1
-                    remaining.extend(splits)
+                    remaining.extend(futures[fut])
         missing.extend(remaining)
         return RouterResult(
-            # Residual already ran shard-side; only project/limit remain.
+            # The residual already ran shard-side; only project/limit remain.
             template.finish(rows, None),
-            "range",
+            kind,
             state.version,
             degraded=bool(missing),
             missing_partitions=sorted(set(missing)),
@@ -834,31 +579,7 @@ class ShardRouter:
                 self.shards[target].install_partitions(view, {split: source})
         return how
 
-    # -- internals: promotion & sourcing ------------------------------------------------
-
-    def _maybe_promote(self, view: str, state: _ViewState, split: int) -> None:
-        table = state.table
-        target = self.config.hot_replication_factor or len(self.shards)
-        if len(table.replicas(split)) >= min(target, len(self.shards)):
-            return
-        with self._admin_lock:
-            live_owners = [s for s in table.replicas(split) if self._usable(s)]
-            if not live_owners:
-                return
-            source = self.shards[live_owners[0]].snapshot(view).parts.get(split)
-            if source is None:  # pragma: no cover - promotion raced a kill
-                return
-            added = table.promote(split, target)
-            for shard_id in added:
-                if self._usable(shard_id):
-                    self.shards[shard_id].install_partitions(view, {split: source})
-        if added:
-            self.registry.inc("serve_hot_promotions_total")
-            self.context.metrics.record_recovery(
-                "hot_partition_replicated",
-                partition=split,
-                detail=f"view={view} replicas={len(table.replicas(split))}",
-            )
+    # -- internals: sourcing -------------------------------------------------------------
 
     def _partitions_for(
         self, view: str, state: _ViewState, splits: list[int]

@@ -36,11 +36,13 @@ from repro.integrity import CorruptBlockError, audit_partition
 class SnapshotScrubber:
     """Re-verify pinned snapshots on a serve target; repair on mismatch."""
 
-    def __init__(self, target: Any, interval: float = 0.0) -> None:
+    def __init__(self, target: Any, interval: "float | None" = None) -> None:
         #: QueryServer or ShardRouter (both expose ``.context`` / ``.views()``).
         self.target = target
         self.context = target.context
-        self.interval = interval
+        #: Seconds between background cycles; ``Config.scrub_interval``
+        #: unless given. 0 keeps scrubbing manual (:meth:`scrub_once`).
+        self.interval = self.context.config.scrub_interval if interval is None else interval
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 

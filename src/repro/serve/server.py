@@ -23,12 +23,13 @@ Admission control rejects, in order:
 
 Execution picks the cheapest applicable path per query:
 
-* **fast path** — :mod:`repro.serve.fastpath` recognized a single-key
-  equality lookup on a published view: served on the worker thread from
-  the :class:`~repro.serve.snapshot.PinnedSnapshot`, no job, no stages,
-  no ``job_lock``;
-* **general** — everything else goes through the (plan-cached) session
-  pipeline; ``run_job`` serializes on the context's ``job_lock``.
+* **fast path** — :mod:`repro.serve.fastpath` recognized a point or range
+  read of a published view: served on the worker thread from the
+  :class:`~repro.serve.snapshot.PinnedSnapshot`, no job, no stages, no
+  ``job_lock``;
+* **general** — everything else (scans of a published view included) goes
+  through the (plan-cached) session pipeline; ``run_job`` serializes on
+  the context's ``job_lock``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.memory_manager import MemoryPressureError
-from repro.serve.fastpath import FastPathTemplate, RangeTemplate, recognize, recognize_range
+from repro.serve.fastpath import prepare_query
 from repro.serve.snapshot import PinnedSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,9 +81,6 @@ class ServeConfig:
     #: Shed new queries when memory pressure (worst executor's
     #: used/budget) reaches this fraction.
     shed_memory_fraction: float = 0.95
-    #: Disable to force every query through the general pipeline (the
-    #: benchmark's ablation knob).
-    enable_fastpath: bool = True
     #: Test hook: replaces ``EngineContext.memory_pressure`` as the
     #: admission-control pressure signal.
     pressure_probe: "Callable[[], float] | None" = None
@@ -93,7 +91,7 @@ class QueryResult:
     """One answered query."""
 
     rows: list[tuple]
-    #: "fastpath" | "general"
+    #: "fastpath" (point) | "range" | "general"
     path: str
     #: MVCC version served (fast path; None when the general pipeline ran).
     snapshot_version: "int | None"
@@ -191,9 +189,6 @@ class QueryTicket:
 
 
 _STOP = object()
-#: ``CachedPlan.fast_path`` value meaning "recognition ran and said no" —
-#: distinct from None ("never tried").
-_NO_FAST_PATH = object()
 
 
 class QueryServer:
@@ -226,8 +221,10 @@ class QueryServer:
         and the pin swap happen together, so a query that parses against
         the new catalog epoch can never be served an older pin. Readers of
         the previous pin are unaffected — they hold the partition objects
-        of their version (MVCC).
+        of their version (MVCC). View names are the catalog's: SQL names
+        are case-insensitive and kept lower-case.
         """
+        view = view.lower()
         pin = PinnedSnapshot.pin(idf)
         with self._pins_lock:
             idf.create_or_replace_temp_view(view)
@@ -263,7 +260,7 @@ class QueryServer:
     def pinned(self, view: str) -> PinnedSnapshot:
         """The currently served snapshot of ``view``."""
         with self._pins_lock:
-            return self._pins[view]
+            return self._pins[view.lower()]
 
     def views(self) -> list[str]:
         with self._pins_lock:
@@ -381,53 +378,18 @@ class QueryServer:
             ticket._fail(exc)
 
     def _execute(self, ticket: QueryTicket, queued: float) -> QueryResult:
-        session = self.session
-        if ticket.params is not None:
-            statement = session.prepare(ticket.text)
-            logical = statement.template
-        else:
-            statement = None
-            logical = session.sql_logical(ticket.text)
-        template = self._fast_path_for(logical)
-        if template is not None:
+        template, general = prepare_query(self.session, ticket.text, ticket.params)
+        if template is not None and template.kind != "scan":
             pin = self._pins.get(template.view)
             if pin is not None:
                 self.context.advisor.note_serve_view(template.view)
                 rows = template.execute(pin, ticket.params)
                 total = time.perf_counter() - ticket.enqueued_at
-                path = "range" if isinstance(template, RangeTemplate) else "fastpath"
+                path = "fastpath" if template.kind == "point" else "range"
                 return QueryResult(rows, path, pin.version, queued, total)
-        if statement is not None:
-            rows = statement.execute(ticket.params)
-        else:
-            rows = session.execute(logical)
+        rows = general()
         total = time.perf_counter() - ticket.enqueued_at
         return QueryResult(rows, "general", None, queued, total)
-
-    def _fast_path_for(self, logical: Any) -> "FastPathTemplate | RangeTemplate | None":
-        """The (memoized) fast-path template for a logical plan, if any.
-
-        Point lookups first, then single-range ordered-index scans (both
-        execute snapshot-side on the worker thread). Recognition results
-        ride on the plan-cache entry (both positive and negative), so they
-        share its epoch invalidation: republishing a view bumps the catalog
-        epoch, evicts the entry, and the next query re-recognizes against
-        the new leaf.
-        """
-        if not self.config.enable_fastpath:
-            return None
-        entry = self.session.plan_cache.entry_for_logical(logical)
-        if entry is not None and entry.fast_path is not None:
-            return None if entry.fast_path is _NO_FAST_PATH else entry.fast_path
-        with self._pins_lock:
-            views = list(self._pins)
-        catalog = self.session.catalog
-        template = recognize(logical, catalog, views) or recognize_range(
-            logical, catalog, views
-        )
-        if entry is not None:
-            entry.fast_path = template if template is not None else _NO_FAST_PATH
-        return template
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

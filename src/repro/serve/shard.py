@@ -5,13 +5,14 @@ One :class:`ShardServer` is the shard-local half of the sharded serve tier
 pinned partitions, admission control, retryable shedding, per-shard
 latency accounting — scoped to *only the partitions the shard owns* under
 the engine's hash partitioner. The SQL front end (recognition, routing,
-merging, hedging, failover) lives in :class:`~repro.serve.router.ShardRouter`;
-a shard exposes the two data-plane verbs the router needs:
+merging, failover) lives in :class:`~repro.serve.router.ShardRouter`; a
+shard exposes the data-plane verbs the router needs:
 
 * :meth:`lookup` — single-key point read against the shard's pinned cTrie;
-* :meth:`scan` — evaluate a predicate over an explicit set of owned splits
-  (the router assigns each split to exactly one live replica per scan, so
-  replication never duplicates rows).
+* :meth:`scan` / :meth:`range_scan` — evaluate a predicate, or seek a key
+  range, over an explicit set of owned splits (the router assigns each
+  split to exactly one live replica per fan-out, so replication never
+  duplicates rows).
 
 Failure modes are explicit and typed, because the router's failover state
 machine keys off them:
@@ -20,25 +21,24 @@ machine keys off them:
   kill-one-shard scenario, or a missed-heartbeat declaration). The router
   fails over to the next live replica; the client never sees this.
 * :class:`PartitionNotOwned` — the routing table and the shard disagree
-  (a promotion/repair raced the query). Also handled by failover.
+  (a repair or quarantine raced the query). Also handled by failover.
 * :class:`~repro.serve.server.ServeRejected` (``shard_overloaded``) — the
   shard's admission gate shed the call; retryable backpressure, surfaced
   to the client as shed load exactly like the single-server tier.
 
 Capacity is modeled, not real: ``ShardConfig.service_time`` seconds of
 simulated work are paid under a per-shard service lock, so a shard behaves
-like a single-core server (~1/service_time qps). Skewed traffic therefore
-*measurably* melts one shard unless the router replicates its hot
-partitions.
+like a single-core server (~1/service_time qps). Nothing in the repo sets
+it above 0.0 any more; the field and its branch in :meth:`ShardServer._serve`
+stay because the repo benchmark passes the keyword (ROADMAP item 5).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.serve.server import ServeRejected
 
@@ -60,7 +60,7 @@ class ShardDown(RuntimeError):
 
 class PartitionNotOwned(RuntimeError):
     """The shard does not hold the requested partition (routing raced a
-    promotion/repair); the caller retries on a replica that does."""
+    repair or quarantine); the caller retries on a replica that does."""
 
     def __init__(self, shard_id: int, view: str, split: int) -> None:
         super().__init__(f"shard {shard_id} does not own {view}[{split}]")
@@ -77,7 +77,7 @@ class ShardConfig:
     max_inflight: int = 32
     #: Simulated seconds of service time per point lookup, paid under the
     #: shard's service lock (0.0 = no modelled capacity; a positive value
-    #: models a single-core shard and makes hot-shard saturation measurable).
+    #: models a single-core shard).
     service_time: float = 0.0
 
 
@@ -133,7 +133,6 @@ class ShardServer:
         #: server, so its capacity is ~1/service_time qps.
         self._service_lock = threading.Lock()
         self._inflight = 0
-        self._ops = itertools.count()
         self._alive = True
         self.started_at = time.perf_counter()
 
@@ -152,7 +151,7 @@ class ShardServer:
         )
 
     def install_partitions(self, view: str, parts: dict[int, Any]) -> None:
-        """Add partitions to an existing snapshot (hot promotion / repair)."""
+        """Add partitions to an existing snapshot (repair / quarantine)."""
         with self._lock:
             snap = self._snapshots[view]
             merged = dict(snap.parts)
@@ -208,19 +207,11 @@ class ShardServer:
         """Predicate-matched rows of the given owned splits (router-assigned
         so each split is read exactly once per scan across the tier)."""
 
-        def run(snap: ShardSnapshot) -> list[tuple]:
-            rows: list[tuple] = []
-            for split in splits:
-                part = snap.parts.get(split)
-                if part is None:
-                    raise PartitionNotOwned(self.shard_id, view, split)
-                if predicate is None:
-                    rows.extend(part.scan_rows())
-                else:
-                    rows.extend(r for r in part.scan_rows() if predicate.eval(r))
-            return rows
+        def read(part: Any) -> Iterable[tuple]:
+            rows = part.scan_rows()
+            return rows if predicate is None else filter(predicate.eval, rows)
 
-        return self._serve(view, run, op="scan")
+        return self._read_splits(view, splits, read, "scan")
 
     def range_scan(
         self,
@@ -239,19 +230,11 @@ class ShardServer:
         (simulated) wire.
         """
 
-        def run(snap: ShardSnapshot) -> list[tuple]:
-            rows: list[tuple] = []
-            for split in splits:
-                part = snap.parts.get(split)
-                if part is None:
-                    raise PartitionNotOwned(self.shard_id, view, split)
-                part_rows, _scanned = part.range_lookup(krange)
-                if residual is not None:
-                    part_rows = [r for r in part_rows if residual.eval(r)]
-                rows.extend(part_rows)
-            return rows
+        def read(part: Any) -> Iterable[tuple]:
+            rows, _scanned = part.range_lookup(krange)
+            return rows if residual is None else filter(residual.eval, rows)
 
-        return self._serve(view, run, op="range")
+        return self._read_splits(view, splits, read, "range")
 
     # -- health / lifecycle ----------------------------------------------------------
 
@@ -295,10 +278,30 @@ class ShardServer:
             raise PartitionNotOwned(self.shard_id, view, split)
         return part.lookup(key)
 
+    def _read_splits(
+        self,
+        view: str,
+        splits: Iterable[int],
+        read: "Callable[[Any], Iterable[tuple]]",
+        op: str,
+    ) -> list[tuple]:
+        """``read(partition)`` over each of the given owned splits, in order."""
+
+        def run(snap: ShardSnapshot) -> list[tuple]:
+            rows: list[tuple] = []
+            for split in splits:
+                part = snap.parts.get(split)
+                if part is None:
+                    raise PartitionNotOwned(self.shard_id, view, split)
+                rows.extend(read(part))
+            return rows
+
+        return self._serve(view, run, op=op)
+
     def _serve(self, view: str, fn: Any, op: str = "lookup") -> list[tuple]:
         if not self._alive:
             raise ShardDown(self.shard_id)
-        delay = self.faults.on_shard_call(self.shard_id, next(self._ops))
+        delay = self.faults.on_shard_call(self.shard_id)
         with self._lock:
             if self._inflight >= self.config.max_inflight:
                 self.registry.inc("serve_shard_shed_total", shard=self.shard_id)
@@ -357,7 +360,7 @@ class RoutingTable:
     and every index agree about placement with no per-key metadata.
 
     The table is copy-on-write under a lock: readers grab the owner list
-    reference without locking; promotions/demotions swap in new lists.
+    reference without locking; repairs and quarantines swap in new lists.
     """
 
     def __init__(
@@ -380,24 +383,6 @@ class RoutingTable:
 
     def splits_owned_by(self, shard_id: int) -> list[int]:
         return [s for s, owners in enumerate(self._owners) if shard_id in owners]
-
-    def promote(self, split: int, target_factor: int) -> list[int]:
-        """Grow ``split``'s replica set toward ``target_factor`` shards,
-        round-robin from its current tail; returns the shards *added* (the
-        router must install the partition on them before they serve)."""
-        target = max(1, min(target_factor, self.num_shards))
-        with self._lock:
-            owners = list(self._owners[split])
-            added: list[int] = []
-            cursor = (owners[-1] + 1) % self.num_shards
-            while len(owners) < target:
-                if cursor not in owners:
-                    owners.append(cursor)
-                    added.append(cursor)
-                cursor = (cursor + 1) % self.num_shards
-            if added:
-                self._owners[split] = owners
-        return added
 
     def add_replica(self, split: int, shard_id: int) -> bool:
         """Record that ``shard_id`` now holds ``split`` (repair); returns

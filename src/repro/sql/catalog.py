@@ -43,6 +43,12 @@ class Catalog:
                 f"table or view {name!r} not found; known: {sorted(self._views)}"
             ) from None
 
+    def name_of(self, plan: LogicalPlan) -> "str | None":
+        """The name ``plan`` is registered under right now (identity match;
+        a re-registered view no longer names its old plan), or None."""
+        with self._lock:
+            return next((n for n, p in self._views.items() if p is plan), None)
+
     def drop(self, name: str) -> None:
         with self._lock:
             if self._views.pop(name.lower(), None) is not None:

@@ -58,12 +58,11 @@ class CachedPlan:
 
     __slots__ = (
         "epoch",
-        "fast_path",
         "hits",
         "logical",
         "num_params",
         "physical",
-        "route_path",
+        "serve_template",
         "text",
     )
 
@@ -74,14 +73,11 @@ class CachedPlan:
         self.num_params = num_params
         #: Filled in after the first execution of this text.
         self.physical: "PhysicalPlan | None" = None
-        #: Filled in by the serving layer when the plan compiles to a
-        #: snapshot-pinned point lookup (repro.serve.fastpath).
-        self.fast_path: Any = None
-        #: Filled in by the shard router: its memoized routing decision for
-        #: this plan (point/scan template or a negative marker). Separate
-        #: from ``fast_path`` so one session can back both a single-server
-        #: QueryServer and a ShardRouter without clobbering each other.
-        self.route_path: Any = None
+        #: Filled in by the serving layer (``repro.serve.fastpath``): the
+        #: template this plan compiles to, or False once recognition has
+        #: said no. It is a function of the plan and the catalog only, so a
+        #: QueryServer and a ShardRouter on one session share the slot.
+        self.serve_template: Any = None
         self.hits = 0
 
 

@@ -11,10 +11,10 @@ placeholders. Each ``execute(params)`` then:
    plan.
 
 This skips parsing on every execution. The serving layer goes further: a
-template whose shape is a single-key equality lookup on an indexed view
-compiles to a snapshot-pinned fast path that skips the *entire* pipeline
-(:mod:`repro.serve.fastpath`), which is where the paper's low-latency
-read-after-write numbers (Figs. 9-10) come from.
+template whose shape is a point, range or scan read of an indexed view
+compiles once to a :class:`~repro.serve.fastpath.ServeTemplate` answered
+from pinned partitions, skipping the *entire* pipeline — which is where the
+paper's low-latency read-after-write numbers (Figs. 9-10) come from.
 """
 
 from __future__ import annotations
@@ -28,15 +28,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sql.session import Session
 
 
+def bind_expression(expr: Expression, values: Sequence[Any]) -> Expression:
+    """A copy of ``expr`` with every ``?`` replaced by a Literal."""
+    return expr.transform(
+        lambda e: Literal(values[e.index]) if isinstance(e, Parameter) else None
+    )
+
+
 def bind_parameters(template: LogicalPlan, values: Sequence[Any]) -> LogicalPlan:
     """A copy of ``template`` with every ``?`` replaced by a Literal."""
-
-    def substitute(e: Expression) -> Expression | None:
-        if isinstance(e, Parameter):
-            return Literal(values[e.index])
-        return None
-
-    return template.map_expressions(lambda e: e.transform(substitute))
+    return template.map_expressions(lambda e: bind_expression(e, values))
 
 
 class PreparedStatement:

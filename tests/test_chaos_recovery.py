@@ -1,4 +1,4 @@
-"""Chaos-hardened recovery: mid-stage faults, healing, speculation, events.
+"""Chaos-hardened recovery: mid-stage faults, healing, events.
 
 The recovery subsystem under test (DESIGN.md §8):
 
@@ -6,8 +6,6 @@ The recovery subsystem under test (DESIGN.md §8):
   stragglers and flaky fetches (:class:`repro.cluster.faults.FaultInjector`);
 * healing — killed executors re-register after a configurable delay and the
   scheduler picks the replacement up live;
-* speculative execution — stragglers get a second attempt on another
-  executor, first result wins;
 * retry backoff + per-stage attempt budget instead of blind resubmits;
 * the paper's version-number staleness guard exercised through recovery;
 * every recovery action emitting a structured event into the metrics
@@ -311,84 +309,6 @@ class TestRetryBudget:
         retries = [e for e in ctx.metrics.recovery_events if e.kind == "task_retry"]
         assert [e.seconds for e in retries] == [0.01, 0.02, 0.04]
         assert elapsed >= 0.07  # the backoffs were actually slept
-
-
-# ---------------------------------------------------------------------------
-# Speculative execution
-# ---------------------------------------------------------------------------
-
-
-class TestSpeculation:
-    def test_straggler_rescued_by_speculative_copy(self):
-        ctx = make_context(
-            "threads",
-            speculation=True,
-            speculation_quantile=0.5,
-            speculation_multiplier=1.5,
-            speculation_min_runtime=0.03,
-            speculation_poll_interval=0.01,
-        )
-        # Partition 2's first (non-speculative) launch sleeps 1s; everyone
-        # else is instant. The copy runs clean on another executor and wins.
-        ctx.faults.delay_task_once(split=2, delay=1.0)
-        t0 = time.perf_counter()
-        got = sorted(ctx.parallelize(range(80), 8).map(lambda x: x + 1).collect())
-        elapsed = time.perf_counter() - t0
-        assert got == [x + 1 for x in range(80)]
-        summary = ctx.metrics.recovery_summary()
-        assert summary.get("speculative_launch", 0) == 1
-        assert summary.get("speculative_win", 0) == 1
-        # First-result-wins: the sleeping loser was woken and discarded, so
-        # the stage did not pay the full injected straggler delay.
-        assert elapsed < 0.9
-        assert ctx.task_scheduler.busy == {}
-
-    def test_speculative_copy_runs_on_other_executor(self):
-        ctx = make_context(
-            "threads",
-            speculation=True,
-            speculation_quantile=0.5,
-            speculation_min_runtime=0.03,
-            speculation_poll_interval=0.01,
-        )
-        ctx.faults.delay_task_once(split=0, delay=0.8)
-        assert len(ctx.parallelize(range(40), 8).collect()) == 40
-        events = ctx.metrics.recovery_events
-        launch = next(e for e in events if e.kind == "speculative_launch")
-        win = next(e for e in events if e.kind == "speculative_win")
-        assert launch.partition == win.partition == 0
-        assert win.executor_id is not None
-        assert win.executor_id != launch.executor_id  # placed off the straggler
-
-    def test_original_win_discards_copy(self):
-        """When the original finishes first the copy is the loser: exactly
-        one result per split, tagged speculative_loss."""
-        ctx = make_context(
-            "threads",
-            speculation=True,
-            speculation_quantile=0.25,
-            speculation_multiplier=1.1,
-            speculation_min_runtime=0.02,
-            speculation_poll_interval=0.005,
-        )
-
-        def slowish(x):
-            if x == 5:
-                time.sleep(0.08)  # slow but finishes; the copy also sleeps
-            return x
-
-        got = sorted(ctx.parallelize(range(80), 8).map(slowish).collect())
-        assert got == list(range(80))
-        summary = ctx.metrics.recovery_summary()
-        wins = summary.get("speculative_win", 0)
-        losses = summary.get("speculative_loss", 0)
-        assert wins + losses == summary.get("speculative_launch", 0)
-
-    def test_speculation_off_by_default(self):
-        ctx = make_context("threads")
-        ctx.faults.delay_task_once(split=1, delay=0.2)
-        assert len(ctx.parallelize(range(40), 8).collect()) == 40
-        assert ctx.metrics.recovery_summary().get("speculative_launch", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ pin it down:
   hand-built plans, on indexed plans, and on the SNB short-read suite;
 * counts are monotonically consistent down the tree: a Filter emits at most
   its child's rows, a Project exactly its child's rows;
-* re-running the same node (task retries, speculative twins) must not
-  inflate counts — per-(node, split) results overwrite;
+* re-running the same node (task retries) must not inflate counts — per-(node, split) results overwrite;
 * metering is scoped: after ``analyze()`` the session runs unmetered.
 """
 

@@ -1,4 +1,4 @@
-"""Serve-tier range path: RangeTemplate recognition, snapshot range
+"""Serve-tier range path: range-kind recognition, snapshot range
 lookups, and shard fan-out with failover.
 
 A recognized single-range query must serve from the pinned snapshot's

@@ -14,12 +14,14 @@ import pytest
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.engine.replay import ReplayLog
+from repro.indexed.operators import IndexedLookupExec, IndexedRangeScanExec, IndexedScanExec
 from repro.serve import (
     IngestLoop,
     PinnedSnapshot,
     QueryServer,
     ServeConfig,
     ServeRejected,
+    ShardRouter,
     recognize,
 )
 from repro.sql.session import Session
@@ -102,27 +104,28 @@ class TestFastPath:
                 assert result.path == "general"
                 assert sorted(result.rows) == sorted(session.sql(text).collect_tuples())
 
-    def test_fastpath_disabled_by_config(self):
-        session, _, server = make_server(serve=ServeConfig(enable_fastpath=False))
-        with server:
-            result = server.query("SELECT * FROM users WHERE uid = 3")
-            assert result.path == "general"
-            assert result.rows == session.sql(
-                "SELECT * FROM users WHERE uid = 3"
-            ).collect_tuples()
-
     def test_recognize_rejects_unserved_and_unindexed(self):
         session, idf, server = make_server()
         with server:
-            logical = session.sql_logical("SELECT * FROM users WHERE uid = 3")
-            assert recognize(logical, session.catalog, ["users"]) is not None
-            assert recognize(logical, session.catalog, ["other_view"]) is None
+            text = "SELECT * FROM users WHERE uid = 3"
+            template = recognize(session.sql_logical(text), session.catalog)
+            assert (template.kind, template.view) == ("point", "users")
+            assert server.query(text).path == "fastpath"
+            # An indexed view in the catalog that this server does not serve
+            # is recognized (the template names it) and answers on "general".
+            idf.create_or_replace_temp_view("other_view")
+            other = "SELECT * FROM other_view WHERE uid = 3"
+            assert recognize(session.sql_logical(other), session.catalog).view == "other_view"
+            result = server.query(other)
+            assert result.path == "general"
+            assert result.rows == session.sql(text).collect_tuples()
             # Plain (non-indexed) relation never fast-paths.
             session.create_dataframe(
                 make_users(10), USER_SCHEMA, name="plain"
             ).create_or_replace_temp_view("plain")
-            plain = session.sql_logical("SELECT * FROM plain WHERE uid = 3")
-            assert recognize(plain, session.catalog, ["users", "plain"]) is None
+            plain = "SELECT * FROM plain WHERE uid = 3"
+            assert recognize(session.sql_logical(plain), session.catalog) is None
+            assert server.query(plain).path == "general"
 
     def test_serve_spans_nest_cleanly(self):
         config = Config(
@@ -139,6 +142,115 @@ class TestFastPath:
         assert tracer.integrity_errors() == []
         kinds = {s.kind for s in tracer.finished_spans()}
         assert "serve" in kinds
+
+
+# -- one recogniser: the serve tier and the planner agree --------------------------------
+
+#: (view, WHERE as literals, WHERE with ``?``, params). ``users`` is keyed on
+#: ``uid`` (LONG), ``people`` on ``name`` (STRING); None = no WHERE clause /
+#: no parameter form (a LIKE pattern is not bindable).
+WHERE_SHAPES = [
+    ("users", "uid = 17", "uid = ?", [17]),
+    ("users", "17 = uid", "? = uid", [17]),
+    ("users", "uid = 777", "uid = ?", [777]),  # absent key
+    ("users", "uid IN (3, 4, 5)", "uid IN (?, ?, ?)", [3, 4, 5]),
+    ("users", "uid IN (3, 4) AND score > 20", "uid IN (?, ?) AND score > ?", [3, 4, 20]),
+    ("users", "uid = 9 AND uid < 50", "uid = ? AND uid < ?", [9, 50]),  # equality + range
+    ("users", "uid = 9 AND uid > 50", "uid = ? AND uid > ?", [9, 50]),
+    ("users", "uid BETWEEN 10 AND 19", "uid BETWEEN ? AND ?", [10, 19]),
+    ("users", "uid < 12", "uid < ?", [12]),
+    ("users", "uid <= 12", "uid <= ?", [12]),
+    ("users", "uid > 187", "uid > ?", [187]),
+    ("users", "uid >= 187", "uid >= ?", [187]),
+    ("users", "12 > uid", "? > uid", [12]),  # literal on the left flips
+    ("users", "187 <= uid", "? <= uid", [187]),
+    ("users", "uid > 10 AND uid <= 15", "uid > ? AND uid <= ?", [10, 15]),
+    ("users", "uid >= 10 AND score < 50", "uid >= ? AND score < ?", [10, 50]),
+    ("users", "uid = 3 OR uid = 5", "uid = ? OR uid = ?", [3, 5]),
+    ("users", "uid < 5 OR score > 99", "uid < ? OR score > ?", [5, 99]),
+    ("users", "score > 50", "score > ?", [50]),  # non-key column
+    ("users", "name = 'user3'", "name = ?", ["user3"]),
+    ("users", "uid != 4", "uid != ?", [4]),
+    ("users", None, None, None),  # key-free
+    ("people", "name = 'user3'", "name = ?", ["user3"]),
+    ("people", "name LIKE 'user1%'", None, None),
+    ("people", "name LIKE 'user1%' AND uid < 100", "name LIKE 'user1%' AND uid < ?", [100]),
+    ("people", "name LIKE 'user%3'", None, None),  # not a prefix: stays residual
+    ("people", "name LIKE '%'", None, None),  # empty prefix bounds nothing
+    ("people", "name >= 'user12' AND name < 'user14'", "name >= ? AND name < ?", ["user12", "user14"]),
+    ("people", "uid = 17", "uid = ?", [17]),  # people's key is name, not uid
+]
+WHERE_FORMS = [
+    pytest.param(view, where, params, id=f"{view}-{where}")
+    for view, literal, parameterized, values in WHERE_SHAPES
+    for where, params in [(literal, None)] + ([(parameterized, values)] if parameterized else [])
+]
+
+
+class TestRecognizerPlannerAgreement:
+    """``recognize(...).kind`` is the index operator ``indexed_strategy``
+    plans for the bound query, and both front ends — on one session, so on
+    one plan-cache memo slot — answer with the general pipeline's rows."""
+
+    KINDS = {IndexedLookupExec: "point", IndexedRangeScanExec: "range", IndexedScanExec: "scan"}
+
+    @pytest.fixture(scope="class")
+    def tier(self):
+        config = Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=4096)
+        session = Session(context=EngineContext(config=config))
+        df = session.create_dataframe(make_users(200), USER_SCHEMA, name="users")
+        server = QueryServer(session, ServeConfig(num_workers=1))
+        router = ShardRouter(session, 3)
+        for view, key in (("users", "uid"), ("people", "name")):
+            idf = df.create_index(key)
+            server.publish(view, idf)
+            router.publish(view, idf)
+        yield session, server, router
+        server.shutdown()
+        router.shutdown()
+
+    @pytest.mark.parametrize("view, where, params", WHERE_FORMS)
+    def test_kind_is_the_planned_operator_and_rows_agree(self, tier, view, where, params):
+        session, server, router = tier
+        text = f"SELECT uid, name FROM {view}" + (f" WHERE {where}" if where else "")
+        if params is None:
+            template_plan = bound = session.sql_logical(text)
+        else:
+            statement = session.prepare(text)
+            template_plan, bound = statement.template, statement.bind(params)
+
+        def indexed_ops(node):
+            own = [node] if type(node) in self.KINDS else []
+            return own + [op for child in node.children() for op in indexed_ops(child)]
+
+        (planned,) = indexed_ops(session.plan_physical(bound))
+        kind = recognize(template_plan, session.catalog).kind
+        assert kind == self.KINDS[type(planned)]
+        expected = sorted(session.execute(bound))
+        single = server.query(text, params=params)
+        routed = router.query(text, params=params)
+        assert single.path == {"point": "fastpath", "range": "range", "scan": "general"}[kind]
+        assert routed.path == kind
+        assert sorted(single.rows) == sorted(routed.rows) == expected
+
+    def test_front_ends_serving_different_views_keep_their_fast_paths(self):
+        """Two memo slots existed so that a QueryServer and a ShardRouter on
+        one session would not overwrite each other's recognition of a view
+        only one of them serves; with one slot neither may lose its path."""
+        session, idf, server = make_server()
+        router = ShardRouter(session, 2)
+        router.publish("routed_users", idf)
+        with server, router:
+            for _ in range(3):  # both orders, memo warm and cold
+                for view, mine, other in (
+                    ("users", server, router),
+                    ("routed_users", router, server),
+                ):
+                    text = f"SELECT * FROM {view} WHERE uid = ?"
+                    assert mine.query(text, params=[7]).path in ("fastpath", "point")
+                    assert other.query(text, params=[7]).path == "general"
+                    assert mine.query(text, params=[7]).path in ("fastpath", "point")
+                    assert mine.query(text, params=[7]).rows == other.query(text, params=[7]).rows
 
 
 # -- admission control ---------------------------------------------------------------

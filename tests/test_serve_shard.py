@@ -1,4 +1,4 @@
-"""Sharded serve tier: routing, replication, failover, hedging, chaos.
+"""Sharded serve tier: routing, replication, failover, chaos.
 
 The tier-wide contract (DESIGN.md §14), enforced here property-style: the
 router may *reject* (retryably) and may *degrade* (partial rows, flagged,
@@ -9,6 +9,7 @@ wrong answer, under any seed, with shards dying mid-stream.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -25,11 +26,10 @@ from repro.serve import (
     ShardDown,
     ShardRouter,
     ShardServer,
-    SpaceSaving,
 )
 from repro.sql.session import Session
 
-from .conftest import USER_SCHEMA, make_users
+from .conftest import MODES, USER_SCHEMA, make_users
 
 
 def make_sharded(
@@ -49,38 +49,6 @@ def make_sharded(
     return session, idf, r
 
 
-# -- the popularity sketch -------------------------------------------------------------
-
-
-class TestSpaceSaving:
-    def test_exact_below_capacity(self):
-        s = SpaceSaving(capacity=8)
-        for _ in range(5):
-            s.offer("a")
-        s.offer("b")
-        assert s.count("a") == 5
-        assert s.guaranteed_count("a") == 5
-        assert s.count("z") == 0
-        assert s.top(1) == [("a", 5)]
-
-    def test_heavy_hitter_survives_churn(self):
-        s = SpaceSaving(capacity=4)
-        for i in range(400):
-            s.offer("hot")
-            s.offer(f"cold{i}")  # endless one-hit wonders force evictions
-        assert s.is_hot("hot", min_count=300)
-        # SpaceSaving guarantee: any key with true count > total/capacity
-        # is monitored; "hot" (400 of 800) certainly is.
-        assert s.count("hot") >= 400
-        assert len(s) <= 4
-
-    def test_overestimate_never_underestimate(self):
-        s = SpaceSaving(capacity=2)
-        s.offer("a"), s.offer("b"), s.offer("c")  # c evicts the min
-        assert s.count("c") >= 1  # estimate includes inherited error
-        assert s.guaranteed_count("c") <= s.count("c")
-
-
 # -- routing table ---------------------------------------------------------------------
 
 
@@ -96,14 +64,6 @@ class TestRoutingTable:
         t = RoutingTable(num_partitions=2, num_shards=2, replication_factor=5)
         assert t.replication_factor == 2
         assert sorted(t.replicas(0)) == [0, 1]
-
-    def test_promote_grows_round_robin_and_reports_added(self):
-        t = RoutingTable(num_partitions=4, num_shards=4, replication_factor=1)
-        assert t.replicas(1) == [1]
-        added = t.promote(1, 3)
-        assert added == [2, 3]
-        assert t.replicas(1) == [1, 2, 3]
-        assert t.promote(1, 3) == []  # idempotent
 
     def test_scan_assignment_balances_and_reports_missing(self):
         t = RoutingTable(num_partitions=8, num_shards=4, replication_factor=2)
@@ -301,62 +261,6 @@ class TestShardRouter:
             router.recover_shard(3)
             assert router.check_health()[3] == "alive"
 
-    def test_hot_key_cache_and_promotion(self):
-        session, idf, router = make_sharded(
-            router=RouterConfig(
-                hot_key_min_count=4, hot_promotion_min_count=8, hot_cache_capacity=16
-            )
-        )
-        with router:
-            for _ in range(30):
-                r = router.query("SELECT name FROM users WHERE uid = ?", params=[11])
-            assert r.from_hot_cache
-            reg = session.context.registry
-            assert reg.counter_value("serve_hot_cache_hits_total") > 0
-            split = idf.partitioner.partition(11)
-            assert len(router.routing_table("users")[split]) == len(router.shards)
-            assert reg.counter_value("serve_hot_promotions_total") >= 1
-
-    def test_hot_cache_invalidated_by_republish(self):
-        session, idf, router = make_sharded(
-            router=RouterConfig(hot_key_min_count=2, hot_cache_capacity=16)
-        )
-        with router:
-            for _ in range(5):
-                router.query("SELECT score FROM users WHERE uid = ?", params=[7])
-            child = idf.append_rows([(7, "fresh", 123.456)])
-            router.publish("users", child)
-            rows = router.query(
-                "SELECT score FROM users WHERE uid = ?", params=[7]
-            ).rows
-            assert (123.456,) in rows  # stale cached version cannot answer
-
-    def test_hedged_retry_beats_straggler_within_budget(self):
-        session, idf, router = make_sharded(
-            router=RouterConfig(hedge_delay=0.02, hedge_budget_fraction=1.0)
-        )
-        with router:
-            uid = 5
-            split = idf.partitioner.partition(uid)
-            expected = sorted(
-                session.sql(f"SELECT * FROM users WHERE uid = {uid}").collect_tuples()
-            )
-            reg = session.context.registry
-            hits = 0
-            for _ in range(8):
-                # Stall whichever replica the rotation will try first.
-                for owner in router.pinned("users").table.replicas(split):
-                    session.context.faults.delay_shard_once(owner, 0.2)
-                result = router.query(
-                    "SELECT * FROM users WHERE uid = ?", params=[uid]
-                )
-                assert sorted(result.rows) == expected
-                hits += 1 if result.hedged else 0
-                session.context.faults.reset()
-                session.context.faults.configure(seed=1)
-            assert hits > 0
-            assert reg.counter_value("serve_hedged_requests_total") >= hits
-
     def test_publish_barrier_keeps_versions_consistent(self):
         session, idf, router = make_sharded(n_users=80)
         stop = threading.Event()
@@ -389,6 +293,48 @@ class TestShardRouter:
             t.join(timeout=10.0)
         router.shutdown()
         assert torn == []
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_publish_during_failover_returns(self, mode):
+        """A publish waits out in-flight queries; a query that finds its
+        shard dead needs the admin lock to declare it. Publish used to take
+        that lock *before* waiting, and neither thread ever returned."""
+        session, idf, router = make_sharded(
+            config=Config(
+                default_parallelism=4, shuffle_partitions=4, row_batch_size=4096,
+                scheduler_mode=mode,
+            )
+        )
+        uid = 5
+        text = "SELECT * FROM users WHERE uid = ?"
+        expected = router.query(text, params=[uid]).rows
+        # The rotation tries the replicas in turn: stall both, so the reader
+        # is held inside whichever shard it lands on, and kill that one.
+        owners = router.routing_table("users")[idf.partitioner.partition(uid)]
+        for owner in owners:
+            session.context.faults.delay_shard_once(owner, 0.5)
+        child = idf.append_rows([(9000, "late", 1.0)])
+        answers: list = []
+        reader = threading.Thread(
+            target=lambda: answers.append(router.query(text, params=[uid])), daemon=True
+        )
+        publisher = threading.Thread(target=router.publish, args=("users", child), daemon=True)
+        reader.start()
+        deadline = time.perf_counter() + 5.0
+        held = None
+        while held is None and time.perf_counter() < deadline:
+            held = next((s for s in owners if router.shards[s].heartbeat()["inflight"]), None)
+        assert held is not None, "the reader never reached a shard"
+        router.kill_shard(held)
+        publisher.start()
+        reader.join(timeout=5.0)
+        publisher.join(timeout=5.0)
+        assert not reader.is_alive() and not publisher.is_alive(), "publish deadlocked"
+        (answer,) = answers
+        assert answer.rows == expected and not answer.degraded and answer.failovers == 1
+        assert router.query(text, params=[9000]).rows == [(9000, "late", 1.0)]
+        router.shutdown()
 
 
 # -- the 200-seed property test --------------------------------------------------------
@@ -443,7 +389,7 @@ class TestShardedChaosProperty:
             router = ShardRouter(
                 session,
                 num_shards=4,
-                config=RouterConfig(replication_factor=2, hot_key_min_count=6),
+                config=RouterConfig(replication_factor=2),
             )
             router.publish("users", idf)
             try:

@@ -2,8 +2,7 @@
 
 What "the trace is correct" means mechanically (DESIGN.md §9):
 
-* no unclosed spans survive a run — even when tasks retry, stages abort, or
-  speculative copies are cancelled;
+* no unclosed spans survive a run — even when tasks retry or stages abort;
 * every task span nests under exactly one stage span, stages under jobs,
   operators under tasks (``SPAN_NESTING``);
 * the span tree's *shape* is deterministic: the same seeded workload
@@ -146,7 +145,7 @@ class TestQueryNesting:
 
 
 # ---------------------------------------------------------------------------
-# Chaos: retries, kills and speculation must not leak or orphan spans
+# Chaos: retries and kills must not leak or orphan spans
 # ---------------------------------------------------------------------------
 
 
@@ -185,22 +184,6 @@ class TestChaosTraceIntegrity:
         attempts = {(t.attrs["stage_id"], t.attrs["partition"], t.attrs["attempt"]) for t in tasks}
         assert len(attempts) == len(tasks), "each task attempt must be its own span"
         assert any(t.attrs["attempt"] > 0 for t in tasks), "chaos should force retries"
-
-    def test_speculation_spans_close(self):
-        context = make_context(
-            "threads",
-            speculation=True,
-            speculation_min_runtime=0.005,
-            speculation_multiplier=1.1,
-            speculation_quantile=0.5,
-            speculation_poll_interval=0.005,
-            chaos_seed=7,
-            chaos_straggler_prob=0.3,
-            chaos_straggler_delay=0.05,
-        )
-        run_shuffle_job(context)
-        assert context.tracer.integrity_errors() == []
-        assert context.tracer.active_spans() == []
 
     @pytest.mark.parametrize("mode", MODES)
     def test_executor_kill_mid_run_keeps_trace_clean(self, mode):

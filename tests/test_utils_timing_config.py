@@ -1,10 +1,15 @@
 """Stopwatch, PhaseTimer and Config behaviour."""
 
+import ast
+import dataclasses
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import KB, MB, PAPER_DEFAULTS, Config
+from repro.serve import RouterConfig, ServeConfig, ShardConfig
 from repro.utils.timing import PhaseTimer, Stopwatch
 
 
@@ -82,3 +87,27 @@ class TestConfig:
         cfg = Config(extra={"flag": True})
         assert cfg.get("flag") is True
         assert cfg.get("missing", 7) == 7
+
+    @pytest.mark.parametrize("cls", [Config, ServeConfig, RouterConfig, ShardConfig])
+    def test_every_field_is_read_by_the_program(self, cls):
+        """A knob nothing reads is not a knob: each field must be loaded as
+        an attribute somewhere in ``src/`` outside the dataclass that
+        declares it (docstrings and comments do not count as reads)."""
+        loaded: set[str] = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
+                    node.body = []  # the declaration (and its own methods) is not a reader
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    loaded.add(n.attr)
+                    if isinstance(n.value, ast.Attribute):
+                        loaded.add(f"{n.value.attr}.{n.attr}")
+        names = {f.name for f in dataclasses.fields(cls)}
+        if cls is Config:
+            # ``extra`` is reached through ``Config.get`` (declared inside the
+            # dataclass), so it is the callers of ``config.get`` that read it.
+            names.remove("extra")
+            names.add("config.get")
+        assert sorted(names - loaded) == []
