@@ -9,7 +9,7 @@ lookups are identical to the in-memory store.
 
 import pytest
 
-from repro.indexed.out_of_core import fault_count, spill_partition
+from repro.indexed.out_of_core import spill_partition
 from repro.indexed.partition import IndexedPartition
 from repro.workloads import snb
 
@@ -38,7 +38,7 @@ def test_ablation_lookups_cold_spilled(benchmark, tmp_path):
         return sum(len(p.lookup(k)) for k in keys)
 
     benchmark.pedantic(cold_pass, rounds=3, iterations=1, warmup_rounds=1)
-    assert fault_count(p) > 0
+    assert p.spill_faults() > 0
 
 
 def test_ablation_lookups_warm_after_fault(benchmark, tmp_path):

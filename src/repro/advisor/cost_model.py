@@ -24,7 +24,7 @@ callers feed observed values in and sort by the returned score.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, MutableMapping
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.rdd import RDD
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 MB = 1024.0 * 1024.0
 
 
-def lineage_depth(rdd: "RDD", _cache: "dict[int, int] | None" = None) -> int:
+def lineage_depth(rdd: "RDD", _cache: "MutableMapping[int, int] | None" = None) -> int:
     """Longest dependency chain above ``rdd`` (1 for a source RDD).
 
     The multiplier on measured compute time in the cost model: evicting a
@@ -73,6 +73,12 @@ def value_density(
     """
     cost = max(0.0, compute_seconds) * max(1, depth)
     return cost * max(0.0, expected_reuse) / max(nbytes, 1024) * MB
+
+
+#: Per-tick multiplicative decay of the advisor's recurrence counters:
+#: a query or block unseen for ~45 advisor ticks counts a tenth of a fresh
+#: one. A constant: no workload, test or example ever set another value.
+DECAY_PER_TICK = 0.95
 
 
 class DecayedCounter:

@@ -62,7 +62,8 @@ class TaskMetrics:
 
 #: The recovery-event taxonomy (DESIGN.md §8). Everything the runtime does
 #: to survive a failure lands here, so a Fig. 12-style run can report *what*
-#: recovery cost — not just total wall clock.
+#: recovery cost — not just total wall clock. Kept equal to the set of
+#: kinds ``src/`` actually records by an ``ast`` pass in ``tests/test_cluster.py``.
 RECOVERY_EVENT_KINDS = (
     "executor_lost",         # an executor died (manual, chaos, or scheduled)
     "executor_replaced",     # a replacement registered (fresh block store)
@@ -81,6 +82,7 @@ RECOVERY_EVENT_KINDS = (
     "block_evicted",         # memory pressure dropped a whole cached block
     "memory_pressure",       # budget exhausted even after spill + evict
     "chaos_memory_squeeze",  # injected squeeze of an executor's budget
+    "advisor_auto_evict",    # the advisor dropped a result it had auto-cached
     "shard_lost",            # a serve shard died (manual, chaos, or missed heartbeats)
     "shard_failover",        # a routed query moved to a replica mid-flight
     "shard_repaired",        # replication restored by copying from a live replica

@@ -96,10 +96,9 @@ class Config:
         post-fault-in write invalidates them, and on block-store clears.
     eviction_policy:
         ``"lru"`` evicts the least-recently-accessed block first;
-        ``"reference_distance"`` (after arXiv:1804.10563) prefers evicting
-        blocks whose RDD the DAG references least — consulting the lineage
-        reference counts the context accumulates per job — and breaks ties
-        by LRU.
+        ``"cost"`` evicts the lowest value density first — the advisor's
+        recompute cost x expected reuse per byte (DESIGN.md §17) — and
+        breaks ties by LRU.
     """
 
     default_parallelism: int = 8
@@ -171,34 +170,24 @@ class Config:
     executor_memory_bytes: int = 0
     #: Where spilled row batches live (None: the system temp directory).
     spill_dir: "str | None" = None
-    #: Block eviction order under memory pressure: "lru" |
-    #: "reference_distance" | "cost" (DESIGN.md §17: the advisor ranks
-    #: blocks by recompute-cost x expected-reuse per byte and sheds the
-    #: lowest value density first).
+    #: Block eviction order under memory pressure: "lru" | "cost"
+    #: (DESIGN.md §17: the advisor ranks blocks by recompute-cost x
+    #: expected-reuse per byte and sheds the lowest value density first).
     eviction_policy: str = "lru"
     #: Cost-based cache advisor (DESIGN.md §17). ``auto_cache`` turns on the
     #: *active* half: recurring ``session.sql`` results whose value density
     #: clears ``advisor_score_threshold`` are transparently persisted, and
-    #: auto-cached results / cold user pins are auto-evicted when the
-    #: worst executor's fullness exceeds ``advisor_shed_pressure``.
-    #: Passive signal collection (recurrence, measured compute cost) is
-    #: always on and feeds ``eviction_policy="cost"`` and the serve tier.
+    #: the lowest-value of those auto-cached results are dropped again when
+    #: the worst executor's fullness exceeds ``advisor_shed_pressure`` — a
+    #: user's own ``.cache()`` is never revoked. Per-query statistics are
+    #: collected only while this is on; per-block ones (measured compute
+    #: cost, access recurrence) always, for ``eviction_policy="cost"``.
     auto_cache: bool = False
     #: Value-density admission bar, in (seconds x expected reuses) per MB
     #: held. 0.0 is "always-cache" mode (every recurring fingerprint is
     #: materialized on sight) — the baseline the advisor is benchmarked
     #: against.
     advisor_score_threshold: float = 0.05
-    #: Recently-shed fingerprints/blocks remembered for anti-thrash
-    #: (0 disables the ghost list and its re-admission cooldown).
-    advisor_ghost_size: int = 64
-    #: Ticks (queries for the advisor, block admissions for the memory
-    #: manager) a just-shed entry stays blocked from re-admission and a
-    #: just-re-admitted block stays deferred from re-shedding.
-    advisor_ghost_cooldown: int = 16
-    #: Per-tick multiplicative decay of recurrence counters, in (0, 1];
-    #: 1.0 never forgets.
-    advisor_recurrence_decay: float = 0.95
     #: Memory fullness fraction above which the advisor auto-evicts.
     advisor_shed_pressure: float = 0.9
     #: Enable the span tracer (query/stage/task/operator spans + Chrome
@@ -215,7 +204,6 @@ class Config:
     #: Entries in the session's normalized-SQL plan cache (DESIGN.md §11);
     #: 0 disables plan caching (every query re-parses and re-plans).
     plan_cache_capacity: int = 256
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def with_overrides(self, **kwargs: Any) -> "Config":
         """Return a copy with the given fields replaced."""
@@ -244,7 +232,7 @@ class Config:
             )
         enums = (
             ("scheduler_mode", ("sequential", "threads")),
-            ("eviction_policy", ("lru", "reference_distance", "cost")),
+            ("eviction_policy", ("lru", "cost")),
         )
         for name, allowed in enums:
             value = getattr(self, name)
@@ -258,18 +246,6 @@ class Config:
             problems.append(
                 "advisor_score_threshold must be >= 0, "
                 f"got {self.advisor_score_threshold!r}"
-            )
-        for name in ("advisor_ghost_size", "advisor_ghost_cooldown"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"{name} must be a non-negative int, got {value!r}")
-        if (
-            not isinstance(self.advisor_recurrence_decay, (int, float))
-            or not 0.0 < self.advisor_recurrence_decay <= 1.0
-        ):
-            problems.append(
-                "advisor_recurrence_decay must be in (0.0, 1.0], "
-                f"got {self.advisor_recurrence_decay!r}"
             )
         if (
             not isinstance(self.advisor_shed_pressure, (int, float))
@@ -297,10 +273,6 @@ class Config:
         if problems:
             raise ValueError("invalid Config: " + "; ".join(problems))
         return self
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Look up an ad-hoc setting from :attr:`extra`."""
-        return self.extra.get(key, default)
 
 
 #: Paper-shaped defaults: 4 MB batches, as used in all evaluation sections.

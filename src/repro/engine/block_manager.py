@@ -51,7 +51,7 @@ class BlockManager:
         with self._lock:
             value = self._blocks.get(block_id)
             if value is not None and self.memory is not None:
-                self.memory.on_access(block_id, value)
+                self.memory.on_access(block_id)
             return value
 
     def contains(self, block_id: BlockId) -> bool:

@@ -108,8 +108,8 @@ class EngineContext:
         #: path exists precisely to keep point reads off this lock).
         self.job_lock = threading.RLock()
         #: rdd_id -> how many jobs referenced it through their lineage —
-        #: the DAG signal behind the "reference_distance" eviction policy
-        #: (arXiv:1804.10563): blocks of rarely-referenced RDDs go first.
+        #: the DAG half of the advisor's expected-reuse signal
+        #: (``block_scores``). Forgotten when the RDD is unpersisted.
         self._lineage_refs: dict[int, int] = {}
         #: executor_id -> task launches remaining until its replacement
         #: registers (executor_replacement healing).
@@ -215,9 +215,10 @@ class EngineContext:
 
     def spill_corruption_hook(self, executor_id: "str | None" = None):
         """Chaos hook for spill writes (``Config.chaos_corrupt_spill_prob``):
-        passed to ``spill_partition`` so every spill path — reactive memory
-        pressure and proactive ``spill_index`` alike — damages files under
-        the same seeded injector. None when the knob is off."""
+        ``MemoryManager.spill_partition`` hands it to every batch it spills
+        — reactive memory pressure and proactive ``spill_index`` alike — so
+        files are damaged under the one seeded injector. None when the knob
+        is off."""
         if self.faults.corrupt_spill_prob <= 0:
             return None
 
@@ -286,12 +287,21 @@ class EngineContext:
         with self._lock:
             return dict(self._lineage_refs)
 
+    def forget_cached_rdd(self, rdd_id: int) -> None:
+        """``RDD.unpersist`` bookkeeping: drop everything kept per cached
+        RDD id — block locations, lineage references, advisor statistics —
+        so none of it outlives the caching it describes."""
+        with self._lock:
+            self._lineage_refs.pop(rdd_id, None)
+        self.advisor.forget_rdd(rdd_id)
+        self.block_manager_master.remove_rdd(rdd_id)
+
     def _note_lineage_refs(self, rdd: RDD) -> None:
         """Walk the job's lineage; count a reference for every cached RDD.
 
-        This is what makes reference-distance eviction *lineage-aware*: a
-        cached RDD that many jobs' DAGs flow through accumulates references
-        and is kept; one no job has touched in a while stays cheap to evict.
+        This is what makes cost eviction *lineage-aware*: a cached RDD that
+        many jobs' DAGs flow through accumulates references and is kept; one
+        no job has touched in a while stays cheap to evict.
         """
         seen: set[int] = set()
         stack: list[RDD] = [rdd]

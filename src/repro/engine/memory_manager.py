@@ -12,9 +12,9 @@ makes the block store survive that regime (DESIGN.md §10):
 * **Tier 1 — spill.** Over budget, sealed indexed row batches of the
   coldest blocks move to disk (:func:`repro.indexed.out_of_core.spill_partition`),
   keeping indexes queryable at a fault-in cost.
-* **Tier 2 — evict.** Still over budget, whole blocks are dropped — LRU or
-  the lineage-aware reference-distance order (arXiv:1804.10563: prefer
-  evicting what the DAG references least). An evicted block's re-request
+* **Tier 2 — evict.** Still over budget, whole blocks are dropped — least
+  recently used first, or lowest value density first under
+  ``eviction_policy="cost"`` (DESIGN.md §17). An evicted block's re-request
   simply misses in the cache and is rebuilt from lineage, with the
   existing ``BlockManagerMaster`` lost-block attribution marking the
   recompute as recovery work.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.advisor.ghost import GhostList
 from repro.utils.memory import deep_sizeof, reachable_ids
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 BlockId = tuple[int, int]  # (rdd_id, partition_index)
 
-EVICTION_POLICIES = ("lru", "reference_distance", "cost")
+EVICTION_POLICIES = ("lru", "cost")
 
 
 class MemoryPressureError(RuntimeError):
@@ -91,19 +90,6 @@ class MemoryManager:
         #: ids of objects already counted (the MVCC shared-structure guard).
         self._seen_ids: set[int] = set()
         self._used = 0
-        #: block id -> bytes faulted back from disk last time we looked.
-        self._fault_bytes: "dict[BlockId, int]" = {}
-        self._spilled: set[BlockId] = set()
-        #: Anti-thrash (DESIGN.md §17): recently shed blocks, keyed by the
-        #: admission tick they were shed at. A ghost-listed block that
-        #: comes back within the cooldown is *protected*: the victim order
-        #: defers re-shedding it (never excludes it — shedding must still
-        #: be able to complete), breaking the evict -> rebuild -> re-evict
-        #: loop.
-        self.ghost = GhostList(cfg.advisor_ghost_size, cfg.advisor_ghost_cooldown)
-        self._tick = 0
-        #: block id -> tick until which re-shedding it is deferred.
-        self._protected_until: "dict[BlockId, int]" = {}
         #: Serializes pressure storms against concurrent admits.
         self._storm_lock = threading.Lock()
 
@@ -150,15 +136,6 @@ class MemoryManager:
         if not self.enabled:
             blocks[block_id] = value
             return
-        self._tick += 1
-        if self.ghost.recently_shed(block_id, self._tick):
-            # Thrash signature: this very block was shed moments ago and is
-            # already back. Protect it from the next sheds so it is not
-            # immediately re-evicted (the PR4 churn loop).
-            self._protected_until[block_id] = self._tick + self.ghost.cooldown
-            self.context.registry.inc(
-                "memory_ghost_readmissions_total", executor=self.executor_id
-            )
         if block_id in self._sizes:
             # Overwrite (idempotent recompute, e.g. a retry): drop the old
             # charge first so the new bytes are metered from scratch.
@@ -184,21 +161,16 @@ class MemoryManager:
                 raise
         self._publish_gauge()
 
-    def on_access(self, block_id: BlockId, value: Any) -> None:
-        """LRU touch + fault-back metering for a read hit."""
+    def on_access(self, block_id: BlockId) -> None:
+        """LRU touch for a read hit."""
         if not self.enabled or block_id not in self._sizes:
             return
         self._sizes[block_id] = self._sizes.pop(block_id)  # move to MRU end
-        self._meter_faults(block_id, value)
 
     def on_remove(self, block_id: BlockId, blocks: "dict[BlockId, Any]") -> None:
         if not self.enabled or block_id not in self._sizes:
             return
         self._sizes.pop(block_id, None)
-        self._fault_bytes.pop(block_id, None)
-        self._spilled.discard(block_id)
-        self._protected_until.pop(block_id, None)
-        self.ghost.forget(block_id)
         self._recompute(blocks)
 
     def on_clear(self) -> None:
@@ -206,41 +178,14 @@ class MemoryManager:
             return
         self._sizes.clear()
         self._seen_ids.clear()
-        self._fault_bytes.clear()
-        self._spilled.clear()
-        self._protected_until.clear()
-        self.ghost.clear()
         self._used = 0
         self._publish_gauge()
-
-    def _meter_faults(self, block_id: BlockId, value: Any) -> None:
-        """Publish the growth of a block's fault-back traffic since last seen."""
-        total = 0
-        items = value if isinstance(value, (list, tuple)) else [value]
-        for item in items:
-            for batch in getattr(item, "batches", ()) or ():
-                total += getattr(batch, "faults", 0) * batch.capacity
-        prev = self._fault_bytes.get(block_id, 0)
-        if total > prev:
-            self._fault_bytes[block_id] = total
-            self.context.registry.inc(
-                "memory_faulted_back_bytes_total",
-                float(total - prev),
-                executor=self.executor_id,
-            )
-            if block_id in self._spilled:
-                # Its batches are (partly) resident again: make the block
-                # tier-1 spillable once more — re-spilling beats evicting
-                # and recomputing from lineage — but protect it for the
-                # ghost cooldown so a hot block is not spilled straight
-                # back out (spill -> fault-back churn).
-                self._spilled.discard(block_id)
-                self._protected_until[block_id] = self._tick + self.ghost.cooldown
 
     # -- pressure tiers ----------------------------------------------------------
 
     def _fault_listener(self, nbytes: int, seconds: float) -> None:
-        """Installed on spilled batches: meters fault-ins as they happen."""
+        """Installed on every batch this executor spills: the one meter of
+        fault-back traffic, fired by the batch itself as it loads."""
         registry = self.context.registry
         registry.inc(
             "memory_faulted_back_bytes_total", float(nbytes), executor=self.executor_id
@@ -248,37 +193,14 @@ class MemoryManager:
         registry.observe("memory_fault_in_seconds", seconds)
 
     def _victim_order(self, protect: "BlockId | None") -> "list[BlockId]":
-        """Candidate blocks, best victim first, per the configured policy.
-
-        Ghost-protected blocks (just shed, just re-admitted) are moved to
-        the very end regardless of policy: still sheddable as a last
-        resort, but every other candidate goes first (anti-thrash).
-        """
-        candidates = [b for b in self._sizes if b != protect]
-        lru_rank = {b: i for i, b in enumerate(self._sizes)}
-        if self.policy == "reference_distance":
-            refs = self.context.lineage_ref_counts()
-            # Fewest DAG references first (farthest expected reuse), then
-            # least recently used among equals.
-            candidates.sort(key=lambda b: (refs.get(b[0], 0), lru_rank[b]))
-        elif self.policy == "cost":
+        """Candidate blocks, best victim first, per the configured policy."""
+        candidates = [b for b in self._sizes if b != protect]  # LRU order
+        if self.policy == "cost":
             # Lowest value density (recompute cost x expected reuse per
-            # byte, DESIGN.md §17) first; LRU breaks ties.
+            # byte, DESIGN.md §17) first; the stable sort leaves LRU order
+            # among equals.
             scores = self.context.advisor.block_scores(self._sizes)
-            candidates.sort(key=lambda b: (scores.get(b, 0.0), lru_rank[b]))
-        if self._protected_until:
-            protected = {
-                b for b in candidates if self._protected_until.get(b, 0) > self._tick
-            }
-            if protected and len(protected) < len(candidates):
-                candidates = [b for b in candidates if b not in protected] + [
-                    b for b in candidates if b in protected
-                ]
-                self.context.registry.inc(
-                    "memory_shed_deferrals_total",
-                    float(len(protected)),
-                    executor=self.executor_id,
-                )
+            candidates.sort(key=lambda b: scores.get(b, 0.0))
         return candidates
 
     def _shed_to(
@@ -311,14 +233,9 @@ class MemoryManager:
             for block_id in order:
                 if self._used <= target:
                     break
-                if block_id in self._spilled:
-                    continue
-                value = blocks.get(block_id)
-                freed = self._spill_block(block_id, value)
+                freed = self._spill_block(block_id, blocks.get(block_id))
                 if freed:
                     spilled_bytes += freed
-                    self._spilled.add(block_id)
-                    self.ghost.record(block_id, self._tick)
                     before = self._used
                     self._recompute(blocks)
                     registry.inc(
@@ -341,10 +258,6 @@ class MemoryManager:
                 size = self._sizes.get(block_id, 0)
                 blocks.pop(block_id, None)
                 self._sizes.pop(block_id, None)
-                self._fault_bytes.pop(block_id, None)
-                self._spilled.discard(block_id)
-                self._protected_until.pop(block_id, None)
-                self.ghost.record(block_id, self._tick)
                 self._recompute(blocks)
                 evicted_bytes += size
                 context.block_manager_master.mark_evicted(block_id, self.executor_id)
@@ -379,7 +292,16 @@ class MemoryManager:
                 )
 
     def _spill_block(self, block_id: BlockId, value: Any) -> int:
-        """Tier-1 spill of one stored block; returns batch bytes moved to disk."""
+        """Tier-1 spill of one stored block; returns batch bytes moved to disk.
+
+        A partition goes through tier 1 once per residency, and that is read
+        from its batches: when every sealed one is spillable already, what
+        is resident was faulted back in by a reader — hot data, which only
+        eviction removes (spilling it straight back out measured 7 % slower
+        on ``bounded_memory``, DESIGN.md §10).
+        """
+        from repro.indexed.out_of_core import SpillableRowBatch
+
         if value is None:
             return 0
         freed = 0
@@ -390,33 +312,26 @@ class MemoryManager:
         )
         with span:
             for item in items:
-                if hasattr(item, "batches"):
-                    from repro.indexed.out_of_core import spill_partition
-
-                    freed += spill_partition(
-                        item,
-                        spill_dir=self.spill_dir,
-                        keep_tail=True,
-                        on_fault=self._fault_listener,
-                        corruption_hook=self._spill_corruption_hook,
-                    )
+                sealed = getattr(item, "batches", ())[:-1]
+                if not all(isinstance(b, SpillableRowBatch) for b in sealed):
+                    freed += self.spill_partition(item)
             span.set_attr("freed", freed)
         return freed
 
-    def _spill_corruption_hook(self, path: str) -> "str | None":
-        """Corruption chaos for one spill-file write: consult the injector,
-        record the injection, and return the damage mode (None = clean)."""
-        faults = self.context.faults
-        if faults.corrupt_spill_prob <= 0:
-            return None
-        mode = faults.on_spill_write()
-        if mode is not None:
-            self.context.metrics.record_recovery(
-                "chaos_spill_corruption",
-                executor_id=self.executor_id,
-                detail=f"mode={mode} path={path}",
-            )
-        return mode
+    def spill_partition(self, partition: Any, keep_tail: bool = True) -> int:
+        """Spill one indexed partition's sealed batches on this executor:
+        the call both the reactive tier and ``IndexedDataFrame.spill_index``
+        make, so every spilled batch carries this executor's fault meter
+        (when it meters at all) and the context's corruption chaos hook."""
+        from repro.indexed.out_of_core import spill_partition
+
+        return spill_partition(
+            partition,
+            spill_dir=self.spill_dir,
+            keep_tail=keep_tail,
+            on_fault=self._fault_listener if self.enabled else None,
+            corruption_hook=self.context.spill_corruption_hook(self.executor_id),
+        )
 
     # -- chaos -----------------------------------------------------------------------
 

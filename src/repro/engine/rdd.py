@@ -114,15 +114,13 @@ class RDD:
     def persist(self) -> "RDD":
         """Mark for in-memory caching; materialized on first computation."""
         self.cached = True
-        self.context.advisor.note_user_pin(self)
         return self
 
     cache = persist
 
     def unpersist(self) -> "RDD":
         self.cached = False
-        self.context.advisor.forget_pin(self.rdd_id)
-        self.context.block_manager_master.remove_rdd(self.rdd_id)
+        self.context.forget_cached_rdd(self.rdd_id)
         return self
 
     # -- narrow transformations ----------------------------------------------------

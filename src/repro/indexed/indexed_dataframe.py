@@ -220,16 +220,14 @@ class IndexedDataFrame:
             p = next(iter(it))
             idx = p.index_bytes()
             data = p.storage_bytes()
-            out = {
+            return {
                 "partition_rows": float(p.row_count),
                 "index_bytes": float(idx),
                 "data_bytes": float(data),
                 "overhead": idx / max(1, data),
+                "resident_bytes": float(p.resident_batch_bytes()),
+                "spill_faults": float(p.spill_faults()),
             }
-            if hasattr(p, "resident_batch_bytes"):
-                out["resident_bytes"] = float(p.resident_batch_bytes())
-                out["spill_faults"] = float(p.spill_faults())
-            return out
 
         return self.session.context.run_job(self.rdd, stats)
 
@@ -243,19 +241,14 @@ class IndexedDataFrame:
         batches fault back in transparently on the next lookup or scan.
         """
         context = self.session.context
-        spill_dir = context.config.spill_dir
 
         def spill(it, ctx):
-            from repro.indexed.out_of_core import spill_partition
+            # Through the executor's memory manager, like a reactive spill:
+            # same fault meter, same corruption chaos hook.
+            memory = context.executor_runtime(ctx.executor_id).memory_manager
+            return memory.spill_partition(next(iter(it)), keep_tail=keep_tail)
 
-            return spill_partition(
-                next(iter(it)),
-                spill_dir=spill_dir,
-                keep_tail=keep_tail,
-                corruption_hook=context.spill_corruption_hook(ctx.executor_id),
-            )
-
-        return sum(self.session.context.run_job(self.rdd, spill))
+        return sum(context.run_job(self.rdd, spill))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -29,6 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
     from repro.sql.session import Session
 
+#: Planning-time stand-ins for an indexed table's row count (the paper
+#: always indexes the large table, and counting would run a job) and for a
+#: recognized key range's (assumed selective: why it was pushed down, and
+#: well under the full-scan estimate so join-side selection and inlining
+#: treat it as the small side).
+INDEXED_ROW_ESTIMATE = 1_000_000
+INDEXED_RANGE_ESTIMATE = 10_000
+
 
 class IndexedScanExec(PhysicalPlan):
     """Full scan of the indexed data, with filter and projection fused in.
@@ -124,8 +132,9 @@ class IndexedScanExec(PhysicalPlan):
 
     def estimated_rows(self) -> int:
         # Count is cheap (partition metadata), but avoid jobs during planning.
-        n = max(1, self.session.context.config.get("indexed_row_estimate", 1_000_000))
-        return max(1, n // 4) if self.condition is not None else n
+        if self.condition is not None:
+            return INDEXED_ROW_ESTIMATE // 4
+        return INDEXED_ROW_ESTIMATE
 
     def __repr__(self) -> str:
         parts = [self.idf.name]
@@ -172,10 +181,7 @@ class IndexedRangeScanExec(PhysicalPlan):
         return self.idf.rdd.map_partitions_with_context(range_scan, preserves_partitioning=True)
 
     def estimated_rows(self) -> int:
-        # A recognized range is assumed selective (why it was pushed down);
-        # stay well under the full-scan estimate so join-side selection and
-        # inlining treat it as the small side.
-        return max(1, self.session.context.config.get("indexed_range_estimate", 10_000))
+        return INDEXED_RANGE_ESTIMATE
 
     def __repr__(self) -> str:
         return f"IndexedRangeScan({self.idf.name}, {self.krange.describe()})"

@@ -12,7 +12,8 @@ the next read. :func:`spill_partition` converts an existing partition's
 *sealed* batches (everything but the active tail, which still takes
 appends) to spilled form — the natural cold/hot split for an append-only
 store. Lookups keep working unchanged; they just pay a fault on first
-touch of a cold batch, which the ``faults`` counter exposes for benchmarks.
+touch of a cold batch, which the ``faults`` counter exposes for benchmarks
+(summed per partition by ``IndexedPartition.spill_faults``).
 
 Spilled batches are sealed by construction: writes are rejected until the
 batch is faulted back in, and any write after a fault-in *invalidates* the
@@ -287,19 +288,3 @@ def discard_resident_files(value: Any) -> int:
                     batch.discard_file()
                     removed += 1
     return removed
-
-
-def resident_bytes(partition: IndexedPartition) -> int:
-    """Bytes of batch capacity currently held in memory."""
-    total = 0
-    for batch in partition.batches:
-        if isinstance(batch, SpillableRowBatch):
-            if batch.resident:
-                total += batch.capacity
-        else:
-            total += batch.capacity
-    return total
-
-
-def fault_count(partition: IndexedPartition) -> int:
-    return sum(b.faults for b in partition.batches if isinstance(b, SpillableRowBatch))

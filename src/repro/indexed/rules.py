@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.indexed.operators import (
+    INDEXED_ROW_ESTIMATE,
     IndexedJoinExec,
     IndexedLookupExec,
     IndexedRangeScanExec,
@@ -68,7 +69,7 @@ class IndexedRelation(Relation):
         # Indexed relations are the big side by design (the paper always
         # indexes the large table); report a large stand-in so join-side
         # selection treats them accordingly without running a job.
-        return self.idf.session.context.config.get("indexed_row_estimate", 1_000_000)
+        return INDEXED_ROW_ESTIMATE
 
     def __repr__(self) -> str:
         return f"IndexedRelation({self.idf.name}, key={self.idf.key_column}, v={self.idf.version})"

@@ -230,32 +230,7 @@ class QueryServer:
             idf.create_or_replace_temp_view(view)
             self._pins[view] = pin
         self.registry.set_gauge("serve_pinned_version", float(pin.version), view=view)
-        self._maybe_unpin_cold(except_view=view)
         return pin
-
-    def _maybe_unpin_cold(self, except_view: str) -> None:
-        """Advisor-driven pin shedding: when publishing pushes the block
-        stores past the advisor's pressure bar, drop serve pins for views
-        whose decayed fast-path recurrence has gone cold. The view stays
-        registered in the catalog, so its queries still answer — through
-        the general (plan-cached) path — and the next publish re-pins it.
-        """
-        advisor = self.context.advisor
-        if not advisor.enabled or self._pressure() < advisor.shed_pressure:
-            return
-        with self._pins_lock:
-            cold = [
-                v
-                for v in self._pins
-                if v != except_view and advisor.should_unpin_view(v)
-            ]
-            for v in cold:
-                del self._pins[v]
-        for v in cold:
-            advisor.record_decision("auto_evict", f"view:{v}", target="serve_pin")
-            self.context.metrics.record_recovery(
-                "advisor_serve_unpin", detail=f"view={v}"
-            )
 
     def pinned(self, view: str) -> PinnedSnapshot:
         """The currently served snapshot of ``view``."""
@@ -382,7 +357,6 @@ class QueryServer:
         if template is not None and template.kind != "scan":
             pin = self._pins.get(template.view)
             if pin is not None:
-                self.context.advisor.note_serve_view(template.view)
                 rows = template.execute(pin, ticket.params)
                 total = time.perf_counter() - ticket.enqueued_at
                 path = "fastpath" if template.kind == "point" else "range"

@@ -57,6 +57,7 @@ class CachedPlan:
     """One cache entry: the plans derived from one normalized query text."""
 
     __slots__ = (
+        "advisor_stats",
         "epoch",
         "hits",
         "logical",
@@ -78,6 +79,11 @@ class CachedPlan:
         #: said no. It is a function of the plan and the catalog only, so a
         #: QueryServer and a ShardRouter on one session share the slot.
         self.serve_template: Any = None
+        #: Filled in by the cache advisor under ``Config.auto_cache``: this
+        #: text's recurrence and measured execution cost (DESIGN.md §17).
+        #: Riding on the entry, they are evicted and epoch-invalidated
+        #: with the plan they describe.
+        self.advisor_stats: Any = None
         self.hits = 0
 
 
@@ -147,6 +153,11 @@ class PlanCache:
         """The live entry that owns ``logical`` (identity match), if any."""
         with self._lock:
             return self._by_logical.get(id(logical))
+
+    def entries(self) -> "list[CachedPlan]":
+        """The live entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
 
     def _evict(self, text: str, entry: CachedPlan) -> None:
         self._entries.pop(text, None)

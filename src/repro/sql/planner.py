@@ -12,7 +12,9 @@ Built-in choices mirror Spark:
 * scans: columnar-cache scan with fused (pushed-down) filter/projection,
   or a plain row source;
 * joins: broadcast-hash when the smaller side's estimated size is under the
-  broadcast threshold, else shuffle-hash (or sort-merge when configured).
+  broadcast threshold, else shuffle-hash (``SortMergeJoinExec`` is never
+  planned: the tests and ``bench_ablation_joins.py`` construct it directly
+  as the paper's Fig. 7 comparator).
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.sql.aggregates import HashAggregateExec
 from repro.sql.analysis import resolve_expression
 from repro.sql.expressions import Column, Expression
-from repro.sql.joins import (
-    BroadcastHashJoinExec,
-    ShuffleHashJoinExec,
-    SortMergeJoinExec,
-)
+from repro.sql.joins import BroadcastHashJoinExec, ShuffleHashJoinExec
 from repro.sql.logical import (
     Aggregate,
     Filter,
@@ -171,7 +169,6 @@ class Planner:
         left_bytes = left.estimated_rows() * estimate_row_bytes(left.schema)
         right_bytes = right.estimated_rows() * estimate_row_bytes(right.schema)
         threshold = session.context.config.broadcast_threshold
-        prefer_smj = session.context.config.get("prefer_sort_merge_join", False)
 
         # Broadcast the smaller side when it fits under the threshold.
         # A left outer join cannot broadcast its left (preserved) side.
@@ -179,8 +176,6 @@ class Planner:
             return BroadcastHashJoinExec(*args, build_side="right")
         if left_bytes <= threshold and join.how == "inner" and left_bytes < right_bytes:
             return BroadcastHashJoinExec(*args, build_side="left")
-        if prefer_smj:
-            return SortMergeJoinExec(*args)
         build = "right" if right_bytes <= left_bytes else "left"
         if join.how == "left":
             build = "right"  # preserved side must be the probe side

@@ -100,9 +100,9 @@ class Session:
                 CachedPlan(norm, epoch, parse_query(text, self.catalog))
             )
         # Recurrence signal for the cache advisor (DESIGN.md §17): every
-        # planned fingerprint advances its clock; a plan-cache hit is
-        # proven repetition and weighs a little more.
-        self.context.advisor.note_query(norm, plan_cache_hit=hit)
+        # planned query advances its clock; a plan-cache hit is proven
+        # repetition and weighs a little more.
+        self.context.advisor.note_query(entry, plan_cache_hit=hit)
         return entry.logical
 
     def prepare(self, text: str) -> PreparedStatement:
@@ -165,11 +165,11 @@ class Session:
         """
         advisor = self.context.advisor
         entry = self.plan_cache.entry_for_logical(logical)
-        epoch = self.catalog.epoch
-        fingerprint = entry.text if entry is not None and entry.epoch == epoch else None
+        if entry is not None and entry.epoch != self.catalog.epoch:
+            entry = None
         with self.context.tracer.start_span("query", kind="query"):
-            if fingerprint is not None:
-                cached_rdd = advisor.auto_cached_rdd(fingerprint, epoch)
+            if entry is not None:
+                cached_rdd = advisor.auto_cached_rdd(entry)
                 if cached_rdd is not None:
                     with self.context.tracer.start_span(
                         "execute", kind="phase", cached="advisor"
@@ -180,20 +180,21 @@ class Session:
             physical = self.plan_physical(logical)
             with self.context.tracer.start_span("execute", kind="phase"):
                 rdd = physical.execute()
-                if fingerprint is not None:
-                    rdd = advisor.before_collect(fingerprint, rdd, epoch)
+                if entry is not None:
+                    rdd = advisor.before_collect(entry, rdd)
                 t0 = time.perf_counter()
                 rows = rdd.collect()
                 elapsed = time.perf_counter() - t0
-        if fingerprint is not None:
-            advisor.record_execution(fingerprint, elapsed, rows)
+        if entry is not None:
+            advisor.record_execution(entry, elapsed, rows)
         advisor.maybe_shed()
         return rows
 
     def cache_advisor_report(self) -> str:
-        """Human-readable advisor state: per-fingerprint scores, per-block
-        cost-model inputs, served-view recurrence, recent decisions."""
-        return self.context.advisor.report()
+        """Human-readable advisor state: per-fingerprint scores (collected
+        under ``Config.auto_cache``), per-block cost-model inputs, recent
+        decisions."""
+        return self.context.advisor.report(self.plan_cache.entries())
 
     # -- EXPLAIN ANALYZE -----------------------------------------------------------
 

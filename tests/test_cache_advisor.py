@@ -1,11 +1,11 @@
-"""Cost-based cache advisor (DESIGN.md §17): model, anti-thrash, decisions.
+"""Cost-based cache advisor (DESIGN.md §17): model, eviction order, decisions.
 
 Four layers under test:
 
 * the cost model — lineage depth, decayed recurrence, value density;
-* the ghost list and the memory manager's ``eviction_policy="cost"``;
+* the memory manager's ``eviction_policy="cost"`` and the spill-churn bound;
 * the auto-cache loop — admission, cached hits, epoch invalidation,
-  pressure-driven auto-evict, user-pin shedding — always differential
+  pressure-driven auto-evict, bounded statistics — always differential
   (advisor answers == plain answers);
 * the three-way benchmark property: under one fixed budget the advisor
   does no more memory work than always-cache and no more recompute work
@@ -14,12 +14,13 @@ Four layers under test:
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
+from repro.advisor.advisor import _PlanStats
 from repro.advisor.cost_model import DecayedCounter, Ewma, lineage_depth, value_density
-from repro.advisor.ghost import GhostList
 from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
@@ -138,77 +139,17 @@ class TestCostModel:
 
 
 # ---------------------------------------------------------------------------
-# Ghost list units
-# ---------------------------------------------------------------------------
-
-
-class TestGhostList:
-    def test_recently_shed_within_cooldown_only(self):
-        g = GhostList(capacity=8, cooldown=4)
-        g.record("a", tick=10)
-        assert g.recently_shed("a", 12)
-        assert g.recently_shed("a", 14)
-        assert not g.recently_shed("a", 15)  # cooldown expired
-        assert not g.recently_shed("b", 11)  # never shed
-
-    def test_capacity_bound_drops_oldest(self):
-        g = GhostList(capacity=2, cooldown=100)
-        g.record("a", 1)
-        g.record("b", 2)
-        g.record("c", 3)
-        assert len(g) == 2
-        assert "a" not in g
-        assert "b" in g and "c" in g
-
-    def test_capacity_zero_disables(self):
-        g = GhostList(capacity=0, cooldown=100)
-        g.record("a", 1)
-        assert len(g) == 0
-        assert not g.recently_shed("a", 1)
-
-    def test_forget_and_stats(self):
-        g = GhostList(capacity=4, cooldown=10)
-        g.record("a", 1)
-        assert g.recently_shed("a", 2)
-        g.forget("a")
-        assert not g.recently_shed("a", 2)
-        stats = g.stats()
-        assert stats["recorded"] == 1
-        assert stats["blocked"] == 1
-        assert stats["entries"] == 0
-
-    def test_rerecord_refreshes_tick(self):
-        g = GhostList(capacity=4, cooldown=2)
-        g.record("a", 1)
-        assert not g.recently_shed("a", 9)  # first shed long expired
-        g.record("a", 10)
-        assert g.recently_shed("a", 11)  # re-shed restarts the cooldown
-
-
-# ---------------------------------------------------------------------------
 # Config validation: every problem reported together
 # ---------------------------------------------------------------------------
 
 
 class TestConfigValidation:
     def test_advisor_knob_problems_reported_together(self):
-        cfg = Config(
-            advisor_score_threshold=-1.0,
-            advisor_ghost_size=-3,
-            advisor_ghost_cooldown=-1,
-            advisor_recurrence_decay=0.0,
-            advisor_shed_pressure=1.5,
-        )
+        cfg = Config(advisor_score_threshold=-1.0, advisor_shed_pressure=1.5)
         with pytest.raises(ValueError) as exc:
             cfg.validate()
         message = str(exc.value)
-        for fragment in (
-            "advisor_score_threshold",
-            "advisor_ghost_size",
-            "advisor_ghost_cooldown",
-            "advisor_recurrence_decay",
-            "advisor_shed_pressure",
-        ):
+        for fragment in ("advisor_score_threshold", "advisor_shed_pressure"):
             assert fragment in message
 
     def test_cost_policy_accepted(self):
@@ -255,39 +196,16 @@ class TestCostEvictionPolicy:
         ctx.executors["m0e0"].memory_manager._victim_order(protect=None)
         assert ctx.registry.gauge_value("cache_advisor_score", rdd=7) is not None
 
-    def test_ghost_readmission_protects_block(self):
-        session = make_session(
-            executor_memory_bytes=1 << 20, advisor_ghost_cooldown=50
-        )
-        ctx = session.context
-        mm = ctx.executors["m0e0"].memory_manager
-        bm = ctx.executors["m0e0"].block_manager
-        thrasher, other = (1, 0), (2, 0)
-        bm.put(thrasher, [b"a" * 1000])
-        bm.put(other, [b"b" * 1000])
-        bm.remove(thrasher)
-        mm.ghost.record(thrasher, mm._tick)  # as if just shed under pressure
-        bm.put(thrasher, [b"a" * 1000])  # re-admission within cooldown
-        assert ctx.registry.counter_total("memory_ghost_readmissions_total") == 1
-        order = mm._victim_order(protect=None)
-        assert order[-1] == thrasher  # deferred to last, never excluded
-        assert set(order) == {thrasher, other}
-
 
 # ---------------------------------------------------------------------------
 # Anti-thrash regression (the evict -> rebuild -> re-evict churn loop)
 # ---------------------------------------------------------------------------
 
 
-def churn_run(tmp_path, ghost_size: int):
+def churn_run(tmp_path, budget=120_000):
     """The fig06-shaped working-set-over-budget loop: index + repeated
-    probes under a budget about half the working set."""
-    session = make_session(
-        tmp_path=tmp_path,
-        executor_memory_bytes=120_000,
-        advisor_ghost_size=ghost_size,
-        advisor_ghost_cooldown=16,
-    )
+    probes under a budget about half the working set (0 = unbounded)."""
+    session = make_session(tmp_path=tmp_path, executor_memory_bytes=budget)
     df = session.create_dataframe(make_rows(1500, seed=3), SCHEMA, "big")
     idf = df.create_index("k", num_partitions=8).cache_index()
     rows = []
@@ -302,16 +220,14 @@ def churn_run(tmp_path, ghost_size: int):
 
 
 class TestAntiThrash:
-    def test_ghost_bounds_spill_churn(self, tmp_path):
-        rows_ghost, with_ghost = churn_run(tmp_path / "g", ghost_size=64)
-        rows_plain, without = churn_run(tmp_path / "p", ghost_size=0)
-        assert rows_ghost == rows_plain  # differential: same answers
-        # The regression gate: the ghost cooldown must not *increase* churn,
-        # and the repeated-probe loop must stay well under the 24-spill
-        # storm PR 4 measured for this working-set/budget shape.
-        assert with_ghost["spills"] <= without["spills"]
-        assert with_ghost["spills"] < 24
-        assert with_ghost["evictions"] <= without["evictions"] + 1
+    def test_spill_churn_bounded(self, tmp_path):
+        rows, counts = churn_run(tmp_path / "b")
+        unbounded_rows, unbounded = churn_run(tmp_path / "u", budget=0)
+        assert rows == unbounded_rows  # differential: same answers
+        assert unbounded["spills"] == 0
+        # The regression gate: the repeated-probe loop must stay well under
+        # the 24-spill storm PR 4 measured for this working-set/budget shape.
+        assert 0 < counts["spills"] < 24
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +266,9 @@ class TestAutoCache:
         reg = session.context.registry
         assert reg.counter_total("cache_advisor_decisions_total") == 0
         assert reg.counter_total("cache_advisor_hits_total") == 0
-        # Passive collection still ran: the report knows the fingerprint.
-        assert "sum(v)" in session.cache_advisor_report()
+        # Nothing reads per-query statistics with auto_cache off, so none
+        # are collected: the report has no row for the fingerprint.
+        assert "sum(v)" not in session.cache_advisor_report()
 
     def test_epoch_invalidation_never_serves_stale_rows(self):
         session = make_session(auto_cache=True, advisor_score_threshold=0.0)
@@ -396,37 +313,26 @@ class TestAutoCache:
         kinds = {e.kind for e in session.context.metrics.recovery_events}
         assert "advisor_auto_evict" in kinds
 
-    def test_ghost_blocks_immediate_readmission(self, tmp_path):
+    def test_shed_only_touches_what_the_advisor_persisted(self):
         session = make_session(
-            tmp_path=tmp_path,
             auto_cache=True,
             advisor_score_threshold=0.0,
-            advisor_shed_pressure=0.0,
-            advisor_ghost_cooldown=1000,
-            executor_memory_bytes=400_000,
+            advisor_shed_pressure=0.0,  # shed at every query boundary
+            executor_memory_bytes=1 << 22,
         )
-        first = rows_of(session, HOT)
-        assert rows_of(session, HOT) == first  # cached...
-        assert rows_of(session, HOT) == first  # ...then shed, then blocked
+        pinned = session.create_dataframe(make_rows(300, seed=7), SCHEMA, "pinned").cache()
+        baseline = sorted(pinned.collect_tuples())
+        # Enough advisor ticks for the pin's access counter to decay to ~0:
+        # however cold, a user's .cache() is not the advisor's to revoke.
+        for _ in range(60):
+            rows_of(session, "SELECT COUNT(*) AS n FROM t")
         decisions = session.context.registry.counter_by_label(
             "cache_advisor_decisions_total", "action"
         )
-        assert decisions.get("readmit_blocked", 0) >= 1
-
-    def test_cold_user_pin_auto_unpinned_under_pressure(self):
-        session = make_session(
-            auto_cache=True, advisor_shed_pressure=0.0, executor_memory_bytes=1 << 22
-        )
-        df = session.create_dataframe(make_rows(300, seed=7), SCHEMA, "pinned")
-        pinned = df.cache()
-        baseline = sorted(pinned.collect_tuples())
-        # Burn enough advisor ticks for the pin's access counter (one bump
-        # per partition at materialization) to decay below the cold bar.
-        for _ in range(60):
-            rows_of(session, "SELECT COUNT(*) AS n FROM t")
-        events = {e.kind for e in session.context.metrics.recovery_events}
-        assert "advisor_auto_unpin" in events
-        assert sorted(pinned.collect_tuples()) == baseline  # rebuilt from lineage
+        assert decisions.get("auto_evict", 0) >= 1  # its own results were shed
+        misses_before = session.context.registry.counter_total("cache_misses_total")
+        assert sorted(pinned.collect_tuples()) == baseline
+        assert session.context.registry.counter_total("cache_misses_total") == misses_before
 
     def test_spans_and_report(self):
         session = make_session(
@@ -439,6 +345,45 @@ class TestAutoCache:
         assert any(s.kind == "advisor" for s in tracer.finished_spans())
         report = session.cache_advisor_report()
         assert "auto_cached" in report and "auto_cache" in report
+
+
+# ---------------------------------------------------------------------------
+# Statistics live as long as what they describe
+# ---------------------------------------------------------------------------
+
+
+def live_plan_stats() -> int:
+    gc.collect()
+    return sum(isinstance(o, _PlanStats) for o in gc.get_objects())
+
+
+class TestBoundedState:
+    @pytest.mark.parametrize("auto_cache", [False, True])
+    def test_plan_statistics_live_and_die_with_plan_cache_entries(self, auto_cache):
+        before = live_plan_stats()
+        session = make_session(auto_cache=auto_cache, advisor_score_threshold=10_000.0)
+        capacity = session.context.config.plan_cache_capacity
+        for i in range(1000):
+            df = session.sql(f"SELECT * FROM t WHERE k = {i}")
+            if i % 100 == 0:
+                df.collect_tuples()
+        assert len(session.plan_cache) == capacity
+        # Collected only for their one reader, and evicted with their entry.
+        assert live_plan_stats() - before == (capacity if auto_cache else 0)
+
+    def test_per_rdd_state_is_forgotten_with_the_rdd(self):
+        session = make_session(auto_cache=True, advisor_score_threshold=0.0)
+        ctx, advisor = session.context, session.context.advisor
+        for _ in range(3):
+            rows_of(session, HOT)  # admitted and computed, then two hits
+        (cached,) = advisor._auto.values()
+        rdd_id = cached.rdd.rdd_id
+        # "t" is an uncached relation: the result is the one cached RDD.
+        assert set(advisor._rdds) == set(advisor._depth_cache) == {rdd_id}
+        assert set(ctx.lineage_ref_counts()) == {rdd_id}
+        advisor._drop_rdd(cached.rdd)
+        assert not advisor._rdds and not advisor._depth_cache
+        assert not ctx.lineage_ref_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -550,69 +495,3 @@ def test_advisor_is_answer_invariant_under_chaos(mode, tmp_path):
         if rows_of(advised, text) != want:  # post-storm re-ask
             mismatches.append(seed)
     assert mismatches == [], f"advisor changed answers for seeds {mismatches} ({mode})"
-
-
-# ---------------------------------------------------------------------------
-# Serve-tier integration
-# ---------------------------------------------------------------------------
-
-
-class TestServeIntegration:
-    def _server(self, **cfg_overrides):
-        from repro.serve.server import QueryServer, ServeConfig
-
-        from .conftest import USER_SCHEMA, make_users
-
-        config = Config(
-            default_parallelism=4,
-            shuffle_partitions=4,
-            row_batch_size=4096,
-            **cfg_overrides,
-        )
-        session = Session(context=EngineContext(config=config))
-        df = session.create_dataframe(make_users(120), USER_SCHEMA, name="users")
-        idf = df.create_index("uid")
-        server = QueryServer(session, ServeConfig(num_workers=1))
-        server.publish("users", idf)
-        return session, idf, server
-
-    def test_fastpath_hits_feed_recurrence(self):
-        session, _, server = self._server()
-        with server:
-            for uid in (1, 2, 3, 1, 2, 1):
-                server.query(f"SELECT * FROM users WHERE uid = {uid}")
-        assert session.context.advisor.serve_recurrence("users") >= 3.0
-
-    def test_cold_pin_dropped_under_pressure_still_answers(self):
-        session, idf, server = self._server(auto_cache=True, advisor_shed_pressure=0.0)
-        with server:
-            # "users" has zero fast-path recurrence -> cold. Publishing a
-            # second view under (forced) pressure sheds the cold pin.
-            from .conftest import USER_SCHEMA, make_users
-
-            other = session.create_dataframe(
-                make_users(50), USER_SCHEMA, name="other"
-            ).create_index("uid")
-            server.publish("other", other)
-            assert "users" not in server.views()
-            assert "other" in server.views()
-            result = server.query("SELECT * FROM users WHERE uid = 7")
-            assert result.path == "general"  # unpinned -> general path
-            assert sorted(result.rows) == sorted(
-                session.sql("SELECT * FROM users WHERE uid = 7").collect_tuples()
-            )
-        events = {e.kind for e in session.context.metrics.recovery_events}
-        assert "advisor_serve_unpin" in events
-
-    def test_hot_pin_survives_pressure(self):
-        session, idf, server = self._server(auto_cache=True, advisor_shed_pressure=0.0)
-        with server:
-            from .conftest import USER_SCHEMA, make_users
-
-            for uid in (1, 2, 3, 4, 5):
-                server.query(f"SELECT * FROM users WHERE uid = {uid}")
-            other = session.create_dataframe(
-                make_users(50), USER_SCHEMA, name="other"
-            ).create_index("uid")
-            server.publish("other", other)
-            assert "users" in server.views()  # hot: recurrence kept the pin

@@ -1,9 +1,13 @@
 """Cluster substrate: topology presets, network/NUMA models, metrics, faults."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cluster.faults import FaultInjector
-from repro.cluster.metrics import MetricsCollector, TaskMetrics
+from repro.cluster.metrics import RECOVERY_EVENT_KINDS, MetricsCollector, TaskMetrics
 from repro.cluster.network import NetworkModel, ethernet_10g, infiniband_fdr
 from repro.cluster.numa import NUMAModel
 from repro.cluster.topology import (
@@ -200,6 +204,24 @@ class TestMetricsCollector:
         mc.reset()
         assert mc.registry.counter_value("tasks_completed_total") == 0
         assert mc.recovery_summary() == {}
+
+    def test_recovery_kind_taxonomy_is_what_the_code_records(self):
+        """``RECOVERY_EVENT_KINDS`` equals the set of string literals ``src/``
+        passes to ``record_recovery`` — a kind cannot be added or deleted on
+        one side only (the sibling of the ``Config`` honesty test)."""
+        recorded: set[str] = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record_recovery"
+                ):
+                    kind = node.args[0]
+                    assert isinstance(kind, ast.Constant), f"{path}:{node.lineno}"
+                    recorded.add(kind.value)
+        assert len(RECOVERY_EVENT_KINDS) == len(set(RECOVERY_EVENT_KINDS))
+        assert recorded == set(RECOVERY_EVENT_KINDS)
 
 
 class TestFaultInjector:

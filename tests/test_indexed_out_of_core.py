@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.indexed.out_of_core import (
-    SpillableRowBatch,
-    fault_count,
-    resident_bytes,
-    spill_partition,
-)
+from repro.indexed.out_of_core import SpillableRowBatch, spill_partition
 from repro.indexed.partition import IndexedPartition
 from repro.sql.types import DOUBLE, LONG, Schema
 
@@ -84,7 +79,7 @@ class TestSpillPartition:
         assert freed > 0
         for k in range(25):
             assert p.lookup(k) == reference[k]
-        assert fault_count(p) > 0  # cold batches were faulted in
+        assert p.spill_faults() > 0  # cold batches were faulted in
 
     def test_keep_tail_leaves_appends_working(self, tmp_path):
         p = self._partition()
@@ -94,10 +89,10 @@ class TestSpillPartition:
 
     def test_resident_bytes_shrink(self, tmp_path):
         p = self._partition()
-        before = resident_bytes(p)
+        before = p.resident_batch_bytes()
         spill_partition(p, spill_dir=str(tmp_path))
         # Lookups not yet run: only the tail is resident.
-        assert resident_bytes(p) < before
+        assert p.resident_batch_bytes() < before
 
     def test_iter_rows_after_spill(self, tmp_path):
         p = self._partition(200)

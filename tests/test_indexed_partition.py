@@ -367,7 +367,7 @@ class TestScanColumns:
         assert rows_of(before) == [(r[0], r[2]) for r in rows]  # the old views too
 
     def test_spilled_batches_fault_in_and_no_view_outlives_the_caller(self, tmp_path):
-        from repro.indexed.out_of_core import fault_count, spill_partition
+        from repro.indexed.out_of_core import spill_partition
 
         p = make_partition(WIDE_SCHEMA, "k", batch_size=512)
         rows = wide_rows(120)
@@ -375,7 +375,7 @@ class TestScanColumns:
         spill_partition(p, spill_dir=str(tmp_path), keep_tail=False)
         assert not any(b.resident for b in p.batches)
         batches = p.scan_columns(["k", "i"])
-        assert fault_count(p) == len(p.batches)
+        assert p.spill_faults() == len(p.batches)
         assert rows_of(batches) == [(r[0], r[1]) for r in rows]
         buffers = [b.buf for b in p.batches]
         assert all(exported(buf) for buf in buffers)

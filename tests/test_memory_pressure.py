@@ -4,8 +4,8 @@ The subsystem under test (DESIGN.md §10):
 
 * metering — every stored block deep-sized, MVCC-shared structure once;
 * tier 1 (spill) — sealed row batches move to disk before anything is lost;
-* tier 2 (evict) — whole blocks dropped LRU / reference-distance, rebuilt
-  from lineage on the next request;
+* tier 2 (evict) — whole blocks dropped LRU (or lowest cost-model value
+  first), rebuilt from lineage on the next request;
 * backpressure — a put that cannot fit raises a retryable
   :class:`MemoryPressureError`, surfaced as an ordinary task failure;
 * chaos — seeded memory squeezes force spill storms mid-run.
@@ -132,23 +132,6 @@ class TestMetering:
         assert bm.get((2, 0)) is None  # evicted
         assert bm.get((3, 0)) is not None
 
-    def test_reference_distance_prefers_unreferenced(self, tmp_path):
-        s = make_session(
-            tmp_path=tmp_path,
-            executor_memory_bytes=10_000,
-            eviction_policy="reference_distance",
-        )
-        ctx = s.context
-        bm = ctx.executors["m0e0"].block_manager
-        bm.put((1, 0), [b"a" * 4000])
-        bm.put((2, 0), [b"b" * 4000])
-        # RDD 1 is heavily referenced by job lineage; RDD 2 never.
-        with ctx._lock:
-            ctx._lineage_refs[1] = 5
-        bm.put((3, 0), [b"c" * 4000])
-        assert bm.get((1, 0)) is not None  # kept despite being LRU-coldest
-        assert bm.get((2, 0)) is None
-
     def test_unknown_policy_rejected(self):
         ctx = make_session().context
         ctx.config.eviction_policy = "fifo"
@@ -234,6 +217,42 @@ class TestTieredShedding:
         ) + sum(st["index_bytes"] for st in stats)
         assert collected(idf) == baseline
         assert sum(st["spill_faults"] for st in idf.memory_stats()) > 0
+
+    @pytest.mark.parametrize(
+        "how, budget",
+        [
+            ("reactive", 120_000),  # spills only; spilled blocks are re-read
+            ("reactive", 50_000),  # spills, evictions and lineage rebuilds
+            ("spill_index", 64 << 20),  # never sheds on its own
+        ],
+    )
+    def test_faulted_back_bytes_are_what_the_batches_loaded(
+        self, how, budget, tmp_path, monkeypatch, baseline_rows, baseline
+    ):
+        """One meter: ``memory_faulted_back_bytes_total`` equals
+        sum(faults x capacity) over every batch a metered executor spilled
+        — evicted ones included — whichever path spilled them."""
+        from repro.indexed.out_of_core import SpillableRowBatch
+
+        made: list[SpillableRowBatch] = []
+        from_batch = SpillableRowBatch.from_batch.__func__
+
+        def tracking(cls, batch, spill_dir=None):
+            made.append(from_batch(cls, batch, spill_dir=spill_dir))
+            return made[-1]
+
+        monkeypatch.setattr(SpillableRowBatch, "from_batch", classmethod(tracking))
+        s = make_session("sequential", tmp_path, executor_memory_bytes=budget)
+        idf = cached_index(s, baseline_rows)
+        reg = s.context.registry
+        if how == "spill_index":
+            assert reg.counter_total("memory_spills_total") == 0
+            assert idf.spill_index() > 0
+        for _ in range(3):
+            assert collected(idf) == baseline
+        loaded = sum(b.faults * b.capacity for b in made)
+        assert loaded > 0
+        assert reg.counter_total("memory_faulted_back_bytes_total") == loaded
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,19 @@ class TestConfig:
         assert other.row_batch_size == KB
         assert cfg.row_batch_size != KB
 
-    def test_extra_settings(self):
-        cfg = Config(extra={"flag": True})
-        assert cfg.get("flag") is True
-        assert cfg.get("missing", 7) == 7
+    def test_removed_knobs_fail_by_name(self):
+        """Options deleted after measuring (DESIGN.md §10, §17) are refused,
+        not silently ignored — as is the deleted eviction order."""
+        for name in (
+            "advisor_ghost_size",
+            "advisor_ghost_cooldown",
+            "advisor_recurrence_decay",
+            "extra",
+        ):
+            with pytest.raises(TypeError, match=name):
+                Config(**{name: 1})
+        with pytest.raises(ValueError, match="eviction_policy.*reference_distance"):
+            Config(eviction_policy="reference_distance").validate()
 
     @pytest.mark.parametrize("cls", [Config, ServeConfig, RouterConfig, ShardConfig])
     def test_every_field_is_read_by_the_program(self, cls):
@@ -105,9 +114,4 @@ class TestConfig:
                     if isinstance(n.value, ast.Attribute):
                         loaded.add(f"{n.value.attr}.{n.attr}")
         names = {f.name for f in dataclasses.fields(cls)}
-        if cls is Config:
-            # ``extra`` is reached through ``Config.get`` (declared inside the
-            # dataclass), so it is the callers of ``config.get`` that read it.
-            names.remove("extra")
-            names.add("config.get")
         assert sorted(names - loaded) == []
