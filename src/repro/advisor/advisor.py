@@ -79,14 +79,13 @@ class _AutoCached:
     """One auto-materialized query result: the persisted RDD, its epoch and
     the statistics of the plan-cache entry that admitted it."""
 
-    __slots__ = ("epoch", "fingerprint", "hits", "rdd", "stats")
+    __slots__ = ("epoch", "fingerprint", "rdd", "stats")
 
     def __init__(self, fingerprint: str, rdd: "RDD", epoch: int, stats: _PlanStats) -> None:
         self.fingerprint = fingerprint
         self.rdd = rdd
         self.epoch = epoch
         self.stats = stats
-        self.hits = 0
 
 
 def _estimate_row_bytes(rows: list, sample: int = 64) -> int:
@@ -256,8 +255,6 @@ class CacheAdvisor:
                 return None
             if cached.epoch != entry.epoch:
                 stale = self._auto.pop(entry.text)
-            else:
-                cached.hits += 1
         if stale is not None:
             self._drop_rdd(stale.rdd)
             return None
@@ -318,15 +315,14 @@ class CacheAdvisor:
         with self._lock:
             if self._auto:
                 scored = sorted(
-                    self._auto.values(), key=lambda e: self._plan_score_locked(e.stats)
+                    ((self._plan_score_locked(e.stats), e) for e in self._auto.values()),
+                    key=lambda pair: pair[0],
                 )
                 # Shed cold entries (score below threshold); always at least
                 # the single lowest-value one so pressure monotonically eases.
                 victims = [
-                    e
-                    for e in scored
-                    if self._plan_score_locked(e.stats) < self.score_threshold
-                ] or scored[:1]
+                    e for score, e in scored if score < self.score_threshold
+                ] or [scored[0][1]]
                 for entry in victims:
                     del self._auto[entry.fingerprint]
         # Act outside the advisor lock: unpersist + invalidate take

@@ -119,9 +119,10 @@ class Config:
     #: the row-based half of the heuristic.
     small_stage_inline_rows: int = 128
     index_string_keys_as_hash: bool = True
-    #: Pending keys accumulated before a partition's ordered secondary index
-    #: (DESIGN.md §15) folds them into a fresh immutable base array
-    #: (snapshot cost is O(pending)).
+    #: Distinct keys a partition's index holds in its cTrie delta before
+    #: sealing them into a fresh immutable array base (DESIGN.md §15): a
+    #: batch that brings the delta to this many goes straight to a new base.
+    #: 0 never seals — the paper's cTrie-only index.
     ordered_index_compact_threshold: int = 512
     #: Seconds of backoff before a task's first retry; doubles per attempt.
     task_retry_backoff: float = 0.005
@@ -270,6 +271,12 @@ class Config:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or value < 0:
                 problems.append(f"{name} must be >= 0, got {value!r}")
+        threshold = self.ordered_index_compact_threshold
+        if not isinstance(threshold, int) or threshold < 0:
+            problems.append(
+                "ordered_index_compact_threshold must be an int >= 0 "
+                f"(0 never seals), got {threshold!r}"
+            )
         if problems:
             raise ValueError("invalid Config: " + "; ".join(problems))
         return self

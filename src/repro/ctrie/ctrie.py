@@ -65,7 +65,6 @@ class CTrie:
             _root = INode(CNode(0, (), gen), gen)
         self._root: AtomicReference[Any] = AtomicReference(_root)
         self.read_only = _read_only
-        self._size = None  # lazily computed for read-only tries
 
     # ------------------------------------------------------------------ RDCSS
 

@@ -30,10 +30,11 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 #: Gen-1 passes between full garbage collections (CPython's default: 10). A
-#: cached index is >= 10^5 long-lived node objects and every full pass walks
-#: all of them (~100 ms at 100 k rows) to find nothing: at the default, a
-#: scan that materialises 10^5 result tuples spends over half its wall time
-#: there. Process-wide, like the integrity switch. DESIGN.md §8.
+#: scan that materialises 10^5 result tuples triggers a full pass every few
+#: queries, each walking every long-lived object to find nothing. The index
+#: is no longer most of those (sealed into arrays, DESIGN.md §15), but the
+#: on/off row still reads 5 % of `analytic_scan` throughput: DESIGN.md §8.
+#: Process-wide, like the integrity switch.
 FULL_GC_EVERY = 30
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
+from repro.indexed.ordered_index import KeyRange
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.row_batch import RowBatch
 
@@ -59,11 +60,9 @@ class CopyOnWriteVersioning:
             batch_size=parent.batch_size,
             max_row_size=parent.codec.max_row_size,
             version=version,
-            hash_string_keys=parent.hash_string_keys,
+            hash_string_keys=parent.hashed,
+            ordered_compact_threshold=parent.ordered.seal_threshold,
         )
-        # The ordered index stores actual key values, which cannot be
-        # recovered from the (possibly hashed) cTrie keys — copy it.
-        child.ordered = parent.ordered.copy()
         # Deep-copy the batches byte for byte...
         child.batches = []
         for batch in parent.batches:
@@ -72,10 +71,12 @@ class CopyOnWriteVersioning:
             clone.buf[:used] = batch.buf[:used]
             assert clone.reserve(used) == 0
             child.batches.append(clone)
-        # ...and rebuild the cTrie against the copied storage (pointers keep
-        # their (batch, offset) meaning because the layout is identical).
-        for key, pointer in parent.ctrie.items():
-            child.ctrie.insert(key, pointer)
+        # ...and rebuild the index against the copied storage, as one batch
+        # (pointers keep their (batch, offset) meaning because the layout is
+        # identical): new arrays, or a trie of its own under the threshold.
+        child.ordered.publish(
+            dict(parent.ordered.items()), parent.ordered.range_keys(KeyRange())
+        )
         child.row_count = parent.row_count
         child.data_bytes = parent.data_bytes
         # The byte-identical copy preserves the parent's sequential-scan

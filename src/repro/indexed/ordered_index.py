@@ -1,47 +1,37 @@
-"""Ordered secondary index over a partition's distinct keys (DESIGN.md §15).
+"""A partition version's index: a sealed array base under a cTrie delta
+(DESIGN.md §15), and the :class:`KeyRange` predicate its ordered reads take.
 
-The cTrie answers point ``=``/``IN`` lookups in O(1) but keeps keys in hash
-order, so ``BETWEEN`` / ``<`` / ``>`` / prefix predicates previously fell
-back to full scans. This module adds the ordered half: a per-partition
-sorted structure over the *distinct key values* (the actual column values,
-never the 32-bit string hashes — those destroy order), from which a range
-scan enumerates candidate keys and then reuses the existing cTrie +
-backward-pointer chains for the rows. The Cuckoo Trie paper (PAPERS.md) is
-the design reference for a fast ordered DRAM index; in this Python
-reproduction we get the same asymptotics from a two-level sorted array:
+* ``base`` — an immutable :class:`SealedBase`: parallel numpy arrays ``keys``
+  (sorted *trie* keys — the key value, or ``hash32`` of a hashed string,
+  because backward-pointer chains are threaded by trie key), ``heads`` (the
+  packed pointer of each key's newest row) and ``ordered`` (the sorted key
+  *values* a range scan enumerates: ``keys`` itself unless those are hashes,
+  which destroy order), all ``writeable=False``. A seal builds **new**
+  arrays, never in place, so MVCC snapshots holding the old ones are unaffected.
+* ``delta`` — the paper's cTrie, holding only the heads written since the
+  last seal; ``fresh`` is the persistent (cons-cell) list of the key values
+  first written since then, so an ordered read need not walk the trie.
 
-* ``_base`` — an immutable sorted list. Never mutated in place; compaction
-  builds a **new** list, so every MVCC snapshot holding the old one is
-  unaffected (the same replace-don't-mutate discipline as the cTrie's
-  copy-on-write nodes).
-* ``_pending`` — a small unsorted overflow of recently added keys, merged
-  into a fresh ``_base`` once it exceeds ``compact_threshold``.
+A batch is published once: into the delta while that stays under
+``seal_threshold`` distinct keys, else straight into a new base (0 never
+seals: the paper's cTrie-only index). :meth:`OrderedIndex.snapshot` is O(1).
 
-This makes :meth:`OrderedIndex.snapshot` O(pending): the child shares the
-base array and copies only the pending tail — mirroring the O(1) cTrie
-snapshot that makes MVCC republishes cheap.
-
-Visibility is *not* this structure's job: versions only ever add keys, so a
-version's ordered index is exactly the distinct keys inserted along its
-lineage. Range scans probe each candidate key through the partition's own
-per-version cTrie (``lookup``), which filters both invisible keys and
-string-hash collisions. A superset key set (e.g. after a racy read that
-sees a freshly compacted base *and* the old pending list) is therefore
-harmless — duplicates are removed during the merge and phantom keys probe
-to empty chains.
-
-Concurrency: published versions are immutable, so the only concurrent
-reader/writer pair is an in-flight build vs. an eager reader. The reader
-protocol (read ``_pending`` *before* ``_base``) combined with the writer
-protocol (install the new base *before* swapping in the empty pending
-list, both by assignment) guarantees no key is ever lost — at worst a key
-is seen twice and deduplicated.
+Concurrency: published versions are immutable, so the only concurrent pair
+is an in-flight build and an eager reader of the same version. A seal
+installs the new base *before* the empty delta and readers read ``delta`` /
+``fresh`` *before* ``base`` (plain assignments), so a reader sees every key
+published before it started — through the old delta, the new base, or both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterator
+import copy
+from typing import Any, Iterable, Iterator, NamedTuple
+
+import numpy as np
+
+from repro.ctrie import CTrie
+from repro.indexed.pointers import NULL_POINTER
 
 
 class KeyRange:
@@ -145,124 +135,168 @@ class KeyRange:
         return f"KeyRange({self.describe()})"
 
 
-def _merge_sorted_distinct(a: list, b: list) -> list:
-    """Merge two sorted lists into a new sorted list, dropping duplicates."""
-    out: list = []
-    append = out.append
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x < y:
-            append(x)
-            i += 1
-        elif y < x:
-            append(y)
-            j += 1
-        else:
-            append(x)
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return out
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class SealedBase(NamedTuple):
+    """The immutable tier of an index; shared by every version since its seal."""
+
+    keys: np.ndarray
+    heads: np.ndarray
+    ordered: np.ndarray
 
 
 class OrderedIndex:
-    """Two-level sorted set of a partition's distinct key values."""
+    """trie key -> newest-row pointer, and the distinct key values in order."""
 
-    __slots__ = ("compact_threshold", "_base", "_pending", "_pending_set")
+    __slots__ = ("base", "delta", "delta_writes", "fresh", "fresh_len", "hashed", "seal_threshold")
 
-    def __init__(self, compact_threshold: int = 512) -> None:
-        self.compact_threshold = compact_threshold
-        self._base: list = []
-        self._pending: list = []
-        self._pending_set: set = set()
+    def __init__(self, key_dtype: Any = np.int64, hashed: bool = False, seal_threshold: int = 512):
+        self.hashed = hashed
+        self.seal_threshold = seal_threshold
+        keys = _frozen(np.empty(0, np.int64 if hashed else key_dtype))
+        ordered = _frozen(np.empty(0, object)) if hashed else keys
+        self.base = SealedBase(keys, _frozen(np.empty(0, np.uint64)), ordered)
+        self.delta = CTrie()
+        #: Distinct keys written per batch since the last seal, summed: an
+        #: upper bound on ``len(delta)`` that costs no trie walk.
+        self.delta_writes = 0
+        self.fresh: "tuple | None" = None
+        self.fresh_len = 0
 
     def __len__(self) -> int:
-        return len(self._base) + len(self._pending)
+        """Distinct key values, O(1)."""
+        return len(self.base.ordered) + self.fresh_len
 
-    def __contains__(self, key: Any) -> bool:
-        if key in self._pending_set:
-            return True
-        base = self._base
-        i = bisect_left(base, key)
-        return i < len(base) and base[i] == key
+    # -- point reads -------------------------------------------------------------------
 
-    def add(self, key: Any) -> None:
-        """Record a key (idempotent). Amortized O(log n) via the pending tier."""
-        if key in self._pending_set:
+    def head(self, trie_key: Any) -> int:
+        """Pointer to the newest row under ``trie_key``, or ``NULL_POINTER``."""
+        delta = self.delta
+        if self.delta_writes:
+            pointer = delta.lookup(trie_key, NULL_POINTER)
+            if pointer != NULL_POINTER:
+                return pointer
+        keys, heads, _ = self.base
+        try:
+            i = int(keys.searchsorted(trie_key))
+            if i < len(keys) and keys[i] == trie_key:
+                return int(heads[i])
+        except (TypeError, ValueError):
+            pass  # None, a tuple: a probe no stored key can equal
+        return NULL_POINTER
+
+    def heads(self, trie_keys: Iterable[Any]) -> dict[Any, int]:
+        """:meth:`head` of every distinct key: delta probes (if it was
+        written), then one ``searchsorted`` of the base for the rest — key by
+        key for object (string) keys and for a probe without the keys' dtype
+        (None, mixed or foreign types, which numpy would compare as text)."""
+        out = dict.fromkeys(trie_keys, NULL_POINTER)
+        delta = self.delta
+        missed = list(out)
+        if self.delta_writes:
+            lookup = delta.lookup
+            for key in missed:
+                out[key] = lookup(key, NULL_POINTER)
+            missed = [key for key in missed if out[key] == NULL_POINTER]
+        keys, heads, _ = self.base
+        if not missed or not len(keys):
+            return out
+        wanted = None if keys.dtype == object else np.asarray(missed)
+        if wanted is None or wanted.dtype != keys.dtype or wanted.ndim != 1:
+            found = [self.head(key) for key in missed]
+        else:
+            pos = keys.searchsorted(wanted)
+            pos[pos == len(keys)] = 0
+            found = np.where(keys[pos] == wanted, heads[pos], np.uint64(NULL_POINTER)).tolist()
+        out.update(zip(missed, found))
+        return out
+
+    def items(self) -> Iterator[tuple[Any, int]]:
+        """Every ``(trie key, head)``, each key once (the delta wins)."""
+        delta = dict(self.delta.items()) if self.delta_writes else {}
+        keys, heads, _ = self.base
+        yield from delta.items()
+        for key, pointer in zip(keys.tolist(), heads.tolist()):
+            if key not in delta:
+                yield key, pointer
+
+    # -- writes --------------------------------------------------------------------------
+
+    def publish(self, heads: dict[Any, int], new_keys: list) -> None:
+        """Make one batch visible: its new chain head per trie key written,
+        and the key values no earlier row carried."""
+        if self.seal_threshold and self.delta_writes + len(heads) >= self.seal_threshold:
+            self._seal(heads, new_keys)
             return
-        base = self._base
-        i = bisect_left(base, key)
-        if i < len(base) and base[i] == key:
-            return
-        self._pending.append(key)
-        self._pending_set.add(key)
-        if len(self._pending) >= self.compact_threshold:
-            self._compact()
+        insert = self.delta.insert
+        for key, pointer in heads.items():
+            insert(key, pointer)
+        self.delta_writes += len(heads)
+        if new_keys:
+            self.fresh = (new_keys, self.fresh)
+            self.fresh_len += len(new_keys)
 
-    def _compact(self) -> None:
-        """Fold pending keys into a *new* base list (old base stays live for
-        any snapshot sharing it). Writer order: install the merged base
-        first, then swap in the fresh pending list — see module docstring."""
-        merged = _merge_sorted_distinct(self._base, sorted(self._pending))
-        self._base = merged
-        self._pending = []
-        self._pending_set = set()
+    def _seal(self, heads: dict[Any, int], new_keys: list) -> None:
+        """Fold delta and batch into a new base: ``concatenate`` with the
+        updates first, then ``unique`` — a stable sort that keeps the first of
+        equal keys, so the newest head replaces the base entry under it."""
+        base = self.base
+        updates = dict(self.delta.items()) if self.delta_writes else {}
+        updates.update(heads)
+        n = len(updates)
+        keys = np.concatenate([np.fromiter(updates, base.keys.dtype, n), base.keys])
+        ptrs = np.concatenate([np.fromiter(updates.values(), np.uint64, n), base.heads])
+        keys, first = np.unique(keys, return_index=True)
+        _frozen(keys)
+        if self.hashed:
+            fresh = [*self._fresh_keys(), *new_keys]  # none is in base.ordered, none repeats
+            ordered = np.concatenate([np.fromiter(fresh, object, len(fresh)), base.ordered])
+            ordered = _frozen(np.sort(ordered, kind="stable"))
+        else:
+            ordered = keys
+        self.base = SealedBase(keys, _frozen(ptrs[first]), ordered)  # base first
+        self.delta = CTrie()
+        self.delta_writes = 0
+        self.fresh = None
+        self.fresh_len = 0
+
+    def _fresh_keys(self) -> Iterator[Any]:
+        node = self.fresh
+        while node is not None:
+            chunk, node = node
+            yield from chunk
 
     # -- ordered reads -----------------------------------------------------------------
 
     def range_keys(self, krange: KeyRange) -> list:
-        """Distinct keys inside ``krange``, in ascending order.
-
-        Seeks into the sorted base with bisect, walks forward until the
-        upper bound (or prefix mismatch — prefix-sharing keys are
-        contiguous), then merges in the filtered pending tier.
-        """
+        """Distinct key values inside ``krange``, ascending: the base between
+        two ``searchsorted`` bounds (a prefix walks forward from its seek —
+        prefix-sharing keys are contiguous) overlaid with the ``fresh`` keys."""
         if krange.is_empty():
             return []
-        # Reader order: pending before base (see module docstring).
-        pending = self._pending
-        base = self._base
-        matches = krange.matches
-        lo = krange.lo
-        if lo is None:
-            i = 0
-        elif krange.lo_inclusive:
-            i = bisect_left(base, lo)
+        extra = [key for key in self._fresh_keys() if krange.matches(key)]
+        ordered = self.base.ordered
+        lo, hi = krange.lo, krange.hi
+        if ordered.dtype != object and not all(
+            isinstance(bound, (int, float)) for bound in (lo, hi) if bound is not None
+        ):  # numpy would compare them as text
+            raise TypeError(f"range {krange.describe()} does not compare with {ordered.dtype} keys")
+        i = j = 0 if lo is None else ordered.searchsorted(lo, "left" if krange.lo_inclusive else "right")
+        if krange.prefix is not None:
+            while j < len(ordered) and krange.matches(ordered[j]):
+                j += 1
+        elif hi is None:
+            j = len(ordered)
         else:
-            i = bisect_right(base, lo)
-        prefix = krange.prefix
-        hi = krange.hi
-        hi_inclusive = krange.hi_inclusive
-        out: list = []
-        append = out.append
-        n = len(base)
-        while i < n:
-            key = base[i]
-            if prefix is not None:
-                if not (isinstance(key, str) and key.startswith(prefix)):
-                    break
-            elif hi is not None and (key > hi or (key == hi and not hi_inclusive)):
-                break
-            append(key)
-            i += 1
-        extra = sorted(k for k in pending if matches(k))
+            j = ordered.searchsorted(hi, "right" if krange.hi_inclusive else "left")
+        out = ordered[i:j].tolist()
         if extra:
-            out = _merge_sorted_distinct(out, extra)
+            out.extend(extra)
+            out.sort()
         return out
-
-    def iter_keys(self) -> Iterator[Any]:
-        """All distinct keys in ascending order."""
-        if not self._pending:
-            return iter(self._base)
-        merged = list(self._base)
-        for key in sorted(self._pending_set):
-            insort(merged, key)
-        return iter(merged)
 
     def min_key(self) -> Any:
         keys = self.range_keys(KeyRange())
@@ -275,22 +309,7 @@ class OrderedIndex:
     # -- MVCC --------------------------------------------------------------------------
 
     def snapshot(self) -> "OrderedIndex":
-        """O(pending) child: shares the immutable base, copies the tail."""
-        child = object.__new__(OrderedIndex)
-        child.compact_threshold = self.compact_threshold
-        child._base = self._base  # replaced-not-mutated, safe to share
-        child._pending = list(self._pending)
-        child._pending_set = set(child._pending)
+        """O(1) child: shares base and ``fresh``, snapshots the delta."""
+        child = copy.copy(self)
+        child.delta = self.delta.snapshot()
         return child
-
-    def copy(self) -> "OrderedIndex":
-        """Full deep copy (the copy-on-write versioning strategy)."""
-        child = object.__new__(OrderedIndex)
-        child.compact_threshold = self.compact_threshold
-        child._base = list(self._base)
-        child._pending = list(self._pending)
-        child._pending_set = set(child._pending)
-        return child
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"OrderedIndex(base={len(self._base)}, pending={len(self._pending)})"

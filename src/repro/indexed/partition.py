@@ -2,7 +2,9 @@
 
 Combines the three per-partition structures:
 
-1. ``ctrie`` — key -> packed 64-bit pointer to the *latest* row with that key,
+1. ``ordered`` — the index (:mod:`repro.indexed.ordered_index`): key -> packed
+   64-bit pointer to the *latest* row with that key, as a sealed array base
+   under the cTrie (``ctrie``: the heads written since the last seal),
 2. ``batches`` — binary row batches holding the encoded rows,
 3. backward pointers — each encoded row's header points to the previous row
    with the same key, giving a per-key linked list.
@@ -13,24 +15,25 @@ parsing the header); the paper words it as "the size of the previous row
 indexed on the same key", which is the same number seen from the successor
 row's perspective.
 
-String keys are hashed to 32-bit integers before entering the cTrie
+String keys are hashed to 32-bit integers before entering the index
 (Section IV-E); chain traversal re-checks the decoded key column so hash
 collisions cannot surface wrong rows — this extra hash+verify work is why
 Fig. 15's string-keyed queries (Q1, Q2) speed up less than integer ones.
 
-MVCC: :meth:`snapshot` is O(1) — it shares the cTrie (via its constant-time
-snapshot) and the batch objects; divergent children append independently
-(atomic space reservation in shared tail batches, visibility via each
-version's own cTrie).
+MVCC: :meth:`snapshot` is O(1) — it shares the sealed base, the cTrie (via
+its constant-time snapshot) and the batch objects; divergent children append
+independently (atomic space reservation in shared tail batches, visibility
+via each version's own index).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterator
 
 from repro.ctrie import CTrie
 from repro.indexed.ordered_index import KeyRange, OrderedIndex
-from repro.indexed.pointers import NULL_POINTER, pack, unpack
+from repro.indexed.pointers import NULL_POINTER, pack
 from repro.indexed.row_batch import RowBatch
 from repro.indexed.row_codec import RowCodec
 from repro.sql.columnar import ColumnBatch
@@ -47,10 +50,8 @@ class IndexedPartition:
         "batches",
         "codec",
         "contiguous",
-        "ctrie",
         "data_bytes",
-        "hash_string_keys",
-        "key_is_string",
+        "hashed",
         "key_ordinal",
         "ordered",
         "row_count",
@@ -72,13 +73,13 @@ class IndexedPartition:
         self.schema = schema
         self.codec = RowCodec(schema, max_row_size=max_row_size)
         self.key_ordinal = schema.index_of(key_column)
-        self.key_is_string = isinstance(schema.field(key_column).dtype, StringType)
-        self.hash_string_keys = hash_string_keys
+        key_type = schema.field(key_column).dtype
+        #: Trie keys are 32-bit hashes of the (string) key values.
+        self.hashed = hash_string_keys and isinstance(key_type, StringType)
         self.batch_size = batch_size
-        self.ctrie = CTrie()
-        # Ordered secondary index over distinct *actual* key values (never
-        # the 32-bit string hashes — hashing destroys order). DESIGN.md §15.
-        self.ordered = OrderedIndex(ordered_compact_threshold)
+        # ``ordered_compact_threshold`` distinct keys seal the index's delta
+        # into its array base; 0 never seals (DESIGN.md §15).
+        self.ordered = OrderedIndex(key_type.numpy_dtype, self.hashed, ordered_compact_threshold)
         self.batches: list[RowBatch] = []
         self.version = version
         self.row_count = 0
@@ -93,10 +94,13 @@ class IndexedPartition:
     # -- key handling -------------------------------------------------------------
 
     def index_key(self, key: Any) -> Any:
-        """The cTrie key for a column value (strings -> 32-bit hash)."""
-        if self.key_is_string and self.hash_string_keys:
-            return hash32(key)
-        return key
+        """The trie key for a column value (strings -> 32-bit hash)."""
+        return hash32(key) if self.hashed else key
+
+    @property
+    def ctrie(self) -> CTrie:
+        """The index's delta: the heads written since its last seal."""
+        return self.ordered.delta
 
     # -- writes ----------------------------------------------------------------------
 
@@ -145,97 +149,90 @@ class IndexedPartition:
             self.contiguous = False
 
     def insert_row(self, row: tuple) -> None:
-        """Append one row; updates cTrie head and backward pointer."""
-        key = row[self.key_ordinal]
-        trie_key = self.index_key(key)
-        prev_ptr = self.ctrie.lookup(trie_key, NULL_POINTER)
-        encoded = self.codec.encode(row, prev_ptr)
-        batch_idx, offset = self._append_bytes(encoded)
-        self.ctrie.insert(trie_key, pack(batch_idx, offset, len(encoded)))
-        self.ordered.add(key)
-        self.row_count += 1
-        self.data_bytes += len(encoded)
+        """Append one row: a one-row :meth:`insert_rows`."""
+        self.insert_rows([row])
 
     def insert_rows(self, rows: "Iterator[tuple] | list[tuple]") -> int:
-        """Bulk append; returns the number of rows inserted.
+        """The one write path, a batch at a time; returns the rows inserted.
 
-        Hot path: locals are hoisted and the cTrie is touched once per row
-        for lookup + once for insert (no intermediate structures).
+        Rows are encoded and placed in arrival order. The index is read once
+        (one prior head per *distinct* key), chains inside the batch go
+        through a local dict, and the heads are published once — also after
+        an error part-way (an oversized row): every placed row stays reachable.
         """
-        codec_encode = self.codec.encode
-        trie = self.ctrie
+        rows = rows if isinstance(rows, list) else list(rows)
         key_ord = self.key_ordinal
-        index_key = self.index_key
-        ordered_add = self.ordered.add
-        n = 0
-        for row in rows:
-            key = row[key_ord]
-            trie_key = index_key(key)
-            prev_ptr = trie.lookup(trie_key, NULL_POINTER)
-            encoded = codec_encode(row, prev_ptr)
-            batch_idx, offset = self._append_bytes(encoded)
-            trie.insert(trie_key, pack(batch_idx, offset, len(encoded)))
-            ordered_add(key)
-            self.data_bytes += len(encoded)
-            n += 1
-        self.row_count += n
+        keys = [row[key_ord] for row in rows]
+        trie_keys = [hash32(key) for key in keys] if self.hashed else keys
+        prior = self.ordered.heads(trie_keys)
+        heads: dict[Any, int] = {}
+        encode = self.codec.encode
+        place = self._append_bytes
+        n = nbytes = 0
+        try:
+            for row, trie_key in zip(rows, trie_keys):
+                prev_ptr = heads.get(trie_key)
+                encoded = encode(row, prior[trie_key] if prev_ptr is None else prev_ptr)
+                batch_idx, offset = place(encoded)
+                heads[trie_key] = pack(batch_idx, offset, len(encoded))
+                nbytes += len(encoded)
+                n += 1
+        finally:
+            if self.hashed:
+                # A used hash proves nothing about the key value: ask the chain.
+                new_keys = [
+                    key
+                    for key, trie_key in dict(zip(keys[:n], trie_keys)).items()
+                    if not self._chain(key, prior[trie_key])
+                ]
+            else:
+                new_keys = [key for key in heads if prior[key] == NULL_POINTER]
+            self.ordered.publish(heads, new_keys)
+            self.row_count += n
+            self.data_bytes += nbytes
         return n
 
     # -- reads ------------------------------------------------------------------------
 
-    def _walk_chain(self, pointer: int) -> Iterator[tuple]:
-        """Decode the backward-pointer chain starting at ``pointer``.
-
-        The pointer fields are extracted inline (see
-        :mod:`repro.indexed.pointers` for the layout) — this loop is the
-        hottest path of lookups and indexed joins.
-        """
-        decode = self.codec.decode
-        batches = self.batches
-        null = NULL_POINTER
-        while pointer != null:
-            # inline unpack(): batch | offset | size, 24/26/14 bits
-            batch_idx = (pointer >> 40) & 0xFFFFFF
-            offset = (pointer >> 14) & 0x3FFFFFF
-            row, pointer, _ = decode(batches[batch_idx].buf, offset)
-            yield row
-
-    def lookup(self, key: Any) -> list[tuple]:
-        """All rows with this key, newest first (cTrie search + chain walk).
-
-        The chain is decoded by the compiled chain kernel
-        (:meth:`RowCodec.decode_chain`): one Python-level call per lookup
-        instead of one decode per row.
-        """
-        pointer = self.ctrie.lookup(self.index_key(key), NULL_POINTER)
+    def _chain(self, key: Any, pointer: int) -> list[tuple]:
+        """The rows of ``key`` on the chain under ``pointer``, newest first (one
+        compiled :meth:`RowCodec.decode_chain` call per chain, not one per row)."""
         if pointer == NULL_POINTER:
             return []
         rows = self.codec.decode_chain(self.batches, pointer)
-        if self.key_is_string and self.hash_string_keys:
+        if self.hashed:
             # Hash collisions: verify the actual key column.
             key_ord = self.key_ordinal
             return [r for r in rows if r[key_ord] == key]
         return rows
 
+    def _heads(self, keys: list) -> "Iterator[tuple[Any, int]]":
+        """``(key, chain head)`` per key, the heads fetched in one batch."""
+        trie_keys = [hash32(key) for key in keys] if self.hashed else keys
+        heads = self.ordered.heads(trie_keys)
+        return zip(keys, [heads[trie_key] for trie_key in trie_keys])
+
+    def lookup(self, key: Any) -> list[tuple]:
+        """All rows with this key, newest first (index search + chain walk)."""
+        return self._chain(key, self.ordered.head(self.index_key(key)))
+
     def lookup_many(self, keys: "Iterator[Any] | list[Any]") -> dict[Any, list[tuple]]:
-        """Batch lookup: each distinct key's chain is decoded exactly once.
+        """Batch lookup: all heads come from one index search and each
+        distinct key's chain is decoded exactly once.
 
         The indexed join probes with this so that duplicate probe keys
         (common under power-law workloads) reuse one decode — the build
         side stays "pre-built" even at the decode level.
         """
-        out: dict[Any, list[tuple]] = {}
-        for key in keys:
-            if key not in out:
-                out[key] = self.lookup(key)
-        return out
+        chain = self._chain
+        return {key: chain(key, head) for key, head in self._heads(list(dict.fromkeys(keys)))}
 
     def iter_rows(self) -> Iterator[tuple]:
         """Full scan: walk every key's chain (row-wise decode: the cost that
         makes projections slower than the columnar baseline, Fig. 8)."""
         decode_chain = self.codec.decode_chain
         batches = self.batches
-        for _key, pointer in self.ctrie.items():
+        for _key, pointer in self.ordered.items():
             yield from decode_chain(batches, pointer)
 
     def scan_rows(self) -> list[tuple]:
@@ -282,66 +279,51 @@ class IndexedPartition:
     def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
         """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
 
-        Enumerate candidate keys from the ordered index in sorted order,
-        then reuse the point-lookup path per key — visibility and string
-        hash collisions are filtered by this version's cTrie exactly as in
-        :meth:`lookup`. ``scanned`` counts decoded rows (chain lengths,
-        including collision-filtered ones), the number EXPLAIN ANALYZE
-        compares against a full scan's ``row_count``.
+        Enumerate candidate keys from the index in sorted order, fetch their
+        heads in one batch, then walk each chain as :meth:`lookup` does —
+        string hash collisions filtered the same way. ``scanned`` counts
+        decoded rows (chain lengths, including collision-filtered ones), the
+        number EXPLAIN ANALYZE compares against a full scan's ``row_count``.
         """
         key_ord = self.key_ordinal
-        trie_lookup = self.ctrie.lookup
-        index_key = self.index_key
         decode_chain = self.codec.decode_chain
         batches = self.batches
-        verify = self.key_is_string and self.hash_string_keys
         rows = []
         scanned = 0
-        for key in self.ordered.range_keys(krange):
-            pointer = trie_lookup(index_key(key), NULL_POINTER)
+        for key, pointer in self._heads(self.ordered.range_keys(krange)):
             if pointer == NULL_POINTER:
-                continue  # key from a sibling lineage, invisible here
+                continue  # a key of an in-flight batch, not yet published
             chain = decode_chain(batches, pointer)
             scanned += len(chain)
-            if verify:
+            if self.hashed:
                 chain = [r for r in chain if r[key_ord] == key]
             rows.extend(chain)
         return rows, scanned
 
     def contains_key(self, key: Any) -> bool:
-        if self.key_is_string and self.hash_string_keys:
-            return bool(self.lookup(key))
-        return self.ctrie.contains(self.index_key(key))
+        return bool(self.lookup(key))
 
     def num_keys(self) -> int:
-        return len(self.ctrie)
+        """Distinct key values, O(1)."""
+        return len(self.ordered)
 
     # -- MVCC ---------------------------------------------------------------------------
 
     def snapshot(self, new_version: int) -> "IndexedPartition":
-        """O(1) child version: shared cTrie snapshot + shared batch objects."""
-        child = object.__new__(IndexedPartition)
-        child.schema = self.schema
-        child.codec = self.codec
-        child.key_ordinal = self.key_ordinal
-        child.key_is_string = self.key_is_string
-        child.hash_string_keys = self.hash_string_keys
-        child.batch_size = self.batch_size
-        child.ctrie = self.ctrie.snapshot()
+        """O(1) child: shared index base and batches, cTrie snapshot of the delta."""
+        child = copy.copy(self)  # schema, codec, counters and flags carry over
         child.ordered = self.ordered.snapshot()
         child.batches = list(self.batches)  # share RowBatch objects
         child.version = new_version
-        child.row_count = self.row_count
-        child.data_bytes = self.data_bytes
-        child.contiguous = self.contiguous
         child._watermarks = list(self._watermarks)
         return child
 
     # -- accounting (Fig. 11) --------------------------------------------------------------
 
     def index_bytes(self) -> int:
-        """Deep size of the cTrie (the JAMM measurement of Fig. 11)."""
-        return deep_sizeof(self.ctrie)
+        """Deep size of every index structure held: base arrays, delta trie,
+        fresh keys (the JAMM measurement of Fig. 11)."""
+        return deep_sizeof(self.ordered)
 
     def storage_bytes(self) -> int:
         """Bytes of row data visible in this version."""
@@ -372,5 +354,5 @@ class IndexedPartition:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"IndexedPartition(v={self.version}, rows={self.row_count}, "
-            f"batches={len(self.batches)}, keys~{self.row_count})"
+            f"batches={len(self.batches)}, keys={self.num_keys()})"
         )

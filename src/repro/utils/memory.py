@@ -45,6 +45,8 @@ def deep_sizeof(
             total += size_of(o)
             if o.base is not None:
                 stack.append(o.base)
+            if o.dtype.hasobject:
+                stack.extend(o.tolist())  # the elements are references
             continue
         total += size_of(o)
         if isinstance(o, _ATOMIC_TYPES):

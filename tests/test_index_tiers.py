@@ -1,0 +1,301 @@
+"""The index's two tiers against an oracle, in every combination (DESIGN.md §15).
+
+One seeded differential drives random interleavings of ``insert_rows``
+(batch sizes 1…2 000, keys repeated inside and across batches), new versions
+(snapshot or copy-on-write) and *divergent* appends to two children of one
+parent, over integer, hashed-string (``hash32`` squeezed to 199 values, so
+most chains mix keys) and unhashed-string keys. The same calls are fed to
+one partition lineage per seal threshold ``{1, 2, 7, 512, 0}``; after every
+step each touched version must agree with a dict-of-lists oracle — and so
+with the threshold-``0`` (cTrie-only) lineage — and at the end every
+ancestor must still answer as it did before its descendants wrote or sealed.
+
+Beside it: ``index_bytes()`` counts every index structure (nothing index-like
+hides outside it, and the memory manager meters the same arrays), and the
+byte layout of the row batches is pinned to what the parent commit wrote.
+"""
+
+from __future__ import annotations
+
+import random
+import zlib
+
+import pytest
+
+from repro.config import Config
+from repro.engine.context import EngineContext
+from repro.indexed import partition as partition_module
+from repro.indexed.mvcc import CopyOnWriteVersioning, SnapshotVersioning
+from repro.indexed.ordered_index import KeyRange
+from repro.indexed.partition import IndexedPartition
+from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.utils.memory import deep_sizeof
+
+THRESHOLDS = (1, 2, 7, 512, 0)
+KINDS = ("int", "hashed", "unhashed")
+INT_SCHEMA = Schema.of(("k", LONG), ("seq", LONG), ("w", DOUBLE))
+STR_SCHEMA = Schema.of(("k", STRING), ("seq", LONG), ("w", DOUBLE))
+DOMAIN = 300
+
+
+def make_key(kind: str, i: int):
+    return i if kind == "int" else f"{'ab'[i % 2]}{i:04d}"
+
+
+class Version:
+    """One MVCC version: the oracle's rows per key (newest first) and the
+    same version in one partition per seal threshold."""
+
+    def __init__(self, oracle: dict, parts: dict[int, IndexedPartition]) -> None:
+        self.oracle = oracle
+        self.parts = parts
+
+    @classmethod
+    def root(cls, kind: str) -> "Version":
+        schema = INT_SCHEMA if kind == "int" else STR_SCHEMA
+        return cls(
+            {},
+            {
+                t: IndexedPartition(
+                    schema,
+                    "k",
+                    batch_size=2048,
+                    hash_string_keys=kind == "hashed",
+                    ordered_compact_threshold=t,
+                )
+                for t in THRESHOLDS
+            },
+        )
+
+    def child(self, strategy) -> "Version":
+        return Version(
+            {k: list(rows) for k, rows in self.oracle.items()},
+            {t: strategy.new_version(p, p.version + 1) for t, p in self.parts.items()},
+        )
+
+    def insert(self, rows: list[tuple], one_by_one: bool) -> None:
+        for part in self.parts.values():
+            if one_by_one:
+                for row in rows:
+                    part.insert_row(row)
+            else:
+                assert part.insert_rows(iter(rows)) == len(rows)
+        for row in rows:
+            self.oracle.setdefault(row[0], []).insert(0, row)
+
+    def check(self, kind: str, rng: random.Random) -> None:
+        oracle = self.oracle
+        keys = sorted(oracle)
+        probes = [make_key(kind, rng.randrange(DOMAIN + 20)) for _ in range(12)] + keys[:3]
+        a, b = sorted(make_key(kind, rng.randrange(DOMAIN)) for _ in range(2))
+        ranges = [
+            KeyRange(a, b),
+            KeyRange(a, b, lo_inclusive=False, hi_inclusive=False),
+            KeyRange(lo=a, lo_inclusive=rng.random() < 0.5),
+            KeyRange(hi=b, hi_inclusive=rng.random() < 0.5),
+            KeyRange(b, a),  # reversed (or a point): statically empty or one key
+            KeyRange(a, a, hi_inclusive=False),
+            KeyRange(),
+        ]
+        if kind != "int":
+            ranges += [KeyRange.prefix_of(p) for p in ("a", "b00", a[:4], "zz", "")]
+        decoded = rng.sample(ranges, 2)
+        all_rows = sorted(r for rows in oracle.values() for r in rows)
+        for threshold, part in self.parts.items():
+            where = f"threshold={threshold} v={part.version}"
+            for key in probes:
+                assert part.lookup(key) == oracle.get(key, []), where
+                assert part.contains_key(key) == (key in oracle), where
+            assert part.lookup_many(probes + probes) == {
+                k: oracle.get(k, []) for k in probes
+            }, where
+            for krange in ranges:
+                wanted = [k for k in keys if krange.matches(k)]
+                assert part.ordered.range_keys(krange) == wanted, (where, krange)
+                if len(wanted) > 40 and krange not in decoded:
+                    continue  # the wide ranges are decoded for a sample only
+                rows, scanned = part.range_lookup(krange)
+                assert rows == [r for k in wanted for r in oracle[k]], (where, krange)
+                assert scanned >= len(rows)
+            assert part.num_keys() == len(oracle), where
+            assert part.row_count == len(all_rows), where
+            assert sorted(part.scan_rows()) == all_rows, where
+            assert sorted(part.iter_rows()) == all_rows, where
+            assert part.ordered.min_key() == (keys[0] if keys else None)
+            assert part.ordered.max_key() == (keys[-1] if keys else None)
+            for array in part.ordered.base:
+                assert not array.flags.writeable
+            if threshold:  # the delta stays small; 0 never seals
+                assert part.ordered.delta_writes < threshold, where
+                assert len(part.ctrie) <= part.ordered.delta_writes
+            else:
+                assert len(part.ordered.base.keys) == 0
+
+
+def run_scenario(seed: int, steps: int) -> None:
+    rng = random.Random(seed)
+    kind = KINDS[seed % len(KINDS)]
+    versions = [Version.root(kind)]
+    parents = []
+    seq = 0
+
+    def batch() -> list[tuple]:
+        nonlocal seq
+        size = int(2000 ** rng.random() ** 2)  # 1 … 2 000, mostly small
+        spread = rng.choice((3, 40, DOMAIN))  # few hot keys … the whole domain
+        rows = []
+        for _ in range(size):
+            seq += 1
+            rows.append((make_key(kind, rng.randrange(spread)), seq, seq / 2))
+        return rows
+
+    for _ in range(steps):
+        action = rng.random()
+        target = rng.choice(versions)
+        strategy = rng.choice((SnapshotVersioning(), CopyOnWriteVersioning()))
+        if action < 0.45:
+            rows = batch()
+            target.insert(rows, one_by_one=len(rows) < 20 and rng.random() < 0.5)
+            touched = [target]
+        elif action < 0.7:
+            touched = [target.child(strategy)]
+            touched[0].insert(batch(), one_by_one=False)
+        else:  # two children of one parent diverge (sharing its tail batch)
+            touched = [target.child(strategy), target.child(SnapshotVersioning())]
+            for sibling in touched:
+                sibling.insert(batch(), one_by_one=False)
+        if touched[0] is not target:
+            versions += touched
+            parents.append(target)
+        for version in touched:
+            version.check(kind, rng)
+    for version in dict.fromkeys(parents):  # every ancestor still answers as it did
+        version.check(kind, rng)
+
+
+@pytest.fixture
+def colliding_hash32(monkeypatch):
+    """Squeeze the partition's string hash to 199 values: with 300 keys most
+    chains mix several keys, so hash-then-verify is always on trial."""
+    monkeypatch.setattr(
+        partition_module, "hash32", lambda key: zlib.crc32(str(key).encode()) % 199
+    )
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_tiers_agree_with_oracle(seed, colliding_hash32):
+    run_scenario(seed, steps=5)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(100, 400))
+def test_tiers_agree_with_oracle_long(seed, colliding_hash32):
+    run_scenario(seed, steps=14)
+
+
+def test_sealed_base_rejects_writes():
+    part = IndexedPartition(INT_SCHEMA, "k", ordered_compact_threshold=4)
+    part.insert_rows([(k, k, 0.0) for k in range(10)])
+    base = part.ordered.base
+    assert len(base.keys) == 10 and len(part.ctrie) == 0
+    for array in base:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    child = part.snapshot(1)
+    child.insert_rows([(k, -k, 0.0) for k in range(5, 15)])
+    assert part.ordered.base is base  # the child sealed into arrays of its own
+    assert child.ordered.base is not base and child.num_keys() == 15
+    assert part.num_keys() == 10 and part.lookup(12) == []
+
+
+def test_error_part_way_keeps_the_placed_rows_indexed():
+    part = IndexedPartition(STR_SCHEMA, "k", max_row_size=64)
+    rows = [("a", 1, 0.0), ("b", 2, 0.0), ("x" * 100, 3, 0.0), ("c", 4, 0.0)]
+    with pytest.raises(ValueError, match="exceeding"):
+        part.insert_rows(rows)
+    assert part.row_count == 2 and part.num_keys() == 2
+    assert part.lookup("a") == [rows[0]] and part.lookup("c") == []
+    assert sorted(part.scan_rows()) == rows[:2]
+
+
+# -- index_bytes() is honest -------------------------------------------------------------
+
+
+def build_for_accounting(
+    kind: str, distinct: int, threshold: int = 512, rows: int = 50_000
+) -> IndexedPartition:
+    """``rows`` equal-sized rows over ``distinct`` keys: storage is the same
+    for every ``distinct``, so only the index may differ."""
+    part = IndexedPartition(
+        INT_SCHEMA if kind == "int" else STR_SCHEMA,
+        "k",
+        hash_string_keys=kind == "hashed",
+        ordered_compact_threshold=threshold,
+    )
+    part.insert_rows([(make_key(kind, i % distinct), i, 0.5) for i in range(rows)])
+    return part
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nothing_index_like_hides_outside_index_bytes(kind):
+    residual = []
+    for distinct in (1_000, 10_000, 50_000):
+        part = build_for_accounting(kind, distinct)
+        assert part.num_keys() == distinct
+        index = part.index_bytes()
+        residual.append(deep_sizeof(part) - index - part.allocated_bytes())
+        # The index itself is arrays: 16 B a key, plus the key strings.
+        assert index < (16 if kind == "int" else 100) * distinct + 2048
+    # What is left is batch objects, watermarks, schema and codec: the same
+    # whatever the key count (a few bytes of int objects apart).
+    assert max(residual) - min(residual) < 1024, residual
+
+
+def test_index_bytes_counts_the_delta_and_fresh_keys_too():
+    sealed = build_for_accounting("int", 10_000, rows=10_000)
+    trie_only = build_for_accounting("int", 10_000, threshold=0, rows=10_000)
+    assert len(trie_only.ctrie) == 10_000 and len(sealed.ctrie) == 0
+    assert trie_only.index_bytes() > 10 * sealed.index_bytes()
+    rest = [deep_sizeof(p) - p.index_bytes() for p in (trie_only, sealed)]
+    assert abs(rest[0] - rest[1]) < 1024, rest
+
+
+def test_memory_manager_meters_the_same_arrays():
+    part = build_for_accounting("hashed", 10_000, rows=10_000)
+    executor = EngineContext(Config(executor_memory_bytes=64 << 20)).executors["m0e0"]
+    executor.block_manager.put((1, 0), [part])  # one budgeted put
+    charged = executor.memory_manager.block_sizes()[(1, 0)]
+    assert charged >= part.index_bytes() + part.resident_batch_bytes()
+    assert charged >= deep_sizeof(part)
+
+
+# -- byte layout ---------------------------------------------------------------------------
+
+
+def test_row_batch_bytes_are_what_the_parent_commit_wrote():
+    """Scans, seal checkpoints and spill files read ``buf[:watermark]``: the
+    batched write path must lay rows out exactly as the row-at-a-time one
+    did. CRCs recorded at c9dce30 for this input (arrival order, repeated
+    keys, string rows, a snapshot child appending to the shared tail)."""
+    rng = random.Random(5)
+    crcs = []
+    for kind in KINDS:
+        schema = INT_SCHEMA if kind == "int" else STR_SCHEMA
+        part = IndexedPartition(schema, "k", batch_size=4096, hash_string_keys=kind == "hashed")
+        rows = [(make_key(kind, rng.randrange(200)), i, i / 4) for i in range(3000)]
+        part.insert_rows(rows[:2000])
+        child = part.snapshot(1)
+        child.insert_rows(rows[2000:])
+        for p in (part, child):
+            crc = 0
+            for batch, watermark in zip(p.batches, p.visible_watermarks()):
+                crc = zlib.crc32(bytes(batch.buf[:watermark]), crc)
+            crcs.append((len(p.batches), sum(p.visible_watermarks()), crc))
+    assert crcs == [
+        (18, 70000, 3188999617),
+        (26, 105000, 1860656459),
+        (17, 68000, 402595547),
+        (25, 102000, 871697708),
+        (17, 68000, 843084529),
+        (25, 102000, 1607018991),
+    ]

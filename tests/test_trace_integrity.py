@@ -23,7 +23,6 @@ from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.obs.tracer import NOOP_SPAN, Tracer, validate_chrome_trace
-from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from tests.conftest import MODES

@@ -10,6 +10,8 @@ import pytest
 import repro
 from repro.config import KB, MB, PAPER_DEFAULTS, Config
 from repro.serve import RouterConfig, ServeConfig, ShardConfig
+from repro.sql.session import Session
+from repro.sql.types import LONG, Schema
 from repro.utils.timing import PhaseTimer, Stopwatch
 
 
@@ -96,6 +98,17 @@ class TestConfig:
                 Config(**{name: 1})
         with pytest.raises(ValueError, match="eviction_policy.*reference_distance"):
             Config(eviction_policy="reference_distance").validate()
+
+    def test_seal_threshold_is_validated_and_zero_never_seals(self):
+        for bad in (-1, 2.5, None):
+            with pytest.raises(ValueError, match="row_batch_size.*ordered_index_compact_threshold"):
+                Config(ordered_index_compact_threshold=bad, row_batch_size=0).validate()
+        session = Session(config=Config(ordered_index_compact_threshold=0))  # validates
+        rows = [(k, k) for k in range(5_000)]
+        idf = session.create_dataframe(rows, Schema.of(("k", LONG), ("v", LONG))).create_index("k")
+        for part in idf.materialize_partitions():
+            assert len(part.ordered.base.keys) == 0 and len(part.ctrie) == part.num_keys()
+        assert idf.lookup_tuples(4_321) == [(4_321, 4_321)]
 
     @pytest.mark.parametrize("cls", [Config, ServeConfig, RouterConfig, ShardConfig])
     def test_every_field_is_read_by_the_program(self, cls):
