@@ -26,7 +26,7 @@ from repro.bench.harness import FigureResult, build_pair, mean, median, time_cal
 from repro.cluster.topology import ClusterTopology, make_executors, private_cluster
 from repro.config import KB, MB, Config
 from repro.engine.context import EngineContext
-from repro.sql.functions import col, count
+from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import LONG, Schema
 from repro.workloads import broconn, flights, snb, tpcds

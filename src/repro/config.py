@@ -121,7 +121,8 @@ class Config:
     index_string_keys_as_hash: bool = True
     #: Distinct keys a partition's index holds in its cTrie delta before
     #: sealing them into a fresh immutable array base (DESIGN.md §15): a
-    #: batch that brings the delta to this many goes straight to a new base.
+    #: batch that brings the delta to this many goes straight to a new base,
+    #: and so does the first batch into an empty index, whatever its size.
     #: 0 never seals — the paper's cTrie-only index.
     ordered_index_compact_threshold: int = 512
     #: Seconds of backoff before a task's first retry; doubles per attempt.

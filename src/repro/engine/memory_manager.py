@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.utils.memory import deep_sizeof, reachable_ids
+from repro.utils.memory import deep_sizeof
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import EngineContext
@@ -142,11 +142,16 @@ class MemoryManager:
             blocks.pop(block_id, None)
             self._sizes.pop(block_id, None)
             self._recompute(blocks)
-        size = deep_sizeof(value, seen=set(self._seen_ids))
+        # One walk: ``_seen_ids`` is closed under reachability (every walk
+        # that built it went all the way down), so the objects this walk
+        # skips as seen lead only to objects seen already, and the copy it
+        # fills is the store's new ``seen`` set.
+        seen = set(self._seen_ids)
+        size = deep_sizeof(value, seen=seen)
         registry = self.context.registry
         registry.inc("memory_put_bytes_total", float(size), executor=self.executor_id)
         blocks[block_id] = value
-        self._seen_ids |= reachable_ids(value)
+        self._seen_ids = seen
         self._sizes[block_id] = size
         self._used += size
         if self.budget > 0 and self._used > self.budget:

@@ -12,9 +12,10 @@
   last seal; ``fresh`` is the persistent (cons-cell) list of the key values
   first written since then, so an ordered read need not walk the trie.
 
-A batch is published once: into the delta while that stays under
-``seal_threshold`` distinct keys, else straight into a new base (0 never
-seals: the paper's cTrie-only index). :meth:`OrderedIndex.snapshot` is O(1).
+A batch is published once: the first into an empty index, and any that
+brings the delta to ``seal_threshold`` distinct keys, straight into a new
+base; the rest into the delta (0 never seals: the paper's cTrie-only index).
+:meth:`OrderedIndex.snapshot` is O(1).
 
 Concurrency: published versions are immutable, so the only concurrent pair
 is an in-flight build and an eager reader of the same version. A seal
@@ -227,8 +228,10 @@ class OrderedIndex:
 
     def publish(self, heads: dict[Any, int], new_keys: list) -> None:
         """Make one batch visible: its new chain head per trie key written,
-        and the key values no earlier row carried."""
-        if self.seal_threshold and self.delta_writes + len(heads) >= self.seal_threshold:
+        and the key values no earlier row carried. The first batch into an
+        empty index seals whatever its size: a bulk build is arrays at once."""
+        empty = not self.delta_writes and not len(self.base.keys)
+        if self.seal_threshold and (empty or self.delta_writes + len(heads) >= self.seal_threshold):
             self._seal(heads, new_keys)
             return
         insert = self.delta.insert

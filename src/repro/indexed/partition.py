@@ -31,6 +31,8 @@ from __future__ import annotations
 import copy
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.ctrie import CTrie
 from repro.indexed.ordered_index import KeyRange, OrderedIndex
 from repro.indexed.pointers import NULL_POINTER, pack
@@ -104,8 +106,9 @@ class IndexedPartition:
 
     # -- writes ----------------------------------------------------------------------
 
-    def _append_bytes(self, data: bytes) -> tuple[int, int]:
-        """Place ``data`` in the tail batch (or a fresh one); (batch, offset)."""
+    def _reserve(self, size: int, count: int) -> tuple[int, int, int]:
+        """Claim room for up to ``count`` records of ``size`` bytes in the
+        tail batch, or else in a fresh one: ``(batch, offset, records)``."""
         if self.batches:
             tail = self.batches[-1]
             # A spilled tail (full spill, or a snapshot sharing one) faults
@@ -113,17 +116,12 @@ class IndexedPartition:
             # on-disk copy so a re-spill can never resurrect stale bytes.
             if not getattr(tail, "resident", True):
                 tail.ensure_resident()
-            offset = tail.append(data)
+            k = min(count, (tail.capacity - tail.used) // size)
+            offset = tail.reserve(k * size) if k else None
             if offset is not None:
-                batch_idx = len(self.batches) - 1
-                self._note_write(batch_idx, offset, len(data))
-                return batch_idx, offset
-        batch = RowBatch(self.batch_size)
-        offset = batch.append(data)
-        if offset is None:
-            raise ValueError(
-                f"encoded row ({len(data)} B) larger than batch size ({self.batch_size} B)"
-            )
+                return len(self.batches) - 1, offset, k
+        if size > self.batch_size:
+            raise ValueError(f"encoded row ({size} B) larger than batch size ({self.batch_size} B)")
         if self.batches:
             # Opening a fresh tail seals the previous one for this version:
             # anchor its content CRC at our watermark (integrity boundary
@@ -133,9 +131,14 @@ class IndexedPartition:
             idx = len(self.batches) - 1
             if checkpoint is not None and idx < len(self._watermarks) and self._watermarks[idx]:
                 checkpoint(self._watermarks[idx])
+        batch = RowBatch(self.batch_size)
         self.batches.append(batch)
-        self._note_write(len(self.batches) - 1, offset, len(data))
-        return len(self.batches) - 1, offset
+        k = min(count, self.batch_size // size)
+        return len(self.batches) - 1, batch.reserve(k * size), k
+
+    def _write(self, batch_idx: int, offset: int, data: bytes) -> None:
+        self.batches[batch_idx].write(offset, data)
+        self._note_write(batch_idx, offset, len(data))
 
     def _note_write(self, batch_idx: int, offset: int, size: int) -> None:
         """Advance the scan watermark, or mark the version non-contiguous
@@ -155,25 +158,33 @@ class IndexedPartition:
     def insert_rows(self, rows: "Iterator[tuple] | list[tuple]") -> int:
         """The one write path, a batch at a time; returns the rows inserted.
 
-        Rows are encoded and placed in arrival order. The index is read once
-        (one prior head per *distinct* key), chains inside the batch go
-        through a local dict, and the heads are published once — also after
-        an error part-way (an oversized row): every placed row stays reachable.
+        Rows are placed in arrival order, the index is read once (one prior
+        head per *distinct* key) and its heads are published once — also
+        after an error part-way (an oversized row): every placed row stays
+        reachable. Two layouts of the same bytes (DESIGN.md §5): a batch the
+        codec takes as one structured array (:meth:`RowCodec.encode_records`:
+        string-free, no NULL, nothing coerced) is placed a chunk per row
+        batch, its pointers arithmetic and its chains threaded by one stable
+        sort; any other is encoded and placed row by row, chains through a dict.
         """
         rows = rows if isinstance(rows, list) else list(rows)
+        records = self.codec.encode_records(rows)
+        if records is not None:
+            return self._insert_records(records)
         key_ord = self.key_ordinal
         keys = [row[key_ord] for row in rows]
         trie_keys = [hash32(key) for key in keys] if self.hashed else keys
         prior = self.ordered.heads(trie_keys)
         heads: dict[Any, int] = {}
         encode = self.codec.encode
-        place = self._append_bytes
+        reserve, write = self._reserve, self._write
         n = nbytes = 0
         try:
             for row, trie_key in zip(rows, trie_keys):
                 prev_ptr = heads.get(trie_key)
                 encoded = encode(row, prior[trie_key] if prev_ptr is None else prev_ptr)
-                batch_idx, offset = place(encoded)
+                batch_idx, offset, _ = reserve(len(encoded), 1)
+                write(batch_idx, offset, encoded)
                 heads[trie_key] = pack(batch_idx, offset, len(encoded))
                 nbytes += len(encoded)
                 n += 1
@@ -191,6 +202,51 @@ class IndexedPartition:
             self.row_count += n
             self.data_bytes += nbytes
         return n
+
+    def _insert_records(self, records: np.ndarray) -> int:
+        """:meth:`insert_rows`' array layout: the rows as one structured array."""
+        n, size = len(records), records.itemsize
+        keys = records[f"f{self.key_ordinal}"]
+        # One stable sort groups each key's rows, in arrival order: a row's
+        # chain predecessor is the row before it in its group, or for the
+        # group's first row the key's prior head.
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        firsts = order[starts]
+        distinct = ranked[starts].tolist()
+        prior = self.ordered.heads(distinct)
+        prev = np.empty(n, np.intp)
+        prev[order[1:]] = order[:-1]
+        prev[firsts] = -1
+        link = np.full(n, NULL_POINTER, np.uint64)
+        link[firsts] = np.fromiter(map(prior.__getitem__, distinct), np.uint64, len(distinct))
+        ptrs = np.empty(n, np.uint64)
+        column = records["ptr"]
+        stride = pack(0, size, 0)
+        done = 0
+        try:
+            while done < n:
+                batch_idx, offset, k = self._reserve(size, n - done)
+                pack(batch_idx, offset + (k - 1) * size, size)  # the chunk's range check
+                chunk = slice(done, done + k)
+                ptrs[chunk] = np.arange(k, dtype=np.uint64) * np.uint64(stride)
+                ptrs[chunk] += np.uint64(pack(batch_idx, offset, size))
+                before = prev[chunk]
+                column[chunk] = np.where(before >= 0, ptrs[before], link[chunk])
+                self._write(batch_idx, offset, records[chunk].tobytes())
+                done += k
+        finally:
+            # A key's head is its last placed row; keys go in first-arrival order.
+            placed = np.add.reduceat(order < done, starts, dtype=np.intp)
+            keep = np.argsort(firsts)
+            keep = keep[placed[keep] > 0]
+            last = order[starts[keep] + placed[keep] - 1]
+            heads = dict(zip(ranked[starts[keep]].tolist(), ptrs[last].tolist()))
+            self.ordered.publish(heads, [key for key in heads if prior[key] == NULL_POINTER])
+            self.row_count += done
+            self.data_bytes += done * size
+        return done
 
     # -- reads ------------------------------------------------------------------------
 

@@ -17,6 +17,21 @@ import numpy as np
 
 _ATOMIC_TYPES = (int, float, complex, bool, str, bytes, type(None), range)
 
+#: type -> the slot names of it and its bases, resolved once per type.
+_SLOT_NAMES: dict[type, tuple[str, ...]] = {}
+_UNSET = object()  # an empty slot
+
+
+def _slot_names(cls: type) -> tuple[str, ...]:
+    names = _SLOT_NAMES.get(cls)
+    if names is None:
+        found: list[str] = []
+        for klass in cls.__mro__:
+            slots = klass.__dict__.get("__slots__", ())
+            found.extend((slots,) if isinstance(slots, str) else slots)
+        names = _SLOT_NAMES[cls] = tuple(dict.fromkeys(found))
+    return names
+
 
 def deep_sizeof(
     obj: Any,
@@ -27,9 +42,11 @@ def deep_sizeof(
     """Return the total bytes reachable from ``obj``, counting shared objects once.
 
     ``seen`` may be passed in to measure *incremental* footprint: objects
-    already in ``seen`` are counted as zero, so
-    ``deep_sizeof(snapshot, seen=ids_of(parent))`` yields only the delta a
-    snapshot adds over its parent.
+    already in ``seen`` are counted as zero and not walked, so
+    ``deep_sizeof(snapshot, seen=parent_seen)`` — ``parent_seen`` the set an
+    earlier ``deep_sizeof(parent, seen=parent_seen)`` filled — yields only the
+    delta a snapshot adds over its parent. The walk adds the ``id`` of every
+    object it reaches to ``seen``.
     """
     if seen is None:
         seen = set()
@@ -62,22 +79,8 @@ def deep_sizeof(
             d = getattr(o, "__dict__", None)
             if d is not None:
                 stack.append(d)
-            slots = getattr(type(o), "__slots__", ())
-            if isinstance(slots, str):
-                slots = (slots,)
-            for cls in type(o).__mro__:
-                for slot in getattr(cls, "__slots__", ()) or ():
-                    if isinstance(slot, str) and hasattr(o, slot):
-                        stack.append(getattr(o, slot))
+            for slot in _slot_names(type(o)):
+                value = getattr(o, slot, _UNSET)
+                if value is not _UNSET:
+                    stack.append(value)
     return total
-
-
-def reachable_ids(obj: Any) -> set[int]:
-    """Return the ``id``s of every object reachable from ``obj``.
-
-    Used together with :func:`deep_sizeof`'s ``seen`` parameter to measure
-    snapshot deltas.
-    """
-    seen: set[int] = set()
-    deep_sizeof(obj, seen=seen)
-    return seen

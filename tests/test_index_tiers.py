@@ -5,10 +5,11 @@ One seeded differential drives random interleavings of ``insert_rows``
 (snapshot or copy-on-write) and *divergent* appends to two children of one
 parent, over integer, hashed-string (``hash32`` squeezed to 199 values, so
 most chains mix keys) and unhashed-string keys. The same calls are fed to
-one partition lineage per seal threshold ``{1, 2, 7, 512, 0}``; after every
-step each touched version must agree with a dict-of-lists oracle — and so
-with the threshold-``0`` (cTrie-only) lineage — and at the end every
+one partition lineage per seal threshold ``{1, 2, 7, 512, 10**6, 0}``; after
+every step each touched version must agree with a dict-of-lists oracle — and
+so with the threshold-``0`` (cTrie-only) lineage — and at the end every
 ancestor must still answer as it did before its descendants wrote or sealed.
+At ``10**6`` only the first build into an empty index seals.
 
 Beside it: ``index_bytes()`` counts every index structure (nothing index-like
 hides outside it, and the memory manager meters the same arrays), and the
@@ -28,10 +29,12 @@ from repro.indexed import partition as partition_module
 from repro.indexed.mvcc import CopyOnWriteVersioning, SnapshotVersioning
 from repro.indexed.ordered_index import KeyRange
 from repro.indexed.partition import IndexedPartition
+from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from repro.utils.memory import deep_sizeof
 
-THRESHOLDS = (1, 2, 7, 512, 0)
+NEVER_REACHED = 10**6
+THRESHOLDS = (1, 2, 7, 512, NEVER_REACHED, 0)
 KINDS = ("int", "hashed", "unhashed")
 INT_SCHEMA = Schema.of(("k", LONG), ("seq", LONG), ("w", DOUBLE))
 STR_SCHEMA = Schema.of(("k", STRING), ("seq", LONG), ("w", DOUBLE))
@@ -74,12 +77,16 @@ class Version:
         )
 
     def insert(self, rows: list[tuple], one_by_one: bool) -> None:
-        for part in self.parts.values():
+        for threshold, part in self.parts.items():
+            built, base = part.row_count > 0, part.ordered.base
             if one_by_one:
                 for row in rows:
                     part.insert_row(row)
             else:
                 assert part.insert_rows(iter(rows)) == len(rows)
+            if threshold == NEVER_REACHED:  # the first build seals, the rest stay in the delta
+                assert len(part.ordered.base.keys) > 0
+                assert part.ordered.base is base or not built
         for row in rows:
             self.oracle.setdefault(row[0], []).insert(0, row)
 
@@ -206,6 +213,25 @@ def test_sealed_base_rejects_writes():
     assert part.ordered.base is base  # the child sealed into arrays of its own
     assert child.ordered.base is not base and child.num_keys() == 15
     assert part.num_keys() == 10 and part.lookup(12) == []
+
+
+def test_a_partition_under_the_threshold_is_sealed_by_its_build():
+    """``create_index`` builds each partition with one batch into an empty
+    index: arrays at once, even far under 512 keys — and never at 0."""
+    rows = [(k % 600, k, 0.5) for k in range(3000)]
+    empty = IndexedPartition(INT_SCHEMA, "k").index_bytes()  # an empty trie, empty arrays
+    for threshold in (512, 0):
+        session = Session(config=Config(ordered_index_compact_threshold=threshold))
+        idf = session.create_dataframe(rows, INT_SCHEMA, "t").create_index("k", num_partitions=4)
+        parts = session.context.run_job(idf.rdd, lambda it, _ctx: next(iter(it)))
+        assert sum(p.num_keys() for p in parts) == 600
+        for part in parts:
+            assert 0 < part.num_keys() < 512
+            if threshold:
+                assert len(part.ctrie) == 0 and len(part.ordered.base.keys) == part.num_keys()
+                assert part.index_bytes() <= 16 * part.num_keys() + empty
+            else:
+                assert len(part.ctrie) == part.num_keys() and len(part.ordered.base.keys) == 0
 
 
 def test_error_part_way_keeps_the_placed_rows_indexed():

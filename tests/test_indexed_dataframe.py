@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.config import Config
-from repro.engine.context import EngineContext
 from repro.indexed import IndexedDataFrame
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
@@ -65,7 +64,7 @@ class TestCreateIndex:
     def test_partitions_respect_hash_placement(self, idf):
         """Every key's rows live on the partition its hash selects."""
         placements = idf.session.context.run_job(
-            idf.rdd, lambda it, _ctx: [k for k, _ in next(iter(it)).ctrie.items()]
+            idf.rdd, lambda it, _ctx: [k for k, _ in next(iter(it)).ordered.items()]
         )
         # keys stored as the raw value for LONG columns
         for pid, trie_keys in enumerate(placements):

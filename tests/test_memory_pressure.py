@@ -27,6 +27,7 @@ from repro.engine.memory_manager import MemoryManager, MemoryPressureError
 from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.utils.memory import deep_sizeof
 from tests.conftest import MODES
 
 SCHEMA = Schema.of(("k", LONG), ("v", DOUBLE), ("payload", STRING))
@@ -121,6 +122,37 @@ class TestMetering:
         # incremental charge must be far below a standalone copy.
         assert child_size < parent_size / 4
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_charges_are_a_fresh_walk_of_the_store_after_every_put(self, seed, tmp_path):
+        """One metering walk per put: after every put of a seeded sequence —
+        MVCC parents and children sharing batches and index arrays, spills
+        and evictions on the way — each block's charge and the total equal a
+        walk of the whole store from scratch, in LRU order with one shared
+        ``seen`` set, to the byte."""
+        from repro.indexed.partition import IndexedPartition
+
+        rng = random.Random(seed)
+        family: list[IndexedPartition] = []
+        for version in range(24):  # built in full first: a put meters a finished block
+            if family and rng.random() < 0.6:
+                part = rng.choice(family).snapshot(version)
+            else:
+                part = IndexedPartition(SCHEMA, "k", batch_size=2048, version=version)
+            part.insert_rows(make_rows(rng.randrange(1, 150), 20, rng.getrandbits(30), 40))
+            family.append(part)
+        s = make_session(tmp_path=tmp_path, executor_memory_bytes=40_000)
+        executor = s.context.executors["m0e0"]
+        mm, bm = executor.memory_manager, executor.block_manager
+        for i in rng.sample(range(len(family)), len(family)):
+            bm.put((i, 0), [family[i]])
+            seen: set = set()
+            fresh = {b: deep_sizeof(bm._blocks[b], seen=seen) for b in mm.block_sizes()}
+            assert mm.block_sizes() == fresh
+            assert mm.used_bytes == sum(fresh.values())
+        reg = s.context.registry
+        assert reg.counter_total("memory_spills_total") > 0
+        assert reg.counter_total("memory_evictions_total") > 0
+
     def test_lru_eviction_order(self, tmp_path):
         s = make_session(tmp_path=tmp_path, executor_memory_bytes=10_000)
         bm = s.context.executors["m0e0"].block_manager
@@ -191,6 +223,24 @@ class TestTieredShedding:
         ):
             assert mgr.used_bytes <= budget, executor_id
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="fault-ins are never charged: a read brings spilled batches back "
+        "without a put, so the store outgrows its budget (DESIGN.md §10, ROADMAP item 7)",
+    )
+    def test_a_read_heavy_run_stays_under_budget(self, tmp_path, baseline_rows, baseline):
+        budget = 120_000
+        s = make_session("sequential", tmp_path, executor_memory_bytes=budget)
+        idf = cached_index(s, baseline_rows)
+        for _ in range(3):
+            assert collected(idf) == baseline
+        for runtime in s.context.executors.values():
+            mm, blocks = runtime.memory_manager, runtime.block_manager._blocks
+            seen: set = set()
+            actual = sum(deep_sizeof(blocks[b], seen=seen) for b in mm.block_sizes())
+            assert mm.used_bytes <= budget
+            assert actual <= budget, (runtime.executor_id, actual, mm.used_bytes)
+
     def test_pressure_is_real(self, tmp_path, baseline_rows):
         """Sanity for the 4x claim: the unbounded footprint really is >= 4x
         the total budget the bounded run got."""
@@ -198,8 +248,6 @@ class TestTieredShedding:
         cached_index(unbounded, baseline_rows)
         total_budget = 50_000 * len(unbounded.context.executors)
         # Unbounded runs are unmetered; size the store directly.
-        from repro.utils.memory import deep_sizeof
-
         footprint = sum(
             deep_sizeof(e.block_manager._blocks)
             for e in unbounded.context.executors.values()

@@ -136,14 +136,14 @@ class TestOrderedIndex:
 
     def test_prefix_range_keys(self):
         keys = ["apple", "apricot", "banana", "app", "application", "ap"]
-        for threshold in (512, 4, 1):  # all delta, split, all base
+        for threshold in (0, 512, 4, 1):  # all delta, first key sealed, split, all base
             part = partition_of(keys, threshold, schema=STR_SCHEMA)
             kr = KeyRange.prefix_of("app")
             assert part.ordered.range_keys(kr) == ["app", "apple", "application"]
             assert part.ordered.range_keys(KeyRange.prefix_of("z")) == []
 
     def test_range_bound_of_a_foreign_type_is_rejected(self):
-        for stored in (10, 8):  # with and without keys still in the delta
+        for stored in (10, 9):  # with and without keys still in the delta
             part = partition_of(range(stored), threshold=4)
             for krange in (KeyRange(lo="3", hi="7"), KeyRange.prefix_of("3")):
                 with pytest.raises(TypeError):  # not compared as text by numpy

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.memory import deep_sizeof, reachable_ids
+from repro.utils.memory import deep_sizeof
 
 
 class TestDeepSizeof:
@@ -40,21 +40,28 @@ class TestDeepSizeof:
                 self.a = "x" * 1000
                 self.b = 1
 
+        class Derived(Slotted):
+            __slots__ = "c"  # one name, not three letters
+
         assert deep_sizeof(Slotted()) > 1000
+        derived = Derived()  # ``c`` left unset: skipped, not an error
+        assert deep_sizeof(derived) > 1000  # the base class's slots are walked
+        derived.c = "z" * 3000
+        assert deep_sizeof(derived) > 4000
 
     def test_seen_parameter_measures_delta(self):
         base = ["x" * 5000]
-        seen = reachable_ids(base)
+        seen: set = set()
+        deep_sizeof(base, seen=seen)
         extended = [base, "y" * 100]
         delta = deep_sizeof(extended, seen=seen)
         # The 5KB string is already seen: only the new parts count.
         assert delta < 1000
 
-
-class TestReachableIds:
-    def test_contains_all_parts(self):
+    def test_seen_collects_every_reachable_id(self):
         inner = [1, 2]
         outer = {"a": inner}
-        ids = reachable_ids(outer)
+        ids: set = set()
+        deep_sizeof(outer, seen=ids)
         assert id(outer) in ids
         assert id(inner) in ids
