@@ -2,13 +2,8 @@
 
 :mod:`repro.bench.experiments` has one ``figNN_*`` function per evaluation
 figure; each returns a :class:`~repro.bench.harness.FigureResult` whose
-rows are the series the paper plots. The pytest-benchmark files under
-``benchmarks/`` exercise the same operations for statistically robust
-timings; ``python -m repro.bench.experiments`` regenerates the full
-paper-vs-measured record in one run (the source of EXPERIMENTS.md).
+rows are the series the paper plots and whose shape checks are the
+paper's findings. ``python -m repro.bench.experiments`` runs them all and
+exits non-zero on any mismatch; ``--markdown`` is the source of
+EXPERIMENTS.md.
 """
-
-from repro.bench.harness import FigureResult, median, time_call
-from repro.bench.report import format_table
-
-__all__ = ["FigureResult", "format_table", "median", "time_call"]

@@ -8,36 +8,83 @@ conditions.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping
 
-from repro.bench.report import format_markdown_table, format_table
+from repro.bench.report import format_cell, format_markdown_table, format_table
 from repro.config import Config
 from repro.sql.dataframe import DataFrame
 from repro.sql.session import Session
 from repro.sql.types import Schema
 
 
-def time_call(fn: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> list[float]:
-    """Wall-clock seconds of ``fn`` over ``repeats`` runs (after warmup)."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return times
+@dataclass(frozen=True)
+class Timing:
+    """One configuration's wall-clock seconds, one sample per round of
+    :func:`time_rounds`. A table cell renders as ``median [q1–q3]``."""
+
+    samples: tuple[float, ...]
+
+    @property
+    def median(self) -> float:
+        return statistics.median(self.samples)
+
+    @property
+    def quartiles(self) -> tuple[float, float]:
+        q1, _, q3 = statistics.quantiles(self.samples, n=4, method="inclusive")
+        return q1, q3
+
+    def __str__(self) -> str:
+        q1, q3 = self.quartiles
+        return f"{format_cell(self.median)} [{format_cell(q1)}–{format_cell(q3)}]"
 
 
-def median(values: Sequence[float]) -> float:
-    return statistics.median(values)
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Collect, then keep the collector off: a full collection (100-180 ms on
+    a figure's heap) would land in whichever timed call allocates next."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
-def mean(values: Sequence[float]) -> float:
-    return statistics.fmean(values)
+def time_rounds(
+    configs: Mapping[Hashable, Callable[[], Any]],
+    rounds: int,
+    warmup: int = 1,
+    settle: Callable[[], Any] | None = None,
+) -> dict[Hashable, Timing]:
+    """Time every configuration once per round, for ``warmup`` untimed
+    rounds and then ``rounds`` timed ones.
+
+    Back-to-back repeats of one configuration let a slow stretch of the host
+    land on that configuration's whole block of samples; alternating spreads
+    it over all of them. The order rotates each round, so no configuration
+    always runs first after the previous one's garbage, and the collector is
+    off throughout (:func:`gc_paused`). ``settle`` runs untimed after every
+    call: cleanup a call leaves deferred (the engine drops a finished
+    query's shuffle outputs at the next job) would otherwise be billed to
+    whichever configuration runs next."""
+    names = list(configs)
+    samples: dict[Hashable, list[float]] = {name: [] for name in names}
+    with gc_paused():
+        for r in range(warmup + rounds):
+            for i in range(len(names)):
+                name = names[(r + i) % len(names)]
+                t0 = time.perf_counter()
+                configs[name]()
+                if r >= warmup:
+                    samples[name].append(time.perf_counter() - t0)
+                if settle is not None:
+                    settle()
+    return {name: Timing(tuple(s)) for name, s in samples.items()}
 
 
 @dataclass
@@ -86,15 +133,9 @@ class Pair:
     baseline) and as an Indexed DataFrame."""
 
     session: Session
-    schema: Schema
-    rows: list[tuple]
     vanilla: DataFrame
     indexed: Any  # IndexedDataFrame
     index_build_seconds: float
-
-    def register_views(self, vanilla_name: str, indexed_name: str | None = None) -> None:
-        self.vanilla.create_or_replace_temp_view(vanilla_name)
-        self.indexed.create_or_replace_temp_view(indexed_name or vanilla_name + "_idx")
 
 
 def build_pair(
@@ -107,19 +148,12 @@ def build_pair(
     name: str = "t",
 ) -> Pair:
     """Materialize ``rows`` as both a columnar cache and an index."""
-    session = session or Session(
-        config=config
-        or Config(default_parallelism=8, shuffle_partitions=8, row_batch_size=256 * 1024)
-    )
+    session = session or Session(config=config)
     df = session.create_dataframe(rows, schema, name, num_partitions=num_partitions)
     vanilla = df.cache(num_partitions=num_partitions)
     t0 = time.perf_counter()
     idf = df.create_index(key_column, num_partitions=num_partitions)
     idf.cache_index()
     build = time.perf_counter() - t0
-    return Pair(session, schema, rows, vanilla, idf, build)
+    return Pair(session, vanilla, idf, build)
 
-
-def run_to_completion(df: DataFrame) -> int:
-    """Execute a DataFrame fully; return the row count (forces all work)."""
-    return len(df.collect_tuples())

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 
-def _fmt(value: Any) -> str:
+def format_cell(value: Any) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -19,7 +19,7 @@ def _fmt(value: Any) -> str:
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:
     """Render an aligned ASCII table."""
-    cells = [[_fmt(v) for v in row] for row in rows]
+    cells = [[format_cell(v) for v in row] for row in rows]
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in cells)) if cells else len(headers[i])
         for i in range(len(headers))
@@ -41,5 +41,5 @@ def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]])
     """Render a GitHub-flavored markdown table (for EXPERIMENTS.md)."""
     out = ["| " + " | ".join(headers) + " |", "|" + "|".join("---" for _ in headers) + "|"]
     for row in rows:
-        out.append("| " + " | ".join(_fmt(v) for v in row) + " |")
+        out.append("| " + " | ".join(format_cell(v) for v in row) + " |")
     return "\n".join(out)

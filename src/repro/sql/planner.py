@@ -13,8 +13,8 @@ Built-in choices mirror Spark:
   or a plain row source;
 * joins: broadcast-hash when the smaller side's estimated size is under the
   broadcast threshold, else shuffle-hash (``SortMergeJoinExec`` is never
-  planned: the tests and ``bench_ablation_joins.py`` construct it directly
-  as the paper's Fig. 7 comparator).
+  planned: the tests and ``repro.bench.experiments.ablation_joins``
+  construct it directly as Section IV-E's "notoriously slow" comparator).
 """
 
 from __future__ import annotations

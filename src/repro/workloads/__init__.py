@@ -16,18 +16,3 @@
 All generators are deterministic given a seed and sized by a scale
 parameter, so benchmarks sweep scale factors the way the paper does.
 """
-
-from repro.workloads.broconn import generate_broconn
-from repro.workloads.flights import generate_flights, generate_planes
-from repro.workloads.snb import generate_snb_edges, generate_snb_persons
-from repro.workloads.tpcds import generate_date_dim, generate_store_sales
-
-__all__ = [
-    "generate_broconn",
-    "generate_date_dim",
-    "generate_flights",
-    "generate_planes",
-    "generate_snb_edges",
-    "generate_snb_persons",
-    "generate_store_sales",
-]

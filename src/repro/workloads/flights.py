@@ -123,14 +123,9 @@ def select_flights(flights: list[tuple], max_flight_num: int) -> list[tuple]:
     return [r for r in flights if r[0] < max_flight_num]
 
 
-def queries(
-    flights_view: str = "flights",
-    planes_view: str = "planes",
-    sel200_view: str = "flights_sel200",
-    sel400_view: str = "flights_sel400",
-    probe_tail: str = "N10003",
-):
-    """Q1-Q7 as builders ``fn(session) -> DataFrame`` over registered views.
+def queries(flights_view: str = "flights"):
+    """Q1-Q7 as builders ``fn(session) -> DataFrame`` over registered views:
+    ``flights_view``, ``planes``, ``flights_sel200`` and ``flights_sel400``.
 
     Q1 joins on the string key; Q3/Q4 join the flights table against the
     pre-selected probe tables on the integer key; Q5-Q7 are point queries
@@ -140,7 +135,7 @@ def queries(
 
     def q1(s):
         # Small planes table probes the flights side (keyed on tail_num).
-        planes = s.table(planes_view)
+        planes = s.table("planes")
         flights = s.table(flights_view)
         return planes.join(flights, on="tail_num").select(
             "model", "manufacturer", "origin", "dest"
@@ -149,7 +144,7 @@ def queries(
     def q2(s):
         from repro.sql.functions import col
 
-        return s.table(flights_view).where(col("tail_num") == probe_tail)
+        return s.table(flights_view).where(col("tail_num") == "N10003")
 
     def _self_join(s, probe_view):
         probe = s.table(probe_view).select("flight_num")
@@ -157,10 +152,10 @@ def queries(
         return probe.join(flights, on="flight_num").select("flight_num", "origin", "dest")
 
     def q3(s):
-        return _self_join(s, sel200_view)
+        return _self_join(s, "flights_sel200")
 
     def q4(s):
-        return _self_join(s, sel400_view)
+        return _self_join(s, "flights_sel400")
 
     def point(key):
         def q(s):
