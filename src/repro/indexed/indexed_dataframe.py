@@ -150,15 +150,15 @@ class IndexedDataFrame:
                 raise ValueError(
                     f"appended row width {len(r)} != schema width {len(self.schema)}"
                 )
-        new_version = self.rdd.version + 1
-        # Replayable source: keep the rows in the driver-side log, so lineage
-        # can replay the append after failures (the RDD below re-reads them
-        # from driver memory on every recomputation).
-        record = self.replay_log.append(new_version, new_rows)
+        # Replayable source: the RDD below re-reads the rows from driver
+        # memory on every recomputation, so lineage can replay the append
+        # after failures. The driver-side log records them under the version
+        # AppendRDD assigns.
         source = self.session.context.parallelize(
-            list(record.rows), max(1, min(len(record.rows), self.rdd.num_partitions))
+            new_rows, max(1, min(len(new_rows), self.rdd.num_partitions))
         )
         new_rdd = AppendRDD(self.rdd, source)
+        self.replay_log.append(new_rdd.version, new_rows)
         return IndexedDataFrame(
             self.session, self.schema, self.key_column, new_rdd, self.replay_log, self.name
         )

@@ -100,6 +100,7 @@ class TestBuildPair:
             r for r in rows if r[0] == 3
         )
 
+
 class TestExperimentRegistry:
     def test_all_paper_figures_covered(self):
         # Every evaluation figure of the paper (1, 4-15; 2 and 3 are
