@@ -78,10 +78,16 @@ def _vanilla_vs_indexed(session: Session, vanilla: Callable, indexed: Callable, 
 
     timed = time_rounds(
         {"vanilla": vanilla, "indexed": row_only, "kernels": indexed},
-        rounds=reps, settle=session.context.shuffle_manager.registered_shuffles,
+        rounds=reps, settle=_release_shuffles(session),
     )
     t_v, t_i, t_k = (timed[c].median for c in ("vanilla", "indexed", "kernels"))
     return [timed["vanilla"], timed["indexed"], t_v / t_i, timed["kernels"], t_v / t_k]
+
+
+def _release_shuffles(session: Session) -> Callable[[], object]:
+    """A ``settle`` for :func:`time_rounds`: asking the shuffle manager what it
+    holds drops the outputs of the shuffles finished queries released."""
+    return session.context.shuffle_manager.registered_shuffles
 
 
 def _probe_df(session: Session, keys: list[int], name: str = "probe"):
@@ -109,7 +115,7 @@ def fig01_amortization(n_rows: int = 40_000, runs: int = 5, seed: int = 1) -> Fi
 
     timed = time_rounds(
         {"vanilla": vanilla, "indexed": indexed}, rounds=runs, warmup=0,
-        settle=session.context.shuffle_manager.registered_shuffles,
+        settle=_release_shuffles(session),
     )
     vanilla_s, indexed_s = timed["vanilla"].samples, timed["indexed"].samples
     result_rows = [list(r) for r in zip(range(1, runs + 1), vanilla_s, build_s, indexed_s)]
@@ -381,7 +387,7 @@ def fig07_join_scales(n_rows: int = 100_000, reps: int = 5, seed: int = 5) -> Fi
         result_size = len(indexed_join.collect_tuples())
         timed = time_rounds(
             {"vanilla": vanilla_join.collect_tuples, "indexed": indexed_join.collect_tuples},
-            rounds=reps, settle=session.context.shuffle_manager.registered_shuffles,
+            rounds=reps, settle=_release_shuffles(session),
         )
         speedups.append(timed["vanilla"].median / timed["indexed"].median)
         result_rows.append(
@@ -754,7 +760,7 @@ def fig14_tpcds(scale_factors: tuple[int, ...] = (1, 10, 100), reps: int = 5, se
         timed = time_rounds(
             {"vanilla": lambda: session.sql(vanilla_sql).collect_tuples(),
              "indexed": lambda: session.sql(indexed_sql).collect_tuples()},
-            rounds=reps, settle=session.context.shuffle_manager.registered_shuffles,
+            rounds=reps, settle=_release_shuffles(session),
         )
         speedups.append(timed["vanilla"].median / timed["indexed"].median)
         result_rows.append([sf, len(sales), timed["vanilla"], timed["indexed"], speedups[-1]])
@@ -797,7 +803,7 @@ def fig15_flights(n_flights: int = 150_000, reps: int = 5, seed: int = 13) -> Fi
     indexed = flights.queries("flights_int")
     indexed.update((name, flights.queries("flights_str")[name]) for name in string_keyed)
     queries = {"vanilla": flights.queries(), "indexed": indexed}
-    settle = session.context.shuffle_manager.registered_shuffles
+    settle = _release_shuffles(session)
 
     def rounds(runs: dict) -> dict:
         runs = {name: lambda q=q: q(session).collect_tuples() for name, q in runs.items()}
@@ -877,8 +883,7 @@ def ablation_joins(n_rows: int = 60_000, reps: int = 5, seed: int = 14) -> Figur
     }
     want = sorted(joins["indexed"]())
     wrong = [name for name, run in joins.items() if sorted(run()) != want]
-    settle = session.context.shuffle_manager.registered_shuffles
-    timed = time_rounds(joins, rounds=reps, settle=settle)
+    timed = time_rounds(joins, rounds=reps, settle=_release_shuffles(session))
     fig = FigureResult(
         "Ablation: joins",
         "One M-scale join under each physical operator (median s)",
