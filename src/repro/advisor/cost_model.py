@@ -16,7 +16,7 @@ likely to be asked for again, and cheap to keep.
 * **expected reuse** — a :class:`DecayedCounter`: recurrence observed from
   plan-cache fingerprints and block accesses, decayed per advisor tick so
   yesterday's hot query does not pin today's memory.
-* **bytes held** — the memory manager's deep-sized accounting.
+* **bytes held** — the memory manager's charge, from its ledger of parts.
 
 Everything here is arithmetic over plain floats; no locks, no clocks —
 callers feed observed values in and sort by the returned score.

@@ -59,6 +59,12 @@ class SpillableRowBatch(ChecksumMixin):
     manager uses to meter fault-back traffic.
     """
 
+    __slots__ = (
+        "_buf", "_crc_marks", "_finalizer", "_lock", "_path", "_spill_crc", "_spill_dir",
+        "_spill_len", "_used", "capacity", "chaos_corruption", "faults", "on_fault",
+        "__weakref__",  # the spill file's finalizer
+    )
+
     def __init__(self, capacity: int, spill_dir: "str | None" = None) -> None:
         if capacity <= 0:
             raise ValueError("batch capacity must be positive")
@@ -129,6 +135,15 @@ class SpillableRowBatch(ChecksumMixin):
     @property
     def nbytes(self) -> int:
         return self.capacity
+
+    def meter_state(self) -> tuple:
+        """What this batch's metered size depends on (DESIGN.md §10): its
+        residency (not the buffer: a spill must free it), fill mark, fault
+        count, spill file, the hooks a spill installs, and the CRC marks."""
+        marks = self._crc_marks
+        return (self._buf is None, self._used, self.faults, self._path, self._finalizer,
+                self.on_fault, self.chaos_corruption, self._spill_crc, self._spill_len,
+                *marks, *marks.values())
 
     # -- spilling ----------------------------------------------------------------
 

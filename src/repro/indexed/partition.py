@@ -376,6 +376,23 @@ class IndexedPartition:
 
     # -- accounting (Fig. 11) --------------------------------------------------------------
 
+    def parts(self) -> list:
+        """What a memory meter sizes apart from this object (DESIGN.md §10):
+        the pieces versions and partitions share — row batches, the sealed
+        index arrays, the codec, the schema. The rest (this object, its
+        lists, the cTrie delta) is the partition's shell."""
+        return [*self.batches, self.ordered.base, self.codec, self.schema]
+
+    def meter_state(self) -> tuple:
+        """What the shell's metered size depends on, and which parts it has.
+        A delta holding keys changes under reads (path renewal after a
+        snapshot), so it never compares equal; an empty one changes only by
+        a root swap."""
+        ordered = self.ordered
+        delta = object() if ordered.delta_writes else ordered.delta.rdcss_read_root()
+        return (delta, ordered.fresh, ordered.base, self.row_count, *self._watermarks,
+                *self.batches)
+
     def index_bytes(self) -> int:
         """Deep size of every index structure held: base arrays, delta trie,
         fresh keys (the JAMM measurement of Fig. 11)."""

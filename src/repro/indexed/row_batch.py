@@ -65,5 +65,11 @@ class RowBatch(ChecksumMixin):
     def nbytes(self) -> int:
         return self.capacity
 
+    def meter_state(self) -> tuple:
+        """What this batch's metered size depends on besides its fixed buffer:
+        the fill mark and the CRC marks (DESIGN.md §10)."""
+        marks = self._crc_marks
+        return (self._used, *marks, *marks.values())
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"RowBatch(used={self._used}/{self.capacity})"

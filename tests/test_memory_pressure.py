@@ -124,34 +124,11 @@ class TestMetering:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_charges_are_a_fresh_walk_of_the_store_after_every_put(self, seed, tmp_path):
-        """One metering walk per put: after every put of a seeded sequence —
-        MVCC parents and children sharing batches and index arrays, spills
-        and evictions on the way — each block's charge and the total equal a
-        walk of the whole store from scratch, in LRU order with one shared
-        ``seen`` set, to the byte."""
-        from repro.indexed.partition import IndexedPartition
-
-        rng = random.Random(seed)
-        family: list[IndexedPartition] = []
-        for version in range(24):  # built in full first: a put meters a finished block
-            if family and rng.random() < 0.6:
-                part = rng.choice(family).snapshot(version)
-            else:
-                part = IndexedPartition(SCHEMA, "k", batch_size=2048, version=version)
-            part.insert_rows(make_rows(rng.randrange(1, 150), 20, rng.getrandbits(30), 40))
-            family.append(part)
-        s = make_session(tmp_path=tmp_path, executor_memory_bytes=40_000)
-        executor = s.context.executors["m0e0"]
-        mm, bm = executor.memory_manager, executor.block_manager
-        for i in rng.sample(range(len(family)), len(family)):
-            bm.put((i, 0), [family[i]])
-            seen: set = set()
-            fresh = {b: deep_sizeof(bm._blocks[b], seen=seen) for b in mm.block_sizes()}
-            assert mm.block_sizes() == fresh
-            assert mm.used_bytes == sum(fresh.values())
-        reg = s.context.registry
-        assert reg.counter_total("memory_spills_total") > 0
-        assert reg.counter_total("memory_evictions_total") > 0
+        """The ledger against the walk it replaced, over a seeded run of puts,
+        overwrites, removals, pressure storms and reads that fault batches
+        back in — MVCC parents and children sharing batches and index arrays,
+        spills and evictions on the way. See :func:`_ledger_run`."""
+        _ledger_run(seed, tmp_path)
 
     def test_lru_eviction_order(self, tmp_path):
         s = make_session(tmp_path=tmp_path, executor_memory_bytes=10_000)
@@ -178,6 +155,91 @@ class TestMetering:
         first = mm.used_bytes
         bm.put((1, 0), [b"x" * 100])
         assert mm.used_bytes < first
+
+
+def _ledger_run(seed: int, tmp_path) -> None:
+    """After every meter point (each spill, eviction, removal, overwrite and
+    pressure storm, also the storm that starts metering in an unbudgeted
+    store) every block's charge and the total equal one walk of the whole
+    store from scratch, in LRU order with one shared ``seen`` set, to the
+    byte. A put is no meter point: after one that shed nothing, the blocks
+    stored before keep their charges — a batch a reader faulted back in is
+    picked up at the next meter point, as the re-walk did — and the new
+    block's charge is the walk's."""
+    from repro.indexed.partition import IndexedPartition
+
+    rng = random.Random(seed)
+    family: list[IndexedPartition] = []
+    for version in range(24):  # built in full first: a put meters a finished block
+        if family and rng.random() < 0.6:
+            part = rng.choice(family).snapshot(version)
+        else:
+            part = IndexedPartition(SCHEMA, "k", batch_size=2048, version=version)
+        part.insert_rows(make_rows(rng.randrange(1, 150), 20, rng.getrandbits(30), 40))
+        family.append(part)
+    checked = []
+
+    def metered(budget: int):
+        s = make_session(tmp_path=tmp_path, executor_memory_bytes=budget)
+        executor = s.context.executors["m0e0"]
+        mm, bm = executor.memory_manager, executor.block_manager
+        settle = mm._settle
+
+        def settle_and_check(blocks, drop=None):
+            settle(blocks, drop)
+            assert mm.block_sizes() == walk(), f"seed={seed} step={len(checked)}"
+            assert mm.used_bytes == sum(mm.block_sizes().values())
+            checked.append(True)
+
+        def walk() -> dict:
+            seen: set = set()
+            return {b: deep_sizeof(bm._blocks[b], seen=seen) for b in mm.block_sizes()}
+
+        mm._settle = settle_and_check
+        return s, mm, bm, walk
+
+    # A storm in a store that never metered starts metering with a meter point.
+    s, mm, bm, walk = metered(0)
+    for i in range(6):
+        bm.put((i, 0), [family[i]])
+    bm.pressure_storm(0.5)
+    assert checked and mm.enabled
+    s, mm, bm, walk = metered(40_000)
+    for _ in range(60):
+        op = rng.choice(("put", "put", "put", "read", "read", "remove", "storm"))
+        stored = list(mm.block_sizes())
+        if op == "put" or not stored:
+            block_id = (rng.randrange(len(family) + 4), 0)  # some puts overwrite
+            before, settled = mm.block_sizes(), len(checked)
+            try:
+                bm.put(block_id, [family[block_id[0] % len(family)]])
+            except MemoryPressureError:
+                continue  # rolled back at a meter point, checked there
+            if len(checked) == settled:
+                charges = mm.block_sizes()
+                assert charges.pop(block_id) == walk()[block_id]
+                assert charges == {b: before[b] for b in charges}
+        elif op == "read":
+            parts = {b: bm._blocks[b][0] for b in stored}
+            cold = [b for b, p in parts.items() if p.resident_batch_bytes() < p.allocated_bytes()]
+            block_id = rng.choice(cold or stored)
+            bm._blocks[block_id][0].scan_rows()  # faults its spilled batches back in
+            if rng.random() < 0.5:
+                bm.get(block_id)  # and moves it to the LRU end
+        elif op == "remove":
+            bm.remove(rng.choice(stored))
+        else:
+            bm.pressure_storm(rng.choice([0.3, 0.6]))
+    reg = s.context.registry
+    assert reg.counter_total("memory_spills_total") > 0
+    assert reg.counter_total("memory_evictions_total") > 0
+    assert reg.counter_total("memory_faulted_back_bytes_total") > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(3, 50))
+def test_ledger_is_a_fresh_walk_slow(seed, tmp_path):
+    _ledger_run(seed, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +288,7 @@ class TestTieredShedding:
     @pytest.mark.xfail(
         strict=True,
         reason="fault-ins are never charged: a read brings spilled batches back "
-        "without a put, so the store outgrows its budget (DESIGN.md §10, ROADMAP item 7)",
+        "without a put, so the store outgrows its budget (DESIGN.md §10, ROADMAP item 8(a))",
     )
     def test_a_read_heavy_run_stays_under_budget(self, tmp_path, baseline_rows, baseline):
         budget = 120_000
@@ -301,6 +363,34 @@ class TestTieredShedding:
         loaded = sum(b.faults * b.capacity for b in made)
         assert loaded > 0
         assert reg.counter_total("memory_faulted_back_bytes_total") == loaded
+
+
+    def test_spilled_bytes_are_what_the_batches_released(
+        self, tmp_path, monkeypatch, baseline_rows, baseline
+    ):
+        """``memory_spilled_bytes_total`` is the capacity of every batch a spill
+        released — also when readers faulted batches back in between spills,
+        which a re-walk of the store nets out of the difference it counted."""
+        from repro.indexed.out_of_core import SpillableRowBatch
+
+        released: list[int] = []
+        spill = SpillableRowBatch.spill
+
+        def counting(batch):
+            released.append(spill(batch))
+            return released[-1]
+
+        monkeypatch.setattr(SpillableRowBatch, "spill", counting)
+        s = make_session("sequential", tmp_path, executor_memory_bytes=120_000)
+        idf = cached_index(s, baseline_rows)  # spills
+        assert collected(idf) == baseline  # faults them back in
+        spills = s.context.registry.counter_total("memory_spills_total")
+        other = make_rows(seed=1)
+        assert collected(cached_index(s, other)) == sorted(other)  # spills again
+        reg = s.context.registry
+        assert 0 < spills < reg.counter_total("memory_spills_total")
+        assert reg.counter_total("memory_faulted_back_bytes_total") > 0
+        assert reg.counter_total("memory_spilled_bytes_total") == sum(released)
 
 
 # ---------------------------------------------------------------------------
