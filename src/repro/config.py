@@ -64,9 +64,6 @@ class Config:
         0 (the default) derives the bound from the topology:
         ``sum(cores * partitions_per_core)`` over alive executors, capped
         at 32 threads.
-    index_string_keys_as_hash:
-        Hash string keys to 32-bit ints before inserting into the cTrie
-        (Section IV-E: strings are hashed, costing extra vs primitive keys).
     executor_replacement:
         When True, a killed executor re-registers (fresh, empty block
         store) after ``executor_restart_delay_tasks`` further task
@@ -118,7 +115,6 @@ class Config:
     #: (broadcast probes of a handful of keys, tiny collects). 0 disables
     #: the row-based half of the heuristic.
     small_stage_inline_rows: int = 128
-    index_string_keys_as_hash: bool = True
     #: Distinct keys a partition's index holds in its cTrie delta before
     #: sealing them into a fresh immutable array base (DESIGN.md §15): a
     #: batch that brings the delta to this many goes straight to a new base,
@@ -153,21 +149,12 @@ class Config:
     #: incoming query (seeded, per query index) — chaos for client retry
     #: paths; rejections are always retryable, never wrong answers.
     chaos_serve_rejection_prob: float = 0.0
-    #: Probability that one routed operation in the sharded serve tier
-    #: crashes a shard mid-query (seeded per router op index; the victim is
-    #: drawn at the same site). The router must fail over to a replica —
-    #: never a wrong answer, ``degraded`` only when a partition has no live
-    #: replica left.
-    chaos_shard_kill_prob: float = 0.0
     #: Corruption chaos (DESIGN.md §16): probability that real bytes get
     #: damaged (bit-flip / truncation / garbled header, drawn per site) in
     #: a just-written spill file. Every injection must be caught by a
     #: checksum boundary and repaired from lineage or a replica — never
     #: decoded into a wrong answer.
     chaos_corrupt_spill_prob: float = 0.0
-    #: Seconds between serve-tier scrub cycles when a scrubber is started
-    #: in background mode; 0 keeps scrubbing manual (``scrub_once``).
-    scrub_interval: float = 0.0
     #: Per-executor cached-block budget in bytes; 0 = unbounded (no metering).
     executor_memory_bytes: int = 0
     #: Where spilled row batches live (None: the system temp directory).
@@ -268,10 +255,9 @@ class Config:
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 problems.append(f"{name} must be a positive int, got {value!r}")
-        for name in ("chaos_straggler_delay", "scrub_interval"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{name} must be >= 0, got {value!r}")
+        delay = self.chaos_straggler_delay
+        if not isinstance(delay, (int, float)) or delay < 0:
+            problems.append(f"chaos_straggler_delay must be >= 0, got {delay!r}")
         threshold = self.ordered_index_compact_threshold
         if not isinstance(threshold, int) or threshold < 0:
             problems.append(

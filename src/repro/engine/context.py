@@ -80,7 +80,6 @@ class EngineContext:
             memory_squeeze_prob=self.config.chaos_memory_squeeze_prob,
             memory_squeeze_factor=self.config.chaos_memory_squeeze_factor,
             serve_rejection_prob=self.config.chaos_serve_rejection_prob,
-            shard_kill_prob=self.config.chaos_shard_kill_prob,
             corrupt_spill_prob=self.config.chaos_corrupt_spill_prob,
         )
         #: Cost-based cache advisor (DESIGN.md §17): passively accumulates

@@ -104,7 +104,6 @@ class IndexedBatchRDD(RDD):
             batch_size=cfg.row_batch_size,
             max_row_size=cfg.max_row_size,
             version=self.version,
-            hash_string_keys=cfg.index_string_keys_as_hash,
             ordered_compact_threshold=cfg.ordered_index_compact_threshold,
         )
 

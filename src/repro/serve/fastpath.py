@@ -11,8 +11,9 @@ The general pipeline answers it correctly — planner strategy
 submission, stage scheduling and the context-wide ``job_lock`` per query.
 :func:`recognize` compiles the shape into a :class:`ServeTemplate` instead,
 whose ``kind`` is the operator the planner would have picked — decided by
-the same rule, :func:`repro.indexed.rules.index_claim` — and which a front
-end answers from pinned partitions on the calling thread: hash the key and
+the same rule, :func:`repro.indexed.rules.index_claim` — and which the
+:class:`~repro.serve.router.ShardRouter` (the read path of both front ends)
+answers from pinned partitions on the calling thread: hash the key and
 search the cTrie (``point``), seek the ordered index (``range``), or
 evaluate the predicate over every partition (``scan``). No job, no stages,
 no lock.
@@ -20,9 +21,9 @@ no lock.
 Anything else — joins, aggregates, computed projections, non-indexed
 relations — returns ``None`` and falls back to the full planner, exactly
 like the planner strategies themselves fall back ("default Spark
-behavior", Section III-B). So does a template whose view the front end at
+behavior", Section III-B). So does a template whose view the router at
 hand does not serve: the template names the catalog view, serving it is the
-front end's business.
+router's business.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from repro.sql.logical import Filter, Limit, LogicalPlan, Project
 from repro.sql.prepared import bind_expression
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.serve.snapshot import PinnedSnapshot
     from repro.sql.catalog import Catalog
     from repro.sql.session import Session
 
@@ -81,9 +81,9 @@ class ServeTemplate:
         ``target`` is what the index is asked for — the lookup keys of a
         point read, the ``KeyRange`` of a range read, None for a scan — and
         ``residual`` the predicate left to evaluate on the rows that come
-        back (None when the target consumed every conjunct). The shard
-        router calls this to learn *which* keys a query needs before
-        deciding where to send it.
+        back (None when the target consumed every conjunct). The router
+        calls this to learn *which* keys a query needs before deciding
+        where to send it.
         """
         values = list(params) if params is not None else []
         if len(values) != self.num_params:
@@ -109,18 +109,6 @@ class ServeTemplate:
         if self.limit is not None:
             rows = rows[: self.limit]
         return rows
-
-    def execute(
-        self, snapshot: "PinnedSnapshot", params: "Iterable[Any] | None" = None
-    ) -> list[tuple]:
-        """Answer a point or range read from ``snapshot`` on the calling
-        thread (the single server leaves scans to the general pipeline)."""
-        target, residual = self.bind(params)
-        if self.kind == "point":
-            rows = [r for key in target for r in snapshot.lookup(key)]
-        else:
-            rows, _scanned = snapshot.range_lookup(target)
-        return self.finish(rows, residual)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ServeTemplate({self.kind}, {self.view}, params={self.num_params})"
@@ -176,8 +164,7 @@ def _count_params(expr: Expression) -> int:
 def prepare_query(
     session: "Session", text: str, params: "Sequence[Any] | None"
 ) -> "tuple[ServeTemplate | None, Callable[[], list[tuple]]]":
-    """The prologue both front ends share: parse ``text`` through the plan
-    cache (as a prepared statement when ``params`` are given) and return
+    """The router's prologue: parse ``text`` through the plan cache (as a prepared statement when ``params`` are given) and return
     its serve template, if any, plus a thunk that answers it through the
     general pipeline.
 
@@ -185,7 +172,7 @@ def prepare_query(
     entry, so it shares the entry's epoch invalidation: republishing a view
     bumps the catalog epoch, evicts the entry, and the next query
     re-recognizes against the new leaf. It depends on the catalog alone, so
-    every front end on the session reads the same slot.
+    every router on the session reads the same slot.
     """
     if params is not None:
         statement = session.prepare(text)

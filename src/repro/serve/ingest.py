@@ -6,17 +6,19 @@ made operational): a background thread that repeatedly
 1. appends a batch of rows to the served Indexed DataFrame — through the
    session's :class:`~repro.engine.replay.ReplayLog`, so lineage can
    replay the append after failures;
-2. publishes the new version through
-   :meth:`~repro.serve.server.QueryServer.publish` — pin the new version's
+2. publishes the new version through the front end's ``publish``
+   (:class:`~repro.serve.server.QueryServer` or
+   :class:`~repro.serve.router.ShardRouter`) — pin the new version's
    partitions (one job), then atomically swap the catalog registration and
    the served pin;
 3. truncates the replay log below the retention window
    (:meth:`~repro.engine.replay.ReplayLog.truncate_through`), bounding
    driver memory over an unbounded ingest stream.
 
-Readers never block on ingest: fast-path queries keep serving from the pin
-they observe (an immutable version), and the atomic swap means each client
-sees a monotonically non-decreasing snapshot version.
+Readers block on ingest only for the publish barrier's swap, never for the
+pin job: pinned-path queries keep serving from the pin they observe (an
+immutable version), and the atomic swap means each client sees a
+monotonically non-decreasing snapshot version.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
+    from repro.serve.router import ShardRouter
     from repro.serve.server import QueryServer
     from repro.serve.stream_join import StreamWindowJoin
 
@@ -57,7 +60,7 @@ class IngestLoop(threading.Thread):
 
     def __init__(
         self,
-        server: "QueryServer",
+        server: "QueryServer | ShardRouter",
         view: str,
         batches: Iterable[Sequence[tuple]],
         interval: float = 0.0,

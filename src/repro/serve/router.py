@@ -1,7 +1,9 @@
-"""ShardRouter: the front end of the sharded, replicated serve tier.
+"""ShardRouter: the read path of the serve tier, over N replicated shards.
 
-DESIGN.md §14. The router owns the control plane the shards deliberately
-don't have:
+DESIGN.md §14. Every served read goes through a router — a
+:class:`~repro.serve.server.QueryServer` is admission control in front of a
+router with one shard. The router owns the control plane the shards
+deliberately don't have:
 
 * **Routing.** A query is recognized (via the plan cache, by the one
   recogniser in :mod:`repro.serve.fastpath`) as a *point* read (``=`` /
@@ -10,8 +12,9 @@ don't have:
   them. Point keys route ``key -> split`` through the engine's hash
   partitioner and ``split -> shard`` through the
   :class:`~repro.serve.shard.RoutingTable`, rotating over a split's live
-  replicas; ranges and scans fan out one live replica per split and merge;
-  everything else — a view this router does not serve included — falls
+  replicas; ranges and scans fan out one live replica per split, calling
+  each assigned shard in turn on the caller's thread, and merge; everything
+  else — a view this router does not serve included — falls
   back to the session's general pipeline.
 * **Failover.** Shard health is a tiny state machine (ALIVE → SUSPECT →
   DEAD) driven by heartbeats and by :class:`~repro.serve.shard.ShardDown`
@@ -35,7 +38,6 @@ answers contract trivially auditable.)
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import threading
 import time
@@ -44,10 +46,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.serve.fastpath import ServeTemplate, prepare_query
-from repro.serve.server import ServeRejected
 from repro.serve.shard import (
     PartitionNotOwned,
     RoutingTable,
+    ServeRejected,
     ShardConfig,
     ShardDown,
     ShardServer,
@@ -57,9 +59,6 @@ from repro.serve.snapshot import PinnedSnapshot
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
     from repro.sql.session import Session
-
-#: Threads for the range / scan fan-out (one call per live shard).
-_POOL_WORKERS = 8
 
 #: Shard health states (the failover state machine).
 ALIVE, SUSPECT, DEAD = "alive", "suspect", "dead"
@@ -82,14 +81,18 @@ class RouterConfig:
 
 
 @dataclass
-class RouterResult:
-    """One answered (possibly partial) routed query."""
+class QueryResult:
+    """One answered query; the defaults are a whole answer."""
 
     rows: list[tuple]
-    #: "point" | "range" | "scan" | "general"
+    #: "point" | "range" | "scan" | "general" ("fastpath" for a point read
+    #: answered through a QueryServer, the label its counters always used)
     path: str
     #: Pinned MVCC version served (None for the general pipeline).
     snapshot_version: "int | None"
+    #: Seconds in a QueryServer's admission queue (0.0 on a bare router).
+    queued_seconds: float = 0.0
+    total_seconds: float = 0.0
     #: True when some partition had no live replica: ``rows`` is the answer
     #: over the surviving partitions only, never silently wrong.
     degraded: bool = False
@@ -97,19 +100,6 @@ class RouterResult:
     missing_partitions: list[int] = field(default_factory=list)
     #: Replica fail-overs this query performed mid-flight.
     failovers: int = 0
-    total_seconds: float = 0.0
-
-
-class _ViewState:
-    """Router-side control data for one served view."""
-
-    __slots__ = ("idf", "partitioner", "table", "version")
-
-    def __init__(self, idf: "IndexedDataFrame", version: int, table: RoutingTable) -> None:
-        self.idf = idf
-        self.version = version
-        self.partitioner = idf.partitioner
-        self.table = table
 
 
 class ShardRouter:
@@ -132,10 +122,10 @@ class ShardRouter:
         ]
         self._health = [ALIVE] * num_shards
         self._heartbeat_misses = [0] * num_shards
-        self._views: dict[str, _ViewState] = {}
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=_POOL_WORKERS, thread_name_prefix="shard-router"
-        )
+        #: Per served view: the pin it publishes (all partitions, what
+        #: ``pinned`` returns) and where each split lives.
+        self._pinned: dict[str, PinnedSnapshot] = {}
+        self._tables: dict[str, RoutingTable] = {}
         self._admin_lock = threading.RLock()
         self._gate = threading.Condition()
         self._active_queries = 0
@@ -146,10 +136,11 @@ class ShardRouter:
 
     # -- publishing --------------------------------------------------------------------
 
-    def publish(self, view: str, idf: "IndexedDataFrame") -> None:
+    def publish(self, view: str, idf: "IndexedDataFrame") -> PinnedSnapshot:
         """Pin ``idf`` (one lineage-safe job) and atomically make it the
         served version of ``view`` (the catalog's spelling: lower-case) on
-        every live shard."""
+        every live shard. Readers of the previous pin are unaffected — they
+        hold the partition objects of their version (MVCC)."""
         view = view.lower()
         pin = PinnedSnapshot.pin(idf)  # outside the barrier: may rebuild partitions
         # Barrier first, admin lock second: an in-flight query that sees a
@@ -158,49 +149,44 @@ class ShardRouter:
         # holds the admin lock waits on the barrier.
         with self._publish_barrier(), self._admin_lock:
             idf.create_or_replace_temp_view(view)
-            state = self._views.get(view)
-            if state is not None and state.table.num_partitions == idf.num_partitions:
-                table = state.table  # keep repairs and quarantines across republish
-            else:
+            table = self._tables.get(view)  # kept across republish: repairs, quarantines
+            if table is None or table.num_partitions != idf.num_partitions:
                 table = RoutingTable(
                     idf.num_partitions, len(self.shards), self.config.replication_factor
                 )
-            self._views[view] = _ViewState(idf, pin.version, table)
+            self._pinned[view], self._tables[view] = pin, table
             for shard in self.shards:
-                if not shard.alive:
-                    continue
-                splits = table.splits_owned_by(shard.shard_id)
-                shard.install(
-                    view,
-                    pin.version,
-                    idf.partitioner,
-                    {s: pin.partitions[s] for s in splits},
-                )
-        self.registry.set_gauge("serve_router_version", float(pin.version), view=view)
+                if shard.alive:
+                    splits = table.splits_owned_by(shard.shard_id)
+                    shard.install(view, pin.version, {s: pin.partitions[s] for s in splits})
+        return pin
 
-    def pinned(self, view: str) -> _ViewState:
-        """The served state of ``view`` (duck-compatible with
-        :meth:`QueryServer.pinned` for ingest loops: has ``.idf``)."""
-        return self._views[view.lower()]
+    def pinned(self, view: str) -> PinnedSnapshot:
+        """The currently served snapshot of ``view``."""
+        return self._pinned[view.lower()]
 
     def views(self) -> list[str]:
-        return sorted(self._views)
+        return sorted(self._pinned)
 
     def routing_table(self, view: str) -> dict[int, list[int]]:
-        return self._views[view.lower()].table.as_dict()
+        """split -> ordered replica shards, as plain data (a copy)."""
+        return self._tables[view.lower()].as_dict()
 
     # -- client surface ----------------------------------------------------------------
 
     def query(
         self, text: str, params: "Sequence[Any] | None" = None
-    ) -> RouterResult:
-        """Route one query; may raise a retryable :class:`ServeRejected`."""
+    ) -> QueryResult:
+        """Route one query; may raise a retryable :class:`ServeRejected`.
+
+        :meth:`answer` plus what a bare router adds around it: shard-kill
+        chaos and the ``serve_router_*`` counters.
+        """
         if self._closed:
             raise ServeRejected("shutdown", retryable=False)
         self._inject_chaos()
         t0 = time.perf_counter()
-        with self._query_slot():
-            result = self._dispatch(text, params)
+        result = self.answer(text, params)
         result.total_seconds = time.perf_counter() - t0
         self.registry.inc("serve_router_queries_total", path=result.path)
         self.registry.observe(
@@ -210,11 +196,24 @@ class ShardRouter:
             self.registry.inc("serve_degraded_results_total")
         return result
 
+    def answer(self, text: str, params: "Sequence[Any] | None" = None) -> QueryResult:
+        """Answer one query inside a publish-barrier slot, recording no
+        router counters — what a :class:`QueryServer` worker calls."""
+        gate = self._gate
+        with gate:
+            while self._publishing:
+                gate.wait()
+            self._active_queries += 1
+        try:
+            return self._dispatch(text, params)
+        finally:
+            with gate:
+                self._active_queries -= 1
+                if self._active_queries == 0 and self._publishing:
+                    gate.notify_all()  # the publish barrier waits for this
+
     def shutdown(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShardRouter":
         return self
@@ -262,16 +261,14 @@ class ShardRouter:
         self._declare_dead(shard_id, reason)
 
     def recover_shard(self, shard_id: int) -> None:
-        """Restart a dead shard and re-install its owned partitions —
-        copied from live replicas when possible, re-pinned from lineage
-        (one job per view) when a partition has no live copy."""
+        """Restart a dead shard and re-install its owned partitions from the
+        served pin (it holds every partition, verified by the last scrub)."""
         with self._admin_lock:
             shard = self.shards[shard_id]
             shard.restore()
-            for view, state in self._views.items():
-                splits = state.table.splits_owned_by(shard_id)
-                parts = self._partitions_for(view, state, splits)
-                shard.install(view, state.version, state.partitioner, parts)
+            for view, pin in self._pinned.items():
+                splits = self._tables[view].splits_owned_by(shard_id)
+                shard.install(view, pin.version, {s: pin.partitions[s] for s in splits})
             self._health[shard_id] = ALIVE
             self._heartbeat_misses[shard_id] = 0
         self.context.metrics.record_recovery(
@@ -287,10 +284,9 @@ class ShardRouter:
             live = set(self.live_shards())
             if not live:
                 return 0
-            views = [view] if view is not None else list(self._views)
+            views = [view] if view is not None else list(self._tables)
             for name in views:
-                state = self._views[name]
-                table = state.table
+                table = self._tables[name]
                 per_shard: dict[int, dict[int, Any]] = {}
                 for split in range(table.num_partitions):
                     owners = table.replicas(split)
@@ -316,20 +312,6 @@ class ShardRouter:
         return installed
 
     # -- internals: admission & chaos ---------------------------------------------------
-
-    @contextmanager
-    def _query_slot(self) -> Iterator[None]:
-        with self._gate:
-            while self._publishing:
-                self._gate.wait()
-            self._active_queries += 1
-        try:
-            yield
-        finally:
-            with self._gate:
-                self._active_queries -= 1
-                if self._active_queries == 0:
-                    self._gate.notify_all()
 
     @contextmanager
     def _publish_barrier(self) -> Iterator[None]:
@@ -370,57 +352,58 @@ class ShardRouter:
 
     # -- internals: dispatch ------------------------------------------------------------
 
-    def _dispatch(self, text: str, params: "Sequence[Any] | None") -> RouterResult:
+    def _dispatch(self, text: str, params: "Sequence[Any] | None") -> QueryResult:
         template, general = prepare_query(self.session, text, params)
-        state = self._views.get(template.view) if template is not None else None
-        if state is None:
-            return RouterResult(general(), "general", None)
+        pin = self._pinned.get(template.view) if template is not None else None
+        if pin is None:
+            return QueryResult(general(), "general", None)
         if template.kind == "point":
-            return self._run_point(template, state, params)
-        return self._run_fanout(template, state, params)
+            return self._run_point(template, pin, params)
+        return self._run_fanout(template, pin, params)
 
     # -- internals: point path ----------------------------------------------------------
 
     def _run_point(
-        self, template: ServeTemplate, state: _ViewState, params: "Sequence[Any] | None"
-    ) -> RouterResult:
+        self, template: ServeTemplate, pin: PinnedSnapshot, params: "Sequence[Any] | None"
+    ) -> QueryResult:
         keys, residual = template.bind(params)
+        table = self._tables[template.view]
         rows: list[tuple] = []
         missing: list[int] = []
         failovers = 0
         for key in keys:
-            split = state.partitioner.partition(key)
-            key_rows, key_failovers = self._lookup_key(template.view, state, key, split)
+            split = pin.partitioner.partition(key)
+            key_rows, key_failovers = self._lookup_key(template.view, table, key, split)
             failovers += key_failovers
             if key_rows is None:
                 missing.append(split)
             else:
                 rows.extend(key_rows)
-        return RouterResult(
+        return QueryResult(
             template.finish(rows, residual),
             "point",
-            state.version,
+            pin.version,
             degraded=bool(missing),
             missing_partitions=sorted(set(missing)),
             failovers=failovers,
         )
 
     def _lookup_key(
-        self, view: str, state: _ViewState, key: Any, split: int
+        self, view: str, table: RoutingTable, key: Any, split: int
     ) -> "tuple[list[tuple] | None, int]":
         """Route one key to a live replica of its split, failing over down
         the list. Returns (rows | None-if-no-live-replica, failovers)."""
-        candidates = [s for s in state.table.replicas(split) if self._usable(s)]
+        candidates = [s for s in table.replicas(split) if self._usable(s)]
         # Rotate across replicas so a split's reads spread over all its copies.
         if len(candidates) > 1:
             start = next(self._rr) % len(candidates)
             candidates = candidates[start:] + candidates[:start]
-        rows, failovers = self._call_replicas(view, key, candidates)
+        rows, failovers = self._call_replicas(view, key, split, candidates)
         if rows is None:
             # Candidates list may have been stale; one more look post-failover.
-            retry = [s for s in state.table.replicas(split) if self._usable(s)]
+            retry = [s for s in table.replicas(split) if self._usable(s)]
             if retry:
-                rows, more = self._call_replicas(view, key, retry)
+                rows, more = self._call_replicas(view, key, split, retry)
                 failovers += more
         return rows, failovers
 
@@ -428,7 +411,7 @@ class ShardRouter:
         return self._health[shard_id] != DEAD and self.shards[shard_id].alive
 
     def _call_replicas(
-        self, view: str, key: Any, candidates: list[int]
+        self, view: str, key: Any, split: int, candidates: list[int]
     ) -> "tuple[list[tuple] | None, int]":
         """Try replicas in order. Returns (rows | None when every candidate
         is dead, failovers)."""
@@ -438,7 +421,7 @@ class ShardRouter:
             if not self._usable(shard_id):
                 continue
             try:
-                return self.shards[shard_id].lookup(view, key), failovers
+                return self.shards[shard_id].lookup(view, key, split), failovers
             except ShardDown as exc:
                 self._failed_over(exc, f"key={key!r}", "observed on lookup")
                 failovers += 1
@@ -461,20 +444,23 @@ class ShardRouter:
     # -- internals: range / scan fan-out ------------------------------------------------
 
     def _run_fanout(
-        self, template: ServeTemplate, state: _ViewState, params: "Sequence[Any] | None"
-    ) -> RouterResult:
+        self, template: ServeTemplate, pin: PinnedSnapshot, params: "Sequence[Any] | None"
+    ) -> QueryResult:
         """Send a range or a scan to one live replica per split and merge.
 
         Keys are hash-partitioned, so every split may hold members of a key
         range — a range fans out exactly like a scan, and the two differ
         only in the per-shard call (a range seeks each partition's ordered
-        index instead of decoding every row). A split whose shard dies or
-        disowns it mid-call is re-assigned in the next round; one with no
-        live replica left is reported missing.
+        index instead of decoding every row). Assigned shards are called in
+        turn on the caller's thread (DESIGN.md §14 records why there is no
+        pool). A split whose shard dies or disowns it mid-call is
+        re-assigned in the next round; one with no live replica left is
+        reported missing.
         """
         view, kind = template.view, template.kind
         target, residual = template.bind(params)
-        remaining = list(range(state.table.num_partitions))
+        table = self._tables[view]
+        remaining = list(range(table.num_partitions))
         rows: list[tuple] = []
         missing: list[int] = []
         failovers = 0
@@ -482,35 +468,31 @@ class ShardRouter:
         while remaining and rounds <= len(self.shards):
             rounds += 1
             live = set(self.live_shards())
-            assignment, no_replica = state.table.scan_assignment(remaining, live)
+            assignment, no_replica = table.scan_assignment(remaining, live)
             missing.extend(no_replica)
             if not assignment:
                 break
-            futures = {}
+            remaining = []
             for shard_id, splits in assignment.items():
                 shard = self.shards[shard_id]
-                if kind == "range":
-                    fut = self._pool.submit(shard.range_scan, view, splits, target, residual)
-                else:
-                    fut = self._pool.submit(shard.scan, view, splits, residual)
-                futures[fut] = splits
-            remaining = []
-            for fut in concurrent.futures.as_completed(futures):
                 try:
-                    rows.extend(fut.result())
+                    if kind == "range":
+                        rows.extend(shard.range_scan(view, splits, target, residual))
+                    else:
+                        rows.extend(shard.scan(view, splits, residual))
                 except ShardDown as exc:
                     self._failed_over(exc, kind, f"observed on {kind}")
                     failovers += 1
-                    remaining.extend(futures[fut])
+                    remaining.extend(splits)
                 except PartitionNotOwned:
                     failovers += 1
-                    remaining.extend(futures[fut])
+                    remaining.extend(splits)
         missing.extend(remaining)
-        return RouterResult(
+        return QueryResult(
             # The residual already ran shard-side; only project/limit remain.
             template.finish(rows, None),
             kind,
-            state.version,
+            pin.version,
             degraded=bool(missing),
             missing_partitions=sorted(set(missing)),
             failovers=failovers,
@@ -528,15 +510,16 @@ class ShardRouter:
         quarantined and the split is re-pinned from lineage
         (``"lineage_repin"`` — the rebuild cost lands on the cache
         manager's ``lineage_rebuild`` attribution, not double-counted
-        here). Either way the replication factor is restored before
-        returning, so the zero-wrong-answers contract holds with no
-        degraded window beyond this call.
+        here). Either way the served pin takes the verified copy of the
+        split (same version: what :meth:`pinned` readers see) and the
+        replication factor is restored before returning, so the
+        zero-wrong-answers contract holds with no degraded window beyond
+        this call.
         """
         from repro.integrity import CorruptBlockError, audit_partition
 
-        state = self._views[view]
-        table = state.table
         with self._admin_lock:
+            pin, table = self._pinned[view], self._tables[view]
             source = None
             for owner in list(table.replicas(split)):
                 if not self._usable(owner):
@@ -560,12 +543,12 @@ class ShardRouter:
             else:
                 how = "lineage_repin"
                 matched = self.context.quarantine_corrupt(exc)
-                pin = PinnedSnapshot.pin(state.idf)
-                source = pin.partitions[split]
+                source = PinnedSnapshot.pin(pin.idf).partitions[split]
                 if matched == 0:
                     # Nothing was cached: the re-pin itself is the repair
                     # (otherwise the cache manager's rebuild attributes it).
                     self.registry.inc("corruption_repaired_total", how="repin")
+            pin.partitions[split] = source
             # Restore the replication factor with the verified source.
             installs: dict[int, Any] = {}
             for target in range(len(self.shards)):
@@ -578,35 +561,6 @@ class ShardRouter:
             for target in installs:
                 self.shards[target].install_partitions(view, {split: source})
         return how
-
-    # -- internals: sourcing -------------------------------------------------------------
-
-    def _partitions_for(
-        self, view: str, state: _ViewState, splits: list[int]
-    ) -> dict[int, Any]:
-        """Partition objects for ``splits``: copied from live replicas when
-        possible, re-pinned from lineage (one job) otherwise."""
-        parts: dict[int, Any] = {}
-        wanted = set(splits)
-        for shard in self.shards:
-            if not wanted:
-                break
-            if not shard.alive:
-                continue
-            try:
-                snap = shard.snapshot(view)
-            except PartitionNotOwned:
-                continue
-            for split in list(wanted):
-                part = snap.parts.get(split)
-                if part is not None and part.version == state.version:
-                    parts[split] = part
-                    wanted.discard(split)
-        if wanted:
-            pin = PinnedSnapshot.pin(state.idf)
-            for split in wanted:
-                parts[split] = pin.partitions[split]
-        return parts
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -8,16 +8,13 @@ query happened to decode the flipped bytes. The scrubber closes that gap:
 it periodically re-verifies every pinned partition's checksums and repairs
 what it finds *before* a client read can observe it.
 
-:class:`SnapshotScrubber` duck-types its target:
-
-* a :class:`~repro.serve.server.QueryServer` — each view's
-  :class:`~repro.serve.snapshot.PinnedSnapshot` is audited partition by
-  partition; a mismatch quarantines the damaged cached blocks and
-  re-publishes the view (one re-pin job rebuilds from lineage);
-* a :class:`~repro.serve.router.ShardRouter` — each view's splits are
-  audited once (replicas share the pinned MVCC objects), and a mismatch is
-  repaired through :meth:`~repro.serve.router.ShardRouter.quarantine_replica`
-  — surviving verified replica first, lineage re-pin as the last resort.
+There is one repair path. The target is a
+:class:`~repro.serve.router.ShardRouter`, or a
+:class:`~repro.serve.server.QueryServer`, scrubbed through the one-shard
+router it reads from: each view's splits are audited once (replicas share
+the pinned MVCC objects), and a mismatch is repaired through
+:meth:`~repro.serve.router.ShardRouter.quarantine_replica` — surviving
+verified replica first, lineage re-pin as the last resort.
 
 Every cycle runs under a ``scrub`` tracer span and feeds the
 ``scrub_cycles_total`` / ``scrub_partitions_verified_total`` /
@@ -31,18 +28,19 @@ import threading
 from typing import Any
 
 from repro.integrity import CorruptBlockError, audit_partition
+from repro.serve.shard import PartitionNotOwned
 
 
 class SnapshotScrubber:
     """Re-verify pinned snapshots on a serve target; repair on mismatch."""
 
-    def __init__(self, target: Any, interval: "float | None" = None) -> None:
-        #: QueryServer or ShardRouter (both expose ``.context`` / ``.views()``).
-        self.target = target
-        self.context = target.context
-        #: Seconds between background cycles; ``Config.scrub_interval``
-        #: unless given. 0 keeps scrubbing manual (:meth:`scrub_once`).
-        self.interval = self.context.config.scrub_interval if interval is None else interval
+    def __init__(self, target: Any, interval: float = 0.0) -> None:
+        #: The router to audit: ``target`` itself, or a QueryServer's own.
+        self.router = getattr(target, "router", target)
+        self.context = self.router.context
+        #: Seconds between background cycles; 0 keeps scrubbing manual
+        #: (:meth:`scrub_once`).
+        self.interval = interval
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
 
@@ -53,10 +51,7 @@ class SnapshotScrubber:
         registry = self.context.registry
         span = self.context.tracer.start_span("scrub", kind="scrub")
         with span:
-            if hasattr(self.target, "shards"):
-                stats = self._scrub_router()
-            else:
-                stats = self._scrub_server()
+            stats = self._scrub()
             span.set_attr("found", stats["found"])
             span.set_attr("verified", stats["verified"])
         registry.inc("scrub_cycles_total")
@@ -97,44 +92,16 @@ class SnapshotScrubber:
                 # next cycle retries (and the counter records the miss).
                 self.context.registry.inc("scrub_errors_total")
 
-    # -- targets ----------------------------------------------------------------------
+    # -- the audit --------------------------------------------------------------------
 
-    def _scrub_server(self) -> dict[str, int]:
-        """QueryServer: audit each view's pin; republish on corruption."""
-        server = self.target
-        stats = {"partitions": 0, "verified": 0, "anchored": 0, "found": 0, "repaired": 0}
-        for view in server.views():
-            pin = server.pinned(view)
-            for split, part in enumerate(pin.partitions):
-                stats["partitions"] += 1
-                try:
-                    verified, anchored = audit_partition(part, where="scrub")
-                    stats["verified"] += verified
-                    stats["anchored"] += anchored
-                except CorruptBlockError as exc:
-                    self._found(view, split, exc, stats)
-                    matched = self.context.quarantine_corrupt(exc)
-                    # Re-pin + swap: the rebuild of quarantined blocks is
-                    # attributed by the cache manager (lineage_rebuild);
-                    # when nothing was cached the re-pin itself is the fix.
-                    server.publish(view, pin.idf)
-                    if matched == 0:
-                        self.context.registry.inc(
-                            "corruption_repaired_total", how="repin"
-                        )
-                    self._repaired(view, split, "repin", stats)
-        return stats
-
-    def _scrub_router(self) -> dict[str, int]:
-        """ShardRouter: audit each split once (replicas share the pinned
-        objects); repair through the router's replica quarantine."""
-        router = self.target
+    def _scrub(self) -> dict[str, int]:
+        """Audit each split once (replicas share the pinned objects);
+        repair through the router's replica quarantine."""
+        router = self.router
         stats = {"partitions": 0, "verified": 0, "anchored": 0, "found": 0, "repaired": 0}
         for view in router.views():
-            state = router.pinned(view)
-            table = state.table
-            for split in range(table.num_partitions):
-                part = self._split_partition(router, view, table, split)
+            for split, owners in router.routing_table(view).items():
+                part = self._split_partition(router, view, owners, split)
                 if part is None:
                     continue
                 stats["partitions"] += 1
@@ -153,10 +120,8 @@ class SnapshotScrubber:
         return stats
 
     @staticmethod
-    def _split_partition(router: Any, view: str, table: Any, split: int) -> Any:
-        from repro.serve.shard import PartitionNotOwned
-
-        for owner in table.replicas(split):
+    def _split_partition(router: Any, view: str, owners: list[int], split: int) -> Any:
+        for owner in owners:
             if not router._usable(owner):
                 continue
             try:

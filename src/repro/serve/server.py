@@ -1,4 +1,4 @@
-"""QueryServer: admission-controlled, multi-tenant query service.
+"""QueryServer: admission control in front of a one-shard router.
 
 One :class:`QueryServer` wraps one :class:`~repro.sql.session.Session` and
 turns it into a service: clients :meth:`submit` SQL (optionally with bind
@@ -21,15 +21,18 @@ Admission control rejects, in order:
 * ``deadline`` — the query waited in the queue past its deadline (shed
   stale work instead of burning a worker on an answer nobody awaits).
 
-Execution picks the cheapest applicable path per query:
-
-* **fast path** — :mod:`repro.serve.fastpath` recognized a point or range
-  read of a published view: served on the worker thread from the
-  :class:`~repro.serve.snapshot.PinnedSnapshot`, no job, no stages, no
-  ``job_lock``;
-* **general** — everything else (scans of a published view included) goes
-  through the (plan-cached) session pipeline; ``run_job`` serializes on
-  the context's ``job_lock``.
+The server has no read path of its own. It owns a
+:class:`~repro.serve.router.ShardRouter` with one shard and one replica —
+under the engine's hash partitioner a single server is a router with one
+shard — and ``publish`` / ``pinned`` / ``views`` delegate to it. A worker
+answers an admitted query with :meth:`~repro.serve.router.ShardRouter.answer`:
+a point (``path="fastpath"``), range or scan read of a published view is
+served on the worker thread from the pinned partitions, no job, no
+``job_lock``; everything else goes through the (plan-cached) session
+pipeline. Shard-kill chaos and the ``serve_router_*`` counters belong to
+:meth:`ShardRouter.query` and are not applied here; the one shard feeds the
+``serve_shard_*{shard="0"}`` series like any router's shard 0 on the
+context.
 """
 
 from __future__ import annotations
@@ -42,29 +45,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.memory_manager import MemoryPressureError
-from repro.serve.fastpath import prepare_query
-from repro.serve.snapshot import PinnedSnapshot
+from repro.serve.router import QueryResult, RouterConfig, ShardRouter
+from repro.serve.shard import ServeRejected
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
+    from repro.serve.snapshot import PinnedSnapshot
     from repro.sql.session import Session
-
-
-class ServeRejected(RuntimeError):
-    """Admission control refused the query.
-
-    ``retryable`` rejections mean "back off and resend"; only ``shutdown``
-    is final. Rejections are the server's *only* degraded mode — it sheds
-    load rather than degrade answers.
-    """
-
-    def __init__(self, reason: str, detail: str = "", retryable: bool = True) -> None:
-        message = f"query rejected ({reason})"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-        self.reason = reason
-        self.retryable = retryable
 
 
 @dataclass
@@ -84,19 +71,6 @@ class ServeConfig:
     #: Test hook: replaces ``EngineContext.memory_pressure`` as the
     #: admission-control pressure signal.
     pressure_probe: "Callable[[], float] | None" = None
-
-
-@dataclass
-class QueryResult:
-    """One answered query."""
-
-    rows: list[tuple]
-    #: "fastpath" (point) | "range" | "general"
-    path: str
-    #: MVCC version served (fast path; None when the general pipeline ran).
-    snapshot_version: "int | None"
-    queued_seconds: float
-    total_seconds: float
 
 
 class QueryTicket:
@@ -199,9 +173,9 @@ class QueryServer:
         self.context = session.context
         self.config = config or ServeConfig()
         self.registry = self.context.registry
+        #: The read path: one shard holding every partition of each view.
+        self.router = ShardRouter(session, 1, RouterConfig(replication_factor=1))
         self._queue: "queue.Queue[Any]" = queue.Queue()
-        self._pins: dict[str, PinnedSnapshot] = {}
-        self._pins_lock = threading.Lock()
         self._admissions = itertools.count()
         self._closed = False
         self._workers = [
@@ -214,32 +188,21 @@ class QueryServer:
     # -- publishing (the ingest side) ---------------------------------------------
 
     def publish(self, view: str, idf: "IndexedDataFrame") -> PinnedSnapshot:
-        """Pin ``idf`` and atomically make it the served version of ``view``.
-
-        Order matters: the pin job runs *first* (outside the swap lock —
-        it may rebuild partitions from lineage), then catalog registration
-        and the pin swap happen together, so a query that parses against
-        the new catalog epoch can never be served an older pin. Readers of
-        the previous pin are unaffected — they hold the partition objects
-        of their version (MVCC). View names are the catalog's: SQL names
-        are case-insensitive and kept lower-case.
-        """
-        view = view.lower()
-        pin = PinnedSnapshot.pin(idf)
-        with self._pins_lock:
-            idf.create_or_replace_temp_view(view)
-            self._pins[view] = pin
-        self.registry.set_gauge("serve_pinned_version", float(pin.version), view=view)
+        """Pin ``idf`` and atomically make it the served version of ``view``
+        (:meth:`ShardRouter.publish`: the pin job runs first, then catalog
+        registration and the install happen behind the publish barrier, so
+        a query that parses against the new catalog epoch is never served
+        an older pin)."""
+        pin = self.router.publish(view, idf)
+        self.registry.set_gauge("serve_pinned_version", float(pin.version), view=view.lower())
         return pin
 
     def pinned(self, view: str) -> PinnedSnapshot:
         """The currently served snapshot of ``view``."""
-        with self._pins_lock:
-            return self._pins[view.lower()]
+        return self.router.pinned(view)
 
     def views(self) -> list[str]:
-        with self._pins_lock:
-            return sorted(self._pins)
+        return self.router.views()
 
     # -- client surface ------------------------------------------------------------
 
@@ -298,6 +261,7 @@ class QueryServer:
             self._queue.put(_STOP)
         for w in self._workers:
             w.join(timeout=30.0)
+        self.router.shutdown()
 
     def __enter__(self) -> "QueryServer":
         return self
@@ -336,7 +300,11 @@ class QueryServer:
         span = self.context.tracer.start_span("serve", kind="serve", text=ticket.text)
         try:
             with span:
-                result = self._execute(ticket, queued)
+                result = self.router.answer(ticket.text, ticket.params)
+                if result.path == "point":
+                    result.path = "fastpath"
+                result.queued_seconds = queued
+                result.total_seconds = time.perf_counter() - ticket.enqueued_at
                 span.set_attr("path", result.path)
             ticket._complete(result)
             self.registry.inc("serve_queries_total", path=result.path)
@@ -351,19 +319,6 @@ class QueryServer:
             ticket._fail(exc)
         except BaseException as exc:  # planner/executor errors belong to the client
             ticket._fail(exc)
-
-    def _execute(self, ticket: QueryTicket, queued: float) -> QueryResult:
-        template, general = prepare_query(self.session, ticket.text, ticket.params)
-        if template is not None and template.kind != "scan":
-            pin = self._pins.get(template.view)
-            if pin is not None:
-                rows = template.execute(pin, ticket.params)
-                total = time.perf_counter() - ticket.enqueued_at
-                path = "fastpath" if template.kind == "point" else "range"
-                return QueryResult(rows, path, pin.version, queued, total)
-        rows = general()
-        total = time.perf_counter() - ticket.enqueued_at
-        return QueryResult(rows, "general", None, queued, total)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -1,14 +1,15 @@
 """Serve shards: per-shard pinned partitions, admission, and failure modes.
 
-One :class:`ShardServer` is the shard-local half of the sharded serve tier
-(DESIGN.md §14): the :class:`~repro.serve.server.QueryServer` story —
-pinned partitions, admission control, retryable shedding, per-shard
-latency accounting — scoped to *only the partitions the shard owns* under
-the engine's hash partitioner. The SQL front end (recognition, routing,
-merging, failover) lives in :class:`~repro.serve.router.ShardRouter`; a
-shard exposes the data-plane verbs the router needs:
+One :class:`ShardServer` is the shard-local half of the serve tier
+(DESIGN.md §14): pinned partitions, admission control, retryable shedding
+and per-shard latency accounting, scoped to *only the partitions the shard
+owns* under the engine's hash partitioner. The SQL front end (recognition,
+routing, merging, failover) lives in :class:`~repro.serve.router.ShardRouter`
+— a :class:`~repro.serve.server.QueryServer` reads through a one-shard
+router — and a shard exposes the data-plane verbs the router needs:
 
-* :meth:`lookup` — single-key point read against the shard's pinned cTrie;
+* :meth:`lookup` — single-key point read against the cTrie of the split
+  the router already hashed the key to;
 * :meth:`scan` / :meth:`range_scan` — evaluate a predicate, or seek a key
   range, over an explicit set of owned splits (the router assigns each
   split to exactly one live replica per fan-out, so replication never
@@ -22,15 +23,15 @@ machine keys off them:
   fails over to the next live replica; the client never sees this.
 * :class:`PartitionNotOwned` — the routing table and the shard disagree
   (a repair or quarantine raced the query). Also handled by failover.
-* :class:`~repro.serve.server.ServeRejected` (``shard_overloaded``) — the
-  shard's admission gate shed the call; retryable backpressure, surfaced
-  to the client as shed load exactly like the single-server tier.
+* :class:`ServeRejected` (``shard_overloaded``) — the shard's admission
+  gate shed the call; retryable backpressure, surfaced to the client as
+  shed load exactly like a front end's own admission rejections.
 
 Capacity is modeled, not real: ``ShardConfig.service_time`` seconds of
 simulated work are paid under a per-shard service lock, so a shard behaves
 like a single-core server (~1/service_time qps). Nothing in the repo sets
 it above 0.0 any more; the field and its branch in :meth:`ShardServer._serve`
-stay because the repo benchmark passes the keyword (ROADMAP item 5).
+stay because the repo benchmark passes the keyword (ROADMAP item 1(a)).
 """
 
 from __future__ import annotations
@@ -40,11 +41,27 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.serve.server import ServeRejected
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import EngineContext
     from repro.sql.expressions import Expression
+
+
+class ServeRejected(RuntimeError):
+    """Admission control refused the query.
+
+    ``retryable`` rejections mean "back off and resend"; only ``shutdown``
+    is final. Rejections are the serve tier's *only* degraded mode besides
+    a router's flagged partial answers — it sheds load rather than degrade
+    answers.
+    """
+
+    def __init__(self, reason: str, detail: str = "", retryable: bool = True) -> None:
+        message = f"query rejected ({reason})"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
+        self.reason = reason
+        self.retryable = retryable
 
 
 class ShardDown(RuntimeError):
@@ -88,23 +105,16 @@ class ShardSnapshot:
     :class:`~repro.indexed.partition.IndexedPartition` objects a full
     :class:`~repro.serve.snapshot.PinnedSnapshot` pins — holding a subset
     is exactly as safe as holding all of them (each partition is an
-    independent read anchor; the hash partitioner tells us which one a key
-    lives in without consulting the others).
+    independent read anchor; the router's hash of a key names the one split
+    it lives in without consulting the others).
     """
 
-    __slots__ = ("parts", "partitioner", "version", "view")
+    __slots__ = ("parts", "version", "view")
 
-    def __init__(self, view: str, version: int, partitioner: Any, parts: dict[int, Any]):
+    def __init__(self, view: str, version: int, parts: dict[int, Any]):
         self.view = view
         self.version = version
-        self.partitioner = partitioner
         self.parts = dict(parts)
-
-    def split_for(self, key: Any) -> int:
-        return self.partitioner.partition(key)
-
-    def row_count(self) -> int:
-        return sum(p.row_count for p in self.parts.values())
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -134,15 +144,14 @@ class ShardServer:
         self._service_lock = threading.Lock()
         self._inflight = 0
         self._alive = True
-        self.started_at = time.perf_counter()
 
     # -- data plane -----------------------------------------------------------------
 
-    def install(self, view: str, version: int, partitioner: Any, parts: dict[int, Any]) -> None:
+    def install(self, view: str, version: int, parts: dict[int, Any]) -> None:
         """Install (or replace) this shard's fraction of ``view`` at
-        ``version``. Called by the router on publish, repair and recovery."""
+        ``version``. Called by the router on publish and recovery."""
         with self._lock:
-            self._snapshots[view] = ShardSnapshot(view, version, partitioner, parts)
+            self._snapshots[view] = ShardSnapshot(view, version, parts)
         self.registry.set_gauge(
             "serve_shard_pinned_version", float(version), shard=self.shard_id, view=view
         )
@@ -156,9 +165,7 @@ class ShardServer:
             snap = self._snapshots[view]
             merged = dict(snap.parts)
             merged.update(parts)
-            self._snapshots[view] = ShardSnapshot(
-                view, snap.version, snap.partitioner, merged
-            )
+            self._snapshots[view] = ShardSnapshot(view, snap.version, merged)
         self.registry.set_gauge(
             "serve_shard_partitions", float(len(merged)), shard=self.shard_id, view=view
         )
@@ -174,9 +181,7 @@ class ShardServer:
                 return None
             remaining = dict(snap.parts)
             dropped = remaining.pop(split)
-            self._snapshots[view] = ShardSnapshot(
-                view, snap.version, snap.partitioner, remaining
-            )
+            self._snapshots[view] = ShardSnapshot(view, snap.version, remaining)
         self.registry.set_gauge(
             "serve_shard_partitions", float(len(remaining)), shard=self.shard_id, view=view
         )
@@ -189,14 +194,10 @@ class ShardServer:
             raise PartitionNotOwned(self.shard_id, view, -1)
         return snap
 
-    def owned_splits(self, view: str) -> list[int]:
-        with self._lock:
-            snap = self._snapshots.get(view)
-            return sorted(snap.parts) if snap is not None else []
-
-    def lookup(self, view: str, key: Any) -> list[tuple]:
-        """Point read: all rows with ``key`` in this shard's pinned cTrie."""
-        return self._serve(view, lambda snap: self._lookup_rows(snap, view, key))
+    def lookup(self, view: str, key: Any, split: int) -> list[tuple]:
+        """Point read: all rows with ``key`` in the pinned partition of
+        ``split`` (the router hashed the key once; the shard does not)."""
+        return self._serve(view, lambda snap: self._part(snap, split).lookup(key))
 
     def scan(
         self,
@@ -267,16 +268,14 @@ class ShardServer:
     def restore(self) -> None:
         """Restart the shard process (empty: the router must re-install)."""
         self._alive = True
-        self.started_at = time.perf_counter()
 
     # -- internals --------------------------------------------------------------------
 
-    def _lookup_rows(self, snap: ShardSnapshot, view: str, key: Any) -> list[tuple]:
-        split = snap.split_for(key)
+    def _part(self, snap: ShardSnapshot, split: int) -> Any:
         part = snap.parts.get(split)
         if part is None:
-            raise PartitionNotOwned(self.shard_id, view, split)
-        return part.lookup(key)
+            raise PartitionNotOwned(self.shard_id, snap.view, split)
+        return part
 
     def _read_splits(
         self,
@@ -290,10 +289,7 @@ class ShardServer:
         def run(snap: ShardSnapshot) -> list[tuple]:
             rows: list[tuple] = []
             for split in splits:
-                part = snap.parts.get(split)
-                if part is None:
-                    raise PartitionNotOwned(self.shard_id, view, split)
-                rows.extend(read(part))
+                rows.extend(read(self._part(snap, split)))
             return rows
 
         return self._serve(view, run, op=op)

@@ -6,7 +6,10 @@ them against the served (build) view's **ordered secondary index**
 ``[k - window.before, k + window.after]``. Each :meth:`probe` pass:
 
 1. pins the build side **once** — ``server.pinned(view)`` returns one
-   immutable MVCC snapshot, so a pass can never stitch two versions;
+   immutable MVCC snapshot on either front end (a
+   :class:`~repro.serve.server.QueryServer` or a
+   :class:`~repro.serve.router.ShardRouter`), so a pass can never stitch
+   two versions;
 2. runs one ordered-index range lookup per probe key
    (:meth:`~repro.serve.snapshot.PinnedSnapshot.range_lookup` — a seek,
    not a scan);
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.indexed.ordered_index import KeyRange
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.serve.router import ShardRouter
     from repro.serve.server import QueryServer
 
 
@@ -78,7 +82,7 @@ class StreamWindowJoin:
 
     def __init__(
         self,
-        server: "QueryServer",
+        server: "QueryServer | ShardRouter",
         view: str,
         window: WindowSpec,
         probe_key_ordinal: int = 0,

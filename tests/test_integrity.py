@@ -243,7 +243,7 @@ def _corrupt_pinned(part) -> bool:
 
 
 class TestScrubber:
-    def _publish(self, mode="sequential"):
+    def _publish(self, mode="sequential", evicted=False):
         from repro.serve.server import QueryServer
 
         s = Session(config=Config(
@@ -254,20 +254,43 @@ class TestScrubber:
         idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
         server = QueryServer(s)
         server.publish("v", idf)
+        if evicted:  # the pin still holds the partitions; the block store does not
+            for split in range(idf.num_partitions):
+                s.context.invalidate_block((idf.rdd.rdd_id, split))
         return s, rows, server
 
     def test_scrub_finds_and_repairs_pinned_snapshot(self):
+        self._scrub_repairs_through_the_router(evicted=False)
+
+    def test_scrub_repin_of_evicted_pin_balances_the_ledger(self):
+        self._scrub_repairs_through_the_router(evicted=True)
+
+    def _scrub_repairs_through_the_router(self, evicted):
+        """A QueryServer is scrubbed through its one-shard router: with no
+        other replica the split is re-pinned from lineage, the served pin
+        takes the verified copy, and the ledger balances — attributed to
+        the cache manager's rebuild when the damaged block was cached, to
+        the re-pin (``how=repin``) when the block store no longer held it."""
+        from repro.integrity import audit_partition
         from repro.serve.scrub import SnapshotScrubber
 
-        s, rows, server = self._publish()
+        s, rows, server = self._publish(evicted=evicted)
         assert _corrupt_pinned(server.pinned("v").partitions[0])
         stats = SnapshotScrubber(server).scrub_once()
         assert stats["found"] == 1 and stats["repaired"] == 1
         detected, repaired = counters(s)
         assert detected == repaired > 0
-        assert sorted(server.pinned("v").lookup(7)) == sorted(
+        repins = s.context.registry.counter_value("corruption_repaired_total", how="repin")
+        assert repins == (1 if evicted else 0)
+        pin = server.pinned("v")
+        audit_partition(pin.partitions[0], where="test")  # verified bytes now
+        assert sorted(pin.lookup(7)) == sorted(t for t in rows if t[0] == 7)
+        assert server.router.routing_table("v")[0] == [0]
+        assert server.router.shards[0].snapshot("v").parts[0] is pin.partitions[0]
+        assert sorted(server.query("SELECT * FROM v WHERE src = 7").rows) == sorted(
             t for t in rows if t[0] == 7
         )
+        server.shutdown()
         kinds = s.context.metrics.recovery_summary()
         assert "scrub_corruption_found" in kinds
         assert "scrub_corruption_repaired" in kinds
@@ -312,8 +335,7 @@ class TestScrubber:
         idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
         with ShardRouter(s, 3, RouterConfig(replication_factor=2)) as router:
             router.publish("v", idf)
-            state = router.pinned("v")
-            owner = state.table.replicas(0)[0]
+            owner = router.routing_table("v")[0][0]
             assert _corrupt_pinned(router.shards[owner].snapshot("v").parts[0])
             stats = SnapshotScrubber(router).scrub_once()
             assert stats["found"] == 1 and stats["repaired"] == 1
@@ -321,7 +343,7 @@ class TestScrubber:
             assert detected == repaired > 0
             # Replication factor restored with verified bytes; the routed
             # answer is complete and correct.
-            assert len(state.table.replicas(0)) >= 2
+            assert len(router.routing_table("v")[0]) >= 2
             res = router.query("SELECT src, dst, w FROM v WHERE src = 7")
             assert not res.degraded
             assert sorted(map(tuple, res.rows)) == sorted(t for t in rows if t[0] == 7)
@@ -373,10 +395,6 @@ class TestConfigValidate:
     def test_bad_positive_int_rejected(self):
         with pytest.raises(ValueError, match="row_batch_size"):
             Config(row_batch_size=0).validate()
-
-    def test_negative_scrub_interval_rejected(self):
-        with pytest.raises(ValueError, match="scrub_interval"):
-            Config(scrub_interval=-1.0).validate()
 
     def test_all_problems_reported_together(self):
         with pytest.raises(ValueError) as err:

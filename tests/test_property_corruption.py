@@ -158,8 +158,7 @@ def test_sharded_serve_corrupted_replica_matches_oracle(edges):
     )
     with ShardRouter(session, 3, RouterConfig(replication_factor=2)) as router:
         router.publish("v", idf)
-        state = router.pinned("v")
-        owner = state.table.replicas(0)[0]
+        owner = router.routing_table("v")[0][0]
         part = router.shards[owner].snapshot("v").parts[0]
         for batch, wm in zip(part.batches, part.visible_watermarks()):
             if wm:

@@ -93,15 +93,17 @@ class TestFastPath:
             assert registry.counter_value("jobs_submitted_total") == before
 
     def test_non_point_queries_fall_back_to_general(self):
+        """Aggregates and computed projections take the general pipeline; a
+        non-key predicate over a published view is a scan of the pin."""
         session, _, server = make_server()
         with server:
-            for text in (
-                "SELECT name, SUM(score) AS s FROM users GROUP BY name",
-                "SELECT * FROM users WHERE score > 50",  # non-key predicate
-                "SELECT uid, score * 2 AS d FROM users WHERE uid = 3",  # computed proj
+            for text, path in (
+                ("SELECT name, SUM(score) AS s FROM users GROUP BY name", "general"),
+                ("SELECT * FROM users WHERE score > 50", "scan"),  # non-key predicate
+                ("SELECT uid, score * 2 AS d FROM users WHERE uid = 3", "general"),
             ):
                 result = server.query(text)
-                assert result.path == "general"
+                assert result.path == path
                 assert sorted(result.rows) == sorted(session.sql(text).collect_tuples())
 
     def test_recognize_rejects_unserved_and_unindexed(self):
@@ -189,10 +191,14 @@ WHERE_FORMS = [
 
 class TestRecognizerPlannerAgreement:
     """``recognize(...).kind`` is the index operator ``indexed_strategy``
-    plans for the bound query, and both front ends — on one session, so on
-    one plan-cache memo slot — answer with the general pipeline's rows."""
+    plans for the bound query, and every front end — a QueryServer and
+    routers of one and three shards, on one session, so on one plan-cache
+    memo slot — answers with the general pipeline's rows."""
 
     KINDS = {IndexedLookupExec: "point", IndexedRangeScanExec: "range", IndexedScanExec: "scan"}
+    #: The path each front end reports per kind: the QueryServer keeps the
+    #: label its counters have always used for a point read.
+    SERVER_PATHS = {"point": "fastpath", "range": "range", "scan": "scan"}
 
     @pytest.fixture(scope="class")
     def tier(self):
@@ -200,18 +206,19 @@ class TestRecognizerPlannerAgreement:
         session = Session(context=EngineContext(config=config))
         df = session.create_dataframe(make_users(200), USER_SCHEMA, name="users")
         server = QueryServer(session, ServeConfig(num_workers=1))
-        router = ShardRouter(session, 3)
+        routers = [ShardRouter(session, 1), ShardRouter(session, 3)]
         for view, key in (("users", "uid"), ("people", "name")):
             idf = df.create_index(key)
-            server.publish(view, idf)
-            router.publish(view, idf)
-        yield session, server, router
+            for front_end in (server, *routers):
+                front_end.publish(view, idf)
+        yield session, server, routers
         server.shutdown()
-        router.shutdown()
+        for router in routers:
+            router.shutdown()
 
     @pytest.mark.parametrize("view, where, params", WHERE_FORMS)
     def test_kind_is_the_planned_operator_and_rows_agree(self, tier, view, where, params):
-        session, server, router = tier
+        session, server, routers = tier
         text = f"SELECT uid, name FROM {view}" + (f" WHERE {where}" if where else "")
         if params is None:
             template_plan = bound = session.sql_logical(text)
@@ -228,10 +235,24 @@ class TestRecognizerPlannerAgreement:
         assert kind == self.KINDS[type(planned)]
         expected = sorted(session.execute(bound))
         single = server.query(text, params=params)
-        routed = router.query(text, params=params)
-        assert single.path == {"point": "fastpath", "range": "range", "scan": "general"}[kind]
-        assert routed.path == kind
-        assert sorted(single.rows) == sorted(routed.rows) == expected
+        assert single.path == self.SERVER_PATHS[kind]
+        assert sorted(single.rows) == expected
+        for router in routers:
+            routed = router.query(text, params=params)
+            assert routed.path == kind and not routed.degraded
+            assert sorted(routed.rows) == expected
+
+    def test_republish_keeps_every_front_end_on_one_version(self, tier):
+        _, server, routers = tier
+        child = server.pinned("users").idf.append_rows([(5_000, "late", 1.0)])
+        for front_end in (server, *routers):
+            front_end.publish("users", child)
+        versions = {front_end.pinned("users").version for front_end in (server, *routers)}
+        assert versions == {child.version}
+        text = "SELECT uid, name FROM users WHERE uid = ?"
+        assert server.query(text, params=[5_000]).rows == [(5_000, "late")]
+        for router in routers:
+            assert router.query(text, params=[5_000]).rows == [(5_000, "late")]
 
     def test_front_ends_serving_different_views_keep_their_fast_paths(self):
         """Two memo slots existed so that a QueryServer and a ShardRouter on
@@ -255,6 +276,10 @@ class TestRecognizerPlannerAgreement:
 
 # -- admission control ---------------------------------------------------------------
 
+#: A query only the general pipeline answers: holding ``job_lock`` wedges a
+#: worker on it (reads of a published view never take the lock).
+GENERAL_SQL = "SELECT COUNT(*) AS n FROM users WHERE score > -1"
+
 
 class TestAdmission:
     def test_queue_full_rejection_is_retryable(self):
@@ -264,16 +289,16 @@ class TestAdmission:
         blocker = session.context.job_lock
         blocker.acquire()  # general-path queries now block inside run_job
         try:
-            tickets = [server.submit("SELECT * FROM users WHERE score > -1")]
+            tickets = [server.submit(GENERAL_SQL)]
             # Wait for the worker to dequeue it (it then blocks on job_lock).
             deadline = time.time() + 5.0
             while server._queue.qsize() > 0 and time.time() < deadline:
                 time.sleep(0.005)
             # Two more fill the queue.
             for _ in range(2):
-                tickets.append(server.submit("SELECT * FROM users WHERE score > -1"))
+                tickets.append(server.submit(GENERAL_SQL))
             with pytest.raises(ServeRejected) as exc_info:
-                server.submit("SELECT * FROM users WHERE score > -1")
+                server.submit(GENERAL_SQL)
             assert exc_info.value.reason == "queue_full"
             assert exc_info.value.retryable
         finally:
@@ -293,7 +318,7 @@ class TestAdmission:
         blocker = session.context.job_lock
         blocker.acquire()
         try:
-            running = server.submit("SELECT * FROM users WHERE score > -1")
+            running = server.submit(GENERAL_SQL)
             stale = server.submit(
                 "SELECT * FROM users WHERE uid = 1", deadline=0.01
             )
@@ -316,7 +341,7 @@ class TestAdmission:
         blocker = session.context.job_lock
         blocker.acquire()  # the single worker wedges on the general path
         try:
-            running = server.submit("SELECT * FROM users WHERE score > -1")
+            running = server.submit(GENERAL_SQL)
             stale = server.submit("SELECT * FROM users WHERE uid = 1", deadline=0.05)
             t0 = time.perf_counter()
             with pytest.raises(ServeRejected) as exc_info:
@@ -405,7 +430,7 @@ class TestShutdownDrain:
         tickets = []
         for i in range(4):
             tickets.append(server.submit(f"SELECT name FROM users WHERE uid = {i}"))
-            tickets.append(server.submit("SELECT * FROM users WHERE score > -1"))
+            tickets.append(server.submit(GENERAL_SQL))
         server.shutdown(drain=True)
         for t in tickets:
             result = t.result(timeout=30.0)  # drained: all complete, none hang
@@ -424,7 +449,7 @@ class TestShutdownDrain:
         blocker = session.context.job_lock
         blocker.acquire()  # wedge the worker so the rest stay queued
         try:
-            tickets = [server.submit("SELECT * FROM users WHERE score > -1")]
+            tickets = [server.submit(GENERAL_SQL)]
             deadline = time.time() + 5.0
             while server._queue.qsize() > 0 and time.time() < deadline:
                 time.sleep(0.005)
@@ -445,6 +470,28 @@ class TestShutdownDrain:
         assert not shutdown_thread.is_alive()
         assert tickets[0].result(timeout=30.0).rows  # in-flight one finishes
         assert all(t.done for t in tickets)
+
+    def test_shutdown_leaves_no_serve_threads(self):
+        """Workers are joined and the router's fan-out runs on the caller's
+        thread: nothing the two front ends started outlives ``shutdown()``."""
+        before = set(threading.enumerate())
+        session, idf, server = make_server(serve=ServeConfig(num_workers=3))
+        router = ShardRouter(session, 3)
+        router.publish("users", idf)
+        for front_end in (server, router):
+            for text in (
+                "SELECT * FROM users WHERE uid BETWEEN 3 AND 9",
+                "SELECT * FROM users WHERE score > 50",
+            ):
+                assert front_end.query(text).rows
+        server.shutdown()
+        router.shutdown()
+        leaked = [
+            t.name
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith(("serve-worker-", "shard-router"))
+        ]
+        assert leaked == []
 
 
 # -- concurrent ingest / read-after-write ---------------------------------------------

@@ -17,10 +17,8 @@ from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.serve import (
     PartitionNotOwned,
-    QueryServer,
     RouterConfig,
     RoutingTable,
-    ServeConfig,
     ServeRejected,
     ShardConfig,
     ShardDown,
@@ -92,7 +90,7 @@ class TestShardServer:
         pin = PinnedSnapshot.pin(idf)
         shard = ShardServer(0, session.context, ShardConfig(**cfg))
         owned = {0: pin.partitions[0], 2: pin.partitions[2]}
-        shard.install("users", pin.version, idf.partitioner, owned)
+        shard.install("users", pin.version, owned)
         return session, idf, pin, shard
 
     def test_lookup_owned_key_and_reject_unowned(self):
@@ -103,9 +101,10 @@ class TestShardServer:
         unowned_key = next(
             k for k in range(60) if idf.partitioner.partition(k) not in (0, 2)
         )
-        assert shard.lookup("users", owned_key) == pin.lookup(owned_key)
+        split_of = idf.partitioner.partition
+        assert shard.lookup("users", owned_key, split_of(owned_key)) == pin.lookup(owned_key)
         with pytest.raises(PartitionNotOwned):
-            shard.lookup("users", unowned_key)
+            shard.lookup("users", unowned_key, split_of(unowned_key))
 
     def test_scan_only_requested_splits(self):
         session, idf, pin, shard = self.make_shard()
@@ -119,19 +118,19 @@ class TestShardServer:
         shard.kill()
         assert not shard.alive
         with pytest.raises(ShardDown):
-            shard.lookup("users", 0)
+            shard.lookup("users", 0, 0)
         with pytest.raises(ShardDown):
             shard.heartbeat()
         shard.restore()
         assert shard.alive
         # A restart does not resurrect state: the router must re-install.
         with pytest.raises(PartitionNotOwned):
-            shard.lookup("users", 0)
+            shard.lookup("users", 0, 0)
 
     def test_overload_sheds_retryably(self):
         session, idf, pin, shard = self.make_shard(max_inflight=0)
         with pytest.raises(ServeRejected) as exc_info:
-            shard.lookup("users", 0)
+            shard.lookup("users", 0, 0)
         assert exc_info.value.reason == "shard_overloaded"
         assert exc_info.value.retryable
 
@@ -244,9 +243,10 @@ class TestShardRouter:
             assert 0 in router.live_shards()
             snap = router.shards[0].snapshot("users")
             assert snap.version == idf.version
-            assert sorted(snap.parts) == sorted(
-                router.pinned("users").table.splits_owned_by(0)
-            )
+            owned = [s for s, owners in router.routing_table("users").items() if 0 in owners]
+            assert sorted(snap.parts) == owned
+            pin = router.pinned("users")
+            assert all(snap.parts[s] is pin.partitions[s] for s in owned)
 
     def test_heartbeat_state_machine_alive_suspect_dead(self):
         session, idf, router = make_sharded(
@@ -341,10 +341,10 @@ class TestShardRouter:
 
 
 class TestShardedChaosProperty:
-    """Satellite: across 200 seeds, the sharded+replicated tier answers
-    identically to a single QueryServer — including with chaos killing
-    shards mid-workload. Zero wrong answers; ``degraded`` may appear only
-    when every replica of a partition is dead."""
+    """Across 200 seeds, the sharded+replicated tier answers identically to
+    the general pipeline — including with chaos killing shards
+    mid-workload. Zero wrong answers; ``degraded`` may appear only when
+    every replica of a partition is dead."""
 
     N_USERS = 60
     QUERIES = [
@@ -363,18 +363,16 @@ class TestShardedChaosProperty:
             make_users(self.N_USERS), USER_SCHEMA, name="users"
         )
         idf = df.create_index("uid")
-        # Reference answers from the single-server tier (itself verified
-        # against the general pipeline in test_serve.py).
-        server = QueryServer(session, ServeConfig(num_workers=1))
-        server.publish("users", idf)
+        idf.create_or_replace_temp_view("users")
+        # Reference answers from the general pipeline (session.execute of
+        # the bound plan), which shares no code with the serve tier's read
+        # path.
+        statement = session.prepare(self.QUERIES[0][0])
         expected: dict[tuple, list] = {}
         for uid in range(self.N_USERS + 5):
-            expected[("point?", uid)] = sorted(
-                server.query(self.QUERIES[0][0], params=[uid]).rows
-            )
+            expected[("point?", uid)] = sorted(session.execute(statement.bind([uid])))
         for text, _ in self.QUERIES[1:]:
-            expected[(text, None)] = sorted(server.query(text).rows)
-        server.shutdown()
+            expected[(text, None)] = sorted(session.execute(session.sql_logical(text)))
         return session, idf, expected
 
     def test_200_seeds_zero_wrong_answers(self, shared):
@@ -406,9 +404,9 @@ class TestShardedChaosProperty:
                     if result.degraded:
                         degraded_seen += 1
                         live = set(router.live_shards())
-                        table = router.pinned("users").table
+                        table = router.routing_table("users")
                         for split in result.missing_partitions:
-                            owners = table.replicas(split)
+                            owners = table[split]
                             assert not (set(owners) & live), (
                                 f"seed {seed}: split {split} flagged missing "
                                 f"but has live replicas {owners} ∩ {live}"

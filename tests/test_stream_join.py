@@ -16,6 +16,7 @@ import pytest
 
 from repro.config import Config
 from repro.serve.ingest import IngestLoop
+from repro.serve.router import ShardRouter
 from repro.serve.server import QueryServer, ServeConfig
 from repro.serve.stream_join import StreamWindowJoin, WindowSpec
 from repro.sql.session import Session
@@ -138,6 +139,40 @@ class TestStreamWindowJoin:
         # Every emission was computed against exactly one pinned version,
         # and the ingest published versions 1..len(batches).
         assert set(versions) <= set(range(len(batches) + 1))
+
+    def test_same_emissions_over_either_front_end(self):
+        """``pinned(view)`` is one type on both front ends, so a join
+        driven by an IngestLoop emits the same pairs at the same versions
+        through a QueryServer and through a ShardRouter."""
+        rng = random.Random(31)
+        base = [(rng.randrange(DOMAIN), i) for i in range(200)]
+        probes = [(rng.randrange(DOMAIN), 10_000 + i) for i in range(15)]
+        batches = [
+            [(rng.randrange(DOMAIN), 1000 + i * 20 + j) for j in range(20)] for i in range(4)
+        ]
+        emitted = []
+        for make_front_end in (
+            lambda session: QueryServer(session, ServeConfig()),
+            lambda session: ShardRouter(session, 3),
+        ):
+            session = Session(config=Config(default_parallelism=4, shuffle_partitions=4))
+            front_end = make_front_end(session)
+            idf = session.create_dataframe(base, EVENT_SCHEMA).create_index("ts").cache_index()
+            front_end.publish("events", idf)
+            join = StreamWindowJoin(front_end, "events", WINDOW)
+            join.add_probes(probes)
+            join.probe()
+            loop = IngestLoop(front_end, "events", batches, stream_joins=[join])
+            loop.start()
+            loop.join(timeout=120)
+            assert not loop.is_alive() and loop.error is None
+            front_end.shutdown()
+            emitted.append([(e.version, sorted(e.pairs)) for e in join.emissions()])
+        assert emitted[0] == emitted[1]
+        assert [version for version, _ in emitted[0]] == list(range(len(batches) + 1))
+        all_rows = base + [r for b in batches for r in b]
+        pairs = [pair for _, found in emitted[0] for pair in found]
+        assert {(probes.index(p), b) for p, b in pairs} == window_oracle(probes, all_rows)
 
     def test_metrics_tick(self):
         session, server = make_server()

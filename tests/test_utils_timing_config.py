@@ -86,13 +86,17 @@ class TestConfig:
         assert cfg.row_batch_size != KB
 
     def test_removed_knobs_fail_by_name(self):
-        """Options deleted after measuring (DESIGN.md §10, §17) are refused,
-        not silently ignored — as is the deleted eviction order."""
+        """Options deleted after measuring (DESIGN.md §10, §17) or because
+        nothing set them are refused, not silently ignored — as is the
+        deleted eviction order."""
         for name in (
             "advisor_ghost_size",
             "advisor_ghost_cooldown",
             "advisor_recurrence_decay",
             "extra",
+            "scrub_interval",  # SnapshotScrubber(interval=) sets it
+            "chaos_shard_kill_prob",  # FaultInjector.configure(shard_kill_prob=)
+            "index_string_keys_as_hash",  # string keys are always hashed
         ):
             with pytest.raises(TypeError, match=name):
                 Config(**{name: 1})
