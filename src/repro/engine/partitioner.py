@@ -50,7 +50,7 @@ class HashPartitioner(Partitioner):
         return partition_for(key, self.num_partitions)
 
     def partition_array(self, keys: Sequence[Any]) -> np.ndarray:
-        return partition_column(np.asarray(keys), self.num_partitions)
+        return partition_column(keys, self.num_partitions)
 
     def __repr__(self) -> str:
         return f"HashPartitioner({self.num_partitions})"

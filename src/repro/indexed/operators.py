@@ -16,6 +16,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Iterator
 
+import numpy as np
+
 from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ZippedPartitionsRDD
 from repro.engine.shuffle import estimate_size
 from repro.sql.analysis import resolve_expression
@@ -274,28 +276,34 @@ class IndexedJoinExec(PhysicalPlan):
 
         def probe_partition(parts: Iterator[Any], probe_rows: Iterator[tuple], ctx: Any) -> Iterator[tuple]:
             part = next(iter(parts))
-            out: list[tuple] = []
             with ctx.span("probe"):
-                # Group probe rows by key: each distinct key's backward-pointer
-                # chain is searched and decoded exactly once.
+                # Group probe rows by key: each distinct key's matches are read
+                # exactly once, as field columns (match_columns).
                 by_key: dict[Any, list[tuple]] = {}
                 for row in probe_rows:
                     by_key.setdefault(probe_key(row), []).append(row)
-                matches_by_key = part.lookup_many(by_key.keys())
-                for key, rows_for_key in by_key.items():
-                    matches = matches_by_key[key]
-                    for row in rows_for_key:
-                        if matches:
-                            emitted = False
-                            for match in matches:
-                                joined = (match + row) if indexed_on_left else (row + match)
-                                if residual is None or residual.eval(joined):
-                                    out.append(joined)
-                                    emitted = True
-                            if how == "left" and not indexed_on_left and not emitted:
-                                out.append(row + null_indexed)
-                        elif how == "left" and not indexed_on_left:
-                            out.append(row + null_indexed)
+                matched, counts = part.match_columns(list(by_key))
+                rows = [row for group in by_key.values() for row in group]
+                sizes = np.fromiter(map(len, by_key.values()), np.intp, len(by_key))
+                # Probe row i pairs with its key's matches first[i], first[i] + 1, ...
+                per_row = np.repeat(counts, sizes)
+                first = np.repeat(np.cumsum(counts) - counts, sizes)
+                probe_at = np.repeat(np.arange(len(rows)), per_row)
+                match_at = np.repeat(first - np.cumsum(per_row) + per_row, per_row)
+                match_at += np.arange(len(match_at))
+                build = [column[match_at].tolist() for column in matched]
+                probe = [
+                    np.fromiter(column, object, len(rows))[probe_at].tolist()
+                    for column in zip(*rows)
+                ]
+                out = list(zip(*build, *probe) if indexed_on_left else zip(*probe, *build))
+                if residual is not None:
+                    keep = np.fromiter((bool(residual.eval(j)) for j in out), bool, len(out))
+                    out = [joined for joined, kept in zip(out, keep.tolist()) if kept]
+                    probe_at = probe_at[keep]
+                if how == "left" and not indexed_on_left:
+                    missed = np.flatnonzero(np.bincount(probe_at, minlength=len(rows)) == 0)
+                    out += [rows[i] + null_indexed for i in missed.tolist()]
             return iter(out)
 
         probe_rdd = self.probe.execute()
@@ -309,8 +317,9 @@ class IndexedJoinExec(PhysicalPlan):
             rows = probe_rdd.collect()
             session.phase_timer.add("collect_probe", time.perf_counter() - t0)
             buckets: dict[int, list[tuple]] = {}
-            for row in rows:
-                buckets.setdefault(idf.partitioner.partition(probe_key(row)), []).append(row)
+            splits = idf.partitioner.partition_array([probe_key(row) for row in rows])
+            for split, row in zip(splits.tolist(), rows):
+                buckets.setdefault(split, []).append(row)
             bcast_seconds = context.network.broadcast_time(
                 estimate_size(rows), context.topology.num_machines
             )

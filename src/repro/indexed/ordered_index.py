@@ -8,6 +8,8 @@
   *values* a range scan enumerates: ``keys`` itself unless those are hashes,
   which destroy order), all ``writeable=False``. A seal builds **new**
   arrays, never in place, so MVCC snapshots holding the old ones are unaffected.
+  A first build placed in key order seals a :class:`KeyOrderedBase`, whose
+  keys' rows are runs of records (DESIGN.md §15, Runs).
 * ``delta`` — the paper's cTrie, holding only the heads written since the
   last seal; ``fresh`` is the persistent (cons-cell) list of the key values
   first written since then, so an ordered read need not walk the trie.
@@ -148,6 +150,43 @@ class SealedBase(NamedTuple):
     heads: np.ndarray
     ordered: np.ndarray
 
+    #: Whether each key's rows are one run of records (:class:`KeyOrderedBase`).
+    runs = False
+
+    def find(self, trie_keys: list) -> np.ndarray:
+        """Each key's position in ``keys``, or -1: one ``searchsorted`` — key
+        by key for object (string) keys and for a probe without the keys'
+        dtype (None, mixed or foreign types, which numpy would compare as text)."""
+        keys = self.keys
+        if not len(keys):
+            return np.full(len(trie_keys), -1, np.intp)
+        wanted = None if keys.dtype == object else np.asarray(trie_keys)
+        if wanted is None or wanted.dtype != keys.dtype or wanted.ndim != 1:
+            return np.fromiter(map(self.find_one, trie_keys), np.intp, len(trie_keys))
+        pos = keys.searchsorted(wanted)
+        pos[pos == len(keys)] = 0
+        return np.where(keys[pos] == wanted, pos, -1)
+
+    def find_one(self, trie_key: Any) -> int:
+        keys = self.keys
+        try:
+            i = int(keys.searchsorted(trie_key))
+            if i < len(keys) and keys[i] == trie_key:
+                return i
+        except (TypeError, ValueError, OverflowError):
+            pass  # None, a tuple, an int past the dtype: no stored key equals it
+        return -1
+
+
+class KeyOrderedBase(SealedBase):
+    """The base a first build placed in key order seals: the rows of
+    ``keys[i]`` are the records after ``heads[i - 1]``'s, up to and including
+    ``heads[i]``'s (DESIGN.md §15, Runs). The type is the flag: not a byte
+    more than a :class:`SealedBase`."""
+
+    __slots__ = ()
+    runs = True
+
 
 class OrderedIndex:
     """trie key -> newest-row pointer, and the distinct key values in order."""
@@ -180,40 +219,32 @@ class OrderedIndex:
             pointer = delta.lookup(trie_key, NULL_POINTER)
             if pointer != NULL_POINTER:
                 return pointer
-        keys, heads, _ = self.base
-        try:
-            i = int(keys.searchsorted(trie_key))
-            if i < len(keys) and keys[i] == trie_key:
-                return int(heads[i])
-        except (TypeError, ValueError):
-            pass  # None, a tuple: a probe no stored key can equal
-        return NULL_POINTER
+        base = self.base
+        i = base.find_one(trie_key)
+        return NULL_POINTER if i < 0 else int(base.heads[i])
 
     def heads(self, trie_keys: Iterable[Any]) -> dict[Any, int]:
         """:meth:`head` of every distinct key: delta probes (if it was
-        written), then one ``searchsorted`` of the base for the rest — key by
-        key for object (string) keys and for a probe without the keys' dtype
-        (None, mixed or foreign types, which numpy would compare as text)."""
+        written), then one :meth:`SealedBase.find` of the base for the rest."""
         out = dict.fromkeys(trie_keys, NULL_POINTER)
-        delta = self.delta
-        missed = list(out)
-        if self.delta_writes:
-            lookup = delta.lookup
-            for key in missed:
-                out[key] = lookup(key, NULL_POINTER)
-            missed = [key for key in missed if out[key] == NULL_POINTER]
-        keys, heads, _ = self.base
-        if not missed or not len(keys):
-            return out
-        wanted = None if keys.dtype == object else np.asarray(missed)
-        if wanted is None or wanted.dtype != keys.dtype or wanted.ndim != 1:
-            found = [self.head(key) for key in missed]
-        else:
-            pos = keys.searchsorted(wanted)
-            pos[pos == len(keys)] = 0
-            found = np.where(keys[pos] == wanted, heads[pos], np.uint64(NULL_POINTER)).tolist()
-        out.update(zip(missed, found))
+        shadowed = self.delta_heads(out)
+        missed = [key for key in out if key not in shadowed] if shadowed else list(out)
+        out.update(shadowed)
+        base = self.base
+        if missed and len(base.keys):
+            pos = base.find(missed)
+            found = np.where(pos >= 0, base.heads[pos], np.uint64(NULL_POINTER)).tolist()
+            out.update(zip(missed, found))
         return out
+
+    def delta_heads(self, trie_keys: Iterable[Any]) -> dict[Any, int]:
+        """The heads the delta holds for any of ``trie_keys``, in their order
+        (none unless it was written). Read it before :attr:`base`."""
+        if not self.delta_writes:
+            return {}
+        lookup = self.delta.lookup
+        found = ((key, lookup(key, NULL_POINTER)) for key in trie_keys)
+        return {key: head for key, head in found if head != NULL_POINTER}
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Every ``(trie key, head)``, each key once (the delta wins)."""
@@ -226,13 +257,15 @@ class OrderedIndex:
 
     # -- writes --------------------------------------------------------------------------
 
-    def publish(self, heads: dict[Any, int], new_keys: list) -> None:
+    def publish(self, heads: dict[Any, int], new_keys: list, runs: bool = False) -> None:
         """Make one batch visible: its new chain head per trie key written,
         and the key values no earlier row carried. The first batch into an
-        empty index seals whatever its size: a bulk build is arrays at once."""
+        empty index seals whatever its size: a bulk build is arrays at once —
+        a :class:`KeyOrderedBase` when the batch says its rows were placed in
+        key order from the first record on (``runs``)."""
         empty = not self.delta_writes and not len(self.base.keys)
         if self.seal_threshold and (empty or self.delta_writes + len(heads) >= self.seal_threshold):
-            self._seal(heads, new_keys)
+            self._seal(heads, new_keys, KeyOrderedBase if runs and empty else SealedBase)
             return
         insert = self.delta.insert
         for key, pointer in heads.items():
@@ -242,7 +275,7 @@ class OrderedIndex:
             self.fresh = (new_keys, self.fresh)
             self.fresh_len += len(new_keys)
 
-    def _seal(self, heads: dict[Any, int], new_keys: list) -> None:
+    def _seal(self, heads: dict[Any, int], new_keys: list, kind: type = SealedBase) -> None:
         """Fold delta and batch into a new base: ``concatenate`` with the
         updates first, then ``unique`` — a stable sort that keeps the first of
         equal keys, so the newest head replaces the base entry under it."""
@@ -260,7 +293,7 @@ class OrderedIndex:
             ordered = _frozen(np.sort(ordered, kind="stable"))
         else:
             ordered = keys
-        self.base = SealedBase(keys, _frozen(ptrs[first]), ordered)  # base first
+        self.base = kind(keys, _frozen(ptrs[first]), ordered)  # base first
         self.delta = CTrie()
         self.delta_writes = 0
         self.fresh = None

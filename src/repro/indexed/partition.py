@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.ctrie import CTrie
 from repro.indexed.ordered_index import KeyRange, OrderedIndex
-from repro.indexed.pointers import NULL_POINTER, pack
+from repro.indexed.pointers import MAX_OFFSET, MAX_SIZE, NULL_POINTER, OFFSET_BITS, SIZE_BITS, pack
 from repro.indexed.row_batch import RowBatch
 from repro.indexed.row_codec import RowCodec
 from repro.sql.columnar import ColumnBatch
@@ -158,7 +158,8 @@ class IndexedPartition:
     def insert_rows(self, rows: "Iterator[tuple] | list[tuple]") -> int:
         """The one write path, a batch at a time; returns the rows inserted.
 
-        Rows are placed in arrival order, the index is read once (one prior
+        Rows are placed in arrival order (a first array build: in key order,
+        :meth:`_insert_records`), the index is read once (one prior
         head per *distinct* key) and its heads are published once — also
         after an error part-way (an oversized row): every placed row stays
         reachable. Two layouts of the same bytes (DESIGN.md §5): a batch the
@@ -204,7 +205,12 @@ class IndexedPartition:
         return n
 
     def _insert_records(self, records: np.ndarray) -> int:
-        """:meth:`insert_rows`' array layout: the rows as one structured array."""
+        """:meth:`insert_rows`' array layout: the rows as one structured array.
+
+        Into a partition with no batches the records are placed in key order:
+        each key's rows are one run of records ending at its head, and the
+        base this build seals says so (DESIGN.md §15, Runs). Any later batch
+        is placed in arrival order."""
         n, size = len(records), records.itemsize
         keys = records[f"f{self.key_ordinal}"]
         # One stable sort groups each key's rows, in arrival order: a row's
@@ -221,29 +227,32 @@ class IndexedPartition:
         prev[firsts] = -1
         link = np.full(n, NULL_POINTER, np.uint64)
         link[firsts] = np.fromiter(map(prior.__getitem__, distinct), np.uint64, len(distinct))
+        runs = not self.batches
         ptrs = np.empty(n, np.uint64)
-        column = records["ptr"]
         stride = pack(0, size, 0)
         done = 0
         try:
             while done < n:
                 batch_idx, offset, k = self._reserve(size, n - done)
                 pack(batch_idx, offset + (k - 1) * size, size)  # the chunk's range check
-                chunk = slice(done, done + k)
+                # The rows placed next: the chunk's stretch of key order, or of arrival.
+                chunk = order[done : done + k] if runs else slice(done, done + k)
                 ptrs[chunk] = np.arange(k, dtype=np.uint64) * np.uint64(stride)
                 ptrs[chunk] += np.uint64(pack(batch_idx, offset, size))
                 before = prev[chunk]
-                column[chunk] = np.where(before >= 0, ptrs[before], link[chunk])
-                self._write(batch_idx, offset, records[chunk].tobytes())
+                block = records[chunk]  # a copy in key order, a view in arrival order
+                block["ptr"] = np.where(before >= 0, ptrs[before], link[chunk])
+                self._write(batch_idx, offset, block.tobytes())
                 done += k
         finally:
             # A key's head is its last placed row; keys go in first-arrival order.
-            placed = np.add.reduceat(order < done, starts, dtype=np.intp)
+            placed = np.add.reduceat((np.arange(n) if runs else order) < done, starts, dtype=np.intp)
             keep = np.argsort(firsts)
             keep = keep[placed[keep] > 0]
             last = order[starts[keep] + placed[keep] - 1]
             heads = dict(zip(ranked[starts[keep]].tolist(), ptrs[last].tolist()))
-            self.ordered.publish(heads, [key for key in heads if prior[key] == NULL_POINTER])
+            new_keys = [key for key in heads if prior[key] == NULL_POINTER]
+            self.ordered.publish(heads, new_keys, runs=runs)
             self.row_count += done
             self.data_bytes += done * size
         return done
@@ -273,15 +282,81 @@ class IndexedPartition:
         return self._chain(key, self.ordered.head(self.index_key(key)))
 
     def lookup_many(self, keys: "Iterator[Any] | list[Any]") -> dict[Any, list[tuple]]:
-        """Batch lookup: all heads come from one index search and each
-        distinct key's chain is decoded exactly once.
+        """Batch lookup: each distinct key's rows, newest first, from one
+        :meth:`match_columns` — all heads from one index search, each run or
+        chain read exactly once, so duplicate probe keys (common under
+        power-law workloads) reuse one read."""
+        keys = list(dict.fromkeys(keys))
+        columns, counts = self.match_columns(keys)
+        rows = _rows(columns)
+        ends = np.cumsum(counts).tolist()
+        return {key: rows[end - n : end] for key, end, n in zip(keys, ends, counts.tolist())}
 
-        The indexed join probes with this so that duplicate probe keys
-        (common under power-law workloads) reuse one decode — the build
-        side stays "pre-built" even at the decode level.
-        """
-        chain = self._chain
-        return {key: chain(key, head) for key, head in self._heads(list(dict.fromkeys(keys)))}
+    def match_columns(self, keys: list) -> "tuple[list[np.ndarray], np.ndarray]":
+        """The rows of each of ``keys`` (distinct), newest first and key after
+        key, as one array per schema field, and each key's row count.
+
+        A run (:meth:`_locate`) is gathered from structured views of the
+        batches (:meth:`RowCodec.gather`), no row decoded; every other key
+        walks its chain, and its rows are spliced in at its place."""
+        lo, hi, walk = self._locate(keys)
+        counts = hi - lo
+        total = int(counts.sum())
+        if total:
+            # Each run newest first: records hi, hi - 1, ..., lo + 1.
+            numbers = np.repeat(hi + np.cumsum(counts) - counts, counts) - np.arange(total)
+            records = self.codec.gather(self.batches, numbers, self.batch_size)
+            columns = [records[name] for name in records.dtype.names]
+        else:
+            columns = [np.empty(0, object)] * len(self.schema)
+        if not walk:
+            return columns, counts
+        chains = {key: self._chain(key, head) for key, head in walk.items()}
+        walked = np.fromiter(map(chains.__contains__, keys), bool, len(keys))
+        more = np.zeros_like(counts)
+        more[walked] = [len(chain) for chain in chains.values()]
+        # Where each key's rows start among the runs' rows then the walks',
+        # and where they start in the answer.
+        source = np.where(walked, total + np.cumsum(more) - more, np.cumsum(counts) - counts)
+        counts += more
+        take = np.repeat(source - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        extra = list(zip(*(row for chain in chains.values() for row in chain)))
+        return [
+            np.concatenate([column.astype(object), np.fromiter(values, object, len(values))])[take]
+            for column, values in zip(columns, extra or [()] * len(columns))
+        ], counts
+
+    def _locate(self, keys: list) -> "tuple[np.ndarray, np.ndarray, dict[Any, int]]":
+        """Where the rows of each of ``keys`` (distinct) are read: base key
+        ``i`` of a base laid out in key order is the run of record numbers
+        ``(lo, hi]`` — ``hi`` its head's (:meth:`_record_numbers`), ``lo``
+        key ``i - 1``'s — and every other key found maps to the chain head it
+        is walked from, in ``keys`` order (its ``lo == hi``, as an absent key's)."""
+        lo = np.zeros(len(keys), np.intp)
+        hi = np.zeros(len(keys), np.intp)
+        ordered = self.ordered
+        if ordered.base.runs:
+            walk = ordered.delta_heads(keys)  # the keys the delta shadows
+            base = ordered.base  # read after the delta, as every reader does
+            if base.runs:  # not sealed over in between
+                pos = base.find(keys)
+                if walk:
+                    pos[[i for i, key in enumerate(keys) if key in walk]] = -1
+                hit = np.flatnonzero(pos >= 0)
+                at = pos[hit]
+                hi[hit] = self._record_numbers(base.heads[at])
+                lo[hit] = np.where(at > 0, self._record_numbers(base.heads[at - 1]), -1)
+                return lo, hi, walk
+        return lo, hi, {key: head for key, head in self._heads(keys) if head != NULL_POINTER}
+
+    def _record_numbers(self, pointers: np.ndarray) -> np.ndarray:
+        """``batch × (batch_size // size) + offset // size`` of each packed
+        pointer: the place of its record in a build of equal-sized records
+        laid from the first byte of batch 0 on (DESIGN.md §15, Runs)."""
+        batch = (pointers >> np.uint64(OFFSET_BITS + SIZE_BITS)).astype(np.intp)
+        offset = ((pointers >> np.uint64(SIZE_BITS)) & np.uint64(MAX_OFFSET)).astype(np.intp)
+        size = (pointers & np.uint64(MAX_SIZE)).astype(np.intp)
+        return batch * (self.batch_size // size) + offset // size
 
     def iter_rows(self) -> Iterator[tuple]:
         """Full scan: walk every key's chain (row-wise decode: the cost that
@@ -297,7 +372,8 @@ class IndexedPartition:
         every byte below the watermarks is a visible row. Non-contiguous
         versions (a diverged sibling wrote into a shared batch) fall back to
         the per-chain walk. Row *set* equals ``iter_rows``; order is
-        insertion order rather than index order.
+        placement order: a first array build's rows in key order (each key's
+        oldest first), every later batch's in arrival order.
         """
         if not self.contiguous:
             return list(self.iter_rows())
@@ -335,18 +411,24 @@ class IndexedPartition:
     def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
         """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
 
-        Enumerate candidate keys from the index in sorted order, fetch their
-        heads in one batch, then walk each chain as :meth:`lookup` does —
-        string hash collisions filtered the same way. ``scanned`` counts
-        decoded rows (chain lengths, including collision-filtered ones), the
-        number EXPLAIN ANALYZE compares against a full scan's ``row_count``.
+        Enumerate candidate keys from the index in sorted order; under a base
+        laid out in key order read them as :meth:`match_columns` does, under
+        any other fetch their heads in one batch and walk each chain as
+        :meth:`lookup` does — string hash collisions filtered the same way.
+        ``scanned`` counts decoded rows (chain lengths, including
+        collision-filtered ones), the number EXPLAIN ANALYZE compares against
+        a full scan's ``row_count``.
         """
+        keys = self.ordered.range_keys(krange)
+        if self.ordered.base.runs:
+            rows = _rows(self.match_columns(keys)[0])
+            return rows, len(rows)
         key_ord = self.key_ordinal
         decode_chain = self.codec.decode_chain
         batches = self.batches
         rows = []
         scanned = 0
-        for key, pointer in self._heads(self.ordered.range_keys(krange)):
+        for key, pointer in self._heads(keys):
             if pointer == NULL_POINTER:
                 continue  # a key of an in-flight batch, not yet published
             chain = decode_chain(batches, pointer)
@@ -429,3 +511,8 @@ class IndexedPartition:
             f"IndexedPartition(v={self.version}, rows={self.row_count}, "
             f"batches={len(self.batches)}, keys={self.num_keys()})"
         )
+
+
+def _rows(columns: "list[np.ndarray]") -> list[tuple]:
+    """Field columns back to row tuples."""
+    return list(zip(*(column.tolist() for column in columns)))

@@ -306,6 +306,22 @@ class RowCodec:
                 at = at + stored.itemsize
         return ColumnBatch(self.schema.select(names), columns, len(starts), deferred)
 
+    def gather(self, batches: list, numbers: np.ndarray, batch_size: int) -> np.ndarray:
+        """Records by number, as one structured array of the schema's fields
+        (``f0``, ``f1``, …; no row decoded): record ``r`` is the ``r % n``-th
+        of batch ``r // n``, ``n = batch_size // record size``. One fancy
+        index into a structured view of each batch it touches; string-free
+        schemas only, whose records are all one size (DESIGN.md §15, Runs).
+        """
+        dtype = self._values_dtype
+        per_batch = batch_size // dtype.itemsize
+        which, slot = np.divmod(numbers, per_batch)
+        out = np.empty(len(numbers), dtype)
+        for b in np.unique(which).tolist():
+            at = which == b
+            out[at] = np.frombuffer(batches[b].buf, dtype, count=per_batch)[slot[at]]
+        return out
+
     def record_size(self, buf: "bytes | bytearray | memoryview", offset: int) -> int:
         return ROW_HEADER_SIZE + HEADER_ROW_LEN.unpack_from(buf, offset + 8)[0]
 

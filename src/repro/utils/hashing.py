@@ -43,18 +43,20 @@ def _fnv1a(data: bytes) -> int:
 
 
 def hash64(key: object) -> int:
-    """Deterministic 64-bit hash of a scalar key (int, float, str, bytes, bool, None)."""
+    """Deterministic 64-bit hash of a scalar key (int, float, str, bytes, bool, None).
+
+    Equal keys hash equal, as with Python's ``hash``: a bool hashes as its
+    int and an integral float (``7.0``, ``-0.0``) as its int, so ``7`` finds
+    the partition and trie slot of a DOUBLE key ``7.0``.
+    """
     if key is None:
         return 0x9E3779B97F4A7C15
-    if isinstance(key, bool):
-        return _splitmix64(int(key) + 0x5BF03635)
-    if isinstance(key, (int, np.integer)):
+    if isinstance(key, (int, np.integer, np.bool_)):
         return _splitmix64(int(key) & _MASK64)
     if isinstance(key, (float, np.floating)):
-        # Normalize -0.0 == 0.0 and hash the IEEE bit pattern.
         f = float(key)
-        if f == 0.0:
-            f = 0.0
+        if f.is_integer():
+            return _splitmix64(int(f) & _MASK64)
         return _splitmix64(np.float64(f).view(np.uint64).item())
     if isinstance(key, str):
         return _fnv1a(key.encode("utf-8"))
@@ -81,25 +83,46 @@ def partition_for(key: object, num_partitions: int) -> int:
     return hash64(key) % num_partitions
 
 
+#: The Python types a list of keys is hashed in bulk for, when every key has it.
+_BULK_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
 def hash_column(values: "np.ndarray | Iterable[object]") -> np.ndarray:
     """Vectorized :func:`hash64` over a column; returns ``uint64`` array.
 
-    Integer and float arrays are mixed entirely in numpy; object arrays
-    (strings, mixed) fall back to a per-element loop but still produce
-    identical values to :func:`hash64`, which property tests assert.
+    Integer, bool and float arrays are mixed entirely in numpy. A list is
+    made an array only when every key is an int, every one a float or every
+    one a bool: numpy would promote a mix (``[7, 2.5]`` to floats, an int
+    past ``2**63`` to a float) and hash what it made. Anything else
+    (strings, None, mixed) is hashed key by key; every path equals
+    :func:`hash64`, which property tests assert.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind in ("i", "u"):
-        return _splitmix64_np(arr.astype(np.uint64, copy=False))
-    if arr.dtype.kind == "f":
-        x = arr.astype(np.float64, copy=False).copy()
-        x[x == 0.0] = 0.0  # collapse -0.0
-        return _splitmix64_np(x.view(np.uint64))
-    if arr.dtype.kind == "b":
-        return _splitmix64_np(arr.astype(np.uint64) + np.uint64(0x5BF03635))
-    return np.fromiter(
-        (hash64(v) for v in arr.tolist()), dtype=np.uint64, count=arr.size
-    )
+    if not isinstance(values, np.ndarray):
+        keys = list(values)
+        kinds = set(map(type, keys))
+        dtype = _BULK_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
+        try:
+            values = None if dtype is None else np.array(keys, dtype)
+        except OverflowError:  # an int outside int64
+            values = None
+        if values is None:
+            return np.fromiter(map(hash64, keys), np.uint64, len(keys))
+    if values.dtype.kind in "iub":
+        return _splitmix64_np(values.astype(np.uint64, copy=False))
+    if values.dtype.kind == "f":
+        return _hash_floats(values.astype(np.float64))
+    return np.fromiter(map(hash64, values.tolist()), np.uint64, values.size)
+
+
+def _hash_floats(x: np.ndarray) -> np.ndarray:
+    """:func:`hash64` of float64s: an integral one as its int, else its bits."""
+    out = _splitmix64_np(x.view(np.uint64))
+    whole = np.isfinite(x) & (x == np.trunc(x))
+    small = whole & (np.abs(x) < 2.0**63)
+    out[small] = _splitmix64_np(x[small].astype(np.int64).astype(np.uint64))
+    big = np.flatnonzero(whole & ~small)  # integral beyond int64: rare, by Python int
+    out[big] = [hash64(f) for f in x[big].tolist()]
+    return out
 
 
 def _splitmix64_np(x: np.ndarray) -> np.ndarray:

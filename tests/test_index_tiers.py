@@ -11,6 +11,11 @@ so with the threshold-``0`` (cTrie-only) lineage — and at the end every
 ancestor must still answer as it did before its descendants wrote or sealed.
 At ``10**6`` only the first build into an empty index seals.
 
+An int-kind first build is placed in key order and read as runs (DESIGN.md
+§15, Runs): ``insert`` asserts which seals make a key-ordered base (a first
+array build, never a later seal), and ``check`` counts the chains a
+``lookup_many`` walks (none for a run, one per key the delta shadows).
+
 Beside it: ``index_bytes()`` counts every index structure (nothing index-like
 hides outside it, and the memory manager meters the same arrays), and the
 byte layout of the row batches is pinned to what the parent commit wrote.
@@ -23,11 +28,13 @@ import zlib
 
 import pytest
 
+from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.indexed import partition as partition_module
 from repro.indexed.mvcc import CopyOnWriteVersioning, SnapshotVersioning
 from repro.indexed.ordered_index import KeyRange
+from repro.indexed.out_of_core import spill_partition
 from repro.indexed.partition import IndexedPartition
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
@@ -43,6 +50,18 @@ DOMAIN = 300
 
 def make_key(kind: str, i: int):
     return i if kind == "int" else f"{'ab'[i % 2]}{i:04d}"
+
+
+def chain_walks(part: IndexedPartition, read) -> int:
+    """How many chains ``read()`` walked on ``part``."""
+    codec, calls = part.codec, []
+    inner = codec.decode_chain
+    codec.decode_chain = lambda *args: calls.append(args) or inner(*args)
+    try:
+        read()
+    finally:
+        del codec.decode_chain
+    return len(calls)
 
 
 class Version:
@@ -79,6 +98,7 @@ class Version:
     def insert(self, rows: list[tuple], one_by_one: bool) -> None:
         for threshold, part in self.parts.items():
             built, base = part.row_count > 0, part.ordered.base
+            runs = not (part.batches or one_by_one) and part.codec.encode_records(rows) is not None
             if one_by_one:
                 for row in rows:
                     part.insert_row(row)
@@ -87,6 +107,8 @@ class Version:
             if threshold == NEVER_REACHED:  # the first build seals, the rest stay in the delta
                 assert len(part.ordered.base.keys) > 0
                 assert part.ordered.base is base or not built
+            if part.ordered.base is not base:  # a seal: key-ordered only from a first array build
+                assert part.ordered.base.runs == (runs and threshold > 0)
         for row in rows:
             self.oracle.setdefault(row[0], []).insert(0, row)
 
@@ -116,6 +138,11 @@ class Version:
             assert part.lookup_many(probes + probes) == {
                 k: oracle.get(k, []) for k in probes
             }, where
+            if kind == "int":  # a run is gathered, the keys the delta shadows are walked
+                present = [k for k in dict.fromkeys(probes) if k in oracle]
+                runs = part.ordered.base.runs
+                walked = len(part.ordered.delta_heads(present)) if runs else len(present)
+                assert chain_walks(part, lambda: part.lookup_many(probes)) == walked, where
             for krange in ranges:
                 wanted = [k for k in keys if krange.matches(k)]
                 assert part.ordered.range_keys(krange) == wanted, (where, krange)
@@ -244,6 +271,43 @@ def test_error_part_way_keeps_the_placed_rows_indexed():
     assert sorted(part.scan_rows()) == rows[:2]
 
 
+def test_runs_read_spilled_batches_back(tmp_path):
+    part = IndexedPartition(INT_SCHEMA, "k", batch_size=2048)
+    rows = [(i % 37, i, i / 2) for i in range(900)]
+    part.insert_rows(rows)
+    assert part.ordered.base.runs and len(part.batches) > 10
+    want = {k: [r for r in reversed(rows) if r[0] == k] for k in range(40)}
+    spill_partition(part, spill_dir=str(tmp_path), keep_tail=False)
+    assert not any(b.resident for b in part.batches)
+    assert part.lookup_many(range(40)) == want
+    assert part.spill_faults() == len(part.batches)
+    wanted = [r for k in range(5, 10) for r in want[k]]
+    assert part.range_lookup(KeyRange(5, 9)) == (wanted, len(wanted))
+
+
+def test_runs_survive_a_lineage_rebuild_under_a_budget(tmp_path):
+    """Evicted partitions are rebuilt by a first build again: key-ordered,
+    read as runs, and joined as an unbounded session joins them."""
+    rows = [(i % 300, i, i / 4) for i in range(6000)]
+    probe = [(k,) for k in range(0, 330, 7)]
+    answers = []
+    for budget in (None, 30_000):
+        memory = {} if budget is None else {"executor_memory_bytes": budget}
+        config = Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=8192,
+                        spill_dir=str(tmp_path), **memory)
+        context = EngineContext(config=config, topology=private_cluster(num_machines=1, executors_per_machine=2))
+        session = Session(context=context)
+        idf = session.create_dataframe(rows, INT_SCHEMA, "t").create_index("k").cache_index()
+        idf.create_or_replace_temp_view("t")
+        session.create_dataframe(probe, Schema.of(("pk", LONG)), "p").create_or_replace_temp_view("p")
+        query = "SELECT * FROM p JOIN t ON pk = k"
+        answers.append([sorted(session.sql(query).collect_tuples()) for _ in range(3)])
+        assert all(context.run_job(idf.rdd, lambda it, _ctx: next(iter(it)).ordered.base.runs))
+        if budget:
+            assert context.metrics.recovery_summary().get("block_recomputed", 0) > 0
+    assert answers[0] == answers[1]
+
+
 # -- index_bytes() is honest -------------------------------------------------------------
 
 
@@ -298,11 +362,15 @@ def test_memory_manager_meters_the_same_arrays():
 # -- byte layout ---------------------------------------------------------------------------
 
 
-def test_row_batch_bytes_are_what_the_parent_commit_wrote():
+def test_row_batch_bytes_are_pinned():
     """Scans, seal checkpoints and spill files read ``buf[:watermark]``: the
     batched write path must lay rows out exactly as the row-at-a-time one
     did. CRCs recorded at c9dce30 for this input (arrival order, repeated
-    keys, string rows, a snapshot child appending to the shared tail)."""
+    keys, string rows, a snapshot child appending to the shared tail). The
+    int kind's two were recorded again when a first array build came to be
+    placed in key order (DESIGN.md §15, Runs): its parent is that build and
+    its child appends in arrival order behind it. The string kinds keep the
+    row layout, and their CRCs."""
     rng = random.Random(5)
     crcs = []
     for kind in KINDS:
@@ -318,8 +386,8 @@ def test_row_batch_bytes_are_what_the_parent_commit_wrote():
                 crc = zlib.crc32(bytes(batch.buf[:watermark]), crc)
             crcs.append((len(p.batches), sum(p.visible_watermarks()), crc))
     assert crcs == [
-        (18, 70000, 3188999617),
-        (26, 105000, 1860656459),
+        (18, 70000, 591984981),  # int: the first build in key order
+        (26, 105000, 3601200439),
         (17, 68000, 402595547),
         (25, 102000, 871697708),
         (17, 68000, 843084529),

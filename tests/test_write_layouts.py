@@ -11,7 +11,9 @@ empty, sealed, delta-holding and snapshot-sibling partitions sharing a tail —
 and after every call asserts the same bytes, watermarks, ``contiguous``, CRC
 marks and index entries (pointers included, so the same chains), and chains
 that hold what was inserted. Rows the array layout must refuse produce
-exactly the row layout's bytes or its exception.
+exactly the row layout's bytes or its exception. A first array build (into
+a partition with no batches) is placed in key order (DESIGN.md §15, Runs):
+its reference is the row layout fed the same rows stably sorted by key.
 """
 
 from __future__ import annotations
@@ -52,16 +54,19 @@ class Pair:
         """Both layouts take ``batch``; True when the array layout did."""
         took_array = self.array.codec.encode_records(batch) is not None
         before = self.array.row_count
+        key_ord = self.array.key_ordinal
+        placed = batch
+        if took_array and not self.array.batches:  # a first array build: key order
+            placed = sorted(batch, key=lambda row: row[key_ord])
         outcomes = []
-        for part in (self.array, self.rows):
+        for part, rows in ((self.array, batch), (self.rows, placed)):
             try:
-                outcomes.append(part.insert_rows(batch))
+                outcomes.append(part.insert_rows(rows))
             except (ValueError, struct.error) as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
         if self.oracle is not None:
-            key_ord = self.array.key_ordinal
-            for row in batch[: self.array.row_count - before]:
+            for row in placed[: self.array.row_count - before]:
                 self.oracle.setdefault(row[key_ord], []).insert(0, tuple(row))
         self.check()
         return took_array
@@ -92,7 +97,7 @@ def random_schema(rng: random.Random) -> tuple[Schema, str]:
 def random_value(rng: random.Random, dtype, domain: "int | None") -> object:
     """A value of ``dtype`` (one of ``domain`` distinct ones for the key);
     outside the key, sometimes one of another type that equals one (``3``
-    for ``3.0``: the cTrie hashes ``0`` and ``False`` apart, so keys don't)."""
+    for ``3.0``)."""
     if dtype is BOOLEAN:
         return rng.random() < 0.5 if domain or rng.random() < 0.9 else rng.randrange(2)
     if domain is not None:
