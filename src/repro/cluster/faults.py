@@ -230,6 +230,26 @@ class FaultInjector:
         with self._lock:
             return self._task_launches
 
+    @property
+    def armed(self) -> bool:
+        """Whether a job may still meet chaos: an unfired scheduled job or
+        task kill, a targeted delay, a memory squeeze, or a task-failure,
+        straggler or squeeze probability. A key-bound read skips the
+        scheduler only while this is False (DESIGN.md §13)."""
+        with self._lock:
+            return self._armed_locked()
+
+    def _armed_locked(self) -> bool:
+        return bool(
+            len(self._fired) < len(self._scheduled)
+            or self._task_kills
+            or self._targeted_delays
+            or self._memory_squeezes
+            or self.task_failure_prob > 0
+            or self.straggler_prob > 0
+            or self.memory_squeeze_prob > 0
+        )
+
     def on_task_start(
         self, stage_id: int, split: int, attempt: int, job_index: int
     ) -> ChaosDecision:
@@ -237,15 +257,7 @@ class FaultInjector:
         with self._lock:
             self._task_launches += 1
             n = self._task_launches
-            active = (
-                self._task_kills
-                or self._targeted_delays
-                or self._memory_squeezes
-                or self.task_failure_prob > 0
-                or self.straggler_prob > 0
-                or self.memory_squeeze_prob > 0
-            )
-            if not active:
+            if not self._armed_locked():
                 return _NO_CHAOS
             decision = ChaosDecision()
             remaining: list[tuple[int, str]] = []

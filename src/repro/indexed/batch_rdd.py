@@ -93,6 +93,31 @@ class IndexedBatchRDD(RDD):
     def partition_object(self, split: int, ctx: TaskContext) -> IndexedPartition:
         return next(self.iterator(split, ctx))
 
+    def resident_partition(self, split: int) -> "IndexedPartition | None":
+        """Partition ``split`` straight from a live executor's block store,
+        with the accounting of a task's cache hit — or None, counted by why,
+        when it is not resident at this version: a job then rebuilds it from
+        lineage, as :meth:`iterator` does (DESIGN.md §13)."""
+        context = self.context
+        block_id = (self.rdd_id, split)
+        outcome = "not_resident"
+        for executor_id in context.block_manager_master.locations(block_id):
+            runtime = context.executor_runtime(executor_id, allow_dead=True)
+            if runtime is None or not runtime.alive:
+                continue
+            value = runtime.block_manager.get(block_id)
+            if value is None:
+                continue
+            part = value[0]
+            if part.version != self.version:
+                outcome = "stale"
+                break
+            context.registry.inc("cache_hits_total", level="local")
+            context.advisor.note_block_access(block_id)
+            return part
+        context.registry.inc("sql_direct_reads_total", outcome=outcome)
+        return None
+
     def partition_for_key(self, key: Any) -> int:
         return self.partitioner.partition(key)
 

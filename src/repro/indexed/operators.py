@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.sql.analysis import resolve_expression
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.joins import make_key_func
-from repro.sql.physical import PhysicalPlan, estimate_row_bytes
+from repro.sql.physical import NotResident, PhysicalPlan, estimate_row_bytes
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,24 +163,30 @@ class IndexedRangeScanExec(PhysicalPlan):
         self.idf = idf
         self.krange = krange
 
-    def do_execute(self) -> RDD:
-        krange = self.krange
+    def _range_scan(self, part: Any, krange: Any) -> list[tuple]:
+        """One partition's rows in ``krange``, the scan counted."""
+        rows, scanned = part.range_lookup(krange)
         registry = self.session.context.registry
+        registry.inc("ordered_index_range_scans_total")
+        registry.inc("ordered_index_rows_scanned_total", scanned)
+        registry.inc("ordered_index_rows_matched_total", len(rows))
+        if scanned:
+            registry.observe("ordered_index_range_selectivity", len(rows) / scanned)
+        return rows
 
+    def do_execute(self) -> RDD:
         def range_scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
             part = next(iter(parts))
-            with ctx.span("indexed_range_scan"):
-                rows, scanned = part.range_lookup(krange)
-                registry.inc("ordered_index_range_scans_total")
-                registry.inc("ordered_index_rows_scanned_total", scanned)
-                registry.inc("ordered_index_rows_matched_total", len(rows))
-                if scanned:
-                    registry.observe(
-                        "ordered_index_range_selectivity", len(rows) / scanned
-                    )
+            with ctx.span("range_scan"):
+                rows = self._range_scan(part, self.krange)
             return iter(rows)
 
         return self.idf.rdd.map_partitions_with_context(range_scan, preserves_partitioning=True)
+
+    def direct_rows(self) -> Iterator[tuple]:
+        splits = range(self.idf.rdd.num_partitions)
+        work = [(split, self.krange) for split in splits]
+        return _read_resident(self.idf.rdd, work, self._range_scan, "range_scan")
 
     def estimated_rows(self) -> int:
         return INDEXED_RANGE_ESTIMATE
@@ -197,30 +203,62 @@ class IndexedLookupExec(PhysicalPlan):
         self.idf = idf
         self.keys = keys
 
-    def do_execute(self) -> RDD:
-        idf = self.idf
+    def _by_split(self) -> dict[int, list[Any]]:
+        """The keys, in plan order, under the partition owning each."""
         by_split: dict[int, list[Any]] = {}
         for key in self.keys:
-            by_split.setdefault(idf.rdd.partition_for_key(key), []).append(key)
+            by_split.setdefault(self.idf.rdd.partition_for_key(key), []).append(key)
+        return by_split
+
+    @staticmethod
+    def _lookup(part: Any, keys: list[Any]) -> list[tuple]:
+        rows: list[tuple] = []
+        for key in keys:
+            rows.extend(part.lookup(key))
+        return rows
+
+    def do_execute(self) -> RDD:
+        by_split = self._by_split()
         splits = sorted(by_split)
-        pruned = PrunedRDD(idf.rdd, splits)
 
         def lookup(parts: Iterator[Any], split: int, ctx: Any) -> Iterator[tuple]:
-            part = next(iter(parts))
             keys = by_split[splits[split]]
             with ctx.span("lookup", keys=len(keys)):
-                rows: list[tuple] = []
-                for key in keys:
-                    rows.extend(part.lookup(key))
+                rows = self._lookup(next(iter(parts)), keys)
             return iter(rows)
 
-        return MapPartitionsRDD(pruned, lookup)
+        return MapPartitionsRDD(PrunedRDD(self.idf.rdd, splits), lookup)
+
+    def direct_rows(self) -> Iterator[tuple]:
+        work = sorted(self._by_split().items())
+        return _read_resident(self.idf.rdd, work, self._lookup, "lookup", keys=len(self.keys))
 
     def estimated_rows(self) -> int:
         return len(self.keys)
 
     def __repr__(self) -> str:
         return f"IndexedLookup({self.idf.name}, keys={self.keys!r})"
+
+
+def _read_resident(
+    rdd: Any, work: "list[tuple[int, Any]]", read: Callable[[Any, Any], list[tuple]], name: str,
+    **attrs: Any,
+) -> Iterator[tuple]:
+    """A key-bound leaf's direct read (DESIGN.md §13): ``read(part, arg)``
+    of the resident partition of each ``(split, arg)`` of ``work`` in turn,
+    each under a ``name`` operator span — the rows its job's tasks return,
+    in the job's order, a partition read only when its rows are asked for
+    (a job under LIMIT stops there too). Counts the lineage reference a job
+    would."""
+    context = rdd.context
+    context._note_lineage_refs(rdd)
+    for split, arg in work:
+        part = rdd.resident_partition(split)
+        if part is None:
+            raise NotResident(f"partition {split} of rdd {rdd.rdd_id}")
+        with context.tracer.start_span(name, kind="operator", **attrs):
+            rows = read(part, arg)
+        yield from rows
 
 
 class _IndexedJoinRDD(ZippedPartitionsRDD):

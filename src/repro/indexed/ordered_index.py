@@ -278,10 +278,16 @@ class OrderedIndex:
     def _seal(self, heads: dict[Any, int], new_keys: list, kind: type = SealedBase) -> None:
         """Fold delta and batch into a new base: ``concatenate`` with the
         updates first, then ``unique`` — a stable sort that keeps the first of
-        equal keys, so the newest head replaces the base entry under it."""
+        equal keys, so the newest head replaces the base entry under it.
+
+        A NULL key has no place in a sorted array: it stays in the new delta
+        (a hashed index's NULL only leaves ``ordered``: its trie key is a
+        hash), and in ``fresh``, which every range read skips it in."""
         base = self.base
         updates = dict(self.delta.items()) if self.delta_writes else {}
         updates.update(heads)
+        null_head = NULL_POINTER if self.hashed else updates.pop(None, NULL_POINTER)
+        null = null_head != NULL_POINTER
         n = len(updates)
         keys = np.concatenate([np.fromiter(updates, base.keys.dtype, n), base.keys])
         ptrs = np.concatenate([np.fromiter(updates.values(), np.uint64, n), base.heads])
@@ -289,15 +295,21 @@ class OrderedIndex:
         _frozen(keys)
         if self.hashed:
             fresh = [*self._fresh_keys(), *new_keys]  # none is in base.ordered, none repeats
+            null = None in fresh
+            if null:
+                fresh.remove(None)
             ordered = np.concatenate([np.fromiter(fresh, object, len(fresh)), base.ordered])
             ordered = _frozen(np.sort(ordered, kind="stable"))
         else:
             ordered = keys
+        delta = CTrie()
+        if null_head != NULL_POINTER:
+            delta.insert(None, null_head)
         self.base = kind(keys, _frozen(ptrs[first]), ordered)  # base first
-        self.delta = CTrie()
-        self.delta_writes = 0
-        self.fresh = None
-        self.fresh_len = 0
+        self.delta = delta
+        self.delta_writes = int(null_head != NULL_POINTER)
+        self.fresh = ([None], None) if null else None
+        self.fresh_len = int(null)
 
     def _fresh_keys(self) -> Iterator[Any]:
         node = self.fresh
@@ -313,7 +325,7 @@ class OrderedIndex:
         prefix-sharing keys are contiguous) overlaid with the ``fresh`` keys."""
         if krange.is_empty():
             return []
-        extra = [key for key in self._fresh_keys() if krange.matches(key)]
+        extra = [key for key in self._fresh_keys() if key is not None and krange.matches(key)]
         ordered = self.base.ordered
         lo, hi = krange.lo, krange.hi
         if ordered.dtype != object and not all(

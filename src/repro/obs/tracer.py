@@ -51,7 +51,9 @@ SPAN_NESTING: dict[str, tuple[str | None, ...]] = {
     "job": (None, "query", "phase", "serve", "scrub"),
     "stage": ("job",),
     "task": ("stage",),
-    "operator": ("task", "operator"),
+    # An operator runs inside a task, or under the execute phase when a
+    # key-bound read skips the scheduler (DESIGN.md §13).
+    "operator": ("task", "operator", "phase"),
     "span": (None, "query", "phase", "job", "stage", "task", "operator", "span", "advisor"),
     # Cache-advisor decision/shed spans fire at query boundaries (inside a
     # query span), from the serve tier, or driver-side outside any span.

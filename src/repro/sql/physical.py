@@ -19,7 +19,7 @@ indexed join) through planner strategies; they subclass
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.engine.rdd import RDD
 from repro.sql.cache import CachedRelation
@@ -30,6 +30,11 @@ from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sql.session import Session
+
+
+class NotResident(Exception):
+    """A direct read reached a partition that is not resident at its
+    version (:meth:`PhysicalPlan.direct_rows`): the job rebuilds it."""
 
 
 class PhysicalPlan:
@@ -76,6 +81,17 @@ class PhysicalPlan:
         return rdd
 
     def do_execute_batches(self, columns: "list[str] | None") -> "RDD | None":
+        return None
+
+    def direct_rows(self) -> "Iterator[tuple] | None":
+        """The rows :meth:`execute` collects, read lazily on the driver from
+        the resident partitions without a job — in the job's order, reading
+        no partition the job would not — or None when this plan always runs
+        as a job: true of all but the key-bound indexed leaves and the row
+        operators over one (DESIGN.md §13, Key-bound reads are calls).
+        Iterating raises :class:`NotResident` at a partition that is not
+        resident at its version; nothing is read before the first row is
+        asked for."""
         return None
 
     def estimated_rows(self) -> int:
@@ -169,7 +185,25 @@ class ColumnarScanExec(PhysicalPlan):
         return f"ColumnarScan({', '.join(parts)})"
 
 
-class FilterExec(PhysicalPlan):
+class RowwiseExec(PhysicalPlan):
+    """An operator that is a function of its one child's rows, a partition
+    at a time (:meth:`apply`): the job maps each partition through it, and
+    a direct read maps the child's direct rows."""
+
+    child: PhysicalPlan
+
+    def children(self) -> list[PhysicalPlan]:
+        return [self.child]
+
+    def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
+        raise NotImplementedError
+
+    def direct_rows(self) -> "Iterator[tuple] | None":
+        rows = self.child.direct_rows()
+        return None if rows is None else self.apply(rows)
+
+
+class FilterExec(RowwiseExec):
     """Row-at-a-time filter (used when not fused into a scan)."""
 
     def __init__(self, session: "Session", condition: Expression, child: PhysicalPlan) -> None:
@@ -177,12 +211,12 @@ class FilterExec(PhysicalPlan):
         self.condition = condition
         self.child = child
 
-    def children(self) -> list[PhysicalPlan]:
-        return [self.child]
+    def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
+        keep = self.condition.eval
+        return (row for row in rows if keep(row))
 
     def do_execute(self) -> RDD:
-        cond = self.condition
-        return self.child.execute().filter(lambda row: bool(cond.eval(row)))
+        return self.child.execute().map_partitions(self.apply, preserves_partitioning=True)
 
     def estimated_rows(self) -> int:
         return max(1, self.child.estimated_rows() // 4)
@@ -191,7 +225,7 @@ class FilterExec(PhysicalPlan):
         return f"Filter({self.condition!r})"
 
 
-class ProjectExec(PhysicalPlan):
+class ProjectExec(RowwiseExec):
     def __init__(
         self, session: "Session", exprs: list[Expression], schema: Schema, child: PhysicalPlan
     ) -> None:
@@ -199,12 +233,12 @@ class ProjectExec(PhysicalPlan):
         self.exprs = exprs
         self.child = child
 
-    def children(self) -> list[PhysicalPlan]:
-        return [self.child]
+    def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
+        exprs = self.exprs
+        return (tuple(e.eval(row) for e in exprs) for row in rows)
 
     def do_execute(self) -> RDD:
-        exprs = self.exprs
-        return self.child.execute().map(lambda row: tuple(e.eval(row) for e in exprs))
+        return self.child.execute().map_partitions(self.apply)
 
     def estimated_rows(self) -> int:
         return self.child.estimated_rows()
@@ -213,19 +247,18 @@ class ProjectExec(PhysicalPlan):
         return f"Project({', '.join(e.output_name() for e in self.exprs)})"
 
 
-class LimitExec(PhysicalPlan):
+class LimitExec(RowwiseExec):
     def __init__(self, session: "Session", n: int, child: PhysicalPlan) -> None:
         super().__init__(session, child.schema)
         self.n = n
         self.child = child
 
-    def children(self) -> list[PhysicalPlan]:
-        return [self.child]
+    def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
+        return itertools.islice(rows, self.n)
 
     def do_execute(self) -> RDD:
-        n = self.n
-        partial = self.child.execute().map_partitions(lambda it: itertools.islice(it, n))
-        return partial.coalesce(1).map_partitions(lambda it: itertools.islice(it, n))
+        partial = self.child.execute().map_partitions(self.apply)
+        return partial.coalesce(1).map_partitions(self.apply)
 
     def estimated_rows(self) -> int:
         return min(self.n, self.child.estimated_rows())

@@ -26,7 +26,7 @@ from repro.sql.analysis import Analyzer
 from repro.sql.catalog import Catalog
 from repro.sql.logical import LogicalPlan, Relation
 from repro.sql.optimizer import Optimizer, Rule
-from repro.sql.physical import PhysicalPlan
+from repro.sql.physical import NotResident, PhysicalPlan
 from repro.sql.plan_cache import CachedPlan, PlanCache, normalize_sql
 from repro.sql.planner import Planner, Strategy
 from repro.sql.prepared import PreparedStatement
@@ -161,7 +161,8 @@ class Session:
         advisor gets an admission decision *before* collection, so a query
         it judges hot populates the cache during this very execution.
         Prepared statements bind into fresh logical plans with no cache
-        entry, so per-binding results are never auto-cached.
+        entry, so per-binding results are never auto-cached. A key-bound
+        plan is read without a job when it can be (:meth:`_read_direct`).
         """
         advisor = self.context.advisor
         entry = self.plan_cache.entry_for_logical(logical)
@@ -178,17 +179,53 @@ class Session:
                     advisor.maybe_shed()
                     return rows
             physical = self.plan_physical(logical)
-            with self.context.tracer.start_span("execute", kind="phase"):
-                rdd = physical.execute()
+            rows = self._read_direct(physical, entry)
+            if rows is None:
+                with self.context.tracer.start_span("execute", kind="phase"):
+                    rdd = physical.execute()
+                    if entry is not None:
+                        rdd = advisor.before_collect(entry, rdd)
+                    t0 = time.perf_counter()
+                    rows = rdd.collect()
+                    elapsed = time.perf_counter() - t0
                 if entry is not None:
-                    rdd = advisor.before_collect(entry, rdd)
-                t0 = time.perf_counter()
-                rows = rdd.collect()
-                elapsed = time.perf_counter() - t0
-        if entry is not None:
-            advisor.record_execution(entry, elapsed, rows)
+                    advisor.record_execution(entry, elapsed, rows)
         advisor.maybe_shed()
         return rows
+
+    def _read_direct(
+        self, physical: PhysicalPlan, entry: "CachedPlan | None"
+    ) -> "list[tuple] | None":
+        """A key-bound plan's rows read on the driver from the resident
+        partitions (:meth:`PhysicalPlan.direct_rows`), or None: run the job
+        (DESIGN.md §13, Key-bound reads are calls). The job stays when it
+        is metered, when the fault injector is armed, when the advisor
+        judges this query, or when the direct call raises — the job then
+        raises, retries or quarantines exactly as it always has. Every
+        decision is counted in ``sql_direct_reads_total{outcome}``."""
+        rows = physical.direct_rows()
+        if rows is None:
+            return None
+        context = self.context
+        if self.exec_meter is not None:
+            outcome = "analyze"
+        elif context.faults.armed:
+            outcome = "armed"
+        elif entry is not None and context.advisor.enabled:
+            outcome = "advisor"
+        else:
+            span = context.tracer.start_span("execute", kind="phase", path="direct")
+            with context.job_lock, span:
+                try:
+                    rows = list(rows)
+                except NotResident:
+                    return None  # counted by the partition read that missed
+                except Exception:  # noqa: BLE001 - the job meets it again
+                    outcome = "error"
+                else:
+                    outcome = "answered"
+        context.registry.inc("sql_direct_reads_total", outcome=outcome)
+        return rows if outcome == "answered" else None
 
     def cache_advisor_report(self) -> str:
         """Human-readable advisor state: per-fingerprint scores (collected
@@ -207,6 +244,8 @@ class Session:
         """
         with self.context.tracer.start_span("query", kind="query", analyze=True):
             physical = self.plan_physical(logical)
+            if physical.direct_rows() is not None:  # metered operators run as a job
+                self.context.registry.inc("sql_direct_reads_total", outcome="analyze")
             meter = ExecutionMeter()
             previous = self.exec_meter
             self.exec_meter = meter

@@ -193,7 +193,9 @@ class TestRecognizerPlannerAgreement:
     """``recognize(...).kind`` is the index operator ``indexed_strategy``
     plans for the bound query, and every front end — a QueryServer and
     routers of one and three shards, on one session, so on one plan-cache
-    memo slot — answers with the general pipeline's rows."""
+    memo slot — answers with the general pipeline's rows. The general
+    pipeline reads a point or range directly (DESIGN.md §13), and that list
+    is the job's."""
 
     KINDS = {IndexedLookupExec: "point", IndexedRangeScanExec: "range", IndexedScanExec: "scan"}
     #: The path each front end reports per kind: the QueryServer keeps the
@@ -230,10 +232,17 @@ class TestRecognizerPlannerAgreement:
             own = [node] if type(node) in self.KINDS else []
             return own + [op for child in node.children() for op in indexed_ops(child)]
 
-        (planned,) = indexed_ops(session.plan_physical(bound))
+        physical = session.plan_physical(bound)
+        (planned,) = indexed_ops(physical)
         kind = recognize(template_plan, session.catalog).kind
         assert kind == self.KINDS[type(planned)]
-        expected = sorted(session.execute(bound))
+        registry = session.context.registry
+        answered = registry.counter_value("sql_direct_reads_total", outcome="answered")
+        general = session.execute(bound)
+        direct = registry.counter_value("sql_direct_reads_total", outcome="answered") > answered
+        assert direct == (kind != "scan")
+        assert general == physical.execute().collect()
+        expected = sorted(general)
         single = server.query(text, params=params)
         assert single.path == self.SERVER_PATHS[kind]
         assert sorted(single.rows) == expected
