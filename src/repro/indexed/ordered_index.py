@@ -287,7 +287,6 @@ class OrderedIndex:
         updates = dict(self.delta.items()) if self.delta_writes else {}
         updates.update(heads)
         null_head = NULL_POINTER if self.hashed else updates.pop(None, NULL_POINTER)
-        null = null_head != NULL_POINTER
         n = len(updates)
         keys = np.concatenate([np.fromiter(updates, base.keys.dtype, n), base.keys])
         ptrs = np.concatenate([np.fromiter(updates.values(), np.uint64, n), base.heads])
@@ -301,6 +300,7 @@ class OrderedIndex:
             ordered = np.concatenate([np.fromiter(fresh, object, len(fresh)), base.ordered])
             ordered = _frozen(np.sort(ordered, kind="stable"))
         else:
+            null = null_head != NULL_POINTER
             ordered = keys
         delta = CTrie()
         if null_head != NULL_POINTER:

@@ -220,7 +220,8 @@ class Session:
                     rows = list(rows)
                 except NotResident:
                     return None  # counted by the partition read that missed
-                except Exception:  # noqa: BLE001 - the job meets it again
+                except Exception as exc:  # noqa: BLE001 - the job meets it again
+                    span.set_attr("error", f"{type(exc).__name__}: {exc}")
                     outcome = "error"
                 else:
                     outcome = "answered"

@@ -18,6 +18,7 @@ from the resident partitions, without a job. The properties:
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import zlib
 
@@ -347,37 +348,44 @@ def test_corrupted_spill_is_detected_once_by_the_job(tmp_path):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_direct_reads_beside_appends_and_a_memory_storm(mode, tmp_path):
+    """Two readers, an appender and a storm thread (more threads than
+    cores, a short switch interval): every answer is its version's."""
     session, idf = table(tmp_path, scheduler_mode=mode)
     context = session.context
     versions = [(idf, list(ROWS))]
-    done = threading.Event()
+    start = threading.Barrier(3, timeout=60)
+    appended, calm = threading.Event(), threading.Event()
     errors: list[BaseException] = []
 
+    def guarded(work):
+        def run() -> None:
+            try:
+                work()
+            except BaseException as exc:  # noqa: BLE001 - reported by the test
+                errors.append(exc)
+                appended.set()
+        return run
+
     def appender() -> None:
-        try:
-            rng = random.Random(5)
-            for i in range(12):
-                parent, parent_rows = versions[-1]
-                batch = [(rng.randrange(40), 10_000 + 100 * i + j, "new") for j in range(20)]
-                versions.append((parent.append_rows(batch).cache_index(), parent_rows + batch))
-        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-        finally:
-            done.set()
+        start.wait()
+        rng = random.Random(5)
+        for i in range(6):
+            parent, parent_rows = versions[-1]
+            batch = [(rng.randrange(40), 10_000 + 100 * i + j, "new") for j in range(20)]
+            versions.append((parent.append_rows(batch).cache_index(), parent_rows + batch))
+        appended.set()
 
     def storm() -> None:
         rng = random.Random(6)
         runtimes = list(context.executors.values())
-        while not done.wait(0.002):
+        while not calm.wait(0.005):
             rng.choice(runtimes).block_manager.pressure_storm(rng.choice([0.0, 0.5]))
 
-    threads = [threading.Thread(target=appender), threading.Thread(target=storm)]
-    for thread in threads:
-        thread.start()
-    rng = random.Random(7)
-    reads = 0
-    try:
-        while not done.is_set() or reads < 40:
+    def reader(seed: int) -> None:
+        start.wait()
+        rng = random.Random(seed)
+        reads = 0
+        while not appended.is_set() or reads < 20:
             version, version_rows = rng.choice(versions)
             k = rng.randrange(40)
             frame = version.to_df()
@@ -389,11 +397,26 @@ def test_direct_reads_beside_appends_and_a_memory_storm(mode, tmp_path):
                 want = [r for r in version_rows if k <= r[0] <= k + 3]
             assert by_repr(got) == by_repr(want), (version.version, k)
             reads += 1
+
+    workers = [
+        threading.Thread(target=guarded(work))
+        for work in (appender, lambda: reader(7), lambda: reader(8))
+    ]
+    stormer = threading.Thread(target=storm)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in (stormer, *workers):
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
     finally:
-        done.set()
-        for thread in threads:
-            thread.join()
-    assert not errors
+        calm.set()
+        stormer.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in (stormer, *workers) if thread.is_alive()]
+    assert not errors, errors
+    assert len(versions) == 7
     counted = outcomes(session)
     assert counted.get("answered", 0) > 0
     assert set(counted) <= {"answered", "not_resident", "stale"}
