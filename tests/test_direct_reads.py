@@ -218,7 +218,7 @@ class TestFallbacks:
         session, idf = table()
         session.context.kill_executor(holder(session, idf, idf.rdd.partition_for_key(7)))
         read(session, POINT, {"not_resident": 1})
-        read(session, RANGE, {"answered": 1})  # the point's job rebuilt only its split...
+        read(session, RANGE, {"answered": 1})  # the point's job rebuilt the one block it held
         read(session, POINT, {"answered": 1})
 
     def test_dead_executor_under_a_range(self):
