@@ -115,11 +115,12 @@ class Config:
     #: (broadcast probes of a handful of keys, tiny collects). 0 disables
     #: the row-based half of the heuristic.
     small_stage_inline_rows: int = 128
-    #: Distinct keys a partition's index holds in its cTrie delta before
-    #: sealing them into a fresh immutable array base (DESIGN.md §15): a
-    #: batch that brings the delta to this many goes straight to a new base,
-    #: and so does the first batch into an empty index, whatever its size.
-    #: 0 never seals — the paper's cTrie-only index.
+    #: Distinct keys a partition's index holds in its delta, a dict write
+    #: buffer, before sealing them into a fresh immutable array base
+    #: (DESIGN.md §15): a batch that brings the delta to this many goes
+    #: straight to a new base, and so does the first batch into an empty
+    #: index, whatever its size. 0 never seals: the delta is then the
+    #: paper's cTrie, and the whole index.
     ordered_index_compact_threshold: int = 512
     #: Seconds of backoff before a task's first retry; doubles per attempt.
     task_retry_backoff: float = 0.005

@@ -268,6 +268,7 @@ class CacheManager:
                 # blacklists this executor, so the retry lands where there
                 # is room (the append-path flow control of DESIGN.md §10).
                 ctxm.registry.inc("cache_put_rejected_total")
+                ctxm.registry.inc("memory_pressure_errors_total", executor=ctx.executor_id)
                 raise
             ctxm.block_manager_master.register(block_id, ctx.executor_id)
             if was_lost:

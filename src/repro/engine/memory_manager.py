@@ -111,7 +111,6 @@ class MemoryManager:
                 self._shed_to(self.budget, blocks, protect=block_id, reason="budget")
             except MemoryPressureError:
                 self._settle(blocks, drop=block_id)  # the store as it was before the put
-                registry.inc("memory_pressure_errors_total", executor=self.executor_id)
                 raise
         self._publish_gauge()
 

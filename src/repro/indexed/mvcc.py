@@ -4,9 +4,10 @@ The paper weighs two designs for letting divergent child versions coexist:
 
 * **copy-on-write** — "a pragmatic solution... however, this incurs large
   performance penalties (i.e., full data copies) and storage overheads";
-* **persistent-data-structure snapshots** — the adopted design: the cTrie
-  snapshot shares all state, and row batches are shared with atomic space
-  reservation, so children store only deltas.
+* **persistent-data-structure snapshots** — the adopted design: the index
+  snapshot shares its sealed base (and copies its small delta, or shares
+  the cTrie's state at threshold 0), and row batches are shared with atomic
+  space reservation, so children store only deltas.
 
 :class:`SnapshotVersioning` is the adopted design (a thin wrapper over
 ``IndexedPartition.snapshot``); :class:`CopyOnWriteVersioning` is the

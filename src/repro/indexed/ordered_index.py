@@ -1,5 +1,5 @@
-"""A partition version's index: a sealed array base under a cTrie delta
-(DESIGN.md §15), and the :class:`KeyRange` predicate its ordered reads take.
+"""A partition version's index: a sealed array base under a delta (DESIGN.md
+§15), and the :class:`KeyRange` predicate its ordered reads take.
 
 * ``base`` — an immutable :class:`SealedBase`: parallel numpy arrays ``keys``
   (sorted *trie* keys — the key value, or ``hash32`` of a hashed string,
@@ -10,20 +10,21 @@
   arrays, never in place, so MVCC snapshots holding the old ones are unaffected.
   A first build placed in key order seals a :class:`KeyOrderedBase`, whose
   keys' rows are runs of records (DESIGN.md §15, Runs).
-* ``delta`` — the paper's cTrie, holding only the heads written since the
-  last seal; ``fresh`` is the persistent (cons-cell) list of the key values
-  first written since then, so an ordered read need not walk the trie.
+* ``delta`` — the heads written since the last seal: a :class:`WriteBuffer`
+  under a seal threshold, the paper's cTrie at threshold 0 (never sealed);
+  ``fresh`` is the persistent (cons-cell) list of the key values first
+  written since then, so an ordered read need not walk the delta.
 
 A batch is published once: the first into an empty index, and any that
 brings the delta to ``seal_threshold`` distinct keys, straight into a new
 base; the rest into the delta (0 never seals: the paper's cTrie-only index).
-:meth:`OrderedIndex.snapshot` is O(1).
+:meth:`OrderedIndex.snapshot` copies a buffer of fewer keys than the
+threshold, or takes a cTrie's O(1) snapshot.
 
-Concurrency: published versions are immutable, so the only concurrent pair
-is an in-flight build and an eager reader of the same version. A seal
-installs the new base *before* the empty delta and readers read ``delta`` /
-``fresh`` *before* ``base`` (plain assignments), so a reader sees every key
-published before it started — through the old delta, the new base, or both.
+Concurrency: one writer. Only the task building a version writes its
+index, into a partition no other thread holds yet, and published versions
+are immutable. A seal still installs the new base *before* the empty delta,
+and readers read ``delta`` / ``fresh`` *before* ``base``.
 """
 
 from __future__ import annotations
@@ -188,6 +189,19 @@ class KeyOrderedBase(SealedBase):
     runs = True
 
 
+class WriteBuffer(dict):
+    """A bounded index's delta: a dict with the cTrie's surface. It holds
+    fewer keys than the seal threshold and has one writer (DESIGN.md §15),
+    so a copy is the whole snapshot."""
+
+    __slots__ = ()
+    lookup = dict.get
+    insert = dict.__setitem__
+
+    def snapshot(self) -> "WriteBuffer":
+        return WriteBuffer(self)
+
+
 class OrderedIndex:
     """trie key -> newest-row pointer, and the distinct key values in order."""
 
@@ -199,9 +213,9 @@ class OrderedIndex:
         keys = _frozen(np.empty(0, np.int64 if hashed else key_dtype))
         ordered = _frozen(np.empty(0, object)) if hashed else keys
         self.base = SealedBase(keys, _frozen(np.empty(0, np.uint64)), ordered)
-        self.delta = CTrie()
+        self.delta = WriteBuffer() if seal_threshold else CTrie()
         #: Distinct keys written per batch since the last seal, summed: an
-        #: upper bound on ``len(delta)`` that costs no trie walk.
+        #: upper bound on ``len(delta)`` that costs no walk.
         self.delta_writes = 0
         self.fresh: "tuple | None" = None
         self.fresh_len = 0
@@ -302,11 +316,8 @@ class OrderedIndex:
         else:
             null = null_head != NULL_POINTER
             ordered = keys
-        delta = CTrie()
-        if null_head != NULL_POINTER:
-            delta.insert(None, null_head)
         self.base = kind(keys, _frozen(ptrs[first]), ordered)  # base first
-        self.delta = delta
+        self.delta = WriteBuffer({} if null_head == NULL_POINTER else {None: null_head})
         self.delta_writes = int(null_head != NULL_POINTER)
         self.fresh = ([None], None) if null else None
         self.fresh_len = int(null)
@@ -357,7 +368,7 @@ class OrderedIndex:
     # -- MVCC --------------------------------------------------------------------------
 
     def snapshot(self) -> "OrderedIndex":
-        """O(1) child: shares base and ``fresh``, snapshots the delta."""
+        """A child: shares base and ``fresh``, snapshots the delta."""
         child = copy.copy(self)
         child.delta = self.delta.snapshot()
         return child

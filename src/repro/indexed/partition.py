@@ -4,7 +4,7 @@ Combines the three per-partition structures:
 
 1. ``ordered`` — the index (:mod:`repro.indexed.ordered_index`): key -> packed
    64-bit pointer to the *latest* row with that key, as a sealed array base
-   under the cTrie (``ctrie``: the heads written since the last seal),
+   under a delta (``ctrie``: the heads written since the last seal),
 2. ``batches`` — binary row batches holding the encoded rows,
 3. backward pointers — each encoded row's header points to the previous row
    with the same key, giving a per-key linked list.
@@ -20,8 +20,9 @@ String keys are hashed to 32-bit integers before entering the index
 collisions cannot surface wrong rows — this extra hash+verify work is why
 Fig. 15's string-keyed queries (Q1, Q2) speed up less than integer ones.
 
-MVCC: :meth:`snapshot` is O(1) — it shares the sealed base, the cTrie (via
-its constant-time snapshot) and the batch objects; divergent children append
+MVCC: :meth:`snapshot` shares the sealed base and the batch objects and
+snapshots the delta (a copy of fewer keys than the seal threshold, or the
+cTrie's constant-time snapshot at threshold 0); divergent children append
 independently (atomic space reservation in shared tail batches, visibility
 via each version's own index).
 """
@@ -34,7 +35,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.ctrie import CTrie
-from repro.indexed.ordered_index import KeyRange, OrderedIndex
+from repro.indexed.ordered_index import KeyRange, OrderedIndex, WriteBuffer
 from repro.indexed.pointers import MAX_OFFSET, MAX_SIZE, NULL_POINTER, OFFSET_BITS, SIZE_BITS, pack
 from repro.indexed.row_batch import RowBatch
 from repro.indexed.row_codec import RowCodec
@@ -100,8 +101,10 @@ class IndexedPartition:
         return hash32(key) if self.hashed else key
 
     @property
-    def ctrie(self) -> CTrie:
-        """The index's delta: the heads written since its last seal."""
+    def ctrie(self) -> "CTrie | WriteBuffer":
+        """The index's delta: the heads written since its last seal. A
+        :class:`WriteBuffer` under a seal threshold; a cTrie only at
+        threshold 0, where the delta is the paper's whole index."""
         return self.ordered.delta
 
     # -- writes ----------------------------------------------------------------------
@@ -448,7 +451,7 @@ class IndexedPartition:
     # -- MVCC ---------------------------------------------------------------------------
 
     def snapshot(self, new_version: int) -> "IndexedPartition":
-        """O(1) child: shared index base and batches, cTrie snapshot of the delta."""
+        """A child: shared index base and batches, a snapshot of the delta."""
         child = copy.copy(self)  # schema, codec, counters and flags carry over
         child.ordered = self.ordered.snapshot()
         child.batches = list(self.batches)  # share RowBatch objects
@@ -462,16 +465,20 @@ class IndexedPartition:
         """What a memory meter sizes apart from this object (DESIGN.md §10):
         the pieces versions and partitions share — row batches, the sealed
         index arrays, the codec, the schema. The rest (this object, its
-        lists, the cTrie delta) is the partition's shell."""
+        lists, the delta) is the partition's shell."""
         return [*self.batches, self.ordered.base, self.codec, self.schema]
 
     def meter_state(self) -> tuple:
         """What the shell's metered size depends on, and which parts it has.
-        A delta holding keys changes under reads (path renewal after a
-        snapshot), so it never compares equal; an empty one changes only by
-        a root swap."""
+        A delta holding keys never compares equal (a cTrie's nodes renew
+        under reads after a snapshot). An empty cTrie changes only by a root
+        swap; an empty buffer is its own token: copying it never mutates it."""
         ordered = self.ordered
-        delta = object() if ordered.delta_writes else ordered.delta.rdcss_read_root()
+        delta = ordered.delta
+        if ordered.delta_writes:
+            delta = object()
+        elif isinstance(delta, CTrie):
+            delta = delta.rdcss_read_root()
         return (delta, ordered.fresh, ordered.base, self.row_count, *self._watermarks,
                 *self.batches)
 

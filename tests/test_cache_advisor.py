@@ -24,6 +24,7 @@ from repro.advisor.cost_model import DecayedCounter, Ewma, lineage_depth, value_
 from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
+from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from tests.conftest import MODES
@@ -294,6 +295,31 @@ class TestAutoCache:
             want = rows_of(session, f"SELECT * FROM t WHERE k = {k}")
             assert got == want
 
+    def test_a_skipped_advisor_put_is_no_pressure_error(self, tmp_path):
+        """A result the budget cannot hold is served uncached and counted as
+        a skipped put, not as a memory pressure error: the error counts
+        only rejections that fail a task, as a put the user asked for does."""
+        query = "SELECT * FROM t WHERE k < 20"
+        session = make_session(
+            tmp_path=tmp_path,
+            auto_cache=True,
+            advisor_score_threshold=0.0,
+            executor_memory_bytes=2_000,
+            max_task_retries=1,
+        )
+        reference = rows_of(make_session(), query)
+        for _ in range(3):
+            assert rows_of(session, query) == reference
+        reg = session.context.registry
+        assert reg.counter_total("cache_advisor_put_skipped_total") > 0
+        assert reg.counter_total("memory_pressure_errors_total") == 0
+        with pytest.raises(TaskFailure):
+            session.create_dataframe(make_rows(300, seed=7), SCHEMA, "pinned").cache()
+        assert reg.counter_total("memory_pressure_errors_total") > 0
+        assert reg.counter_total("memory_pressure_errors_total") == reg.counter_total(
+            "cache_put_rejected_total"
+        )
+
     def test_pressure_shed_keeps_answers(self, tmp_path):
         session = make_session(
             tmp_path=tmp_path,
@@ -444,6 +470,51 @@ class TestAdvisorBeatsBothBaselines:
             )
 
         assert churn(advisor) <= churn(always)
+
+
+# ---------------------------------------------------------------------------
+# Advisor results displacing an index that fits (ROADMAP item 13)
+# ---------------------------------------------------------------------------
+
+EDGES = Schema.of(("src", LONG), ("dst", LONG), ("weight", DOUBLE))
+
+
+def index_evictions(tmp_path, auto_cache: bool) -> int:
+    """Evictions of a cached index's blocks over twelve cycles shaped like
+    the ``bounded_memory`` benchmark's (a join, then a filtered scan), under
+    the cost policy and a budget the indexed table fits."""
+    rng = random.Random(0)
+    rows = [(rng.randrange(300), rng.randrange(10**6), round(rng.random(), 6)) for _ in range(3000)]
+    session = make_session(
+        tmp_path=tmp_path, executor_memory_bytes=40_000, eviction_policy="cost",
+        auto_cache=auto_cache,
+    )
+    idf = session.create_dataframe(rows, EDGES, "edges").create_index("src", num_partitions=4)
+    idf.cache_index().create_or_replace_temp_view("edges")
+    for i in range(4):
+        probe = session.create_dataframe([(k,) for k in range(i, 300, 4)], Schema.of(("k", LONG)))
+        probe.create_or_replace_temp_view(f"p{i}")
+    for cycle in range(12):
+        rows_of(session, f"SELECT * FROM p{cycle % 4} JOIN edges ON p{cycle % 4}.k = edges.src")
+        rows_of(session, "SELECT * FROM edges WHERE weight > 0.9")
+    index = f"rdd={idf.rdd.rdd_id} "
+    return sum(
+        event.kind == "block_evicted" and event.detail.startswith(index)
+        for event in session.context.metrics.recovery_events
+    )
+
+
+class TestAdvisorResultsAndTheIndex:
+    def test_the_indexed_table_fits_its_budget(self, tmp_path):
+        assert index_evictions(tmp_path, auto_cache=False) == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 13: auto-cached results displace index blocks",
+    )
+    def test_an_auto_cached_result_evicts_no_index_block(self, tmp_path):
+        assert index_evictions(tmp_path, auto_cache=True) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Ordered index unit tests: KeyRange semantics and the ordered reads of a
-partition's two-tier index (sorted sealed base + cTrie delta).
+partition's two-tier index (sorted sealed base + delta), and the delta's
+two backings: a dict write buffer under a seal threshold, the cTrie at 0.
 
 The oracle for every range test is a brute-force filter of the same key
 set with :meth:`KeyRange.matches` — the exact predicate the SQL layer
@@ -15,10 +16,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ctrie import CTrie
 from repro.indexed.mvcc import CopyOnWriteVersioning
-from repro.indexed.ordered_index import KeyRange
+from repro.indexed.ordered_index import KeyRange, WriteBuffer
 from repro.indexed.partition import IndexedPartition
 from repro.sql.types import LONG, STRING, Schema
+from repro.utils import memory
 
 INT_SCHEMA = Schema.of(("k", LONG), ("v", LONG))
 STR_SCHEMA = Schema.of(("k", STRING), ("v", LONG))
@@ -92,7 +95,7 @@ def all_keys(part) -> list:
 
 class TestOrderedIndex:
     """The ordered half of a partition's index, through ``partition.ordered``
-    (sealed base + cTrie delta, DESIGN.md §15)."""
+    (sealed base + delta, DESIGN.md §15)."""
 
     def test_add_dedups_and_orders(self):
         part = partition_of([5, 3, 5, 9, 3, 1, 9, 9])
@@ -202,3 +205,93 @@ class TestOrderedIndex:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert all_keys(part) == list(range(1000))
+
+
+def answers(part: IndexedPartition, keys: list, ranges: list) -> tuple:
+    """Every read a version serves: point lookups (newest first), ranges and
+    the full scan, each as the partition returns it."""
+    return (
+        [part.lookup(key) for key in keys],
+        [part.range_lookup(krange)[0] for krange in ranges],
+        sorted(part.scan_rows(), key=repr),
+    )
+
+
+def seeded_family(threshold: int, kind: str, seed: int) -> list[IndexedPartition]:
+    """A first build and 24 appends, each to a child of a seeded earlier
+    version, so siblings diverge; keys repeat, and some are NULL."""
+    rng = random.Random(seed)
+    schema = INT_SCHEMA if kind == "int" else STR_SCHEMA
+
+    def batch(n: int) -> list[tuple]:
+        return [(None if rng.random() < 0.03 else key(rng.randrange(60)), rng.getrandbits(40))
+                for _ in range(n)]
+
+    key = int if kind == "int" else "k{:02d}".format
+    first = IndexedPartition(schema, "k", ordered_compact_threshold=threshold)
+    first.insert_rows(batch(300))
+    family = [first]
+    for version in range(1, 25):
+        child = family[rng.randrange(len(family))].snapshot(version)
+        child.insert_rows(batch(rng.choice([1, 3, 40])))
+        family.append(child)
+    return family
+
+
+class TestWriteBuffer:
+    """The delta of an index with a seal threshold is a dict write buffer;
+    at threshold 0 it is the paper's cTrie, and both answer alike."""
+
+    def test_a_childs_append_is_invisible_to_its_parent_and_sibling(self):
+        parent = partition_of(range(100))
+        parent.insert_rows([(5, 1), (200, 1)])  # the parent's buffer holds keys
+        before = dict(parent.ctrie)
+        left, right = parent.snapshot(1), parent.snapshot(2)
+        left.insert_rows([(5, 2), (300, 2)])
+        right.insert_rows([(5, 3), (400, 3)])
+        assert isinstance(parent.ctrie, WriteBuffer) and dict(parent.ctrie) == before
+        assert len({id(parent.ctrie), id(left.ctrie), id(right.ctrie)}) == 3
+        assert parent.lookup(5) == [(5, 1), (5, 0)]
+        assert left.lookup(5) == [(5, 2), (5, 1), (5, 0)]
+        assert right.lookup(5) == [(5, 3), (5, 1), (5, 0)]
+        assert parent.lookup(300) == parent.lookup(400) == []
+        assert right.lookup(300) == left.lookup(400) == []
+        assert all_keys(parent) == [*range(100), 200]
+        assert all_keys(left) == [*range(100), 200, 300]
+        assert all_keys(right) == [*range(100), 200, 400]
+
+    @pytest.mark.parametrize("kind", ["int", "hashed"])
+    def test_every_threshold_answers_as_the_ctrie(self, kind):
+        keys = [None, *(range(62) if kind == "int" else map("k{:02d}".format, range(62)))]
+        ranges = [KeyRange(), KeyRange(keys[10], keys[30]), KeyRange(keys[50], None, False)]
+        if kind == "hashed":
+            ranges.append(KeyRange.prefix_of("k1"))
+        reference = seeded_family(0, kind, seed=7)
+        assert all(isinstance(part.ctrie, CTrie) for part in reference)
+        expected = [answers(part, keys, ranges) for part in reference]
+        assert any(points[0] for points, _, _ in expected)  # NULL-keyed rows
+        for threshold in (1, 4, 512):
+            family = seeded_family(threshold, kind, seed=7)
+            assert all(isinstance(part.ctrie, WriteBuffer) for part in family)
+            assert [answers(part, keys, ranges) for part in family] == expected, threshold
+            sealed = len({id(part.ordered.base) for part in family})
+            assert sealed > 1 if threshold < 512 else sealed == 1
+
+    def test_the_ledger_reuses_an_empty_buffer_and_rewalks_a_written_one(self, monkeypatch):
+        parent = partition_of([], threshold=512)
+        parent.insert_rows([(k % 40, k) for k in range(400)])  # sealed: an empty buffer
+        child = parent.snapshot(1)
+        child.insert_rows([(k, -k) for k in range(30, 50)])  # into the child's buffer
+        assert not len(parent.ctrie) and len(child.ctrie) == 20
+        assert parent.meter_state()[0] is parent.ctrie
+        ledger, store = memory.Ledger(), {"parent": [parent], "child": [child]}
+        for block, value in store.items():
+            ledger.add(block, value)
+        walked = set()
+        object_sizes = memory.object_sizes
+        monkeypatch.setattr(memory, "object_sizes",
+                            lambda obj, **kw: walked.add(id(obj)) or object_sizes(obj, **kw))
+        charges = ledger.settle({"parent": 0, "child": 0}, store)
+        assert id(child) in walked and id(parent) not in walked
+        seen: set = set()
+        assert charges == {block: memory.deep_sizeof(store[block], seen=seen) for block in store}
