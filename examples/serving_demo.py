@@ -7,7 +7,7 @@ Walks the serving layer (DESIGN.md §11) end to end::
 The flow: build an Indexed DataFrame, publish it to a QueryServer, serve
 queries three ways (ad-hoc SQL on the fast path, prepared statements, a
 general-pipeline aggregate), then run a live ingest loop and watch readers
-follow the published versions while the replay log stays bounded.
+follow the published versions.
 """
 
 from repro import (
@@ -59,22 +59,17 @@ print(f"\naggregate via {agg.path}: {len(agg.rows)} groups")
 
 # ---------------------------------------------------------------------------
 # 4. Live ingest: MVCC appends published under the readers' feet. Each
-#    publish pins the new version and atomically swaps it in; the replay
-#    log is truncated behind a retention window.
+#    publish pins the new version and atomically swaps it in; each
+#    version's append holds its rows, so lineage can rebuild it.
 # ---------------------------------------------------------------------------
 
 batches = [[(10_000 + b * 5 + j, f"live{b}", 1.0) for j in range(5)] for b in range(4)]
-ingest = IngestLoop(server, "users", batches, retain_versions=2)
+ingest = IngestLoop(server, "users", batches)
 ingest.start()
 ingest.join()
 
 final = server.pinned("users")
-print(
-    f"\nafter ingest: version {final.version}, "
-    f"{ingest.rows_appended} rows appended, "
-    f"{ingest.rows_truncated} replay rows truncated "
-    f"(log retains {len(final.idf.replay_log)} records)"
-)
+print(f"\nafter ingest: version {final.version}, {ingest.rows_appended} rows appended")
 fresh = server.query("SELECT * FROM users WHERE uid = ?", params=[10_015])
 print(f"freshly ingested row: {fresh.rows} [snapshot v{fresh.snapshot_version}]")
 

@@ -55,10 +55,6 @@ class TaskMetrics:
     result_bytes: int = 0
     phases: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def shuffle_bytes_read(self) -> int:
-        return self.shuffle_bytes_read_local + self.shuffle_bytes_read_remote
-
 
 #: The recovery-event taxonomy (DESIGN.md §8). Everything the runtime does
 #: to survive a failure lands here, so a Fig. 12-style run can report *what*
@@ -204,10 +200,6 @@ class MetricsCollector:
             for e in self.recovery_events:
                 counts[e.kind] = counts.get(e.kind, 0) + 1
             return counts
-
-    def recovery_events_for_job(self, job_index: int) -> list[RecoveryEvent]:
-        with self._lock:
-            return [e for e in self.recovery_events if e.job_index == job_index]
 
     def recovery_cost_seconds(self, job_index: int | None = None) -> float:
         """Total attributable recovery cost (optionally for one job)."""

@@ -267,7 +267,6 @@ class CacheManager:
                 # backs off, draws on the stage attempt budget, and
                 # blacklists this executor, so the retry lands where there
                 # is room (the append-path flow control of DESIGN.md §10).
-                ctxm.registry.inc("cache_put_rejected_total")
                 ctxm.registry.inc("memory_pressure_errors_total", executor=ctx.executor_id)
                 raise
             ctxm.block_manager_master.register(block_id, ctx.executor_id)

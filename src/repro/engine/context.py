@@ -357,11 +357,6 @@ class EngineContext:
             worst = max(worst, memory.used_bytes / memory.budget)
         return worst
 
-    # -- convenience ----------------------------------------------------------------------
-
-    def default_partitioner_partitions(self) -> int:
-        return self.config.shuffle_partitions
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"EngineContext(topology={self.topology.name}, "

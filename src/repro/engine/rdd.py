@@ -163,9 +163,6 @@ class RDD:
             self, lambda it, _split, ctx: f(it, ctx), preserves_partitioning=preserves_partitioning
         )
 
-    def key_by(self, f: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda rec: (f(rec), rec))
-
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.context, [self, other])
 

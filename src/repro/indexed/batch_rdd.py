@@ -9,9 +9,10 @@ key. Two concrete lineages:
   key ranges are not known a-priori") and build each partition;
 * :class:`AppendRDD` — ``appendRows``: snapshot the parent version's
   partition (O(1), shared structure) and insert the shuffled appended rows.
-  The appended rows come from the driver-held :class:`ReplayLog` — the
-  replayable-source requirement of Section III-D — so a lost partition can
-  always be rebuilt by (recursively) recomputing the parent and replaying.
+  The appended rows come from a driver-held source RDD that every
+  recomputation re-reads — the replayable-source requirement of Section
+  III-D — so a lost partition can always be rebuilt by (recursively)
+  recomputing the parent and replaying.
 
 **Versioning / staleness guard**: every version is a distinct immutable
 RDD carrying ``version``; partitions embed the version they materialize.
@@ -64,10 +65,9 @@ class IndexedBatchRDD(RDD):
     def iterator(self, split: int, ctx: TaskContext) -> Iterator[Any]:
         part = next(iter(super().iterator(split, ctx)))
         if part.version != self.version:
-            # Stale partition (e.g. a replayed copy predating an append, or
-            # a recovery that replayed too little of the log): refuse it,
-            # drop the block, recompute from lineage — the paper's
-            # version-number guard (Section III-D).
+            # Stale partition (e.g. a replayed copy predating an append):
+            # refuse it, drop the block, recompute from lineage — the
+            # paper's version-number guard (Section III-D).
             import time
 
             stale_version = part.version
@@ -165,9 +165,11 @@ class CreateIndexRDD(IndexedBatchRDD):
 class AppendRDD(IndexedBatchRDD):
     """Version n+1: snapshot the parent's partitions and insert new rows.
 
-    ``append_source`` is an RDD over the replay-log rows for this version;
-    it is shuffled with the parent's partitioner so rows land on the
-    partitions owning their keys (the shuffle cost dominating Fig. 10).
+    ``append_source`` is an RDD over this version's appended rows, held on
+    the driver: lineage's replay source, re-read by every recomputation of
+    the append's map stage. It is shuffled with the parent's partitioner so
+    rows land on the partitions owning their keys (the shuffle cost
+    dominating Fig. 10).
     """
 
     def __init__(self, parent: IndexedBatchRDD, append_source: RDD) -> None:

@@ -14,15 +14,15 @@ indexed joins via Catalyst rules   automatic once ``enable_indexing(session)``
 
 ``append_rows`` returns a new IndexedDataFrame backed by a new versioned
 RDD; the parent stays valid (MVCC, Listing 2's divergent appends both
-work). Appends go through the session's :class:`ReplayLog`, satisfying the
-replayable-source requirement for fault tolerance.
+work). Each append's :class:`AppendRDD` holds its rows as a driver-side
+source that every recomputation re-reads, satisfying the replayable-source
+requirement for fault tolerance.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.engine.replay import ReplayLog
 from repro.indexed.batch_rdd import AppendRDD, CreateIndexRDD, IndexedBatchRDD
 from repro.sql.dataframe import DataFrame
 from repro.sql.row import Row
@@ -41,14 +41,12 @@ class IndexedDataFrame:
         schema: Schema,
         key_column: str,
         rdd: IndexedBatchRDD,
-        replay_log: ReplayLog,
         name: str = "indexed",
     ) -> None:
         self.session = session
         self.schema = schema
         self.key_column = key_column
         self.rdd = rdd
-        self.replay_log = replay_log
         self.name = name
 
     # -- construction -------------------------------------------------------------
@@ -82,7 +80,6 @@ class IndexedDataFrame:
             schema,
             column,
             rdd,
-            ReplayLog(),
             name=name or f"{getattr(df.plan, 'name', 'df')}_idx",
         )
 
@@ -152,15 +149,12 @@ class IndexedDataFrame:
                 )
         # Replayable source: the RDD below re-reads the rows from driver
         # memory on every recomputation, so lineage can replay the append
-        # after failures. The driver-side log records them under the version
-        # AppendRDD assigns.
+        # after failures.
         source = self.session.context.parallelize(
             new_rows, max(1, min(len(new_rows), self.rdd.num_partitions))
         )
-        new_rdd = AppendRDD(self.rdd, source)
-        self.replay_log.append(new_rdd.version, new_rows)
         return IndexedDataFrame(
-            self.session, self.schema, self.key_column, new_rdd, self.replay_log, self.name
+            self.session, self.schema, self.key_column, AppendRDD(self.rdd, source), self.name
         )
 
     # -- interop with the SQL layer ----------------------------------------------------------

@@ -140,9 +140,6 @@ class ChecksumMixin:
             marks[upto] = crc
         return crc
 
-    def expected_checksum(self, upto: int) -> "int | None":
-        return self._crc_marks.get(upto)
-
     def verify(self, upto: "int | None" = None, where: str = "verify") -> bool:
         """Recompute the CRC of ``buf[:upto]`` against the anchored mark.
 

@@ -19,9 +19,8 @@ multi-tenant query *service*, with one read path behind two front ends:
   rule (``repro.indexed.rules.index_claim``) — into a
   :class:`~repro.serve.fastpath.ServeTemplate` answered from pinned
   partitions;
-* :class:`~repro.serve.ingest.IngestLoop` — concurrent MVCC appends through
-  the ReplayLog while readers keep serving from pinned versions, with
-  atomic publish and replay-log truncation behind a retention window.
+* :class:`~repro.serve.ingest.IngestLoop` — concurrent MVCC appends while
+  readers keep serving from pinned versions, with atomic publish.
 """
 
 from repro.serve.fastpath import ServeTemplate, recognize

@@ -56,25 +56,3 @@ class CachedRelation:
             self.batch_rdd.map_partitions(lambda it: [sum(b.nbytes for b in it)]).collect()
         )
 
-    def storage_status(self) -> dict[str, int]:
-        """Where this relation's blocks currently live (DESIGN.md §10).
-
-        Under a memory budget the block store may have evicted some batches;
-        evicted partitions recompute from lineage on the next scan (the
-        collect above forces exactly that), so ``evicted > 0`` is a health
-        signal, not an error.
-        """
-        master = self.context.block_manager_master
-        cached = 0
-        for split in range(self.num_partitions):
-            if master.locations((self.batch_rdd.rdd_id, split)):
-                cached += 1
-        return {
-            "partitions": self.num_partitions,
-            "cached": cached,
-            "evicted": self.num_partitions - cached,
-        }
-
-    def row_rdd(self) -> RDD:
-        """Row-tuple view of the cached data."""
-        return self.batch_rdd.flat_map(lambda batch: batch.to_rows())

@@ -61,12 +61,6 @@ class JoinExec(PhysicalPlan):
     def estimated_rows(self) -> int:
         return max(self.left.estimated_rows(), self.right.estimated_rows())
 
-    def _emit(self) -> Callable[[tuple, tuple], tuple]:
-        residual = self.residual
-        if residual is None:
-            return lambda l, r: l + r
-        return lambda l, r: l + r  # residual applied by caller on joined tuple
-
     def _null_right(self) -> tuple:
         return (None,) * len(self.right.schema)
 

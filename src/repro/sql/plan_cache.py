@@ -165,11 +165,6 @@ class PlanCache:
         if self.registry is not None:
             self.registry.inc("plan_cache_evictions_total")
 
-    def invalidate_all(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_logical.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -63,7 +63,3 @@ class Row:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.names(), self.values))
         return f"Row({pairs})"
-
-
-def wrap_rows(rows: list[tuple], schema: Schema) -> list[Row]:
-    return [Row(r, schema) for r in rows]

@@ -316,9 +316,6 @@ class TestAutoCache:
         with pytest.raises(TaskFailure):
             session.create_dataframe(make_rows(300, seed=7), SCHEMA, "pinned").cache()
         assert reg.counter_total("memory_pressure_errors_total") > 0
-        assert reg.counter_total("memory_pressure_errors_total") == reg.counter_total(
-            "cache_put_rejected_total"
-        )
 
     def test_pressure_shed_keeps_answers(self, tmp_path):
         session = make_session(

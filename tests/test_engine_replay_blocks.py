@@ -1,41 +1,8 @@
-"""ReplayLog and block-manager machinery not covered elsewhere."""
-
-import pytest
+"""Block-manager machinery not covered elsewhere."""
 
 from repro.config import Config
 from repro.engine.block_manager import BlockManager, BlockManagerMaster
 from repro.engine.context import EngineContext
-from repro.engine.replay import ReplayLog
-
-
-class TestReplayLog:
-    def test_append_and_get(self):
-        log = ReplayLog()
-        rec = log.append(1, [(1, 2), (3, 4)])
-        assert rec.record_id == 0
-        assert rec.version == 1
-        assert log.get(0).rows == ((1, 2), (3, 4))
-
-    def test_divergent_versions_allowed(self):
-        """Listing 2: two children of one parent share a version number."""
-        log = ReplayLog()
-        a = log.append(1, [(1,)])
-        b = log.append(1, [(2,)])
-        assert a.record_id != b.record_id
-        assert len(log) == 2
-
-    def test_records_are_immutable_snapshots(self):
-        log = ReplayLog()
-        rows = [(1,)]
-        rec = log.append(1, rows)
-        rows.append((2,))  # caller mutates their list afterwards
-        assert rec.rows == ((1,),)
-
-    def test_records_listing(self):
-        log = ReplayLog()
-        log.append(1, [])
-        log.append(2, [(5,)])
-        assert [r.version for r in log.records()] == [1, 2]
 
 
 class TestBlockManager:

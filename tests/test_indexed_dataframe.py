@@ -144,11 +144,6 @@ class TestAppend:
         assert a.lookup_tuples(3000) == []
         assert b.lookup_tuples(2000) == []
 
-    def test_replay_log_retains_appends(self, idf):
-        idf.append_rows([(1, 1, 1.0)])
-        idf.append_rows([(2, 2, 2.0)])
-        assert len(idf.replay_log) == 2
-
 
 class TestFaultTolerance:
     def test_lookup_after_executor_loss(self, idf, rows):

@@ -13,7 +13,6 @@ import pytest
 
 from repro.config import Config
 from repro.engine.context import EngineContext
-from repro.engine.replay import ReplayLog
 from repro.indexed.operators import IndexedLookupExec, IndexedRangeScanExec, IndexedScanExec
 from repro.serve import (
     IngestLoop,
@@ -546,7 +545,7 @@ class TestConcurrentIngest:
                     if result.rows != [appended[k]]:
                         errors.append(f"torn appended row for uid={k}: {result.rows}")
 
-        ingest = IngestLoop(server, "users", batches, retain_versions=2)
+        ingest = IngestLoop(server, "users", batches)
         readers = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
         ingest.start()
         for t in readers:
@@ -563,10 +562,6 @@ class TestConcurrentIngest:
         assert final.version == n_batches
         for k, row in list(appended.items())[::7]:
             assert final.lookup(k) == [row]
-        # Replay log was truncated behind the retention window.
-        log = final.idf.replay_log
-        assert log.first_retained_id > 0
-        assert len(log) <= 2
 
     def test_publish_bumps_catalog_epoch_and_invalidates_templates(self):
         session, idf, server = make_server()
@@ -644,7 +639,6 @@ class TestChaosServing:
                 server,
                 "users",
                 [[(20_000 + b, f"chaos{b}", 0.5)] for b in range(5)],
-                retain_versions=2,
             )
             ingest.start()
             for i in range(60):
@@ -665,94 +659,103 @@ class TestChaosServing:
         assert rejections > 0  # chaos actually fired
 
 
-# -- replay-log truncation -------------------------------------------------------------
+# -- lineage replay ---------------------------------------------------------------------
 
 
-class TestReplayTruncation:
-    def test_truncate_through_drops_prefix_only(self):
-        log = ReplayLog()
-        for v in range(1, 6):
-            log.append(v, [(v, f"r{v}")])
-        assert log.truncate_through(2) == 3  # records 0..2 freed one row each
-        assert log.first_retained_id == 3
-        assert len(log) == 2
-        with pytest.raises(KeyError):
-            log.get(1)
-        assert log.get(3).version == 4
-        # Truncating below the base again is a no-op.
-        assert log.truncate_through(1) == 0
-        # Truncating past the tail empties the log but ids keep advancing.
-        assert log.truncate_through(99) == 2
-        assert len(log) == 0
-        rec = log.append(6, [(6, "r6")])
-        assert rec.record_id == 5
-        assert log.last_record_id == 5
+def kill_every_executor(context: EngineContext) -> None:
+    """Lose every cached partition and every shuffle map output at once."""
+    for executor_id in list(context.alive_executor_ids()):
+        context.kill_executor(executor_id, reason="lineage-replay")
 
-    def test_truncate_empty_log_is_noop(self):
-        """Satellite regression: truncating an empty log (fresh, or already
-        fully compacted) must be a no-op, never an exception."""
-        log = ReplayLog()
-        assert log.truncate_through(0) == 0
-        assert log.truncate_through(100) == 0
-        assert len(log) == 0
-        assert log.first_retained_id == 0
-        assert log.last_record_id == -1
-        # The log still works afterwards.
-        rec = log.append(1, [(1, "a")])
-        assert rec.record_id == 0
-        assert log.get(0).version == 1
 
-    def test_truncate_past_head_is_noop_on_compacted_log(self):
-        """Truncating at or below the compaction base again — e.g. a
-        retention pass re-running with a stale watermark — frees nothing
-        and moves nothing."""
-        log = ReplayLog()
-        for v in range(1, 4):
-            log.append(v, [(v, f"r{v}")])
-        assert log.truncate_through(log.last_record_id) == 3  # empty it
-        base = log.first_retained_id
-        # Every stale watermark at or below the base is a no-op.
-        for stale in (-1, 0, base - 1):
-            assert log.truncate_through(stale) == 0
-        assert log.first_retained_id == base
-        assert len(log) == 0
-        # Ids keep advancing monotonically across the no-ops.
-        rec = log.append(4, [(4, "r4")])
-        assert rec.record_id == base
+def assert_append_maps_lost(context: EngineContext, *idfs) -> None:
+    """Each append's map outputs are gone, so rebuilding it re-reads its source."""
+    for idf in idfs:
+        dep = idf.rdd.append_dep
+        missing = context.shuffle_manager.missing_maps(dep.shuffle_id)
+        assert missing == list(range(dep.rdd.num_partitions)), (idf.version, missing)
 
-    def test_live_version_replays_after_truncation(self):
-        """The regression the satellite demands: truncating the log must not
-        break lineage replay of versions still being served — each AppendRDD
-        holds its own copy of the rows that produced it."""
-        config = Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=4096)
+
+class TestLineageReplay:
+    """Each append's ``AppendRDD`` holds its rows as a driver-side source;
+    that source is all lineage needs to rebuild any version."""
+
+    def test_siblings_and_chain_replay_their_own_rows_after_executor_loss(self):
+        config = Config(
+            default_parallelism=4,
+            shuffle_partitions=4,
+            row_batch_size=4096,
+            executor_replacement=True,
+        )
         session = Session(context=EngineContext(config=config))
-        df = session.create_dataframe(make_users(50), USER_SCHEMA, name="users")
-        idf = df.create_index("uid")
-        v1 = idf.append_rows([(900, "a", 1.0)])
-        v2 = v1.append_rows([(901, "b", 2.0)])
-        assert v2.count() == 52  # materialize before truncating
-        # Drop the whole log, then force recomputation from lineage.
-        v2.replay_log.truncate_through(v2.replay_log.last_record_id)
-        assert len(v2.replay_log) == 0
-        for split in range(v2.num_partitions):
-            session.context.invalidate_block((v2.rdd.rdd_id, split))
-        rows = {t[:1][0]: t for t in (tuple(r) for r in v2.collect())}
-        assert rows[900] == (900, "a", 1.0)
-        assert rows[901] == (901, "b", 2.0)
-        assert len(rows) == 52
+        context = session.context
+        base_rows = make_users(50)
+        base = session.create_dataframe(base_rows, USER_SCHEMA, name="users").create_index("uid")
+        # Listing 2: two divergent children of one parent, both at version 1,
+        # appending different rows under one key.
+        left_rows = [(900, "left", 1.0)]
+        right_rows = [(900, "right", 2.0), (901, "right", 2.5)]
+        left, right = base.append_rows(left_rows), base.append_rows(right_rows)
+        assert left.version == right.version == base.version + 1
+        versions = [
+            (base, base_rows),
+            (left, base_rows + left_rows),
+            (right, base_rows + right_rows),
+        ]
+        # A chain of three appends on the left sibling.
+        tip, tip_rows = versions[1]
+        for i in range(3):
+            batch = [(910 + i, f"chain{i}", float(i)), (900, f"chain{i}", float(i))]
+            tip, tip_rows = tip.append_rows(batch), tip_rows + batch
+            versions.append((tip, tip_rows))
+        assert [idf.version for idf, _ in versions] == [0, 1, 1, 2, 3, 4]
+        for idf, rows in versions:
+            assert sorted(tuple(r) for r in idf.collect()) == sorted(rows)
 
-    def test_pin_survives_truncation_and_eviction(self):
-        session, idf, server = make_server()
+        kill_every_executor(context)
+        appends = [idf for idf, _ in versions[1:]]
+        assert_append_maps_lost(context, *appends)
+        for idf, rows in versions:
+            assert sorted(tuple(r) for r in idf.collect()) == sorted(rows), idf.version
+        for idf in appends:  # every append's map stage ran again
+            assert context.shuffle_manager.missing_maps(idf.rdd.append_dep.shuffle_id) == []
+
+    def test_pin_survives_executor_loss_and_siblings_rebuild(self):
+        config = Config(
+            default_parallelism=4,
+            shuffle_partitions=4,
+            row_batch_size=4096,
+            executor_replacement=True,
+        )
+        session, idf, server = make_server(config=config)
+        context = session.context
         with server:
-            child = idf.append_rows([(800, "pinned", 3.0)])
-            server.publish("users", child)
-            log = child.replay_log
-            log.truncate_through(log.last_record_id)
-            for split in range(child.num_partitions):
-                session.context.invalidate_block((child.rdd.rdd_id, split))
-            result = server.query("SELECT * FROM users WHERE uid = 800")
-            assert result.path == "fastpath"
-            assert result.rows == [(800, "pinned", 3.0)]
+            left = idf.append_rows([(800, "left", 3.0)])
+            right = idf.append_rows([(800, "right", 4.0)])
+            middle = left.append_rows([(801, "chain", 1.0)])
+            tip = middle.append_rows([(802, "chain", 2.0)])
+            server.publish("users", tip)
+            assert right.count() == 201
+            kill_every_executor(context)
+            assert_append_maps_lost(context, left, right, middle, tip)
+            # The fast path serves from the pin: its partition objects are
+            # held in-process, not read from the lost block stores.
+            for uid, row in ((800, (800, "left", 3.0)), (802, (802, "chain", 2.0))):
+                result = server.query("SELECT * FROM users WHERE uid = ?", params=[uid])
+                assert result.path == "fastpath"
+                assert result.rows == [row]
+            # Publishing pins again: both siblings rebuild from lineage, each
+            # to its own rows.
+            server.publish("users_right", right)
+            server.publish("users", tip)
+            for view, uid, rows in (
+                ("users_right", 800, [(800, "right", 4.0)]),
+                ("users_right", 802, []),
+                ("users", 800, [(800, "left", 3.0)]),
+                ("users", 801, [(801, "chain", 1.0)]),
+            ):
+                result = server.query(f"SELECT * FROM {view} WHERE uid = ?", params=[uid])
+                assert result.rows == rows, (view, uid)
 
 
 # -- snapshot pinning -------------------------------------------------------------------
