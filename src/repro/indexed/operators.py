@@ -88,7 +88,7 @@ class IndexedScanExec(PhysicalPlan):
         names = list(columns)
         if condition is not None:
             names += sorted(condition.references() - set(names))
-        batches = part.scan_columns(names)
+        batches = part.scan_columns(names, self.session.context.registry)
         if batches is None:
             return None
         return [batch.scan(condition, columns) for batch in batches]

@@ -356,10 +356,36 @@ class IndexedPartition:
         """``batch × (batch_size // size) + offset // size`` of each packed
         pointer: the place of its record in a build of equal-sized records
         laid from the first byte of batch 0 on (DESIGN.md §15, Runs)."""
-        batch = (pointers >> np.uint64(OFFSET_BITS + SIZE_BITS)).astype(np.intp)
-        offset = ((pointers >> np.uint64(SIZE_BITS)) & np.uint64(MAX_OFFSET)).astype(np.intp)
-        size = (pointers & np.uint64(MAX_SIZE)).astype(np.intp)
+        batch, offset, size = _fields(pointers)
         return batch * (self.batch_size // size) + offset // size
+
+    def _index_starts(self) -> "dict[int, np.ndarray]":
+        """The record starts of each batch this version's index pointers tile
+        (DESIGN.md §18): sorted, a batch's pointers start at offset 0, each
+        record ends where the next starts and the last at the watermark.
+        Every pointer is a real record of this version, so records that tile
+        the visible bytes are all of them. Any other batch (a key's older
+        row: duplicates, hash collisions, a seal over appends; a cTrie delta)
+        is absent, and its starts are walked."""
+        ordered = self.ordered
+        delta = ordered.delta  # read before the base, as every reader does
+        if not isinstance(delta, WriteBuffer):
+            return {}
+        delta_heads = np.fromiter(delta.values(), np.uint64, len(delta))
+        pointers = np.sort(np.concatenate([delta_heads, ordered.base.heads]))
+        batch, offset, size = _fields(pointers)
+        end = offset + size
+        bounds = np.flatnonzero(np.diff(batch, prepend=-1, append=-1)).tolist()
+        out: dict[int, np.ndarray] = {}
+        for lo, hi in zip(bounds, bounds[1:]):
+            b, starts = int(batch[lo]), offset[lo:hi]
+            if (
+                starts[0] == 0
+                and end[hi - 1] == self._watermarks[b]
+                and (starts[1:] == end[lo : hi - 1]).all()
+            ):
+                out[b] = starts
+        return out
 
     def iter_rows(self) -> Iterator[tuple]:
         """Full scan: walk every key's chain (row-wise decode: the cost that
@@ -387,24 +413,31 @@ class IndexedPartition:
                 out.extend(decode_all(batch.buf, watermark))
         return out
 
-    def scan_columns(self, names: "list[str]") -> "list[ColumnBatch] | None":
+    def scan_columns(self, names: "list[str]", registry: Any = None) -> "list[ColumnBatch] | None":
         """Full scan, column-major: one :class:`ColumnBatch` per row batch,
         viewing the batch bytes below this version's watermark in place
         (:meth:`RowCodec.column_batch`; nothing is stored — the views live as
-        long as the caller keeps them). None when the version is
+        long as the caller keeps them). Variable-width records are found from
+        the index's pointers where they tile a batch (:meth:`_index_starts`),
+        else by a walk; ``registry`` counts each viewed batch's source in
+        ``indexed_scan_starts_total{source}``. None when the version is
         non-contiguous or a batch cannot be viewed (a NULL, a short record):
         the caller then takes :meth:`scan_rows`, which answers the same.
         """
         if not self.contiguous:
             return None
-        column_batch = self.codec.column_batch
+        codec = self.codec
+        starts = self._index_starts() if codec.gathers else {}
         out: list[ColumnBatch] = []
-        for batch, watermark in zip(self.batches, self._watermarks):
+        for i, (batch, watermark) in enumerate(zip(self.batches, self._watermarks)):
             if watermark:
-                columns = column_batch(batch.buf, watermark, names)
+                columns = codec.column_batch(batch.buf, watermark, names, starts.get(i))
                 if columns is None:
                     return None
                 out.append(columns)
+        if registry is not None and codec.gathers:
+            registry.inc("indexed_scan_starts_total", len(starts), source="index")
+            registry.inc("indexed_scan_starts_total", len(out) - len(starts), source="walk")
         return out
 
     def visible_watermarks(self) -> list[int]:
@@ -518,6 +551,13 @@ class IndexedPartition:
             f"IndexedPartition(v={self.version}, rows={self.row_count}, "
             f"batches={len(self.batches)}, keys={self.num_keys()})"
         )
+
+
+def _fields(pointers: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Each packed pointer's (batch, offset, record size), as ``intp`` arrays."""
+    batch = (pointers >> np.uint64(OFFSET_BITS + SIZE_BITS)).astype(np.intp)
+    offset = ((pointers >> np.uint64(SIZE_BITS)) & np.uint64(MAX_OFFSET)).astype(np.intp)
+    return batch, offset, (pointers & np.uint64(MAX_SIZE)).astype(np.intp)
 
 
 def _rows(columns: "list[np.ndarray]") -> list[tuple]:

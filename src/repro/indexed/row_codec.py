@@ -241,17 +241,28 @@ class RowCodec:
 
     # -- column views --------------------------------------------------------------
 
+    @property
+    def gathers(self) -> bool:
+        """Whether :meth:`column_batch` gathers columns from record starts
+        (variable-width records) rather than viewing one record array."""
+        return self._stored is not None and self._record_dtype is None
+
     def column_batch(
-        self, buf: "bytearray | memoryview", end: int, names: "list[str]"
+        self,
+        buf: "bytearray | memoryview",
+        end: int,
+        names: "list[str]",
+        starts: "np.ndarray | None" = None,
     ) -> "ColumnBatch | None":
         """The records laid back-to-back in ``buf[0:end]`` as a column batch
         over ``names`` — without decoding rows and without copying the batch.
 
         String-free schemas: each column is a read-only strided view of
         ``buf`` (INTEGER is widened to the int64 every column batch stores
-        it as — the one copy). Schemas with strings: one walk over the
-        ``row_len`` headers finds the record starts, fixed-width columns are
-        gathered from them and string columns are *deferred*
+        it as — the one copy). Schemas with strings (:attr:`gathers`): the
+        record starts are ``starts`` when the caller has them (the index's
+        pointers, DESIGN.md §18), else :meth:`record_starts`; fixed-width
+        columns are gathered from them and string columns are *deferred*
         (:class:`ColumnBatch`): decoded on first use, for the rows still
         selected. Returns None — the caller takes the row path, same answer
         — when a record holds a NULL (or, fixed-width, is short of full
@@ -260,7 +271,7 @@ class RowCodec:
         if self._stored is None:
             return None
         if self._record_dtype is None:
-            return self._gathered_batch(buf, end, names)
+            return self._gathered_batch(buf, end, names, starts)
         size = self._record_dtype.itemsize
         if end % size:
             return None
@@ -272,19 +283,28 @@ class RowCodec:
         columns = {n: _widen(records[f"f{index_of(n)}"]) for n in names}
         return ColumnBatch(self.schema.select(names), columns, len(records))
 
-    def _gathered_batch(
-        self, buf: "bytearray | memoryview", end: int, names: "list[str]"
-    ) -> "ColumnBatch | None":
-        """Variable-width records: see :meth:`column_batch`."""
+    def record_starts(self, buf: "bytearray | memoryview", end: int) -> "np.ndarray | None":
+        """Where each record laid back-to-back in ``buf[0:end]`` starts: one
+        walk over the ``row_len`` headers (each start is the previous
+        record's end, so the walk is sequential — DESIGN.md §18). None when
+        the last record overruns ``end``."""
         starts: list[int] = []
         note = starts.append
         pos = 0
         while pos < end:
             note(pos)
             pos += ROW_HEADER_SIZE + (buf[pos + 8] | (buf[pos + 9] << 8))
-        if pos != end:
-            return None
-        at = np.array(starts, dtype=np.intp) + ROW_HEADER_SIZE
+        return np.array(starts, dtype=np.intp) if pos == end else None
+
+    def _gathered_batch(
+        self, buf: "bytearray | memoryview", end: int, names: "list[str]", starts: "np.ndarray | None"
+    ) -> "ColumnBatch | None":
+        """Variable-width records: see :meth:`column_batch`."""
+        if starts is None:
+            starts = self.record_starts(buf, end)
+            if starts is None:
+                return None
+        at = starts + ROW_HEADER_SIZE
         for _ in range(self.null_bitmap_bytes):
             if _window(buf, end, _U1)[at].any():
                 return None
@@ -359,12 +379,23 @@ def _window(buf: "bytearray | memoryview", end: int, dtype: np.dtype) -> np.ndar
 def _string_decoder(
     buf: "bytearray | memoryview", starts: np.ndarray, ends: np.ndarray
 ) -> Callable[["np.ndarray | None"], np.ndarray]:
-    """Deferred string column: decodes ``buf[start:end]`` for the rows asked for."""
+    """Deferred string column: decodes ``buf[start:end]`` for the rows asked
+    for. The rows' byte window is decoded once as latin-1 and sliced: a slice
+    is its UTF-8 decode exactly when it is ASCII (``isascii`` is O(1) on a
+    str). Any other slice sends the column to the per-value UTF-8 decode,
+    which also raises what invalid UTF-8 raises."""
 
     def decode(rows: "np.ndarray | None") -> np.ndarray:
         lo, hi = (starts, ends) if rows is None else (starts[rows], ends[rows])
         out = np.empty(len(lo), dtype=object)
-        out[:] = [str(buf[a:b], "utf-8") for a, b in zip(lo.tolist(), hi.tolist())]
+        if not len(lo):
+            return out
+        base = int(lo.min())
+        window = str(buf[base : int(hi.max())], "latin-1")
+        values = [window[a:b] for a, b in zip((lo - base).tolist(), (hi - base).tolist())]
+        if not all(map(str.isascii, values)):
+            values = [str(buf[a:b], "utf-8") for a, b in zip(lo.tolist(), hi.tolist())]
+        out[:] = values
         return out
 
     return decode

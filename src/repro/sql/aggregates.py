@@ -71,11 +71,23 @@ def _merge_pairs(
 
 
 def _group_rows(key_columns: list[np.ndarray], num_rows: int) -> tuple[list[tuple], RowGroups]:
-    """Distinct key tuples (Python values, in first-seen-row form) and each
-    row's group id. NaN keys are left to the fold: ``np.unique`` merges what
-    a dict keeps apart."""
+    """Distinct key tuples (Python values, in first-seen-row form), ascending,
+    and each row's group id. NaN keys are left to the fold: ``np.unique``
+    merges what a dict keeps apart."""
     if not key_columns:
         return [()], RowGroups(np.zeros(num_rows, dtype=np.intp), 1)
+    if len(key_columns) == 1 and key_columns[0].dtype.kind in "iu":
+        column = key_columns[0]
+        low = column.min()
+        if int(column.max()) - int(low) < num_rows:
+            # Dense ids: the key's values span at most num_rows, so a count
+            # per value and a running sum number them without a sort. The
+            # offsets are exact modulo 2**bits, and smaller than that.
+            offsets = (column - low).view(f"u{column.itemsize}").astype(np.intp)
+            present = np.bincount(offsets) > 0
+            values = np.flatnonzero(present).astype(column.dtype) + low
+            ids = (np.cumsum(present) - 1)[offsets]
+            return [(v,) for v in values.tolist()], RowGroups(ids, len(values))
     for column in key_columns:
         if column.dtype.kind == "f" and np.isnan(column).any():
             raise VectorFallback("NaN group key")

@@ -17,9 +17,11 @@ differential: every query runs over indexed data with
 three row multisets must be equal — across all scheduler modes and over the
 inputs that decide between the kernel and its row fallback (NULLs, strings
 around the fixed-width columns, a non-contiguous MVCC sibling, appends after
-a scan, spilled batches).
+a scan, spilled batches) and unique keys, whose record starts come from the
+index.
 """
 
+import math
 import random
 
 import pytest
@@ -307,6 +309,23 @@ def kernel_session(mode, tmp_path=None, **overrides) -> Session:
     return Session(context=EngineContext(config=config, topology=topology))
 
 
+def same_rows(got, want):
+    """Two row lists, each sorted by the ``repr`` of its ``_norm``ed rows:
+    equal value for value, but a float need only be within 1e-9 (relative)
+    of its counterpart. An average summed in another row order can land on
+    either side of a rounding tie, which ``round(v, 6)`` would split."""
+    return len(got) == len(want) and all(
+        len(a) == len(b)
+        and all(
+            math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+            if isinstance(x, float) and isinstance(y, float)
+            else x == y
+            for x, y in zip(a, b)
+        )
+        for a, b in zip(got, want)
+    )
+
+
 def assert_kernels_agree(session, idf, rows, dims_df, keys, what):
     """Every generated query: kernels on == kernels off == uncached rows."""
     config = session.context.config
@@ -315,7 +334,7 @@ def assert_kernels_agree(session, idf, rows, dims_df, keys, what):
     for seed in KERNEL_SEEDS:
         def run(source_df):
             query = QueryGenerator(random.Random(seed), keys, wide=True).build(source_df, dims_df)
-            return normalize(query.collect_tuples())
+            return sorted(query.collect_tuples(), key=lambda row: repr(tuple(map(_norm, row))))
 
         want = run(reference)
         config.indexed_column_kernels = True
@@ -325,7 +344,7 @@ def assert_kernels_agree(session, idf, rows, dims_df, keys, what):
             off = run(idf.to_df())
         finally:
             config.indexed_column_kernels = True
-        if not on == off == want:
+        if not (same_rows(on, want) and same_rows(off, want)):
             mismatches.append(seed)
     assert mismatches == [], f"{what}: kernels on/off/reference differ for seeds {mismatches}"
 
@@ -351,6 +370,14 @@ def test_differential_column_kernels_on_off(mode):
     v0 = index(plain)
     assert all(viewable(v0))
     assert_kernels_agree(session, v0, plain, dims_df, keys, "plain")
+
+    # Unique keys: the index's pointers give every batch's record starts.
+    unique = [(r[0], i, *r[2:]) for i, r in enumerate(wide_rows(600, keys, seed=6))]
+    registry = session.context.registry
+    walks = registry.counter_by_label("indexed_scan_starts_total", "source").get("walk")
+    assert_kernels_agree(session, index(unique), unique, dims_df, keys, "unique keys")
+    starts = registry.counter_by_label("indexed_scan_starts_total", "source")
+    assert starts["index"] > 0 and starts.get("walk") == walks
 
     # NULLs in one key's rows: that partition falls back, the others do not.
     with_nulls = wide_rows(600, keys, seed=2, null_key=7)
