@@ -105,10 +105,15 @@ def fig01_amortization(n_rows: int = 40_000, runs: int = 5, seed: int = 1) -> Fi
 
     build_s = []
 
+    registry = session.context.registry
+
+    def build_seconds() -> float:
+        return registry.counter_value("join_phase_seconds_total", phase="build_hash_table")
+
     def vanilla():
-        session.phase_timer.phases.clear()
+        before = build_seconds()
         probe.join(pair.vanilla, on=("k", "orig_h")).collect_tuples()
-        build_s.append(session.phase_timer.phases.get("build_hash_table", 0.0))
+        build_s.append(build_seconds() - before)
 
     def indexed():
         probe.join(pair.indexed.to_df(), on=("k", "orig_h")).collect_tuples()
@@ -635,15 +640,27 @@ def fig12_fault_tolerance(
 ) -> FigureResult:
     """The table is sized so the recovery cost (rebuilding the killed
     executor's indexed partitions from lineage) clearly dominates normal
-    inter-query jitter, as the paper's 13s-vs-1s spike does."""
+    inter-query jitter, as the paper's 13s-vs-1s spike does.
+
+    Each query is timed in alternation with the same query on a twin
+    cluster that is never killed (``time_rounds``: collector paused, shuffle
+    outputs released untimed). The host's speed drifts in phases of up to
+    ~1.8x that can fall between the queries before the kill and those after
+    it; the twin's own before/after ratio measures that drift, and the
+    recovery check is judged net of it."""
     rows = snb.generate_snb_edges(n_rows // 1000, seed=seed)
     probe_keys = snb.sample_probe_keys(rows, max(1, int(len(rows) * 1e-3)), seed=seed)
-    pair = build_pair(rows, snb.EDGE_SCHEMA, "edge_source", config=_fresh_config(), name="edges")
-    session = pair.session
-    ctx = session.context
-    probe = _probe_df(session, probe_keys)
-    joined = probe.join(pair.indexed.to_df(), on=("k", "edge_source"))
+    pairs = [
+        build_pair(rows, snb.EDGE_SCHEMA, "edge_source", config=_fresh_config(), name="edges")
+        for _ in range(2)  # the run under test, then its never-killed twin
+    ]
+    joined, twin = (
+        _probe_df(p.session, probe_keys).join(p.indexed.to_df(), on=("k", "edge_source"))
+        for p in pairs
+    )
     expected = sorted(joined.collect_tuples())
+    twin.collect_tuples()
+    ctx = pairs[0].session.context
 
     # One user-visible query may run several engine jobs (e.g. a broadcast
     # collect + the result job); calibrate so the kill lands on query
@@ -655,20 +672,25 @@ def fig12_fault_tolerance(
     ctx.faults.fail_executor_at_job(
         victim, ctx.job_index + (kill_at - 1) * jobs_per_query + 1
     )
-    latencies, wrong = [], 0
-    for _ in range(n_queries):
-        t0 = time.perf_counter()
-        got = joined.collect_tuples()
-        latencies.append(time.perf_counter() - t0)
-        wrong += sorted(got) != expected
+    answers: list[list[tuple]] = []
+    releases = [_release_shuffles(p.session) for p in pairs]
+    timed = time_rounds(
+        {"killed": lambda: answers.append(joined.collect_tuples()), "twin": twin.collect_tuples},
+        rounds=n_queries, warmup=0, settle=lambda: [release() for release in releases],
+    )
+    latencies, twin_s = timed["killed"].samples, timed["twin"].samples
+    wrong = sum(sorted(got) != expected for got in answers)
     spike_index = max(range(len(latencies)), key=latencies.__getitem__)
-    normal = statistics.median(latencies[:kill_at // 2])
-    after = statistics.median(latencies[spike_index + 1 :])
+    before, after_recovery = slice(None, kill_at // 2), slice(spike_index + 1, None)
+    normal = statistics.median(latencies[before])
+    after = statistics.median(latencies[after_recovery])
+    drift = statistics.median(twin_s[after_recovery]) / statistics.median(twin_s[before])
     result_rows = [
         ["median before failure (s)", normal],
         [f"spike (query {spike_index + 1}) (s)", latencies[spike_index]],
         ["median after recovery (s)", after],
         ["spike factor", latencies[spike_index] / normal],
+        ["never-killed twin, after / before", drift],
     ]
     fig = FigureResult(
         "Fig. 12",
@@ -686,8 +708,8 @@ def fig12_fault_tolerance(
         latencies[spike_index] > 2 * normal,
     )
     fig.check(
-        "latency returns to normal after recovery (within 50%)",
-        after < normal * 1.5,
+        "latency returns to normal after recovery (within 50%, net of the twin's drift)",
+        after / normal < 1.5 * drift,
     )
     fig.check(
         "spike occurs at (or right after) the kill point",

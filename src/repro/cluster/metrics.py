@@ -23,6 +23,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.numa import NUMAModel
 from repro.cluster.topology import ClusterTopology
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 
 def lpt_makespan(durations: "list[float]", slots: int) -> float:
@@ -52,13 +53,12 @@ class TaskMetrics:
     shuffle_bytes_read_local: int = 0
     shuffle_bytes_read_remote: int = 0
     shuffle_bytes_written: int = 0
-    result_bytes: int = 0
     phases: dict[str, float] = field(default_factory=dict)
 
 
 #: The recovery-event taxonomy (DESIGN.md §8). Everything the runtime does
-#: to survive a failure lands here, so a Fig. 12-style run can report *what*
-#: recovery cost — not just total wall clock. Kept equal to the set of
+#: to survive a failure is counted by kind, so a Fig. 12-style run can report
+#: *what* recovery cost — not just total wall clock. Kept equal to the set of
 #: kinds ``src/`` actually records by an ``ast`` pass in ``tests/test_cluster.py``.
 RECOVERY_EVENT_KINDS = (
     "executor_lost",         # an executor died (manual, chaos, or scheduled)
@@ -92,25 +92,11 @@ RECOVERY_EVENT_KINDS = (
 )
 
 
-@dataclass
-class RecoveryEvent:
-    """One structured recovery action (kind ∈ :data:`RECOVERY_EVENT_KINDS`)."""
-
-    kind: str
-    job_index: int = -1
-    stage_id: int | None = None
-    partition: int | None = None
-    executor_id: str | None = None
-    #: Attributable cost of the action (e.g. a block rebuild), seconds.
-    seconds: float = 0.0
-    detail: str = ""
-    #: Monotonic sequence number assigned by the collector.
-    seq: int = 0
-
-
 class MetricsCollector:
     """Thread-safe sink for task metrics and recovery events, plus the
-    makespan model over a captured task list."""
+    makespan model over a captured task list. Both kinds of record land in
+    the registry; a recovery event's detail goes on a ``recovery`` span when
+    tracing is on."""
 
     def __init__(
         self,
@@ -118,18 +104,18 @@ class MetricsCollector:
         network: NetworkModel | None = None,
         numa: NUMAModel | None = None,
         registry: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.topology = topology
         self.network = network or NetworkModel()
         self.numa = numa or NUMAModel()
-        #: The unified registry every record also feeds (DESIGN.md §9); the
-        #: engine context passes its shared one, standalone collectors get
-        #: their own.
+        #: The one metrics plane (DESIGN.md §9); the engine context passes
+        #: its shared registry and tracer, standalone collectors get their own.
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.tracer = tracer if tracer is not None else Tracer()
         self._lock = threading.Lock()
         #: Task lists of the currently open :meth:`capture` scopes.
         self._captures: list[list[TaskMetrics]] = []
-        self.recovery_events: list[RecoveryEvent] = []
 
     def record(self, metrics: TaskMetrics) -> None:
         if self._captures:
@@ -174,46 +160,20 @@ class MetricsCollector:
         executor_id: str | None = None,
         seconds: float = 0.0,
         detail: str = "",
-    ) -> RecoveryEvent:
-        """Append one structured recovery event (thread-safe)."""
-        event = RecoveryEvent(
-            kind=kind,
-            job_index=job_index,
-            stage_id=stage_id,
-            partition=partition,
-            executor_id=executor_id,
-            seconds=seconds,
-            detail=detail,
-        )
-        with self._lock:
-            event.seq = len(self.recovery_events)
-            self.recovery_events.append(event)
+    ) -> None:
+        """Count one recovery action by kind (and its cost, when it has one);
+        with tracing on, record it as a zero-length ``recovery`` span under
+        the current span."""
         self.registry.inc("recovery_events_total", kind=kind)
         if seconds > 0:
             self.registry.inc("recovery_cost_seconds_total", seconds, kind=kind)
-        return event
-
-    def recovery_summary(self) -> dict[str, int]:
-        """Event counts by kind (only kinds that occurred)."""
-        with self._lock:
-            counts: dict[str, int] = {}
-            for e in self.recovery_events:
-                counts[e.kind] = counts.get(e.kind, 0) + 1
-            return counts
-
-    def recovery_cost_seconds(self, job_index: int | None = None) -> float:
-        """Total attributable recovery cost (optionally for one job)."""
-        with self._lock:
-            return sum(
-                e.seconds
-                for e in self.recovery_events
-                if job_index is None or e.job_index == job_index
-            )
+        if self.tracer.enabled:
+            self.tracer.start_span(
+                kind, kind="recovery", job_index=job_index, stage_id=stage_id,
+                partition=partition, executor_id=executor_id, seconds=seconds, detail=detail,
+            ).end()
 
     def reset(self) -> None:
-        with self._lock:
-            self.recovery_events.clear()
-            self.network.reset_counters()
         self.registry.reset()
 
     # ------------------------------------------------------------------ model
@@ -224,9 +184,9 @@ class MetricsCollector:
         compute = task.compute_seconds * self.numa.task_time_factor(executor, self.topology)
         fetch = 0.0
         if task.shuffle_bytes_read_remote:
-            fetch = self.network.latency + task.shuffle_bytes_read_remote / self.network.bandwidth
+            fetch = self.network.transfer_time(task.shuffle_bytes_read_remote, cross_machine=True)
         if task.shuffle_bytes_read_local:
-            fetch += task.shuffle_bytes_read_local / self.network.local_bandwidth
+            fetch += self.network.transfer_time(task.shuffle_bytes_read_local, cross_machine=False)
         return compute + fetch
 
     def stage_makespan(self, tasks: "list[TaskMetrics]") -> float:

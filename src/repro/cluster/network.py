@@ -8,21 +8,20 @@ Model: a transfer of ``n`` bytes between two *different* machines costs
 ``latency + n / bandwidth``; transfers within a machine cost
 ``n / memory_bandwidth`` (loopback / shared memory). Concurrent transfers
 into one machine share its NIC, which the makespan computation approximates
-by serializing per-machine ingress. Totals are also counted so benchmarks
-can report shuffle volume.
+by serializing per-machine ingress. The model counts nothing: shuffle and
+broadcast bytes are counted in the metrics registry (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 GBIT = 1e9 / 8  # bytes/second per Gbit/s
 
 
 @dataclass
 class NetworkModel:
-    """Bandwidth/latency model plus byte accounting.
+    """Bandwidth/latency cost model.
 
     Attributes
     ----------
@@ -37,21 +36,11 @@ class NetworkModel:
     bandwidth: float = 10 * GBIT
     latency: float = 200e-6
     local_bandwidth: float = 8e9
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    bytes_cross_machine: int = 0
-    bytes_local: int = 0
-    transfers: int = 0
 
     def transfer_time(self, nbytes: int, cross_machine: bool) -> float:
-        """Simulated seconds to move ``nbytes``; also records the transfer."""
+        """Simulated seconds to move ``nbytes``."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        with self._lock:
-            self.transfers += 1
-            if cross_machine:
-                self.bytes_cross_machine += nbytes
-            else:
-                self.bytes_local += nbytes
         if cross_machine:
             return self.latency + nbytes / self.bandwidth
         return nbytes / self.local_bandwidth
@@ -65,20 +54,7 @@ class NetworkModel:
         if num_machines <= 1:
             return 0.0
         hops = max(1, (num_machines - 1).bit_length())
-        with self._lock:
-            self.transfers += num_machines - 1
-            self.bytes_cross_machine += nbytes * (num_machines - 1)
         return hops * (self.latency + nbytes / self.bandwidth)
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.bytes_cross_machine = 0
-            self.bytes_local = 0
-            self.transfers = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_cross_machine + self.bytes_local
 
 
 def infiniband_fdr() -> NetworkModel:

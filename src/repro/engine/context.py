@@ -69,7 +69,7 @@ class EngineContext:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(enabled=self.config.tracing_enabled)
         self.metrics = MetricsCollector(
-            self.topology, self.network, self.numa, registry=self.registry
+            self.topology, self.network, self.numa, registry=self.registry, tracer=self.tracer
         )
         self.faults = FaultInjector(
             seed=self.config.chaos_seed,

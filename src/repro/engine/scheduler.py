@@ -33,8 +33,9 @@ compute cost (0.40x of sequential when the pool first landed). Every
 dispatch is counted in ``tasks_dispatched_total{mode, path}`` so the
 split is observable.
 
-Recovery behaviours (all emit structured events into
-``MetricsCollector.recovery_events`` — DESIGN.md §8):
+Recovery behaviours (each recorded through
+``MetricsCollector.record_recovery``: counted by kind in
+``recovery_events_total``, a ``recovery`` span when tracing — DESIGN.md §8):
 
 * **Retry backoff + stage attempt budget.** A retryable task failure backs
   off exponentially (``task_retry_backoff`` doubling per attempt, capped)

@@ -19,11 +19,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 import numpy as np
 
 from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ZippedPartitionsRDD
-from repro.engine.shuffle import estimate_size
 from repro.sql.analysis import resolve_expression
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
-from repro.sql.joins import make_key_func
+from repro.sql.joins import make_key_func, record_broadcast
 from repro.sql.physical import NotResident, PhysicalPlan, estimate_row_bytes
 from repro.sql.types import Schema
 
@@ -353,15 +352,14 @@ class IndexedJoinExec(PhysicalPlan):
             # probes keys it can own.
             t0 = time.perf_counter()
             rows = probe_rdd.collect()
-            session.phase_timer.add("collect_probe", time.perf_counter() - t0)
+            context.registry.inc(
+                "join_phase_seconds_total", time.perf_counter() - t0, phase="collect_probe"
+            )
             buckets: dict[int, list[tuple]] = {}
             splits = idf.partitioner.partition_array([probe_key(row) for row in rows])
             for split, row in zip(splits.tolist(), rows):
                 buckets.setdefault(split, []).append(row)
-            bcast_seconds = context.network.broadcast_time(
-                estimate_size(rows), context.topology.num_machines
-            )
-            session.phase_timer.add("broadcast", bcast_seconds)
+            record_broadcast(context, rows)
 
             def probe_broadcast(split: int, parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
                 return probe_partition(parts, iter(buckets.get(split, ())), ctx)

@@ -72,13 +72,10 @@ class RowCodec:
         # columnar cache (and why the paper recommends primitive key types).
         self._segments = _build_segments(schema)
         self._zero_bitmap = bytes(self.null_bitmap_bytes)
-        # Codegen (the whole-stage-codegen analogue): a decoder specialized
-        # to this schema is generated and compiled once; it returns None for
-        # rows with nulls, which fall back to the generic per-field path.
-        self._fast_decode = _compile_fast_decoder(self._segments, self.null_bitmap_bytes)
-        # Batch-at-a-time kernels: one compiled call decodes a whole buffer
-        # (sequential scan) or a whole backward-pointer chain (lookup/probe)
-        # instead of re-entering Python per row.
+        # Batch-at-a-time kernels (the whole-stage-codegen analogue): one
+        # call of source generated and compiled once per schema decodes a
+        # whole buffer (sequential scan) or a whole backward-pointer chain
+        # (lookup/probe) instead of re-entering Python per row.
         self._batch_scan = _compile_batch_scanner(self._segments, self.null_bitmap_bytes)
         self._chain_walk = _compile_chain_walker(self._segments, self.null_bitmap_bytes)
         # Column views (DESIGN.md §18): numpy dtype of each field as stored;
@@ -191,16 +188,9 @@ class RowCodec:
     # -- decode -----------------------------------------------------------------
 
     def decode(self, buf: "bytes | bytearray | memoryview", offset: int) -> tuple[tuple, int, int]:
-        """Decode the record at ``offset``; returns (row, prev_ptr, record_size)."""
-        fast = self._fast_decode(buf, offset)
-        if fast is not None:
-            return fast
-        return self._decode_generic(buf, offset)
-
-    def _decode_generic(
-        self, buf: "bytes | bytearray | memoryview", offset: int
-    ) -> tuple[tuple, int, int]:
-        """Per-field decode handling null bitmaps (any row shape)."""
+        """Decode the record at ``offset`` field by field, nulls included;
+        returns (row, prev_ptr, record_size). The batch kernels below fall
+        back to it for rows with nulls."""
         prev_ptr = HEADER_PREV_PTR.unpack_from(buf, offset)[0]
         row_len = HEADER_ROW_LEN.unpack_from(buf, offset + 8)[0]
         pos = offset + ROW_HEADER_SIZE
@@ -222,12 +212,12 @@ class RowCodec:
 
         One compiled pass over a whole row batch — the batch-at-a-time
         kernel behind full scans. Rows with nulls fall back (per record) to
-        the generic decoder; everything else is straight-line generated
+        :meth:`decode`; everything else is straight-line generated
         code, which is what makes a multi-threaded scan worth its GIL time.
         ``end`` defaults to ``len(buf)``; pass :attr:`RowBatch.used` for
         batches with slack capacity.
         """
-        return self._batch_scan(buf, len(buf) if end is None else end, self._decode_generic)
+        return self._batch_scan(buf, len(buf) if end is None else end, self.decode)
 
     def decode_chain(self, batches: list, pointer: int) -> list[tuple]:
         """Decode a whole backward-pointer chain in one compiled call.
@@ -237,7 +227,7 @@ class RowCodec:
         newest-first, exactly as the per-row chain walk would. This is the
         kernel under point lookups and the indexed join's probe loop.
         """
-        return self._chain_walk(batches, pointer, self._decode_generic)
+        return self._chain_walk(batches, pointer, self.decode)
 
     # -- column views --------------------------------------------------------------
 
@@ -407,48 +397,6 @@ _FIXED_CODES = {
     DoubleType: "d",
     BooleanType: "?",
 }
-
-
-#: Header struct reading prev_ptr and row_len with one C call.
-_HEADER = struct.Struct("<QH")
-
-
-def _compile_fast_decoder(
-    segments: list[tuple[str, Any, int]], null_bitmap_bytes: int
-) -> Callable[[Any, int], "tuple[tuple, int, int] | None"]:
-    """Generate a decoder function specialized to one schema.
-
-    This is the repository's analogue of Spark's whole-stage code
-    generation: the segment loop, offsets and struct objects are baked into
-    straight-line source compiled once per schema, ~2x faster per row than
-    the generic loop. The generated function returns None when the row has
-    nulls (caller falls back to :meth:`RowCodec._decode_generic`).
-    """
-    ns: dict[str, Any] = {"_hdr": _HEADER, "_u16": _U16}
-    lines = [
-        "def _fast(buf, offset):",
-        "    prev_ptr, row_len = _hdr.unpack_from(buf, offset)",
-        f"    pos = offset + {ROW_HEADER_SIZE}",
-    ]
-    # Null check: rows with any null take the generic path.
-    checks = " or ".join(f"buf[pos + {i}]" for i in range(null_bitmap_bytes))
-    lines.append(f"    if {checks}:")
-    lines.append("        return None")
-    lines.append(f"    pos += {null_bitmap_bytes}")
-    lines.append("    out = ()")
-    for i, (kind, st, _count) in enumerate(segments):
-        if kind == "f":
-            ns[f"_s{i}"] = st
-            lines.append(f"    out += _s{i}.unpack_from(buf, pos)")
-            lines.append(f"    pos += {st.size}")
-        else:
-            lines.append("    _n = _u16.unpack_from(buf, pos)[0]")
-            lines.append("    _e = pos + 2 + _n")
-            lines.append('    out += (str(buf[pos + 2:_e], "utf-8"),)')
-            lines.append("    pos = _e")
-    lines.append(f"    return out, prev_ptr, {ROW_HEADER_SIZE} + row_len")
-    exec("\n".join(lines), ns)  # noqa: S102 - controlled, schema-derived source
-    return ns["_fast"]
 
 
 def _kernel_prefix(

@@ -1,14 +1,16 @@
 """Unified metrics registry: counters, gauges and histograms behind one
 queryable surface.
 
-Everything the runtime observes — task completions (``TaskMetrics``),
-recovery actions (``RecoveryEvent``), shuffle traffic, cache hits/misses,
-scheduler launches — is *also* reported here as a flat, labeled time-series
-primitive, so a benchmark or test can ask one object "how many bytes were
-shuffled remotely" or "how many retries did seed 7 cause" without walking
-three different collectors. The structured streams stay where they were
-(``MetricsCollector`` still owns the makespan model and the recovery-event
-taxonomy); this registry is the aggregation plane on top.
+This is the one metrics plane (DESIGN.md §9): every count and accumulated
+time the runtime reports lives here — task completions (``TaskMetrics``),
+recovery actions by kind, shuffle and broadcast bytes, join phase times,
+cache hits/misses, scheduler launches — as flat, labeled time-series
+primitives, so a benchmark or test can ask one object "how many bytes were
+shuffled remotely" or "how many retries did seed 7 cause". No other
+accumulator keeps a second copy. Per-event detail (which partition a
+recovery touched, why the advisor evicted) goes on tracer spans when
+tracing is on; ``MetricsCollector`` keeps only the makespan model over a
+captured task list.
 
 Metric naming follows the Prometheus conventions the ecosystem expects:
 ``snake_case``, ``_total`` suffix on counters, labels as keyword arguments.

@@ -40,9 +40,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any
 
-#: kind -> kinds its parent may have (None = may be a root). The integrity
-#: checker enforces these, which is what "every task span nests under
-#: exactly one stage span" means mechanically.
+#: kind -> kinds its parent may have (None = may be a root, ``"*"`` = any
+#: parent or none). The integrity checker enforces these, which is what
+#: "every task span nests under exactly one stage span" means mechanically.
 SPAN_NESTING: dict[str, tuple[str | None, ...]] = {
     "serve": (None, "serve"),
     "scrub": (None, "serve", "scrub"),
@@ -58,6 +58,9 @@ SPAN_NESTING: dict[str, tuple[str | None, ...]] = {
     # Cache-advisor decision/shed spans fire at query boundaries (inside a
     # query span), from the serve tier, or driver-side outside any span.
     "advisor": (None, "query", "phase", "serve", "job", "advisor"),
+    # A zero-length recovery event (``MetricsCollector.record_recovery``)
+    # lands wherever the runtime survived a failure.
+    "recovery": ("*",),
 }
 
 
@@ -276,7 +279,7 @@ class Tracer:
                 continue
             allowed = SPAN_NESTING.get(span.kind, SPAN_NESTING["span"])
             parent_kind = parent.kind if parent is not None else None
-            if parent_kind not in allowed:
+            if "*" not in allowed and parent_kind not in allowed:
                 errors.append(
                     f"bad nesting: {span.kind} {span.name!r} (id={span.span_id}) "
                     f"under {parent_kind!r}, allowed {allowed!r}"

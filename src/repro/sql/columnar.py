@@ -2,12 +2,11 @@
 
 The paper's baseline is "the default in-memory (columnar) caching mechanism
 provided by Spark" (Section IV-A). A :class:`ColumnBatch` holds rows as one
-numpy array per column, enabling vectorized projection/filtering. Three
+numpy array per column, enabling vectorized projection/filtering. Two
 producers share it, and so share the kernels that consume it
 (:meth:`ColumnBatch.scan`, the vectorised partial aggregate):
 
 * the baseline cache (``df.cache()``) stores one batch per partition;
-* the columnar index ablation hands out one batch per chunk;
 * the row-wise Indexed DataFrame *views* its binary row batches as column
   batches for the length of one task (DESIGN.md §18) — fixed-width columns
   are strided views of the row bytes, string columns are **deferred**:

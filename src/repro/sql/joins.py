@@ -6,7 +6,7 @@ side and probed (broadcast / shuffle hash join). Their defining
 inefficiency for repeated queries — rebuilding the hash table and
 re-shuffling *both* sides on every execution — is what Fig. 1 and Fig. 7
 measure the Indexed DataFrame against, so the build/probe phases here are
-timed explicitly into task phase metrics.
+timed explicitly into ``join_phase_seconds_total{phase}`` in the registry.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.sql.physical import PhysicalPlan
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.context import EngineContext
     from repro.sql.session import Session
 
 
@@ -31,6 +32,20 @@ def make_key_func(keys: list[Expression]) -> Callable[[tuple], Any]:
         expr = keys[0]
         return expr.eval
     return lambda row: tuple(e.eval(row) for e in keys)
+
+
+def record_broadcast(context: "EngineContext", rows: list) -> None:
+    """Count shipping ``rows`` to every machine: the modeled seconds as the
+    ``broadcast`` join phase, the bytes sent across machines (payload x
+    peers) in ``broadcast_bytes_total``."""
+    nbytes = estimate_size(rows)
+    machines = context.topology.num_machines
+    registry = context.registry
+    registry.inc(
+        "join_phase_seconds_total", context.network.broadcast_time(nbytes, machines),
+        phase="broadcast",
+    )
+    registry.inc("broadcast_bytes_total", nbytes * max(0, machines - 1))
 
 
 class JoinExec(PhysicalPlan):
@@ -80,8 +95,7 @@ class BroadcastHashJoinExec(JoinExec):
         self.build_side = build_side
 
     def do_execute(self) -> RDD:
-        session = self.session
-        context = session.context
+        context = self.session.context
         build_left = self.build_side == "left"
         build_plan = self.left if build_left else self.right
         probe_plan = self.right if build_left else self.left
@@ -94,13 +108,10 @@ class BroadcastHashJoinExec(JoinExec):
         table: dict[Any, list[tuple]] = {}
         for row in build_rows:
             table.setdefault(build_key(row), []).append(row)
-        build_seconds = time.perf_counter() - t0
-        session.phase_timer.add("build_hash_table", build_seconds)
-
-        # --- broadcast (modeled) ---------------------------------------------
-        nbytes = estimate_size(build_rows)
-        bcast_seconds = context.network.broadcast_time(nbytes, context.topology.num_machines)
-        session.phase_timer.add("broadcast", bcast_seconds)
+        context.registry.inc(
+            "join_phase_seconds_total", time.perf_counter() - t0, phase="build_hash_table"
+        )
+        record_broadcast(context, build_rows)  # modeled
 
         residual = self.residual
         how = self.how
@@ -153,6 +164,7 @@ class ShuffleHashJoinExec(JoinExec):
         residual = self.residual
         how = self.how
         null_right = self._null_right()
+        registry = self.session.context.registry
 
         def joiner(_split: int, left_it: Iterator[tuple], right_it: Iterator[tuple]) -> Iterator[tuple]:
             # Build on the chosen side, probe with the other.
@@ -185,10 +197,8 @@ class ShuffleHashJoinExec(JoinExec):
                     out.append(row + null_right)
             probe_seconds = time.perf_counter() - t1
             yield from out
-            # Phase accounting is attached post-hoc via the generator's close;
-            # simplest reliable place is the session-level timer.
-            self.session.phase_timer.add("build_hash_table", build_seconds)
-            self.session.phase_timer.add("probe", probe_seconds)
+            registry.inc("join_phase_seconds_total", build_seconds, phase="build_hash_table")
+            registry.inc("join_phase_seconds_total", probe_seconds, phase="probe")
 
         joined = left_rdd.zip_partitions(right_rdd, joiner)
         joined.partitioner = part
@@ -216,13 +226,14 @@ class SortMergeJoinExec(JoinExec):
         residual = self.residual
         how = self.how
         null_right = self._null_right()
+        registry = self.session.context.registry
 
         def merge(_split: int, left_it: Iterator[tuple], right_it: Iterator[tuple]) -> Iterator[tuple]:
             t0 = time.perf_counter()
             # Keys may be heterogeneous; sort by hashable sort key.
             left_rows = sorted(((left_key(r), r) for r in left_it), key=lambda kv: _orderable(kv[0]))
             right_rows = sorted(((right_key(r), r) for r in right_it), key=lambda kv: _orderable(kv[0]))
-            self.session.phase_timer.add("sort", time.perf_counter() - t0)
+            registry.inc("join_phase_seconds_total", time.perf_counter() - t0, phase="sort")
             t1 = time.perf_counter()
             out: list[tuple] = []
             i = j = 0
@@ -247,7 +258,7 @@ class SortMergeJoinExec(JoinExec):
                 if how == "left" and not emitted:
                     out.append(left_rows[i][1] + null_right)
                 i += 1
-            self.session.phase_timer.add("merge", time.perf_counter() - t1)
+            registry.inc("join_phase_seconds_total", time.perf_counter() - t1, phase="merge")
             return iter(out)
 
         joined = left_rdd.zip_partitions(right_rdd, merge)

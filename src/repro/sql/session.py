@@ -9,9 +9,9 @@ library uses:
 * ``extra_rules`` — logical rewrite rules, run before built-in rules,
 * ``extra_strategies`` — physical planning strategies, consulted first.
 
-``session.phase_timer`` accumulates named phase times (hash-build,
-broadcast, probe, shuffle...) across query executions; Fig. 1's breakdown
-reads it.
+Join operators count their phase times (hash build, broadcast, probe,
+sort, merge) in the context's registry as ``join_phase_seconds_total{phase}``;
+Fig. 1's breakdown reads its delta per run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.sql.plan_cache import CachedPlan, PlanCache, normalize_sql
 from repro.sql.planner import Planner, Strategy
 from repro.sql.prepared import PreparedStatement
 from repro.sql.types import Schema
-from repro.utils.timing import PhaseTimer
 
 
 class Session:
@@ -41,7 +40,6 @@ class Session:
         self.analyzer = Analyzer()
         self.extra_rules: list[Rule] = []
         self.extra_strategies: list[Strategy] = []
-        self.phase_timer = PhaseTimer()
         #: EXPLAIN ANALYZE hook: when set (see :meth:`execute_analyzed`),
         #: PhysicalPlan.execute wraps every operator's output RDD so actual
         #: row counts / wall time are recorded per plan node.

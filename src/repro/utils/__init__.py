@@ -1,14 +1,11 @@
-"""Shared low-level utilities: atomics, hashing, memory metering, timing."""
+"""Shared low-level utilities: atomics, hashing, memory metering."""
 
-from repro.utils.atomic import AtomicLong, AtomicReference
+from repro.utils.atomic import AtomicReference
 from repro.utils.hashing import hash32, hash64, hash_column, partition_for
 from repro.utils.memory import deep_sizeof
-from repro.utils.timing import Stopwatch
 
 __all__ = [
-    "AtomicLong",
     "AtomicReference",
-    "Stopwatch",
     "deep_sizeof",
     "hash32",
     "hash64",

@@ -1,4 +1,4 @@
-"""Atomic primitives used by the cTrie and the engine.
+"""The atomic reference the cTrie is built on.
 
 CPython has no user-level CAS, so :class:`AtomicReference` emulates
 ``compareAndSet`` with a per-reference lock. The *semantics* are identical to
@@ -56,45 +56,3 @@ class AtomicReference(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicReference({self._value!r})"
-
-
-class AtomicLong:
-    """A thread-safe counter (used for version numbers and metric counters)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, value: int = 0) -> None:
-        self._value = value
-        self._lock = threading.Lock()
-
-    def get(self) -> int:
-        return self._value
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
-
-    def increment_and_get(self, delta: int = 1) -> int:
-        with self._lock:
-            self._value += delta
-            return self._value
-
-    def get_and_increment(self, delta: int = 1) -> int:
-        with self._lock:
-            prev = self._value
-            self._value += delta
-            return prev
-
-    def add(self, delta: int) -> None:
-        with self._lock:
-            self._value += delta
-
-    def compare_and_set(self, expect: int, update: int) -> bool:
-        with self._lock:
-            if self._value == expect:
-                self._value = update
-                return True
-            return False
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AtomicLong({self._value})"

@@ -60,3 +60,14 @@ def edges() -> list[tuple]:
 @pytest.fixture()
 def users() -> list[tuple]:
     return make_users()
+
+
+def recovery_counts(context: EngineContext) -> dict[str, float]:
+    """Recovery events recorded so far, by kind: the registry's count."""
+    return context.registry.counter_by_label("recovery_events_total", "kind")
+
+
+def recovery_spans(context: EngineContext, kind: str) -> list:
+    """The ``recovery`` spans of one event kind, in the order recorded (the
+    context must trace: ``Config(tracing_enabled=True)``)."""
+    return [s for s in context.tracer.finished_spans(kind="recovery") if s.name == kind]

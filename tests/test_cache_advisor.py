@@ -27,7 +27,7 @@ from repro.engine.context import EngineContext
 from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
-from tests.conftest import MODES
+from tests.conftest import MODES, recovery_counts, recovery_spans
 
 SCHEMA = Schema.of(("k", LONG), ("v", DOUBLE), ("payload", STRING))
 
@@ -333,8 +333,7 @@ class TestAutoCache:
         reg = session.context.registry
         decisions = reg.counter_by_label("cache_advisor_decisions_total", "action")
         assert decisions.get("auto_evict", 0) >= 1
-        kinds = {e.kind for e in session.context.metrics.recovery_events}
-        assert "advisor_auto_evict" in kinds
+        assert recovery_counts(session.context).get("advisor_auto_evict", 0) >= 1
 
     def test_shed_only_touches_what_the_advisor_persisted(self):
         session = make_session(
@@ -484,7 +483,7 @@ def index_evictions(tmp_path, auto_cache: bool) -> int:
     rows = [(rng.randrange(300), rng.randrange(10**6), round(rng.random(), 6)) for _ in range(3000)]
     session = make_session(
         tmp_path=tmp_path, executor_memory_bytes=40_000, eviction_policy="cost",
-        auto_cache=auto_cache,
+        auto_cache=auto_cache, tracing_enabled=True,
     )
     idf = session.create_dataframe(rows, EDGES, "edges").create_index("src", num_partitions=4)
     idf.cache_index().create_or_replace_temp_view("edges")
@@ -496,8 +495,8 @@ def index_evictions(tmp_path, auto_cache: bool) -> int:
         rows_of(session, "SELECT * FROM edges WHERE weight > 0.9")
     index = f"rdd={idf.rdd.rdd_id} "
     return sum(
-        event.kind == "block_evicted" and event.detail.startswith(index)
-        for event in session.context.metrics.recovery_events
+        event.attrs["detail"].startswith(index)
+        for event in recovery_spans(session.context, "block_evicted")
     )
 
 

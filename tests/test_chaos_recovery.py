@@ -8,8 +8,9 @@ The recovery subsystem under test (DESIGN.md §8):
   scheduler picks the replacement up live;
 * retry backoff + per-stage attempt budget instead of blind resubmits;
 * the paper's version-number staleness guard exercised through recovery;
-* every recovery action emitting a structured event into the metrics
-  collector, so a Fig. 12-style run can attribute *what* recovery cost.
+* every recovery action counted by kind in the registry and, with tracing
+  on, recorded as a ``recovery`` span carrying its detail, so a Fig.
+  12-style run can attribute *what* recovery cost.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.engine.scheduler import NoAliveExecutorsError, TaskFailure
 from repro.engine.shuffle import FetchFailedError
 from repro.engine.task import ResultStage
 from repro.sql.session import Session
-from tests.conftest import EDGE_SCHEMA, MODES, make_edges
+from tests.conftest import EDGE_SCHEMA, MODES, make_edges, recovery_counts, recovery_spans
 
 
 def make_context(mode: str, **overrides) -> EngineContext:
@@ -89,7 +90,7 @@ class TestChaosDeterminism:
                 lambda a, b: a + b
             )
             results = [sorted(shuffled.collect()) for _ in range(2)]
-            return results, ctx.metrics.recovery_summary()
+            return results, recovery_counts(ctx)
 
         (res_a, sum_a), (res_b, sum_b) = run(), run()
         assert res_a == res_b
@@ -101,7 +102,7 @@ class TestChaosDeterminism:
         ctx = make_context(mode, chaos_seed=5, chaos_task_failure_prob=0.3)
         got = sorted(ctx.parallelize(range(200), 8).map(lambda x: x * 2).collect())
         assert got == [x * 2 for x in range(200)]
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("chaos_task_failure", 0) >= 1
         assert summary.get("task_retry", 0) >= summary.get("chaos_task_failure", 0)
 
@@ -114,14 +115,14 @@ class TestChaosDeterminism:
         shuffled = ctx.parallelize(data, 8).partition_by(HashPartitioner(8))
         for _ in range(4):
             assert sorted(shuffled.collect()) == sorted(data)
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("chaos_fetch_failure", 0) >= 1
         assert summary.get("stage_resubmit", 0) >= 1
 
     def test_mid_stage_kill_via_task_counter(self):
         """fail_executor_at_task kills while the stage is in flight; the
         run still converges and the kill is attributed to the job."""
-        ctx = make_context("threads")
+        ctx = make_context("threads", tracing_enabled=True)
         data = [(i % 9, i) for i in range(900)]
         shuffled = ctx.parallelize(data, 8).partition_by(HashPartitioner(8))
         assert sorted(shuffled.collect()) == sorted(data)  # materialize maps
@@ -130,8 +131,8 @@ class TestChaosDeterminism:
         assert sorted(shuffled.collect()) == sorted(data)
         assert not ctx.executors[victim].alive
         assert any(e == victim for _j, e in ctx.faults.killed)
-        lost = [e for e in ctx.metrics.recovery_events if e.kind == "executor_lost"]
-        assert any(e.executor_id == victim and "chaos" in e.detail for e in lost)
+        lost = recovery_spans(ctx, "executor_lost")
+        assert any(e.attrs["executor_id"] == victim and "chaos" in e.attrs["detail"] for e in lost)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ class TestConcurrentFailure:
         got = sorted(shuffled.reduce_by_key(lambda a, b: a + b).collect())
         assert got == sequential
         assert ctx.task_scheduler.busy == {}
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("executor_lost", 0) >= 1
         # FetchFailedError superseded any collateral dead-executor errors:
         # the job recovered (no job_failed event) via stage resubmission.
@@ -205,7 +206,7 @@ class TestExecutorReplacement:
     @pytest.mark.parametrize("mode", MODES)
     def test_killed_executor_returns_after_delay(self, mode):
         ctx = make_context(
-            mode, executor_replacement=True, executor_restart_delay_tasks=4
+            mode, executor_replacement=True, executor_restart_delay_tasks=4, tracing_enabled=True
         )
         data = list(range(800))
         rdd = ctx.parallelize(data, 8)
@@ -215,10 +216,8 @@ class TestExecutorReplacement:
         assert victim not in ctx.alive_executor_ids()
         assert sorted(rdd.collect()) == data  # >= 8 launches tick the timer
         assert victim in ctx.alive_executor_ids()
-        replaced = [
-            e for e in ctx.metrics.recovery_events if e.kind == "executor_replaced"
-        ]
-        assert any(e.executor_id == victim for e in replaced)
+        replaced = recovery_spans(ctx, "executor_replaced")
+        assert any(e.attrs["executor_id"] == victim for e in replaced)
         # The replacement came back with a fresh, empty block store.
         assert ctx.executors[victim].block_manager.block_ids() == []
 
@@ -264,7 +263,7 @@ class TestAllExecutorsDead:
         assert issubclass(NoAliveExecutorsError, JobFailedError)
         assert issubclass(NoAliveExecutorsError, RuntimeError)
         # No retries were spun against the empty cluster.
-        assert ctx.metrics.recovery_summary().get("task_retry", 0) == 0
+        assert recovery_counts(ctx).get("task_retry", 0) == 0
         assert ctx.task_scheduler.busy == {}
 
 
@@ -285,7 +284,7 @@ class TestRetryBudget:
 
         with pytest.raises(TaskFailure):
             ctx.parallelize(range(64), 8).map(bad).collect()
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("stage_budget_exhausted", 0) >= 1
         # Only the budgeted retries ran, not 8 tasks x 4 retries.
         assert summary.get("task_retry", 0) == 2
@@ -293,7 +292,8 @@ class TestRetryBudget:
 
     def test_retries_back_off_exponentially(self):
         ctx = make_context(
-            "sequential", task_retry_backoff=0.01, task_retry_backoff_max=0.5
+            "sequential", task_retry_backoff=0.01, task_retry_backoff_max=0.5,
+            tracing_enabled=True,
         )
         state = {"n": 0}
 
@@ -306,8 +306,8 @@ class TestRetryBudget:
         t0 = time.perf_counter()
         assert sorted(ctx.parallelize(range(8), 4).map(flaky).collect()) == list(range(8))
         elapsed = time.perf_counter() - t0
-        retries = [e for e in ctx.metrics.recovery_events if e.kind == "task_retry"]
-        assert [e.seconds for e in retries] == [0.01, 0.02, 0.04]
+        retries = recovery_spans(ctx, "task_retry")
+        assert [e.attrs["seconds"] for e in retries] == [0.01, 0.02, 0.04]
         assert elapsed >= 0.07  # the backoffs were actually slept
 
 
@@ -333,7 +333,7 @@ class TestShuffleEdgeCases:
         )
         assert list(ctx.shuffle_manager.fetch(777, 0, tctx)) == []
         assert ctx.shuffle_manager.missing_maps(777) == []
-        assert ctx.metrics.recovery_summary().get("fetch_failed", 0) == 0
+        assert recovery_counts(ctx).get("fetch_failed", 0) == 0
 
     def test_unregistered_shuffle_still_fails(self):
         ctx = make_context("sequential")
@@ -347,7 +347,7 @@ class TestShuffleEdgeCases:
         with pytest.raises(FetchFailedError) as excinfo:
             next(ctx.shuffle_manager.fetch(31337, 0, tctx))
         assert excinfo.value.map_id == -1
-        assert ctx.metrics.recovery_summary().get("fetch_failed", 0) == 1
+        assert recovery_counts(ctx).get("fetch_failed", 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,7 @@ class TestStalenessGuard:
                 default_parallelism=4,
                 shuffle_partitions=4,
                 row_batch_size=4096,
+                tracing_enabled=True,
             )
         )
         rows = make_edges(n=400, keys=40)
@@ -396,12 +397,10 @@ class TestStalenessGuard:
 
         expected = sorted([r for r in rows if r[0] == 7] + [(7, 999, 9.9)])
         assert sorted(idf2.lookup_tuples(7)) == expected  # appended row served
-        events = [
-            e for e in ctx.metrics.recovery_events if e.kind == "stale_partition_rebuilt"
-        ]
+        events = recovery_spans(ctx, "stale_partition_rebuilt")
         assert events, "the stale copy must be detected, not served"
-        assert all("stale_version=0" in e.detail for e in events)
-        assert all(e.job_index > 0 for e in events)  # attributed to the query
+        assert all("stale_version=0" in e.attrs["detail"] for e in events)
+        assert all(e.attrs["job_index"] > 0 for e in events)  # attributed to the query
 
     def test_recomputed_partition_carries_current_version(self):
         """Recovery after executor loss rebuilds indexed partitions at the
@@ -449,6 +448,7 @@ class TestFig12ChaosRun:
                 executor_replacement=True,
                 executor_restart_delay_tasks=8,
                 chaos_seed=seed,
+                tracing_enabled=True,
             ),
             topology=private_cluster(num_machines=2, executors_per_machine=2),
         )
@@ -496,18 +496,19 @@ class TestFig12ChaosRun:
         # rebuilt (the first one to touch it after the kill — Fig. 12's
         # "query in flight pays ~13 s, the rest run at normal speed"), not
         # smeared over the run.
-        rebuilds = [
-            e for e in ctx.metrics.recovery_events if e.kind == "block_recomputed"
-        ]
+        rebuilds = recovery_spans(ctx, "block_recomputed")
         assert rebuilds, "lost indexed partitions must be rebuilt"
-        paying_queries = {query_of(e.job_index) for e in rebuilds}
+        paying_queries = {query_of(e.attrs["job_index"]) for e in rebuilds}
         assert len(paying_queries) == 1
         assert 0 <= paying_queries.pop() - kill_query <= 1
-        assert ctx.metrics.recovery_cost_seconds() > 0
+        assert sum(e.attrs["seconds"] for e in rebuilds) > 0
+        assert ctx.registry.counter_value("recovery_cost_seconds_total", kind="block_recomputed") == (
+            pytest.approx(sum(e.attrs["seconds"] for e in rebuilds))
+        )
 
         # The cluster healed: the victim's replacement registered and is
         # alive at the end of the run.
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("executor_lost", 0) >= 1
         assert summary.get("executor_replaced", 0) >= 1
         assert victim in ctx.alive_executor_ids()

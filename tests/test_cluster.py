@@ -96,16 +96,6 @@ class TestNetworkModel:
         t = net.transfer_time(10, cross_machine=True)
         assert t == pytest.approx(1e-3, rel=0.01)
 
-    def test_counters(self):
-        net = NetworkModel()
-        net.transfer_time(100, cross_machine=True)
-        net.transfer_time(50, cross_machine=False)
-        assert net.bytes_cross_machine == 100
-        assert net.bytes_local == 50
-        assert net.total_bytes == 150
-        net.reset_counters()
-        assert net.total_bytes == 0
-
     def test_broadcast_scales_logarithmically(self):
         net = NetworkModel()
         t4 = net.broadcast_time(1_000_000, 4)
@@ -186,6 +176,29 @@ class TestMetricsCollector:
         )
         assert mc.simulated_task_seconds(slow) > mc.simulated_task_seconds(fast)
 
+    @pytest.mark.parametrize(
+        "remote, local", [(10**6, 0), (0, 10**6), (3 * 10**6, 7 * 10**5)],
+        ids=["remote-only", "local-only", "mixed"],
+    )
+    def test_simulated_task_seconds_is_the_inline_formula(self, remote, local):
+        """The modeled task time is compute x NUMA factor, plus latency +
+        remote / bandwidth, plus local / local bandwidth: the same floats,
+        added in the same order."""
+        mc = self._collector()
+        ex = mc.topology.executor(mc.topology.executors[0].executor_id)
+        task = TaskMetrics(
+            stage_id=0, partition=0, executor_id=ex.executor_id, compute_seconds=0.25,
+            shuffle_bytes_read_remote=remote, shuffle_bytes_read_local=local,
+        )
+        net = mc.network
+        fetch = 0.0
+        if remote:
+            fetch = net.latency + remote / net.bandwidth
+        if local:
+            fetch += local / net.local_bandwidth
+        compute = 0.25 * mc.numa.task_time_factor(ex, mc.topology)
+        assert mc.simulated_task_seconds(task) == compute + fetch
+
     def test_job_makespan_sums_stages(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
@@ -203,7 +216,7 @@ class TestMetricsCollector:
         mc.record_recovery("task_retry")
         mc.reset()
         assert mc.registry.counter_value("tasks_completed_total") == 0
-        assert mc.recovery_summary() == {}
+        assert mc.registry.counter_by_label("recovery_events_total", "kind") == {}
 
     def test_recovery_kind_taxonomy_is_what_the_code_records(self):
         """``RECOVERY_EVENT_KINDS`` equals the set of string literals ``src/``

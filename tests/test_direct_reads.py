@@ -34,7 +34,7 @@ from repro.integrity import corrupt_file
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
-from tests.conftest import MODES
+from tests.conftest import MODES, recovery_counts
 
 POINT = "SELECT * FROM t WHERE k = 7"
 RANGE = "SELECT * FROM t WHERE k BETWEEN 3 AND 9"
@@ -210,7 +210,7 @@ class TestFallbacks:
         runtime = session.context.executors[holder(session, idf, split)]
         runtime.block_manager.pressure_storm(0.0)  # sheds every block it holds
         assert not runtime.block_manager.contains((idf.rdd.rdd_id, split))
-        assert session.context.metrics.recovery_summary().get("block_evicted", 0) > 0
+        assert recovery_counts(session.context).get("block_evicted", 0) > 0
         read(session, POINT, {"not_resident": 1})
         read(session, POINT, {"answered": 1})  # the job put it back
 
@@ -242,8 +242,7 @@ class TestFallbacks:
         rows, counted = outcome_delta(session, lambda: session.sql(POINT).collect_tuples())
         assert counted == {"stale": 1}
         assert by_repr(rows) == by_repr(EXPECTED[POINT] + [(7, 5000, "late")])
-        kinds = [e.kind for e in session.context.metrics.recovery_events]
-        assert "stale_partition_rebuilt" in kinds
+        assert recovery_counts(session.context).get("stale_partition_rebuilt", 0) >= 1
         assert outcome_delta(session, lambda: session.sql(POINT).collect_tuples())[1] == {
             "answered": 1
         }

@@ -43,11 +43,12 @@ class TestBroadcastPath:
 
     def test_broadcast_accounts_network(self, env):
         session, rows, idf = env
-        session.context.network.reset_counters()
+        registry = session.context.registry
+        before = registry.counter_total("broadcast_bytes_total")
         probe = session.create_dataframe([(1,), (2,)], PROBE_SCHEMA, "p")
         probe.join(idf.to_df(), on=("k", "src")).collect_tuples()
-        assert session.context.network.bytes_cross_machine > 0
-        assert "broadcast" in session.phase_timer.phases
+        assert registry.counter_total("broadcast_bytes_total") > before
+        assert "broadcast" in registry.counter_by_label("join_phase_seconds_total", "phase")
 
 
 class TestLeftJoin:

@@ -11,13 +11,14 @@ import random
 import pytest
 
 from repro.cluster.metrics import TaskMetrics
+from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
 from repro.workloads import broconn
-from tests.conftest import MODES
+from tests.conftest import MODES, recovery_counts
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
@@ -76,6 +77,47 @@ class TestHeapFlatInQueries:
         warm = tracked_after(200)
         assert tracked_after(2000) - warm < 200
         assert not any(isinstance(o, TaskMetrics) for o in gc.get_objects())
+
+
+class TestHeapFlatUnderRecoveryChurn:
+    def test_spills_and_evictions_leave_no_per_event_state(self, tmp_path):
+        """Recovery events are counted, not kept: the tracked heap after
+        2 000+ evictions (and their lineage rebuilds) of a budgeted indexed
+        table is the warm heap, and ``recovery_events_total`` still counts
+        every one of them."""
+        context = EngineContext(
+            config=Config(
+                default_parallelism=4, shuffle_partitions=4, row_batch_size=4096,
+                executor_memory_bytes=16_000, spill_dir=str(tmp_path),
+            ),
+            topology=private_cluster(num_machines=1, executors_per_machine=2),
+        )
+        session = Session(context=context)
+        rows = make_edges(n=320, keys=200)
+        idf = session.create_dataframe(rows, EDGE_SCHEMA, "edges").create_index(
+            "src", num_partitions=32
+        ).cache_index()
+        registry = context.registry
+
+        def churn() -> float:
+            return registry.counter_total("memory_spills_total") + registry.counter_total(
+                "memory_evictions_total"
+            )
+
+        def tracked_after(cycles: int) -> int:
+            for _ in range(cycles):
+                assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
+            gc.collect()
+            return len(gc.get_objects())
+
+        warm = tracked_after(4)
+        before = churn()
+        assert tracked_after(64) - warm < 200
+        assert churn() - before >= 2000
+        kinds = recovery_counts(context)
+        assert kinds.get("block_spilled", 0) == registry.counter_total("memory_spills_total")
+        assert kinds["block_evicted"] == registry.counter_total("memory_evictions_total")
+        assert kinds["block_recomputed"] >= 2000
 
 
 class TestReadAfterWrite:

@@ -42,6 +42,7 @@ from repro.integrity import (
 )
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
+from tests.conftest import recovery_counts
 
 EDGE = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
@@ -222,7 +223,7 @@ class TestCorruptionChaosEndToEnd:
         detected, repaired = counters(s)
         assert detected > 0
         assert detected == repaired
-        kinds = s.context.metrics.recovery_summary()
+        kinds = recovery_counts(s.context)
         assert "chaos_spill_corruption" in kinds
         assert "corrupt_block_quarantined" in kinds
         assert "corrupt_block_rebuilt" in kinds
@@ -291,7 +292,7 @@ class TestScrubber:
             t for t in rows if t[0] == 7
         )
         server.shutdown()
-        kinds = s.context.metrics.recovery_summary()
+        kinds = recovery_counts(s.context)
         assert "scrub_corruption_found" in kinds
         assert "scrub_corruption_repaired" in kinds
         assert s.context.tracer.integrity_errors() == []

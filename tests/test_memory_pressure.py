@@ -28,7 +28,7 @@ from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from repro.utils.memory import deep_sizeof
-from tests.conftest import MODES
+from tests.conftest import MODES, recovery_counts, recovery_spans
 
 SCHEMA = Schema.of(("k", LONG), ("v", DOUBLE), ("payload", STRING))
 
@@ -260,7 +260,7 @@ class TestTieredShedding:
         assert reg.counter_total("memory_spilled_bytes_total") > 0
         assert reg.counter_total("memory_evictions_total") == 0
         assert reg.counter_total("memory_faulted_back_bytes_total") > 0
-        assert "block_spilled" in s.context.metrics.recovery_summary()
+        assert "block_spilled" in recovery_counts(s.context)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_four_x_over_budget_completes(self, mode, tmp_path, baseline_rows, baseline):
@@ -277,7 +277,7 @@ class TestTieredShedding:
         assert reg.counter_total("memory_spills_total") > 0
         assert reg.counter_total("memory_evictions_total") > 0
         assert reg.counter_total("memory_faulted_back_bytes_total") > 0
-        summary = s.context.metrics.recovery_summary()
+        summary = recovery_counts(s.context)
         assert summary.get("block_evicted", 0) > 0
         assert summary.get("block_recomputed", 0) > 0
         for executor_id, mgr in (
@@ -410,7 +410,7 @@ class TestBackpressure:
         assert isinstance(excinfo.value.__cause__, MemoryPressureError)
         reg = s.context.registry
         assert reg.counter_total("memory_pressure_errors_total") > 0
-        summary = s.context.metrics.recovery_summary()
+        summary = recovery_counts(s.context)
         assert summary.get("memory_pressure", 0) > 0
         assert summary.get("task_retry", 0) > 0  # treated as retryable
 
@@ -445,21 +445,23 @@ class TestEvictionChaos:
             executor_memory_bytes=60_000,
             executor_replacement=True,
             executor_restart_delay_tasks=2,
+            tracing_enabled=True,
         )
         ctx = s.context
         idf = cached_index(s, baseline_rows)
         ctx.faults.fail_executor_at_task("m0e1", 3)  # mid-stage kill
         assert collected(idf) == baseline
         assert collected(idf) == baseline
-        summary = ctx.metrics.recovery_summary()
+        summary = recovery_counts(ctx)
         assert summary.get("executor_lost", 0) >= 1
         assert summary.get("block_evicted", 0) > 0
         assert summary.get("block_recomputed", 0) > 0
         valid = set(ctx.topology.executor_ids())
-        for event in ctx.metrics.recovery_events:
-            if event.kind in ("block_spilled", "block_evicted"):
-                assert event.executor_id in valid
-                assert isinstance(event.partition, int)
+        shed = recovery_spans(ctx, "block_spilled") + recovery_spans(ctx, "block_evicted")
+        assert len(shed) == summary.get("block_spilled", 0) + summary["block_evicted"]
+        for event in shed:
+            assert event.attrs["executor_id"] in valid
+            assert isinstance(event.attrs["partition"], int)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_explicit_storm_mid_run(self, mode, tmp_path, baseline_rows, baseline):
@@ -470,7 +472,7 @@ class TestEvictionChaos:
         for runtime in s.context.executors.values():
             runtime.block_manager.pressure_storm(0.25)
         assert collected(idf) == baseline
-        assert s.context.metrics.recovery_summary().get("block_spilled", 0) > 0
+        assert recovery_counts(s.context).get("block_spilled", 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,7 @@ class TestChaosSqueeze:
         idf = cached_index(s, baseline_rows)
         for _ in range(2):
             assert collected(idf) == baseline
-        summary = s.context.metrics.recovery_summary()
+        summary = recovery_counts(s.context)
         assert summary.get("chaos_memory_squeeze", 0) > 0
         assert s.context.task_scheduler.busy == {}
 
@@ -503,7 +505,7 @@ class TestChaosSqueeze:
         idf = cached_index(s, baseline_rows)
         s.context.faults.squeeze_memory_at_task(1, factor=0.3)
         assert collected(idf) == baseline
-        summary = s.context.metrics.recovery_summary()
+        summary = recovery_counts(s.context)
         assert summary.get("chaos_memory_squeeze", 0) == 1
         assert summary.get("block_spilled", 0) > 0
 

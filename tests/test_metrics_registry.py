@@ -127,7 +127,6 @@ class TestEngineWiring:
         ).collect()
         reg = context.registry
         by_kind = reg.counter_by_label("recovery_events_total", "kind")
-        assert by_kind == context.metrics.recovery_summary()
         assert by_kind.get("chaos_task_failure", 0) > 0
 
     def test_executor_loss_recovery_kinds(self):

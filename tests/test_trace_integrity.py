@@ -171,6 +171,36 @@ class TestChaosTraceIntegrity:
         assert all(t.end_time is not None for t in tasks)
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_recovery_events_are_spans_carrying_the_event(self, mode, seed):
+        """Under the chaos soup plus an executor kill, each counted recovery
+        event is one ``recovery`` span named for its kind and carrying its
+        six fields, and the trace stays clean."""
+        context = make_context(
+            mode,
+            chaos_seed=seed,
+            chaos_task_failure_prob=0.15,
+            chaos_straggler_prob=0.1,
+            chaos_straggler_delay=0.002,
+            chaos_fetch_failure_prob=0.05,
+            executor_replacement=True,
+        )
+        expected = sorted(run_shuffle_job(make_context(mode)))
+        assert sorted(run_shuffle_job(context)) == expected
+        context.kill_executor(context.alive_executor_ids()[0])
+        assert sorted(run_shuffle_job(context)) == expected
+        assert context.tracer.integrity_errors() == []
+        spans = context.tracer.finished_spans(kind="recovery")
+        by_kind: dict[str, int] = {}
+        for span in spans:
+            assert set(span.attrs) == {
+                "job_index", "stage_id", "partition", "executor_id", "seconds", "detail"
+            }
+            by_kind[span.name] = by_kind.get(span.name, 0) + 1
+        assert by_kind == context.registry.counter_by_label("recovery_events_total", "kind")
+        assert {"executor_lost", "chaos_task_failure", "task_retry"} <= set(by_kind)
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_retry_attempts_are_separate_task_spans(self, seed):
         context = make_context(
             "sequential",

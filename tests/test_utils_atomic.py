@@ -1,8 +1,8 @@
-"""AtomicReference / AtomicLong: CAS semantics and thread safety."""
+"""AtomicReference: CAS semantics and thread safety."""
 
 import threading
 
-from repro.utils.atomic import AtomicLong, AtomicReference
+from repro.utils.atomic import AtomicReference
 
 
 class TestAtomicReference:
@@ -55,33 +55,3 @@ class TestAtomicReference:
             t.join()
         assert len(wins) == 1
         assert ref.get() == wins[0]
-
-
-class TestAtomicLong:
-    def test_increment(self):
-        c = AtomicLong()
-        assert c.increment_and_get() == 1
-        assert c.get_and_increment() == 1
-        assert c.get() == 2
-
-    def test_add_and_cas(self):
-        c = AtomicLong(10)
-        c.add(5)
-        assert c.get() == 15
-        assert c.compare_and_set(15, 0)
-        assert not c.compare_and_set(15, 1)
-        assert c.get() == 0
-
-    def test_concurrent_increments_lose_nothing(self):
-        c = AtomicLong()
-
-        def bump() -> None:
-            for _ in range(1000):
-                c.increment_and_get()
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.get() == 8000

@@ -1,8 +1,7 @@
-"""Stopwatch, PhaseTimer and Config behaviour."""
+"""Config behaviour."""
 
 import ast
 import dataclasses
-import time
 from pathlib import Path
 
 import pytest
@@ -12,62 +11,6 @@ from repro.config import KB, MB, PAPER_DEFAULTS, Config
 from repro.serve import RouterConfig, ServeConfig, ShardConfig
 from repro.sql.session import Session
 from repro.sql.types import LONG, Schema
-from repro.utils.timing import PhaseTimer, Stopwatch
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.elapsed
-        with sw:
-            time.sleep(0.01)
-        assert sw.elapsed > first >= 0.01
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-        sw.stop()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-
-class TestPhaseTimer:
-    def test_phase_context_manager(self):
-        pt = PhaseTimer()
-        with pt.phase("build"):
-            time.sleep(0.005)
-        with pt.phase("build"):
-            pass
-        assert pt.phases["build"] >= 0.005
-        assert pt.total() == sum(pt.phases.values())
-
-    def test_add_and_merge(self):
-        a = PhaseTimer()
-        a.add("x", 1.0)
-        b = PhaseTimer()
-        b.add("x", 0.5)
-        b.add("y", 2.0)
-        a.merge(b)
-        assert a.phases == {"x": 1.5, "y": 2.0}
-
-    def test_phase_records_on_exception(self):
-        pt = PhaseTimer()
-        with pytest.raises(ValueError):
-            with pt.phase("broken"):
-                raise ValueError
-        assert "broken" in pt.phases
 
 
 class TestConfig:
