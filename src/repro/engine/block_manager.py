@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.memory_manager import MemoryPressureError
@@ -200,18 +201,33 @@ class CacheManager:
 
     def __init__(self, context: "EngineContext") -> None:
         self._context = context
-        # Per-block locks so concurrent tasks don't compute a partition twice.
-        self._compute_locks: dict[BlockId, threading.Lock] = {}
+        # Per-block locks so concurrent tasks don't compute a partition
+        # twice: ``[lock, tasks holding or waiting for it]``, dropped by the
+        # last of those tasks, so only blocks in use keep one.
+        self._compute_locks: dict[BlockId, list] = {}
         self._guard = threading.Lock()
 
-    def _lock_for(self, block_id: BlockId) -> threading.Lock:
+    @contextmanager
+    def _computing(self, block_id: BlockId) -> Iterator[None]:
+        """Hold ``block_id``'s compute lock."""
         with self._guard:
-            return self._compute_locks.setdefault(block_id, threading.Lock())
+            entry = self._compute_locks.get(block_id)
+            if entry is None:
+                entry = self._compute_locks[block_id] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._guard:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._compute_locks[block_id]
 
     def get_or_compute(self, rdd: "RDD", split: int, ctx: TaskContext) -> Iterator[Any]:
         block_id: BlockId = (rdd.rdd_id, split)
         ctxm = self._context
-        with self._lock_for(block_id):
+        with self._computing(block_id):
             # 1. Local hit.
             local = ctxm.executor_runtime(ctx.executor_id).block_manager
             value = local.get(block_id)

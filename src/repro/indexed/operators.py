@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -164,8 +164,8 @@ class IndexedRangeScanExec(PhysicalPlan):
 
     def _range_scan(self, part: Any, krange: Any) -> list[tuple]:
         """One partition's rows in ``krange``, the scan counted."""
-        rows, scanned = part.range_lookup(krange)
         registry = self.session.context.registry
+        rows, scanned = part.range_lookup(krange, registry)
         registry.inc("ordered_index_range_scans_total")
         registry.inc("ordered_index_rows_scanned_total", scanned)
         registry.inc("ordered_index_rows_matched_total", len(rows))
@@ -310,21 +310,23 @@ class IndexedJoinExec(PhysicalPlan):
         residual = self.residual
         how = self.how
         null_indexed = (None,) * len(idf.schema)
+        registry = session.context.registry
 
-        def probe_partition(parts: Iterator[Any], probe_rows: Iterator[tuple], ctx: Any) -> Iterator[tuple]:
+        def probe_partition(parts: Iterator, rows: Iterable, ctx: Any, keys: Any = None) -> Iterator[tuple]:
             part = next(iter(parts))
             with ctx.span("probe"):
-                # Group probe rows by key: each distinct key's matches are read
-                # exactly once, as field columns (match_columns).
-                by_key: dict[Any, list[tuple]] = {}
-                for row in probe_rows:
-                    by_key.setdefault(probe_key(row), []).append(row)
-                matched, counts = part.match_columns(list(by_key))
-                rows = [row for group in by_key.values() for row in group]
-                sizes = np.fromiter(map(len, by_key.values()), np.intp, len(by_key))
+                # Each distinct key's matches are read exactly once, as field
+                # columns (match_columns); probe row i takes its key's.
+                rows = list(rows)
+                places: dict[Any, int] = {}
+                inverse = np.fromiter(
+                    (places.setdefault(key, len(places)) for key in (map(probe_key, rows) if keys is None else keys)),
+                    np.intp, len(rows),
+                )
+                matched, counts = part.match_columns(list(places), registry)
                 # Probe row i pairs with its key's matches first[i], first[i] + 1, ...
-                per_row = np.repeat(counts, sizes)
-                first = np.repeat(np.cumsum(counts) - counts, sizes)
+                per_row = counts[inverse]
+                first = (np.cumsum(counts) - counts)[inverse]
                 probe_at = np.repeat(np.arange(len(rows)), per_row)
                 match_at = np.repeat(first - np.cumsum(per_row) + per_row, per_row)
                 match_at += np.arange(len(match_at))
@@ -349,20 +351,23 @@ class IndexedJoinExec(PhysicalPlan):
         if probe_bytes <= context.config.broadcast_threshold:
             # Broadcast fallback: ship all probe rows to every index partition,
             # pre-bucketed by the index partitioner so each partition only
-            # probes keys it can own.
+            # probes keys it can own. Each row's key is evaluated once, here,
+            # and shipped with it.
             t0 = time.perf_counter()
             rows = probe_rdd.collect()
             context.registry.inc(
                 "join_phase_seconds_total", time.perf_counter() - t0, phase="collect_probe"
             )
-            buckets: dict[int, list[tuple]] = {}
-            splits = idf.partitioner.partition_array([probe_key(row) for row in rows])
-            for split, row in zip(splits.tolist(), rows):
-                buckets.setdefault(split, []).append(row)
+            keys = [probe_key(row) for row in rows]
+            splits = idf.partitioner.partition_array(keys)
+            order = np.argsort(splits, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(splits, minlength=idf.rdd.num_partitions)).tolist()
+            keys, by_split = [keys[i] for i in order], [rows[i] for i in order]
+            buckets = [(keys[lo:hi], by_split[lo:hi]) for lo, hi in zip([0, *ends], ends)]
             record_broadcast(context, rows)
 
             def probe_broadcast(split: int, parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
-                return probe_partition(parts, iter(buckets.get(split, ())), ctx)
+                return probe_partition(parts, buckets[split][1], ctx, buckets[split][0])
 
             # Lineage can't bound this RDD (the indexed parent is wide), but
             # a broadcast probe emits at most ~len(rows) matches per partition

@@ -178,6 +178,28 @@ class SealedBase(NamedTuple):
             pass  # None, a tuple, an int past the dtype: no stored key equals it
         return -1
 
+    def span(self, krange: KeyRange) -> "tuple[int, int]":
+        """``ordered[i:j]`` are the key values inside ``krange``: two
+        ``searchsorted`` bounds (a prefix walks forward from its seek —
+        prefix-sharing keys are contiguous)."""
+        if krange.is_empty():
+            return 0, 0
+        ordered = self.ordered
+        lo, hi = krange.lo, krange.hi
+        if ordered.dtype != object and not all(
+            isinstance(bound, (int, float)) for bound in (lo, hi) if bound is not None
+        ):  # numpy would compare them as text
+            raise TypeError(f"range {krange.describe()} does not compare with {ordered.dtype} keys")
+        i = j = 0 if lo is None else ordered.searchsorted(lo, "left" if krange.lo_inclusive else "right")
+        if krange.prefix is not None:
+            while j < len(ordered) and krange.matches(ordered[j]):
+                j += 1
+        elif hi is None:
+            j = len(ordered)
+        else:
+            j = ordered.searchsorted(hi, "right" if krange.hi_inclusive else "left")
+        return i, j
+
 
 class KeyOrderedBase(SealedBase):
     """The base a first build placed in key order seals: the rows of
@@ -331,27 +353,14 @@ class OrderedIndex:
     # -- ordered reads -----------------------------------------------------------------
 
     def range_keys(self, krange: KeyRange) -> list:
-        """Distinct key values inside ``krange``, ascending: the base between
-        two ``searchsorted`` bounds (a prefix walks forward from its seek —
-        prefix-sharing keys are contiguous) overlaid with the ``fresh`` keys."""
+        """Distinct key values inside ``krange``, ascending: the base's
+        :meth:`SealedBase.span` overlaid with the ``fresh`` keys."""
         if krange.is_empty():
             return []
         extra = [key for key in self._fresh_keys() if key is not None and krange.matches(key)]
-        ordered = self.base.ordered
-        lo, hi = krange.lo, krange.hi
-        if ordered.dtype != object and not all(
-            isinstance(bound, (int, float)) for bound in (lo, hi) if bound is not None
-        ):  # numpy would compare them as text
-            raise TypeError(f"range {krange.describe()} does not compare with {ordered.dtype} keys")
-        i = j = 0 if lo is None else ordered.searchsorted(lo, "left" if krange.lo_inclusive else "right")
-        if krange.prefix is not None:
-            while j < len(ordered) and krange.matches(ordered[j]):
-                j += 1
-        elif hi is None:
-            j = len(ordered)
-        else:
-            j = ordered.searchsorted(hi, "right" if krange.hi_inclusive else "left")
-        out = ordered[i:j].tolist()
+        base = self.base
+        i, j = base.span(krange)
+        out = base.ordered[i:j].tolist()
         if extra:
             out.extend(extra)
             out.sort()

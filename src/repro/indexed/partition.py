@@ -295,14 +295,19 @@ class IndexedPartition:
         ends = np.cumsum(counts).tolist()
         return {key: rows[end - n : end] for key, end, n in zip(keys, ends, counts.tolist())}
 
-    def match_columns(self, keys: list) -> "tuple[list[np.ndarray], np.ndarray]":
+    def match_columns(self, keys: list, registry: Any = None) -> "tuple[list[np.ndarray], np.ndarray]":
         """The rows of each of ``keys`` (distinct), newest first and key after
         key, as one array per schema field, and each key's row count.
 
-        A run (:meth:`_locate`) is gathered from structured views of the
-        batches (:meth:`RowCodec.gather`), no row decoded; every other key
-        walks its chain, and its rows are spliced in at its place."""
+        A run (:meth:`_locate`) is gathered from the batches
+        (:meth:`RowCodec.gather`), no row decoded; every other key walks its
+        chain, and its rows are spliced in at its place. ``registry`` counts
+        the read in ``indexed_key_reads_total{source}``: ``walk`` if any key
+        was walked, else ``run``."""
         lo, hi, walk = self._locate(keys)
+        if registry is not None:
+            source = "walk" if walk or not self.ordered.base.runs else "run"
+            registry.inc("indexed_key_reads_total", source=source)
         counts = hi - lo
         total = int(counts.sum())
         if total:
@@ -347,10 +352,26 @@ class IndexedPartition:
                     pos[[i for i, key in enumerate(keys) if key in walk]] = -1
                 hit = np.flatnonzero(pos >= 0)
                 at = pos[hit]
-                hi[hit] = self._record_numbers(base.heads[at])
-                lo[hit] = np.where(at > 0, self._record_numbers(base.heads[at - 1]), -1)
+                ends = self._record_numbers(base.heads[np.concatenate((at, at - 1))])
+                hi[hit] = ends[: len(at)]
+                lo[hit] = np.where(at > 0, ends[len(at) :], -1)
                 return lo, hi, walk
         return lo, hi, {key: head for key, head in self._heads(keys) if head != NULL_POINTER}
+
+    def _span(self, base: Any, i: int, j: int) -> list[tuple]:
+        """The rows of keys ``i .. j - 1`` of a key-ordered base, each key's newest first:
+        records ``r(heads[i - 1]) + 1 … r(heads[j - 1])``, each run reversed."""
+        if i >= j:
+            return []
+        ends = self._record_numbers(base.heads[max(i - 1, 0) : j])
+        ends = ends if i else np.concatenate(([-1], ends))
+        first, last = int(ends[0]) + 1, int(ends[-1]) + 1
+        records = self.codec.gather(self.batches, range(first, last), self.batch_size)
+        if last - first > j - i:  # some key has older rows: reverse each run
+            # Each key's newest row's place in the span plus its first row's in the answer.
+            newest = ends[1:] + ends[:-1] - 2 * first + 1
+            records = records[np.repeat(newest, ends[1:] - ends[:-1]) - np.arange(last - first)]
+        return _rows([records[name] for name in records.dtype.names])
 
     def _record_numbers(self, pointers: np.ndarray) -> np.ndarray:
         """``batch × (batch_size // size) + offset // size`` of each packed
@@ -444,21 +465,31 @@ class IndexedPartition:
         """Per-batch byte counts visible to this version's sequential scans."""
         return self._watermarks
 
-    def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
+    def range_lookup(self, krange: KeyRange, registry: Any = None) -> tuple[list[tuple], int]:
         """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
 
-        Enumerate candidate keys from the index in sorted order; under a base
-        laid out in key order read them as :meth:`match_columns` does, under
-        any other fetch their heads in one batch and walk each chain as
-        :meth:`lookup` does — string hash collisions filtered the same way.
-        ``scanned`` counts decoded rows (chain lengths, including
-        collision-filtered ones), the number EXPLAIN ANALYZE compares against
-        a full scan's ``row_count``.
+        A key-ordered base under an unwritten delta reads one span
+        (:meth:`_span`). Otherwise enumerate candidate keys from the index in
+        sorted order; under a base laid out in key order read them as
+        :meth:`match_columns` does, under any other fetch their heads in one batch
+        and walk each chain as :meth:`lookup` does — string hash collisions
+        filtered the same way. ``scanned`` counts decoded rows (chain lengths,
+        including collision-filtered ones), the number EXPLAIN ANALYZE compares
+        against a full scan's ``row_count``; ``registry`` counts its source.
         """
-        keys = self.ordered.range_keys(krange)
-        if self.ordered.base.runs:
-            rows = _rows(self.match_columns(keys)[0])
+        ordered = self.ordered
+        # The base is read after the delta, as every reader does.
+        if not ordered.delta_writes and (base := ordered.base).runs:
+            rows = self._span(base, *base.span(krange))
+            if registry is not None:
+                registry.inc("indexed_key_reads_total", source="span")
             return rows, len(rows)
+        keys = ordered.range_keys(krange)
+        if ordered.base.runs:
+            rows = _rows(self.match_columns(keys, registry)[0])
+            return rows, len(rows)
+        if registry is not None:
+            registry.inc("indexed_key_reads_total", source="walk")
         key_ord = self.key_ordinal
         decode_chain = self.codec.decode_chain
         batches = self.batches

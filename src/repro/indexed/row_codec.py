@@ -316,21 +316,34 @@ class RowCodec:
                 at = at + stored.itemsize
         return ColumnBatch(self.schema.select(names), columns, len(starts), deferred)
 
-    def gather(self, batches: list, numbers: np.ndarray, batch_size: int) -> np.ndarray:
+    def gather(self, batches: list, numbers: "np.ndarray | range", batch_size: int) -> np.ndarray:
         """Records by number, as one structured array of the schema's fields
         (``f0``, ``f1``, …; no row decoded): record ``r`` is the ``r % n``-th
-        of batch ``r // n``, ``n = batch_size // record size``. One fancy
-        index into a structured view of each batch it touches; string-free
-        schemas only, whose records are all one size (DESIGN.md §15, Runs).
+        of batch ``r // n``, ``n = batch_size // record size``. Records are
+        copied whole, as opaque items: a slice a batch for one span of
+        numbers (a ``range``), else the numbers grouped by batch once and
+        one ``take`` a batch. String-free schemas only, whose records are all
+        one size (DESIGN.md §15, Runs).
         """
         dtype = self._values_dtype
-        per_batch = batch_size // dtype.itemsize
-        which, slot = np.divmod(numbers, per_batch)
-        out = np.empty(len(numbers), dtype)
-        for b in np.unique(which).tolist():
-            at = which == b
-            out[at] = np.frombuffer(batches[b].buf, dtype, count=per_batch)[slot[at]]
-        return out
+        size = dtype.itemsize
+        n = batch_size // size
+        record = np.dtype((np.void, size))
+        out = np.empty(len(numbers), record)
+        if isinstance(numbers, range):
+            first, stop = numbers.start, numbers.stop
+            for b in range(first // n, -(-stop // n)):
+                lo, hi = max(first, b * n), min(stop, (b + 1) * n)
+                out[lo - first : hi - first] = np.frombuffer(batches[b].buf, record, hi - lo, lo % n * size)
+        else:
+            which, slot = np.divmod(numbers, n)
+            order = np.argsort(which, kind="stable")
+            ends = np.cumsum(np.bincount(which)).tolist()
+            for b, (lo, hi) in enumerate(zip([0, *ends], ends)):
+                if lo < hi:
+                    at = order[lo:hi]
+                    out[at] = np.frombuffer(batches[b].buf, record, n).take(slot[at])
+        return out.view(dtype)
 
     def record_size(self, buf: "bytes | bytearray | memoryview", offset: int) -> int:
         return ROW_HEADER_SIZE + HEADER_ROW_LEN.unpack_from(buf, offset + 8)[0]

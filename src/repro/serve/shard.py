@@ -232,7 +232,7 @@ class ShardServer:
         """
 
         def read(part: Any) -> Iterable[tuple]:
-            rows, _scanned = part.range_lookup(krange)
+            rows, _scanned = part.range_lookup(krange, self.registry)
             return rows if residual is None else filter(residual.eval, rows)
 
         return self._read_splits(view, splits, read, "range")

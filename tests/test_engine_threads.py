@@ -10,7 +10,9 @@ executor ``kill()`` in the middle of a running stage converges.
 from __future__ import annotations
 
 import ast
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
+from repro.engine.partition import TaskContext
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import TaskFailure
 from repro.sql.session import Session
@@ -317,3 +320,83 @@ class TestSmallJobInline:
         rdd.collect()
         by_path = ctx.registry.counter_by_label("tasks_dispatched_total", "path")
         assert by_path.get("inline", 0) == 4  # hinted below the row threshold
+
+
+class TestComputeLocks:
+    """``CacheManager`` keeps a block's compute lock only while a task holds
+    or waits for it: it neither grows with every block ever cached nor lets
+    two tasks compute one block at once."""
+
+    @pytest.mark.parametrize("mode", ["sequential", "threads"])
+    def test_locks_return_to_their_starting_count(self, mode):
+        ctx = make_context(mode, default_parallelism=2)
+        locks = ctx.cache_manager._compute_locks
+        start = len(locks)
+        for i in range(200):
+            rdd = ctx.parallelize([i, i + 1, i + 2], 2).map(lambda x: x * 2).persist()
+            assert rdd.collect() == [2 * i, 2 * i + 2, 2 * i + 4]
+            assert rdd.collect() == [2 * i, 2 * i + 2, 2 * i + 4]  # a cache hit
+            rdd.unpersist()
+        assert len(locks) == start
+
+    def test_one_block_is_computed_once_by_concurrent_tasks(self):
+        ctx = make_context("sequential", default_parallelism=1)
+        locks = ctx.cache_manager._compute_locks
+        computing, release, computed = threading.Event(), threading.Event(), []
+
+        def slow(it):
+            computed.append(1)
+            computing.set()
+            release.wait(5)
+            return it
+
+        rdd = ctx.parallelize([1, 2, 3], 1).map_partitions(slow).persist()
+        task = TaskContext(stage_id=0, partition_index=0, attempt=0,
+                           executor_id=ctx.alive_executor_ids()[0])
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(list(rdd.iterator(0, task))))
+                   for _ in range(2)]
+        threads[0].start()
+        assert computing.wait(5)
+        threads[1].start()
+        deadline = time.monotonic() + 5
+        while locks[rdd.rdd_id, 0][1] < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)  # the second task waits on the held lock, which stays
+        assert locks[rdd.rdd_id, 0][1] == 2
+        release.set()
+        for thread in threads:
+            thread.join(5)
+        assert results == [[1, 2, 3], [1, 2, 3]]
+        assert len(computed) == 1
+        assert locks == {}
+
+    def test_lock_counts_survive_a_thread_storm(self):
+        """Eight threads, four blocks, thread switches every microsecond: each
+        block is computed once and every count returns to zero."""
+        ctx = make_context("sequential", default_parallelism=4)
+        computed = []
+        rdd = ctx.parallelize(list(range(40)), 4).map_partitions(
+            lambda it: computed.append(1) or it
+        ).persist()
+        executor = ctx.alive_executor_ids()[0]
+        counts = []
+
+        def read(split):
+            task = TaskContext(stage_id=0, partition_index=split, attempt=0, executor_id=executor)
+            for _ in range(50):
+                counts.append(len(list(rdd.iterator(split, task))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i % 4,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counts == [10] * 400
+        assert len(computed) == 4
+        assert ctx.cache_manager._compute_locks == {}
