@@ -97,7 +97,7 @@ class IndexedDataFrame:
     def get_rows(self, key: Any) -> DataFrame:
         """All rows with ``key``, as a (small) regular DataFrame.
 
-        The lookup job runs only on the partition owning the key (hash
+        The lookup reads only the partition owning the key (hash
         partitioning pins it), then searches the cTrie and walks the
         backward-pointer chain — worst-case logarithmic, Section II.
         """
@@ -106,14 +106,12 @@ class IndexedDataFrame:
         )
 
     def lookup_tuples(self, key: Any) -> list[tuple]:
-        """Raw-tuple variant of :meth:`get_rows`."""
-        split = self.rdd.partition_for_key(key)
-        results = self.session.context.run_job(
-            self.rdd,
-            lambda it, _ctx: next(iter(it)).lookup(key),
-            partitions=[split],
-        )
-        return results[0]
+        """Raw-tuple variant of :meth:`get_rows`: the planner's point lookup,
+        read as a call when the partition is resident and as a one-partition
+        job otherwise (``Session.execute``, DESIGN.md §13)."""
+        from repro.indexed.operators import IndexedLookupExec
+
+        return self.session.execute(IndexedLookupExec(self.session, self, [key]))
 
     def materialize_partitions(self) -> list[Any]:
         """Compute (or fetch from cache) every partition and return the
@@ -169,7 +167,7 @@ class IndexedDataFrame:
     def create_or_replace_temp_view(self, name: str) -> "IndexedDataFrame":
         from repro.indexed.rules import IndexedRelation
 
-        self.session.catalog.register(name, IndexedRelation(self))
+        self.session.catalog.register(name, IndexedRelation(self, name.lower()))
         return self
 
     # -- stats / introspection ----------------------------------------------------------------

@@ -5,7 +5,11 @@
   unviewable partitions, the row-only configuration) the row-wise decode
   that loses to the columnar baseline on projections — Fig. 8.
 * :class:`IndexedLookupExec` — point lookup(s) scheduled *only* on the
-  owning partition(s).
+  owning partition(s); :class:`IndexedRangeScanExec` — a key range sought
+  in every partition's ordered index. Both, and a scan a serve router
+  reads, also answer as a call (:meth:`IndexedLeafExec.direct_rows`) over
+  a partition source: :class:`ResidentPartitions` for the session, a
+  router's shards for the serve tier (DESIGN.md §13, §14).
 * :class:`IndexedJoinExec` — the indexed join: the index is always the
   build side ("it is actually pre-built"); the probe side is shuffled to
   the index's partitions, or broadcast when small (Section III-C).
@@ -13,8 +17,9 @@
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.joins import make_key_func, record_broadcast
 from repro.sql.physical import NotResident, PhysicalPlan, estimate_row_bytes
+from repro.sql.prepared import bind_expression
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +45,73 @@ INDEXED_ROW_ESTIMATE = 1_000_000
 INDEXED_RANGE_ESTIMATE = 10_000
 
 
-class IndexedScanExec(PhysicalPlan):
+class ResidentPartitions:
+    """The session's partition source for a direct read (DESIGN.md §13): the
+    blocks of ``rdd`` resident on a live executor at its version, read with
+    the accounting of a task's cache hit, each partition under an operator
+    span. A partition that is not resident raises :class:`NotResident`, and
+    the session runs the job instead."""
+
+    def __init__(self, rdd: Any) -> None:
+        self.rdd = rdd
+        self.partitioner = rdd.partitioner
+
+    def read(
+        self, work: "list[tuple[int, Any]]", read: Callable[[Any, Any], list[tuple]], name: str
+    ) -> Iterator[list[tuple]]:
+        """``read(part, arg)`` of the partition of each ``(split, arg)`` of
+        ``work`` in turn — the row lists the job's tasks return, in the
+        job's order, a partition read only when its rows are asked for (a
+        job under LIMIT stops there too). Counts the lineage reference a
+        job would."""
+        rdd = self.rdd
+        context = rdd.context
+        context._note_lineage_refs(rdd)
+        for split, arg in work:
+            part = rdd.resident_partition(split)
+            if part is None:
+                raise NotResident(f"partition {split} of rdd {rdd.rdd_id}")
+            with context.tracer.start_span(name, kind="operator"):
+                rows = read(part, arg)
+            yield rows
+
+
+class IndexedLeafExec(PhysicalPlan):
+    """A leaf reading one indexed table: a job over its RDD, or a direct
+    read through a partition source (:meth:`direct_rows`). ``view`` is the
+    catalog name it was planned from (None off the catalog): a serve router
+    reads its own pin of that view, whatever version the catalog holds.
+    ``kind`` is the path a served read of it reports."""
+
+    kind = ""
+    #: The operator span a direct read opens per partition.
+    operator = ""
+
+    def __init__(
+        self, session: "Session", idf: "IndexedDataFrame", schema: Schema, view: "str | None"
+    ) -> None:
+        super().__init__(session, schema)
+        self.idf = idf
+        self.view = view
+
+    def direct_rows(self, source: Any = None) -> "Iterator[tuple] | None":
+        if source is None:
+            source = ResidentPartitions(self.idf.rdd)
+        work = self._work(source.partitioner)
+        return itertools.chain.from_iterable(source.read(work, self._read, self.operator))
+
+    def bind(self, values: "Sequence[Any]") -> "PhysicalPlan | None":
+        return self  # a lookup's keys and a range's bounds are values already
+
+    def _work(self, partitioner: Any) -> "list[tuple[int, Any]]":
+        """``(split, arg)`` per partition to read, in the job's order."""
+        raise NotImplementedError
+
+    def _read(self, part: Any, arg: Any) -> list[tuple]:
+        raise NotImplementedError
+
+
+class IndexedScanExec(IndexedLeafExec):
     """Full scan of the indexed data, with filter and projection fused in.
 
     ``condition`` / ``required`` come from the rules' fusion of
@@ -52,8 +124,12 @@ class IndexedScanExec(PhysicalPlan):
     version, a NULL) and ``Config.indexed_column_kernels=False`` take the
     row path instead: decode every row, filter and project row by row —
     the paper's row-wise behaviour, same answer. A bare ``SELECT *`` scan
-    always decodes rows (``decode_all``).
+    always decodes rows (``decode_all``). A session's scan is a job; only a
+    serve router, passing its shards as the source, reads one directly.
     """
+
+    kind = "scan"
+    operator = "indexed_scan"
 
     def __init__(
         self,
@@ -61,9 +137,9 @@ class IndexedScanExec(PhysicalPlan):
         idf: "IndexedDataFrame",
         required: "list[str] | None" = None,
         condition: "Expression | None" = None,
+        view: "str | None" = None,
     ) -> None:
-        super().__init__(session, idf.schema.select(required) if required else idf.schema)
-        self.idf = idf
+        super().__init__(session, idf, idf.schema.select(required) if required else idf.schema, view)
         self.required = required or None
         self.condition = (
             resolve_expression(condition, idf.schema) if condition is not None else None
@@ -92,24 +168,25 @@ class IndexedScanExec(PhysicalPlan):
             return None
         return [batch.scan(condition, columns) for batch in batches]
 
-    def do_execute(self) -> RDD:
+    def _read(self, part: Any, arg: Any = None) -> list[tuple]:
+        """One partition's output rows."""
         # Bare SELECT * has nothing to fuse: every field of every row is
         # wanted, which is what the row decode kernel produces.
         kernels = self.session.context.config.indexed_column_kernels and (
             self.condition is not None or self.required is not None
         )
-        columns = self.schema.names()
+        batches = self._scan_batches(part, self.schema.names()) if kernels else None
+        if batches is None:
+            return self._scan_rows(part)
+        rows: list[tuple] = []
+        for batch in batches:
+            rows.extend(batch.to_rows())
+        return rows
 
+    def do_execute(self) -> RDD:
         def scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
-            part = next(iter(parts))
             with ctx.span("indexed_scan"):
-                batches = self._scan_batches(part, columns) if kernels else None
-                if batches is None:
-                    rows = self._scan_rows(part)
-                else:
-                    rows = []
-                    for batch in batches:
-                        rows.extend(batch.to_rows())
+                rows = self._read(next(iter(parts)))
             return iter(rows)
 
         return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
@@ -131,6 +208,18 @@ class IndexedScanExec(PhysicalPlan):
 
         return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
 
+    def direct_rows(self, source: Any = None) -> "Iterator[tuple] | None":
+        return None if source is None else super().direct_rows(source)
+
+    def _work(self, partitioner: Any) -> "list[tuple[int, Any]]":
+        return [(split, None) for split in range(partitioner.num_partitions)]
+
+    def bind(self, values: "Sequence[Any]") -> "IndexedScanExec":
+        if self.condition is None:
+            return self
+        condition = bind_expression(self.condition, values)
+        return IndexedScanExec(self.session, self.idf, self.required, condition, self.view)
+
     def estimated_rows(self) -> int:
         # Count is cheap (partition metadata), but avoid jobs during planning.
         if self.condition is not None:
@@ -146,7 +235,7 @@ class IndexedScanExec(PhysicalPlan):
         return f"IndexedScan({', '.join(parts)})"
 
 
-class IndexedRangeScanExec(PhysicalPlan):
+class IndexedRangeScanExec(IndexedLeafExec):
     """Range/prefix scan over the ordered secondary index (DESIGN.md §15).
 
     Keys are hash-partitioned, so a key range spans *all* partitions — the
@@ -157,12 +246,16 @@ class IndexedRangeScanExec(PhysicalPlan):
     registry, the numbers the EXPLAIN ANALYZE selectivity story is built on.
     """
 
-    def __init__(self, session: "Session", idf: "IndexedDataFrame", krange: Any) -> None:
-        super().__init__(session, idf.schema)
-        self.idf = idf
+    kind = "range"
+    operator = "range_scan"
+
+    def __init__(
+        self, session: "Session", idf: "IndexedDataFrame", krange: Any, view: "str | None" = None
+    ) -> None:
+        super().__init__(session, idf, idf.schema, view)
         self.krange = krange
 
-    def _range_scan(self, part: Any, krange: Any) -> list[tuple]:
+    def _read(self, part: Any, krange: Any) -> list[tuple]:
         """One partition's rows in ``krange``, the scan counted."""
         registry = self.session.context.registry
         rows, scanned = part.range_lookup(krange, registry)
@@ -177,15 +270,13 @@ class IndexedRangeScanExec(PhysicalPlan):
         def range_scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
             part = next(iter(parts))
             with ctx.span("range_scan"):
-                rows = self._range_scan(part, self.krange)
+                rows = self._read(part, self.krange)
             return iter(rows)
 
         return self.idf.rdd.map_partitions_with_context(range_scan, preserves_partitioning=True)
 
-    def direct_rows(self) -> Iterator[tuple]:
-        splits = range(self.idf.rdd.num_partitions)
-        work = [(split, self.krange) for split in splits]
-        return _read_resident(self.idf.rdd, work, self._range_scan, "range_scan")
+    def _work(self, partitioner: Any) -> "list[tuple[int, Any]]":
+        return [(split, self.krange) for split in range(partitioner.num_partitions)]
 
     def estimated_rows(self) -> int:
         return INDEXED_RANGE_ESTIMATE
@@ -194,70 +285,49 @@ class IndexedRangeScanExec(PhysicalPlan):
         return f"IndexedRangeScan({self.idf.name}, {self.krange.describe()})"
 
 
-class IndexedLookupExec(PhysicalPlan):
+class IndexedLookupExec(IndexedLeafExec):
     """Point lookup(s): prune to owning partitions, search cTrie, walk chain."""
 
-    def __init__(self, session: "Session", idf: "IndexedDataFrame", keys: list[Any]) -> None:
-        super().__init__(session, idf.schema)
-        self.idf = idf
+    kind = "point"
+    operator = "lookup"
+
+    def __init__(
+        self, session: "Session", idf: "IndexedDataFrame", keys: list[Any], view: "str | None" = None
+    ) -> None:
+        super().__init__(session, idf, idf.schema, view)
         self.keys = keys
 
-    def _by_split(self) -> dict[int, list[Any]]:
-        """The keys, in plan order, under the partition owning each."""
+    def _work(self, partitioner: Any) -> "list[tuple[int, Any]]":
+        """The keys, in plan order, under the partition owning each; splits
+        ascending."""
         by_split: dict[int, list[Any]] = {}
         for key in self.keys:
-            by_split.setdefault(self.idf.rdd.partition_for_key(key), []).append(key)
-        return by_split
+            by_split.setdefault(partitioner.partition(key), []).append(key)
+        return sorted(by_split.items())
 
-    @staticmethod
-    def _lookup(part: Any, keys: list[Any]) -> list[tuple]:
+    def _read(self, part: Any, keys: list[Any]) -> list[tuple]:
         rows: list[tuple] = []
         for key in keys:
             rows.extend(part.lookup(key))
         return rows
 
     def do_execute(self) -> RDD:
-        by_split = self._by_split()
-        splits = sorted(by_split)
+        work = self._work(self.idf.partitioner)
+        splits = [split for split, _ in work]
 
         def lookup(parts: Iterator[Any], split: int, ctx: Any) -> Iterator[tuple]:
-            keys = by_split[splits[split]]
+            keys = work[split][1]
             with ctx.span("lookup", keys=len(keys)):
-                rows = self._lookup(next(iter(parts)), keys)
+                rows = self._read(next(iter(parts)), keys)
             return iter(rows)
 
         return MapPartitionsRDD(PrunedRDD(self.idf.rdd, splits), lookup)
-
-    def direct_rows(self) -> Iterator[tuple]:
-        work = sorted(self._by_split().items())
-        return _read_resident(self.idf.rdd, work, self._lookup, "lookup", keys=len(self.keys))
 
     def estimated_rows(self) -> int:
         return len(self.keys)
 
     def __repr__(self) -> str:
         return f"IndexedLookup({self.idf.name}, keys={self.keys!r})"
-
-
-def _read_resident(
-    rdd: Any, work: "list[tuple[int, Any]]", read: Callable[[Any, Any], list[tuple]], name: str,
-    **attrs: Any,
-) -> Iterator[tuple]:
-    """A key-bound leaf's direct read (DESIGN.md §13): ``read(part, arg)``
-    of the resident partition of each ``(split, arg)`` of ``work`` in turn,
-    each under a ``name`` operator span — the rows its job's tasks return,
-    in the job's order, a partition read only when its rows are asked for
-    (a job under LIMIT stops there too). Counts the lineage reference a job
-    would."""
-    context = rdd.context
-    context._note_lineage_refs(rdd)
-    for split, arg in work:
-        part = rdd.resident_partition(split)
-        if part is None:
-            raise NotResident(f"partition {split} of rdd {rdd.rdd_id}")
-        with context.tracer.start_span(name, kind="operator", **attrs):
-            rows = read(part, arg)
-        yield from rows
 
 
 class _IndexedJoinRDD(ZippedPartitionsRDD):

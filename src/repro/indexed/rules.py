@@ -8,6 +8,7 @@ This module is the Section III-B machinery:
 * :func:`indexed_strategy` — a planner strategy that pattern-matches
 
   - ``Filter(key = literal, IndexedRelation)`` (also ``IN``)  -> IndexedLookupExec,
+  - ``Filter(key BETWEEN / < / LIKE 'x%', IndexedRelation)``   -> IndexedRangeScanExec,
   - ``Join(..., IndexedRelation on its index key, ...)``      -> IndexedJoinExec
     with the indexed relation as the pre-built build side,
   - ``Project?(Filter?(IndexedRelation))`` the above did not
@@ -17,7 +18,9 @@ This module is the Section III-B machinery:
   and returns ``None`` otherwise so planning falls through to the default
   operators ("for queries on non-indexed dataframes we fall back to the
   default Spark behavior" — and likewise for non-index-friendly queries on
-  indexed data, which run over the full indexed scan);
+  indexed data, which run over the full indexed scan). A ``?`` of a
+  prepared statement claims what a literal would, so a statement's
+  template is planned once and bound per execution (:func:`bound_claim`);
 * ``DataFrame.create_index`` — added to the DataFrame class at import time,
   the Python analogue of the paper's Scala implicit conversions;
 * :func:`enable_indexing` — installs the strategy on a session (idempotent);
@@ -26,11 +29,13 @@ This module is the Section III-B machinery:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.indexed.operators import (
+    INDEXED_RANGE_ESTIMATE,
     INDEXED_ROW_ESTIMATE,
     IndexedJoinExec,
+    IndexedLeafExec,
     IndexedLookupExec,
     IndexedRangeScanExec,
     IndexedScanExec,
@@ -52,6 +57,7 @@ from repro.sql.expressions import (
 from repro.sql.logical import Filter, Join, LogicalPlan, Relation
 from repro.sql.physical import FilterExec, PhysicalPlan
 from repro.sql.planner import Planner, match_scan_fusion
+from repro.sql.prepared import bind_expression
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
@@ -59,11 +65,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class IndexedRelation(Relation):
-    """Logical leaf for an IndexedDataFrame."""
+    """Logical leaf for an IndexedDataFrame; ``view`` is the catalog name it
+    is registered under (None for ``idf.to_df()``)."""
 
-    def __init__(self, idf: "IndexedDataFrame") -> None:
+    def __init__(self, idf: "IndexedDataFrame", view: "str | None" = None) -> None:
         super().__init__(idf.name, idf.schema, rows=None, cached=None)
         self.idf = idf
+        self.view = view
 
     def estimated_row_count(self) -> int:
         # Indexed relations are the big side by design (the paper always
@@ -76,10 +84,11 @@ class IndexedRelation(Relation):
 
 
 #: What may stand opposite the key in a claimed conjunct: a literal, or a
-#: ``?`` of a prepared statement. The serve tier classifies a statement once,
-#: before any value is bound (:func:`index_claim`), and the classification
-#: has to be the plan its bound form gets — so the shapes are defined here,
-#: once, for both. Values are only ever *extracted* from bound conditions.
+#: ``?`` of a prepared statement. A statement's template is planned once,
+#: before any value is bound, and the leaf it gets has to be the one its
+#: bound form would get — so a ``?`` claims what a literal does. Keys and
+#: ranges are only ever *extracted* from bound conditions, at bind
+#: (:func:`bound_claim`).
 _BINDABLE = (Literal, Parameter)
 
 #: a comparison's mirror image: ``lit OP key`` == ``key FLIP[OP] lit``.
@@ -228,24 +237,87 @@ def extract_key_range(
     return krange, combine_conjuncts(residual)
 
 
+def _has_parameter(expr: Expression) -> bool:
+    return isinstance(expr, Parameter) or any(_has_parameter(c) for c in expr.children())
+
+
+class _KeyTemplateExec(IndexedLeafExec):
+    """The index leaf of a prepared statement's template: conjuncts that pin
+    (``kind="point"``) or bound (``"range"``) the key, holding a ``?``. It
+    never runs; :meth:`bind` builds the leaf the bound conjuncts claim."""
+
+    def __init__(
+        self, session: "Session", idf: "IndexedDataFrame", view: "str | None", kind: str,
+        claimed: Expression,
+    ) -> None:
+        super().__init__(session, idf, idf.schema, view)
+        self.kind = kind
+        self.claimed = claimed
+
+    def bind(self, values: "Sequence[Any]") -> PhysicalPlan | None:
+        claimed = bind_expression(self.claimed, values)
+        return bound_claim(self.session, self.idf, self.view, self.kind, claimed)
+
+    def do_execute(self) -> Any:
+        raise RuntimeError(f"{self!r} has unbound parameters (bind before executing)")
+
+    def direct_rows(self, source: Any = None) -> Any:
+        raise RuntimeError(f"{self!r} has unbound parameters (bind before executing)")
+
+    def estimated_rows(self) -> int:
+        return 1 if self.kind == "point" else INDEXED_RANGE_ESTIMATE
+
+    def __repr__(self) -> str:
+        name = "IndexedLookup" if self.kind == "point" else "IndexedRangeScan"
+        return f"{name}({self.idf.name}, {self.claimed!r})"
+
+
+def bound_claim(
+    session: "Session", idf: "IndexedDataFrame", view: "str | None", kind: str,
+    claimed: Expression,
+) -> PhysicalPlan | None:
+    """The leaf for bound claimed conjuncts: it reads the keys or range
+    :func:`extract_lookup_keys` / :func:`extract_key_range` extract, under a
+    filter of whatever bound the range could not absorb. None when binding
+    left no bound (every bound NULL): the statement plans its bound logical
+    plan instead."""
+    if kind == "point":
+        keys, _ = extract_lookup_keys(claimed, idf.key_column)
+        return IndexedLookupExec(session, idf, keys, view)
+    krange, leftover = extract_key_range(claimed, idf.key_column)
+    if krange is None:
+        return None
+    leaf = IndexedRangeScanExec(session, idf, krange, view)
+    if leftover is None:
+        return leaf
+    return FilterExec(session, resolve_expression(leftover, idf.schema), leaf)
+
+
 def _plan_by_index(
-    session: "Session", idf: "IndexedDataFrame", condition: Expression
+    session: "Session", relation: IndexedRelation, condition: Expression
 ) -> PhysicalPlan | None:
     """The lookup or range operator (under a residual filter, if any) for a
-    predicate that constrains the index key; None when it does not."""
-    keys, residual = extract_lookup_keys(condition, idf.key_column)
-    if keys is not None:
-        claimed: PhysicalPlan = IndexedLookupExec(session, idf, keys)
+    predicate that constrains the index key — by equality, else by a range
+    the ordered secondary index can seek (DESIGN.md §15); None when it does
+    not."""
+    key_column = relation.idf.key_column
+    kind = index_claim(condition, key_column)
+    if kind is None:
+        return None
+    claims = _pinned_to if kind == "point" else _bounded_by
+    claimed: list[Expression] = []
+    residual: list[Expression] = []
+    for conj in split_conjuncts(condition):
+        (claimed if claims(conj, key_column) is not None else residual).append(conj)
+    idf, claim = relation.idf, combine_conjuncts(claimed)
+    leaf: "PhysicalPlan | None"
+    if _has_parameter(claim):  # a statement's template: the leaf is built at bind
+        leaf = _KeyTemplateExec(session, idf, relation.view, kind, claim)
     else:
-        # No equality on the key: try a range/prefix scan over the ordered
-        # secondary index (DESIGN.md §15) before giving up to a full scan.
-        krange, residual = extract_key_range(condition, idf.key_column)
-        if krange is None:
-            return None
-        claimed = IndexedRangeScanExec(session, idf, krange)
-    if residual is not None:
-        return FilterExec(session, resolve_expression(residual, idf.schema), claimed)
-    return claimed
+        leaf = bound_claim(session, idf, relation.view, kind, claim)
+    if residual:
+        return FilterExec(session, resolve_expression(combine_conjuncts(residual), idf.schema), leaf)
+    return leaf
 
 
 def indexed_strategy(planner: Planner, plan: LogicalPlan) -> PhysicalPlan | None:
@@ -253,10 +325,10 @@ def indexed_strategy(planner: Planner, plan: LogicalPlan) -> PhysicalPlan | None
     session = planner.session
 
     if isinstance(plan, IndexedRelation):
-        return IndexedScanExec(session, plan.idf)
+        return IndexedScanExec(session, plan.idf, view=plan.view)
 
     if isinstance(plan, Filter) and isinstance(plan.child, IndexedRelation):
-        claimed = _plan_by_index(session, plan.child.idf, plan.condition)
+        claimed = _plan_by_index(session, plan.child, plan.condition)
         if claimed is not None:
             return claimed
 
@@ -267,8 +339,8 @@ def indexed_strategy(planner: Planner, plan: LogicalPlan) -> PhysicalPlan | None
     fused = match_scan_fusion(plan)
     if fused is not None and isinstance(fused[2], IndexedRelation):
         required, condition, relation = fused
-        if condition is None or _plan_by_index(session, relation.idf, condition) is None:
-            return IndexedScanExec(session, relation.idf, required, condition)
+        if condition is None or index_claim(condition, relation.idf.key_column) is None:
+            return IndexedScanExec(session, relation.idf, required, condition, relation.view)
 
     if isinstance(plan, Join) and len(plan.left_keys) == 1:
         lk, rk = plan.left_keys[0], plan.right_keys[0]

@@ -5,8 +5,11 @@ multi-tenant query *service*, with one read path behind two front ends:
 
 * :class:`~repro.serve.router.ShardRouter` — the read path: N
   :class:`~repro.serve.shard.ShardServer` instances each pinning only the
-  partitions they own (DESIGN.md §14); routes point lookups, fans out
-  ranges and scans on the caller's thread, and fails over on shard death;
+  partitions they own (DESIGN.md §14). A query is planned by the session
+  (a prepared statement planned once, bound per call); when its leaf reads
+  a served view — a point lookup, a range seek or a scan — the router runs
+  the plan's direct read over its shards on the caller's thread, and fails
+  over on shard death;
 * :class:`~repro.serve.server.QueryServer` — admission control in front of
   a one-shard router it owns: bounded worker pool, admission queue,
   per-query deadlines, and load shedding (retryable rejections when the
@@ -14,16 +17,10 @@ multi-tenant query *service*, with one read path behind two front ends:
 * :class:`~repro.serve.snapshot.PinnedSnapshot` — a pinned MVCC version of
   an Indexed DataFrame whose partitions are held in-process; what
   ``pinned(view)`` returns on either front end;
-* :mod:`~repro.serve.fastpath` — the one recogniser: compiles a point,
-  range or scan read of an indexed view — classified by the planner's own
-  rule (``repro.indexed.rules.index_claim``) — into a
-  :class:`~repro.serve.fastpath.ServeTemplate` answered from pinned
-  partitions;
 * :class:`~repro.serve.ingest.IngestLoop` — concurrent MVCC appends while
   readers keep serving from pinned versions, with atomic publish.
 """
 
-from repro.serve.fastpath import ServeTemplate, recognize
 from repro.serve.ingest import IngestLoop
 from repro.serve.router import QueryResult, RouterConfig, ShardRouter
 from repro.serve.server import QueryServer, ServeConfig
@@ -47,11 +44,9 @@ __all__ = [
     "RoutingTable",
     "ServeConfig",
     "ServeRejected",
-    "ServeTemplate",
     "ShardConfig",
     "ShardDown",
     "ShardRouter",
     "ShardServer",
     "SnapshotValidationError",
-    "recognize",
 ]

@@ -5,17 +5,17 @@ DESIGN.md §14. Every served read goes through a router — a
 router with one shard. The router owns the control plane the shards
 deliberately don't have:
 
-* **Routing.** A query is recognized (via the plan cache, by the one
-  recogniser in :mod:`repro.serve.fastpath`) as a *point* read (``=`` /
-  ``IN`` on the key), a *range* read (``BETWEEN`` / ``<`` / ``LIKE 'x%'``
-  on the key, served by each shard's ordered index), a *scan*, or none of
-  them. Point keys route ``key -> split`` through the engine's hash
-  partitioner and ``split -> shard`` through the
-  :class:`~repro.serve.shard.RoutingTable`, rotating over a split's live
-  replicas; ranges and scans fan out one live replica per split, calling
-  each assigned shard in turn on the caller's thread, and merge; everything
-  else — a view this router does not serve included — falls
-  back to the session's general pipeline.
+* **Routing.** A query is planned by the session — through the plan
+  cache, a prepared statement's plan planned once and bound per call — and
+  when the plan's leaf is an indexed read of a view this router serves (a
+  *point* lookup, a *range* seek of the ordered index, or a *scan*) under
+  filters, projections and a ``LIMIT``, the router runs that plan's direct
+  read with itself as the partition source: the leaf hashes keys through
+  the router's pin's partitioner, and each split it reads goes, through
+  the :class:`~repro.serve.shard.RoutingTable`, to one live replica,
+  rotating over them, on the caller's thread. No job, no ``job_lock``, no
+  block-store lookup. Everything else — a view this router does not serve
+  included — is answered by the session's pipeline (``path="general"``).
 * **Failover.** Shard health is a tiny state machine (ALIVE → SUSPECT →
   DEAD) driven by heartbeats and by :class:`~repro.serve.shard.ShardDown`
   observed on the data path. A dead shard's traffic moves to the next
@@ -43,9 +43,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from repro.serve.fastpath import ServeTemplate, prepare_query
+from repro.indexed.operators import IndexedLeafExec
 from repro.serve.shard import (
     PartitionNotOwned,
     RoutingTable,
@@ -55,6 +55,7 @@ from repro.serve.shard import (
     ShardServer,
 )
 from repro.serve.snapshot import PinnedSnapshot
+from repro.sql.physical import RowwiseExec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
@@ -353,84 +354,67 @@ class ShardRouter:
     # -- internals: dispatch ------------------------------------------------------------
 
     def _dispatch(self, text: str, params: "Sequence[Any] | None") -> QueryResult:
-        template, general = prepare_query(self.session, text, params)
-        pin = self._pinned.get(template.view) if template is not None else None
+        """Plan ``text`` through the session's plan cache (a prepared
+        statement's plan bound to ``params``) and read it from the shards
+        when its leaf is an indexed read of a view this router serves; the
+        session's pipeline answers anything else."""
+        session = self.session
+        if params is None:
+            logical = session.sql_logical(text)
+            physical = session.plan_physical(logical)
+        else:
+            physical = session.prepare(text).plan(params)
+        leaf = physical
+        while isinstance(leaf, RowwiseExec):
+            leaf = leaf.child
+        pin = self._pinned.get(leaf.view) if isinstance(leaf, IndexedLeafExec) else None
         if pin is None:
-            return QueryResult(general(), "general", None)
-        if template.kind == "point":
-            return self._run_point(template, pin, params)
-        return self._run_fanout(template, pin, params)
-
-    # -- internals: point path ----------------------------------------------------------
-
-    def _run_point(
-        self, template: ServeTemplate, pin: PinnedSnapshot, params: "Sequence[Any] | None"
-    ) -> QueryResult:
-        keys, residual = template.bind(params)
-        table = self._tables[template.view]
-        rows: list[tuple] = []
-        missing: list[int] = []
-        failovers = 0
-        for key in keys:
-            split = pin.partitioner.partition(key)
-            key_rows, key_failovers = self._lookup_key(template.view, table, key, split)
-            failovers += key_failovers
-            if key_rows is None:
-                missing.append(split)
-            else:
-                rows.extend(key_rows)
+            rows = session.execute(logical if params is None else physical)
+            return QueryResult(rows, "general", None)
+        source = _ShardPartitions(self, leaf.view, pin)
         return QueryResult(
-            template.finish(rows, residual),
-            "point",
+            list(physical.direct_rows(source)),
+            leaf.kind,
             pin.version,
-            degraded=bool(missing),
-            missing_partitions=sorted(set(missing)),
-            failovers=failovers,
+            degraded=bool(source.missing),
+            missing_partitions=sorted(set(source.missing)),
+            failovers=source.failovers,
         )
-
-    def _lookup_key(
-        self, view: str, table: RoutingTable, key: Any, split: int
-    ) -> "tuple[list[tuple] | None, int]":
-        """Route one key to a live replica of its split, failing over down
-        the list. Returns (rows | None-if-no-live-replica, failovers)."""
-        candidates = [s for s in table.replicas(split) if self._usable(s)]
-        # Rotate across replicas so a split's reads spread over all its copies.
-        if len(candidates) > 1:
-            start = next(self._rr) % len(candidates)
-            candidates = candidates[start:] + candidates[:start]
-        rows, failovers = self._call_replicas(view, key, split, candidates)
-        if rows is None:
-            # Candidates list may have been stale; one more look post-failover.
-            retry = [s for s in table.replicas(split) if self._usable(s)]
-            if retry:
-                rows, more = self._call_replicas(view, key, split, retry)
-                failovers += more
-        return rows, failovers
 
     def _usable(self, shard_id: int) -> bool:
         return self._health[shard_id] != DEAD and self.shards[shard_id].alive
 
-    def _call_replicas(
-        self, view: str, key: Any, split: int, candidates: list[int]
+    def _read_split(
+        self, view: str, split: int, fn: "Callable[[Any], list[tuple]]", op: str
     ) -> "tuple[list[tuple] | None, int]":
-        """Try replicas in order. Returns (rows | None when every candidate
-        is dead, failovers)."""
+        """``fn`` of ``split``'s partition on a live replica, rotating over
+        them so a split's reads spread over all its copies, failing over
+        down the list. Returns (rows | None when no replica is left,
+        failovers); a shed call surfaces only when no other replica took
+        the read."""
         failovers = 0
-        shed: "ServeRejected | None" = None
-        for shard_id in candidates:
-            if not self._usable(shard_id):
-                continue
-            try:
-                return self.shards[shard_id].lookup(view, key, split), failovers
-            except ShardDown as exc:
-                self._failed_over(exc, f"key={key!r}", "observed on lookup")
-                failovers += 1
-            except PartitionNotOwned:
-                failovers += 1
-            except ServeRejected as exc:
-                shed = exc
-        if shed is not None:
-            raise shed
+        for _ in range(2):  # the second look sees replicas a failover repaired
+            candidates = [s for s in self._tables[view].replicas(split) if self._usable(s)]
+            if len(candidates) > 1:
+                start = next(self._rr) % len(candidates)
+                candidates = candidates[start:] + candidates[:start]
+            shed: "ServeRejected | None" = None
+            for shard_id in candidates:
+                if not self._usable(shard_id):
+                    continue
+                try:
+                    return self.shards[shard_id].read(view, split, fn, op), failovers
+                except ShardDown as exc:
+                    self._failed_over(exc, f"{view}[{split}]", f"observed on {op}")
+                    failovers += 1
+                except PartitionNotOwned:
+                    failovers += 1
+                except ServeRejected as exc:
+                    shed = exc
+            if shed is not None:
+                raise shed
+            if not candidates:
+                break
         return None, failovers
 
     def _failed_over(self, exc: ShardDown, what: str, reason: str) -> None:
@@ -439,63 +423,6 @@ class ShardRouter:
         self.registry.inc("serve_shard_failovers_total")
         self.context.metrics.record_recovery(
             "shard_failover", detail=f"shard={exc.shard_id} {what}"
-        )
-
-    # -- internals: range / scan fan-out ------------------------------------------------
-
-    def _run_fanout(
-        self, template: ServeTemplate, pin: PinnedSnapshot, params: "Sequence[Any] | None"
-    ) -> QueryResult:
-        """Send a range or a scan to one live replica per split and merge.
-
-        Keys are hash-partitioned, so every split may hold members of a key
-        range — a range fans out exactly like a scan, and the two differ
-        only in the per-shard call (a range seeks each partition's ordered
-        index instead of decoding every row). Assigned shards are called in
-        turn on the caller's thread (DESIGN.md §14 records why there is no
-        pool). A split whose shard dies or disowns it mid-call is
-        re-assigned in the next round; one with no live replica left is
-        reported missing.
-        """
-        view, kind = template.view, template.kind
-        target, residual = template.bind(params)
-        table = self._tables[view]
-        remaining = list(range(table.num_partitions))
-        rows: list[tuple] = []
-        missing: list[int] = []
-        failovers = 0
-        rounds = 0
-        while remaining and rounds <= len(self.shards):
-            rounds += 1
-            live = set(self.live_shards())
-            assignment, no_replica = table.scan_assignment(remaining, live)
-            missing.extend(no_replica)
-            if not assignment:
-                break
-            remaining = []
-            for shard_id, splits in assignment.items():
-                shard = self.shards[shard_id]
-                try:
-                    if kind == "range":
-                        rows.extend(shard.range_scan(view, splits, target, residual))
-                    else:
-                        rows.extend(shard.scan(view, splits, residual))
-                except ShardDown as exc:
-                    self._failed_over(exc, kind, f"observed on {kind}")
-                    failovers += 1
-                    remaining.extend(splits)
-                except PartitionNotOwned:
-                    failovers += 1
-                    remaining.extend(splits)
-        missing.extend(remaining)
-        return QueryResult(
-            # The residual already ran shard-side; only project/limit remain.
-            template.finish(rows, None),
-            kind,
-            pin.version,
-            degraded=bool(missing),
-            missing_partitions=sorted(set(missing)),
-            failovers=failovers,
         )
 
     # -- integrity: replica quarantine ---------------------------------------------------
@@ -567,3 +494,31 @@ class ShardRouter:
             f"ShardRouter(shards={len(self.shards)}, live={self.live_shards()}, "
             f"views={self.views()})"
         )
+
+
+class _ShardPartitions:
+    """A router's partition source for a plan's direct read (DESIGN.md §14,
+    ``repro.indexed.operators``): the router's pin of one view, each split
+    read on a live replica of it. Splits with no live replica are skipped
+    and listed in ``missing`` — the answer is then partial and flagged,
+    never silently wrong."""
+
+    def __init__(self, router: ShardRouter, view: str, pin: PinnedSnapshot) -> None:
+        self.router = router
+        self.view = view
+        self.partitioner = pin.partitioner
+        self.missing: list[int] = []
+        self.failovers = 0
+
+    def read(
+        self, work: "list[tuple[int, Any]]", read: "Callable[[Any, Any], list[tuple]]", name: str
+    ) -> Iterator[list[tuple]]:
+        for split, arg in work:
+            rows, failovers = self.router._read_split(
+                self.view, split, lambda part, arg=arg: read(part, arg), name
+            )
+            self.failovers += failovers
+            if rows is None:
+                self.missing.append(split)
+            else:
+                yield rows

@@ -26,13 +26,14 @@ The server has no read path of its own. It owns a
 under the engine's hash partitioner a single server is a router with one
 shard — and ``publish`` / ``pinned`` / ``views`` delegate to it. A worker
 answers an admitted query with :meth:`~repro.serve.router.ShardRouter.answer`:
-a point (``path="fastpath"``), range or scan read of a published view is
-served on the worker thread from the pinned partitions, no job, no
-``job_lock``; everything else goes through the (plan-cached) session
-pipeline. Shard-kill chaos and the ``serve_router_*`` counters belong to
-:meth:`ShardRouter.query` and are not applied here; the one shard feeds the
-``serve_shard_*{shard="0"}`` series like any router's shard 0 on the
-context.
+the session plans it (plan-cached; a prepared statement planned once and
+bound), and a plan that reads a published view through a point lookup
+(``path="fastpath"``), a range seek or a scan is read on the worker thread
+from the pinned partitions, no job, no ``job_lock``; everything else runs
+through the session pipeline. Shard-kill chaos and the ``serve_router_*``
+counters belong to :meth:`ShardRouter.query` and are not applied here; the
+one shard feeds the ``serve_shard_*{shard="0"}`` series like any router's
+shard 0 on the context.
 """
 
 from __future__ import annotations

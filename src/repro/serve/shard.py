@@ -3,17 +3,13 @@
 One :class:`ShardServer` is the shard-local half of the serve tier
 (DESIGN.md §14): pinned partitions, admission control, retryable shedding
 and per-shard latency accounting, scoped to *only the partitions the shard
-owns* under the engine's hash partitioner. The SQL front end (recognition,
+owns* under the engine's hash partitioner. The SQL front end (planning,
 routing, merging, failover) lives in :class:`~repro.serve.router.ShardRouter`
 — a :class:`~repro.serve.server.QueryServer` reads through a one-shard
-router — and a shard exposes the data-plane verbs the router needs:
-
-* :meth:`lookup` — single-key point read against the cTrie of the split
-  the router already hashed the key to;
-* :meth:`scan` / :meth:`range_scan` — evaluate a predicate, or seek a key
-  range, over an explicit set of owned splits (the router assigns each
-  split to exactly one live replica per fan-out, so replication never
-  duplicates rows).
+router — and a shard exposes one data-plane verb, :meth:`ShardServer.read`:
+run a plan leaf's read of one partition against the pinned copy of a split
+the shard owns. The router reads each split from exactly one live replica,
+so replication never duplicates rows.
 
 Failure modes are explicit and typed, because the router's failover state
 machine keys off them:
@@ -30,7 +26,7 @@ machine keys off them:
 Capacity is modeled, not real: ``ShardConfig.service_time`` seconds of
 simulated work are paid under a per-shard service lock, so a shard behaves
 like a single-core server (~1/service_time qps). Nothing in the repo sets
-it above 0.0 any more; the field and its branch in :meth:`ShardServer._serve`
+it above 0.0 any more; the field and its branch in :meth:`ShardServer.read`
 stay because the repo benchmark passes the keyword (ROADMAP item 1(a)).
 """
 
@@ -39,11 +35,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import EngineContext
-    from repro.sql.expressions import Expression
 
 
 class ServeRejected(RuntimeError):
@@ -92,7 +87,7 @@ class ShardConfig:
 
     #: Concurrent calls a shard accepts before shedding (``shard_overloaded``).
     max_inflight: int = 32
-    #: Simulated seconds of service time per point lookup, paid under the
+    #: Simulated seconds of service time per point read, paid under the
     #: shard's service lock (0.0 = no modelled capacity; a positive value
     #: models a single-core shard).
     service_time: float = 0.0
@@ -194,48 +189,58 @@ class ShardServer:
             raise PartitionNotOwned(self.shard_id, view, -1)
         return snap
 
-    def lookup(self, view: str, key: Any, split: int) -> list[tuple]:
-        """Point read: all rows with ``key`` in the pinned partition of
-        ``split`` (the router hashed the key once; the shard does not)."""
-        return self._serve(view, lambda snap: self._part(snap, split).lookup(key))
-
-    def scan(
-        self,
-        view: str,
-        splits: Iterable[int],
-        predicate: "Expression | None" = None,
+    def read(
+        self, view: str, split: int, fn: "Callable[[Any], list[tuple]]", op: str = "lookup"
     ) -> list[tuple]:
-        """Predicate-matched rows of the given owned splits (router-assigned
-        so each split is read exactly once per scan across the tier)."""
-
-        def read(part: Any) -> Iterable[tuple]:
-            rows = part.scan_rows()
-            return rows if predicate is None else filter(predicate.eval, rows)
-
-        return self._read_splits(view, splits, read, "scan")
-
-    def range_scan(
-        self,
-        view: str,
-        splits: Iterable[int],
-        krange: Any,
-        residual: "Expression | None" = None,
-    ) -> list[tuple]:
-        """Rows of the given owned splits whose key falls in ``krange``.
-
-        Hash partitioning scatters a key range over *all* splits, so the
-        router fans a range out exactly like a scan (one live replica per
-        split); the win is shard-local — each partition seeks its ordered
-        index (DESIGN.md §15) instead of decoding every row. The residual
-        predicate is evaluated shard-side so only matching rows cross the
-        (simulated) wire.
-        """
-
-        def read(part: Any) -> Iterable[tuple]:
-            rows, _scanned = part.range_lookup(krange, self.registry)
-            return rows if residual is None else filter(residual.eval, rows)
-
-        return self._read_splits(view, splits, read, "range")
+        """``fn(partition)`` of this shard's pinned partition of ``split`` —
+        the one data-plane verb: the router's partition source calls it with
+        the plan leaf's read of one partition (a key lookup, a range seek, a
+        scan), under admission, injected delays and the death checks; ``op``
+        names that read in the shard's counters. A point read
+        (``op="lookup"``) pays ``ShardConfig.service_time``."""
+        if not self._alive:
+            raise ShardDown(self.shard_id)
+        delay = self.faults.on_shard_call(self.shard_id)
+        with self._lock:
+            if self._inflight >= self.config.max_inflight:
+                self.registry.inc("serve_shard_shed_total", shard=self.shard_id)
+                raise ServeRejected(
+                    "shard_overloaded",
+                    f"shard {self.shard_id} at {self._inflight} inflight",
+                )
+            self._inflight += 1
+            snap = self._snapshots.get(view)
+        t0 = time.perf_counter()
+        try:
+            if delay:
+                time.sleep(delay)
+            part = snap.parts.get(split) if snap is not None else None
+            if part is None:
+                raise PartitionNotOwned(self.shard_id, view, split)
+            service = self.config.service_time if op == "lookup" else 0.0
+            if service:
+                with self._service_lock:
+                    if not self._alive:  # died while queued for service
+                        raise ShardDown(self.shard_id, "died mid-service")
+                    time.sleep(service)
+                    rows = fn(part)
+            else:
+                rows = fn(part)
+            if not self._alive:
+                # Killed mid-call: the answer is from an immutable snapshot
+                # (so it could never be wrong), but a real crashed process
+                # never responds — model that.
+                raise ShardDown(self.shard_id, "died mid-call")
+            return rows
+        finally:
+            with self._lock:
+                self._inflight -= 1
+            self.registry.inc("serve_shard_requests_total", shard=self.shard_id, op=op)
+            self.registry.observe(
+                "serve_shard_latency_seconds",
+                time.perf_counter() - t0,
+                shard=self.shard_id,
+            )
 
     # -- health / lifecycle ----------------------------------------------------------
 
@@ -268,75 +273,6 @@ class ShardServer:
     def restore(self) -> None:
         """Restart the shard process (empty: the router must re-install)."""
         self._alive = True
-
-    # -- internals --------------------------------------------------------------------
-
-    def _part(self, snap: ShardSnapshot, split: int) -> Any:
-        part = snap.parts.get(split)
-        if part is None:
-            raise PartitionNotOwned(self.shard_id, snap.view, split)
-        return part
-
-    def _read_splits(
-        self,
-        view: str,
-        splits: Iterable[int],
-        read: "Callable[[Any], Iterable[tuple]]",
-        op: str,
-    ) -> list[tuple]:
-        """``read(partition)`` over each of the given owned splits, in order."""
-
-        def run(snap: ShardSnapshot) -> list[tuple]:
-            rows: list[tuple] = []
-            for split in splits:
-                rows.extend(read(self._part(snap, split)))
-            return rows
-
-        return self._serve(view, run, op=op)
-
-    def _serve(self, view: str, fn: Any, op: str = "lookup") -> list[tuple]:
-        if not self._alive:
-            raise ShardDown(self.shard_id)
-        delay = self.faults.on_shard_call(self.shard_id)
-        with self._lock:
-            if self._inflight >= self.config.max_inflight:
-                self.registry.inc("serve_shard_shed_total", shard=self.shard_id)
-                raise ServeRejected(
-                    "shard_overloaded",
-                    f"shard {self.shard_id} at {self._inflight} inflight",
-                )
-            self._inflight += 1
-            snap = self._snapshots.get(view)
-        t0 = time.perf_counter()
-        try:
-            if delay:
-                time.sleep(delay)
-            if snap is None:
-                raise PartitionNotOwned(self.shard_id, view, -1)
-            service = self.config.service_time if op == "lookup" else 0.0
-            if service:
-                with self._service_lock:
-                    if not self._alive:  # died while queued for service
-                        raise ShardDown(self.shard_id, "died mid-service")
-                    time.sleep(service)
-                    rows = fn(snap)
-            else:
-                rows = fn(snap)
-            if not self._alive:
-                # Killed mid-call: the answer is from an immutable snapshot
-                # (so it could never be wrong), but a real crashed process
-                # never responds — model that.
-                raise ShardDown(self.shard_id, "died mid-call")
-            return rows
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            self.registry.inc("serve_shard_requests_total", shard=self.shard_id, op=op)
-            self.registry.observe(
-                "serve_shard_latency_seconds",
-                time.perf_counter() - t0,
-                shard=self.shard_id,
-            )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -399,23 +335,6 @@ class RoutingTable:
                 return False
             self._owners[split] = [s for s in owners if s != shard_id]
             return True
-
-    def scan_assignment(
-        self, view_splits: Iterable[int], live: "set[int]"
-    ) -> tuple[dict[int, list[int]], list[int]]:
-        """Assign each split to exactly one *live* replica for a fan-out
-        scan, balancing split counts; returns (shard -> splits, splits with
-        no live replica — the degraded set)."""
-        assignment: dict[int, list[int]] = {}
-        missing: list[int] = []
-        for split in view_splits:
-            candidates = [s for s in self._owners[split] if s in live]
-            if not candidates:
-                missing.append(split)
-                continue
-            chosen = min(candidates, key=lambda s: len(assignment.get(s, ())))
-            assignment.setdefault(chosen, []).append(split)
-        return assignment, missing
 
     def as_dict(self) -> dict[int, list[int]]:
         """The routing table as plain data (docs, debugging, benchmarks)."""

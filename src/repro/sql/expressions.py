@@ -29,13 +29,9 @@ from repro.sql.types import (
     DOUBLE,
     LONG,
     STRING,
-    BooleanType,
     DataType,
     DoubleType,
-    IntegerType,
-    LongType,
     Schema,
-    StringType,
 )
 
 
@@ -146,10 +142,10 @@ def _to_expr(value: Any) -> Expression:
 class Parameter(Expression):
     """A bind parameter (``?``) in a prepared statement (DESIGN.md §11).
 
-    Parameters exist only inside an unbound statement *template*: binding
-    (:func:`repro.sql.prepared.bind_parameters`) substitutes a
-    :class:`Literal` for every Parameter before the plan reaches the
-    analyzer, so no downstream layer ever evaluates one.
+    Parameters exist only inside an unbound statement *template* and the
+    physical plan planned from it: binding (:mod:`repro.sql.prepared`)
+    substitutes a :class:`Literal` for every Parameter before anything is
+    executed, so no operator ever evaluates one.
     """
 
     def __init__(self, index: int) -> None:

@@ -19,13 +19,14 @@ indexed join) through planner strategies; they subclass
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.engine.rdd import RDD
 from repro.sql.cache import CachedRelation
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.logical import Relation
+from repro.sql.prepared import bind_expression
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,15 +84,23 @@ class PhysicalPlan:
     def do_execute_batches(self, columns: "list[str] | None") -> "RDD | None":
         return None
 
-    def direct_rows(self) -> "Iterator[tuple] | None":
-        """The rows :meth:`execute` collects, read lazily on the driver from
-        the resident partitions without a job — in the job's order, reading
-        no partition the job would not — or None when this plan always runs
-        as a job: true of all but the key-bound indexed leaves and the row
-        operators over one (DESIGN.md §13, Key-bound reads are calls).
-        Iterating raises :class:`NotResident` at a partition that is not
-        resident at its version; nothing is read before the first row is
-        asked for."""
+    def direct_rows(self, source: Any = None) -> "Iterator[tuple] | None":
+        """The rows :meth:`execute` collects, read lazily on the calling
+        thread without a job — in the job's order, reading no partition the
+        job would not — or None when this plan always runs as a job: true of
+        all but the indexed leaves and the row operators over one (DESIGN.md
+        §13, Key-bound reads are calls). ``source`` supplies the partitions
+        (``repro.indexed.operators``): by default the resident blocks of the
+        leaf's own RDD, where iterating raises :class:`NotResident` at a
+        partition that is not resident at its version; a serve router passes
+        its shards. Nothing is read before the first row is asked for."""
+        return None
+
+    def bind(self, values: "Sequence[Any]") -> "PhysicalPlan | None":
+        """This plan with every ``?`` of a prepared statement bound to
+        ``values``, or None when an operator of it cannot bind — the
+        statement then binds its logical plan and plans that (DESIGN.md
+        §11). Only the indexed leaves and the row operators over one bind."""
         return None
 
     def estimated_rows(self) -> int:
@@ -198,9 +207,17 @@ class RowwiseExec(PhysicalPlan):
     def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
         raise NotImplementedError
 
-    def direct_rows(self) -> "Iterator[tuple] | None":
-        rows = self.child.direct_rows()
+    def direct_rows(self, source: Any = None) -> "Iterator[tuple] | None":
+        rows = self.child.direct_rows(source)
         return None if rows is None else self.apply(rows)
+
+    def bind(self, values: "Sequence[Any]") -> "PhysicalPlan | None":
+        child = self.child.bind(values)
+        return None if child is None else self.with_child(child, values)
+
+    def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "RowwiseExec":
+        """A copy of this operator over ``child``, its expressions bound."""
+        raise NotImplementedError
 
 
 class FilterExec(RowwiseExec):
@@ -214,6 +231,9 @@ class FilterExec(RowwiseExec):
     def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
         keep = self.condition.eval
         return (row for row in rows if keep(row))
+
+    def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "FilterExec":
+        return FilterExec(self.session, bind_expression(self.condition, values), child)
 
     def do_execute(self) -> RDD:
         return self.child.execute().map_partitions(self.apply, preserves_partitioning=True)
@@ -237,6 +257,10 @@ class ProjectExec(RowwiseExec):
         exprs = self.exprs
         return (tuple(e.eval(row) for e in exprs) for row in rows)
 
+    def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "ProjectExec":
+        exprs = [bind_expression(e, values) for e in self.exprs]
+        return ProjectExec(self.session, exprs, self.schema, child)
+
     def do_execute(self) -> RDD:
         return self.child.execute().map_partitions(self.apply)
 
@@ -255,6 +279,9 @@ class LimitExec(RowwiseExec):
 
     def apply(self, rows: Iterable[tuple]) -> Iterator[tuple]:
         return itertools.islice(rows, self.n)
+
+    def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "LimitExec":
+        return LimitExec(self.session, self.n, child)
 
     def do_execute(self) -> RDD:
         partial = self.child.execute().map_partitions(self.apply)

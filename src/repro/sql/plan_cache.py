@@ -63,7 +63,6 @@ class CachedPlan:
         "logical",
         "num_params",
         "physical",
-        "serve_template",
         "text",
     )
 
@@ -72,13 +71,10 @@ class CachedPlan:
         self.epoch = epoch
         self.logical = logical
         self.num_params = num_params
-        #: Filled in after the first execution of this text.
+        #: Filled in after the first execution of this text; for a
+        #: ``prepare::`` entry, the template's plan, bound per execution
+        #: (``repro.sql.prepared``).
         self.physical: "PhysicalPlan | None" = None
-        #: Filled in by the serving layer (``repro.serve.fastpath``): the
-        #: template this plan compiles to, or False once recognition has
-        #: said no. It is a function of the plan and the catalog only, so a
-        #: QueryServer and a ShardRouter on one session share the slot.
-        self.serve_template: Any = None
         #: Filled in by the cache advisor under ``Config.auto_cache``: this
         #: text's recurrence and measured execution cost (DESIGN.md §17).
         #: Riding on the entry, they are evicted and epoch-invalidated

@@ -2,19 +2,20 @@
 
 ``session.prepare("SELECT * FROM t WHERE k = ?")`` parses the text **once**
 into a logical *template* containing :class:`~repro.sql.expressions.Parameter`
-placeholders. Each ``execute(params)`` then:
+placeholders, and the template is planned once too: its physical plan rides
+on the statement's plan-cache entry, a ``?`` claiming the index as the
+literal it will be bound to would (``repro.indexed.rules``). Each
+``execute(params)`` then binds that plan (:meth:`PreparedStatement.plan`):
+the indexed leaf extracts its keys or key range from the bound condition,
+and the row operators above it take bound copies of their expressions — no
+analyze, optimize or plan per execution. A plan holding an operator that
+cannot bind (a join, an aggregate, a sort) binds the logical template
+instead (:func:`bind_parameters` — a pure tree rewrite, the template is
+never mutated and stays shareable across threads) and plans that, as does a
+binding that leaves a range no bound (every bound NULL).
 
-1. substitutes a ``Literal`` for every placeholder
-   (:func:`bind_parameters` — a pure tree rewrite, the template is never
-   mutated and stays shareable across threads), and
-2. runs the ordinary analyze/optimize/plan/execute pipeline on the bound
-   plan.
-
-This skips parsing on every execution. The serving layer goes further: a
-template whose shape is a point, range or scan read of an indexed view
-compiles once to a :class:`~repro.serve.fastpath.ServeTemplate` answered
-from pinned partitions, skipping the *entire* pipeline — which is where the
-paper's low-latency read-after-write numbers (Figs. 9-10) come from.
+The serve tier answers a statement through the same bound plan, reading its
+pinned partitions instead of the resident ones (DESIGN.md §11, §14).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.sql.expressions import Expression, Literal, Parameter
 from repro.sql.logical import LogicalPlan
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sql.physical import PhysicalPlan
     from repro.sql.session import Session
 
 
@@ -55,18 +57,37 @@ class PreparedStatement:
         self.template = template
         self.num_params = num_params
 
-    def bind(self, params: Sequence[Any] = ()) -> LogicalPlan:
+    def _check(self, params: Sequence[Any]) -> None:
         if len(params) != self.num_params:
             raise ValueError(
                 f"statement has {self.num_params} parameter(s), got {len(params)}"
             )
+
+    def bind(self, params: Sequence[Any] = ()) -> LogicalPlan:
+        """The logical template with ``params`` bound."""
+        self._check(params)
         if self.num_params == 0:
             return self.template
         return bind_parameters(self.template, params)
 
+    def plan(self, params: Sequence[Any] = ()) -> "PhysicalPlan":
+        """The physical plan of this binding: the template's plan, planned
+        once per catalog epoch, bound to ``params`` — or, when that plan
+        cannot bind, the bound logical plan planned now."""
+        self._check(params)
+        session = self.session
+        try:
+            template = session.plan_physical(self.template)
+        except RuntimeError:  # a `?` whose type the plan needs (`SELECT ? ...`): bind first
+            template = None
+        if template is not None and self.num_params == 0:
+            return template
+        bound = template.bind(params) if template is not None else None
+        return bound if bound is not None else session.plan_physical(self.bind(params))
+
     def execute(self, params: Sequence[Any] = ()) -> list[tuple]:
         """Bind and run; returns result rows as tuples."""
-        return self.session.execute(self.bind(params))
+        return self.session.execute(self.plan(params))
 
     def dataframe(self, params: Sequence[Any] = ()) -> "Any":
         """Bind into a DataFrame (for composing further operations)."""

@@ -107,7 +107,8 @@ class Session:
         """PREPARE: parse a statement with ``?`` bind parameters once.
 
         The returned statement binds values per :meth:`PreparedStatement.execute`
-        call; the parse is cached per normalized text + catalog epoch.
+        call; the parse, and the template's physical plan after the first
+        execution, are cached per normalized text + catalog epoch.
         """
         from repro.sql.parser import parse_prepared
 
@@ -149,7 +150,7 @@ class Session:
             entry.physical = physical
         return physical
 
-    def execute(self, logical: LogicalPlan) -> list[tuple]:
+    def execute(self, plan: "LogicalPlan | PhysicalPlan") -> list[tuple]:
         """Plan and collect, with the cache advisor in the loop.
 
         For plan-cached query text (``session.sql`` with repeated text) the
@@ -157,15 +158,18 @@ class Session:
         serves the rows from the block store (or rebuilds them from lineage
         if they were shed — never a different answer). Otherwise the
         advisor gets an admission decision *before* collection, so a query
-        it judges hot populates the cache during this very execution.
-        Prepared statements bind into fresh logical plans with no cache
-        entry, so per-binding results are never auto-cached. A key-bound
-        plan is read without a job when it can be (:meth:`_read_direct`).
+        it judges hot populates the cache during this very execution. A
+        physical ``plan`` — a prepared statement's bound plan — has no
+        cache entry, so per-binding results are never auto-cached. A
+        key-bound plan is read without a job when it can be
+        (:meth:`_read_direct`).
         """
         advisor = self.context.advisor
-        entry = self.plan_cache.entry_for_logical(logical)
-        if entry is not None and entry.epoch != self.catalog.epoch:
-            entry = None
+        entry = None
+        if isinstance(plan, LogicalPlan):
+            entry = self.plan_cache.entry_for_logical(plan)
+            if entry is not None and entry.epoch != self.catalog.epoch:
+                entry = None
         with self.context.tracer.start_span("query", kind="query"):
             if entry is not None:
                 cached_rdd = advisor.auto_cached_rdd(entry)
@@ -176,7 +180,7 @@ class Session:
                         rows = cached_rdd.collect()
                     advisor.maybe_shed()
                     return rows
-            physical = self.plan_physical(logical)
+            physical = plan if isinstance(plan, PhysicalPlan) else self.plan_physical(plan)
             rows = self._read_direct(physical, entry)
             if rows is None:
                 with self.context.tracer.start_span("execute", kind="phase"):

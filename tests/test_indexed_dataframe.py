@@ -97,10 +97,30 @@ class TestLookup:
         assert out.columns == ["src", "dst", "w"]
 
     def test_lookup_runs_single_partition_job(self, idf):
-        with idf.session.context.metrics.capture() as tasks:
+        """A lookup whose partition is not resident runs the job."""
+        context = idf.session.context
+        context.invalidate_block((idf.rdd.rdd_id, idf.rdd.partition_for_key(3)))
+        jobs = context.registry.counter_value("jobs_submitted_total")
+        with context.metrics.capture() as tasks:
             idf.lookup_tuples(3)
         # One result stage with exactly one task (the owning partition).
         assert len(tasks) == 1
+        assert context.registry.counter_value("jobs_submitted_total") == jobs + 1
+
+    def test_resident_lookup_is_a_call_and_survives_executor_loss(self, idf, rows):
+        """On a resident index a lookup submits no job; after its executors
+        die it runs the job, which rebuilds the partitions from lineage."""
+        context = idf.session.context
+        want = [r for r in rows if r[0] == 3]
+        jobs = context.registry.counter_value("jobs_submitted_total")
+        answer = idf.lookup_tuples(3)
+        assert sorted(answer) == sorted(want)
+        assert context.registry.counter_value("jobs_submitted_total") == jobs
+        block = (idf.rdd.rdd_id, idf.rdd.partition_for_key(3))
+        for executor_id in context.block_manager_master.locations(block):
+            context.kill_executor(executor_id)
+        assert idf.lookup_tuples(3) == answer
+        assert context.registry.counter_value("jobs_submitted_total") > jobs
 
 
 class TestAppend:

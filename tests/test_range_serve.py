@@ -1,7 +1,7 @@
-"""Serve-tier range path: range-kind recognition, snapshot range
-lookups, and shard fan-out with failover.
+"""Serve-tier range path: range reads planned by the index rules,
+snapshot range lookups, and shard fan-out with failover.
 
-A recognized single-range query must serve from the pinned snapshot's
+A single-range query must serve from the pinned snapshot's
 ordered indexes (``path == "range"``) with exact oracle agreement —
 including inclusive/exclusive bounds and parameter binding — and the
 sharded router must fan the range out to live replicas, surviving a
@@ -107,11 +107,14 @@ class TestServerRangePath:
         assert res.path == "fastpath"
 
     def test_range_recognition_is_memoized(self, served):
-        server, _ = served
+        server, idf = served
+        reg = server.registry
+        jobs = reg.counter_value("jobs_submitted_total")
         for _ in range(3):
             server.query("SELECT src FROM edges_idx WHERE src BETWEEN 10 AND 20")
-        reg = server.registry
-        assert reg.counter_total("ordered_index_range_scans_total") == 0  # no jobs ran
+        assert reg.counter_value("jobs_submitted_total") == jobs  # no jobs ran
+        # Each served range sought every partition's ordered index.
+        assert reg.counter_total("ordered_index_range_scans_total") == 3 * idf.num_partitions
         # Same text thrice: the plan cache should have resolved the route
         # without re-parsing each time (hits >= 2).
         assert reg.counter_value("plan_cache_requests_total", outcome="hit") >= 2

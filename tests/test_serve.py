@@ -6,6 +6,7 @@ The server's contract under test everywhere here: it may *reject*
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -13,7 +14,13 @@ import pytest
 
 from repro.config import Config
 from repro.engine.context import EngineContext
-from repro.indexed.operators import IndexedLookupExec, IndexedRangeScanExec, IndexedScanExec
+from repro.indexed.operators import (
+    IndexedLeafExec,
+    IndexedLookupExec,
+    IndexedRangeScanExec,
+    IndexedScanExec,
+    ResidentPartitions,
+)
 from repro.serve import (
     IngestLoop,
     PinnedSnapshot,
@@ -21,8 +28,9 @@ from repro.serve import (
     ServeConfig,
     ServeRejected,
     ShardRouter,
-    recognize,
 )
+from repro.sql.parser import SQLParseError
+from repro.sql.physical import RowwiseExec
 from repro.sql.session import Session
 
 from .conftest import MODES, USER_SCHEMA, make_users
@@ -92,31 +100,34 @@ class TestFastPath:
             assert registry.counter_value("jobs_submitted_total") == before
 
     def test_non_point_queries_fall_back_to_general(self):
-        """Aggregates and computed projections take the general pipeline; a
-        non-key predicate over a published view is a scan of the pin."""
+        """Aggregates take the general pipeline; a non-key predicate over a
+        published view is a scan of the pin, and a computed projection over
+        a point lookup is a row operator over the served lookup."""
         session, _, server = make_server()
         with server:
             for text, path in (
                 ("SELECT name, SUM(score) AS s FROM users GROUP BY name", "general"),
                 ("SELECT * FROM users WHERE score > 50", "scan"),  # non-key predicate
-                ("SELECT uid, score * 2 AS d FROM users WHERE uid = 3", "general"),
+                ("SELECT uid, score * 2 AS d FROM users WHERE uid = 3", "fastpath"),
             ):
                 result = server.query(text)
                 assert result.path == path
                 assert sorted(result.rows) == sorted(session.sql(text).collect_tuples())
 
     def test_recognize_rejects_unserved_and_unindexed(self):
+        """The planned leaf names its catalog view; a front end serves only
+        the views it published, and nothing that is not indexed."""
         session, idf, server = make_server()
         with server:
             text = "SELECT * FROM users WHERE uid = 3"
-            template = recognize(session.sql_logical(text), session.catalog)
-            assert (template.kind, template.view) == ("point", "users")
+            leaf = session.plan_physical(session.sql_logical(text))
+            assert (type(leaf), leaf.view) == (IndexedLookupExec, "users")
             assert server.query(text).path == "fastpath"
             # An indexed view in the catalog that this server does not serve
-            # is recognized (the template names it) and answers on "general".
+            # is planned (the leaf names it) and answers on "general".
             idf.create_or_replace_temp_view("other_view")
             other = "SELECT * FROM other_view WHERE uid = 3"
-            assert recognize(session.sql_logical(other), session.catalog).view == "other_view"
+            assert session.plan_physical(session.sql_logical(other)).view == "other_view"
             result = server.query(other)
             assert result.path == "general"
             assert result.rows == session.sql(text).collect_tuples()
@@ -125,7 +136,7 @@ class TestFastPath:
                 make_users(10), USER_SCHEMA, name="plain"
             ).create_or_replace_temp_view("plain")
             plain = "SELECT * FROM plain WHERE uid = 3"
-            assert recognize(session.sql_logical(plain), session.catalog) is None
+            assert "Indexed" not in session.sql_explain(plain)
             assert server.query(plain).path == "general"
 
     def test_serve_spans_nest_cleanly(self):
@@ -145,11 +156,11 @@ class TestFastPath:
         assert "serve" in kinds
 
 
-# -- one recogniser: the serve tier and the planner agree --------------------------------
+# -- one read path: every front end answers through the planner's plan ----------------
 
 #: (view, WHERE as literals, WHERE with ``?``, params). ``users`` is keyed on
 #: ``uid`` (LONG), ``people`` on ``name`` (STRING); None = no WHERE clause /
-#: no parameter form (a LIKE pattern is not bindable).
+#: no parameter form (a LIKE pattern is a string literal, never a ``?``).
 WHERE_SHAPES = [
     ("users", "uid = 17", "uid = ?", [17]),
     ("users", "17 = uid", "? = uid", [17]),
@@ -188,13 +199,19 @@ WHERE_FORMS = [
 ]
 
 
+def indexed_leaves(node):
+    own = [node] if isinstance(node, IndexedLeafExec) else []
+    return own + [op for child in node.children() for op in indexed_leaves(child)]
+
+
 class TestRecognizerPlannerAgreement:
-    """``recognize(...).kind`` is the index operator ``indexed_strategy``
-    plans for the bound query, and every front end — a QueryServer and
-    routers of one and three shards, on one session, so on one plan-cache
-    memo slot — answers with the general pipeline's rows. The general
-    pipeline reads a point or range directly (DESIGN.md §13), and that list
-    is the job's."""
+    """The planner's index rule is the one recogniser: a prepared
+    statement's plan, planned once and bound, has the index operator the
+    bound query planned fresh has; every front end — a QueryServer and
+    routers of one and three shards, on one session, so on one plan cache —
+    reports that operator as its path and answers with the general
+    pipeline's rows. The general pipeline reads a point or range directly
+    (DESIGN.md §13), and that list is the job's."""
 
     KINDS = {IndexedLookupExec: "point", IndexedRangeScanExec: "range", IndexedScanExec: "scan"}
     #: The path each front end reports per kind: the QueryServer keeps the
@@ -222,25 +239,21 @@ class TestRecognizerPlannerAgreement:
         session, server, routers = tier
         text = f"SELECT uid, name FROM {view}" + (f" WHERE {where}" if where else "")
         if params is None:
-            template_plan = bound = session.sql_logical(text)
+            bound = session.sql_logical(text)
+            used = session.plan_physical(bound)
         else:
             statement = session.prepare(text)
-            template_plan, bound = statement.template, statement.bind(params)
-
-        def indexed_ops(node):
-            own = [node] if type(node) in self.KINDS else []
-            return own + [op for child in node.children() for op in indexed_ops(child)]
-
+            bound, used = statement.bind(params), statement.plan(params)
         physical = session.plan_physical(bound)
-        (planned,) = indexed_ops(physical)
-        kind = recognize(template_plan, session.catalog).kind
-        assert kind == self.KINDS[type(planned)]
+        (planned,) = indexed_leaves(physical)
+        kind = self.KINDS[type(planned)]
+        assert [type(leaf) for leaf in indexed_leaves(used)] == [type(planned)]
         registry = session.context.registry
         answered = registry.counter_value("sql_direct_reads_total", outcome="answered")
         general = session.execute(bound)
         direct = registry.counter_value("sql_direct_reads_total", outcome="answered") > answered
         assert direct == (kind != "scan")
-        assert general == physical.execute().collect()
+        assert general == physical.execute().collect() == used.execute().collect()
         expected = sorted(general)
         single = server.query(text, params=params)
         assert single.path == self.SERVER_PATHS[kind]
@@ -263,9 +276,9 @@ class TestRecognizerPlannerAgreement:
             assert router.query(text, params=[5_000]).rows == [(5_000, "late")]
 
     def test_front_ends_serving_different_views_keep_their_fast_paths(self):
-        """Two memo slots existed so that a QueryServer and a ShardRouter on
-        one session would not overwrite each other's recognition of a view
-        only one of them serves; with one slot neither may lose its path."""
+        """A QueryServer and a ShardRouter on one session share the plan
+        cache, and each plan's leaf names its view: each front end serves
+        only the view it published, whichever plan is cached first."""
         session, idf, server = make_server()
         router = ShardRouter(session, 2)
         router.publish("routed_users", idf)
@@ -280,6 +293,248 @@ class TestRecognizerPlannerAgreement:
                     assert other.query(text, params=[7]).path == "general"
                     assert mine.query(text, params=[7]).path in ("fastpath", "point")
                     assert mine.query(text, params=[7]).rows == other.query(text, params=[7]).rows
+
+
+# -- prepared statements: planned once, bound per execution -----------------------------
+
+
+def outcome(run):
+    """``("rows", rows)``, or ``("raises", exception type)``."""
+    try:
+        return "rows", run()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return "raises", type(exc)
+
+
+def resident_read(plan):
+    """``plan``'s direct read of the session's resident partitions — a
+    scan's too, which the session itself runs as a job — or None."""
+    leaf = plan
+    while isinstance(leaf, RowwiseExec):
+        leaf = leaf.child
+    if not isinstance(leaf, IndexedLeafExec):
+        return None
+    return plan.direct_rows(ResidentPartitions(leaf.idf.rdd))
+
+
+def _maybe_null(rng, value):
+    return None if rng.random() < 0.15 else value
+
+
+#: (statement, seeded binding). ``users`` is keyed on ``uid`` (0..199 plus
+#: absent keys), ``people`` on ``name`` ("user0".."user16", duplicated).
+STATEMENTS = [
+    (
+        "SELECT * FROM users WHERE uid IN (?, ?, ?, ?)",  # duplicates and NULL
+        lambda rng: [_maybe_null(rng, rng.choice([3, 3, 17, 150, 205])) for _ in range(4)],
+    ),
+    ("SELECT * FROM users WHERE uid = ?", lambda rng: [_maybe_null(rng, rng.randrange(220))]),
+    (
+        "SELECT uid, name FROM users WHERE uid BETWEEN ? AND ?",  # NULL and reversed bounds
+        lambda rng: [_maybe_null(rng, rng.randrange(210)), _maybe_null(rng, rng.randrange(210))],
+    ),
+    (
+        "SELECT name, score FROM users WHERE uid >= ? AND score < ? LIMIT 5",
+        lambda rng: [rng.randrange(200), rng.randrange(100)],
+    ),
+    (
+        "SELECT uid, score * 2 AS d FROM users WHERE uid IN (?, ?) AND score > ?",
+        lambda rng: [rng.randrange(200), rng.randrange(200), rng.randrange(100)],
+    ),
+    ("SELECT uid FROM users WHERE score > ? LIMIT 7", lambda rng: [rng.randrange(100)]),
+    (
+        "SELECT name, uid FROM people WHERE name LIKE 'user1%' AND uid < ?",
+        lambda rng: [_maybe_null(rng, rng.randrange(200))],
+    ),
+    (
+        "SELECT name, uid FROM people WHERE name >= ? AND name < ?",
+        lambda rng: [_maybe_null(rng, f"user{rng.randrange(17)}"), f"user{rng.randrange(17)}"],
+    ),
+    ("SELECT count(*) FROM users WHERE uid = ?", lambda rng: [rng.randrange(220)]),
+    (  # a `?` the template's plan needs the type of: bound before planning
+        "SELECT uid, score + ? AS s FROM users WHERE uid = ?",
+        lambda rng: [rng.randrange(10), rng.randrange(220)],
+    ),
+]
+
+
+class TestPreparedPlanDifferential:
+    """A prepared statement's plan is planned once and bound per execution;
+    over seeded bindings that bound plan gives the rows — or raises the
+    exception type — the bound logical plan planned fresh gives, on the
+    job, on the session's direct read and on both front ends."""
+
+    @pytest.fixture(scope="class")
+    def tier(self):
+        config = Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=4096)
+        session = Session(context=EngineContext(config=config))
+        df = session.create_dataframe(make_users(200), USER_SCHEMA, name="users")
+        server = QueryServer(session, ServeConfig(num_workers=1))
+        router = ShardRouter(session, 2)
+        for view, key in (("users", "uid"), ("people", "name")):
+            idf = df.create_index(key).cache_index()
+            for front_end in (server, router):
+                front_end.publish(view, idf)
+        yield session, server, router
+        server.shutdown()
+        router.shutdown()
+
+    @pytest.mark.parametrize("text, draw", STATEMENTS, ids=[t for t, _ in STATEMENTS])
+    def test_bound_plan_equals_fresh_plan(self, tier, text, draw):
+        session, server, router = tier
+        statement = session.prepare(text)
+        rng = random.Random(text)
+        for i in range(25):
+            params = draw(rng) if i else [None] * statement.num_params
+            fresh = session.plan_physical(statement.bind(params))
+            plan = statement.plan(params)
+            job = outcome(lambda: fresh.execute().collect())
+            assert outcome(lambda: plan.execute().collect()) == job, params
+            assert outcome(lambda: statement.execute(params)) == outcome(
+                lambda: session.execute(fresh)
+            ), params
+            # A call raises what the job's task raised, unwrapped.
+            direct = outcome(lambda: list(resident_read(fresh)))
+            if resident_read(fresh) is None:
+                direct = outcome(lambda: session.execute(fresh))
+            else:
+                assert outcome(lambda: list(resident_read(plan))) == direct, params
+            for front_end in (server, router):
+                assert outcome(lambda: front_end.query(text, params=params).rows) == direct
+
+    def test_a_like_pattern_is_not_a_parameter(self, tier):
+        session, _, _ = tier
+        with pytest.raises(SQLParseError):
+            session.prepare("SELECT * FROM people WHERE name LIKE ?")
+
+    def test_key_bound_statement_plans_once(self):
+        config = Config(
+            default_parallelism=4, shuffle_partitions=4, row_batch_size=4096, tracing_enabled=True
+        )
+        session, _, server = make_server(config=config)
+        router = ShardRouter(session, 2)
+        router.publish("users", server.pinned("users").idf)
+        text = "SELECT name FROM users WHERE uid = ? AND score > ?"
+        statement = session.prepare(text)
+        tracer = session.context.tracer
+        tracer.reset()
+        with server, router:
+            for uid in range(100):
+                want = [(f"user{uid % 17}",)] if make_users(200)[uid][2] > 10 else []
+                assert statement.execute([uid, 10]) == want
+                assert router.query(text, params=[uid, 10]).rows == want
+                assert server.query(text, params=[uid, 10]).rows == want
+        plans = [s for s in tracer.finished_spans("phase") if s.name == "plan"]
+        assert len(plans) == 1
+
+
+# -- a served read is a call: no job, no job_lock ------------------------------------------
+
+SERVED_READS = [
+    ("SELECT * FROM users WHERE uid = ?", [7], "point"),
+    ("SELECT uid, name FROM users WHERE uid BETWEEN ? AND ?", [10, 40], "range"),
+    ("SELECT uid FROM users WHERE score > ?", [50], "scan"),
+]
+
+
+def finishes_within(seconds, run):
+    """``run()`` on a thread; its result, or an AssertionError when it is
+    still running after ``seconds``."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(run()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive() and out, "the read waited for job_lock"
+    return out[0]
+
+
+class TestServedReadsTakeNoJobLock:
+    @pytest.fixture
+    def job_lock_held(self):
+        """Another thread holds ``context.job_lock`` for the test's span."""
+
+        def hold(session):
+            acquired, release = threading.Event(), threading.Event()
+
+            def holder():
+                with session.context.job_lock:
+                    acquired.set()
+                    release.wait(30.0)
+
+            thread = threading.Thread(target=holder, daemon=True)
+            thread.start()
+            assert acquired.wait(5.0)
+            holders.append((release, thread))
+
+        holders: list = []
+        yield hold
+        for release, thread in holders:
+            release.set()
+            thread.join(5.0)
+
+    def test_query_server_and_router_reads(self, job_lock_held):
+        session, idf, server = make_server()
+        router = ShardRouter(session, 2)
+        router.publish("users", idf)
+        expected = {
+            text: sorted(session.prepare(text).execute(params)) for text, params, _ in SERVED_READS
+        }
+        job_lock_held(session)
+        with server, router:
+            for text, params, kind in SERVED_READS:
+                for front_end, path in (
+                    (server, "fastpath" if kind == "point" else kind),
+                    (router, kind),
+                ):
+                    result = finishes_within(5.0, lambda: front_end.query(text, params=params))
+                    assert result.path == path
+                    assert sorted(result.rows) == expected[text]
+
+
+# -- two front ends, one view, two versions --------------------------------------------
+
+
+class TestFrontEndsReadTheirOwnPins:
+    """The catalog holds one registration of a view — whichever front end
+    published last — and the plan's leaf only names the view: each front end
+    must still answer from its own pin."""
+
+    TEXTS = [
+        ("SELECT * FROM users WHERE uid = ?", [5_000]),
+        ("SELECT uid, name FROM users WHERE uid BETWEEN ? AND ?", [190, 6_000]),
+        ("SELECT uid FROM users WHERE name = ?", ["late"]),
+    ]
+
+    def test_different_versions_of_one_view(self):
+        session, parent, server = make_server()
+        child = parent.append_rows([(5_000, "late", 1.0)])
+        router = ShardRouter(session, 2)
+        with server, router:
+            for order in range(2):  # who registers the catalog's plan last
+                for front_end, idf in [(server, parent), (router, child)][:: 1 - 2 * order]:
+                    front_end.publish("users", idf)
+                for text, params in self.TEXTS:
+                    old = server.query(text, params=params)
+                    new = router.query(text, params=params)
+                    assert (old.snapshot_version, new.snapshot_version) == (0, 1)
+                    assert 5_000 not in {row[0] for row in old.rows}, text
+                    assert 5_000 in {row[0] for row in new.rows}, text
+
+    def test_differently_partitioned_tables_of_one_view(self):
+        """Keys hash through the pin's partitioner, not the plan leaf's."""
+        session, _, server = make_server()
+        router = ShardRouter(session, 2)
+        rows = make_users(200)
+        three = session.create_dataframe(rows, USER_SCHEMA, name="users").create_index(
+            "uid", num_partitions=3
+        )
+        text = "SELECT * FROM users WHERE uid = ?"
+        with server, router:
+            router.publish("users", three)
+            server.publish("users", server.pinned("users").idf)  # the plan's leaf: 4 partitions
+            for uid in range(0, 200, 7):
+                assert router.query(text, params=[uid]).rows == [rows[uid]]
+                assert server.query(text, params=[uid]).rows == [rows[uid]]
 
 
 # -- admission control ---------------------------------------------------------------

@@ -63,18 +63,6 @@ class TestRoutingTable:
         assert t.replication_factor == 2
         assert sorted(t.replicas(0)) == [0, 1]
 
-    def test_scan_assignment_balances_and_reports_missing(self):
-        t = RoutingTable(num_partitions=8, num_shards=4, replication_factor=2)
-        assignment, missing = t.scan_assignment(range(8), live={0, 1, 2, 3})
-        assert missing == []
-        covered = sorted(s for splits in assignment.values() for s in splits)
-        assert covered == list(range(8))  # each split exactly once
-        # Kill everything owning split 0 ({0, 1}): it has no live replica.
-        assignment, missing = t.scan_assignment(range(8), live={2, 3})
-        assert 0 in missing
-        covered = sorted(s for splits in assignment.values() for s in splits)
-        assert 0 not in covered
-
 
 # -- a single shard --------------------------------------------------------------------
 
@@ -102,35 +90,42 @@ class TestShardServer:
             k for k in range(60) if idf.partitioner.partition(k) not in (0, 2)
         )
         split_of = idf.partitioner.partition
-        assert shard.lookup("users", owned_key, split_of(owned_key)) == pin.lookup(owned_key)
+
+        def lookup(key):
+            return shard.read("users", split_of(key), lambda part: part.lookup(key))
+
+        assert lookup(owned_key) == pin.lookup(owned_key)
         with pytest.raises(PartitionNotOwned):
-            shard.lookup("users", unowned_key, split_of(unowned_key))
+            lookup(unowned_key)
 
     def test_scan_only_requested_splits(self):
         session, idf, pin, shard = self.make_shard()
-        rows = shard.scan("users", [0])
-        assert sorted(rows) == sorted(pin.partitions[0].scan_rows())
+
+        def scan(split):
+            return shard.read("users", split, lambda part: part.scan_rows(), op="scan")
+
+        assert sorted(scan(0)) == sorted(pin.partitions[0].scan_rows())
         with pytest.raises(PartitionNotOwned):
-            shard.scan("users", [0, 1])  # 1 is not installed
+            scan(1)  # 1 is not installed
 
     def test_kill_raises_shard_down_and_restore_is_empty(self):
         session, idf, pin, shard = self.make_shard()
         shard.kill()
         assert not shard.alive
         with pytest.raises(ShardDown):
-            shard.lookup("users", 0, 0)
+            shard.read("users", 0, lambda part: part.lookup(0))
         with pytest.raises(ShardDown):
             shard.heartbeat()
         shard.restore()
         assert shard.alive
         # A restart does not resurrect state: the router must re-install.
         with pytest.raises(PartitionNotOwned):
-            shard.lookup("users", 0, 0)
+            shard.read("users", 0, lambda part: part.lookup(0))
 
     def test_overload_sheds_retryably(self):
         session, idf, pin, shard = self.make_shard(max_inflight=0)
         with pytest.raises(ServeRejected) as exc_info:
-            shard.lookup("users", 0, 0)
+            shard.read("users", 0, lambda part: part.lookup(0))
         assert exc_info.value.reason == "shard_overloaded"
         assert exc_info.value.retryable
 
