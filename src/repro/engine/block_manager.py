@@ -66,7 +66,7 @@ class BlockManager:
                 self.memory.on_remove(block_id, self._blocks)
 
     def clear(self) -> None:
-        from repro.indexed.out_of_core import discard_resident_files
+        from repro.indexed.row_batch import discard_resident_files
 
         with self._lock:
             # Resident batches' spill files are stale caches — unlink them

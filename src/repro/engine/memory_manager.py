@@ -5,8 +5,9 @@ executor's block store inside a byte budget instead of OOM-ing (DESIGN.md §10):
 
 * **Metering** — a :class:`~repro.utils.memory.Ledger` of the blocks' parts,
   charged in LRU order so MVCC versions sharing structure count it once.
-* **Tier 1, spill** — sealed row batches of the coldest blocks go to disk
-  (:func:`repro.indexed.out_of_core.spill_partition`), indexes stay queryable.
+* **Tier 1, spill** — sealed row batches of the coldest blocks go to disk in
+  place (:func:`repro.indexed.row_batch.spill_partition`), so every version
+  sharing a batch sees the spill; indexes stay queryable.
 * **Tier 2, evict** — whole blocks go, LRU or lowest value density first
   (``eviction_policy="cost"``, DESIGN.md §17), rebuilt from lineage on request.
 * **Backpressure** — a put that cannot fit raises the retryable
@@ -206,10 +207,9 @@ class MemoryManager:
 
     def _spill_block(self, block_id: BlockId, value: Any) -> int:
         """Tier-1 spill of one stored block; returns the batch bytes released.
-        Once per residency: a partition whose sealed batches are all
-        spillable already holds only what readers faulted back (DESIGN.md §10)."""
-        from repro.indexed.out_of_core import SpillableRowBatch
-
+        Once per residency: a partition each of whose sealed batches is
+        spilled, or was faulted back in, holds only what readers faulted back
+        (DESIGN.md §10)."""
         if value is None:
             return 0
         freed = 0
@@ -217,7 +217,7 @@ class MemoryManager:
                                             rdd=block_id[0], partition=block_id[1]) as span:
             for item in value if isinstance(value, (list, tuple)) else [value]:
                 sealed = getattr(item, "batches", ())[:-1]
-                if not all(isinstance(b, SpillableRowBatch) for b in sealed):
+                if not all(b.faults or not b.resident for b in sealed):
                     freed += self.spill_partition(item)
             span.set_attr("freed", freed)
         return freed
@@ -226,7 +226,7 @@ class MemoryManager:
         """Spill a partition's sealed batches here, reactively or for
         ``IndexedDataFrame.spill_index``: each carries this executor's fault
         meter and the context's corruption chaos hook."""
-        from repro.indexed.out_of_core import spill_partition
+        from repro.indexed.row_batch import spill_partition
 
         return spill_partition(
             partition, spill_dir=self.spill_dir, keep_tail=keep_tail,

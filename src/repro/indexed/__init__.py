@@ -21,9 +21,9 @@ Call :func:`enable_indexing` on a session to install the rules — the
 analogue of importing the paper's implicit conversions.
 
 Beyond the paper's prototype, two extensions its text sketches are also
-implemented: :mod:`~repro.indexed.out_of_core` (SSD/NVMe spill-able row
-batches) and :mod:`~repro.indexed.mvcc` (the copy-on-write alternative the
-paper rejects, kept as a measurable reference). Footnote 2's columnar layout
+implemented: row batches spill to SSD/NVMe files and fault back in
+(:mod:`~repro.indexed.row_batch`), and :mod:`~repro.indexed.mvcc` keeps the
+copy-on-write alternative the paper rejects as a measurable reference. Footnote 2's columnar layout
 is not a second store: full scans read the row batches through per-task
 column views (``IndexedPartition.scan_columns``, DESIGN.md §18).
 """

@@ -69,7 +69,7 @@ class CopyOnWriteVersioning:
         for batch in parent.batches:
             clone = RowBatch(batch.capacity)
             used = batch.used
-            clone.buf[:used] = batch.buf[:used]
+            clone.buf[:used] = batch.ensure_resident()[:used]
             assert clone.reserve(used) == 0
             child.batches.append(clone)
         # ...and rebuild the index against the copied storage, as one batch

@@ -24,7 +24,8 @@ MVCC: :meth:`snapshot` shares the sealed base and the batch objects and
 snapshots the delta (a copy of fewer keys than the seal threshold, or the
 cTrie's constant-time snapshot at threshold 0); divergent children append
 independently (atomic space reservation in shared tail batches, visibility
-via each version's own index).
+via each version's own index). A shared batch spills and faults back in as
+one object, for every version holding it.
 """
 
 from __future__ import annotations
@@ -114,11 +115,10 @@ class IndexedPartition:
         tail batch, or else in a fresh one: ``(batch, offset, records)``."""
         if self.batches:
             tail = self.batches[-1]
-            # A spilled tail (full spill, or a snapshot sharing one) faults
-            # back in before taking writes; the write then invalidates the
-            # on-disk copy so a re-spill can never resurrect stale bytes.
-            if not getattr(tail, "resident", True):
-                tail.ensure_resident()
+            # A spilled tail (a full spill, seen by every version sharing it)
+            # faults back in before taking writes; the write then invalidates
+            # the file so a re-spill can never resurrect stale bytes.
+            tail.ensure_resident()
             k = min(count, (tail.capacity - tail.used) // size)
             offset = tail.reserve(k * size) if k else None
             if offset is not None:
@@ -129,11 +129,9 @@ class IndexedPartition:
             # Opening a fresh tail seals the previous one for this version:
             # anchor its content CRC at our watermark (integrity boundary
             # verification and the serve scrubber check against this mark).
-            sealed = self.batches[-1]
-            checkpoint = getattr(sealed, "checkpoint", None)
             idx = len(self.batches) - 1
-            if checkpoint is not None and idx < len(self._watermarks) and self._watermarks[idx]:
-                checkpoint(self._watermarks[idx])
+            if idx < len(self._watermarks) and self._watermarks[idx]:
+                self.batches[idx].checkpoint(self._watermarks[idx])
         batch = RowBatch(self.batch_size)
         self.batches.append(batch)
         k = min(count, self.batch_size // size)
@@ -431,7 +429,7 @@ class IndexedPartition:
         out: list[tuple] = []
         for batch, watermark in zip(self.batches, self._watermarks):
             if watermark:
-                out.extend(decode_all(batch.buf, watermark))
+                out.extend(decode_all(batch.ensure_resident(), watermark))
         return out
 
     def scan_columns(self, names: "list[str]", registry: Any = None) -> "list[ColumnBatch] | None":
@@ -452,7 +450,7 @@ class IndexedPartition:
         out: list[ColumnBatch] = []
         for i, (batch, watermark) in enumerate(zip(self.batches, self._watermarks)):
             if watermark:
-                columns = codec.column_batch(batch.buf, watermark, names, starts.get(i))
+                columns = codec.column_batch(batch.ensure_resident(), watermark, names, starts.get(i))
                 if columns is None:
                     return None
                 out.append(columns)
@@ -561,11 +559,11 @@ class IndexedPartition:
 
     def resident_batch_bytes(self) -> int:
         """Batch capacity currently held in memory (spilled batches excluded)."""
-        return sum(b.capacity for b in self.batches if getattr(b, "resident", True))
+        return sum(b.capacity for b in self.batches if b.resident)
 
     def spill_faults(self) -> int:
-        """Total disk fault-ins paid by this partition's spillable batches."""
-        return sum(getattr(b, "faults", 0) for b in self.batches)
+        """Total disk fault-ins paid by this partition's batches."""
+        return sum(b.faults for b in self.batches)
 
     @property
     def nbytes(self) -> int:

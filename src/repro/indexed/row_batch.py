@@ -9,23 +9,72 @@ never overlap, and (b) visibility is governed solely by each version's own
 cTrie and backward pointers, so foreign rows in a shared batch are simply
 unreachable (Section III-E).
 
-Integrity: every batch carries CRC32 *prefix marks*
-(:class:`~repro.integrity.ChecksumMixin`) anchored when a batch
-seals (the partition opens a fresh tail) and verified whenever the bytes
-re-cross a storage or transport boundary.
+**Out of core** (Section III-C: the representation "could easily extend to
+store data out-of-core, for example in SSD or NVMe devices"). A batch can
+:meth:`~RowBatch.spill` its bytes to a file and fault them back in on the
+next read (:meth:`~RowBatch.ensure_resident`). The spill acts on the batch
+object itself, so every version sharing it sees the spill and the fault-in,
+and a spill frees exactly the capacity it reports. A resident batch's
+``buf`` stays a plain slot read. A spilled batch's slot is empty, so only a
+spilled batch pays for the fault-in: the chain walker catches the
+``AttributeError`` of reading it (a ``try`` costs nothing until it
+raises), and per-batch readers call ``ensure_resident()``. A spilled batch
+is sealed: writes are rejected until it is faulted back in, and a write
+after a fault-in *invalidates* the file, so a re-spill never resurrects
+stale bytes. Every spill file is unlinked when its batch is
+garbage-collected (``weakref.finalize``), or earlier by
+:meth:`~RowBatch.discard_file`.
+
+**Integrity** (DESIGN.md §16). Every batch carries CRC32 *prefix marks*: a
+batch is append-only, so the CRC of ``buf[:n]`` is permanent once its first
+``n`` bytes are written. A mark is anchored at a trust-establishing moment
+(sealing a batch, pinning a serve snapshot) and verified whenever the same
+bytes re-cross a boundary (pin, scrub). Marks extend incrementally (CRC32
+streams), so re-anchoring a growing tail costs O(delta). The one legitimate
+change under a mark is an MVCC sibling completing a reservation made before
+it, so :meth:`~RowBatch.write` drops every mark above its offset. The spill
+file has its own CRC, recorded as it is written and checked on every
+fault-in: a mismatch raises :class:`~repro.integrity.CorruptBlockError`
+and leaves the batch spilled. Marks are not locked: anchors and verifies
+happen at boundary crossings where the caller holds a consistent view of
+the prefix, and the re-check in :meth:`~RowBatch.verify` resolves the one
+benign race (a sibling completing an old reservation mid-verify).
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import threading
+import time
+import weakref
+import zlib
+from typing import Any, Callable
 
-from repro.integrity import ChecksumMixin
+from repro.integrity import CorruptBlockError, corrupt_file, integrity_enabled
 
 
-class RowBatch(ChecksumMixin):
-    """One append-only buffer of encoded rows."""
+def _unlink_quiet(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
-    __slots__ = ("buf", "capacity", "_crc_marks", "_lock", "_used")
+
+class RowBatch:
+    """One append-only buffer of encoded rows, resident or spilled to disk."""
+
+    __slots__ = (
+        "buf", "capacity", "chaos_corruption", "faults", "on_fault",
+        "_crc_marks", "_finalizer", "_lock", "_path", "_spill_crc", "_spill_len", "_used",
+        "__weakref__",  # the spill file's finalizer
+    )
+
+    #: Keep the marks dict small on long-lived tails that are re-anchored at
+    #: many watermarks (one per pin): above the cap, the smallest marks are
+    #: dropped — verification at a dropped mark silently becomes a fresh
+    #: anchor, which only narrows scrub coverage, never corrupts.
+    _MAX_MARKS = 32
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
@@ -35,14 +84,36 @@ class RowBatch(ChecksumMixin):
         self._used = 0
         self._crc_marks: dict[int, int] = {}
         self._lock = threading.Lock()
+        #: The spill file while one holds this batch's current bytes, and
+        #: the finalizer that unlinks it.
+        self._path: "str | None" = None
+        self._finalizer: "weakref.finalize | None" = None
+        #: CRC32 and length of the bytes written to the spill file, re-checked
+        #: on every fault-in (the disk trust boundary); None when unchecked.
+        self._spill_crc: "int | None" = None
+        self._spill_len = 0
+        #: Loads from disk — the out-of-core read cost.
+        self.faults = 0
+        #: Called with ``(bytes_loaded, seconds)`` after every fault-in: the
+        #: memory manager's fault meter (:func:`spill_partition` installs it).
+        self.on_fault: "Callable[[int, float], None] | None" = None
+        #: Chaos hook called after each spill-file write; a returned
+        #: corruption mode damages the file (``None`` = no chaos).
+        self.chaos_corruption: "Callable[[str], str | None] | None" = None
 
     @property
     def used(self) -> int:
         return self._used
 
+    @property
+    def resident(self) -> bool:
+        return hasattr(self, "buf")
+
     def reserve(self, nbytes: int) -> int | None:
         """Atomically claim ``nbytes``; returns the offset or None if full."""
         with self._lock:
+            if self._path is not None and not self.resident:
+                raise RuntimeError("cannot reserve space in a spilled batch")
             if self._used + nbytes > self.capacity:
                 return None
             offset = self._used
@@ -50,6 +121,11 @@ class RowBatch(ChecksumMixin):
             return offset
 
     def write(self, offset: int, data: bytes) -> None:
+        if self._path is not None:  # the file stops matching the bytes here
+            with self._lock:
+                if not self.resident:
+                    raise RuntimeError("cannot write to a spilled batch")
+                self._invalidate_file_locked()
         if self._crc_marks:
             self.drop_marks_beyond(offset)
         self.buf[offset : offset + len(data)] = data
@@ -66,10 +142,191 @@ class RowBatch(ChecksumMixin):
         return self.capacity
 
     def meter_state(self) -> tuple:
-        """What this batch's metered size depends on besides its fixed buffer:
-        the fill mark and the CRC marks (DESIGN.md §10)."""
+        """What this batch's metered size depends on (DESIGN.md §10):
+        residency (a spill frees the buffer; each fault-in, counted, loads a
+        new one), fill mark, spill file, the hooks a spill installs, the CRC
+        marks."""
         marks = self._crc_marks
-        return (self._used, *marks, *marks.values())
+        return (self.resident, self._used, self.faults, self._path,
+                self.on_fault, self.chaos_corruption, *marks, *marks.values())
+
+    # -- out of core -----------------------------------------------------------------
+
+    def spill(self, spill_dir: "str | None" = None) -> int:
+        """Write the used bytes to a file in ``spill_dir`` (the temp dir by
+        default) and release the buffer; returns the bytes freed. Idempotent;
+        an untouched batch re-spills into its existing file."""
+        with self._lock:
+            buf = getattr(self, "buf", None)
+            if buf is None:
+                return 0
+            if self._path is None:
+                spill_dir = spill_dir or tempfile.gettempdir()
+                os.makedirs(spill_dir, exist_ok=True)
+                fd, path = tempfile.mkstemp(prefix="rowbatch-", suffix=".spill", dir=spill_dir)
+                finalizer = weakref.finalize(self, _unlink_quiet, path)
+                data = bytes(buf[: self._used])
+                with os.fdopen(fd, "wb") as f:
+                    f.write(data)
+                # Only a fully written file is reused by a later spill.
+                self._path, self._finalizer = path, finalizer
+                # The CRC of what *should* be on disk, taken before any chaos
+                # touches the file, so injected damage is caught.
+                if integrity_enabled():
+                    self._spill_crc, self._spill_len = zlib.crc32(data), len(data)
+                hook = self.chaos_corruption
+                mode = hook(path) if hook is not None else None
+                if mode:
+                    corrupt_file(path, len(data), mode)
+            del self.buf
+            return self.capacity
+
+    def ensure_resident(self) -> bytearray:
+        """The bytes, faulted back in from disk when spilled."""
+        try:
+            return self.buf
+        except AttributeError:
+            pass
+        with self._lock:
+            if self.resident:  # faulted in by another reader meanwhile
+                return self.buf
+            t0 = time.perf_counter()
+            with open(self._path, "rb") as f:  # type: ignore[arg-type]
+                data = f.read()
+            if self._spill_crc is not None:
+                actual = zlib.crc32(data)
+                if len(data) != self._spill_len or actual != self._spill_crc:
+                    # Stay spilled: the quarantine drops every block holding
+                    # this batch and lineage rebuilds fresh bytes.
+                    raise CorruptBlockError(
+                        "spill_fault_in",
+                        detail=f"{self._path}: {len(data)}/{self._spill_len} bytes",
+                        batch=self, expected=self._spill_crc, actual=actual,
+                    )
+            buf = bytearray(self.capacity)
+            buf[: len(data)] = data
+            self.buf = buf
+            self.faults += 1
+            elapsed = time.perf_counter() - t0
+            listener = self.on_fault
+        if listener is not None:
+            listener(self.capacity, elapsed)
+        return buf
+
+    def _invalidate_file_locked(self) -> None:
+        """Drop the spill file (caller holds ``_lock``)."""
+        if self._path is not None:
+            self._finalizer.detach()  # type: ignore[union-attr]
+            _unlink_quiet(self._path)
+            self._path = self._finalizer = self._spill_crc = None
+
+    def discard_file(self) -> None:
+        """Remove the spill file (after faulting in, or on drop)."""
+        with self._lock:
+            self._invalidate_file_locked()
+
+    # -- prefix CRC marks ----------------------------------------------------------------
+
+    def checkpoint(self, upto: "int | None" = None) -> "int | None":
+        """Anchor (or return) the CRC32 of ``buf[:upto]``.
+
+        Extends incrementally from the largest existing mark at or below
+        ``upto``; returns None when integrity checking is disabled.
+        """
+        if not integrity_enabled():
+            return None
+        if upto is None:
+            upto = self._used
+        marks = self._crc_marks
+        crc = marks.get(upto)
+        if crc is not None:
+            return crc
+        base = base_crc = 0
+        for count, mark in marks.items():
+            if base < count <= upto:
+                base, base_crc = count, mark
+        crc = zlib.crc32(memoryview(self.ensure_resident())[base:upto], base_crc)
+        marks[upto] = crc
+        if len(marks) > self._MAX_MARKS:
+            for count in sorted(marks)[: len(marks) - self._MAX_MARKS // 2]:
+                del marks[count]
+            marks[upto] = crc
+        return crc
+
+    def verify(self, upto: "int | None" = None, where: str = "verify") -> bool:
+        """Recompute the CRC of ``buf[:upto]`` against the anchored mark.
+
+        Returns False when no mark covers ``upto`` (nothing to verify yet),
+        True on a match; raises :class:`CorruptBlockError` on a mismatch.
+        """
+        if not integrity_enabled():
+            return False
+        if upto is None:
+            upto = self._used
+        expected = self._crc_marks.get(upto)
+        if expected is None:
+            return False
+        actual = zlib.crc32(memoryview(self.ensure_resident())[:upto])
+        if actual != expected:
+            if self._crc_marks.get(upto) != expected:
+                # The mark was dropped mid-verify by a sibling completing a
+                # pre-mark reservation: the read was stale, not corrupt.
+                return False
+            raise CorruptBlockError(
+                where, detail=f"{upto} bytes", batch=self, expected=expected, actual=actual
+            )
+        return True
+
+    def drop_marks_beyond(self, offset: int) -> None:
+        """Invalidate marks covering bytes at or past ``offset`` (called by
+        :meth:`write` before the store, so a mark never outlives its bytes)."""
+        marks = self._crc_marks
+        for count in [c for c in marks if c > offset]:
+            del marks[count]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RowBatch(used={self._used}/{self.capacity})"
+        state = "resident" if self.resident else "spilled"
+        return f"RowBatch(used={self._used}/{self.capacity}, {state})"
+
+
+def spill_partition(
+    partition: Any,
+    spill_dir: "str | None" = None,
+    keep_tail: bool = True,
+    on_fault: "Callable[[int, float], None] | None" = None,
+    corruption_hook: "Callable[[str], str | None] | None" = None,
+) -> int:
+    """Spill the partition's batches; returns the bytes freed.
+
+    The active tail batch (still taking appends) stays in memory when
+    ``keep_tail``. Reads fault cold batches back in, firing ``on_fault``
+    when given; ``corruption_hook`` becomes each batch's
+    :attr:`RowBatch.chaos_corruption`.
+    """
+    batches = partition.batches
+    freed = 0
+    for batch in batches[:-1] if keep_tail else batches:
+        if on_fault is not None:
+            batch.on_fault = on_fault
+        if corruption_hook is not None:
+            batch.chaos_corruption = corruption_hook
+        freed += batch.spill(spill_dir)
+    return freed
+
+
+def discard_resident_files(value: Any) -> int:
+    """Unlink the spill files of *resident* batches in ``value`` (a
+    partition or a list of them; anything else is ignored); returns how many.
+
+    A resident batch's file is a stale copy of bytes already in memory, safe
+    to drop even when MVCC siblings share the batch (a later spill rewrites
+    it). Files of spilled batches stay (a sibling may fault them in); each
+    batch's finalizer reclaims them.
+    """
+    removed = 0
+    for item in value if isinstance(value, (list, tuple)) else [value]:
+        for batch in getattr(item, "batches", ()) or ():
+            if batch._path is not None and batch.resident:
+                batch.discard_file()
+                removed += 1
+    return removed

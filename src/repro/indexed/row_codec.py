@@ -222,8 +222,9 @@ class RowCodec:
     def decode_chain(self, batches: list, pointer: int) -> list[tuple]:
         """Decode a whole backward-pointer chain in one compiled call.
 
-        ``batches`` is the partition's RowBatch list; ``pointer`` a packed
-        64-bit pointer (see :mod:`repro.indexed.pointers`). Returns rows
+        ``batches`` is the partition's RowBatch list (a spilled batch the
+        chain reaches is faulted in); ``pointer`` a packed 64-bit pointer
+        (see :mod:`repro.indexed.pointers`). Returns rows
         newest-first, exactly as the per-row chain walk would. This is the
         kernel under point lookups and the indexed join's probe loop.
         """
@@ -334,7 +335,7 @@ class RowCodec:
             first, stop = numbers.start, numbers.stop
             for b in range(first // n, -(-stop // n)):
                 lo, hi = max(first, b * n), min(stop, (b + 1) * n)
-                out[lo - first : hi - first] = np.frombuffer(batches[b].buf, record, hi - lo, lo % n * size)
+                out[lo - first : hi - first] = np.frombuffer(batches[b].ensure_resident(), record, hi - lo, lo % n * size)
         else:
             which, slot = np.divmod(numbers, n)
             order = np.argsort(which, kind="stable")
@@ -342,7 +343,7 @@ class RowCodec:
             for b, (lo, hi) in enumerate(zip([0, *ends], ends)):
                 if lo < hi:
                     at = order[lo:hi]
-                    out[at] = np.frombuffer(batches[b].buf, record, n).take(slot[at])
+                    out[at] = np.frombuffer(batches[b].ensure_resident(), record, n).take(slot[at])
         return out.view(dtype)
 
     def record_size(self, buf: "bytes | bytearray | memoryview", offset: int) -> int:
@@ -569,7 +570,10 @@ def _compile_chain_walker(
         "    out = []",
         "    append = out.append",
         f"    while pointer != {_NULL_POINTER}:",
-        "        buf = batches[(pointer >> 40) & 0xFFFFFF].buf",
+        "        try:",
+        "            buf = batches[(pointer >> 40) & 0xFFFFFF].buf",
+        "        except AttributeError:",  # a spilled batch: fault it in
+        "            buf = batches[(pointer >> 40) & 0xFFFFFF].ensure_resident()",
         "        pos = (pointer >> 14) & 0x3FFFFFF",
         # Same tail guard as the batch scanner: null records can be shorter
         # than the prefix struct, and this one may end the buffer.

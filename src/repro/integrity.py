@@ -1,26 +1,16 @@
-"""End-to-end data integrity: CRC32 prefix checksums over row batches.
+"""End-to-end data integrity: the trust boundaries' shared vocabulary.
 
 The paper's batches are "unsafe" off-heap byte buffers, and since the
-spill (PR 4) and sharded-serve (PR 7) work those raw bytes travel through
-disk files and replica copies. A flipped bit on any of those paths would
-previously decode into a silently wrong answer. This
-module gives every batch flavour a cheap integrity vocabulary and the
-boundaries a shared error type:
-
-**Prefix marks.** Batches are append-only, so the CRC32 of ``buf[:n]`` is
-permanent once the first ``n`` bytes are written: later appends land past
-``n`` and cannot change it. :class:`ChecksumMixin` keeps a small
-``byte count -> crc32`` dict per batch ("marks"). A mark is *anchored* at
-a trust-establishing moment — sealing a batch, spilling to disk, pinning
-a serve snapshot — and *verified* by recomputing the prefix CRC whenever
-the same bytes re-enter across a boundary (spill fault-in, pin, scrub). Marks extend incrementally (CRC32 is streamable), so
-re-anchoring a growing tail costs O(delta), not O(prefix).
-
-The one way an anchored prefix can legitimately change is an MVCC sibling
-completing a *reservation made before the mark*: space is claimed
-atomically but written later, so a write may land below an existing mark.
-``write()`` therefore drops every mark above the write offset — the next
-anchor recomputes from the bytes actually present.
+spill and sharded-serve work those raw bytes travel through disk files
+and replica copies. A flipped bit on any of those paths would previously
+decode into a silently wrong answer. The checks themselves live on the
+one row batch type (:class:`~repro.indexed.row_batch.RowBatch`): CRC32
+*prefix marks* anchored at a trust-establishing moment (sealing a batch,
+pinning a serve snapshot) and verified whenever the same bytes re-enter
+across a boundary (pin, scrub), and a spill-file CRC checked on every
+fault-in. This module holds what the boundaries share: the global switch,
+the error type, the partition-level anchor and audit, and the chaos
+damage patterns.
 
 **Trust model.** Verification happens only at storage/transport edges,
 never on in-memory reads — that is what keeps the overhead within the
@@ -41,7 +31,6 @@ This module imports nothing from the rest of the package so every layer
 from __future__ import annotations
 
 import os
-import zlib
 
 #: Damage patterns the corruption chaos can inject. All of them XOR real
 #: bytes (or genuinely shorten a file), so an injected corruption is
@@ -92,88 +81,6 @@ class CorruptBlockError(RuntimeError):
         if detail:
             msg += f" [{detail}]"
         super().__init__(msg)
-
-
-class ChecksumMixin:
-    """Prefix-CRC bookkeeping shared by every row-batch flavour.
-
-    Hosts expect ``self.buf`` (a writable byte buffer), ``self.used`` and a
-    ``self._crc_marks`` dict created in ``__init__``. The marks dict is not
-    locked: anchors and verifies happen at boundary crossings where the
-    caller already holds a consistent view of the prefix, and the
-    mark-dropped re-check in :meth:`verify` resolves the one benign race
-    (a sibling completing an old reservation mid-verify).
-    """
-
-    __slots__ = ()
-
-    #: Keep the marks dict small on long-lived tails that are re-anchored
-    #: at many watermarks (one per pin): above the cap, the smallest
-    #: marks are dropped — verification at a dropped mark silently becomes
-    #: a fresh anchor, which only narrows scrub coverage, never corrupts.
-    _MAX_MARKS = 32
-
-    def checkpoint(self, upto: "int | None" = None) -> "int | None":
-        """Anchor (or return) the CRC32 of ``buf[:upto]``.
-
-        Extends incrementally from the largest existing mark at or below
-        ``upto``; returns None when integrity checking is disabled.
-        """
-        if not _ENABLED:
-            return None
-        if upto is None:
-            upto = self.used
-        marks = self._crc_marks
-        crc = marks.get(upto)
-        if crc is not None:
-            return crc
-        base = 0
-        base_crc = 0
-        for count, mark in marks.items():
-            if base < count <= upto:
-                base, base_crc = count, mark
-        crc = zlib.crc32(memoryview(self.buf)[base:upto], base_crc)
-        marks[upto] = crc
-        if len(marks) > self._MAX_MARKS:
-            for count in sorted(marks)[: len(marks) - self._MAX_MARKS // 2]:
-                del marks[count]
-            marks[upto] = crc
-        return crc
-
-    def verify(self, upto: "int | None" = None, where: str = "verify") -> bool:
-        """Recompute the CRC of ``buf[:upto]`` against the anchored mark.
-
-        Returns False when no mark covers ``upto`` (nothing to verify yet),
-        True on a match; raises :class:`CorruptBlockError` on a mismatch.
-        """
-        if not _ENABLED:
-            return False
-        if upto is None:
-            upto = self.used
-        expected = self._crc_marks.get(upto)
-        if expected is None:
-            return False
-        actual = zlib.crc32(memoryview(self.buf)[:upto])
-        if actual != expected:
-            if self._crc_marks.get(upto) != expected:
-                # The mark was dropped mid-verify by a sibling completing a
-                # pre-mark reservation: the read was stale, not corrupt.
-                return False
-            raise CorruptBlockError(
-                where,
-                detail=f"{upto} bytes",
-                batch=self,
-                expected=expected,
-                actual=actual,
-            )
-        return True
-
-    def drop_marks_beyond(self, offset: int) -> None:
-        """Invalidate marks covering bytes at or past ``offset`` (called by
-        ``write()`` before the store, so a mark never outlives its bytes)."""
-        marks = self._crc_marks
-        for count in [c for c in marks if c > offset]:
-            del marks[count]
 
 
 # -- partition-level anchoring and audit --------------------------------------------

@@ -1,9 +1,11 @@
 """EXPLAIN ANALYZE machinery: per-operator actual row counts and timings.
 
-The :class:`ExecutionMeter` is installed on a session for the duration of
-one instrumented execution. Every physical operator's output RDD gets a
-metering pass-through partition (``PhysicalPlan.execute`` consults
-``session.exec_meter``), which times each ``next()`` on the operator's
+The :class:`ExecutionMeter` is :data:`active_meter` for the duration of one
+analysing call (``Session.execute_analyzed``), in that call's context only:
+a query another thread runs on the same session meanwhile is neither
+metered into it nor denied its direct read. Every physical operator's
+output RDD gets a metering pass-through partition (``PhysicalPlan.execute``
+reads :data:`active_meter`), which times each ``next()`` on the operator's
 output iterator and counts the rows flowing out. Timings are therefore
 *inclusive of the operator's subtree* (like Spark's EXPLAIN ANALYZE
 cumulative times) and exclude downstream consumption.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -102,6 +105,11 @@ class ExecutionMeter:
         # preserves_partitioning: the metered RDD must be a transparent
         # shim — downstream shuffle-skipping decisions may not change.
         return MapPartitionsRDD(rdd, meter, preserves_partitioning=True)
+
+
+#: The meter of the EXPLAIN ANALYZE running in the calling context, or None.
+#: Set and reset by the analysing call, so nested analyses restore the outer.
+active_meter: "ContextVar[ExecutionMeter | None]" = ContextVar("active_meter", default=None)
 
 
 @dataclass

@@ -22,6 +22,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.engine.rdd import RDD
+from repro.obs.analyze import active_meter
 from repro.sql.cache import CachedRelation
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
@@ -55,13 +56,14 @@ class PhysicalPlan:
     def execute(self) -> RDD:
         """Build (lazily) the RDD of row tuples for this operator.
 
-        When the session is running under EXPLAIN ANALYZE
-        (``session.exec_meter`` is set), the operator's output RDD is
-        wrapped so actual row counts and wall time are recorded per node —
-        subclasses implement :meth:`do_execute` and never see the meter.
+        When the calling context runs under EXPLAIN ANALYZE
+        (:data:`~repro.obs.analyze.active_meter` is set), the operator's
+        output RDD is wrapped so actual row counts and wall time are recorded
+        per node — subclasses implement :meth:`do_execute` and never see the
+        meter.
         """
         rdd = self.do_execute()
-        meter = self.session.exec_meter
+        meter = active_meter.get()
         if meter is not None:
             rdd = meter.instrument(self, rdd)
         return rdd
@@ -76,7 +78,7 @@ class PhysicalPlan:
         Metered like :meth:`execute`, counting the rows inside each batch.
         """
         rdd = self.do_execute_batches(columns)
-        meter = self.session.exec_meter
+        meter = active_meter.get()
         if rdd is not None and meter is not None:
             rdd = meter.instrument(self, rdd, batches=True)
         return rdd

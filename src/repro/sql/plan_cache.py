@@ -64,6 +64,7 @@ class CachedPlan:
         "num_params",
         "physical",
         "text",
+        "unplannable",
     )
 
     def __init__(self, text: str, epoch: int, logical: "LogicalPlan", num_params: int = 0):
@@ -75,6 +76,10 @@ class CachedPlan:
         #: ``prepare::`` entry, the template's plan, bound per execution
         #: (``repro.sql.prepared``).
         self.physical: "PhysicalPlan | None" = None
+        #: For a ``prepare::`` entry: planning the template raised (a ``?``
+        #: whose type the plan needs), so executions at this entry's epoch
+        #: bind first without trying it again.
+        self.unplannable = False
         #: Filled in by the cache advisor under ``Config.auto_cache``: this
         #: text's recurrence and measured execution cost (DESIGN.md §17).
         #: Riding on the entry, they are evicted and epoch-invalidated

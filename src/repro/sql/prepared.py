@@ -27,6 +27,7 @@ from repro.sql.logical import LogicalPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sql.physical import PhysicalPlan
+    from repro.sql.plan_cache import CachedPlan
     from repro.sql.session import Session
 
 
@@ -49,13 +50,14 @@ class PreparedStatement:
     threads (every ``execute`` builds its own bound plan).
     """
 
-    def __init__(
-        self, session: "Session", text: str, template: LogicalPlan, num_params: int
-    ) -> None:
+    def __init__(self, session: "Session", text: str, entry: "CachedPlan") -> None:
         self.session = session
         self.text = text
-        self.template = template
-        self.num_params = num_params
+        #: The ``prepare::`` plan-cache entry: the template, and whether it
+        #: can be planned at the entry's epoch.
+        self.entry = entry
+        self.template: LogicalPlan = entry.logical
+        self.num_params = entry.num_params
 
     def _check(self, params: Sequence[Any]) -> None:
         if len(params) != self.num_params:
@@ -73,13 +75,17 @@ class PreparedStatement:
     def plan(self, params: Sequence[Any] = ()) -> "PhysicalPlan":
         """The physical plan of this binding: the template's plan, planned
         once per catalog epoch, bound to ``params`` — or, when that plan
-        cannot bind, the bound logical plan planned now."""
+        cannot bind, the bound logical plan planned now. A template that
+        cannot be planned is tried once per epoch."""
         self._check(params)
         session = self.session
-        try:
-            template = session.plan_physical(self.template)
-        except RuntimeError:  # a `?` whose type the plan needs (`SELECT ? ...`): bind first
-            template = None
+        entry = self.entry
+        template = None
+        if not (entry.unplannable and entry.epoch == session.catalog.epoch):
+            try:
+                template = session.plan_physical(self.template)
+            except RuntimeError:  # a `?` whose type the plan needs (`SELECT ? ...`): bind first
+                entry.unplannable = True
         if template is not None and self.num_params == 0:
             return template
         bound = template.bind(params) if template is not None else None

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.config import Config
 from repro.engine.context import EngineContext
-from repro.obs.analyze import ExecutionMeter, ExplainAnalysis
+from repro.obs.analyze import ExecutionMeter, ExplainAnalysis, active_meter
 from repro.sql.analysis import Analyzer
 from repro.sql.catalog import Catalog
 from repro.sql.logical import LogicalPlan, Relation
@@ -40,10 +40,6 @@ class Session:
         self.analyzer = Analyzer()
         self.extra_rules: list[Rule] = []
         self.extra_strategies: list[Strategy] = []
-        #: EXPLAIN ANALYZE hook: when set (see :meth:`execute_analyzed`),
-        #: PhysicalPlan.execute wraps every operator's output RDD so actual
-        #: row counts / wall time are recorded per plan node.
-        self.exec_meter: ExecutionMeter | None = None
         #: Normalized-SQL -> plan cache (DESIGN.md §11): identical query
         #: text reuses the parsed logical plan immediately and, after the
         #: first run, the planned physical plan too. Invalidated by catalog
@@ -53,6 +49,12 @@ class Session:
             capacity=self.context.config.plan_cache_capacity,
             registry=self.context.registry,
         )
+
+    @property
+    def exec_meter(self) -> ExecutionMeter | None:
+        """The EXPLAIN ANALYZE meter of the analysis running in the calling
+        context (:meth:`execute_analyzed`), or None."""
+        return active_meter.get()
 
     # -- DataFrame construction ------------------------------------------------
 
@@ -118,7 +120,7 @@ class Session:
         if entry is None:
             template, num_params = parse_prepared(text, self.catalog)
             entry = self.plan_cache.store(CachedPlan(norm, epoch, template, num_params))
-        return PreparedStatement(self, text, entry.logical, entry.num_params)
+        return PreparedStatement(self, text, entry)
 
     # -- the query pipeline (Fig. 2) ---------------------------------------------
 
@@ -209,7 +211,7 @@ class Session:
         if rows is None:
             return None
         context = self.context
-        if self.exec_meter is not None:
+        if active_meter.get() is not None:
             outcome = "analyze"
         elif context.faults.armed:
             outcome = "armed"
@@ -241,24 +243,25 @@ class Session:
     def execute_analyzed(self, logical: LogicalPlan) -> ExplainAnalysis:
         """Run the query with per-operator metering; return the annotated plan.
 
-        Meters nest: a query analyzed while another analysis is in flight
-        (e.g. index creation triggered inside planning) restores the outer
-        meter on exit.
+        The meter is this call's alone (:data:`~repro.obs.analyze.active_meter`):
+        queries other threads run on this session meanwhile are not metered
+        into it. Meters nest: a query analyzed while another analysis is in
+        flight in the same context (e.g. index creation triggered inside
+        planning) restores the outer meter on exit.
         """
         with self.context.tracer.start_span("query", kind="query", analyze=True):
             physical = self.plan_physical(logical)
             if physical.direct_rows() is not None:  # metered operators run as a job
                 self.context.registry.inc("sql_direct_reads_total", outcome="analyze")
             meter = ExecutionMeter()
-            previous = self.exec_meter
-            self.exec_meter = meter
+            token = active_meter.set(meter)
             try:
                 t0 = time.perf_counter()
                 with self.context.tracer.start_span("execute", kind="phase"):
                     rows = physical.execute().collect()
                 wall = time.perf_counter() - t0
             finally:
-                self.exec_meter = previous
+                active_meter.reset(token)
         return ExplainAnalysis(physical=physical, rows=rows, meter=meter, wall_seconds=wall)
 
     def sql_explain(self, text: str, analyze: bool = False) -> str:

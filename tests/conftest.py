@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import glob
+import os
 import random
+import tempfile
 
 import pytest
 
@@ -15,6 +19,19 @@ from repro.sql.types import DOUBLE, LONG, STRING, Schema
 #: Every scheduler mode the engine has; suites that must agree across modes
 #: parametrize over this.
 MODES = ("sequential", "threads")
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_leaked_spill_files():
+    """Fail a module that leaves more row-batch spill files in the temp dir
+    than it found: once its fixtures are gone and a collection has run, every
+    spilled batch it made is unreachable and its finalizer has unlinked the file."""
+    pattern = os.path.join(tempfile.gettempdir(), "rowbatch-*.spill")
+    before = len(glob.glob(pattern))
+    yield
+    gc.collect()
+    leaked = len(glob.glob(pattern)) - before
+    assert leaked <= 0, f"{leaked} spill file(s) left behind in {tempfile.gettempdir()}"
 
 
 @pytest.fixture()

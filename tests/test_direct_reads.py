@@ -31,6 +31,7 @@ from repro.engine.context import EngineContext
 from repro.engine.scheduler import TaskFailure
 from repro.indexed import partition as partition_module
 from repro.integrity import corrupt_file
+from repro.obs.analyze import ExecutionMeter
 from repro.sql.functions import col
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
@@ -286,6 +287,34 @@ class TestFallbacks:
         assert by_repr(analysis.rows) == EXPECTED[POINT]
         text, counted = outcome_delta(session, lambda: session.sql_explain(RANGE, analyze=True))
         assert counted == {"analyze": 1} and "rows=" in text
+
+    def test_a_read_beside_an_analysis_is_answered_and_not_metered(self, monkeypatch):
+        """The meter is the analysing call's own: a point read another thread
+        runs on the session meanwhile is answered directly, and the analysis
+        counts only its own rows."""
+        session, _ = table()
+        started, beside = [], []
+        instrument = ExecutionMeter.instrument
+
+        def read_beside(meter, plan, rdd, batches=False):
+            if not started:  # the analysis is metering: read from another thread
+                started.append(plan)
+                point = lambda: session.sql(POINT).collect_tuples()  # noqa: E731
+                thread = threading.Thread(target=lambda: beside.append(outcome_delta(session, point)))
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            return instrument(meter, plan, rdd, batches)
+
+        monkeypatch.setattr(ExecutionMeter, "instrument", read_beside)
+        analysis = session.execute_analyzed(session.sql_logical(RANGE))
+        [(rows, counted)] = beside
+        assert counted == {"answered": 1}
+        assert by_repr(rows) == EXPECTED[POINT]
+        assert by_repr(analysis.rows) == EXPECTED[RANGE]
+        assert analysis.node_stats(analysis.physical).rows == len(analysis.rows)
+        point_plan = session.plan_physical(session.sql_logical(POINT))
+        assert all(analysis.meter.get(node) is None for node in [point_plan, *point_plan.children()])
 
     def test_auto_cache(self):
         session, _ = table(auto_cache=True, advisor_score_threshold=1e12)

@@ -34,7 +34,7 @@ from repro.engine.context import EngineContext
 from repro.indexed import partition as partition_module
 from repro.indexed.mvcc import CopyOnWriteVersioning, SnapshotVersioning
 from repro.indexed.ordered_index import KeyRange
-from repro.indexed.out_of_core import spill_partition
+from repro.indexed.row_batch import spill_partition
 from repro.indexed.partition import IndexedPartition
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema

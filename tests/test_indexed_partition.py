@@ -376,7 +376,7 @@ class TestScanColumns:
         assert rows_of(before) == [(r[0], r[2]) for r in rows]  # the old views too
 
     def test_spilled_batches_fault_in_and_no_view_outlives_the_caller(self, tmp_path):
-        from repro.indexed.out_of_core import spill_partition
+        from repro.indexed.row_batch import spill_partition
 
         p = make_partition(WIDE_SCHEMA, "k", batch_size=512)
         rows = wide_rows(120)

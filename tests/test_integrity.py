@@ -2,7 +2,7 @@
 
 Covers the whole detect → quarantine → repair pipeline:
 
-* :class:`~repro.integrity.ChecksumMixin` prefix marks on row batches —
+* the prefix-CRC marks of :class:`~repro.indexed.row_batch.RowBatch` —
   anchoring, incremental extension, MVCC mark invalidation, pruning, and
   the global enable toggle;
 * every trust boundary raising :class:`~repro.integrity.CorruptBlockError`
@@ -24,12 +24,10 @@ import pytest
 
 from repro.config import Config
 from repro.engine.context import EngineContext
-from repro.indexed.out_of_core import SpillableRowBatch
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.row_batch import RowBatch
 from repro.integrity import (
     CORRUPTION_MODES,
-    ChecksumMixin,
     CorruptBlockError,
     audit_partition,
     batch_matches,
@@ -60,11 +58,13 @@ def counters(session):
 
 
 # ---------------------------------------------------------------------------
-# ChecksumMixin: marks, verification, MVCC invalidation
+# RowBatch prefix marks: verification, MVCC invalidation
 # ---------------------------------------------------------------------------
 
 
 class TestChecksumMixin:
+    """The prefix-CRC marks every row batch carries."""
+
     def test_checkpoint_and_verify_roundtrip(self):
         batch = RowBatch(256)
         batch.append(b"hello")
@@ -108,7 +108,7 @@ class TestChecksumMixin:
         for i in range(80):
             batch.append(b"x" * 8)
             batch.checkpoint()
-        assert len(batch._crc_marks) <= ChecksumMixin._MAX_MARKS
+        assert len(batch._crc_marks) <= RowBatch._MAX_MARKS
         assert batch.verify() is True
 
     def test_global_toggle_disables_anchoring(self):
@@ -178,16 +178,16 @@ class TestChecksumMixin:
 
 class TestSpillBoundary:
     def test_clean_spill_roundtrip(self, tmp_path):
-        batch = SpillableRowBatch(256, spill_dir=str(tmp_path))
+        batch = RowBatch(256)
         batch.append(b"hello world")
-        batch.spill()
-        assert bytes(batch.buf[:11]) == b"hello world"  # fault-in verifies
+        batch.spill(str(tmp_path))
+        assert bytes(batch.ensure_resident()[:11]) == b"hello world"  # fault-in verifies
 
     @pytest.mark.parametrize("mode", CORRUPTION_MODES)
     def test_damaged_spill_file_detected(self, tmp_path, mode):
-        batch = SpillableRowBatch(8192, spill_dir=str(tmp_path))
+        batch = RowBatch(8192)
         batch.append(b"y" * 5000)
-        batch.spill()
+        batch.spill(str(tmp_path))
         corrupt_file(batch._path, 5000, mode)
         with pytest.raises(CorruptBlockError) as err:
             batch.ensure_resident()
@@ -195,10 +195,10 @@ class TestSpillBoundary:
         assert not batch.resident  # stays spilled: retryable, not poisoned
 
     def test_chaos_hook_damages_at_write_time(self, tmp_path):
-        batch = SpillableRowBatch(8192, spill_dir=str(tmp_path))
+        batch = RowBatch(8192)
         batch.append(b"z" * 4000)
         batch.chaos_corruption = lambda path: "garble_header"
-        batch.spill()
+        batch.spill(str(tmp_path))
         with pytest.raises(CorruptBlockError):
             batch.ensure_resident()
 

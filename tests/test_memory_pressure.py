@@ -16,6 +16,7 @@ exactly the rows an unbounded run produces.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.engine.memory_manager import MemoryManager, MemoryPressureError
 from repro.engine.scheduler import TaskFailure
+from repro.indexed.row_batch import RowBatch
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from repro.utils.memory import deep_sizeof
@@ -342,16 +344,14 @@ class TestTieredShedding:
         """One meter: ``memory_faulted_back_bytes_total`` equals
         sum(faults x capacity) over every batch a metered executor spilled
         — evicted ones included — whichever path spilled them."""
-        from repro.indexed.out_of_core import SpillableRowBatch
+        made: dict[int, RowBatch] = {}
+        spill = RowBatch.spill
 
-        made: list[SpillableRowBatch] = []
-        from_batch = SpillableRowBatch.from_batch.__func__
+        def tracking(batch, spill_dir=None):
+            made[id(batch)] = batch
+            return spill(batch, spill_dir)
 
-        def tracking(cls, batch, spill_dir=None):
-            made.append(from_batch(cls, batch, spill_dir=spill_dir))
-            return made[-1]
-
-        monkeypatch.setattr(SpillableRowBatch, "from_batch", classmethod(tracking))
+        monkeypatch.setattr(RowBatch, "spill", tracking)
         s = make_session("sequential", tmp_path, executor_memory_bytes=budget)
         idf = cached_index(s, baseline_rows)
         reg = s.context.registry
@@ -360,7 +360,7 @@ class TestTieredShedding:
             assert idf.spill_index() > 0
         for _ in range(3):
             assert collected(idf) == baseline
-        loaded = sum(b.faults * b.capacity for b in made)
+        loaded = sum(b.faults * b.capacity for b in made.values())
         assert loaded > 0
         assert reg.counter_total("memory_faulted_back_bytes_total") == loaded
 
@@ -371,16 +371,14 @@ class TestTieredShedding:
         """``memory_spilled_bytes_total`` is the capacity of every batch a spill
         released — also when readers faulted batches back in between spills,
         which a re-walk of the store nets out of the difference it counted."""
-        from repro.indexed.out_of_core import SpillableRowBatch
-
         released: list[int] = []
-        spill = SpillableRowBatch.spill
+        spill = RowBatch.spill
 
-        def counting(batch):
-            released.append(spill(batch))
+        def counting(batch, spill_dir=None):
+            released.append(spill(batch, spill_dir))
             return released[-1]
 
-        monkeypatch.setattr(SpillableRowBatch, "spill", counting)
+        monkeypatch.setattr(RowBatch, "spill", counting)
         s = make_session("sequential", tmp_path, executor_memory_bytes=120_000)
         idf = cached_index(s, baseline_rows)  # spills
         assert collected(idf) == baseline  # faults them back in
@@ -391,6 +389,33 @@ class TestTieredShedding:
         assert 0 < spills < reg.counter_total("memory_spills_total")
         assert reg.counter_total("memory_faulted_back_bytes_total") > 0
         assert reg.counter_total("memory_spilled_bytes_total") == sum(released)
+
+    def test_a_block_spills_once_per_residency(self, tmp_path, monkeypatch, baseline_rows, baseline):
+        """Tier 1 spills a block once per residency (DESIGN.md §10): under
+        repeated pressure a block whose batches were spilled and faulted back
+        in is evicted, not spilled again; its rebuild from lineage is
+        spillable again."""
+        spilled: list[RowBatch] = []
+        spill = RowBatch.spill
+
+        def counting(batch, spill_dir=None):
+            spilled.append(batch)
+            return spill(batch, spill_dir)
+
+        monkeypatch.setattr(RowBatch, "spill", counting)
+        s = make_session("sequential", tmp_path)
+        idf = cached_index(s, baseline_rows)
+        stores = [runtime.block_manager for runtime in s.context.executors.values()]
+        first = None
+        for _ in range(4):
+            for store in stores:
+                store.pressure_storm(0.6)
+            first = first if first is not None else len(spilled)
+            assert collected(idf) == baseline  # faults spilled batches back in
+        reg = s.context.registry
+        assert 0 < first < len(spilled)  # rebuilt blocks spilled again
+        assert reg.counter_total("memory_evictions_total") > 0
+        assert len({id(b) for b in spilled}) == len(spilled)  # each batch once
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +561,7 @@ def _random_schedule_run(seed: int, tmp_path) -> None:
         executor_memory_bytes=rng.choice([0, 80_000, 150_000]),
     )
     rows = make_rows(n=600, keys=20, seed=seed, width=60)
+    stores = [runtime.block_manager for runtime in s.context.executors.values()]
     versions = [cached_index(s, rows, num_partitions=4)]
     expected = [sorted(rows)]
     for _ in range(rng.randrange(2, 5)):
@@ -545,13 +571,23 @@ def _random_schedule_run(seed: int, tmp_path) -> None:
     for _ in range(rng.randrange(6, 14)):
         op = rng.choice(("spill", "storm", "scan", "scan"))
         v = rng.randrange(len(versions))
+        # Every stored partition's batch objects, shared between versions or not.
+        held = [
+            (part, list(part.batches))
+            for store in stores
+            for value in list(store._blocks.values())
+            for part in value
+        ]
         if op == "spill":
             versions[v].spill_index(keep_tail=rng.random() < 0.8)
         elif op == "storm":
-            runtime = rng.choice(list(s.context.executors.values()))
-            runtime.block_manager.pressure_storm(rng.choice([0.0, 0.3, 0.6]))
+            rng.choice(stores).pressure_storm(rng.choice([0.0, 0.3, 0.6]))
         else:
             assert collected(versions[v]) == expected[v], f"seed={seed} version={v}"
+        for part, batches in held:  # a spill never replaces a batch object
+            assert len(part.batches) == len(batches), f"seed={seed} {op}"
+            assert all(map(operator.is_, part.batches, batches)), f"seed={seed} {op}"
+        del held
     for v, idf in enumerate(versions):
         assert collected(idf) == expected[v], f"seed={seed} version={v} (final)"
 

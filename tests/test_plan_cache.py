@@ -146,6 +146,28 @@ class TestPreparedStatements:
         s2 = session.prepare("select * from users where uid = ?")
         assert s1.template is s2.template
 
+    def test_an_unplannable_template_is_tried_once_per_epoch(self, monkeypatch):
+        """A ``?`` whose type the template's plan needs: the statement binds
+        first, and plans the template at most once per catalog epoch."""
+        session = make_session()
+        text = "SELECT uid, ? AS x FROM users WHERE uid = ?"
+        templates: list = []
+        plan_physical = session.plan_physical
+
+        def counting(logical):
+            templates.append(logical)
+            return plan_physical(logical)
+
+        monkeypatch.setattr(session, "plan_physical", counting)
+        for epoch in range(2):
+            statement = session.prepare(text)
+            for uid in range(10):
+                plain = session.sql(f"SELECT uid, 7 AS x FROM users WHERE uid = {uid}")
+                assert statement.execute([7, uid]) == plain.collect_tuples() == [(uid, 7)]
+            assert sum(logical is statement.template for logical in templates) == 1, epoch
+            more = session.create_dataframe(make_users(5), USER_SCHEMA, name="more")
+            more.create_or_replace_temp_view("more")  # a new catalog epoch
+
     def test_plain_sql_rejects_parameter_marker(self):
         session = make_session()
         with pytest.raises(SQLParseError):

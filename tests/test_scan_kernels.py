@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.indexed import partition as partition_module
-from repro.indexed.out_of_core import spill_partition
+from repro.indexed.row_batch import spill_partition
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.row_codec import RowCodec
 from repro.sql import aggregates
