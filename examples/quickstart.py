@@ -5,7 +5,7 @@ This walks the paper's Listing 1 API end to end on a small social graph::
     python examples/quickstart.py
 """
 
-from repro import LONG, DOUBLE, Schema, Session, col
+from repro import LONG, DOUBLE, Schema, Session
 
 # ---------------------------------------------------------------------------
 # 1. A session and some data (an edge table, as in the SNB workloads)

@@ -12,7 +12,7 @@ Run::
 
 import time
 
-from repro import Session, col, count
+from repro import Session, count
 from repro.workloads import snb
 
 session = Session()

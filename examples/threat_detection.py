@@ -13,7 +13,7 @@ Run::
 
 import time
 
-from repro import LONG, Schema, Session, col, count, sum_
+from repro import LONG, Schema, Session, count, sum_
 from repro.workloads import broconn
 
 session = Session()

@@ -35,9 +35,10 @@ logical sites in sequential and threads mode, run after run.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 
@@ -72,6 +73,36 @@ def _draw(seed: int, *site: object) -> float:
     return random.Random("|".join(str(s) for s in (seed, *site))).random()
 
 
+#: The chaos knobs besides ``seed``, each with the closed range it must lie in.
+_KNOB_RANGES: dict[str, tuple[float, float]] = {
+    "task_failure_prob": (0.0, 1.0),
+    "fetch_failure_prob": (0.0, 1.0),
+    "straggler_prob": (0.0, 1.0),
+    "straggler_delay": (0.0, math.inf),
+    "memory_squeeze_prob": (0.0, 1.0),
+    "memory_squeeze_factor": (0.0, 1.0),
+    "serve_rejection_prob": (0.0, 1.0),
+    "shard_kill_prob": (0.0, 1.0),
+    "corrupt_spill_prob": (0.0, 1.0),
+}
+_KNOBS = ("seed", *_KNOB_RANGES)
+
+
+def _check_knob(name: str, value: object) -> None:
+    """Reject an unknown knob (``TypeError``) or a value of the wrong type
+    or out of range (``ValueError``), naming the knob either way."""
+    if name == "seed":
+        ok, want = isinstance(value, int), "an int"
+    elif name in _KNOB_RANGES:
+        low, high = _KNOB_RANGES[name]
+        ok = isinstance(value, (int, float)) and low <= value <= high
+        want = f"in [{low}, {high}]"
+    else:
+        raise TypeError(f"FaultInjector has no chaos knob {name!r}")
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"FaultInjector.{name} must be {want}, got {value!r}")
+
+
 @dataclass
 class FaultInjector:
     """Schedules executor failures and chaos-style fault injection.
@@ -83,6 +114,12 @@ class FaultInjector:
     :meth:`on_task_start` / :meth:`on_fetch` are consulted by the task
     scheduler and shuffle manager on the hot path (cheap no-ops unless
     chaos is configured).
+
+    This is the one place chaos is configured: the knobs below are set
+    by the constructor or :meth:`configure` (an engine's injector is
+    ``context.faults``; configure it before the first job so a seed fires
+    the same faults at the same sites), both range-checked, and
+    :meth:`reset` returns them to their defaults.
     """
 
     seed: int = 0
@@ -142,42 +179,22 @@ class FaultInjector:
     #: schedule reproducible for a repeated workload in a fresh context.
     _shuffle_order: dict[int, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name in _KNOBS:
+            _check_knob(name, getattr(self, name))
+
     # -- configuration -------------------------------------------------------------
 
-    def configure(
-        self,
-        seed: int | None = None,
-        task_failure_prob: float | None = None,
-        fetch_failure_prob: float | None = None,
-        straggler_prob: float | None = None,
-        straggler_delay: float | None = None,
-        memory_squeeze_prob: float | None = None,
-        memory_squeeze_factor: float | None = None,
-        serve_rejection_prob: float | None = None,
-        shard_kill_prob: float | None = None,
-        corrupt_spill_prob: float | None = None,
-    ) -> None:
+    def configure(self, **knobs: float) -> None:
+        """Set chaos knobs by name (the fields above ``_scheduled``). Every
+        value is checked before any is set: an unknown name raises
+        ``TypeError``, an out-of-range value ``ValueError``, each naming
+        the knob."""
+        for name, value in knobs.items():
+            _check_knob(name, value)
         with self._lock:
-            if seed is not None:
-                self.seed = seed
-            if task_failure_prob is not None:
-                self.task_failure_prob = task_failure_prob
-            if fetch_failure_prob is not None:
-                self.fetch_failure_prob = fetch_failure_prob
-            if straggler_prob is not None:
-                self.straggler_prob = straggler_prob
-            if straggler_delay is not None:
-                self.straggler_delay = straggler_delay
-            if memory_squeeze_prob is not None:
-                self.memory_squeeze_prob = memory_squeeze_prob
-            if memory_squeeze_factor is not None:
-                self.memory_squeeze_factor = memory_squeeze_factor
-            if serve_rejection_prob is not None:
-                self.serve_rejection_prob = serve_rejection_prob
-            if shard_kill_prob is not None:
-                self.shard_kill_prob = shard_kill_prob
-            if corrupt_spill_prob is not None:
-                self.corrupt_spill_prob = corrupt_spill_prob
+            for name, value in knobs.items():
+                setattr(self, name, value)
 
     # -- scheduled kills -----------------------------------------------------------
 
@@ -417,10 +434,6 @@ class FaultInjector:
             self._task_launches = 0
             self._spill_writes = 0
             self._spill_corrupted_last = False
-            self.task_failure_prob = 0.0
-            self.fetch_failure_prob = 0.0
-            self.straggler_prob = 0.0
-            self.memory_squeeze_prob = 0.0
-            self.serve_rejection_prob = 0.0
-            self.shard_kill_prob = 0.0
-            self.corrupt_spill_prob = 0.0
+            for f in fields(self):
+                if f.name in _KNOBS:
+                    setattr(self, f.name, f.default)

@@ -12,7 +12,7 @@ paper-shaped ones.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 KB = 1024
@@ -70,12 +70,6 @@ class Config:
         launches — the cluster heals instead of shrinking forever. The
         scheduler's placement and pool-width logic pick the replacement up
         live (both consult the alive set on every decision).
-    chaos_*:
-        Deterministic fault injection (see
-        :class:`repro.cluster.faults.FaultInjector`). All decisions are
-        drawn from per-site seeded hashes (``chaos_seed``), so a given
-        seed reproduces the same failures regardless of thread
-        interleaving. Probabilities of 0 (the default) disable chaos.
     executor_memory_bytes:
         Per-executor byte budget for cached blocks (DESIGN.md §10). 0 (the
         default) disables metering entirely — the block store is unbounded,
@@ -134,28 +128,6 @@ class Config:
     #: Task launches between an executor's death and its replacement
     #: registering (a deterministic stand-in for restart wall-clock time).
     executor_restart_delay_tasks: int = 8
-    #: Chaos layer: seeded, deterministic mid-stage fault injection.
-    chaos_seed: int = 0
-    chaos_task_failure_prob: float = 0.0
-    chaos_fetch_failure_prob: float = 0.0
-    chaos_straggler_prob: float = 0.0
-    chaos_straggler_delay: float = 0.02
-    #: Probability that a task launch triggers a memory-pressure storm on
-    #: its executor: the effective budget shrinks to
-    #: ``chaos_memory_squeeze_factor`` of the configured one for that
-    #: moment, forcing spills/evictions (OOM-adjacent chaos).
-    chaos_memory_squeeze_prob: float = 0.0
-    chaos_memory_squeeze_factor: float = 0.5
-    #: Probability that the query server's admission control rejects an
-    #: incoming query (seeded, per query index) — chaos for client retry
-    #: paths; rejections are always retryable, never wrong answers.
-    chaos_serve_rejection_prob: float = 0.0
-    #: Corruption chaos (DESIGN.md §16): probability that real bytes get
-    #: damaged (bit-flip / truncation / garbled header, drawn per site) in
-    #: a just-written spill file. Every injection must be caught by a
-    #: checksum boundary and repaired from lineage or a replica — never
-    #: decoded into a wrong answer.
-    chaos_corrupt_spill_prob: float = 0.0
     #: Per-executor cached-block budget in bytes; 0 = unbounded (no metering).
     executor_memory_bytes: int = 0
     #: Where spilled row batches live (None: the system temp directory).
@@ -203,23 +175,12 @@ class Config:
         """Reject out-of-range or inconsistent settings with a clear error.
 
         Called by :class:`~repro.engine.context.EngineContext` on
-        construction, so a typo'd ``chaos_*_prob = 1.5`` fails loudly
-        instead of silently misbehaving deep inside the fault injector.
-        Returns self so call sites can chain.
+        construction, so a typo'd ``advisor_shed_pressure = 9`` fails
+        loudly instead of silently misbehaving deep inside a layer. Chaos
+        knobs live on :class:`~repro.cluster.faults.FaultInjector`, which
+        checks its own. Returns self so call sites can chain.
         """
         problems: list[str] = []
-        for f in fields(self):
-            if f.name.endswith("_prob"):
-                value = getattr(self, f.name)
-                if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-                    problems.append(
-                        f"{f.name} must be a probability in [0.0, 1.0], got {value!r}"
-                    )
-        if not 0.0 <= self.chaos_memory_squeeze_factor <= 1.0:
-            problems.append(
-                "chaos_memory_squeeze_factor must be in [0.0, 1.0], "
-                f"got {self.chaos_memory_squeeze_factor!r}"
-            )
         enums = (
             ("scheduler_mode", ("sequential", "threads")),
             ("eviction_policy", ("lru", "cost")),
@@ -256,9 +217,6 @@ class Config:
             value = getattr(self, name)
             if not isinstance(value, int) or value <= 0:
                 problems.append(f"{name} must be a positive int, got {value!r}")
-        delay = self.chaos_straggler_delay
-        if not isinstance(delay, (int, float)) or delay < 0:
-            problems.append(f"chaos_straggler_delay must be >= 0, got {delay!r}")
         threshold = self.ordered_index_compact_threshold
         if not isinstance(threshold, int) or threshold < 0:
             problems.append(

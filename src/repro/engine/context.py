@@ -71,17 +71,7 @@ class EngineContext:
         self.metrics = MetricsCollector(
             self.topology, self.network, self.numa, registry=self.registry, tracer=self.tracer
         )
-        self.faults = FaultInjector(
-            seed=self.config.chaos_seed,
-            task_failure_prob=self.config.chaos_task_failure_prob,
-            fetch_failure_prob=self.config.chaos_fetch_failure_prob,
-            straggler_prob=self.config.chaos_straggler_prob,
-            straggler_delay=self.config.chaos_straggler_delay,
-            memory_squeeze_prob=self.config.chaos_memory_squeeze_prob,
-            memory_squeeze_factor=self.config.chaos_memory_squeeze_factor,
-            serve_rejection_prob=self.config.chaos_serve_rejection_prob,
-            corrupt_spill_prob=self.config.chaos_corrupt_spill_prob,
-        )
+        self.faults = FaultInjector()
         #: Cost-based cache advisor (DESIGN.md §17): passively accumulates
         #: recurrence + measured compute cost from every layer; actively
         #: auto-caches/auto-evicts only when ``Config.auto_cache`` is set.
@@ -214,7 +204,7 @@ class EngineContext:
         return len(matched)
 
     def spill_corruption_hook(self, executor_id: "str | None" = None):
-        """Chaos hook for spill writes (``Config.chaos_corrupt_spill_prob``):
+        """Chaos hook for spill writes (``faults.corrupt_spill_prob``):
         ``MemoryManager.spill_partition`` hands it to every batch it spills
         — reactive memory pressure and proactive ``spill_index`` alike — so
         files are damaged under the one seeded injector. None when the knob

@@ -60,8 +60,9 @@ class MemoryManager:
             raise ValueError(
                 f"unknown eviction_policy {self.policy!r} (expected one of {EVICTION_POLICIES})"
             )
-        #: Without a budget or chaos squeezes every hook is a no-op (seed behaviour).
-        self.enabled = self.budget > 0 or cfg.chaos_memory_squeeze_prob > 0
+        #: Without a budget every hook is a no-op until a chaos squeeze
+        #: starts metering (:meth:`pressure_storm`).
+        self.enabled = self.budget > 0
         #: block id -> charged bytes, in LRU order (oldest first).
         self._sizes: "dict[BlockId, int]" = {}
         self._ledger = Ledger()

@@ -61,7 +61,6 @@ class CopyOnWriteVersioning:
             batch_size=parent.batch_size,
             max_row_size=parent.codec.max_row_size,
             version=version,
-            hash_string_keys=parent.hashed,
             ordered_compact_threshold=parent.ordered.seal_threshold,
         )
         # Deep-copy the batches byte for byte...

@@ -156,13 +156,13 @@ class SealedBase(NamedTuple):
 
     def find(self, trie_keys: list) -> np.ndarray:
         """Each key's position in ``keys``, or -1: one ``searchsorted`` — key
-        by key for object (string) keys and for a probe without the keys'
-        dtype (None, mixed or foreign types, which numpy would compare as text)."""
+        by key for a probe without the keys' dtype (None, mixed or foreign
+        types, which numpy would compare as text)."""
         keys = self.keys
         if not len(keys):
             return np.full(len(trie_keys), -1, np.intp)
-        wanted = None if keys.dtype == object else np.asarray(trie_keys)
-        if wanted is None or wanted.dtype != keys.dtype or wanted.ndim != 1:
+        wanted = np.asarray(trie_keys)
+        if wanted.dtype != keys.dtype or wanted.ndim != 1:
             return np.fromiter(map(self.find_one, trie_keys), np.intp, len(trie_keys))
         pos = keys.searchsorted(wanted)
         pos[pos == len(keys)] = 0

@@ -71,7 +71,6 @@ class IndexedPartition:
         batch_size: int = 64 * 1024,
         max_row_size: int = 1024,
         version: int = 0,
-        hash_string_keys: bool = True,
         ordered_compact_threshold: int = 512,
     ) -> None:
         self.schema = schema
@@ -79,7 +78,7 @@ class IndexedPartition:
         self.key_ordinal = schema.index_of(key_column)
         key_type = schema.field(key_column).dtype
         #: Trie keys are 32-bit hashes of the (string) key values.
-        self.hashed = hash_string_keys and isinstance(key_type, StringType)
+        self.hashed = isinstance(key_type, StringType)
         self.batch_size = batch_size
         # ``ordered_compact_threshold`` distinct keys seal the index's delta
         # into its array base; 0 never seals (DESIGN.md §15).

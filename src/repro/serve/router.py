@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.indexed.operators import IndexedLeafExec
+from repro.integrity import CorruptBlockError, audit_partition
 from repro.serve.shard import (
     PartitionNotOwned,
     RoutingTable,
@@ -411,6 +412,13 @@ class ShardRouter:
                     failovers += 1
                 except ServeRejected as exc:
                     shed = exc
+                except CorruptBlockError as exc:
+                    # A damaged copy (a corrupt spill file faulting in):
+                    # repaired as the scrubber repairs it, then read again.
+                    self.registry.inc("corruption_detected_total", where=exc.where)
+                    if self.quarantine_replica(view, split, exc) == "replica_copy":
+                        self.registry.inc("corruption_repaired_total", how="replica_copy")
+                    break
             if shed is not None:
                 raise shed
             if not candidates:
@@ -443,8 +451,6 @@ class ShardRouter:
         zero-wrong-answers contract holds with no degraded window beyond
         this call.
         """
-        from repro.integrity import CorruptBlockError, audit_partition
-
         with self._admin_lock:
             pin, table = self._pinned[view], self._tables[view]
             source = None

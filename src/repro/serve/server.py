@@ -10,7 +10,7 @@ work starts. The contract the chaos tests enforce: the server may reject
 Admission control rejects, in order:
 
 * ``shutdown`` — the server is closing (not retryable, find another server);
-* ``chaos`` — injected rejection (``Config.chaos_serve_rejection_prob``),
+* ``chaos`` — injected rejection (``context.faults.serve_rejection_prob``),
   exercising client retry loops deterministically;
 * ``memory_pressure`` — the worst executor block store is at/above
   ``ServeConfig.shed_memory_fraction`` of its budget (backpressure before

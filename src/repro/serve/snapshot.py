@@ -53,16 +53,18 @@ class PinnedSnapshot:
         Pinning is a trust boundary (DESIGN.md §16): every partition's
         checksums are verified (or anchored, on first pin) before the
         snapshot is served. A mismatch quarantines the damaged blocks and
-        re-materializes once from lineage — the repair itself is attributed
+        re-materializes from lineage, up to once per partition (each audit
+        stops at the first damaged batch) — the repair itself is attributed
         by the cache manager's rebuild path, not double-counted here.
         """
-        try:
-            return cls(idf, idf.materialize_partitions())
-        except CorruptBlockError as exc:
-            context = idf.session.context
-            context.registry.inc("corruption_detected_total", where="pin")
-            context.quarantine_corrupt(exc)
-            return cls(idf, idf.materialize_partitions())
+        context = idf.session.context
+        for _ in range(idf.num_partitions):
+            try:
+                return cls(idf, idf.materialize_partitions())
+            except CorruptBlockError as exc:
+                context.registry.inc("corruption_detected_total", where="pin")
+                context.quarantine_corrupt(exc)
+        return cls(idf, idf.materialize_partitions())
 
     def _validate(self) -> None:
         if len(self.partitions) != self.idf.num_partitions:

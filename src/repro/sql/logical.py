@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.sql.expressions import AggregateExpression, Alias, Expression
+from repro.sql.expressions import Expression
 from repro.sql.types import Schema, StructField
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -192,8 +192,8 @@ class Join(LogicalPlan):
 
     def __repr__(self) -> str:
         keys = ", ".join(
-            f"{l.output_name()}={r.output_name()}"
-            for l, r in zip(self.left_keys, self.right_keys)
+            f"{lk.output_name()}={rk.output_name()}"
+            for lk, rk in zip(self.left_keys, self.right_keys)
         )
         return f"Join({self.how}, {keys})"
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.sql.types import LONG, STRING, Schema
 
 FLIGHTS_SCHEMA = Schema.of(
     ("flight_num", LONG),

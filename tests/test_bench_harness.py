@@ -20,7 +20,7 @@ class TestReport:
         out = format_table(["a", "bbb"], [[1, 2.5], [10, 0.125]], title="T")
         lines = out.splitlines()
         assert lines[0] == "T"
-        assert all(len(l) == len(lines[1]) for l in lines[1:])
+        assert all(len(line) == len(lines[1]) for line in lines[1:])
         assert "bbb" in out and "0.12500" in out
 
     def test_format_table_empty_rows(self):

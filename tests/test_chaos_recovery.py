@@ -62,13 +62,13 @@ class TestChaosDeterminism:
         expected = sorted(
             make_context("sequential").parallelize(data, 8).reduce_by_key(lambda a, b: a + b).collect()
         )
-        ctx = make_context(
-            mode,
-            chaos_seed=seed,
-            chaos_task_failure_prob=0.15,
-            chaos_straggler_prob=0.1,
-            chaos_straggler_delay=0.005,
-            chaos_fetch_failure_prob=0.04,
+        ctx = make_context(mode)
+        ctx.faults.configure(
+            seed=seed,
+            task_failure_prob=0.15,
+            straggler_prob=0.1,
+            straggler_delay=0.005,
+            fetch_failure_prob=0.04,
         )
         shuffled = ctx.parallelize(data, 8).reduce_by_key(lambda a, b: a + b)
         for _ in range(3):
@@ -80,12 +80,8 @@ class TestChaosDeterminism:
         sequential workload reproduces the identical fault schedule."""
 
         def run() -> tuple[list, dict]:
-            ctx = make_context(
-                "sequential",
-                chaos_seed=42,
-                chaos_task_failure_prob=0.25,
-                chaos_fetch_failure_prob=0.05,
-            )
+            ctx = make_context("sequential")
+            ctx.faults.configure(seed=42, task_failure_prob=0.25, fetch_failure_prob=0.05)
             shuffled = ctx.parallelize([(i % 7, i) for i in range(700)], 8).reduce_by_key(
                 lambda a, b: a + b
             )
@@ -99,7 +95,8 @@ class TestChaosDeterminism:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_transient_chaos_failures_are_retried(self, mode):
-        ctx = make_context(mode, chaos_seed=5, chaos_task_failure_prob=0.3)
+        ctx = make_context(mode)
+        ctx.faults.configure(seed=5, task_failure_prob=0.3)
         got = sorted(ctx.parallelize(range(200), 8).map(lambda x: x * 2).collect())
         assert got == [x * 2 for x in range(200)]
         summary = recovery_counts(ctx)
@@ -110,7 +107,8 @@ class TestChaosDeterminism:
     def test_flaky_fetch_drives_cheap_resubmit(self, mode):
         """A chaos fetch failure leaves the map output intact: the DAG
         scheduler's retry recomputes nothing and just re-runs the reduce."""
-        ctx = make_context(mode, chaos_seed=11, chaos_fetch_failure_prob=0.08)
+        ctx = make_context(mode)
+        ctx.faults.configure(seed=11, fetch_failure_prob=0.08)
         data = [(i % 5, i) for i in range(400)]
         shuffled = ctx.parallelize(data, 8).partition_by(HashPartitioner(8))
         for _ in range(4):
@@ -447,11 +445,11 @@ class TestFig12ChaosRun:
                 scheduler_mode="threads",
                 executor_replacement=True,
                 executor_restart_delay_tasks=8,
-                chaos_seed=seed,
                 tracing_enabled=True,
             ),
             topology=private_cluster(num_machines=2, executors_per_machine=2),
         )
+        ctx.faults.configure(seed=seed)
         session = Session(context=ctx)
         rows = make_edges(n=1200, keys=48, seed=seed)
         df = session.create_dataframe(rows, EDGE_SCHEMA, "edges")

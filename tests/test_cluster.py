@@ -258,3 +258,36 @@ class TestFaultInjector:
         assert fi.check(2) == ["e"]
         fi.reset()
         assert fi.check(2) == []
+
+    def test_every_way_of_setting_a_knob_is_checked(self):
+        """The constructor and ``configure`` refuse an unknown knob or an
+        out-of-range value, naming the knob, and set nothing on refusal."""
+        with pytest.raises(ValueError, match="task_failure_prob"):
+            FaultInjector(task_failure_prob=2.0)
+        fi = FaultInjector()
+        with pytest.raises(ValueError, match="straggler_delay"):
+            fi.configure(straggler_delay=-1)
+        with pytest.raises(ValueError, match="shard_kill_prob"):
+            fi.configure(shard_kill_prob=1.5)
+        with pytest.raises(ValueError, match="memory_squeeze_factor"):
+            fi.configure(task_failure_prob=0.5, memory_squeeze_factor=7)
+        with pytest.raises(ValueError, match="seed"):
+            fi.configure(seed=1.5)
+        with pytest.raises(TypeError, match="bogus"):
+            fi.configure(bogus=1)
+        assert (fi.task_failure_prob, fi.memory_squeeze_factor) == (0.0, 0.5)
+        fi.configure(seed=3, shard_kill_prob=1.0, straggler_delay=0)
+        assert (fi.seed, fi.shard_kill_prob, fi.straggler_delay) == (3, 1.0, 0)
+
+    def test_reset_restores_every_knob(self):
+        fi = FaultInjector()
+        knobs = dict(
+            seed=9, task_failure_prob=0.1, fetch_failure_prob=0.2, straggler_prob=0.3,
+            straggler_delay=0.5, memory_squeeze_prob=0.4, memory_squeeze_factor=0.25,
+            serve_rejection_prob=0.5, shard_kill_prob=0.6, corrupt_spill_prob=0.7,
+        )
+        fi.configure(**knobs)
+        fi.reset()
+        assert {name: getattr(fi, name) for name in knobs} == {
+            name: getattr(FaultInjector(), name) for name in knobs
+        }

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import Config
 from repro.engine.context import EngineContext
-from repro.engine.dag import JobFailedError
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import TaskFailure
 from repro.engine.shuffle import estimate_size

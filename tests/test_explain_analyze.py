@@ -164,11 +164,10 @@ class TestScoping:
             config=Config(
                 default_parallelism=4,
                 shuffle_partitions=4,
-                chaos_seed=13,
-                chaos_task_failure_prob=0.25,
                 task_retry_backoff=0.0,
             )
         )
+        session.context.faults.configure(seed=13, task_failure_prob=0.25)
         rows = [(i % 25, i % 7, float(i)) for i in range(400)]
         df = session.create_dataframe(rows, EDGE_SCHEMA, "edges").where(col("src") < 12)
         expected = len(df.collect_tuples())

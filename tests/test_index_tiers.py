@@ -3,8 +3,8 @@
 One seeded differential drives random interleavings of ``insert_rows``
 (batch sizes 1…2 000, keys repeated inside and across batches), new versions
 (snapshot or copy-on-write) and *divergent* appends to two children of one
-parent, over integer, hashed-string (``hash32`` squeezed to 199 values, so
-most chains mix keys) and unhashed-string keys. The same calls are fed to
+parent, over integer and hashed-string keys (``hash32`` squeezed to 199
+values, so most chains mix keys). The same calls are fed to
 one partition lineage per seal threshold ``{1, 2, 7, 512, 10**6, 0}``; after
 every step each touched version must agree with a dict-of-lists oracle — and
 so with the threshold-``0`` (cTrie-only) lineage — and at the end every
@@ -43,7 +43,7 @@ from tests.conftest import recovery_counts
 
 NEVER_REACHED = 10**6
 THRESHOLDS = (1, 2, 7, 512, NEVER_REACHED, 0)
-KINDS = ("int", "hashed", "unhashed")
+KINDS = ("int", "hashed")
 INT_SCHEMA = Schema.of(("k", LONG), ("seq", LONG), ("w", DOUBLE))
 STR_SCHEMA = Schema.of(("k", STRING), ("seq", LONG), ("w", DOUBLE))
 DOMAIN = 300
@@ -83,7 +83,6 @@ class Version:
                     schema,
                     "k",
                     batch_size=2048,
-                    hash_string_keys=kind == "hashed",
                     ordered_compact_threshold=t,
                 )
                 for t in THRESHOLDS
@@ -320,7 +319,6 @@ def build_for_accounting(
     part = IndexedPartition(
         INT_SCHEMA if kind == "int" else STR_SCHEMA,
         "k",
-        hash_string_keys=kind == "hashed",
         ordered_compact_threshold=threshold,
     )
     part.insert_rows([(make_key(kind, i % distinct), i, 0.5) for i in range(rows)])
@@ -370,13 +368,13 @@ def test_row_batch_bytes_are_pinned():
     keys, string rows, a snapshot child appending to the shared tail). The
     int kind's two were recorded again when a first array build came to be
     placed in key order (DESIGN.md §15, Runs): its parent is that build and
-    its child appends in arrival order behind it. The string kinds keep the
-    row layout, and their CRCs."""
+    its child appends in arrival order behind it. The string kind keeps the
+    row layout, and its CRCs."""
     rng = random.Random(5)
     crcs = []
     for kind in KINDS:
         schema = INT_SCHEMA if kind == "int" else STR_SCHEMA
-        part = IndexedPartition(schema, "k", batch_size=4096, hash_string_keys=kind == "hashed")
+        part = IndexedPartition(schema, "k", batch_size=4096)
         rows = [(make_key(kind, rng.randrange(200)), i, i / 4) for i in range(3000)]
         part.insert_rows(rows[:2000])
         child = part.snapshot(1)
@@ -391,6 +389,4 @@ def test_row_batch_bytes_are_pinned():
         (26, 105000, 3601200439),
         (17, 68000, 402595547),
         (25, 102000, 871697708),
-        (17, 68000, 843084529),
-        (25, 102000, 1607018991),
     ]

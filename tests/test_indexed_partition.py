@@ -121,11 +121,6 @@ class TestStringKeys:
         assert p.lookup(a) == [(a, 1)]
         assert p.lookup(b) == [(b, 2)]
 
-    def test_unhashed_string_keys_mode(self):
-        p = IndexedPartition(STR_SCHEMA, "tail", hash_string_keys=False)
-        p.insert_rows([("N1", 1), ("N1", 2)])
-        assert p.lookup("N1") == [("N1", 2), ("N1", 1)]
-
 
 class TestSnapshotMVCC:
     def test_snapshot_isolation_both_directions(self):

@@ -8,10 +8,10 @@ import pytest
 from repro.config import Config
 from repro.indexed.operators import IndexedJoinExec, IndexedLookupExec, IndexedScanExec
 from repro.indexed.rules import extract_lookup_keys
-from repro.sql.functions import col, count, lit
+from repro.sql.functions import col, lit
 from repro.sql.physical import FilterExec
 from repro.sql.session import Session
-from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.sql.types import DOUBLE, LONG, Schema
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 

@@ -7,13 +7,13 @@ Covers the whole detect → quarantine → repair pipeline:
   the global enable toggle;
 * every trust boundary raising :class:`~repro.integrity.CorruptBlockError`
   on damaged bytes: spill fault-in, snapshot pin;
-* seeded corruption chaos (``chaos_corrupt_spill_prob``) driving the full
+* seeded corruption chaos (``faults.corrupt_spill_prob``) driving the full
   recovery loop — quarantine everywhere, lineage rebuild,
   ``corruption_detected_total == corruption_repaired_total``, and zero
   wrong answers;
 * the serve-tier scrubber finding and repairing damage in pinned
   snapshots (single server and sharded router);
-* ``Config.validate()`` rejecting out-of-range knobs.
+* ``Config.validate()`` and the fault injector rejecting out-of-range knobs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import zlib
 
 import pytest
 
+from repro.cluster.faults import FaultInjector
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.indexed.partition import IndexedPartition
@@ -213,9 +214,9 @@ class TestCorruptionChaosEndToEnd:
         rows = make_rows()
         s = Session(config=Config(
             default_parallelism=2, shuffle_partitions=2, spill_dir=str(tmp_path),
-            row_batch_size=4096, chaos_seed=11, chaos_corrupt_spill_prob=1.0,
-            task_retry_backoff=0.0,
+            row_batch_size=4096, task_retry_backoff=0.0,
         ))
+        s.context.faults.configure(seed=11, corrupt_spill_prob=1.0)
         idf = s.create_dataframe(rows, EDGE, "e").create_index("src").cache_index()
         idf.spill_index()
         assert sorted(idf.lookup_tuples(7)) == sorted(t for t in rows if t[0] == 7)
@@ -362,6 +363,45 @@ class TestScrubber:
         assert detected == repaired == 1
         assert sorted(repinned.lookup(7)) == sorted(t for t in rows if t[0] == 7)
 
+    def test_pin_rebuilds_every_damaged_partition(self):
+        """Each audit stops at its first damaged batch: a pin over several
+        damaged partitions re-materializes until every one verifies."""
+        from repro.serve.snapshot import PinnedSnapshot
+
+        s = Session(config=Config(default_parallelism=4, shuffle_partitions=4))
+        rows = make_rows(2000, keys=20)
+        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
+        first = PinnedSnapshot.pin(idf)
+        for part in first.partitions[:3]:
+            assert _corrupt_pinned(part)
+        repinned = PinnedSnapshot.pin(idf)
+        detected, repaired = counters(s)
+        assert detected == repaired == 3
+        assert sorted(repinned.lookup(7)) == sorted(t for t in rows if t[0] == 7)
+
+    def test_routed_read_repairs_a_corrupt_spill_file(self, tmp_path):
+        """A served partition whose spilled batch comes back damaged is
+        repaired on the read path as the scrubber repairs it: the routed
+        answer is whole and correct, and the ledger balances."""
+        from repro.serve.router import RouterConfig, ShardRouter
+
+        s = Session(config=Config(
+            default_parallelism=4, shuffle_partitions=4, row_batch_size=4096,
+            spill_dir=str(tmp_path), task_retry_backoff=0.0,
+        ))
+        rows = make_rows(4000, keys=40)
+        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
+        with ShardRouter(s, 3, RouterConfig(replication_factor=2)) as router:
+            router.publish("v", idf)
+            s.context.faults.configure(seed=3, corrupt_spill_prob=1.0)
+            idf.spill_index()
+            res = router.query("SELECT * FROM v WHERE src BETWEEN 0 AND 39")
+        assert not res.degraded
+        assert sorted(res.rows) == sorted(rows)
+        detected, repaired = counters(s)
+        assert detected == repaired > 0
+        assert s.context.faults.corruptions
+
 
 # ---------------------------------------------------------------------------
 # Config validation
@@ -379,8 +419,15 @@ class TestConfigValidate:
     ])
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_out_of_range_probability_rejected(self, field_name, bad):
-        with pytest.raises(ValueError, match=field_name):
-            Config(**{field_name: bad}).validate()
+        """A chaos probability, once ``Config.chaos_<knob>``, is refused by
+        name on the fault injector, however it is set."""
+        knob = field_name.removeprefix("chaos_")
+        with pytest.raises(TypeError, match=field_name):
+            Config(**{field_name: 0.5})
+        with pytest.raises(ValueError, match=knob):
+            FaultInjector(**{knob: bad})
+        with pytest.raises(ValueError, match=knob):
+            EngineContext().faults.configure(**{knob: bad})
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ValueError, match="scheduler_mode"):
@@ -399,10 +446,10 @@ class TestConfigValidate:
 
     def test_all_problems_reported_together(self):
         with pytest.raises(ValueError) as err:
-            Config(chaos_corrupt_spill_prob=2.0, scheduler_mode="quantum").validate()
-        assert "chaos_corrupt_spill_prob" in str(err.value)
+            Config(advisor_shed_pressure=2.0, scheduler_mode="quantum").validate()
+        assert "advisor_shed_pressure" in str(err.value)
         assert "scheduler_mode" in str(err.value)
 
     def test_session_rejects_invalid_config_eagerly(self):
-        with pytest.raises(ValueError, match="chaos_corrupt_spill_prob"):
-            Session(config=Config(chaos_corrupt_spill_prob=7.0))
+        with pytest.raises(ValueError, match="advisor_shed_pressure"):
+            Session(config=Config(advisor_shed_pressure=7.0))

@@ -509,13 +509,8 @@ class TestChaosSqueeze:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("mode", MODES)
     def test_seeded_squeezes_converge(self, mode, seed, tmp_path, baseline_rows, baseline):
-        s = make_session(
-            mode,
-            tmp_path,
-            chaos_seed=seed,
-            chaos_memory_squeeze_prob=0.4,
-            chaos_memory_squeeze_factor=0.4,
-        )
+        s = make_session(mode, tmp_path)
+        s.context.faults.configure(seed=seed, memory_squeeze_prob=0.4, memory_squeeze_factor=0.4)
         idf = cached_index(s, baseline_rows)
         for _ in range(2):
             assert collected(idf) == baseline

@@ -116,12 +116,8 @@ class TestEngineWiring:
         assert context.registry.histogram_stats("block_compute_seconds")["count"] == 4
 
     def test_recovery_events_feed_registry(self):
-        context = make_context(
-            "sequential",
-            chaos_seed=5,
-            chaos_task_failure_prob=0.3,
-            task_retry_backoff=0.0,
-        )
+        context = make_context("sequential", task_retry_backoff=0.0)
+        context.faults.configure(seed=5, task_failure_prob=0.3)
         context.parallelize(list(range(100)), 8).map(lambda x: (x % 5, x)).reduce_by_key(
             lambda a, b: a + b
         ).collect()

@@ -49,18 +49,18 @@ def make_edges():
 
 
 def chaos_session(mode: str, spill_dir: str) -> Session:
-    return Session(
+    session = Session(
         config=Config(
             default_parallelism=3,
             shuffle_partitions=3,
             scheduler_mode=mode,
             row_batch_size=4096,  # multiple sealed batches per partition, so
             spill_dir=spill_dir,  # spill_index() actually moves bytes to disk
-            chaos_seed=29,
-            chaos_corrupt_spill_prob=0.6,
             task_retry_backoff=0.0,
         )
     )
+    session.context.faults.configure(seed=29, corrupt_spill_prob=0.6)
+    return session
 
 
 class CorruptionQueryGenerator:

@@ -32,8 +32,7 @@ from repro.cluster.topology import private_cluster
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.sql.expressions import IsNull
-from repro.sql.functions import avg, col, count, lit, max_, min_, sum_
-from repro.sql.optimizer import Optimizer
+from repro.sql.functions import avg, col, count, max_, min_, sum_
 from repro.sql.planner import Planner
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema

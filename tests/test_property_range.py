@@ -51,18 +51,17 @@ def make_data():
 
 
 def make_session(mode: str) -> Session:
-    return Session(
+    session = Session(
         config=Config(
             default_parallelism=3,
             shuffle_partitions=3,
             scheduler_mode=mode,
-            chaos_seed=7,
-            chaos_task_failure_prob=0.05,
-            chaos_memory_squeeze_prob=0.05,
             executor_replacement=True,
             task_retry_backoff=0.0,
         )
     )
+    session.context.faults.configure(seed=7, task_failure_prob=0.05, memory_squeeze_prob=0.05)
+    return session
 
 
 class RangeQueryGenerator:

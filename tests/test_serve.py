@@ -40,9 +40,13 @@ def make_server(
     config: Config | None = None,
     serve: ServeConfig | None = None,
     n_users: int = 200,
+    chaos: dict | None = None,
 ):
+    """A server over ``n_users`` published users; ``chaos`` is handed to
+    ``faults.configure`` before the first job."""
     config = config or Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=4096)
     session = Session(context=EngineContext(config=config))
+    session.context.faults.configure(**(chaos or {}))
     df = session.create_dataframe(make_users(n_users), USER_SCHEMA, name="users")
     idf = df.create_index("uid")
     server = QueryServer(session, serve or ServeConfig(num_workers=2))
@@ -646,12 +650,12 @@ class TestAdmission:
             default_parallelism=4,
             shuffle_partitions=4,
             row_batch_size=4096,
-            chaos_seed=7,
-            chaos_serve_rejection_prob=0.3,
         )
 
         def run_once() -> list[int]:
-            _, _, server = make_server(config=config)
+            _, _, server = make_server(
+                config=config, chaos=dict(seed=7, serve_rejection_prob=0.3)
+            )
             rejected = []
             with server:
                 for i in range(30):
@@ -879,14 +883,18 @@ class TestChaosServing:
             default_parallelism=4,
             shuffle_partitions=4,
             row_batch_size=4096,
-            chaos_seed=11,
-            chaos_serve_rejection_prob=0.15,
-            chaos_memory_squeeze_prob=0.2,
-            chaos_memory_squeeze_factor=0.5,
             executor_memory_bytes=512 * 1024,
             executor_replacement=True,
         )
-        session, idf, server = make_server(config=config)
+        session, idf, server = make_server(
+            config=config,
+            chaos=dict(
+                seed=11,
+                serve_rejection_prob=0.15,
+                memory_squeeze_prob=0.2,
+                memory_squeeze_factor=0.5,
+            ),
+        )
         expected = {r[0]: r for r in make_users(200)}
         wrong, rejections = [], 0
         with server:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql.functions import avg, col, count, lit, max_, min_, sum_
+from repro.sql.functions import avg, col, count, max_, min_, sum_
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
 

@@ -13,18 +13,10 @@ from hypothesis import strategies as st
 from repro.sql.analysis import resolve_expression
 from repro.sql.expressions import (
     Alias,
-    And,
     Avg,
-    BinaryOp,
-    Column,
-    Count,
-    In,
     IsNull,
-    Literal,
-    Max,
     Min,
     Not,
-    Or,
     Sum,
     combine_conjuncts,
     split_conjuncts,

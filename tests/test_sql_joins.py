@@ -25,16 +25,16 @@ RIGHT_SCHEMA = Schema.of(("rk", LONG), ("rv", DOUBLE))
 
 def reference_join(left, right, how="inner", residual=None):
     out = []
-    for l in left:
+    for lrow in left:
         matched = False
         for r in right:
-            if l[0] == r[0]:
-                joined = l + r
+            if lrow[0] == r[0]:
+                joined = lrow + r
                 if residual is None or residual(joined):
                     out.append(joined)
                     matched = True
         if how == "left" and not matched:
-            out.append(l + (None, None))  # right side is 2 columns wide
+            out.append(lrow + (None, None))  # right side is 2 columns wide
     return out
 
 

@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql.analysis import Analyzer
-from repro.sql.expressions import And, BinaryOp, Column, Literal
+from repro.sql.expressions import And, Column, Literal
 from repro.sql.functions import col, lit
 from repro.sql.logical import Filter, Join, Project, Relation
 from repro.sql.optimizer import (

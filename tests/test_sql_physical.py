@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Config
 from repro.sql.cache import CachedRelation
-from repro.sql.functions import col, count
+from repro.sql.functions import col
 from repro.sql.logical import Filter, Project, Relation
 from repro.sql.physical import (
     ColumnarScanExec,

@@ -11,13 +11,9 @@ from repro.sql.types import (
     INTEGER,
     LONG,
     STRING,
-    BooleanType,
-    DoubleType,
     IntegerType,
-    LongType,
     Schema,
     StringType,
-    StructField,
 )
 
 

@@ -51,6 +51,17 @@ def run_shuffle_job(context: EngineContext) -> list:
     return rdd.reduce_by_key(lambda a, b: a + b).collect()
 
 
+def soup(seed: int) -> dict:
+    """Chaos knobs of the soup: failures, stragglers and flaky fetches."""
+    return dict(
+        seed=seed,
+        task_failure_prob=0.15,
+        straggler_prob=0.1,
+        straggler_delay=0.002,
+        fetch_failure_prob=0.05,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Basic structure
 # ---------------------------------------------------------------------------
@@ -152,14 +163,8 @@ class TestChaosTraceIntegrity:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     @pytest.mark.parametrize("mode", MODES)
     def test_no_orphans_under_chaos_soup(self, mode, seed):
-        context = make_context(
-            mode,
-            chaos_seed=seed,
-            chaos_task_failure_prob=0.15,
-            chaos_straggler_prob=0.1,
-            chaos_straggler_delay=0.002,
-            chaos_fetch_failure_prob=0.05,
-        )
+        context = make_context(mode)
+        context.faults.configure(**soup(seed))
         expected = sorted(run_shuffle_job(make_context(mode)))
         got = sorted(run_shuffle_job(context))
         assert got == expected
@@ -176,15 +181,8 @@ class TestChaosTraceIntegrity:
         """Under the chaos soup plus an executor kill, each counted recovery
         event is one ``recovery`` span named for its kind and carrying its
         six fields, and the trace stays clean."""
-        context = make_context(
-            mode,
-            chaos_seed=seed,
-            chaos_task_failure_prob=0.15,
-            chaos_straggler_prob=0.1,
-            chaos_straggler_delay=0.002,
-            chaos_fetch_failure_prob=0.05,
-            executor_replacement=True,
-        )
+        context = make_context(mode, executor_replacement=True)
+        context.faults.configure(**soup(seed))
         expected = sorted(run_shuffle_job(make_context(mode)))
         assert sorted(run_shuffle_job(context)) == expected
         context.kill_executor(context.alive_executor_ids()[0])
@@ -202,11 +200,8 @@ class TestChaosTraceIntegrity:
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_retry_attempts_are_separate_task_spans(self, seed):
-        context = make_context(
-            "sequential",
-            chaos_seed=seed,
-            chaos_task_failure_prob=0.3,
-        )
+        context = make_context("sequential")
+        context.faults.configure(seed=seed, task_failure_prob=0.3)
         run_shuffle_job(context)
         assert context.tracer.integrity_errors() == []
         tasks = context.tracer.finished_spans(kind="task")

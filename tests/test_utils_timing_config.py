@@ -38,7 +38,17 @@ class TestConfig:
             "advisor_recurrence_decay",
             "extra",
             "scrub_interval",  # SnapshotScrubber(interval=) sets it
-            "chaos_shard_kill_prob",  # FaultInjector.configure(shard_kill_prob=)
+            # Chaos knobs live on the fault injector: FaultInjector.configure(...)
+            "chaos_seed",
+            "chaos_task_failure_prob",
+            "chaos_fetch_failure_prob",
+            "chaos_straggler_prob",
+            "chaos_straggler_delay",
+            "chaos_memory_squeeze_prob",
+            "chaos_memory_squeeze_factor",
+            "chaos_serve_rejection_prob",
+            "chaos_corrupt_spill_prob",
+            "chaos_shard_kill_prob",
             "index_string_keys_as_hash",  # string keys are always hashed
         ):
             with pytest.raises(TypeError, match=name):
