@@ -12,8 +12,9 @@
   keys' rows are runs of records (DESIGN.md §15, Runs).
 * ``delta`` — the heads written since the last seal: a :class:`WriteBuffer`
   under a seal threshold, the paper's cTrie at threshold 0 (never sealed);
-  ``fresh`` is the persistent (cons-cell) list of the key values first
-  written since then, so an ordered read need not walk the delta.
+  ``fresh`` is the sorted array of the key values first written since then
+  (NULL apart: ``null_key``), immutable like the base, so an ordered read
+  seeks it as it seeks the base and never walks the delta.
 
 A batch is published once: the first into an empty index, and any that
 brings the delta to ``seal_threshold`` distinct keys, straight into a new
@@ -24,13 +25,13 @@ threshold, or takes a cTrie's O(1) snapshot.
 Concurrency: one writer. Only the task building a version writes its
 index, into a partition no other thread holds yet, and published versions
 are immutable. A seal still installs the new base *before* the empty delta,
-and readers read ``delta`` / ``fresh`` *before* ``base``.
+and readers read ``fresh`` / ``delta`` *before* ``base``.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -179,26 +180,48 @@ class SealedBase(NamedTuple):
         return -1
 
     def span(self, krange: KeyRange) -> "tuple[int, int]":
-        """``ordered[i:j]`` are the key values inside ``krange``: two
-        ``searchsorted`` bounds (a prefix walks forward from its seek —
-        prefix-sharing keys are contiguous)."""
-        if krange.is_empty():
-            return 0, 0
-        ordered = self.ordered
-        lo, hi = krange.lo, krange.hi
-        if ordered.dtype != object and not all(
-            isinstance(bound, (int, float)) for bound in (lo, hi) if bound is not None
-        ):  # numpy would compare them as text
-            raise TypeError(f"range {krange.describe()} does not compare with {ordered.dtype} keys")
-        i = j = 0 if lo is None else ordered.searchsorted(lo, "left" if krange.lo_inclusive else "right")
-        if krange.prefix is not None:
-            while j < len(ordered) and krange.matches(ordered[j]):
-                j += 1
-        elif hi is None:
-            j = len(ordered)
-        else:
-            j = ordered.searchsorted(hi, "right" if krange.hi_inclusive else "left")
-        return i, j
+        """``ordered[i:j]`` are the key values inside ``krange``
+        (:func:`_span`)."""
+        return _span(self.ordered, krange)
+
+
+def _span(ordered: np.ndarray, krange: KeyRange) -> "tuple[int, int]":
+    """``ordered[i:j]`` are the sorted key values of ``ordered`` inside
+    ``krange``: two ``searchsorted`` bounds (a prefix walks forward from its
+    seek — prefix-sharing keys are contiguous)."""
+    if krange.is_empty():
+        return 0, 0
+    lo, hi = krange.lo, krange.hi
+    if ordered.dtype != object and not all(
+        isinstance(bound, (int, float)) for bound in (lo, hi) if bound is not None
+    ):  # numpy would compare them as text
+        raise TypeError(f"range {krange.describe()} does not compare with {ordered.dtype} keys")
+    i = j = 0 if lo is None else int(ordered.searchsorted(lo, "left" if krange.lo_inclusive else "right"))
+    if krange.prefix is not None:
+        while j < len(ordered) and krange.matches(ordered[j]):
+            j += 1
+    elif hi is None:
+        j = len(ordered)
+    else:
+        j = int(ordered.searchsorted(hi, "right" if krange.hi_inclusive else "left"))
+    return i, j
+
+
+#: One frozen empty array per dtype: what ``fresh`` is while no key is, shared
+#: by every index (a new one a seal would cost each partition ~100 B).
+_EMPTY: "dict[np.dtype, np.ndarray]" = {}
+
+
+def _empty(dtype: np.dtype) -> np.ndarray:
+    empty = _EMPTY.get(dtype)
+    if empty is None:
+        empty = _EMPTY[dtype] = _frozen(np.empty(0, dtype))
+    return empty
+
+
+def _merged(keys: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """Two sorted arrays of distinct keys as one."""
+    return np.insert(keys, keys.searchsorted(added), added) if len(added) else keys
 
 
 class KeyOrderedBase(SealedBase):
@@ -227,7 +250,7 @@ class WriteBuffer(dict):
 class OrderedIndex:
     """trie key -> newest-row pointer, and the distinct key values in order."""
 
-    __slots__ = ("base", "delta", "delta_writes", "fresh", "fresh_len", "hashed", "seal_threshold")
+    __slots__ = ("base", "delta", "delta_writes", "fresh", "hashed", "null_key", "seal_threshold")
 
     def __init__(self, key_dtype: Any = np.int64, hashed: bool = False, seal_threshold: int = 512):
         self.hashed = hashed
@@ -239,12 +262,15 @@ class OrderedIndex:
         #: Distinct keys written per batch since the last seal, summed: an
         #: upper bound on ``len(delta)`` that costs no walk.
         self.delta_writes = 0
-        self.fresh: "tuple | None" = None
-        self.fresh_len = 0
+        #: The non-NULL key values first written since the last seal, sorted:
+        #: a new frozen array at each publish that adds one.
+        self.fresh = _empty(ordered.dtype)
+        #: Whether a NULL key was written: it is never sealed (see :meth:`_seal`).
+        self.null_key = False
 
     def __len__(self) -> int:
         """Distinct key values, O(1)."""
-        return len(self.base.ordered) + self.fresh_len
+        return len(self.base.ordered) + len(self.fresh) + self.null_key
 
     # -- point reads -------------------------------------------------------------------
 
@@ -308,8 +334,18 @@ class OrderedIndex:
             insert(key, pointer)
         self.delta_writes += len(heads)
         if new_keys:
-            self.fresh = (new_keys, self.fresh)
-            self.fresh_len += len(new_keys)
+            self._add_fresh(new_keys)
+
+    def _add_fresh(self, new_keys: list) -> None:
+        """Merge key values no earlier row carried into a new ``fresh``
+        (the delta holds fewer than the seal threshold's keys, so this is a
+        small sort; at threshold 0 a merge of two sorted runs)."""
+        keys = [key for key in new_keys if key is not None]
+        if len(keys) < len(new_keys):
+            self.null_key = True
+        if keys:
+            fresh = self.fresh
+            self.fresh = _frozen(_merged(fresh, np.sort(np.fromiter(keys, fresh.dtype, len(keys)))))
 
     def _seal(self, heads: dict[Any, int], new_keys: list, kind: type = SealedBase) -> None:
         """Fold delta and batch into a new base: ``concatenate`` with the
@@ -318,7 +354,7 @@ class OrderedIndex:
 
         A NULL key has no place in a sorted array: it stays in the new delta
         (a hashed index's NULL only leaves ``ordered``: its trie key is a
-        hash), and in ``fresh``, which every range read skips it in."""
+        hash), counted by ``null_key``, which every range read skips."""
         base = self.base
         updates = dict(self.delta.items()) if self.delta_writes else {}
         updates.update(heads)
@@ -329,11 +365,10 @@ class OrderedIndex:
         keys, first = np.unique(keys, return_index=True)
         _frozen(keys)
         if self.hashed:
-            fresh = [*self._fresh_keys(), *new_keys]  # none is in base.ordered, none repeats
-            null = None in fresh
-            if null:
-                fresh.remove(None)
-            ordered = np.concatenate([np.fromiter(fresh, object, len(fresh)), base.ordered])
+            added = [key for key in new_keys if key is not None]  # none is in base.ordered
+            null = self.null_key or len(added) < len(new_keys)
+            added = np.fromiter(added, object, len(added))
+            ordered = np.concatenate([self.fresh, added, base.ordered])
             ordered = _frozen(np.sort(ordered, kind="stable"))
         else:
             null = null_head != NULL_POINTER
@@ -341,43 +376,66 @@ class OrderedIndex:
         self.base = kind(keys, _frozen(ptrs[first]), ordered)  # base first
         self.delta = WriteBuffer({} if null_head == NULL_POINTER else {None: null_head})
         self.delta_writes = int(null_head != NULL_POINTER)
-        self.fresh = ([None], None) if null else None
-        self.fresh_len = int(null)
-
-    def _fresh_keys(self) -> Iterator[Any]:
-        node = self.fresh
-        while node is not None:
-            chunk, node = node
-            yield from chunk
+        self.fresh = _empty(ordered.dtype)
+        self.null_key = null
 
     # -- ordered reads -----------------------------------------------------------------
 
     def range_keys(self, krange: KeyRange) -> list:
         """Distinct key values inside ``krange``, ascending: the base's
-        :meth:`SealedBase.span` overlaid with the ``fresh`` keys."""
+        :meth:`SealedBase.span` merged with ``fresh``'s, O(log n + k)."""
         if krange.is_empty():
             return []
-        extra = [key for key in self._fresh_keys() if key is not None and krange.matches(key)]
+        fresh = self.fresh
+        base = self.base
+        keys = base.ordered[slice(*base.span(krange))]
+        return _merged(keys, fresh[slice(*_span(fresh, krange))]).tolist()
+
+    def range_heads(
+        self, krange: KeyRange, hash_key: "Callable[[Any], Any] | None" = None
+    ) -> "tuple[list, list[int]]":
+        """The key values inside ``krange``, ascending, and the chain head
+        each is read from (``NULL_POINTER`` for a key of a batch not yet
+        published): one seek into each sorted tier, O(log n + k), whatever
+        the delta holds. The base's keys take their heads by position, the
+        delta's heads overlay the keys it shadows, and the ``fresh`` keys are
+        merged in by ``searchsorted``. A hashed index's keys take theirs from
+        one :meth:`heads` of their trie keys, ``hash_key`` of each."""
+        if krange.is_empty():
+            return [], []
+        fresh = self.fresh  # fresh and delta before the base, as every reader reads
+        lookup = self.delta.lookup if self.delta_writes else None
         base = self.base
         i, j = base.span(krange)
-        out = base.ordered[i:j].tolist()
-        if extra:
-            out.extend(extra)
-            out.sort()
-        return out
+        keys = base.ordered[i:j]
+        added = fresh[slice(*_span(fresh, krange))]
+        if self.hashed:
+            keys = _merged(keys, added).tolist()
+            trie_keys = list(map(hash_key, keys))
+            found = self.heads(trie_keys)
+            return keys, list(map(found.__getitem__, trie_keys))
+        pointers = base.heads[i:j]
+        if len(added):
+            at = keys.searchsorted(added)
+            keys, pointers = np.insert(keys, at, added), np.insert(pointers, at, NULL_POINTER)
+        keys = keys.tolist()
+        pointers = pointers.tolist()
+        if lookup is not None:  # the delta wins: the base keys it shadows, and every fresh key
+            pointers = list(map(lookup, keys, pointers))
+        return keys, pointers
 
     def min_key(self) -> Any:
-        keys = self.range_keys(KeyRange())
-        return keys[0] if keys else None
+        ends = [*self.base.ordered[:1].tolist(), *self.fresh[:1].tolist()]
+        return min(ends) if ends else None
 
     def max_key(self) -> Any:
-        keys = self.range_keys(KeyRange())
-        return keys[-1] if keys else None
+        ends = [*self.base.ordered[-1:].tolist(), *self.fresh[-1:].tolist()]
+        return max(ends) if ends else None
 
     # -- MVCC --------------------------------------------------------------------------
 
     def snapshot(self) -> "OrderedIndex":
-        """A child: shares base and ``fresh``, snapshots the delta."""
+        """A child: shares base and ``fresh`` (immutable arrays), snapshots the delta."""
         child = copy.copy(self)
         child.delta = self.delta.snapshot()
         return child

@@ -191,12 +191,10 @@ class IndexedPartition:
                 n += 1
         finally:
             if self.hashed:
-                # A used hash proves nothing about the key value: ask the chain.
-                new_keys = [
-                    key
-                    for key, trie_key in dict(zip(keys[:n], trie_keys)).items()
-                    if not self._chain(key, prior[trie_key])
-                ]
+                # A used hash proves nothing about the key value: ask the chains.
+                written = dict(zip(keys[:n], trie_keys))
+                counts = self._walk(list(written), [prior[t] for t in written.values()])[1]
+                new_keys = [key for key, count in zip(written, counts) if not count]
             else:
                 new_keys = [key for key in heads if prior[key] == NULL_POINTER]
             self.ordered.publish(heads, new_keys)
@@ -259,27 +257,31 @@ class IndexedPartition:
 
     # -- reads ------------------------------------------------------------------------
 
-    def _chain(self, key: Any, pointer: int) -> list[tuple]:
-        """The rows of ``key`` on the chain under ``pointer``, newest first (one
-        compiled :meth:`RowCodec.decode_chain` call per chain, not one per row)."""
-        if pointer == NULL_POINTER:
-            return []
-        rows = self.codec.decode_chain(self.batches, pointer)
-        if self.hashed:
-            # Hash collisions: verify the actual key column.
-            key_ord = self.key_ordinal
-            return [r for r in rows if r[key_ord] == key]
-        return rows
-
-    def _heads(self, keys: list) -> "Iterator[tuple[Any, int]]":
-        """``(key, chain head)`` per key, the heads fetched in one batch."""
-        trie_keys = [hash32(key) for key in keys] if self.hashed else keys
-        heads = self.ordered.heads(trie_keys)
-        return zip(keys, [heads[trie_key] for trie_key in trie_keys])
+    def _walk(self, keys: list, pointers: list) -> "tuple[list[tuple], list[int], int]":
+        """The rows of each of ``keys`` on the chain under its pointer, newest
+        first and key after key, each key's row count, and the rows decoded:
+        every chain in one :meth:`RowCodec.decode_chains` call. A hashed
+        key's chain also holds the rows of keys with its hash: they are
+        decoded, counted in the third value, and dropped."""
+        rows, counts = self.codec.decode_chains(self.batches, pointers)
+        scanned = len(rows)
+        if self.hashed and rows:
+            key_ord, kept, at = self.key_ordinal, [], 0
+            for i, (key, n) in enumerate(zip(keys, counts)):
+                chain = [row for row in rows[at : at + n] if row[key_ord] == key]
+                kept += chain
+                counts[i], at = len(chain), at + n
+            rows = kept
+        return rows, counts, scanned
 
     def lookup(self, key: Any) -> list[tuple]:
         """All rows with this key, newest first (index search + chain walk)."""
-        return self._chain(key, self.ordered.head(self.index_key(key)))
+        head = self.ordered.head(self.index_key(key))
+        if head == NULL_POINTER:
+            return []
+        if self.hashed:
+            return self._walk((key,), (head,))[0]
+        return self.codec.decode_chains(self.batches, (head,))[0]
 
     def lookup_many(self, keys: "Iterator[Any] | list[Any]") -> dict[Any, list[tuple]]:
         """Batch lookup: each distinct key's rows, newest first, from one
@@ -316,16 +318,16 @@ class IndexedPartition:
             columns = [np.empty(0, object)] * len(self.schema)
         if not walk:
             return columns, counts
-        chains = {key: self._chain(key, head) for key, head in walk.items()}
-        walked = np.fromiter(map(chains.__contains__, keys), bool, len(keys))
+        walked_rows, walked_counts, _ = self._walk(list(walk), list(walk.values()))
+        walked = np.fromiter(map(walk.__contains__, keys), bool, len(keys))
         more = np.zeros_like(counts)
-        more[walked] = [len(chain) for chain in chains.values()]
+        more[walked] = walked_counts
         # Where each key's rows start among the runs' rows then the walks',
         # and where they start in the answer.
         source = np.where(walked, total + np.cumsum(more) - more, np.cumsum(counts) - counts)
         counts += more
         take = np.repeat(source - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        extra = list(zip(*(row for chain in chains.values() for row in chain)))
+        extra = list(zip(*walked_rows))
         return [
             np.concatenate([column.astype(object), np.fromiter(values, object, len(values))])[take]
             for column, values in zip(columns, extra or [()] * len(columns))
@@ -353,7 +355,10 @@ class IndexedPartition:
                 hi[hit] = ends[: len(at)]
                 lo[hit] = np.where(at > 0, ends[len(at) :], -1)
                 return lo, hi, walk
-        return lo, hi, {key: head for key, head in self._heads(keys) if head != NULL_POINTER}
+        trie_keys = [hash32(key) for key in keys] if self.hashed else keys
+        heads = ordered.heads(trie_keys)
+        walk = {key: heads[trie_key] for key, trie_key in zip(keys, trie_keys)}
+        return lo, hi, {key: head for key, head in walk.items() if head != NULL_POINTER}
 
     def _span(self, base: Any, i: int, j: int) -> list[tuple]:
         """The rows of keys ``i .. j - 1`` of a key-ordered base, each key's newest first:
@@ -406,12 +411,11 @@ class IndexedPartition:
         return out
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Full scan: walk every key's chain (row-wise decode: the cost that
-        makes projections slower than the columnar baseline, Fig. 8)."""
-        decode_chain = self.codec.decode_chain
-        batches = self.batches
-        for _key, pointer in self.ordered.items():
-            yield from decode_chain(batches, pointer)
+        """Full scan: walk every key's chain, all in one kernel call (row-wise
+        decode: the cost that makes projections slower than the columnar
+        baseline, Fig. 8)."""
+        pointers = [pointer for _key, pointer in self.ordered.items()]
+        return iter(self.codec.decode_chains(self.batches, pointers)[0])
 
     def scan_rows(self) -> list[tuple]:
         """Full scan, batch-at-a-time: decode each row batch in one compiled
@@ -466,12 +470,14 @@ class IndexedPartition:
         """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
 
         A key-ordered base under an unwritten delta reads one span
-        (:meth:`_span`). Otherwise enumerate candidate keys from the index in
-        sorted order; under a base laid out in key order read them as
-        :meth:`match_columns` does, under any other fetch their heads in one batch
-        and walk each chain as :meth:`lookup` does — string hash collisions
-        filtered the same way. ``scanned`` counts decoded rows (chain lengths,
-        including collision-filtered ones), the number EXPLAIN ANALYZE compares
+        (:meth:`_span`); under a written one, the keys the ordered index
+        lists are read as :meth:`match_columns` does. Any other base takes
+        the keys and their heads from :meth:`OrderedIndex.range_heads`
+        (O(log n + k): the delta is not walked) and decodes every chain in
+        one kernel call, string hash collisions filtered as :meth:`lookup`
+        filters them; a key whose head is not published yet reads nothing.
+        ``scanned`` counts decoded rows (chain lengths, including
+        collision-filtered ones), the number EXPLAIN ANALYZE compares
         against a full scan's ``row_count``; ``registry`` counts its source.
         """
         ordered = self.ordered
@@ -481,25 +487,12 @@ class IndexedPartition:
             if registry is not None:
                 registry.inc("indexed_key_reads_total", source="span")
             return rows, len(rows)
-        keys = ordered.range_keys(krange)
         if ordered.base.runs:
-            rows = _rows(self.match_columns(keys, registry)[0])
+            rows = _rows(self.match_columns(ordered.range_keys(krange), registry)[0])
             return rows, len(rows)
         if registry is not None:
             registry.inc("indexed_key_reads_total", source="walk")
-        key_ord = self.key_ordinal
-        decode_chain = self.codec.decode_chain
-        batches = self.batches
-        rows = []
-        scanned = 0
-        for key, pointer in self._heads(keys):
-            if pointer == NULL_POINTER:
-                continue  # a key of an in-flight batch, not yet published
-            chain = decode_chain(batches, pointer)
-            scanned += len(chain)
-            if self.hashed:
-                chain = [r for r in chain if r[key_ord] == key]
-            rows.extend(chain)
+        rows, _counts, scanned = self._walk(*ordered.range_heads(krange, hash32))
         return rows, scanned
 
     def contains_key(self, key: Any) -> bool:
@@ -540,7 +533,7 @@ class IndexedPartition:
             delta = object()
         elif isinstance(delta, CTrie):
             delta = delta.rdcss_read_root()
-        return (delta, ordered.fresh, ordered.base, self.row_count, *self._watermarks,
+        return (delta, ordered.fresh, ordered.null_key, ordered.base, self.row_count, *self._watermarks,
                 *self.batches)
 
     def index_bytes(self) -> int:

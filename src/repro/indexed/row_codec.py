@@ -74,8 +74,9 @@ class RowCodec:
         self._zero_bitmap = bytes(self.null_bitmap_bytes)
         # Batch-at-a-time kernels (the whole-stage-codegen analogue): one
         # call of source generated and compiled once per schema decodes a
-        # whole buffer (sequential scan) or a whole backward-pointer chain
-        # (lookup/probe) instead of re-entering Python per row.
+        # whole buffer (sequential scan) or every backward-pointer chain a
+        # read needs (lookup, key walk, range) instead of re-entering Python
+        # per row.
         self._batch_scan = _compile_batch_scanner(self._segments, self.null_bitmap_bytes)
         self._chain_walk = _compile_chain_walker(self._segments, self.null_bitmap_bytes)
         # Column views (DESIGN.md §18): numpy dtype of each field as stored;
@@ -219,16 +220,17 @@ class RowCodec:
         """
         return self._batch_scan(buf, len(buf) if end is None else end, self.decode)
 
-    def decode_chain(self, batches: list, pointer: int) -> list[tuple]:
-        """Decode a whole backward-pointer chain in one compiled call.
+    def decode_chains(self, batches: list, pointers: "list[int]") -> "tuple[list[tuple], list[int]]":
+        """Decode whole backward-pointer chains, all in one compiled call.
 
-        ``batches`` is the partition's RowBatch list (a spilled batch the
-        chain reaches is faulted in); ``pointer`` a packed 64-bit pointer
-        (see :mod:`repro.indexed.pointers`). Returns rows
-        newest-first, exactly as the per-row chain walk would. This is the
-        kernel under point lookups and the indexed join's probe loop.
+        ``batches`` is the partition's RowBatch list (a spilled batch a
+        chain reaches is faulted in); ``pointers`` packed 64-bit pointers
+        (see :mod:`repro.indexed.pointers`), ``NULL_POINTER`` an empty
+        chain. Returns the rows of every chain, newest first and chain after
+        chain, and each chain's row count. This is the one kernel under
+        point lookups, key walks, range reads and full walks.
         """
-        return self._chain_walk(batches, pointer, self.decode)
+        return self._chain_walk(batches, pointers, self.decode)
 
     # -- column views --------------------------------------------------------------
 
@@ -554,53 +556,60 @@ _NULL_POINTER = (1 << 64) - 1
 
 def _compile_chain_walker(
     segments: list[tuple[str, Any, int]], null_bitmap_bytes: int
-) -> Callable[[Any, int, Any], list[tuple]]:
+) -> Callable[[Any, Any, Any], "tuple[list[tuple], list[int]]"]:
     """Generate the backward-pointer chain kernel for one schema.
 
-    Follows the per-key linked list across batches inside one compiled
-    loop (pointer field extraction and the prefix-struct unpack inlined),
-    so a lookup or join probe decodes its whole chain with a single
-    Python-level call.
+    Follows each pointer's per-key linked list across batches inside one
+    compiled loop (pointer field extraction and the prefix-struct unpack
+    inlined), one outer iteration a chain, so a read decodes every chain
+    it needs with a single Python-level call.
     """
     pre, _leading, rest = _kernel_prefix(segments, null_bitmap_bytes)
     k = 2 + null_bitmap_bytes
     ns: dict[str, Any] = {"_pre": pre, "_u16": _U16}
     lines = [
-        "def _chain(batches, pointer, generic):",
+        "def _chains(batches, pointers, generic):",
         "    out = []",
         "    append = out.append",
-        f"    while pointer != {_NULL_POINTER}:",
-        "        try:",
-        "            buf = batches[(pointer >> 40) & 0xFFFFFF].buf",
-        "        except AttributeError:",  # a spilled batch: fault it in
-        "            buf = batches[(pointer >> 40) & 0xFFFFFF].ensure_resident()",
-        "        pos = (pointer >> 14) & 0x3FFFFFF",
+        "    counts = []",
+        "    count = counts.append",
+        "    for pointer in pointers:",
+        "        first = len(out)",
+        f"        while pointer != {_NULL_POINTER}:",
+        "            try:",
+        "                buf = batches[(pointer >> 40) & 0xFFFFFF].buf",
+        "            except AttributeError:",  # a spilled batch: fault it in
+        "                buf = batches[(pointer >> 40) & 0xFFFFFF].ensure_resident()",
+        "            pos = (pointer >> 14) & 0x3FFFFFF",
         # Same tail guard as the batch scanner: null records can be shorter
         # than the prefix struct, and this one may end the buffer.
-        f"        if len(buf) - pos < {pre.size}:",
-        "            row, pointer, _sz = generic(buf, pos)",
-        "            append(row)",
-        "            continue",
-        "        vals = _pre.unpack_from(buf, pos)",
-        f"        if {_null_check_expr(null_bitmap_bytes, 2)}:",
-        "            row, pointer, _sz = generic(buf, pos)",
-        "            append(row)",
-        "            continue",
-        "        pointer = vals[0]",
+        f"            if len(buf) - pos < {pre.size}:",
+        "                row, pointer, _sz = generic(buf, pos)",
+        "                append(row)",
+        "                continue",
+        "            vals = _pre.unpack_from(buf, pos)",
+        f"            if {_null_check_expr(null_bitmap_bytes, 2)}:",
+        "                row, pointer, _sz = generic(buf, pos)",
+        "                append(row)",
+        "                continue",
+        "            pointer = vals[0]",
     ]
     if rest:
         lines += [
-            f"        rec_end = pos + {ROW_HEADER_SIZE} + vals[1]",
-            f"        p = pos + {pre.size}",
-            f"        row = vals[{k}:]",
+            f"            rec_end = pos + {ROW_HEADER_SIZE} + vals[1]",
+            f"            p = pos + {pre.size}",
+            f"            row = vals[{k}:]",
         ]
-        lines += _rest_segment_lines(rest, ns, "        ")
-        lines.append("        append(row)")
+        lines += _rest_segment_lines(rest, ns, "            ")
+        lines.append("            append(row)")
     else:
-        lines.append(f"        append(vals[{k}:])")
-    lines.append("    return out")
+        lines.append(f"            append(vals[{k}:])")
+    lines += [
+        "        count(len(out) - first)",
+        "    return out, counts",
+    ]
     exec("\n".join(lines), ns)  # noqa: S102 - controlled, schema-derived source
-    return ns["_chain"]
+    return ns["_chains"]
 
 
 def _build_segments(schema: Schema) -> list[tuple[str, Any, int]]:

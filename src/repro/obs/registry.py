@@ -130,6 +130,23 @@ class MetricsRegistry:
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + value
 
+    @staticmethod
+    def key(name: str, **labels: Any) -> MetricKey:
+        """The series key of ``name`` under ``labels``: built once by a hot
+        caller (a shard's per-op series) and passed to :meth:`count_and_observe`."""
+        return _key(name, labels)
+
+    def count_and_observe(self, counter: MetricKey, histogram: MetricKey, value: float) -> None:
+        """Add 1 to the ``counter`` series and observe ``value`` in the
+        ``histogram`` series (keys from :meth:`key`): one lock section and no
+        label sort, for a caller that records both per call."""
+        with self._lock:
+            self._counters[counter] = self._counters.get(counter, 0.0) + 1.0
+            hist = self._histograms.get(histogram)
+            if hist is None:
+                hist = self._histograms[histogram] = HistogramData()
+            hist.observe(value)
+
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:
             self._gauges[_key(name, labels)] = value

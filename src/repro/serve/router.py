@@ -6,7 +6,8 @@ router with one shard. The router owns the control plane the shards
 deliberately don't have:
 
 * **Routing.** A query is planned by the session — through the plan
-  cache, a prepared statement's plan planned once and bound per call — and
+  cache, a prepared statement's plan planned once and bound per call; the
+  router keeps each text's statement until the catalog changes — and
   when the plan's leaf is an indexed read of a view this router serves (a
   *point* lookup, a *range* seek of the ordered index, or a *scan*) under
   filters, projections and a ``LIMIT``, the router runs that plan's direct
@@ -60,10 +61,15 @@ from repro.sql.physical import RowwiseExec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
+    from repro.sql.prepared import PreparedStatement
     from repro.sql.session import Session
 
 #: Shard health states (the failover state machine).
 ALIVE, SUSPECT, DEAD = "alive", "suspect", "dead"
+
+#: Prepared statements a router keeps by query text; past this many texts
+#: the memo starts over (the session's plan cache holds as many plans).
+MAX_STATEMENTS = 256
 
 
 @dataclass
@@ -132,6 +138,9 @@ class ShardRouter:
         self._gate = threading.Condition()
         self._active_queries = 0
         self._publishing = False
+        #: Query text -> its prepared statement, re-prepared when the
+        #: catalog's epoch moves (a publish, any DDL), not per read.
+        self._statements: "dict[str, PreparedStatement]" = {}
         self._route_ops = itertools.count()
         self._rr = itertools.count()
         self._closed = False
@@ -364,7 +373,7 @@ class ShardRouter:
             logical = session.sql_logical(text)
             physical = session.plan_physical(logical)
         else:
-            physical = session.prepare(text).plan(params)
+            physical = self._statement(text).plan(params)
         leaf = physical
         while isinstance(leaf, RowwiseExec):
             leaf = leaf.child
@@ -381,6 +390,16 @@ class ShardRouter:
             missing_partitions=sorted(set(source.missing)),
             failovers=source.failovers,
         )
+
+    def _statement(self, text: str) -> "PreparedStatement":
+        """``text`` prepared once per catalog epoch: a read of a known text
+        costs no normalising, no plan-cache lookup and no new statement."""
+        statement = self._statements.get(text)
+        if statement is None or statement.entry.epoch != self.session.catalog.epoch:
+            if len(self._statements) >= MAX_STATEMENTS:
+                self._statements.clear()
+            statement = self._statements[text] = self.session.prepare(text)
+        return statement
 
     def _usable(self, shard_id: int) -> bool:
         return self._health[shard_id] != DEAD and self.shards[shard_id].alive

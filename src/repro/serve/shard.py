@@ -137,7 +137,12 @@ class ShardServer:
         #: Serializes simulated service time: a shard is a single-core
         #: server, so its capacity is ~1/service_time qps.
         self._service_lock = threading.Lock()
-        self._inflight = 0
+        #: One entry per call in flight: admission appends under ``_lock``, a
+        #: finished call pops without it (``list.pop`` is atomic), so the
+        #: count never exceeds ``max_inflight``.
+        self._inflight: list[None] = []
+        #: op -> (requests counter key, latency histogram key), built once.
+        self._series: dict[str, tuple] = {}
         self._alive = True
 
     # -- data plane -----------------------------------------------------------------
@@ -201,14 +206,15 @@ class ShardServer:
         if not self._alive:
             raise ShardDown(self.shard_id)
         delay = self.faults.on_shard_call(self.shard_id)
+        inflight = self._inflight
         with self._lock:
-            if self._inflight >= self.config.max_inflight:
+            if len(inflight) >= self.config.max_inflight:
                 self.registry.inc("serve_shard_shed_total", shard=self.shard_id)
                 raise ServeRejected(
                     "shard_overloaded",
-                    f"shard {self.shard_id} at {self._inflight} inflight",
+                    f"shard {self.shard_id} at {len(inflight)} inflight",
                 )
-            self._inflight += 1
+            inflight.append(None)
             snap = self._snapshots.get(view)
         t0 = time.perf_counter()
         try:
@@ -233,14 +239,14 @@ class ShardServer:
                 raise ShardDown(self.shard_id, "died mid-call")
             return rows
         finally:
-            with self._lock:
-                self._inflight -= 1
-            self.registry.inc("serve_shard_requests_total", shard=self.shard_id, op=op)
-            self.registry.observe(
-                "serve_shard_latency_seconds",
-                time.perf_counter() - t0,
-                shard=self.shard_id,
-            )
+            inflight.pop()
+            series = self._series.get(op)
+            if series is None:
+                series = self._series[op] = (
+                    self.registry.key("serve_shard_requests_total", shard=self.shard_id, op=op),
+                    self.registry.key("serve_shard_latency_seconds", shard=self.shard_id),
+                )
+            self.registry.count_and_observe(*series, time.perf_counter() - t0)
 
     # -- health / lifecycle ----------------------------------------------------------
 
@@ -257,7 +263,7 @@ class ShardServer:
         return {
             "shard": self.shard_id,
             "time": time.perf_counter(),
-            "inflight": self._inflight,
+            "inflight": len(self._inflight),
             "versions": versions,
         }
 

@@ -6,6 +6,7 @@ import gc
 import glob
 import os
 import random
+import shutil
 import tempfile
 
 import pytest
@@ -21,17 +22,32 @@ from repro.sql.types import DOUBLE, LONG, STRING, Schema
 MODES = ("sequential", "threads")
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_temp_dir():
+    """The session's own temp dir, where every spill without a ``spill_dir``
+    lands: a spill file there is this session's, whatever else spills on the
+    host at the same time."""
+    shared = tempfile.tempdir
+    tempfile.tempdir = tempfile.mkdtemp(prefix="repro-tests-")
+    try:
+        yield tempfile.tempdir
+    finally:
+        private, tempfile.tempdir = tempfile.tempdir, shared
+        shutil.rmtree(private, ignore_errors=True)
+
+
 @pytest.fixture(autouse=True, scope="module")
-def no_leaked_spill_files():
-    """Fail a module that leaves more row-batch spill files in the temp dir
-    than it found: once its fixtures are gone and a collection has run, every
-    spilled batch it made is unreachable and its finalizer has unlinked the file."""
-    pattern = os.path.join(tempfile.gettempdir(), "rowbatch-*.spill")
+def no_leaked_spill_files(private_temp_dir):
+    """Fail a module that leaves more row-batch spill files in the session's
+    temp dir than it found: once its fixtures are gone and a collection has
+    run, every spilled batch it made is unreachable and its finalizer has
+    unlinked the file."""
+    pattern = os.path.join(private_temp_dir, "rowbatch-*.spill")
     before = len(glob.glob(pattern))
     yield
     gc.collect()
     leaked = len(glob.glob(pattern)) - before
-    assert leaked <= 0, f"{leaked} spill file(s) left behind in {tempfile.gettempdir()}"
+    assert leaked <= 0, f"{leaked} spill file(s) left behind in {private_temp_dir}"
 
 
 @pytest.fixture()

@@ -54,14 +54,15 @@ def make_key(kind: str, i: int):
 
 
 def chain_walks(part: IndexedPartition, read) -> int:
-    """How many chains ``read()`` walked on ``part``."""
+    """How many chains ``read()`` walked on ``part``: the pointers it passed
+    to the chain kernel."""
     codec, calls = part.codec, []
-    inner = codec.decode_chain
-    codec.decode_chain = lambda *args: calls.append(args) or inner(*args)
+    inner = codec.decode_chains
+    codec.decode_chains = lambda batches, pointers: calls.extend(pointers) or inner(batches, pointers)
     try:
         read()
     finally:
-        del codec.decode_chain
+        del codec.decode_chains
     return len(calls)
 
 

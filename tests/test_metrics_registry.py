@@ -36,6 +36,21 @@ class TestPrimitives:
         assert reg.counter_total("requests_total") == 4
         assert reg.counter_by_label("requests_total", "route") == {"a": 2, "b": 2}
 
+    def test_count_and_observe_writes_what_inc_and_observe_write(self):
+        """Prebuilt keys name the same series, whatever order the labels
+        were given in."""
+        by_name, by_key = MetricsRegistry(), MetricsRegistry()
+        for seconds in (0.5, 0.25):
+            by_name.inc("requests_total", shard=1, op="lookup")
+            by_name.observe("latency_seconds", seconds, shard=1)
+            by_key.count_and_observe(
+                by_key.key("requests_total", op="lookup", shard=1),
+                by_key.key("latency_seconds", shard=1),
+                seconds,
+            )
+        assert by_key.snapshot() == by_name.snapshot()
+        assert by_key.counter_value("requests_total", shard=1, op="lookup") == 2
+
     def test_counter_rejects_negative_increment(self):
         reg = MetricsRegistry()
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Batch-at-a-time decode kernels: ``decode_all`` / ``decode_chain``.
+"""Batch-at-a-time decode kernels: ``decode_all`` / ``decode_chains``.
 
 These are the compiled full-batch scanners behind ``scan_rows``; they must
 agree byte-for-byte with the per-row generic decoder across schema shapes
@@ -99,9 +99,10 @@ class TestDecodeChain:
         for i in range(5):
             part.insert_row((7, float(i), f"v{i}"))
         ptr = part.ctrie.lookup(part.index_key(7), (1 << 64) - 1)
-        rows = part.codec.decode_chain(part.batches, ptr)
+        rows, counts = part.codec.decode_chains(part.batches, [ptr])
         # Chain yields newest-first.
         assert rows == [(7, float(i), f"v{i}") for i in reversed(range(5))]
+        assert counts == [5]
 
 
 class TestScanRows:

@@ -162,6 +162,30 @@ class TestShardRouter:
             touched = [s for s in after if after[s] > before.get(s, 0)]
             assert len(touched) == 1
 
+    def test_a_text_is_prepared_once_per_catalog_epoch(self, monkeypatch):
+        """A served read of a known text does not prepare it again: 1 000
+        reads normalise it once, and a DDL between two reads (the catalog's
+        epoch moves) prepares it anew."""
+        from repro.sql import session as session_module
+
+        session, idf, router = make_sharded()
+        normalized = []
+        normalize = session_module.normalize_sql
+        monkeypatch.setattr(
+            session_module, "normalize_sql", lambda text: normalized.append(text) or normalize(text)
+        )
+        text = "SELECT * FROM users WHERE uid = ?"
+        want = {uid: session.sql(f"SELECT * FROM users WHERE uid = {uid}").collect_tuples()
+                for uid in range(120)}
+        normalized.clear()
+        with router:
+            for i in range(1000):
+                assert router.query(text, params=[i % 120]).rows == want[i % 120]
+            assert len(normalized) == 1
+            session.create_dataframe(make_users(5), USER_SCHEMA).create_or_replace_temp_view("other")
+            assert router.query(text, params=[7]).rows == want[7]
+            assert len(normalized) == 2
+
     def test_failover_mid_stream_no_client_visible_error(self):
         session, idf, router = make_sharded()
         with router:
