@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.engine.rdd import RDD, MapPartitionsRDD, PrunedRDD, ZippedPartitionsRDD
+from repro.obs.registry import MetricsRegistry
 from repro.sql.analysis import resolve_expression
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
@@ -43,6 +44,17 @@ if TYPE_CHECKING:  # pragma: no cover
 #: treat it as the small side).
 INDEXED_ROW_ESTIMATE = 1_000_000
 INDEXED_RANGE_ESTIMATE = 10_000
+
+#: The series a range scan's partition read records (built once).
+_RANGE_SERIES = tuple(
+    MetricsRegistry.key(name)
+    for name in (
+        "ordered_index_range_scans_total",
+        "ordered_index_rows_scanned_total",
+        "ordered_index_rows_matched_total",
+        "ordered_index_range_selectivity",
+    )
+)
 
 
 class ResidentPartitions:
@@ -256,14 +268,17 @@ class IndexedRangeScanExec(IndexedLeafExec):
         self.krange = krange
 
     def _read(self, part: Any, krange: Any) -> list[tuple]:
-        """One partition's rows in ``krange``, the scan counted."""
+        """One partition's rows in ``krange``, the scan counted in one
+        registry call."""
         registry = self.session.context.registry
         rows, scanned = part.range_lookup(krange, registry)
-        registry.inc("ordered_index_range_scans_total")
-        registry.inc("ordered_index_rows_scanned_total", scanned)
-        registry.inc("ordered_index_rows_matched_total", len(rows))
-        if scanned:
-            registry.observe("ordered_index_range_selectivity", len(rows) / scanned)
+        scans, rows_scanned, rows_matched, selectivity = _RANGE_SERIES
+        registry.count_and_observe(
+            scans,
+            selectivity if scanned else None,
+            len(rows) / scanned if scanned else 0.0,
+            ((rows_scanned, scanned), (rows_matched, len(rows))),
+        )
         return rows
 
     def do_execute(self) -> RDD:

@@ -20,7 +20,7 @@ This module is the Section III-B machinery:
   default Spark behavior" — and likewise for non-index-friendly queries on
   indexed data, which run over the full indexed scan). A ``?`` of a
   prepared statement claims what a literal would, so a statement's
-  template is planned once and bound per execution (:func:`bound_claim`);
+  template is planned once and bound per execution (``_KeyTemplateExec``);
 * ``DataFrame.create_index`` — added to the DataFrame class at import time,
   the Python analogue of the paper's Scala implicit conversions;
 * :func:`enable_indexing` — installs the strategy on a session (idempotent);
@@ -86,9 +86,8 @@ class IndexedRelation(Relation):
 #: What may stand opposite the key in a claimed conjunct: a literal, or a
 #: ``?`` of a prepared statement. A statement's template is planned once,
 #: before any value is bound, and the leaf it gets has to be the one its
-#: bound form would get — so a ``?`` claims what a literal does. Keys and
-#: ranges are only ever *extracted* from bound conditions, at bind
-#: (:func:`bound_claim`).
+#: bound form would get — so a ``?`` claims what a literal does; the
+#: template's leaf builds the bound form's at bind (``_KeyTemplateExec``).
 _BINDABLE = (Literal, Parameter)
 
 #: a comparison's mirror image: ``lit OP key`` == ``key FLIP[OP] lit``.
@@ -182,26 +181,30 @@ def extract_lookup_keys(
     return sorted(keys, key=repr), combine_conjuncts(residual)
 
 
-def _range_of_conjunct(conj: Expression, key_column: str) -> "KeyRange | None":
-    """The KeyRange one bound conjunct imposes on the key column, or None.
+def _key_range(op: str, value: Any) -> KeyRange:
+    """The KeyRange of one bound on the key (:func:`_bounded_by`'s op, with
+    the operand's value). Inclusivity is preserved exactly: ``<`` maps to an
+    open bound, ``<=`` to a closed one (never conflated — the boundary bugs
+    the range tests pin down)."""
+    if op == "prefix":
+        return KeyRange.prefix_of(value)
+    if op == "<":
+        return KeyRange(hi=value, hi_inclusive=False)
+    if op == "<=":
+        return KeyRange(hi=value)
+    if op == ">":
+        return KeyRange(lo=value, lo_inclusive=False)
+    return KeyRange(lo=value)
 
-    Inclusivity is preserved exactly: ``<`` maps to an open bound, ``<=``
-    to a closed one (never conflated — the boundary bugs this PR's tests
-    pin down), and a literal on the left flips the operator.
-    """
+
+def _range_of_conjunct(conj: Expression, key_column: str) -> "KeyRange | None":
+    """The KeyRange one bound conjunct imposes on the key column, or None
+    (a literal on the left flips the operator)."""
     bound = _bounded_by(conj, key_column)
     if bound is None:
         return None
     op, operand = bound
-    if op == "prefix":
-        return KeyRange.prefix_of(operand)
-    if op == "<":
-        return KeyRange(hi=operand.value, hi_inclusive=False)
-    if op == "<=":
-        return KeyRange(hi=operand.value)
-    if op == ">":
-        return KeyRange(lo=operand.value, lo_inclusive=False)
-    return KeyRange(lo=operand.value)
+    return _key_range(op, operand if op == "prefix" else operand.value)
 
 
 def extract_key_range(
@@ -241,10 +244,25 @@ def _has_parameter(expr: Expression) -> bool:
     return isinstance(expr, Parameter) or any(_has_parameter(c) for c in expr.children())
 
 
+def _value(operand: Expression, values: "Sequence[Any]") -> Any:
+    """A claimed operand's value under ``values``: a ``?`` slot's, or the
+    literal's."""
+    return values[operand.index] if isinstance(operand, Parameter) else operand.value
+
+
 class _KeyTemplateExec(IndexedLeafExec):
     """The index leaf of a prepared statement's template: conjuncts that pin
     (``kind="point"``) or bound (``"range"``) the key, holding a ``?``. It
-    never runs; :meth:`bind` builds the leaf the bound conjuncts claim."""
+    never runs; :meth:`bind` builds the leaf the bound conjuncts claim.
+
+    Planning reduces the conjuncts once, to the operands each pins the key
+    to or to the bound each puts on it (an operand is a ``?`` slot or a
+    literal), so a binding substitutes values: no conjunct is re-split, and
+    only one left to filter (bound to NULL, or a bound the range cannot
+    absorb) is rebuilt bound. What it builds is what
+    :func:`extract_lookup_keys` / :func:`extract_key_range` extract from
+    the bound conjuncts — the same keys in the same order, the same range,
+    the same leftover filter."""
 
     def __init__(
         self, session: "Session", idf: "IndexedDataFrame", view: "str | None", kind: str,
@@ -253,10 +271,41 @@ class _KeyTemplateExec(IndexedLeafExec):
         super().__init__(session, idf, idf.schema, view)
         self.kind = kind
         self.claimed = claimed
+        claims = _pinned_to if kind == "point" else _bounded_by
+        #: Per conjunct: the operands it pins the key to (``point``), or
+        #: (the conjunct, op, operand) of its bound (``range``).
+        self.operands: list[Any] = [
+            claims(conj, idf.key_column) if kind == "point"
+            else (conj, *claims(conj, idf.key_column))
+            for conj in split_conjuncts(claimed)
+        ]
 
     def bind(self, values: "Sequence[Any]") -> PhysicalPlan | None:
-        claimed = bind_expression(self.claimed, values)
-        return bound_claim(self.session, self.idf, self.view, self.kind, claimed)
+        """The leaf for ``values``; None when every range bound is bound
+        NULL (the statement then plans its bound logical plan)."""
+        if self.kind == "point":
+            key_sets = [{_value(x, values) for x in ops} for ops in self.operands]
+            keys = sorted(set.intersection(*key_sets), key=repr)
+            return IndexedLookupExec(self.session, self.idf, keys, self.view)
+        krange: "KeyRange | None" = None
+        leftover: list[Expression] = []
+        for conj, op, operand in self.operands:
+            value = operand if op == "prefix" else _value(operand, values)
+            merged = None
+            if value is not None:  # a NULL bounds nothing: the conjunct is filtered
+                r = _key_range(op, value)
+                merged = r if krange is None else krange.intersect(r)
+            if merged is None:
+                leftover.append(bind_expression(conj, values))
+            else:
+                krange = merged
+        if krange is None:
+            return None
+        leaf = IndexedRangeScanExec(self.session, self.idf, krange, self.view)
+        if not leftover:
+            return leaf
+        condition = resolve_expression(combine_conjuncts(leftover), self.idf.schema)
+        return FilterExec(self.session, condition, leaf)
 
     def do_execute(self) -> Any:
         raise RuntimeError(f"{self!r} has unbound parameters (bind before executing)")
@@ -275,18 +324,14 @@ class _KeyTemplateExec(IndexedLeafExec):
 def bound_claim(
     session: "Session", idf: "IndexedDataFrame", view: "str | None", kind: str,
     claimed: Expression,
-) -> PhysicalPlan | None:
-    """The leaf for bound claimed conjuncts: it reads the keys or range
-    :func:`extract_lookup_keys` / :func:`extract_key_range` extract, under a
-    filter of whatever bound the range could not absorb. None when binding
-    left no bound (every bound NULL): the statement plans its bound logical
-    plan instead."""
+) -> PhysicalPlan:
+    """The leaf for claimed conjuncts holding no ``?``: it reads the keys or
+    range :func:`extract_lookup_keys` / :func:`extract_key_range` extract,
+    under a filter of whatever bound the range could not absorb."""
     if kind == "point":
         keys, _ = extract_lookup_keys(claimed, idf.key_column)
         return IndexedLookupExec(session, idf, keys, view)
     krange, leftover = extract_key_range(claimed, idf.key_column)
-    if krange is None:
-        return None
     leaf = IndexedRangeScanExec(session, idf, krange, view)
     if leftover is None:
         return leaf

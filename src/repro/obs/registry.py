@@ -136,16 +136,27 @@ class MetricsRegistry:
         caller (a shard's per-op series) and passed to :meth:`count_and_observe`."""
         return _key(name, labels)
 
-    def count_and_observe(self, counter: MetricKey, histogram: MetricKey, value: float) -> None:
-        """Add 1 to the ``counter`` series and observe ``value`` in the
-        ``histogram`` series (keys from :meth:`key`): one lock section and no
-        label sort, for a caller that records both per call."""
+    def count_and_observe(
+        self,
+        counter: MetricKey,
+        histogram: "MetricKey | None",
+        value: float,
+        more: "tuple[tuple[MetricKey, float], ...]" = (),
+    ) -> None:
+        """Add 1 to the ``counter`` series and each ``(key, delta)`` of
+        ``more`` to its series, and observe ``value`` in the ``histogram``
+        series unless it is None (keys from :meth:`key`): one lock section
+        and no label sort, for a caller that records them per call."""
         with self._lock:
-            self._counters[counter] = self._counters.get(counter, 0.0) + 1.0
-            hist = self._histograms.get(histogram)
-            if hist is None:
-                hist = self._histograms[histogram] = HistogramData()
-            hist.observe(value)
+            counters = self._counters
+            counters[counter] = counters.get(counter, 0.0) + 1.0
+            for key, delta in more:
+                counters[key] = counters.get(key, 0.0) + delta
+            if histogram is not None:
+                hist = self._histograms.get(histogram)
+                if hist is None:
+                    hist = self._histograms[histogram] = HistogramData()
+                hist.observe(value)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:

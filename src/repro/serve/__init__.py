@@ -11,9 +11,9 @@ multi-tenant query *service*, with one read path behind two front ends:
   the plan's direct read over its shards on the caller's thread, and fails
   over on shard death;
 * :class:`~repro.serve.server.QueryServer` — admission control in front of
-  a one-shard router it owns: bounded worker pool, admission queue,
-  per-query deadlines, and load shedding (retryable rejections when the
-  queue or the memory manager is under pressure);
+  a one-shard router it owns: load shedding (retryable rejections), per-query
+  deadlines, and at most ``num_workers`` queries answering at once — on the
+  caller's thread when a slot is free, else on a worker;
 * :class:`~repro.serve.snapshot.PinnedSnapshot` — a pinned MVCC version of
   an Indexed DataFrame whose partitions are held in-process; what
   ``pinned(view)`` returns on either front end;

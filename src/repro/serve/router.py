@@ -5,18 +5,15 @@ DESIGN.md §14. Every served read goes through a router — a
 router with one shard. The router owns the control plane the shards
 deliberately don't have:
 
-* **Routing.** A query is planned by the session — through the plan
-  cache, a prepared statement's plan planned once and bound per call; the
-  router keeps each text's statement until the catalog changes — and
-  when the plan's leaf is an indexed read of a view this router serves (a
-  *point* lookup, a *range* seek of the ordered index, or a *scan*) under
-  filters, projections and a ``LIMIT``, the router runs that plan's direct
-  read with itself as the partition source: the leaf hashes keys through
-  the router's pin's partitioner, and each split it reads goes, through
-  the :class:`~repro.serve.shard.RoutingTable`, to one live replica,
-  rotating over them, on the caller's thread. No job, no ``job_lock``, no
-  block-store lookup. Everything else — a view this router does not serve
-  included — is answered by the session's pipeline (``path="general"``).
+* **Routing.** A query is planned by the session (a prepared statement,
+  kept per text until the catalog changes, is planned once and bound per
+  call). When the plan's leaf is an indexed read of a view this router
+  serves — a *point* lookup, a *range* seek or a *scan*, under filters,
+  projections and a ``LIMIT`` — the router runs that plan's direct read
+  with itself as the partition source: each split goes, through the
+  :class:`~repro.serve.shard.RoutingTable`, to one live replica, rotating
+  over them, on the caller's thread. No job, no ``job_lock``. Everything
+  else is answered by the session's pipeline (``path="general"``).
 * **Failover.** Shard health is a tiny state machine (ALIVE → SUSPECT →
   DEAD) driven by heartbeats and by :class:`~repro.serve.shard.ShardDown`
   observed on the data path. A dead shard's traffic moves to the next
@@ -141,6 +138,8 @@ class ShardRouter:
         #: Query text -> its prepared statement, re-prepared when the
         #: catalog's epoch moves (a publish, any DDL), not per read.
         self._statements: "dict[str, PreparedStatement]" = {}
+        #: Per path: the ``serve_router_*`` series keys (built once).
+        self._series: "dict[str, tuple[Any, Any]]" = {}
         self._route_ops = itertools.count()
         self._rr = itertools.count()
         self._closed = False
@@ -199,17 +198,18 @@ class ShardRouter:
         t0 = time.perf_counter()
         result = self.answer(text, params)
         result.total_seconds = time.perf_counter() - t0
-        self.registry.inc("serve_router_queries_total", path=result.path)
-        self.registry.observe(
-            "serve_router_latency_seconds", result.total_seconds, path=result.path
-        )
+        path, key = result.path, self.registry.key
+        if path not in self._series:
+            self._series[path] = (key("serve_router_queries_total", path=path),
+                                  key("serve_router_latency_seconds", path=path))
+        self.registry.count_and_observe(*self._series[path], result.total_seconds)
         if result.degraded:
             self.registry.inc("serve_degraded_results_total")
         return result
 
     def answer(self, text: str, params: "Sequence[Any] | None" = None) -> QueryResult:
         """Answer one query inside a publish-barrier slot, recording no
-        router counters — what a :class:`QueryServer` worker calls."""
+        router counters — what a :class:`QueryServer` calls."""
         gate = self._gate
         with gate:
             while self._publishing:
@@ -515,10 +515,7 @@ class ShardRouter:
         return how
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"ShardRouter(shards={len(self.shards)}, live={self.live_shards()}, "
-            f"views={self.views()})"
-        )
+        return f"ShardRouter(shards={len(self.shards)}, live={self.live_shards()}, views={self.views()})"
 
 
 class _ShardPartitions:

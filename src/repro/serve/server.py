@@ -1,39 +1,35 @@
 """QueryServer: admission control in front of a one-shard router.
 
 One :class:`QueryServer` wraps one :class:`~repro.sql.session.Session` and
-turns it into a service: clients :meth:`submit` SQL (optionally with bind
-parameters) and get a :class:`QueryTicket` future; a bounded pool of worker
-threads executes admitted queries; admission control sheds load *before*
-work starts. The contract the chaos tests enforce: the server may reject
-(retryably) but never returns a wrong answer.
+turns it into a service: clients :meth:`~QueryServer.submit` SQL (optionally
+with bind parameters) for a :class:`QueryTicket` future, or
+:meth:`~QueryServer.query` it for the answer. Admission control sheds load
+*before* work starts — the server may reject (retryably) but never returns
+a wrong answer. It rejects, in order:
 
-Admission control rejects, in order:
-
-* ``shutdown`` — the server is closing (not retryable, find another server);
-* ``chaos`` — injected rejection (``context.faults.serve_rejection_prob``),
-  exercising client retry loops deterministically;
-* ``memory_pressure`` — the worst executor block store is at/above
-  ``ServeConfig.shed_memory_fraction`` of its budget (backpressure before
-  the query runs, complementing the task-level
-  :class:`~repro.engine.memory_manager.MemoryPressureError` retries that
-  protect queries already running);
+* ``shutdown`` — the server is closing (not retryable);
+* ``chaos`` — injected (``context.faults.serve_rejection_prob``);
+* ``memory_pressure`` — the worst executor block store is at
+  ``ServeConfig.shed_memory_fraction`` of its budget, or a running query's
+  :class:`~repro.engine.memory_manager.MemoryPressureError` outlived the
+  task-level retries;
 * ``queue_full`` — the admission queue is at ``max_queue_depth``;
-* ``deadline`` — the query waited in the queue past its deadline (shed
-  stale work instead of burning a worker on an answer nobody awaits).
+* ``deadline`` — the query waited past its deadline (stale work is shed).
 
-The server has no read path of its own. It owns a
-:class:`~repro.serve.router.ShardRouter` with one shard and one replica —
-under the engine's hash partitioner a single server is a router with one
-shard — and ``publish`` / ``pinned`` / ``views`` delegate to it. A worker
-answers an admitted query with :meth:`~repro.serve.router.ShardRouter.answer`:
-the session plans it (plan-cached; a prepared statement planned once and
-bound), and a plan that reads a published view through a point lookup
-(``path="fastpath"``), a range seek or a scan is read on the worker thread
-from the pinned partitions, no job, no ``job_lock``; everything else runs
+At most ``num_workers`` queries answer at once: a worker thread and a
+``query`` caller alike hold one of that many slots. A ``query`` admitted
+while a slot is free and no ticket waits is answered on the caller's thread
+(no queue, no handoff); otherwise it waits for a worker as a ticket does.
+
+The server has no read path of its own: it owns a
+:class:`~repro.serve.router.ShardRouter` with one shard and one replica, and
+``publish`` / ``pinned`` / ``views`` delegate to it. An admitted query is
+answered by :meth:`~repro.serve.router.ShardRouter.answer` — a point lookup
+(``path="fastpath"``), range seek or scan of a published view is read from
+the pinned partitions on the answering thread, no job; everything else runs
 through the session pipeline. Shard-kill chaos and the ``serve_router_*``
-counters belong to :meth:`ShardRouter.query` and are not applied here; the
-one shard feeds the ``serve_shard_*{shard="0"}`` series like any router's
-shard 0 on the context.
+counters belong to :meth:`ShardRouter.query`; the one shard feeds the
+``serve_shard_*{shard="0"}`` series.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class ServeConfig:
     """Serving-layer tunables (engine tunables stay on :class:`Config`)."""
 
-    #: Worker threads executing admitted queries.
+    #: Worker threads, and answering slots (held by workers and inline queries alike).
     num_workers: int = 4
     #: Admitted-but-not-started queries allowed before ``queue_full``.
     max_queue_depth: int = 64
@@ -85,7 +81,10 @@ class QueryTicket:
     never start a query the client already wrote off.
     """
 
-    def __init__(self, text: str, params: "Sequence[Any] | None", deadline: float) -> None:
+    def __init__(
+        self, text: str, params: "Sequence[Any] | None", deadline: float,
+        reject: "Callable[[str, str], ServeRejected]",
+    ) -> None:
         self.text = text
         self.params = params
         self.deadline = deadline
@@ -95,8 +94,8 @@ class QueryTicket:
         self._error: "BaseException | None" = None
         self._claim_lock = threading.Lock()
         self._claimed = False
-        #: Server hook building the deadline rejection (counts metrics).
-        self._on_expire: "Callable[[float], ServeRejected] | None" = None
+        #: The server's rejection builder (counts the deadline rejection).
+        self._reject = reject
 
     def _complete(self, result: QueryResult) -> None:
         self._result = result
@@ -124,10 +123,7 @@ class QueryTicket:
                 return False
             self._claimed = True
             queued = time.perf_counter() - self.enqueued_at
-            if self._on_expire is not None:
-                self._error = self._on_expire(queued)
-            else:
-                self._error = ServeRejected("deadline", f"queued {queued:.3f}s")
+            self._error = self._reject("deadline", f"queued {queued:.3f}s")
             self._done.set()
             return True
 
@@ -179,9 +175,13 @@ class QueryServer:
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._admissions = itertools.count()
         self._closed = False
+        workers = max(1, self.config.num_workers)
+        self._slots = threading.Semaphore(workers)  # held by workers and inline queries alike
+        #: Per path: the ``serve_queries_total`` / ``serve_latency_seconds`` keys.
+        self._series: "dict[str, tuple[Any, Any]]" = {}
         self._workers = [
             threading.Thread(target=self._worker, name=f"serve-worker-{i}", daemon=True)
-            for i in range(max(1, self.config.num_workers))
+            for i in range(workers)
         ]
         for w in self._workers:
             w.start()
@@ -190,10 +190,8 @@ class QueryServer:
 
     def publish(self, view: str, idf: "IndexedDataFrame") -> PinnedSnapshot:
         """Pin ``idf`` and atomically make it the served version of ``view``
-        (:meth:`ShardRouter.publish`: the pin job runs first, then catalog
-        registration and the install happen behind the publish barrier, so
-        a query that parses against the new catalog epoch is never served
-        an older pin)."""
+        (:meth:`ShardRouter.publish`: a query that parses against the new
+        catalog epoch is never served an older pin)."""
         pin = self.router.publish(view, idf)
         self.registry.set_gauge("serve_pinned_version", float(pin.version), view=view.lower())
         return pin
@@ -214,24 +212,8 @@ class QueryServer:
         deadline: "float | None" = None,
     ) -> QueryTicket:
         """Admit a query (or raise :class:`ServeRejected` immediately)."""
-        if self._closed:
-            raise self._reject("shutdown", retryable=False)
-        if self.context.faults.on_serve(next(self._admissions)):
-            raise self._reject("chaos")
-        pressure = self._pressure()
-        if pressure >= self.config.shed_memory_fraction:
-            raise self._reject("memory_pressure", f"pressure={pressure:.2f}")
-        if self._queue.qsize() >= self.config.max_queue_depth:
-            raise self._reject("queue_full", f"depth={self._queue.qsize()}")
-        ticket = QueryTicket(
-            text, params, deadline if deadline is not None else self.config.default_deadline
-        )
-        ticket._on_expire = lambda queued: self._reject(
-            "deadline", f"queued {queued:.3f}s"
-        )
-        self._queue.put(ticket)
-        self.registry.set_gauge("serve_queue_depth", float(self._queue.qsize()))
-        return ticket
+        self._admit()
+        return self._enqueue(text, params, deadline)
 
     def query(
         self,
@@ -240,8 +222,21 @@ class QueryServer:
         deadline: "float | None" = None,
         timeout: "float | None" = 60.0,
     ) -> QueryResult:
-        """Synchronous convenience: ``submit(...).result(timeout)``."""
-        return self.submit(text, params, deadline).result(timeout)
+        """Admit and answer a query: on the caller's thread when a slot is
+        free and no ticket is queued (it never waits, so ``deadline`` cannot
+        lapse), else ``submit(...).result(timeout)``. ``timeout`` bounds the
+        wait for a worker; a query answered inline is not abandoned (nor is
+        a worker's: neither is ever cancelled)."""
+        t0 = time.perf_counter()
+        self._admit()
+        # Tickets put and not yet holding a slot (a worker calls task_done
+        # once it holds one): while any waits, this query queues behind it.
+        if self._queue.unfinished_tasks or not self._slots.acquire(blocking=False):
+            return self._enqueue(text, params, deadline).result(timeout)
+        try:
+            return self._run(text, params, t0, 0.0)
+        finally:
+            self._slots.release()
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting queries; finish (``drain=True``) or reject
@@ -272,57 +267,71 @@ class QueryServer:
 
     # -- internals -------------------------------------------------------------------
 
-    def _pressure(self) -> float:
-        probe = self.config.pressure_probe
-        return probe() if probe is not None else self.context.memory_pressure()
-
     def _reject(self, reason: str, detail: str = "", retryable: bool = True) -> ServeRejected:
         self.registry.inc("serve_rejections_total", reason=reason)
         return ServeRejected(reason, detail, retryable=retryable)
 
+    def _admit(self) -> None:
+        """Admission control, in the module docstring's order (a worker
+        sheds a ticket past its ``deadline``; an inline query never waits)."""
+        if self._closed:
+            raise self._reject("shutdown", retryable=False)
+        if self.context.faults.on_serve(next(self._admissions)):
+            raise self._reject("chaos")
+        probe = self.config.pressure_probe
+        pressure = probe() if probe is not None else self.context.memory_pressure()
+        if pressure >= self.config.shed_memory_fraction:
+            raise self._reject("memory_pressure", f"pressure={pressure:.2f}")
+        if self._queue.qsize() >= self.config.max_queue_depth:
+            raise self._reject("queue_full", f"depth={self._queue.qsize()}")
+
+    def _enqueue(self, text: str, params: "Sequence[Any] | None", deadline: "float | None") -> QueryTicket:
+        deadline = self.config.default_deadline if deadline is None else deadline
+        ticket = QueryTicket(text, params, deadline, self._reject)
+        self._queue.put(ticket)
+        self.registry.set_gauge("serve_queue_depth", float(self._queue.qsize()))
+        return ticket
+
     def _worker(self) -> None:
         while True:
-            item = self._queue.get()
-            try:
-                if item is _STOP:
-                    return
-                self.registry.set_gauge("serve_queue_depth", float(self._queue.qsize()))
-                self._run(item)
-            finally:
+            ticket = self._queue.get()
+            if ticket is _STOP:
                 self._queue.task_done()
+                return
+            self.registry.set_gauge("serve_queue_depth", float(self._queue.qsize()))
+            with self._slots:
+                self._queue.task_done()
+                if not ticket._try_claim():
+                    continue  # expired (or shed) while queued; the client already knows
+                queued = time.perf_counter() - ticket.enqueued_at
+                try:
+                    if queued > ticket.deadline:
+                        raise self._reject("deadline", f"queued {queued:.3f}s")
+                    ticket._complete(self._run(ticket.text, ticket.params, ticket.enqueued_at, queued))
+                except BaseException as exc:  # rejections, and planner/executor errors
+                    ticket._fail(exc)
 
-    def _run(self, ticket: QueryTicket) -> None:
-        if not ticket._try_claim():
-            return  # expired (or shed) while queued; the client already knows
-        queued = time.perf_counter() - ticket.enqueued_at
-        if queued > ticket.deadline:
-            ticket._fail(self._reject("deadline", f"queued {queued:.3f}s"))
-            return
-        span = self.context.tracer.start_span("serve", kind="serve", text=ticket.text)
+    def _run(self, text: str, params: "Sequence[Any] | None", admitted_at: float, queued: float) -> QueryResult:
+        """Answer one admitted query holding a slot, on a worker or inline
+        (``queued`` 0.0: it never waited); raises its rejection or error."""
+        span = self.context.tracer.start_span("serve", kind="serve", text=text)
         try:
             with span:
-                result = self.router.answer(ticket.text, ticket.params)
+                result = self.router.answer(text, params)
                 if result.path == "point":
                     result.path = "fastpath"
                 result.queued_seconds = queued
-                result.total_seconds = time.perf_counter() - ticket.enqueued_at
+                result.total_seconds = time.perf_counter() - admitted_at
                 span.set_attr("path", result.path)
-            ticket._complete(result)
-            self.registry.inc("serve_queries_total", path=result.path)
-            self.registry.observe(
-                "serve_latency_seconds", result.total_seconds, path=result.path
-            )
         except MemoryPressureError as exc:
             # The memory manager spilled and evicted and still could not
             # make room: surface as backpressure, never a failed query.
-            ticket._fail(self._reject("memory_pressure", str(exc)))
-        except ServeRejected as exc:
-            ticket._fail(exc)
-        except BaseException as exc:  # planner/executor errors belong to the client
-            ticket._fail(exc)
+            raise self._reject("memory_pressure", str(exc)) from None
+        path, key = result.path, self.registry.key
+        if path not in self._series:
+            self._series[path] = key("serve_queries_total", path=path), key("serve_latency_seconds", path=path)
+        self.registry.count_and_observe(*self._series[path], result.total_seconds)
+        return result
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"QueryServer(workers={len(self._workers)}, views={self.views()}, "
-            f"closed={self._closed})"
-        )
+        return f"QueryServer(workers={len(self._workers)}, views={self.views()}, closed={self._closed})"

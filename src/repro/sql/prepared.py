@@ -3,12 +3,14 @@
 ``session.prepare("SELECT * FROM t WHERE k = ?")`` parses the text **once**
 into a logical *template* containing :class:`~repro.sql.expressions.Parameter`
 placeholders, and the template is planned once too: its physical plan rides
-on the statement's plan-cache entry, a ``?`` claiming the index as the
-literal it will be bound to would (``repro.indexed.rules``). Each
-``execute(params)`` then binds that plan (:meth:`PreparedStatement.plan`):
-the indexed leaf extracts its keys or key range from the bound condition,
-and the row operators above it take bound copies of their expressions — no
-analyze, optimize or plan per execution. A plan holding an operator that
+on the statement's plan-cache entry for the entry's catalog epoch, a ``?``
+claiming the index as the literal it will be bound to would
+(``repro.indexed.rules``). Each ``execute(params)`` then binds that plan
+(:meth:`PreparedStatement.plan`): the indexed leaf, whose key conjuncts were
+reduced to ``?`` slots and literals when it was planned, substitutes the
+values into its keys or key range, and the row operators above it take
+bound copies of their expressions — no analyze, optimize, plan or plan-cache
+lookup per execution. A plan holding an operator that
 cannot bind (a join, an aggregate, a sort) binds the logical template
 instead (:func:`bind_parameters` — a pure tree rewrite, the template is
 never mutated and stays shareable across threads) and plans that, as does a
@@ -74,18 +76,23 @@ class PreparedStatement:
 
     def plan(self, params: Sequence[Any] = ()) -> "PhysicalPlan":
         """The physical plan of this binding: the template's plan, planned
-        once per catalog epoch, bound to ``params`` — or, when that plan
-        cannot bind, the bound logical plan planned now. A template that
-        cannot be planned is tried once per epoch."""
+        once per catalog epoch and kept on the statement's entry, bound to
+        ``params`` — or, when that plan cannot bind, the bound logical plan
+        planned now. A template that cannot be planned is tried once per
+        epoch."""
         self._check(params)
         session = self.session
         entry = self.entry
-        template = None
-        if not (entry.unplannable and entry.epoch == session.catalog.epoch):
+        current = entry.epoch == session.catalog.epoch
+        template = entry.physical if current else None
+        if template is None and not (current and entry.unplannable):
             try:
                 template = session.plan_physical(self.template)
             except RuntimeError:  # a `?` whose type the plan needs (`SELECT ? ...`): bind first
                 entry.unplannable = True
+            else:
+                if current:
+                    entry.physical = template
         if template is not None and self.num_params == 0:
             return template
         bound = template.bind(params) if template is not None else None

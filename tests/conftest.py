@@ -8,6 +8,8 @@ import os
 import random
 import shutil
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -48,6 +50,21 @@ def no_leaked_spill_files(private_temp_dir):
     gc.collect()
     leaked = len(glob.glob(pattern)) - before
     assert leaked <= 0, f"{leaked} spill file(s) left behind in {private_temp_dir}"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_leaked_threads():
+    """Fail a module that leaves live non-daemon threads it did not find (a
+    thread still finishing gets a few seconds to end)."""
+    before = set(threading.enumerate())
+    yield
+    end = time.monotonic() + 5.0
+    while True:
+        leaked = [t for t in threading.enumerate() if t not in before and t.is_alive() and not t.daemon]
+        if not leaked or time.monotonic() >= end:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"non-daemon thread(s) left running: {[t.name for t in leaked]}"
 
 
 @pytest.fixture()

@@ -2,16 +2,26 @@
 fallback to vanilla execution when the index cannot help (Fig. 2)."""
 
 import random
+import sys
 
 import pytest
 
 from repro.config import Config
-from repro.indexed.operators import IndexedJoinExec, IndexedLookupExec, IndexedScanExec
+from repro.indexed.operators import (
+    IndexedJoinExec,
+    IndexedLookupExec,
+    IndexedRangeScanExec,
+    IndexedScanExec,
+)
+from repro.indexed.ordered_index import KeyRange
 from repro.indexed.rules import extract_lookup_keys
+from repro.serve import ShardRouter
 from repro.sql.functions import col, lit
-from repro.sql.physical import FilterExec
+from repro.sql.physical import FilterExec, RowwiseExec
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
+
+from .conftest import USER_SCHEMA, make_users
 
 EDGE_SCHEMA = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
@@ -387,3 +397,148 @@ class TestRangeBoundaryResults:
         assert reg.counter_total("ordered_index_rows_scanned_total") == matched
         stats = reg.histogram_stats("ordered_index_range_selectivity")
         assert stats["count"] >= 1
+
+    def test_range_scan_records_one_registry_call_per_partition(self, session):
+        """A 4-partition range records, on the job and on the direct path
+        alike, the totals each partition's ``range_lookup`` reports, in one
+        registry call per partition read, and touches the
+        ``ordered_index_*`` series through nothing else."""
+        rows = make_rows()
+        idf = session.create_dataframe(rows, EDGE_SCHEMA, "edges").create_index("src", num_partitions=4)
+        idf.create_or_replace_temp_view("edges4")
+        reg = session.context.registry
+        krange = KeyRange(lo=10, hi=29)
+        reads = [part.range_lookup(krange) for part in idf.materialize_partitions()]
+        scanned = [n for _, n in reads]
+        matched = sum(1 for r in rows if 10 <= r[0] <= 29)
+        assert sum(len(part_rows) for part_rows, _ in reads) == matched
+        want = {
+            "ordered_index_range_scans_total": 4.0,
+            "ordered_index_rows_scanned_total": float(sum(scanned)),
+            "ordered_index_rows_matched_total": float(matched),
+        }
+        seen = {name: [] for name in ("inc", "observe", "count_and_observe")}
+
+        def recording(name, real):
+            def call(first, *args, **kwargs):
+                seen[name].append(first)  # a series name, or a key
+                return real(first, *args, **kwargs)
+
+            return call
+
+        for name in seen:
+            setattr(reg, name, recording(name, getattr(reg, name)))
+        text = "SELECT * FROM edges4 WHERE src BETWEEN 10 AND 29"
+        physical = session.plan_physical(session.sql_logical(text))
+        assert isinstance(physical, IndexedRangeScanExec)
+        for path, read in (("job", lambda: physical.execute().collect()), ("direct", lambda: session.execute(physical))):
+            before = {name: reg.counter_total(name) for name in want}
+            hist = reg.histogram_stats("ordered_index_range_selectivity")["count"]
+            seen["count_and_observe"].clear()
+            assert sorted(read()) == sorted(r for r in rows if 10 <= r[0] <= 29), path
+            assert {name: reg.counter_total(name) - before[name] for name in want} == want, path
+            assert reg.histogram_stats("ordered_index_range_selectivity")["count"] - hist == sum(
+                1 for n in scanned if n), path
+            assert len(seen["count_and_observe"]) == 4, path  # one registry call per partition read
+        assert not [n for n in seen["inc"] + seen["observe"] if n.startswith("ordered_index_")]
+
+
+def leaf_of(plan):
+    while isinstance(plan, RowwiseExec):
+        plan = plan.child
+    return plan
+
+
+def outcome(run):
+    """``("rows", rows)``, or ``("raises", exception type)``."""
+    try:
+        return "rows", run()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return "raises", type(exc)
+
+
+class TestTemplateBind:
+    """A prepared statement's index leaf binds from values: the plan it
+    builds is the one planning the bound statement builds, and binding it
+    neither rebuilds an expression nor re-extracts keys or ranges."""
+
+    #: Every shape a ``?`` can take in a claimed conjunct, and residuals.
+    TEMPLATES = {
+        "SELECT * FROM users WHERE uid = ?": 1,
+        "SELECT * FROM users WHERE ? = uid": 1,
+        "SELECT * FROM users WHERE uid IN (?, 7, ?)": 2,
+        "SELECT * FROM users WHERE uid IN (?, ?) AND uid = ?": 3,
+        "SELECT name FROM users WHERE uid = ? AND score > ?": 2,
+        "SELECT * FROM users WHERE uid BETWEEN ? AND ?": 2,
+        "SELECT * FROM users WHERE ? < uid AND uid <= ?": 2,
+        "SELECT * FROM users WHERE uid >= ? AND uid < 150": 1,
+        "SELECT * FROM users WHERE uid > ? AND uid > ?": 2,
+        "SELECT uid FROM users WHERE uid BETWEEN ? AND ? AND score < ?": 3,
+        "SELECT * FROM users WHERE uid <= ? AND uid > 20 LIMIT 4": 1,
+        "SELECT * FROM names WHERE name LIKE 'user1%' AND name >= ?": 1,
+        "SELECT * FROM names WHERE name = ? OR name = 'user3'": 1,
+        "SELECT uid FROM names WHERE ? > name AND name > ?": 2,
+    }
+
+    @pytest.fixture()
+    def served(self, session):
+        users = make_users(200)
+        router = ShardRouter(session, 3)
+        for view, key in (("users", "uid"), ("names", "name")):
+            idf = session.create_dataframe(users, USER_SCHEMA, view).create_index(key)
+            router.publish(view, idf)
+        yield session, router
+        router.shutdown()
+
+    @staticmethod
+    def value(rng, template):
+        if "names" in template:
+            return rng.choice([None, "user1", "user10", "user3", "user5", "user9", "zz"])
+        return rng.choice([None, rng.randrange(-5, 210), rng.randrange(-5, 210), 7, 7.0, 150])
+
+    def test_bound_template_equals_planning_the_bound_statement(self, served):
+        session, router = served
+        rng = random.Random(40)
+        bindings = 0
+        for text, arity in self.TEMPLATES.items():
+            statement = session.prepare(text)
+            for _ in range(25):
+                params = [self.value(rng, text) for _ in range(arity)]
+                if arity > 1 and rng.random() < 0.3:
+                    params[1] = params[0]  # a duplicate key / equal bounds
+                if "score" in text:
+                    params[-1] = rng.choice([None, 0.0, 50.0])
+                bound = statement.plan(params)
+                planned = session.plan_physical(statement.bind(params))
+                # The same leaf: keys in the same order, the same range.
+                assert repr(leaf_of(bound)) == repr(leaf_of(planned)), (text, params)
+                want = outcome(lambda: session.execute(planned))
+                assert outcome(lambda: session.execute(bound)) == want, (text, params)
+                routed = outcome(lambda: sorted(router.query(text, params=params).rows, key=repr))
+                # A residual comparison with NULL raises on every path (ROADMAP item 14).
+                assert routed[0] == want[0], (text, params)
+                if want[0] == "rows":
+                    assert routed[1] == sorted(want[1], key=repr), (text, params)
+                bindings += 1
+        assert bindings >= 200
+
+    def test_binding_rebuilds_no_expression_and_extracts_nothing(self, served, monkeypatch):
+        session, router = served
+        calls = []
+
+        def counting(name, real):
+            return lambda *a, **k: (calls.append(name), real(*a, **k))[1]
+
+        for module in ("repro.sql.prepared", "repro.sql.physical", "repro.indexed.operators", "repro.indexed.rules"):
+            for name in ("bind_expression", "extract_lookup_keys", "extract_key_range"):
+                real = getattr(sys.modules[module], name, None)
+                if real is not None:
+                    monkeypatch.setattr(sys.modules[module], name, counting(name, real))
+        point = session.prepare("SELECT * FROM users WHERE uid = ?")
+        span = session.prepare("SELECT * FROM users WHERE uid BETWEEN ? AND ?")
+        for i in range(1000):
+            assert len(point.execute([i % 200])) == 1
+            assert len(span.execute([i % 190, i % 190 + 9])) == 10
+        for i in range(100):
+            assert len(router.query(point.text, params=[i]).rows) == 1
+        assert calls == []

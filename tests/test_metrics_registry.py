@@ -50,6 +50,20 @@ class TestPrimitives:
             )
         assert by_key.snapshot() == by_name.snapshot()
         assert by_key.counter_value("requests_total", shard=1, op="lookup") == 2
+        # More counters in the same call, and no observation without a histogram.
+        for scanned, matched in ((8, 2), (0, 0)):
+            by_name.inc("scans_total")
+            by_name.inc("scanned_total", scanned)
+            by_name.inc("matched_total", matched)
+            if scanned:
+                by_name.observe("selectivity", matched / scanned)
+            by_key.count_and_observe(
+                by_key.key("scans_total"),
+                by_key.key("selectivity") if scanned else None,
+                matched / scanned if scanned else 0.0,
+                ((by_key.key("scanned_total"), scanned), (by_key.key("matched_total"), matched)),
+            )
+        assert by_key.snapshot() == by_name.snapshot()
 
     def test_counter_rejects_negative_increment(self):
         reg = MetricsRegistry()

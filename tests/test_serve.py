@@ -761,6 +761,153 @@ class TestShutdownDrain:
         assert leaked == []
 
 
+class TestInlineAnswers:
+    """``query()`` answers on the caller's thread when a slot is free and no
+    ticket waits; workers and inline callers share ``num_workers`` slots."""
+
+    POINT = "SELECT * FROM users WHERE uid = ?"
+
+    @staticmethod
+    def recording(server, gate=None):
+        """Wrap ``server.router.answer``: each call notes its thread and the
+        concurrent answers, waiting on ``gate`` (or a short sleep) first."""
+        lock, state, threads = threading.Lock(), {"now": 0, "peak": 0}, []
+        real = server.router.answer
+
+        def answer(text, params=None):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+                threads.append(threading.current_thread().name)
+            try:
+                if gate is None:
+                    time.sleep(0.002)
+                else:
+                    assert gate.wait(10.0)
+                return real(text, params)
+            finally:
+                with lock:
+                    state["now"] -= 1
+
+        server.router.answer = answer
+        return state, threads
+
+    def test_never_more_than_num_workers_answering(self):
+        _, _, server = make_server(serve=ServeConfig(num_workers=2))
+        state, threads = self.recording(server)
+        rows = {r[0]: r for r in make_users(200)}
+        errors: list[str] = []
+
+        def client(seed: int) -> None:
+            for uid in range(seed, 200, 8):
+                result = server.query(self.POINT, params=[uid])
+                if result.rows != [rows[uid]]:
+                    errors.append(f"uid {uid}: {result.rows}")
+
+        clients = [threading.Thread(target=client, args=(i,), name=f"client-{i}") for i in range(8)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60.0)
+        server.shutdown()
+        assert errors == []
+        assert len(threads) == 200
+        assert state["peak"] == 2
+        assert any(name.startswith("client-") for name in threads)  # answered inline
+        assert any(name.startswith("serve-worker-") for name in threads)  # and queued
+
+    def test_a_query_behind_a_queued_ticket_is_queued(self):
+        """A worker that dequeued a ticket but has not yet taken its slot: a
+        slot is free, and a ``query()`` still waits its turn behind it."""
+        gate, parked = threading.Event(), threading.Event()
+
+        class GatedSlots(threading.Semaphore):
+            def __enter__(self):  # how a worker takes its slot
+                parked.set()
+                assert gate.wait(10.0)
+                return super().__enter__()
+
+        _, _, server = make_server(serve=ServeConfig(num_workers=1))
+        server._slots = GatedSlots(1)
+        _, threads = self.recording(server)
+        ticket = server.submit(self.POINT, params=[1])
+        assert parked.wait(10.0)
+        assert server._queue.qsize() == 0  # dequeued, not yet answering
+        answered: list = []
+        client = threading.Thread(
+            target=lambda: answered.append(server.query(self.POINT, params=[2])), name="client"
+        )
+        client.start()
+        time.sleep(0.05)
+        assert threads == [] and not answered  # not answered inline past the ticket
+        gate.set()
+        client.join(timeout=30.0)
+        assert ticket.result(timeout=30.0).rows[0][0] == 1
+        assert answered[0].rows[0][0] == 2
+        assert threads == ["serve-worker-0", "serve-worker-0"]
+        server.shutdown()
+
+    def test_chaos_rejects_the_same_admissions_inline_and_queued(self):
+        def rejected(call) -> list[int]:
+            _, _, server = make_server(chaos=dict(seed=11, serve_rejection_prob=0.3))
+            out = []
+            with server:
+                for i in range(40):
+                    try:
+                        call(server, i)
+                    except ServeRejected as exc:
+                        assert exc.reason == "chaos"
+                        out.append(i)
+            return out
+
+        inline = rejected(lambda server, i: server.query(self.POINT, params=[i]))
+        queued = rejected(lambda server, i: server.submit(self.POINT, params=[i]).result(30.0))
+        assert inline == queued
+        assert 0 < len(inline) < 40
+
+    def test_an_inline_answer_is_recorded_as_a_workers_is(self):
+        config = Config(default_parallelism=4, shuffle_partitions=4, row_batch_size=4096, tracing_enabled=True)
+        session, _, server = make_server(config=config)
+        _, threads = self.recording(server)
+        tracer, registry = session.context.tracer, session.context.registry
+        tracer.reset()
+        inline = server.query(self.POINT, params=[3])
+        queued = server.submit(self.POINT, params=[3]).result(30.0)
+        server.shutdown()
+        assert threads[0] == threading.current_thread().name
+        assert threads[1].startswith("serve-worker-")
+        assert inline.rows == queued.rows and inline.path == queued.path == "fastpath"
+        assert inline.queued_seconds == 0.0
+        spans = [s for s in tracer.finished_spans("serve")]
+        assert [s.attrs for s in spans] == [{"text": self.POINT, "path": "fastpath"}] * 2
+        assert spans[0].thread_id != spans[1].thread_id
+        assert registry.counter_value("serve_queries_total", path="fastpath") == 2
+        assert registry.histogram_stats("serve_latency_seconds", path="fastpath")["count"] == 2
+
+    def test_shutdown_without_drain_loses_no_inline_answer(self):
+        gate = threading.Event()
+        _, _, server = make_server(serve=ServeConfig(num_workers=2))
+        _, threads = self.recording(server, gate)
+        answers: list = []
+        clients = [
+            threading.Thread(target=lambda uid=uid: answers.append(server.query(self.POINT, params=[uid])))
+            for uid in (4, 5)
+        ]
+        for t in clients:
+            t.start()
+        deadline = time.time() + 10.0
+        while len(threads) < 2 and time.time() < deadline:
+            time.sleep(0.005)
+        assert len(threads) == 2  # both answering inline, holding both slots
+        server.shutdown(drain=False)
+        with pytest.raises(ServeRejected):
+            server.query(self.POINT, params=[6])
+        gate.set()
+        for t in clients:
+            t.join(timeout=30.0)
+        assert sorted(a.rows[0][0] for a in answers) == [4, 5]
+
+
 # -- concurrent ingest / read-after-write ---------------------------------------------
 
 
