@@ -20,6 +20,7 @@ Run everything; the exit status is 1 if any check fails::
 from __future__ import annotations
 
 import argparse
+import datetime
 import statistics
 import subprocess
 import sys
@@ -28,7 +29,8 @@ from pathlib import Path
 from typing import Callable
 
 from repro.bench.harness import FigureResult, Timing, build_pair, gc_paused, time_rounds
-from repro.cluster.topology import ClusterTopology, make_executors, private_cluster
+from repro.cluster.metrics import TaskMetrics
+from repro.cluster.topology import private_cluster
 from repro.config import KB, MB, Config
 from repro.engine.context import EngineContext
 from repro.sql.analysis import resolve_expression
@@ -154,13 +156,17 @@ def fig01_amortization(n_rows: int = 40_000, runs: int = 5, seed: int = 1) -> Fi
     return fig
 
 
-def _numa_topology(executors: int, cores: int, pinned: bool, machines: int = 4) -> ClusterTopology:
-    base = private_cluster(machines)
-    return ClusterTopology(
-        machines=base.machines,
-        executors=make_executors(base.machines, executors, cores, pinned),
-        name=f"{executors}x{cores}{'p' if pinned else 'u'}",
-    )
+def _task_sets(ctx: EngineContext, query: Callable[[], object], reps: int) -> "list[list[TaskMetrics]]":
+    """The captured tasks of ``reps`` runs of ``query`` after a warm-up run,
+    with the collector off (:func:`gc_paused`)."""
+    task_sets = []
+    with gc_paused():
+        query()
+        for _ in range(reps):
+            with ctx.metrics.capture() as tasks:
+                query()
+            task_sets.append(tasks)
+    return task_sets
 
 
 def fig04_numa(n_rows: int = 40_000, reps: int = 7, seed: int = 2) -> FigureResult:
@@ -168,13 +174,10 @@ def fig04_numa(n_rows: int = 40_000, reps: int = 7, seed: int = 2) -> FigureResu
     finding: finer-grained executors + NUMA pinning win.
 
     The join's task times are *measured once per repetition* and then
-    re-scheduled under every deployment (NUMA penalty factor x slot count),
-    so all five configurations see identical task sets — the comparison
-    isolates the deployment effect, the way running the same binary under
-    different ``numactl`` pinnings does."""
-    from repro.cluster.metrics import lpt_makespan
-    from repro.cluster.numa import NUMAModel
-
+    re-scheduled under every deployment (NUMA penalty factor x slot count)
+    by the makespan model (DESIGN.md §6), so all five configurations see
+    identical task sets — the comparison isolates the deployment effect, the
+    way running the same binary under different ``numactl`` pinnings does."""
     rows = snb.generate_snb_edges(n_rows // 1000, seed=seed)
     probe_keys = snb.sample_probe_keys(rows, max(1, len(rows) // 10), seed=seed)
     configs = [
@@ -190,27 +193,14 @@ def fig04_numa(n_rows: int = 40_000, reps: int = 7, seed: int = 2) -> FigureResu
     pair = build_pair(rows, snb.EDGE_SCHEMA, "edge_source", session=session, name="edges")
     probe = _probe_df(session, probe_keys)
     joined = probe.join(pair.indexed.to_df(), on=("k", "edge_source"))
-    joined.collect_tuples()  # warm
-    task_sets: list[dict[int, list[float]]] = []
-    for _ in range(reps):
-        with ctx.metrics.capture() as tasks:
-            joined.collect_tuples()
-        task_sets.append(ctx.metrics.stage_task_times(tasks))
+    task_sets = _task_sets(ctx, joined.collect_tuples, reps)
 
     # -- re-schedule under each deployment ----------------------------------
-    numa = NUMAModel()
     result_rows = []
     best: dict[str, float] = {}
     for label, ex, cores, pinned in configs:
-        topo = _numa_topology(ex, cores, pinned)
-        factor = numa.task_time_factor(topo.executors[0], topo)
-        makespans = sorted(
-            sum(
-                lpt_makespan([t * factor for t in times], topo.total_cores)
-                for times in stages.values()
-            )
-            for stages in task_sets
-        )
+        topo = private_cluster(4, ex, cores, pinned)
+        makespans = sorted(ctx.metrics.job_makespan(tasks, topo) for tasks in task_sets)
         best[label] = min(makespans)
         result_rows.append(
             [label, min(makespans), statistics.median(makespans), max(makespans)]
@@ -283,10 +273,28 @@ def fig05_batch_size(n_rows: int = 40_000, seed: int = 3) -> FigureResult:
     return fig
 
 
+def _median_tasks(task_sets: "list[list[TaskMetrics]]") -> "list[TaskMetrics]":
+    """Each task's median over repeated runs of one job: tasks are matched by
+    their stage's place in the job and their partition."""
+    runs: dict[tuple[int, int], list[TaskMetrics]] = {}
+    for tasks in task_sets:
+        order = {sid: i for i, sid in enumerate(sorted({t.stage_id for t in tasks}))}
+        for t in tasks:
+            runs.setdefault((order[t.stage_id], t.partition), []).append(t)
+    measured = ("compute_seconds", "shuffle_bytes_read_local", "shuffle_bytes_read_remote")
+    return [
+        TaskMetrics(stage, partition, ts[0].executor_id,
+                    **{f: statistics.median(getattr(t, f) for t in ts) for f in measured})
+        for (stage, partition), ts in runs.items()
+    ]
+
+
 def fig06_scalability(n_rows: int = 150_000, reps: int = 7, seed: int = 4) -> FigureResult:
     """Fixed workload (XL join, fixed 256-way partitioning), growing cluster.
 
-    The task set is identical across cluster sizes — only the simulated
+    One cluster runs the join ``reps`` times; each task's median over those
+    runs is re-scheduled under every topology by the makespan model
+    (DESIGN.md §6). The task set is identical across cluster sizes — only the
     topology changes — so the makespan shape isolates scheduling + network
     effects: dividing fixed work over more slots (speedup) vs a growing
     remote-fetch fraction (the sub-linearity the paper observes).
@@ -299,43 +307,27 @@ def fig06_scalability(n_rows: int = 150_000, reps: int = 7, seed: int = 4) -> Fi
     rows = snb.generate_snb_edges(n_rows // 1000, seed=seed, alpha=0.6)
     probe_keys = snb.sample_probe_keys(rows, max(1, len(rows) // 10), seed=seed)
     partitions = 256
+    # A partition holds ~600 rows (~25 KB): 32 KB batches, not the default
+    # 256 KB, keep 256 mostly empty batches out of memory.
+    config = _fresh_config(shuffle_partitions=partitions, row_batch_size=32 * KB)
+    ctx = EngineContext(config=config, topology=private_cluster(4))
+    session = Session(context=ctx)
+    df = session.create_dataframe(rows, snb.EDGE_SCHEMA, "edges", num_partitions=partitions)
+    idf = df.create_index("edge_source", num_partitions=partitions).cache_index()
+    joined = _probe_df(session, probe_keys).join(idf.to_df(), on=("k", "edge_source"))
+    tasks = _median_tasks(_task_sets(ctx, joined.collect_tuples, reps))
 
     machines, cores = (2, 4, 8, 16, 32), (1, 2, 4, 8, 16)
     topologies = [private_cluster(m) for m in machines]
-    topologies += [_numa_topology(1, c, pinned=False) for c in cores]
-    makespans: list[list[float]] = [[] for _ in topologies]
-
-    def one_query(topology: ClusterTopology, out: list[float]) -> Callable[[], None]:
-        # A partition holds ~600 rows (~25 KB): 32 KB batches, not the default
-        # 256 KB, keep ten clusters' mostly empty batches out of memory.
-        config = _fresh_config(shuffle_partitions=partitions, row_batch_size=32 * KB)
-        ctx = EngineContext(config=config, topology=topology)
-        session = Session(context=ctx)
-        df = session.create_dataframe(rows, snb.EDGE_SCHEMA, "edges", num_partitions=partitions)
-        idf = df.create_index("edge_source", num_partitions=partitions).cache_index()
-        joined = _probe_df(session, probe_keys).join(idf.to_df(), on=("k", "edge_source"))
-
-        def run():
-            with ctx.metrics.capture() as tasks:
-                joined.collect_tuples()
-            out.append(ctx.metrics.job_makespan(tasks))
-
-        return run
-
-    # Every cluster is built first and then their queries take turns, so a
-    # slow stretch of the host reaches all of them, not one cluster's repeats.
-    time_rounds({i: one_query(t, makespans[i]) for i, t in enumerate(topologies)}, rounds=reps)
-    # ms[0]: time_rounds' warm-up round. The checks read each cluster's median
-    # round, not its fastest: one round's luck decided the order of the minima.
-    timed = [Timing(tuple(ms[1:])) for ms in makespans]
-    horizontal = [t.median for t in timed[: len(machines)]]
-    vertical = [t.median for t in timed[len(machines) :]]
-    result_rows = [["horizontal", f"{m} machines", t] for m, t in zip(machines, timed)]
-    result_rows += [["vertical", f"{c} cores/executor", t] for c, t in zip(cores, timed[len(machines) :])]
+    topologies += [private_cluster(4, 1, c, numa_pinned=False) for c in cores]
+    makespans = [ctx.metrics.job_makespan(tasks, t) for t in topologies]
+    horizontal, vertical = makespans[: len(machines)], makespans[len(machines) :]
+    result_rows = [["horizontal", f"{m} machines", t] for m, t in zip(machines, horizontal)]
+    result_rows += [["vertical", f"{c} cores/executor", t] for c, t in zip(cores, vertical)]
 
     fig = FigureResult(
         "Fig. 6",
-        "Scalability of the indexed XL join (simulated makespan, median round, s)",
+        "Scalability of the indexed XL join (simulated makespan of the median tasks, s)",
         ["axis", "configuration", "makespan_s"],
         result_rows,
     )
@@ -960,7 +952,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.markdown:
         print(
             f"Generated by `python -m repro.bench.experiments --markdown` at commit "
-            f"`{_commit()}`. A timed cell reads `median [q1–q3]` seconds over the "
+            f"`{_commit()}` on {datetime.date.today()}. A timed cell reads `median [q1–q3]` seconds over the "
             f"rounds of `harness.time_rounds`.\n"
         )
     checks = []

@@ -1,15 +1,16 @@
-"""Task accounting and simulated-makespan computation.
+"""Task accounting and the simulated-makespan model.
 
 Every task that runs in-process reports a :class:`TaskMetrics`: measured
 compute seconds, bytes shuffled in/out, and where it ran. The
 :class:`MetricsCollector` folds each one into the metrics registry and keeps
 nothing else — the engine holds no per-task history. A caller that wants a
 set of jobs *modelled* opens :meth:`MetricsCollector.capture` around them
-and gets their task list; the makespan model is a function of such a list:
-it list-schedules the measured (NUMA-adjusted) task times onto the
-topology's core slots and adds modeled transfer time for remote shuffle
-fetches. This is how a single-process run produces Fig. 4 / Fig. 6-shaped
-cluster numbers.
+and gets their task list; :func:`makespan` turns such a list and a topology
+into cluster time: it list-schedules the measured (NUMA-adjusted) task times
+onto the topology's core slots and adds modeled transfer time for the
+shuffle bytes each task fetched. The same list evaluated under other
+topologies is how a single-process run produces Fig. 4 / Fig. 6-shaped
+cluster numbers (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from repro.obs.tracer import Tracer
 
 
 def lpt_makespan(durations: "list[float]", slots: int) -> float:
-    """Longest-processing-time list schedule of ``durations`` onto ``slots``.
-
-    Shared by the collector's stage model and by what-if deployment
-    simulations (Fig. 4/6) that re-schedule one measured task set under
-    different topologies.
-    """
+    """Longest-processing-time list schedule of ``durations`` onto ``slots``."""
     if not durations:
         return 0.0
     loads = [0.0] * max(1, slots)
@@ -40,6 +36,41 @@ def lpt_makespan(durations: "list[float]", slots: int) -> float:
         i = min(range(len(loads)), key=loads.__getitem__)
         loads[i] += d
     return max(loads)
+
+
+def makespan(
+    tasks: "list[TaskMetrics]",
+    topology: ClusterTopology,
+    network: NetworkModel,
+    numa: NUMAModel,
+) -> float:
+    """Simulated seconds for the captured ``tasks`` to run on ``topology``.
+
+    One rule for every topology, the one the tasks ran on included, so a
+    task list re-scheduled under other deployments differs only by the model:
+
+    * a task's compute time is scaled by the topology's NUMA factor (its
+      executors' factors, weighted by their cores);
+    * of the shuffle bytes a task fetched from other executors, (m − 1)/m
+      cross machines on an m-machine topology (latency + bytes / bandwidth)
+      and the rest are copied within one;
+    * each stage is list-scheduled longest first onto ``total_cores``, and
+      the stages, separated by shuffle barriers, are summed.
+    """
+    slots = topology.total_cores
+    factor = sum(numa.task_time_factor(ex, topology) * ex.cores for ex in topology.executors) / slots
+    machines = topology.num_machines
+    stages: dict[int, list[float]] = {}
+    for task in tasks:
+        seconds = task.compute_seconds * factor
+        fetched = task.shuffle_bytes_read_local + task.shuffle_bytes_read_remote
+        local = fetched / machines
+        if fetched - local:
+            seconds += network.transfer_time(fetched - local, cross_machine=True)
+        if local:
+            seconds += network.transfer_time(local, cross_machine=False)
+        stages.setdefault(task.stage_id, []).append(seconds)
+    return sum(lpt_makespan(durations, slots) for durations in stages.values())
 
 
 @dataclass
@@ -94,7 +125,7 @@ RECOVERY_EVENT_KINDS = (
 
 class MetricsCollector:
     """Thread-safe sink for task metrics and recovery events, plus the
-    makespan model over a captured task list. Both kinds of record land in
+    makespan model of a captured task list under its own cost models. Both kinds of record land in
     the registry; a recovery event's detail goes on a ``recovery`` span when
     tracing is on."""
 
@@ -176,55 +207,9 @@ class MetricsCollector:
     def reset(self) -> None:
         self.registry.reset()
 
-    # ------------------------------------------------------------------ model
-
-    def simulated_task_seconds(self, task: TaskMetrics) -> float:
-        """NUMA-adjusted compute time + modeled remote shuffle fetch time."""
-        executor = self.topology.executor(task.executor_id)
-        compute = task.compute_seconds * self.numa.task_time_factor(executor, self.topology)
-        fetch = 0.0
-        if task.shuffle_bytes_read_remote:
-            fetch = self.network.transfer_time(task.shuffle_bytes_read_remote, cross_machine=True)
-        if task.shuffle_bytes_read_local:
-            fetch += self.network.transfer_time(task.shuffle_bytes_read_local, cross_machine=False)
-        return compute + fetch
-
-    def stage_makespan(self, tasks: "list[TaskMetrics]") -> float:
-        """List-schedule one stage's tasks (longest first) onto core slots."""
-        return lpt_makespan(
-            [self.simulated_task_seconds(t) for t in tasks],
-            self.topology.total_cores,
-        )
-
-    def job_makespan(self, tasks: "list[TaskMetrics]") -> float:
-        """Sum of stage makespans (stages separated by shuffle barriers)."""
-        return sum(self.stage_makespan(stage) for stage in _by_stage(tasks).values())
-
-    @staticmethod
-    def stage_task_times(tasks: "list[TaskMetrics]") -> dict[int, list[float]]:
-        """Raw measured compute seconds per stage (for what-if simulations
-        that re-schedule one captured task set under other topologies)."""
-        return {
-            sid: [t.compute_seconds for t in stage]
-            for sid, stage in _by_stage(tasks).items()
-        }
-
-    def summary(self, tasks: "list[TaskMetrics]") -> dict[str, float]:
-        """Totals of a captured task list plus its simulated makespan."""
-        return {
-            "stages": float(len(_by_stage(tasks))),
-            "tasks": float(len(tasks)),
-            "compute_seconds": sum(t.compute_seconds for t in tasks),
-            "shuffle_bytes_written": float(sum(t.shuffle_bytes_written for t in tasks)),
-            "shuffle_bytes_read_remote": float(
-                sum(t.shuffle_bytes_read_remote for t in tasks)
-            ),
-            "simulated_makespan": self.job_makespan(tasks),
-        }
-
-
-def _by_stage(tasks: "list[TaskMetrics]") -> dict[int, list[TaskMetrics]]:
-    stages: dict[int, list[TaskMetrics]] = {}
-    for task in tasks:
-        stages.setdefault(task.stage_id, []).append(task)
-    return stages
+    def job_makespan(
+        self, tasks: "list[TaskMetrics]", topology: ClusterTopology | None = None
+    ) -> float:
+        """:func:`makespan` of ``tasks`` under ``topology`` (default: this
+        collector's own) with this collector's network and NUMA models."""
+        return makespan(tasks, topology or self.topology, self.network, self.numa)

@@ -83,12 +83,14 @@ class RDD:
         """
         if self._records_hint is not None:
             return self._records_hint
-        if not self.dependencies:
+        # Wide edges first: a version chain's every link has one, so its
+        # estimate is settled without descending the chain.
+        if not self.dependencies or not all(
+            isinstance(dep, NarrowDependency) for dep in self.dependencies
+        ):
             return None
         total = 0
         for dep in self.dependencies:
-            if not isinstance(dep, NarrowDependency):
-                return None
             parent_estimate = dep.rdd.estimated_records()
             if parent_estimate is None:
                 return None
@@ -96,17 +98,21 @@ class RDD:
         return total
 
     def preferred_locations(self, split: int) -> list[str]:
-        """Executors where this partition's data already lives (for locality)."""
-        if self.cached:
-            locs = self.context.block_manager_master.locations((self.rdd_id, split))
-            if locs:
-                return locs
-        for dep in self.dependencies:
-            if isinstance(dep, NarrowDependency):
-                for parent_split in dep.get_parents(split):
-                    locs = dep.rdd.preferred_locations(parent_split)
-                    if locs:
-                        return locs
+        """Executors where this partition's data already lives (for locality):
+        the first cached ancestor's, depth-first through narrow dependencies,
+        searched with a stack because a version chain can be long."""
+        pending = [(self, split)]
+        while pending:
+            rdd, split = pending.pop()
+            if rdd.cached:
+                locs = self.context.block_manager_master.locations((rdd.rdd_id, split))
+                if locs:
+                    return locs
+            pending += reversed([
+                (dep.rdd, parent_split)
+                for dep in rdd.dependencies if isinstance(dep, NarrowDependency)
+                for parent_split in dep.get_parents(split)
+            ])
         return []
 
     # -- persistence -------------------------------------------------------------

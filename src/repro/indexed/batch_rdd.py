@@ -11,8 +11,8 @@ key. Two concrete lineages:
   partition (O(1), shared structure) and insert the shuffled appended rows.
   The appended rows come from a driver-held source RDD that every
   recomputation re-reads — the replayable-source requirement of Section
-  III-D — so a lost partition can always be rebuilt by (recursively)
-  recomputing the parent and replaying.
+  III-D — so a lost partition can always be rebuilt by recomputing the
+  parent and replaying, in a loop however deep the version chain is.
 
 **Versioning / staleness guard**: every version is a distinct immutable
 RDD carrying ``version``; partitions embed the version they materialize.
@@ -118,6 +118,18 @@ class IndexedBatchRDD(RDD):
         context.registry.inc("sql_direct_reads_total", outcome=outcome)
         return None
 
+    def in_block_store(self, split: int) -> bool:
+        """Whether a live executor holds partition ``split`` (at any version:
+        :meth:`iterator` refuses a stale copy). Counts and touches nothing."""
+        context = self.context
+        for executor_id in context.block_manager_master.locations((self.rdd_id, split)):
+            runtime = context.executor_runtime(executor_id, allow_dead=True)
+            if runtime is not None and runtime.alive and runtime.block_manager.contains(
+                (self.rdd_id, split)
+            ):
+                return True
+        return False
+
     def partition_for_key(self, key: Any) -> int:
         return self.partitioner.partition(key)
 
@@ -190,6 +202,18 @@ class AppendRDD(IndexedBatchRDD):
     def compute(self, split: int, ctx: TaskContext) -> Iterator[IndexedPartition]:
         import time
 
+        # Lineage without recursion: walk up to the first ancestor held in a
+        # block store (or the CreateIndexRDD), then read the missing versions
+        # oldest first, each through its own cache lookup. Each one's parent
+        # is then resident when it computes, so the stack stays a few frames
+        # deep however long the chain is, and every rebuilt version is cached.
+        missing = []
+        ancestor = self.parent
+        while isinstance(ancestor, AppendRDD) and not ancestor.in_block_store(split):
+            missing.append(ancestor)
+            ancestor = ancestor.parent
+        for ancestor in reversed(missing):
+            ancestor.partition_object(split, ctx)
         parent_part = self.parent.partition_object(split, ctx)
         new_rows = self.context.shuffle_manager.fetch(self.append_dep.shuffle_id, split, ctx)
         child = parent_part.snapshot(self.version)

@@ -19,20 +19,9 @@ gap the paper cites as the reason for choosing snapshots (time, and
 
 from __future__ import annotations
 
-from typing import Protocol
-
 from repro.indexed.ordered_index import KeyRange
 from repro.indexed.partition import IndexedPartition
 from repro.indexed.row_batch import RowBatch
-
-
-class VersioningStrategy(Protocol):
-    """Produces a new, independently writable version of a partition."""
-
-    name: str
-
-    def new_version(self, parent: IndexedPartition, version: int) -> IndexedPartition:
-        ...
 
 
 class SnapshotVersioning:

@@ -55,6 +55,11 @@ _RANGE_SERIES = tuple(
         "ordered_index_range_selectivity",
     )
 )
+#: ``indexed_key_reads_total`` by the source a partition read reports.
+_KEY_READS = {
+    source: MetricsRegistry.key("indexed_key_reads_total", source=source)
+    for source in ("span", "run", "walk")
+}
 
 
 class ResidentPartitions:
@@ -271,13 +276,13 @@ class IndexedRangeScanExec(IndexedLeafExec):
         """One partition's rows in ``krange``, the scan counted in one
         registry call."""
         registry = self.session.context.registry
-        rows, scanned = part.range_lookup(krange, registry)
+        rows, scanned, source = part.range_read(krange)
         scans, rows_scanned, rows_matched, selectivity = _RANGE_SERIES
         registry.count_and_observe(
             scans,
             selectivity if scanned else None,
             len(rows) / scanned if scanned else 0.0,
-            ((rows_scanned, scanned), (rows_matched, len(rows))),
+            ((rows_scanned, scanned), (rows_matched, len(rows)), (_KEY_READS[source], 1)),
         )
         return rows
 
@@ -408,7 +413,8 @@ class IndexedJoinExec(PhysicalPlan):
                     (places.setdefault(key, len(places)) for key in (map(probe_key, rows) if keys is None else keys)),
                     np.intp, len(rows),
                 )
-                matched, counts = part.match_columns(list(places), registry)
+                matched, counts, source = part.match_columns(list(places))
+                registry.count_and_observe(_KEY_READS[source], None, 0.0)
                 # Probe row i pairs with its key's matches first[i], first[i] + 1, ...
                 per_row = counts[inverse]
                 first = (np.cumsum(counts) - counts)[inverse]

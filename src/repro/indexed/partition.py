@@ -289,24 +289,22 @@ class IndexedPartition:
         chain read exactly once, so duplicate probe keys (common under
         power-law workloads) reuse one read."""
         keys = list(dict.fromkeys(keys))
-        columns, counts = self.match_columns(keys)
+        columns, counts, _source = self.match_columns(keys)
         rows = _rows(columns)
         ends = np.cumsum(counts).tolist()
         return {key: rows[end - n : end] for key, end, n in zip(keys, ends, counts.tolist())}
 
-    def match_columns(self, keys: list, registry: Any = None) -> "tuple[list[np.ndarray], np.ndarray]":
+    def match_columns(self, keys: list) -> "tuple[list[np.ndarray], np.ndarray, str]":
         """The rows of each of ``keys`` (distinct), newest first and key after
-        key, as one array per schema field, and each key's row count.
+        key, as one array per schema field, each key's row count, and the
+        read's source for ``indexed_key_reads_total{source}``.
 
         A run (:meth:`_locate`) is gathered from the batches
         (:meth:`RowCodec.gather`), no row decoded; every other key walks its
-        chain, and its rows are spliced in at its place. ``registry`` counts
-        the read in ``indexed_key_reads_total{source}``: ``walk`` if any key
-        was walked, else ``run``."""
+        chain, and its rows are spliced in at its place. The source is
+        ``walk`` if any key was walked, else ``run``."""
         lo, hi, walk = self._locate(keys)
-        if registry is not None:
-            source = "walk" if walk or not self.ordered.base.runs else "run"
-            registry.inc("indexed_key_reads_total", source=source)
+        source = "walk" if walk or not self.ordered.base.runs else "run"
         counts = hi - lo
         total = int(counts.sum())
         if total:
@@ -317,21 +315,21 @@ class IndexedPartition:
         else:
             columns = [np.empty(0, object)] * len(self.schema)
         if not walk:
-            return columns, counts
+            return columns, counts, source
         walked_rows, walked_counts, _ = self._walk(list(walk), list(walk.values()))
         walked = np.fromiter(map(walk.__contains__, keys), bool, len(keys))
         more = np.zeros_like(counts)
         more[walked] = walked_counts
         # Where each key's rows start among the runs' rows then the walks',
         # and where they start in the answer.
-        source = np.where(walked, total + np.cumsum(more) - more, np.cumsum(counts) - counts)
+        start = np.where(walked, total + np.cumsum(more) - more, np.cumsum(counts) - counts)
         counts += more
-        take = np.repeat(source - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        take = np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         extra = list(zip(*walked_rows))
         return [
             np.concatenate([column.astype(object), np.fromiter(values, object, len(values))])[take]
             for column, values in zip(columns, extra or [()] * len(columns))
-        ], counts
+        ], counts, source
 
     def _locate(self, keys: list) -> "tuple[np.ndarray, np.ndarray, dict[Any, int]]":
         """Where the rows of each of ``keys`` (distinct) are read: base key
@@ -466,8 +464,14 @@ class IndexedPartition:
         """Per-batch byte counts visible to this version's sequential scans."""
         return self._watermarks
 
-    def range_lookup(self, krange: KeyRange, registry: Any = None) -> tuple[list[tuple], int]:
-        """Rows whose key falls in ``krange``; returns ``(rows, scanned)``.
+    def range_lookup(self, krange: KeyRange) -> tuple[list[tuple], int]:
+        """``(rows, scanned)`` of :meth:`range_read`."""
+        rows, scanned, _source = self.range_read(krange)
+        return rows, scanned
+
+    def range_read(self, krange: KeyRange) -> tuple[list[tuple], int, str]:
+        """Rows whose key falls in ``krange``; returns ``(rows, scanned,
+        source)``.
 
         A key-ordered base under an unwritten delta reads one span
         (:meth:`_span`); under a written one, the keys the ordered index
@@ -478,22 +482,20 @@ class IndexedPartition:
         filters them; a key whose head is not published yet reads nothing.
         ``scanned`` counts decoded rows (chain lengths, including
         collision-filtered ones), the number EXPLAIN ANALYZE compares
-        against a full scan's ``row_count``; ``registry`` counts its source.
+        against a full scan's ``row_count``; ``source`` is the read's
+        ``indexed_key_reads_total`` label: ``span``, ``run`` or ``walk``.
         """
         ordered = self.ordered
         # The base is read after the delta, as every reader does.
         if not ordered.delta_writes and (base := ordered.base).runs:
             rows = self._span(base, *base.span(krange))
-            if registry is not None:
-                registry.inc("indexed_key_reads_total", source="span")
-            return rows, len(rows)
+            return rows, len(rows), "span"
         if ordered.base.runs:
-            rows = _rows(self.match_columns(ordered.range_keys(krange), registry)[0])
-            return rows, len(rows)
-        if registry is not None:
-            registry.inc("indexed_key_reads_total", source="walk")
+            columns, _counts, source = self.match_columns(ordered.range_keys(krange))
+            rows = _rows(columns)
+            return rows, len(rows), source
         rows, _counts, scanned = self._walk(*ordered.range_heads(krange, hash32))
-        return rows, scanned
+        return rows, scanned, "walk"
 
     def contains_key(self, key: Any) -> bool:
         return bool(self.lookup(key))

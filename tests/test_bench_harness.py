@@ -123,9 +123,14 @@ class TestExperimentRegistry:
 
 
 class TestReducedFigures:
-    """The checks that read no wall clock, at sizes tier-1 can afford. Fig. 6's
-    makespans come from per-topology measured task times: at a reduced size
-    they are noise-bound, so it is asserted only at full size (``-m slow``)."""
+    """The checks that read no wall clock, at sizes tier-1 can afford. Figs. 4
+    and 6 re-schedule one measured task set under every topology through the
+    makespan model; that model itself is tested on a synthetic task list in
+    ``tests/test_cluster.py::TestMakespanModel``. Fig. 6 is asserted only at
+    full size (``-m slow``): at 40 k rows it held 20 of 20 sequential runs
+    but none of 10 under ``REPRO_SCHEDULER_MODE=threads``, where a task's
+    measured time includes waits for the GIL another worker holds, so a few
+    tasks of its 256 read 10-40x the rest and bound every cluster size."""
 
     def test_fig04_simulated_makespan(self):
         # Every deployment re-schedules the same measured task sets.

@@ -1,13 +1,14 @@
 """Cluster substrate: topology presets, network/NUMA models, metrics, faults."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cluster.faults import FaultInjector
-from repro.cluster.metrics import RECOVERY_EVENT_KINDS, MetricsCollector, TaskMetrics
+from repro.cluster.metrics import RECOVERY_EVENT_KINDS, MetricsCollector, TaskMetrics, makespan
 from repro.cluster.network import NetworkModel, ethernet_10g, infiniband_fdr
 from repro.cluster.numa import NUMAModel
 from repro.cluster.topology import (
@@ -141,7 +142,7 @@ class TestMetricsCollector:
     def _collector(self):
         return MetricsCollector(private_cluster(1))
 
-    def test_record_and_summary(self):
+    def test_record_and_capture(self):
         mc = self._collector()
         ex = mc.topology.executors[0].executor_id
         outside = TaskMetrics(stage_id=0, partition=9, executor_id=ex, compute_seconds=9.0)
@@ -151,9 +152,8 @@ class TestMetricsCollector:
             mc.record(TaskMetrics(stage_id=0, partition=1, executor_id=ex, compute_seconds=0.3))
         mc.record(outside)
         # Only what ran inside the scope is captured; the registry saw it all.
-        s = mc.summary(tasks)
-        assert s["tasks"] == 2
-        assert s["compute_seconds"] == pytest.approx(0.8)
+        assert [t.partition for t in tasks] == [0, 1]
+        assert sum(t.compute_seconds for t in tasks) == pytest.approx(0.8)
         assert mc.registry.counter_value("tasks_completed_total") == 4
 
     def test_stage_makespan_uses_parallelism(self):
@@ -164,7 +164,7 @@ class TestMetricsCollector:
             TaskMetrics(stage_id=1, partition=p, executor_id=ex, compute_seconds=1.0)
             for p in range(16)
         ]
-        assert mc.stage_makespan(stage) == pytest.approx(1.0, rel=0.1)
+        assert mc.job_makespan(stage) == pytest.approx(1.0, rel=0.1)
 
     def test_remote_fetch_adds_time(self):
         mc = self._collector()
@@ -174,30 +174,29 @@ class TestMetricsCollector:
             stage_id=0, partition=1, executor_id=ex, compute_seconds=0.1,
             shuffle_bytes_read_remote=10**9,
         )
-        assert mc.simulated_task_seconds(slow) > mc.simulated_task_seconds(fast)
+        assert mc.job_makespan([slow]) > mc.job_makespan([fast])
 
     @pytest.mark.parametrize(
         "remote, local", [(10**6, 0), (0, 10**6), (3 * 10**6, 7 * 10**5)],
         ids=["remote-only", "local-only", "mixed"],
     )
     def test_simulated_task_seconds_is_the_inline_formula(self, remote, local):
-        """The modeled task time is compute x NUMA factor, plus latency +
-        remote / bandwidth, plus local / local bandwidth: the same floats,
-        added in the same order."""
-        mc = self._collector()
-        ex = mc.topology.executor(mc.topology.executors[0].executor_id)
+        """A one-task job's makespan is its compute x NUMA factor, plus, of
+        the bytes it fetched, (m - 1)/m at latency + bytes / bandwidth and
+        the rest at local bandwidth: the same floats, added in the same
+        order, wherever the run placed the map outputs it read."""
+        mc = MetricsCollector(private_cluster(4))
+        ex = mc.topology.executors[0]
         task = TaskMetrics(
             stage_id=0, partition=0, executor_id=ex.executor_id, compute_seconds=0.25,
             shuffle_bytes_read_remote=remote, shuffle_bytes_read_local=local,
         )
         net = mc.network
-        fetch = 0.0
-        if remote:
-            fetch = net.latency + remote / net.bandwidth
-        if local:
-            fetch += local / net.local_bandwidth
-        compute = 0.25 * mc.numa.task_time_factor(ex, mc.topology)
-        assert mc.simulated_task_seconds(task) == compute + fetch
+        fetched = remote + local
+        expected = 0.25 * mc.numa.task_time_factor(ex, mc.topology)
+        expected += net.latency + (fetched - fetched / 4) / net.bandwidth
+        expected += fetched / 4 / net.local_bandwidth
+        assert mc.job_makespan([task]) == expected
 
     def test_job_makespan_sums_stages(self):
         mc = self._collector()
@@ -205,9 +204,9 @@ class TestMetricsCollector:
         first = TaskMetrics(stage_id=0, partition=0, executor_id=ex, compute_seconds=1.0)
         second = TaskMetrics(stage_id=1, partition=0, executor_id=ex, compute_seconds=2.0)
         assert mc.job_makespan([first, second]) == pytest.approx(
-            mc.stage_makespan([first]) + mc.stage_makespan([second])
+            mc.job_makespan([first]) + mc.job_makespan([second])
         )
-        assert mc.stage_task_times([first, second]) == {0: [1.0], 1: [2.0]}
+
 
     def test_reset(self):
         mc = self._collector()
@@ -235,6 +234,45 @@ class TestMetricsCollector:
                     recorded.add(kind.value)
         assert len(RECOVERY_EVENT_KINDS) == len(set(RECOVERY_EVENT_KINDS))
         assert recorded == set(RECOVERY_EVENT_KINDS)
+
+
+class TestMakespanModel:
+    """The one model every figure re-schedules a captured task list with."""
+
+    @staticmethod
+    def tasks(fetched: int = 40_000) -> list[TaskMetrics]:
+        """8 long map tasks, then 256 short reduce tasks that fetch bytes."""
+        maps = [TaskMetrics(0, p, "m0e0", compute_seconds=0.004) for p in range(8)]
+        return maps + [
+            TaskMetrics(1, p, "m0e0", compute_seconds=0.0004 + 0.00001 * (p % 7),
+                        shuffle_bytes_read_remote=fetched)
+            for p in range(256)
+        ]
+
+    def test_more_machines_never_cost_more_than_the_network_term(self):
+        tasks, compute_only = self.tasks(), self.tasks(fetched=0)
+        models = NetworkModel(), NUMAModel()
+        topologies = [private_cluster(m) for m in (2, 4, 8, 16, 32)]
+        spans = [makespan(tasks, t, *models) for t in topologies]
+        networks = [s - makespan(compute_only, t, *models) for s, t in zip(spans, topologies)]
+        assert all(n > 0 for n in networks)
+        for before, after, network in zip(spans, spans[1:], networks[1:]):
+            assert after <= before + network
+        assert spans[-1] < spans[0] / 1.5
+
+    def test_the_collectors_makespan_is_the_model_on_its_own_topology(self):
+        mc = MetricsCollector(private_cluster(4))
+        with mc.capture() as captured:
+            for task in self.tasks():
+                mc.record(task)
+        own = mc.job_makespan(captured)
+        assert own == makespan(captured, mc.topology, mc.network, mc.numa)
+        assert own == mc.job_makespan(captured, private_cluster(4))
+        assert own != mc.job_makespan(captured, private_cluster(8))
+        # One network rule: where the run placed the map outputs does not matter.
+        moved = [replace(t, shuffle_bytes_read_local=t.shuffle_bytes_read_remote,
+                         shuffle_bytes_read_remote=0) for t in captured]
+        assert mc.job_makespan(moved) == own
 
 
 class TestFaultInjector:

@@ -2,6 +2,7 @@
 fault tolerance, staleness guard."""
 
 import random
+import sys
 
 import pytest
 
@@ -210,6 +211,71 @@ class TestFaultTolerance:
 
         versions = ctx.run_job(idf2.rdd, read_version)
         assert all(v == 1 for v in versions)
+
+
+class TestDeepVersionChain:
+    """A version chain is computed and rebuilt in a loop: a thousand appends,
+    lazy or materialised and then lost with every executor, answer as the
+    oracle does under the default recursion limit, and the deepest
+    ``compute`` frame sits no deeper on a long chain than on a short one."""
+
+    @staticmethod
+    def chain(depth: int, materialise: bool = False):
+        session = Session(config=Config(
+            default_parallelism=2, shuffle_partitions=2, executor_replacement=True,
+        ))
+        rows = make_rows(n=200, keys=50)
+        idf = session.create_dataframe(rows, EDGE_SCHEMA, "edges").create_index("src", num_partitions=2)
+        idf.count()
+        for i in range(depth):
+            row = (i % 60, -i, 0.5)
+            idf = idf.append_rows([row])
+            rows.append(row)
+            if materialise:
+                idf.materialize_partitions()
+        return idf, rows
+
+    @staticmethod
+    def deepest_compute(monkeypatch, run) -> int:
+        from repro.indexed.batch_rdd import AppendRDD
+
+        depths = [0]
+        compute = AppendRDD.compute
+
+        def measured(self, split, ctx):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            return compute(self, split, ctx)
+
+        monkeypatch.setattr(AppendRDD, "compute", measured)
+        run()
+        monkeypatch.undo()
+        return max(depths)
+
+    def answers(self, idf) -> list[tuple]:
+        return sorted(idf.to_df().collect_tuples())
+
+    def test_a_thousand_lazy_appends_compute(self, monkeypatch):
+        assert sys.getrecursionlimit() == 1000
+        short, _ = self.chain(10)
+        idf, rows = self.chain(1000)
+        shallow = self.deepest_compute(monkeypatch, short.count)
+        deep = self.deepest_compute(monkeypatch, idf.count)
+        assert 0 < deep <= shallow
+        assert idf.count() == len(rows) == 1200
+        assert self.answers(idf) == sorted(rows)
+
+    def test_a_materialised_chain_survives_losing_every_executor(self):
+        assert sys.getrecursionlimit() == 1000
+        idf, rows = self.chain(1000, materialise=True)
+        context = idf.session.context
+        for executor_id in context.alive_executor_ids():
+            context.kill_executor(executor_id)
+        assert self.answers(idf) == sorted(rows)
+        kinds = context.registry.counter_by_label("recovery_events_total", "kind")
+        assert kinds["block_recomputed"] >= 1000
 
 
 class TestMemoryStats:

@@ -7,8 +7,9 @@ the run reader or the chain walk. Each case below must return exactly the
 rows — in the same order: keys ascending, each key newest first — that a
 pure-Python oracle over the inserted rows gives, and that the chain walk
 of a never-sealed index (threshold 0) gives. Batches are small, so runs
-straddle batch boundaries, and keys repeat. ``indexed_key_reads_total``
-says which path each partition read took.
+straddle batch boundaries, and keys repeat. The source ``range_read``
+returns (the ``indexed_key_reads_total`` label a scan counts) says which
+path each partition read took.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 from repro.config import Config
 from repro.indexed.ordered_index import KeyRange
 from repro.indexed.partition import IndexedPartition
-from repro.obs.registry import MetricsRegistry
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, INTEGER, LONG, STRING, Schema
 from tests.test_indexed_operators import join_answers
@@ -72,10 +72,10 @@ def ranges(rng: random.Random, rows: list[tuple]) -> list[KeyRange]:
 
 
 def read(p: IndexedPartition, krange: KeyRange) -> tuple[list[tuple], dict]:
-    registry = MetricsRegistry()
-    rows, scanned = p.range_lookup(krange, registry)
+    rows, scanned, source = p.range_read(krange)
     assert scanned == len(rows)  # integer keys: no collision to decode and drop
-    return rows, registry.counter_by_label("indexed_key_reads_total", "source")
+    assert p.range_lookup(krange) == (rows, scanned)
+    return rows, {source: 1}
 
 
 @pytest.mark.parametrize("seed", range(30))
