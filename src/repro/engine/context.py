@@ -31,10 +31,10 @@ from repro.obs.tracer import Tracer
 
 #: Gen-1 passes between full garbage collections (CPython's default: 10). A
 #: scan that materialises 10^5 result tuples triggers a full pass every few
-#: queries, each walking every long-lived object to find nothing. The index
-#: is no longer most of those (sealed into arrays, DESIGN.md §15), but the
-#: on/off row still reads 5 % of `analytic_scan` throughput: DESIGN.md §8.
-#: Process-wide, like the integrity switch.
+#: queries, each walking every long-lived object to find nothing. Neither the
+#: index (sealed into arrays, DESIGN.md §15) nor its lineage (tuples) is most
+#: of those any more, but `bounded_memory` read slower without it: DESIGN.md
+#: §8. Process-wide, like the integrity switch.
 FULL_GC_EVERY = 30
 
 

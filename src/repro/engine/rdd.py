@@ -321,12 +321,12 @@ class ParallelCollectionRDD(RDD):
         super().__init__(context, [])
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        self._slices: list[list[Any]] = [[] for _ in range(num_partitions)]
         n = len(data)
-        for i in range(num_partitions):
-            start = i * n // num_partitions
-            end = (i + 1) * n // num_partitions
-            self._slices[i] = data[start:end]
+        # Tuples: the collector untracks a slice once its records are untracked.
+        self._slices: tuple[tuple[Any, ...], ...] = tuple(
+            tuple(data[i * n // num_partitions : (i + 1) * n // num_partitions])
+            for i in range(num_partitions)
+        )
 
     @property
     def num_partitions(self) -> int:

@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
+import numpy as np
+
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.partition import TaskContext
 
@@ -39,11 +41,11 @@ class MapOutput:
     """One map task's buckets: reduce partition -> records, plus byte sizes."""
 
     executor_id: str
-    buckets: dict[int, list[Any]]
+    buckets: dict[int, tuple[Any, ...]]
     sizes: dict[int, int]
 
 
-def estimate_size(records: list[Any], sample: int = 32) -> int:
+def estimate_size(records: "list[Any] | tuple[Any, ...]", sample: int = 32) -> int:
     """Cheap byte-size estimate of a record list via a pickled sample.
 
     Serialized size is what the wire would carry in a real shuffle, so this
@@ -54,10 +56,9 @@ def estimate_size(records: list[Any], sample: int = 32) -> int:
     if n == 0:
         return 0
     try:
-        if n <= sample:
-            return len(pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL))
-        head = len(pickle.dumps(records[:sample], protocol=pickle.HIGHEST_PROTOCOL))
-        return int(head / sample * n)
+        # Pickled as a list whatever the sequence: a tuple bucket sizes as a list would.
+        head = len(pickle.dumps(list(records[:sample]), protocol=pickle.HIGHEST_PROTOCOL))
+        return head if n <= sample else int(head / sample * n)
     except (TypeError, AttributeError, pickle.PicklingError):
         # Unpicklable payloads (e.g. an IndexedPartition with its locks):
         # prefer a self-reported size, else a conservative fallback.
@@ -122,24 +123,29 @@ class ShuffleManager:
     def write_map_output(
         self, dep: ShuffleDependency, map_id: int, records: Iterator[Any], ctx: TaskContext
     ) -> None:
-        """Bucket ``records`` by the dependency's partitioner and register them."""
+        """Bucket ``records`` by the dependency's partitioner and register them:
+        one ``partition_array`` over the task's keys, then one stable
+        ``argsort`` (each bucket keeps arrival order) or the combiner's merge.
+        Buckets are tuples, which the collector untracks once their records are."""
         key_func = dep.key_func
-        buckets: dict[int, list[Any]] = {}
+        records = tuple(records)
+        keys = [key_func(rec) for rec in records]
+        parts = dep.partitioner.partition_array(keys)
         if dep.combiner is not None:
             # Map-side combining: one accumulator per (reduce, key).
             combiner = dep.combiner
             maps: dict[int, dict[Any, Any]] = {}
-            for rec in records:
-                k = key_func(rec)
+            for rec, k, p in zip(records, keys, parts.tolist()):
                 v = combiner.value_func(rec)
-                p = dep.partitioner.partition(k)
                 acc = maps.setdefault(p, {})
                 acc[k] = combiner.merge_value(acc[k], v) if k in acc else combiner.create(v)
-            buckets = {p: list(acc.items()) for p, acc in maps.items()}
+            buckets = {p: tuple(acc.items()) for p, acc in maps.items()}
         else:
-            for rec in records:
-                p = dep.partitioner.partition(key_func(rec))
-                buckets.setdefault(p, []).append(rec)
+            order = np.argsort(parts, kind="stable")
+            ranked = np.fromiter(records, object, len(records))[order].tolist()
+            counts = np.bincount(parts).tolist()
+            ends = np.cumsum(counts).tolist()
+            buckets = {p: tuple(ranked[end - n : end]) for p, (n, end) in enumerate(zip(counts, ends)) if n}
         sizes = {p: estimate_size(rows) for p, rows in buckets.items()}
         ctx.shuffle_bytes_written += sum(sizes.values())
         output = MapOutput(executor_id=ctx.executor_id, buckets=buckets, sizes=sizes)

@@ -31,7 +31,8 @@ one object, for every version holding it.
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterator
+from bisect import bisect_right
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -109,21 +110,27 @@ class IndexedPartition:
 
     # -- writes ----------------------------------------------------------------------
 
-    def _reserve(self, size: int, count: int) -> tuple[int, int, int]:
-        """Claim room for up to ``count`` records of ``size`` bytes in the
-        tail batch, or else in a fresh one: ``(batch, offset, records)``."""
+    def _reserve(self, ends: "Sequence[int]") -> tuple[int, int, int]:
+        """Claim room for the longest run of the next records that fits in the
+        tail batch, or else in a fresh one: ``(batch, offset, records)``.
+        ``ends[i]`` is where record ``i`` ends, counted from the first's start."""
+
+        def fit(room: int) -> tuple[int, int]:
+            k = bisect_right(ends, room)
+            return k, int(ends[k - 1]) if k else 0
+
         if self.batches:
             tail = self.batches[-1]
             # A spilled tail (a full spill, seen by every version sharing it)
             # faults back in before taking writes; the write then invalidates
             # the file so a re-spill can never resurrect stale bytes.
             tail.ensure_resident()
-            k = min(count, (tail.capacity - tail.used) // size)
-            offset = tail.reserve(k * size) if k else None
+            k, nbytes = fit(tail.capacity - tail.used)
+            offset = tail.reserve(nbytes) if k else None
             if offset is not None:
                 return len(self.batches) - 1, offset, k
-        if size > self.batch_size:
-            raise ValueError(f"encoded row ({size} B) larger than batch size ({self.batch_size} B)")
+        if ends[0] > self.batch_size:
+            raise ValueError(f"encoded row ({ends[0]} B) larger than batch size ({self.batch_size} B)")
         if self.batches:
             # Opening a fresh tail seals the previous one for this version:
             # anchor its content CRC at our watermark (integrity boundary
@@ -133,8 +140,8 @@ class IndexedPartition:
                 self.batches[idx].checkpoint(self._watermarks[idx])
         batch = RowBatch(self.batch_size)
         self.batches.append(batch)
-        k = min(count, self.batch_size // size)
-        return len(self.batches) - 1, batch.reserve(k * size), k
+        k, nbytes = fit(self.batch_size)
+        return len(self.batches) - 1, batch.reserve(nbytes), k
 
     def _write(self, batch_idx: int, offset: int, data: bytes) -> None:
         self.batches[batch_idx].write(offset, data)
@@ -158,20 +165,21 @@ class IndexedPartition:
     def insert_rows(self, rows: "Iterator[tuple] | list[tuple]") -> int:
         """The one write path, a batch at a time; returns the rows inserted.
 
-        Rows are placed in arrival order (a first array build: in key order,
-        :meth:`_insert_records`), the index is read once (one prior
-        head per *distinct* key) and its heads are published once — also
-        after an error part-way (an oversized row): every placed row stays
-        reachable. Two layouts of the same bytes (DESIGN.md §5): a batch the
-        codec takes as one structured array (:meth:`RowCodec.encode_records`:
-        string-free, no NULL, nothing coerced) is placed a chunk per row
-        batch, its pointers arithmetic and its chains threaded by one stable
-        sort; any other is encoded and placed row by row, chains through a dict.
+        Rows are placed in arrival order (a first array build of equal-sized
+        records: in key order, :meth:`_insert_records`), the index is read
+        once (one prior head per *distinct* key) and its heads are published
+        once — also after an error part-way (an oversized row): every placed
+        row stays reachable. Two layouts of the same bytes (DESIGN.md §5): a
+        batch the codec takes as arrays (:meth:`RowCodec.encode_records`: no
+        NULL, nothing coerced, no record over the size limit) is placed a
+        chunk per row batch, its pointers arithmetic and its chains threaded
+        by one stable sort; any other is encoded and placed row by row,
+        chains through a dict.
         """
         rows = rows if isinstance(rows, list) else list(rows)
-        records = self.codec.encode_records(rows)
-        if records is not None:
-            return self._insert_records(records)
+        placed = self._insert_records(rows)
+        if placed is not None:
+            return placed
         key_ord = self.key_ordinal
         keys = [row[key_ord] for row in rows]
         trie_keys = [hash32(key) for key in keys] if self.hashed else keys
@@ -184,76 +192,115 @@ class IndexedPartition:
             for row, trie_key in zip(rows, trie_keys):
                 prev_ptr = heads.get(trie_key)
                 encoded = encode(row, prior[trie_key] if prev_ptr is None else prev_ptr)
-                batch_idx, offset, _ = reserve(len(encoded), 1)
+                batch_idx, offset, _ = reserve((len(encoded),))
                 write(batch_idx, offset, encoded)
                 heads[trie_key] = pack(batch_idx, offset, len(encoded))
                 nbytes += len(encoded)
                 n += 1
         finally:
-            if self.hashed:
-                # A used hash proves nothing about the key value: ask the chains.
-                written = dict(zip(keys[:n], trie_keys))
-                counts = self._walk(list(written), [prior[t] for t in written.values()])[1]
-                new_keys = [key for key, count in zip(written, counts) if not count]
-            else:
-                new_keys = [key for key in heads if prior[key] == NULL_POINTER]
-            self.ordered.publish(heads, new_keys)
-            self.row_count += n
-            self.data_bytes += nbytes
+            self._publish(heads, prior, n, nbytes, dict(zip(keys[:n], trie_keys)) if self.hashed else None)
         return n
 
-    def _insert_records(self, records: np.ndarray) -> int:
-        """:meth:`insert_rows`' array layout: the rows as one structured array.
+    def _insert_records(self, rows: list) -> "int | None":
+        """:meth:`insert_rows`' array layout, or None when the codec refuses
+        ``rows``: equal-sized records as one structured array, records with
+        strings as ``(data, sizes)`` (:meth:`RowCodec.encode_records`).
 
-        Into a partition with no batches the records are placed in key order:
-        each key's rows are one run of records ending at its head, and the
-        base this build seals says so (DESIGN.md §15, Runs). Any later batch
-        is placed in arrival order."""
-        n, size = len(records), records.itemsize
-        keys = records[f"f{self.key_ordinal}"]
+        Records are packed greedily, a chunk per row batch, as
+        :meth:`_reserve` packs rows one by one, in arrival order. Equal-sized
+        records into a partition with no batches are placed in key order
+        instead: each key's rows are one run of records ending at its head,
+        and the base this build seals says so (DESIGN.md §15, Runs). The
+        placement's arrays are gone before the index work starts."""
+        publish: list = []
+        try:
+            return self._place_records(rows, publish)
+        finally:
+            if publish:
+                self._publish(*publish)
+
+    def _place_records(self, rows: list, publish: list) -> "int | None":
+        """:meth:`_insert_records`' placement; leaves the arguments of its
+        :meth:`_publish` in ``publish``, also after an error part-way."""
+        records = self.codec.encode_records(rows)
+        if records is None:
+            return None
+        runs = not isinstance(records, tuple) and not self.batches
+        if isinstance(records, tuple):
+            data, sizes = records
+            keys = np.fromiter((row[self.key_ordinal] for row in rows), object, len(rows))
+            dtype = np.int64 if self.hashed else self.schema.fields[self.key_ordinal].dtype.numpy_dtype
+            trie = np.fromiter(map(hash32, keys) if self.hashed else keys, dtype, len(keys))
+        else:
+            field = f"f{self.key_ordinal}"
+            if runs:  # placed in key order, which is arrival order from here on
+                records = records[np.argsort(records[field], kind="stable")]
+            keys = trie = records[field]
+            data, sizes = records.view(np.uint8), np.full(len(records), records.itemsize)
         # One stable sort groups each key's rows, in arrival order: a row's
         # chain predecessor is the row before it in its group, or for the
         # group's first row the key's prior head.
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
+        n = len(trie)
+        order = np.argsort(trie, kind="stable")
+        ranked = trie[order]
         starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
         firsts = order[starts]
-        distinct = ranked[starts].tolist()
+        # Key values of the rows themselves (a hashed index: the trie keys).
+        distinct = (ranked[starts] if self.hashed else keys[firsts]).tolist()
+        del ranked
         prior = self.ordered.heads(distinct)
         prev = np.empty(n, np.intp)
         prev[order[1:]] = order[:-1]
         prev[firsts] = -1
         link = np.full(n, NULL_POINTER, np.uint64)
         link[firsts] = np.fromiter(map(prior.__getitem__, distinct), np.uint64, len(distinct))
-        runs = not self.batches
         ptrs = np.empty(n, np.uint64)
-        stride = pack(0, size, 0)
+        ends = np.cumsum(sizes)
+        span = self.batch_size // int(sizes.min()) + 1  # more records than fit in a batch
         done = 0
         try:
             while done < n:
-                batch_idx, offset, k = self._reserve(size, n - done)
-                pack(batch_idx, offset + (k - 1) * size, size)  # the chunk's range check
-                # The rows placed next: the chunk's stretch of key order, or of arrival.
-                chunk = order[done : done + k] if runs else slice(done, done + k)
-                ptrs[chunk] = np.arange(k, dtype=np.uint64) * np.uint64(stride)
-                ptrs[chunk] += np.uint64(pack(batch_idx, offset, size))
+                first = int(ends[done] - sizes[done])  # where record ``done`` starts in ``data``
+                room = ends[done : done + span] - first
+                batch_idx, offset, k = self._reserve(room)
+                chunk = slice(done, done + k)
+                at = (room[:k] - sizes[chunk]).astype(np.uint64)  # each record's start in the chunk
+                pack(batch_idx, offset + int(at[-1]), int(sizes[chunk].max()))  # the chunk's range check
+                ptrs[chunk] = at * np.uint64(pack(0, 1, 0)) + sizes[chunk].astype(np.uint64)
+                ptrs[chunk] += np.uint64(pack(batch_idx, offset, 0))
                 before = prev[chunk]
-                block = records[chunk]  # a copy in key order, a view in arrival order
-                block["ptr"] = np.where(before >= 0, ptrs[before], link[chunk])
-                self._write(batch_idx, offset, block.tobytes())
+                links = np.where(before >= 0, ptrs[before], link[chunk]).astype("<u8")
+                data[(first + at.astype(np.intp))[:, None] + np.arange(8)] = links.view(np.uint8).reshape(k, 8)
+                self._write(batch_idx, offset, data[first : first + int(room[k - 1])].data)
                 done += k
         finally:
+            nbytes = int(ends[done - 1]) if done else 0
             # A key's head is its last placed row; keys go in first-arrival order.
-            placed = np.add.reduceat((np.arange(n) if runs else order) < done, starts, dtype=np.intp)
+            placed = np.add.reduceat(order < done, starts, dtype=np.intp)
             keep = np.argsort(firsts)
             keep = keep[placed[keep] > 0]
-            last = order[starts[keep] + placed[keep] - 1]
-            heads = dict(zip(ranked[starts[keep]].tolist(), ptrs[last].tolist()))
-            new_keys = [key for key in heads if prior[key] == NULL_POINTER]
-            self.ordered.publish(heads, new_keys, runs=runs)
-            self.row_count += done
-            self.data_bytes += done * size
+            last = ptrs[order[starts[keep] + placed[keep] - 1]].tolist()
+            # Only the heads are built from here on: free the rest first.
+            del records, data, sizes, ends, prev, link, order, starts, firsts, ptrs, placed
+            heads = dict(zip(np.array(distinct, object)[keep], last))
+            publish += heads, prior, done, nbytes, dict(zip(keys[:done], trie)) if self.hashed else None, runs
         return done
+
+    def _publish(
+        self, heads: dict, prior: dict, n: int, nbytes: int, written: "dict | None" = None, runs: bool = False
+    ) -> None:
+        """Make ``n`` placed rows of ``nbytes`` visible: their chain ``heads``,
+        and the key values no earlier row carried — a hashed index's are
+        ``written`` (key value -> trie key): a used hash proves nothing about
+        the key value, so its chain is asked."""
+        if self.hashed:
+            counts = self._walk(list(written), [prior[t] for t in written.values()])[1]
+            new_keys = [key for key, count in zip(written, counts) if not count]
+        else:
+            new_keys = [key for key in heads if prior[key] == NULL_POINTER]
+        self.ordered.publish(heads, new_keys, runs=runs)
+        self.row_count += n
+        self.data_bytes += nbytes
 
     # -- reads ------------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ per-row hot path does no type dispatch (guide: hoist work out of loops).
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Any, Callable
 
@@ -41,7 +42,8 @@ ROW_HEADER_SIZE = HEADER_PREV_PTR.size + HEADER_ROW_LEN.size
 
 #: Rows per round-trip comparison in :meth:`RowCodec.encode_records`: the
 #: tuples are compared while still in cache — 7–25 % less a row than one
-#: ``tolist`` of a whole partition (DESIGN.md §5).
+#: ``tolist`` of a whole partition (DESIGN.md §5). Records with strings are
+#: encoded a window of this many rows at a time.
 _GUARD_ROWS = 1024
 
 _I32 = struct.Struct("<i")
@@ -101,6 +103,18 @@ class RowCodec:
                     "offsets": [record.fields[n][1] for n in names],
                     "itemsize": record.itemsize,
                 })
+        #: A record with strings (encode_records) as packed fixed-width
+        #: stretches, one before each string's bytes and one after the last:
+        #: header and bitmap, fields, and the next string's length (``f{i}``).
+        self._stretches: "list[np.dtype]" = []
+        if self.gathers:
+            fields: list = [("ptr", "<u8"), ("len", "<u2"), ("nulls", "u1", (self.null_bitmap_bytes,))]
+            for i, dtype in enumerate(stored):
+                fields.append((f"f{i}", "<u2" if dtype is object else dtype))
+                if dtype is object:
+                    self._stretches.append(np.dtype(fields))
+                    fields = []
+            self._stretches.append(np.dtype(fields))
 
     # -- encode -----------------------------------------------------------------
 
@@ -158,18 +172,32 @@ class RowCodec:
         out += body
         return bytes(out)
 
-    def encode_records(self, rows: list) -> "np.ndarray | None":
-        """``rows`` as one structured array of records, each byte for byte
-        what :meth:`encode` writes (field ``i`` is column ``f{i}``; ``ptr`` is
-        the caller's to fill) — the write side of :meth:`column_batch`.
+    def encode_records(self, rows: list) -> "np.ndarray | tuple[np.ndarray, np.ndarray] | None":
+        """``rows`` as records, each byte for byte what :meth:`encode` writes
+        with a zero ``ptr`` (the caller's to fill) — the write side of
+        :meth:`column_batch`. A string-free schema's are one structured array
+        (field ``i`` is column ``f{i}``); a schema with strings gives
+        ``(data, sizes)``: the records back to back as ``uint8`` and each one's
+        size, encoded ``_GUARD_ROWS`` rows at a time (:meth:`_encode_varying`).
 
-        None, and the caller encodes row by row, unless the schema is
-        string-free, there is more than one row, and every row is a tuple of
-        the schema's arity whose values survive the round trip through the
-        record unchanged: no NULL, NaN, coerced (``1.5`` in a LONG, ``2`` in a
-        BOOLEAN) or out-of-range value.
+        None, and the caller encodes row by row, unless there is more than one
+        row and every row is a tuple of the schema's arity whose values
+        survive the round trip through the record unchanged: no NULL, NaN,
+        coerced (``1.5`` in a LONG, ``2`` in a BOOLEAN) or out-of-range value,
+        non-``str`` in a STRING column, or record over ``max_row_size``.
         """
-        if self._values_dtype is None or len(rows) < 2:
+        if len(rows) < 2:
+            return None
+        if self._stretches:
+            parts = []
+            for i in range(0, len(rows), _GUARD_ROWS):
+                part = self._encode_varying(rows[i : i + _GUARD_ROWS])
+                if part is None:
+                    return None
+                parts.append(part)
+            data, sizes = zip(*parts)
+            return np.concatenate(data), np.concatenate(sizes)
+        if self._values_dtype is None:
             return None
         try:
             values = np.array(rows, dtype=self._values_dtype)
@@ -185,6 +213,46 @@ class RowCodec:
         records["len"] = records.itemsize - ROW_HEADER_SIZE
         records["nulls"] = 0
         return records
+
+    def _encode_varying(self, rows: list) -> "tuple[np.ndarray, np.ndarray] | None":
+        """:meth:`encode_records` for a schema with strings: each string
+        column UTF-8-encoded once, record sizes and offsets from a ``cumsum``,
+        and every fixed-width stretch and string scattered to its offsets in
+        one ``uint8`` buffer."""
+        n = len(rows)
+        values: dict[str, np.ndarray] = {}
+        strings = []
+        try:
+            if set(map(type, rows)) != {tuple} or set(map(len, rows)) != {self.num_fields}:
+                return None
+            for i, (column, stored) in enumerate(zip(zip(*rows), self._stored)):
+                if stored is object:
+                    raw = list(map(str.encode, column))
+                    values[f"f{i}"] = lengths = np.fromiter(map(len, raw), np.intp, n)
+                    strings.append((np.frombuffer(b"".join(raw), np.uint8), lengths))
+                else:
+                    values[f"f{i}"] = np.array(column, stored)
+                    if values[f"f{i}"].tolist() != list(column):
+                        return None
+        except (TypeError, ValueError, OverflowError):  # a UnicodeEncodeError too
+            return None
+        sizes = sum(s.itemsize for s in self._stretches) + sum(lengths for _, lengths in strings)
+        if sizes.max() > min(self.max_row_size, ROW_HEADER_SIZE + 0xFFFF):
+            return None
+        values["len"] = sizes - ROW_HEADER_SIZE
+        pieces = []
+        for stretch, string in itertools.zip_longest(self._stretches, strings):
+            block = np.zeros(n, stretch)
+            for name in stretch.names:
+                if name in values:
+                    block[name] = values[name]
+            pieces += [(block.view(np.uint8), np.full(n, stretch.itemsize)), string]
+        out = np.empty(int(sizes.sum()), np.uint8)
+        at = np.cumsum(sizes) - sizes  # where each record's next piece goes
+        for data, lengths in filter(None, pieces):
+            out[np.repeat(at - np.cumsum(lengths) + lengths, lengths) + np.arange(len(data))] = data
+            at += lengths
+        return out, sizes
 
     # -- decode -----------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """ShuffleManager internals: registration, combining, loss, fetch accounting."""
 
 import gc
+import random
 
 import pytest
 
@@ -8,10 +9,11 @@ from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.engine.dependencies import MapSideCombiner, ShuffleDependency
 from repro.engine.partition import TaskContext
-from repro.engine.partitioner import HashPartitioner
-from repro.engine.shuffle import FetchFailedError
+from repro.engine.partitioner import HashPartitioner, RangePartitioner
+from repro.engine.rdd import ParallelCollectionRDD
+from repro.engine.shuffle import FetchFailedError, estimate_size
 from repro.sql.session import Session
-from repro.sql.types import DOUBLE, LONG, Schema
+from repro.sql.types import DOUBLE, LONG, STRING, Schema
 from tests.conftest import MODES
 
 
@@ -206,3 +208,117 @@ class TestShuffleRelease:
         ctx.kill_executor(ctx.alive_executor_ids()[0])
         assert sorted(idf.to_df().collect_tuples()) == sorted(rows)
         assert build_shuffle in sm.registered_shuffles()
+
+
+def reference_map_output(dep, records):
+    """The per-record writer: a ``partition`` call per record, buckets
+    filled in arrival order. Returns its buckets and their sizes."""
+    key_func, buckets = dep.key_func, {}
+    if dep.combiner is not None:
+        combiner, maps = dep.combiner, {}
+        for rec in records:
+            k = key_func(rec)
+            v = combiner.value_func(rec)
+            acc = maps.setdefault(dep.partitioner.partition(k), {})
+            acc[k] = combiner.merge_value(acc[k], v) if k in acc else combiner.create(v)
+        buckets = {p: list(acc.items()) for p, acc in maps.items()}
+    else:
+        for rec in records:
+            buckets.setdefault(dep.partitioner.partition(key_func(rec)), []).append(rec)
+    return buckets, {p: estimate_size(rows) for p, rows in buckets.items()}
+
+
+def random_key(rng, numeric):
+    """Keys of every kind the writer hashes, ``7`` / ``7.0`` / ``True``
+    (equal, so placed alike) and an int beyond int64 among them."""
+    kinds = [
+        lambda: rng.randrange(-50, 50),
+        lambda: rng.randrange(-50, 50) / 2,
+        lambda: rng.random() < 0.5,
+        lambda: rng.choice((7, 7.0, True, 1, 1.0)),
+        lambda: 2**64 + rng.randrange(3),
+    ]
+    if not numeric:
+        kinds += [
+            lambda: rng.choice(("a", "é", "", "key")) + str(rng.randrange(9)),
+            lambda: None,
+            lambda: (rng.randrange(4), rng.choice(("x", None, 2.5))),
+        ]
+    return rng.choice(kinds)()
+
+
+def uniform_records(rng, n, numeric):
+    """One key kind for a whole task (the array hash), else mixed."""
+    if rng.random() < 0.4:
+        kind = rng.randrange(3)
+        return [((rng.randrange(-50, 50), rng.random() / 3, rng.random() < 0.5)[kind], i) for i in range(n)]
+    return [(random_key(rng, numeric), i) for i in range(n)]
+
+
+class TestVectorisedWriter:
+    """``write_map_output`` (one ``partition_array`` and one stable sort a
+    task) writes what the per-record loop wrote: the same records in each
+    bucket in the same order, the same sizes and bytes written."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_the_per_record_loop(self, ctx, seed):
+        rng = random.Random(seed)
+        ranged = seed % 3 == 0
+        records = uniform_records(rng, rng.choice((0, 1, 2, 9, 300, 2500)), numeric=ranged)
+        if ranged:
+            sample = [key for key, _ in records[:50]]
+            partitioner = RangePartitioner.from_sample(sample, rng.randrange(1, 6))
+        else:
+            partitioner = HashPartitioner(rng.randrange(1, 9))
+        combiner = None
+        if seed % 4 == 1:
+            combiner = MapSideCombiner(create=lambda v: [v], merge_value=lambda a, b: a + [b])
+        source = ctx.parallelize([], 1)
+        dep = ShuffleDependency(source, partitioner, combiner=combiner)
+        sm = ctx.shuffle_manager
+        sm.register_shuffle(dep.shuffle_id, 1)
+        tctx = _ctx_for(ctx)
+        sm.write_map_output(dep, 0, iter(records), tctx)
+        output = sm._outputs[dep.shuffle_id][0]
+        buckets, sizes = reference_map_output(dep, records)
+        # repr tells 7, 7.0 and True apart, which compare equal.
+        assert {p: list(map(repr, b)) for p, b in output.buckets.items()} == {
+            p: list(map(repr, b)) for p, b in buckets.items()
+        }
+        assert output.sizes == sizes
+        assert tctx.shuffle_bytes_written == sum(sizes.values())
+        for p in range(partitioner.num_partitions):
+            fetched = list(sm.fetch(dep.shuffle_id, p, _ctx_for(ctx)))
+            assert list(map(repr, fetched)) == list(map(repr, buckets.get(p, [])))
+
+    def test_a_raising_key_func_raises_what_the_loop_raised(self, ctx):
+        dep = ShuffleDependency(ctx.parallelize([], 1), HashPartitioner(3), key_func=lambda rec: rec[5])
+        ctx.shuffle_manager.register_shuffle(dep.shuffle_id, 1)
+        records = [(1, 2)] * 4
+        with pytest.raises(IndexError) as vectorised:
+            ctx.shuffle_manager.write_map_output(dep, 0, iter(records), _ctx_for(ctx))
+        with pytest.raises(IndexError) as reference:
+            reference_map_output(dep, records)
+        assert str(vectorised.value) == str(reference.value)
+        assert ctx.shuffle_manager.missing_maps(dep.shuffle_id) == [0]
+
+
+def test_cached_index_lineage_is_untracked_after_one_collection():
+    """The rows an index keeps for lineage — its source slices and build
+    shuffle's buckets — are tuples of tuples of atoms, so one collection
+    untracks them and later full collections skip them."""
+    session = Session(config=Config(default_parallelism=4, shuffle_partitions=4))
+    schema = Schema.of(("src", LONG), ("name", STRING), ("w", DOUBLE))
+    rows = [(i % 50, f"n{i}", i / 3) for i in range(2000)]
+    idf = session.create_dataframe(rows, schema, "edges").create_index("src").cache_index()
+    del rows
+    gc.collect()
+    lineage, slices = [idf.rdd], []
+    while lineage:
+        rdd = lineage.pop()
+        lineage += [dep.rdd for dep in rdd.dependencies]
+        slices += rdd._slices if isinstance(rdd, ParallelCollectionRDD) else []
+    outputs = session.context.shuffle_manager._outputs[idf.rdd.shuffle_dep.shuffle_id]
+    buckets = [b for output in outputs for b in output.buckets.values()]
+    assert sum(map(len, slices)) == sum(map(len, buckets)) == 2000
+    assert not any(map(gc.is_tracked, slices + buckets))

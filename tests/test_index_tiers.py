@@ -12,7 +12,7 @@ ancestor must still answer as it did before its descendants wrote or sealed.
 At ``10**6`` only the first build into an empty index seals.
 
 An int-kind first build is placed in key order and read as runs (DESIGN.md
-§15, Runs): ``insert`` asserts which seals make a key-ordered base (a first
+§15, Runs; a hashed-kind build's records have strings, in arrival order): ``insert`` asserts which seals make a key-ordered base (a first
 array build, never a later seal), and ``check`` counts the chains a
 ``lookup_many`` walks (none for a run, one per key the delta shadows).
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.cluster.topology import private_cluster
@@ -99,7 +100,8 @@ class Version:
     def insert(self, rows: list[tuple], one_by_one: bool) -> None:
         for threshold, part in self.parts.items():
             built, base = part.row_count > 0, part.ordered.base
-            runs = not (part.batches or one_by_one) and part.codec.encode_records(rows) is not None
+            records = part.codec.encode_records(rows)  # equal-sized records: a structured array
+            runs = not (part.batches or one_by_one) and isinstance(records, np.ndarray)
             if one_by_one:
                 for row in rows:
                     part.insert_row(row)

@@ -1,19 +1,24 @@
 """``insert_rows``' two layouts write the same bytes (DESIGN.md §5).
 
-A batch of more than one row of a string-free schema, every value of which
-survives the trip through a structured array, takes the array layout
-(:meth:`RowCodec.encode_records`, placed a chunk per row batch); anything
-else is encoded row by row. The reference here is a partition whose codec
-never hands out records, so it writes everything row by row. A seeded
-differential feeds both the same calls — random INTEGER/LONG/DOUBLE/BOOLEAN
-schemas in any column order, batches of 1…5 000 rows with repeated keys, into
-empty, sealed, delta-holding and snapshot-sibling partitions sharing a tail —
-and after every call asserts the same bytes, watermarks, ``contiguous``, CRC
-marks and index entries (pointers included, so the same chains), and chains
-that hold what was inserted. Rows the array layout must refuse produce
-exactly the row layout's bytes or its exception. A first array build (into
-a partition with no batches) is placed in key order (DESIGN.md §15, Runs):
-its reference is the row layout fed the same rows stably sorted by key.
+A batch of more than one row, every value of which survives the trip
+through its record (:meth:`RowCodec.encode_records`: one structured array,
+or for a schema with strings the records scattered into one byte buffer),
+takes the array layout, placed a chunk per row batch; anything else is
+encoded row by row. The reference here is a partition whose codec never
+hands out records, so it writes everything row by row. A seeded
+differential feeds both the same calls — random INTEGER/LONG/DOUBLE/BOOLEAN/
+STRING schemas in any column order (STRING keys are hashed), ASCII,
+non-ASCII and empty strings, batches of 1…5 000 rows with repeated keys,
+now and then one NULL, non-``str`` or record of exactly and one byte over
+``max_row_size``, into empty, sealed, delta-holding, snapshot-sibling
+partitions sharing a tail and spilled tails — and after every call asserts
+the same bytes, watermarks, ``contiguous``, CRC marks and index entries
+(pointers included, so the same chains), and chains that hold what was
+inserted. Rows the array layout must refuse produce exactly the row
+layout's bytes or its exception. A first array build of equal-sized records
+(into a partition with no batches) is placed in key order (DESIGN.md §15,
+Runs): its reference is the row layout fed the same rows stably sorted by
+key. Records with strings are placed in arrival order.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ import struct
 import pytest
 
 from repro.indexed.partition import IndexedPartition
-from repro.sql.types import BOOLEAN, DOUBLE, INTEGER, LONG, Schema
+from repro.sql.types import BOOLEAN, DOUBLE, INTEGER, LONG, STRING, Schema
 
 FIXED = (INTEGER, LONG, DOUBLE, BOOLEAN)
+#: The exceptions a refused row raises from the row layout.
+REFUSALS = (ValueError, struct.error, AttributeError, TypeError)
 
 
 class Pair:
@@ -52,17 +59,18 @@ class Pair:
 
     def insert(self, batch: list) -> bool:
         """Both layouts take ``batch``; True when the array layout did."""
-        took_array = self.array.codec.encode_records(batch) is not None
+        records = self.array.codec.encode_records(batch)
+        took_array = records is not None
         before = self.array.row_count
         key_ord = self.array.key_ordinal
         placed = batch
-        if took_array and not self.array.batches:  # a first array build: key order
-            placed = sorted(batch, key=lambda row: row[key_ord])
+        if took_array and not isinstance(records, tuple) and not self.array.batches:
+            placed = sorted(batch, key=lambda row: row[key_ord])  # a first build: key order
         outcomes = []
         for part, rows in ((self.array, batch), (self.rows, placed)):
             try:
                 outcomes.append(part.insert_rows(rows))
-            except (ValueError, struct.error) as exc:
+            except REFUSALS as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
         if self.oracle is not None:
@@ -76,7 +84,7 @@ class Pair:
         assert len(a.batches) == len(r.batches)
         for x, y in zip(a.batches, r.batches):
             assert x.used == y.used
-            assert bytes(x.buf[: x.used]) == bytes(y.buf[: y.used])
+            assert bytes(x.ensure_resident()[: x.used]) == bytes(y.ensure_resident()[: y.used])
             assert x._crc_marks == y._crc_marks
         assert a.visible_watermarks() == r.visible_watermarks()
         assert a.contiguous == r.contiguous
@@ -87,11 +95,26 @@ class Pair:
         if self.oracle is not None:
             assert a.lookup_many(self.oracle) == self.oracle
 
+    def spill_tail(self) -> None:
+        """Spill both layouts' tail batch: the next write faults it back in."""
+        for part in (self.array, self.rows):
+            if part.batches:
+                part.batches[-1].spill()
 
-def random_schema(rng: random.Random) -> tuple[Schema, str]:
-    types = [rng.choice(FIXED) for _ in range(rng.randrange(1, 6))]
+
+def random_schema(rng: random.Random, strings: bool) -> tuple[Schema, str]:
+    kinds = FIXED + (STRING,) * (2 * strings)
+    types = [rng.choice(kinds) for _ in range(rng.randrange(1, 6))]
+    if strings and STRING not in types:
+        types[rng.randrange(len(types))] = STRING
     schema = Schema.of(*((f"c{i}", t) for i, t in enumerate(types)))
     return schema, f"c{rng.randrange(len(types))}"
+
+
+def random_string(rng: random.Random) -> str:
+    """ASCII, non-ASCII (2-, 3- and 4-byte UTF-8) or empty."""
+    alphabet = "abcxyz01" if rng.random() < 0.7 else "aé€😀ß"
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(-3, 14)))
 
 
 def random_value(rng: random.Random, dtype, domain: "int | None") -> object:
@@ -102,27 +125,46 @@ def random_value(rng: random.Random, dtype, domain: "int | None") -> object:
         return rng.random() < 0.5 if domain or rng.random() < 0.9 else rng.randrange(2)
     if domain is not None:
         k = rng.randrange(domain)
+        if dtype is STRING:
+            return ("", "k", "é", "😀")[k % 4] + (str(k) if k else "")
         return k / 4 if dtype is DOUBLE else k
+    if dtype is STRING:
+        return random_string(rng)
     if dtype is DOUBLE:
         return rng.uniform(-1e9, 1e9) if rng.random() < 0.8 else rng.randrange(-1000, 1000)
     bits = 31 if dtype is INTEGER else 63
     return rng.randrange(-(2**bits), 2**bits)
 
 
-def random_batch(rng: random.Random, schema: Schema, key: str, domain: int) -> list[tuple]:
-    size = int(5000 ** rng.random() ** 2)  # 1 … 5 000, mostly small
+def random_batch(rng: random.Random, schema: Schema, key: str, domain: int, codec) -> list[tuple]:
+    """1 … 5 000 rows, mostly few; with strings, half of the batches 1 024
+    (one encode window) … 3 000. Three in ten batches with a
+    non-key STRING column hold one row with a NULL, a non-``str``, or a
+    string that makes its record exactly ``max_row_size`` or one byte over."""
     types = [f.dtype for f in schema.fields]
+    size = int(5000 ** rng.random() ** 2)  # 1 … 5 000, mostly small
+    if STRING in types and rng.random() < 0.5:
+        size = rng.randrange(1024, 3000)
     key_ord = schema.index_of(key)
-    return [
+    rows = [
         tuple(random_value(rng, t, domain if i == key_ord else None) for i, t in enumerate(types))
         for _ in range(size)
     ]
+    strings = [i for i, t in enumerate(types) if t is STRING and i != key_ord]
+    if strings and rng.random() < 0.3:
+        r, c = rng.randrange(size), rng.choice(strings)
+        row = list(rows[r])
+        short = codec.max_row_size - len(codec.encode(rows[r], 0))
+        row[c] = rng.choice((None, 7, b"x", row[c] + "x" * short, row[c] + "x" * (short + 1)))
+        rows[r] = tuple(row)
+    return rows
 
 
-def run_differential(seed: int, steps: int) -> list[int]:
-    """Returns how many batches took the row layout and the array layout."""
+def run_differential(seed: int, steps: int, strings: "bool | None" = None) -> list[int]:
+    """Returns how many batches took the row layout and the array layout;
+    ``strings`` forces a schema with (or without) a STRING column."""
     rng = random.Random(seed)
-    schema, key = random_schema(rng)
+    schema, key = random_schema(rng, rng.random() < 0.5 if strings is None else strings)
     domain = rng.choice((3, 40, 600))
     pair = Pair.root(schema, key, rng.choice((256, 1000, 4096)), rng.choice((0, 7, 512)))
     versions = [pair]
@@ -135,7 +177,10 @@ def run_differential(seed: int, steps: int) -> list[int]:
             touched = [target.child(), target.child()]
             versions += touched
         for version in touched:
-            paths[version.insert(random_batch(rng, schema, key, domain))] += 1
+            if rng.random() < 0.15:
+                version.spill_tail()
+            batch = random_batch(rng, schema, key, domain, version.array.codec)
+            paths[version.insert(batch)] += 1
     for version in versions:  # no later write moved an earlier version
         version.check()
     return paths
@@ -153,8 +198,9 @@ def test_array_layout_writes_what_the_row_layout_writes_long(seed):
 
 
 def test_the_differential_exercises_both_layouts():
-    rows, arrays = map(sum, zip(*(run_differential(seed, 6) for seed in range(8))))
-    assert rows >= 5 and arrays >= 10, (rows, arrays)
+    for strings in (False, True):
+        rows, arrays = map(sum, zip(*(run_differential(seed, 6, strings) for seed in range(8))))
+        assert rows >= 5 and arrays >= 10, (strings, rows, arrays)
 
 
 SCHEMA = Schema.of(("n", INTEGER), ("k", LONG), ("w", DOUBLE), ("b", BOOLEAN), ("m", LONG))
