@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.joins import make_key_func, record_broadcast
 from repro.sql.physical import NotResident, PhysicalPlan, estimate_row_bytes
-from repro.sql.prepared import bind_expression
+from repro.sql.prepared import bind_expression, has_parameter
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,7 +142,8 @@ class IndexedScanExec(IndexedLeafExec):
     version, a NULL) and ``Config.indexed_column_kernels=False`` take the
     row path instead: decode every row, filter and project row by row —
     the paper's row-wise behaviour, same answer. A bare ``SELECT *`` scan
-    always decodes rows (``decode_all``). A session's scan is a job; only a
+    takes the row path too; ``scan_rows`` decodes through the same views
+    (``RowCodec.decode_all``). A session's scan is a job; only a
     serve router, passing its shards as the source, reads one directly.
     """
 
@@ -188,7 +190,7 @@ class IndexedScanExec(IndexedLeafExec):
     def _read(self, part: Any, arg: Any = None) -> list[tuple]:
         """One partition's output rows."""
         # Bare SELECT * has nothing to fuse: every field of every row is
-        # wanted, which is what the row decode kernel produces.
+        # wanted, which is what scan_rows produces.
         kernels = self.session.context.config.indexed_column_kernels and (
             self.condition is not None or self.required is not None
         )
@@ -231,8 +233,13 @@ class IndexedScanExec(IndexedLeafExec):
     def _work(self, partitioner: Any) -> "list[tuple[int, Any]]":
         return [(split, None) for split in range(partitioner.num_partitions)]
 
+    @cached_property
+    def _binds(self) -> bool:
+        """Whether the condition holds a ``?`` (decided at the first bind)."""
+        return self.condition is not None and has_parameter(self.condition)
+
     def bind(self, values: "Sequence[Any]") -> "IndexedScanExec":
-        if self.condition is None:
+        if not self._binds:
             return self
         condition = bind_expression(self.condition, values)
         return IndexedScanExec(self.session, self.idf, self.required, condition, self.view)

@@ -463,21 +463,25 @@ class IndexedPartition:
         return iter(self.codec.decode_chains(self.batches, pointers)[0])
 
     def scan_rows(self) -> list[tuple]:
-        """Full scan, batch-at-a-time: decode each row batch in one compiled
-        pass (:meth:`RowCodec.decode_all`) when this version is contiguous —
-        every byte below the watermarks is a visible row. Non-contiguous
-        versions (a diverged sibling wrote into a shared batch) fall back to
-        the per-chain walk. Row *set* equals ``iter_rows``; order is
-        placement order: a first array build's rows in key order (each key's
-        oldest first), every later batch's in arrival order.
+        """Full scan, batch-at-a-time: each row batch decoded whole
+        (:meth:`RowCodec.decode_all`: the column views, materialised) when
+        this version is contiguous — every byte below the watermarks is a
+        visible row; variable-width records are found from the index's
+        pointers where they tile a batch (:meth:`_index_starts`), as
+        :meth:`scan_columns` finds them. Non-contiguous versions (a diverged
+        sibling wrote into a shared batch) fall back to the per-chain walk.
+        Row *set* equals ``iter_rows``; order is placement order: a first
+        array build's rows in key order (each key's oldest first), every
+        later batch's in arrival order.
         """
         if not self.contiguous:
             return list(self.iter_rows())
         decode_all = self.codec.decode_all
+        starts = self._index_starts() if self.codec.gathers else {}
         out: list[tuple] = []
-        for batch, watermark in zip(self.batches, self._watermarks):
+        for i, (batch, watermark) in enumerate(zip(self.batches, self._watermarks)):
             if watermark:
-                out.extend(decode_all(batch.ensure_resident(), watermark))
+                out.extend(decode_all(batch.ensure_resident(), watermark, starts.get(i)))
         return out
 
     def scan_columns(self, names: "list[str]", registry: Any = None) -> "list[ColumnBatch] | None":

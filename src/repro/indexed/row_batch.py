@@ -51,7 +51,7 @@ import weakref
 import zlib
 from typing import Any, Callable
 
-from repro.integrity import CorruptBlockError, corrupt_file, integrity_enabled
+from repro.integrity import CorruptBlockError, corrupt_file
 
 
 def _unlink_quiet(path: str) -> None:
@@ -172,8 +172,7 @@ class RowBatch:
                 self._path, self._finalizer = path, finalizer
                 # The CRC of what *should* be on disk, taken before any chaos
                 # touches the file, so injected damage is caught.
-                if integrity_enabled():
-                    self._spill_crc, self._spill_len = zlib.crc32(data), len(data)
+                self._spill_crc, self._spill_len = zlib.crc32(data), len(data)
                 hook = self.chaos_corruption
                 mode = hook(path) if hook is not None else None
                 if mode:
@@ -193,16 +192,15 @@ class RowBatch:
             t0 = time.perf_counter()
             with open(self._path, "rb") as f:  # type: ignore[arg-type]
                 data = f.read()
-            if self._spill_crc is not None:
-                actual = zlib.crc32(data)
-                if len(data) != self._spill_len or actual != self._spill_crc:
-                    # Stay spilled: the quarantine drops every block holding
-                    # this batch and lineage rebuilds fresh bytes.
-                    raise CorruptBlockError(
-                        "spill_fault_in",
-                        detail=f"{self._path}: {len(data)}/{self._spill_len} bytes",
-                        batch=self, expected=self._spill_crc, actual=actual,
-                    )
+            actual = zlib.crc32(data)
+            if len(data) != self._spill_len or actual != self._spill_crc:
+                # Stay spilled: the quarantine drops every block holding
+                # this batch and lineage rebuilds fresh bytes.
+                raise CorruptBlockError(
+                    "spill_fault_in",
+                    detail=f"{self._path}: {len(data)}/{self._spill_len} bytes",
+                    batch=self, expected=self._spill_crc, actual=actual,
+                )
             buf = bytearray(self.capacity)
             buf[: len(data)] = data
             self.buf = buf
@@ -227,14 +225,12 @@ class RowBatch:
 
     # -- prefix CRC marks ----------------------------------------------------------------
 
-    def checkpoint(self, upto: "int | None" = None) -> "int | None":
+    def checkpoint(self, upto: "int | None" = None) -> int:
         """Anchor (or return) the CRC32 of ``buf[:upto]``.
 
         Extends incrementally from the largest existing mark at or below
-        ``upto``; returns None when integrity checking is disabled.
+        ``upto``.
         """
-        if not integrity_enabled():
-            return None
         if upto is None:
             upto = self._used
         marks = self._crc_marks
@@ -259,8 +255,6 @@ class RowBatch:
         Returns False when no mark covers ``upto`` (nothing to verify yet),
         True on a match; raises :class:`CorruptBlockError` on a mismatch.
         """
-        if not integrity_enabled():
-            return False
         if upto is None:
             upto = self._used
         expected = self._crc_marks.get(upto)

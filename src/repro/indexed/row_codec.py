@@ -66,27 +66,19 @@ class RowCodec:
             enc, dec = _codec_for(field.dtype)
             self._encoders.append(enc)
             self._decoders.append(dec)
-        # Fast path: null-free rows encode/decode through *segments* — each
-        # maximal run of fixed-width fields becomes one precompiled Struct
-        # call; strings stay length-prefixed between runs. One C-level call
-        # per run instead of one Python closure per field is the difference
-        # between the indexed scan being ~10x vs ~2x slower per row than the
-        # columnar cache (and why the paper recommends primitive key types).
+        # Null-free rows encode through *segments*: each maximal run of
+        # fixed-width fields is one precompiled Struct call; strings stay
+        # length-prefixed between runs.
         self._segments = _build_segments(schema)
         self._zero_bitmap = bytes(self.null_bitmap_bytes)
-        # Batch-at-a-time kernels (the whole-stage-codegen analogue): one
-        # call of source generated and compiled once per schema decodes a
-        # whole buffer (sequential scan) or every backward-pointer chain a
-        # read needs (lookup, key walk, range) instead of re-entering Python
-        # per row.
-        self._batch_scan = _compile_batch_scanner(self._segments, self.null_bitmap_bytes)
+        # Backward-pointer chains (lookup, key walk, range) decode in one call
+        # of source generated and compiled once per schema. A whole batch
+        # decodes through the column views below (decode_all).
         self._chain_walk = _compile_chain_walker(self._segments, self.null_bitmap_bytes)
-        # Column views (DESIGN.md §18): numpy dtype of each field as stored;
-        # None when some field's type has no entry (no views for this schema).
+        # Column views (DESIGN.md §18): numpy dtype of each field as stored.
         # A string-free record is one item of a structured dtype: prev_ptr,
         # row_len, bitmap, fields.
-        stored = [_STORED_DTYPES.get(type(f.dtype)) for f in schema.fields]
-        self._stored: "list[Any] | None" = None if any(d is None for d in stored) else stored
+        self._stored = stored = [_STORED_DTYPES[type(f.dtype)] for f in schema.fields]
         self._record_dtype: "np.dtype | None" = None
         #: The fields alone, at their offsets in a record (encode_records).
         self._values_dtype: "np.dtype | None" = None
@@ -123,6 +115,8 @@ class RowCodec:
         if len(row) != self.num_fields:
             raise ValueError(f"row has {len(row)} fields, schema has {self.num_fields}")
         try:
+            if None in row:  # struct's "?" would pack a NULL as False
+                raise TypeError
             parts = []
             idx = 0
             for kind, st, count in self._segments:
@@ -258,8 +252,8 @@ class RowCodec:
 
     def decode(self, buf: "bytes | bytearray | memoryview", offset: int) -> tuple[tuple, int, int]:
         """Decode the record at ``offset`` field by field, nulls included;
-        returns (row, prev_ptr, record_size). The batch kernels below fall
-        back to it for rows with nulls."""
+        returns (row, prev_ptr, record_size). :meth:`decode_all` and the
+        chain walker fall back to it for records with NULLs."""
         prev_ptr = HEADER_PREV_PTR.unpack_from(buf, offset)[0]
         row_len = HEADER_ROW_LEN.unpack_from(buf, offset + 8)[0]
         pos = offset + ROW_HEADER_SIZE
@@ -275,18 +269,39 @@ class RowCodec:
         return tuple(values), prev_ptr, ROW_HEADER_SIZE + row_len
 
     def decode_all(
-        self, buf: "bytes | bytearray | memoryview", end: "int | None" = None
+        self,
+        buf: "bytes | bytearray | memoryview",
+        end: "int | None" = None,
+        starts: "np.ndarray | None" = None,
     ) -> list[tuple]:
-        """Decode every record laid back-to-back in ``buf[0:end]``.
+        """Decode every record laid back-to-back in ``buf[0:end]``, in order:
+        the one full-batch decoder, :meth:`column_batch` over every column
+        materialised as rows (``ColumnBatch.to_rows``).
 
-        One compiled pass over a whole row batch — the batch-at-a-time
-        kernel behind full scans. Rows with nulls fall back (per record) to
-        :meth:`decode`; everything else is straight-line generated
-        code, which is what makes a multi-threaded scan worth its GIL time.
-        ``end`` defaults to ``len(buf)``; pass :attr:`RowBatch.used` for
-        batches with slack capacity.
+        When the views refuse the batch because a record holds a NULL, the
+        records are found from ``starts`` (the index's, as
+        :meth:`column_batch` takes them) or :meth:`record_starts`; the
+        NULL-free ones are still gathered as columns, and each NULL-bearing
+        one is decoded by :meth:`decode` and spliced in at its place.
+        ``end`` defaults to ``len(buf)``; pass the watermark for batches
+        with slack capacity.
         """
-        return self._batch_scan(buf, len(buf) if end is None else end, self.decode)
+        end = len(buf) if end is None else end
+        if starts is None and self.gathers:
+            starts = self.record_starts(buf, end)
+        names = self.schema.names()
+        batch = self.column_batch(buf, end, names, starts)
+        if batch is not None:
+            return batch.to_rows()
+        if starts is None:  # fixed width: a NULL shortened a record
+            starts = self.record_starts(buf, end)
+        if starts is None:
+            raise ValueError(f"the last record overruns byte {end}")
+        nulls = self._null_records(buf, end, starts)
+        rows = self._gathered_batch(buf, end, names, starts[~nulls]).to_rows()
+        for i in np.flatnonzero(nulls).tolist():  # in order: rows[:i] are final
+            rows.insert(i, self.decode(buf, int(starts[i]))[0])
+        return rows
 
     def decode_chains(self, batches: list, pointers: "list[int]") -> "tuple[list[tuple], list[int]]":
         """Decode whole backward-pointer chains, all in one compiled call.
@@ -306,7 +321,7 @@ class RowCodec:
     def gathers(self) -> bool:
         """Whether :meth:`column_batch` gathers columns from record starts
         (variable-width records) rather than viewing one record array."""
-        return self._stored is not None and self._record_dtype is None
+        return self._record_dtype is None
 
     def column_batch(
         self,
@@ -325,13 +340,15 @@ class RowCodec:
         pointers, DESIGN.md §18), else :meth:`record_starts`; fixed-width
         columns are gathered from them and string columns are *deferred*
         (:class:`ColumnBatch`): decoded on first use, for the rows still
-        selected. Returns None — the caller takes the row path, same answer
-        — when a record holds a NULL (or, fixed-width, is short of full
-        size), or when a field's type has no numpy form.
+        selected. Returns None — the caller takes :meth:`decode_all`, same
+        answer — when a record holds a NULL (fixed-width: is short of full
+        size).
         """
-        if self._stored is None:
-            return None
         if self._record_dtype is None:
+            if starts is None:
+                starts = self.record_starts(buf, end)
+            if starts is None or self._null_records(buf, end, starts).any():
+                return None
             return self._gathered_batch(buf, end, names, starts)
         size = self._record_dtype.itemsize
         if end % size:
@@ -357,19 +374,21 @@ class RowCodec:
             pos += ROW_HEADER_SIZE + (buf[pos + 8] | (buf[pos + 9] << 8))
         return np.array(starts, dtype=np.intp) if pos == end else None
 
+    def _null_records(self, buf: "bytearray | memoryview", end: int, starts: np.ndarray) -> np.ndarray:
+        """Whether each record at ``starts`` holds a NULL: any bit of its bitmap."""
+        nulls = np.zeros(len(starts), dtype=bool)
+        window = _window(buf, end, _U1)
+        for i in range(self.null_bitmap_bytes):
+            nulls |= window[starts + ROW_HEADER_SIZE + i] != 0
+        return nulls
+
     def _gathered_batch(
-        self, buf: "bytearray | memoryview", end: int, names: "list[str]", starts: "np.ndarray | None"
-    ) -> "ColumnBatch | None":
-        """Variable-width records: see :meth:`column_batch`."""
-        if starts is None:
-            starts = self.record_starts(buf, end)
-            if starts is None:
-                return None
-        at = starts + ROW_HEADER_SIZE
-        for _ in range(self.null_bitmap_bytes):
-            if _window(buf, end, _U1)[at].any():
-                return None
-            at = at + 1
+        self, buf: "bytearray | memoryview", end: int, names: "list[str]", starts: np.ndarray
+    ) -> ColumnBatch:
+        """The NULL-free records at ``starts`` as a column batch over
+        ``names`` (see :meth:`column_batch`): fixed-width fields gathered,
+        strings deferred."""
+        at = starts + ROW_HEADER_SIZE + self.null_bitmap_bytes
         wanted = set(names)
         last = max((self.schema.index_of(n) for n in names), default=-1)
         columns: dict[str, np.ndarray] = {}
@@ -385,7 +404,7 @@ class RowCodec:
                 if field.name in wanted:
                     columns[field.name] = _widen(_window(buf, end, stored)[at])
                 at = at + stored.itemsize
-        return ColumnBatch(self.schema.select(names), columns, len(starts), deferred)
+        return ColumnBatch(self.schema.select(names), columns, len(at), deferred)
 
     def gather(self, batches: list, numbers: "np.ndarray | range", batch_size: int) -> np.ndarray:
         """Records by number, as one structured array of the schema's fields
@@ -445,7 +464,7 @@ def _window(buf: "bytearray | memoryview", end: int, dtype: np.dtype) -> np.ndar
     """``out[p]`` is the ``dtype`` value stored at byte ``p`` of ``buf``: a
     read-only, one-byte-stride view of ``buf[0:end]`` (no copy), so one
     fancy index gathers a field that starts at a different byte per record."""
-    out = np.ndarray((end - dtype.itemsize + 1,), dtype=dtype, buffer=buf, strides=(1,))
+    out = np.ndarray((max(end - dtype.itemsize + 1, 0),), dtype=dtype, buffer=buf, strides=(1,))
     out.flags.writeable = False
     return out
 
@@ -483,140 +502,6 @@ _FIXED_CODES = {
 }
 
 
-def _kernel_prefix(
-    segments: list[tuple[str, Any, int]], null_bitmap_bytes: int
-) -> tuple[Any, int, list[tuple[str, Any, int]]]:
-    """Build the combined per-record prefix struct for the batch kernels.
-
-    One ``Struct`` covering header (prev_ptr + row_len), the null bitmap
-    (as ``B`` bytes, so the null check runs on already-unpacked ints), and
-    the leading run of fixed-width fields — a single C call extracts all of
-    it. Returns (prefix_struct, leading_field_count, remaining_segments).
-    """
-    fmt = "<QH" + "B" * null_bitmap_bytes
-    leading = 0
-    rest = segments
-    if segments and segments[0][0] == "f":
-        st = segments[0][1]
-        fmt += st.format.lstrip("<")
-        leading = segments[0][2]
-        rest = segments[1:]
-    return struct.Struct(fmt), leading, rest
-
-
-def _rest_segment_lines(
-    rest: list[tuple[str, Any, int]], ns: dict[str, Any], indent: str
-) -> list[str]:
-    """Generated-source fragment decoding the segments after the prefix
-    struct, starting at ``p`` and extending ``row``.
-
-    Strings are sliced with plain byte arithmetic (no Struct call); when
-    the record's *final* field is a string its end is already known from
-    the row length (``rec_end``), so even the 2-byte length prefix is
-    skipped.
-    """
-    lines: list[str] = []
-    for i, (kind, st, _count) in enumerate(rest):
-        if kind == "f":
-            ns[f"_s{i}"] = st
-            lines.append(f"{indent}row += _s{i}.unpack_from(buf, p)")
-            lines.append(f"{indent}p += {st.size}")
-        elif i == len(rest) - 1:
-            # Final string: ends exactly at rec_end (defined by the caller).
-            lines.append(f'{indent}row += (str(buf[p + 2:rec_end], "utf-8"),)')
-        else:
-            lines.append(f"{indent}_e = p + 2 + (buf[p] | (buf[p + 1] << 8))")
-            lines.append(f'{indent}row += (str(buf[p + 2:_e], "utf-8"),)')
-            lines.append(f"{indent}p = _e")
-    return lines
-
-
-def _null_check_expr(null_bitmap_bytes: int, first_index: int) -> str:
-    """Null test over the bitmap ints unpacked by the prefix struct."""
-    return " or ".join(f"vals[{first_index + i}]" for i in range(null_bitmap_bytes))
-
-
-def _compile_batch_scanner(
-    segments: list[tuple[str, Any, int]], null_bitmap_bytes: int
-) -> Callable[[Any, int, Any], list[tuple]]:
-    """Generate the sequential whole-buffer scan kernel for one schema.
-
-    The generated function walks records back-to-back from offset 0 to
-    ``end`` in a single compiled loop; each null-free record costs one
-    prefix-struct unpack (header + bitmap + leading fixed fields in one C
-    call) plus one unpack per remaining segment — no per-row Python
-    function call, no per-row method dispatch. String-free schemas advance
-    by a constant stride. Null-bearing records fall back (per record) to
-    the passed generic decoder.
-    """
-    pre, leading, rest = _kernel_prefix(segments, null_bitmap_bytes)
-    k = 2 + null_bitmap_bytes  # vals[k:] = leading fixed-field values
-    ns: dict[str, Any] = {"_pre": pre, "_u16": _U16}
-    lines = ["def _scan(buf, end, generic):"]
-    if not rest:
-        # Fixed-width schemas: when every record is full size, the whole
-        # buffer is one aligned array of records and decodes with a single
-        # iter_unpack comprehension. Verify alignment exactly by checking
-        # the strided row_len bytes: any null shortens its record, and the
-        # first short record's real row_len sits precisely on the strided
-        # offset being tested, so a mixed buffer can't pass by accident.
-        row_len = pre.size - ROW_HEADER_SIZE
-        ns["_lo"] = bytes([row_len & 0xFF])
-        ns["_hi"] = bytes([row_len >> 8])
-        lines += [
-            f"    if end and end % {pre.size} == 0:",
-            f"        n = end // {pre.size}",
-            f"        if bytes(buf[8:end:{pre.size}]) == _lo * n and "
-            f"bytes(buf[9:end:{pre.size}]) == _hi * n:",
-            f"            return [v[{k}:] for v in _pre.iter_unpack(buf[:end])]",
-        ]
-    lines += [
-        "    out = []",
-        "    append = out.append",
-        "    pos = 0",
-        # A record with nulls can be *shorter* than the prefix struct, so
-        # the combined unpack could overrun at the buffer tail. Keep the
-        # hot loop guard-free by bounding it to positions where a full
-        # prefix is guaranteed to fit; the tail loop below decodes any
-        # remaining short records generically.
-        f"    safe = end - {pre.size}",
-        "    while pos <= safe:",
-        "        vals = _pre.unpack_from(buf, pos)",
-        f"        if {_null_check_expr(null_bitmap_bytes, 2)}:",
-        "            row, _ptr, _sz = generic(buf, pos)",
-        "            append(row)",
-        "            pos += _sz",
-        "            continue",
-    ]
-    if rest:
-        lines += [
-            f"        rec_end = pos + {ROW_HEADER_SIZE} + vals[1]",
-            f"        p = pos + {pre.size}",
-            f"        row = vals[{k}:]",
-        ]
-        lines += _rest_segment_lines(rest, ns, "        ")
-        lines += [
-            "        append(row)",
-            "        pos = rec_end",
-        ]
-    else:
-        # Fixed-width records: constant stride, prefix covers everything.
-        lines += [
-            f"        append(vals[{k}:])",
-            f"        pos += {pre.size}",
-        ]
-    lines += [
-        "    while pos < end:",
-        "        row, _ptr, _sz = generic(buf, pos)",
-        "        append(row)",
-        "        pos += _sz",
-        "    return out",
-    ]
-    _ = leading
-    exec("\n".join(lines), ns)  # noqa: S102 - controlled, schema-derived source
-    return ns["_scan"]
-
-
 #: Chain terminator baked into the chain-walk kernel (pointers.NULL_POINTER;
 #: duplicated here to keep the codec import-free of the pointer module).
 _NULL_POINTER = (1 << 64) - 1
@@ -628,13 +513,21 @@ def _compile_chain_walker(
     """Generate the backward-pointer chain kernel for one schema.
 
     Follows each pointer's per-key linked list across batches inside one
-    compiled loop (pointer field extraction and the prefix-struct unpack
-    inlined), one outer iteration a chain, so a read decodes every chain
-    it needs with a single Python-level call.
+    compiled loop, one outer iteration a chain, so a read decodes every chain
+    it needs with a single Python-level call. A NULL-free record costs one
+    unpack of a prefix struct — header (prev_ptr, row_len), the null bitmap
+    as ``B`` ints (so the null test reads unpacked ints) and the leading run
+    of fixed-width fields, in one C call — plus one unpack per later run.
+    Strings are sliced with byte arithmetic; a record's final string ends at
+    the record's end, so its length prefix is not read. A record with a NULL
+    goes to the passed generic decoder.
     """
-    pre, _leading, rest = _kernel_prefix(segments, null_bitmap_bytes)
-    k = 2 + null_bitmap_bytes
-    ns: dict[str, Any] = {"_pre": pre, "_u16": _U16}
+    fmt, rest = "<QH" + "B" * null_bitmap_bytes, segments
+    if segments and segments[0][0] == "f":
+        fmt, rest = fmt + segments[0][1].format.lstrip("<"), segments[1:]
+    pre = struct.Struct(fmt)
+    k = 2 + null_bitmap_bytes  # vals[k:] = leading fixed-field values
+    ns: dict[str, Any] = {"_pre": pre}
     lines = [
         "def _chains(batches, pointers, generic):",
         "    out = []",
@@ -649,14 +542,14 @@ def _compile_chain_walker(
         "            except AttributeError:",  # a spilled batch: fault it in
         "                buf = batches[(pointer >> 40) & 0xFFFFFF].ensure_resident()",
         "            pos = (pointer >> 14) & 0x3FFFFFF",
-        # Same tail guard as the batch scanner: null records can be shorter
-        # than the prefix struct, and this one may end the buffer.
+        # A record with nulls can be shorter than the prefix struct, and
+        # this one may end the buffer.
         f"            if len(buf) - pos < {pre.size}:",
         "                row, pointer, _sz = generic(buf, pos)",
         "                append(row)",
         "                continue",
         "            vals = _pre.unpack_from(buf, pos)",
-        f"            if {_null_check_expr(null_bitmap_bytes, 2)}:",
+        f"            if {' or '.join(f'vals[{2 + i}]' for i in range(null_bitmap_bytes))}:",
         "                row, pointer, _sz = generic(buf, pos)",
         "                append(row)",
         "                continue",
@@ -668,7 +561,18 @@ def _compile_chain_walker(
             f"            p = pos + {pre.size}",
             f"            row = vals[{k}:]",
         ]
-        lines += _rest_segment_lines(rest, ns, "            ")
+        for i, (kind, st, _count) in enumerate(rest):
+            if kind == "f":
+                ns[f"_s{i}"] = st
+                lines += [f"            row += _s{i}.unpack_from(buf, p)", f"            p += {st.size}"]
+            elif i == len(rest) - 1:
+                lines.append('            row += (str(buf[p + 2:rec_end], "utf-8"),)')
+            else:
+                lines += [
+                    "            _e = p + 2 + (buf[p] | (buf[p + 1] << 8))",
+                    '            row += (str(buf[p + 2:_e], "utf-8"),)',
+                    "            p = _e",
+                ]
         lines.append("            append(row)")
     else:
         lines.append(f"            append(vals[{k}:])")

@@ -57,7 +57,7 @@ from repro.sql.expressions import (
 from repro.sql.logical import Filter, Join, LogicalPlan, Relation
 from repro.sql.physical import FilterExec, PhysicalPlan
 from repro.sql.planner import Planner, match_scan_fusion
-from repro.sql.prepared import bind_expression
+from repro.sql.prepared import bind_expression, has_parameter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.indexed.indexed_dataframe import IndexedDataFrame
@@ -240,10 +240,6 @@ def extract_key_range(
     return krange, combine_conjuncts(residual)
 
 
-def _has_parameter(expr: Expression) -> bool:
-    return isinstance(expr, Parameter) or any(_has_parameter(c) for c in expr.children())
-
-
 def _value(operand: Expression, values: "Sequence[Any]") -> Any:
     """A claimed operand's value under ``values``: a ``?`` slot's, or the
     literal's."""
@@ -356,7 +352,7 @@ def _plan_by_index(
         (claimed if claims(conj, key_column) is not None else residual).append(conj)
     idf, claim = relation.idf, combine_conjuncts(claimed)
     leaf: "PhysicalPlan | None"
-    if _has_parameter(claim):  # a statement's template: the leaf is built at bind
+    if has_parameter(claim):  # a statement's template: the leaf is built at bind
         leaf = _KeyTemplateExec(session, idf, relation.view, kind, claim)
     else:
         leaf = bound_claim(session, idf, relation.view, kind, claim)

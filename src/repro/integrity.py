@@ -8,8 +8,8 @@ one row batch type (:class:`~repro.indexed.row_batch.RowBatch`): CRC32
 *prefix marks* anchored at a trust-establishing moment (sealing a batch,
 pinning a serve snapshot) and verified whenever the same bytes re-enter
 across a boundary (pin, scrub), and a spill-file CRC checked on every
-fault-in. This module holds what the boundaries share: the global switch,
-the error type, the partition-level anchor and audit, and the chaos
+fault-in. The checks are always on. This module holds what the boundaries
+share: the error type, the partition-level anchor and audit, and the chaos
 damage patterns.
 
 **Trust model.** Verification happens only at storage/transport edges,
@@ -36,23 +36,6 @@ import os
 #: bytes (or genuinely shorten a file), so an injected corruption is
 #: *guaranteed* to change the prefix CRC — detection never depends on luck.
 CORRUPTION_MODES = ("bit_flip", "truncate", "garble_header")
-
-#: Process-global integrity switch. Off, the anchor/verify calls collapse
-#: to near-free no-ops — the baseline an A/B run measures checksum overhead
-#: against.
-_ENABLED = True
-
-
-def integrity_enabled() -> bool:
-    return _ENABLED
-
-
-def set_integrity_enabled(enabled: bool) -> bool:
-    """Flip the process-global integrity switch; returns the new value."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    return _ENABLED
-
 
 class CorruptBlockError(RuntimeError):
     """A checksum mismatch at a trust boundary.
@@ -92,8 +75,6 @@ def checkpoint_partition(partition) -> int:
     Returns the number of batches anchored. For non-contiguous MVCC
     versions the watermarks cover only the contiguous prefix of each batch.
     """
-    if not _ENABLED:
-        return 0
     anchored = 0
     for batch, upto in zip(partition.batches, partition.visible_watermarks()):
         if upto:
@@ -109,8 +90,6 @@ def audit_partition(partition, where: str = "scrub") -> tuple[int, int]:
     the first mismatch. Spilled batches fault in through ``buf`` — their
     own spill-file CRC check runs first and raises the same error type.
     """
-    if not _ENABLED:
-        return (0, 0)
     verified = anchored = 0
     for batch, upto in zip(partition.batches, partition.visible_watermarks()):
         if not upto:

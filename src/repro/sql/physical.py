@@ -19,6 +19,7 @@ indexed join) through planner strategies; they subclass
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.engine.rdd import RDD
@@ -27,7 +28,7 @@ from repro.sql.cache import CachedRelation
 from repro.sql.columnar import ColumnBatch
 from repro.sql.expressions import Expression
 from repro.sql.logical import Relation
-from repro.sql.prepared import bind_expression
+from repro.sql.prepared import bind_expression, has_parameter
 from repro.sql.types import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -234,8 +235,14 @@ class FilterExec(RowwiseExec):
         keep = self.condition.eval
         return (row for row in rows if keep(row))
 
+    @cached_property
+    def _binds(self) -> bool:
+        """Whether the condition holds a ``?`` (decided at the first bind)."""
+        return has_parameter(self.condition)
+
     def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "FilterExec":
-        return FilterExec(self.session, bind_expression(self.condition, values), child)
+        condition = bind_expression(self.condition, values) if self._binds else self.condition
+        return FilterExec(self.session, condition, child)
 
     def do_execute(self) -> RDD:
         return self.child.execute().map_partitions(self.apply, preserves_partitioning=True)
@@ -259,8 +266,13 @@ class ProjectExec(RowwiseExec):
         exprs = self.exprs
         return (tuple(e.eval(row) for e in exprs) for row in rows)
 
+    @cached_property
+    def _binds(self) -> list[bool]:
+        """Whether each expression holds a ``?`` (decided at the first bind)."""
+        return [has_parameter(e) for e in self.exprs]
+
     def with_child(self, child: PhysicalPlan, values: "Sequence[Any]") -> "ProjectExec":
-        exprs = [bind_expression(e, values) for e in self.exprs]
+        exprs = [bind_expression(e, values) if b else e for e, b in zip(self.exprs, self._binds)]
         return ProjectExec(self.session, exprs, self.schema, child)
 
     def do_execute(self) -> RDD:

@@ -9,7 +9,8 @@ claiming the index as the literal it will be bound to would
 (:meth:`PreparedStatement.plan`): the indexed leaf, whose key conjuncts were
 reduced to ``?`` slots and literals when it was planned, substitutes the
 values into its keys or key range, and the row operators above it take
-bound copies of their expressions — no analyze, optimize, plan or plan-cache
+bound copies of the expressions that hold a ``?`` (the others are reused:
+expressions are immutable) — no analyze, optimize, plan or plan-cache
 lookup per execution. A plan holding an operator that
 cannot bind (a join, an aggregate, a sort) binds the logical template
 instead (:func:`bind_parameters` — a pure tree rewrite, the template is
@@ -38,6 +39,11 @@ def bind_expression(expr: Expression, values: Sequence[Any]) -> Expression:
     return expr.transform(
         lambda e: Literal(values[e.index]) if isinstance(e, Parameter) else None
     )
+
+
+def has_parameter(expr: Expression) -> bool:
+    """Whether ``expr`` holds a ``?`` (an expression without one binds to itself)."""
+    return isinstance(expr, Parameter) or any(map(has_parameter, expr.children()))
 
 
 def bind_parameters(template: LogicalPlan, values: Sequence[Any]) -> LogicalPlan:

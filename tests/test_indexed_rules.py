@@ -542,3 +542,24 @@ class TestTemplateBind:
         for i in range(100):
             assert len(router.query(point.text, params=[i]).rows) == 1
         assert calls == []
+
+    def test_only_expressions_holding_a_parameter_are_bound(self, served, monkeypatch):
+        session, _router = served
+        calls = []
+        for module in ("repro.sql.physical", "repro.indexed.operators"):
+            real = sys.modules[module].bind_expression
+            monkeypatch.setattr(
+                sys.modules[module], "bind_expression",
+                lambda expr, values, real=real: (calls.append(expr), real(expr, values))[1],
+            )
+        fixed = session.prepare("SELECT name FROM users WHERE uid = ? AND score > 1")
+        for i in range(100):
+            assert fixed.execute([i]) == session.sql(
+                f"SELECT name FROM users WHERE uid = {i} AND score > 1").collect_tuples()
+        assert calls == []  # the residual and the projection hold no ?
+        varying = session.prepare("SELECT name FROM users WHERE uid = ? AND score > ?")
+        for i in range(100):
+            score = i % 3 * 25.0
+            assert varying.execute([i, score]) == session.sql(
+                f"SELECT name FROM users WHERE uid = {i} AND score > {score}").collect_tuples()
+        assert len(calls) == 100  # the residual, once an execution; the projection never

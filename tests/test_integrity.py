@@ -35,8 +35,6 @@ from repro.integrity import (
     checkpoint_partition,
     corrupt_buffer,
     corrupt_file,
-    integrity_enabled,
-    set_integrity_enabled,
     value_contains_corruption,
 )
 from repro.sql.session import Session
@@ -111,18 +109,6 @@ class TestChecksumMixin:
             batch.checkpoint()
         assert len(batch._crc_marks) <= RowBatch._MAX_MARKS
         assert batch.verify() is True
-
-    def test_global_toggle_disables_anchoring(self):
-        batch = RowBatch(64)
-        batch.append(b"data")
-        set_integrity_enabled(False)
-        try:
-            assert not integrity_enabled()
-            assert batch.checkpoint() is None
-            assert batch.verify() is False
-        finally:
-            set_integrity_enabled(True)
-        assert batch.checkpoint() is not None
 
     def test_partition_helpers_anchor_and_audit(self):
         part = IndexedPartition(EDGE, "src", batch_size=2048, max_row_size=256, version=0)
