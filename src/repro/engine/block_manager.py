@@ -158,16 +158,19 @@ class BlockManagerMaster:
                     del self._locations[block_id]
                     self._lost.add(block_id)
 
-    def mark_corrupt(self, block_id: BlockId) -> None:
+    def mark_corrupt(self, block_id: BlockId) -> bool:
         """Quarantine: a checksum mismatch implicated this block. *Every*
         location is dropped (unlike an eviction, no replica can be trusted
         — MVCC copies share the damaged batch object), and the block joins
         both the lost set (so the rebuild is recovery-attributed) and the
-        corrupt set (so it is attributed as a corruption repair)."""
+        corrupt set (so it is attributed as a corruption repair). False
+        when the block was marked already, its rebuild still pending."""
         with self._lock:
             self._locations.pop(block_id, None)
             self._lost.add(block_id)
+            fresh = block_id not in self._corrupt
             self._corrupt.add(block_id)
+            return fresh
 
     def was_corrupt(self, block_id: BlockId) -> bool:
         """True when the block was quarantined for corruption and not yet

@@ -179,8 +179,14 @@ class EngineContext:
         removed from every executor and marked corrupt in the master —
         the retry's cache miss then rebuilds them from lineage
         (``corruption_repaired_total{how="lineage_rebuild"}`` attribution
-        happens in the cache manager when the rebuild lands). Returns the
-        number of blocks quarantined.
+        happens in the cache manager when the rebuild lands). When this
+        call marks no block — no cached block holds the damaged bytes (it
+        was evicted since it was read), or another detection of the same
+        bytes marked it first — no rebuild is left for this detection: the
+        caller's re-read (a task retry, a re-pin) recomputes the bytes from
+        lineage, and that is its repair, counted here (``how="reread"``).
+        Each detection (counted by the caller, once) is so matched by one
+        repair. Returns the number of blocks quarantined.
         """
         matched: set[tuple[int, int]] = set()
         for runtime in self.executors.values():
@@ -189,10 +195,13 @@ class EngineContext:
                 value = manager.get(block_id)
                 if value is not None and value_contains_corruption(value, exc):
                     matched.add(block_id)
+        marked = 0
         for block_id in matched:
             for runtime in self.executors.values():
                 runtime.block_manager.remove(block_id)
-            self.block_manager_master.mark_corrupt(block_id)
+            marked += self.block_manager_master.mark_corrupt(block_id)
+        if not marked:
+            self.registry.inc("corruption_repaired_total", how="reread")
         self.metrics.record_recovery(
             "corrupt_block_quarantined",
             job_index=job_index if job_index >= 0 else self._job_index,

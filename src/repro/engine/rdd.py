@@ -266,7 +266,7 @@ class RDD:
 
     def collect(self) -> list[Any]:
         results = self.context.run_job(self, lambda it, _ctx: list(it))
-        return [rec for part in results for rec in part]
+        return list(itertools.chain.from_iterable(results))
 
     def count(self) -> int:
         return sum(self.context.run_job(self, lambda it, _ctx: sum(1 for _ in it)))

@@ -24,8 +24,8 @@ Beyond the paper's prototype, two extensions its text sketches are also
 implemented: row batches spill to SSD/NVMe files and fault back in
 (:mod:`~repro.indexed.row_batch`), and :mod:`~repro.indexed.mvcc` keeps the
 copy-on-write alternative the paper rejects as a measurable reference. Footnote 2's columnar layout
-is not a second store: full scans read the row batches through per-task
-column views (``IndexedPartition.scan_columns``, DESIGN.md §18).
+is not a second store: full scans read the row batches as one column batch
+a partition (``IndexedPartition.scan_columns``, DESIGN.md §18).
 """
 
 from repro.indexed.indexed_dataframe import IndexedDataFrame

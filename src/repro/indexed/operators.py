@@ -1,7 +1,7 @@
 """Physical operators over indexed data (the "indexed execution" of Fig. 2).
 
 * :class:`IndexedScanExec` — full scan with fused filter/projection: column
-  kernels over per-task views of the binary batches, or (bare ``SELECT *``,
+  kernels over one column batch a partition, or (bare ``SELECT *``,
   unviewable partitions, the row-only configuration) the row-wise decode
   that loses to the columnar baseline on projections — Fig. 8.
 * :class:`IndexedLookupExec` — point lookup(s) scheduled *only* on the
@@ -136,13 +136,14 @@ class IndexedScanExec(IndexedLeafExec):
     ``Project?(Filter?(IndexedRelation))`` (what the lookup and range
     operators did not claim). A fused scan runs the column kernels of
     :class:`~repro.sql.columnar.ColumnBatch` — exactly what
-    ``ColumnarScanExec`` runs — over per-task column views of the row
-    batches (``scan_columns``, DESIGN.md §18); rows are materialized only
-    for what survives. A partition that cannot be viewed (non-contiguous
-    version, a NULL) and ``Config.indexed_column_kernels=False`` take the
-    row path instead: decode every row, filter and project row by row —
-    the paper's row-wise behaviour, same answer. A bare ``SELECT *`` scan
-    takes the row path too; ``scan_rows`` decodes through the same views
+    ``ColumnarScanExec`` runs — once a partition, over one column batch of
+    all its row batches (``scan_columns``, DESIGN.md §18); rows are
+    materialized only for what survives. A partition that cannot be viewed
+    (non-contiguous version, a NULL) and
+    ``Config.indexed_column_kernels=False`` take the row path instead:
+    decode every row, filter and project row by row — the paper's row-wise
+    behaviour, same answer. A bare ``SELECT *`` scan takes the row path
+    too; ``scan_rows`` decodes through the same views, a row batch at a time
     (``RowCodec.decode_all``). A session's scan is a job; only a
     serve router, passing its shards as the source, reads one directly.
     """
@@ -175,17 +176,16 @@ class IndexedScanExec(IndexedLeafExec):
             rows = [tuple(row[i] for i in ordinals) for row in rows]
         return rows
 
-    def _scan_batches(self, part: Any, columns: "list[str]") -> "list[ColumnBatch] | None":
-        """The kernel path: filtered batches holding ``columns``, or None
-        when this partition cannot be viewed column-major."""
+    def _scan_batch(self, part: Any, columns: "list[str]") -> "ColumnBatch | None":
+        """The kernel path: the partition's rows that pass the filter, as one
+        batch holding ``columns``, or None when this partition cannot be
+        viewed column-major."""
         condition = self.condition
         names = list(columns)
         if condition is not None:
             names += sorted(condition.references() - set(names))
-        batches = part.scan_columns(names, self.session.context.registry)
-        if batches is None:
-            return None
-        return [batch.scan(condition, columns) for batch in batches]
+        batch = part.scan_columns(names, self.session.context.registry)
+        return None if batch is None else batch.scan(condition, columns)
 
     def _read(self, part: Any, arg: Any = None) -> list[tuple]:
         """One partition's output rows."""
@@ -194,13 +194,8 @@ class IndexedScanExec(IndexedLeafExec):
         kernels = self.session.context.config.indexed_column_kernels and (
             self.condition is not None or self.required is not None
         )
-        batches = self._scan_batches(part, self.schema.names()) if kernels else None
-        if batches is None:
-            return self._scan_rows(part)
-        rows: list[tuple] = []
-        for batch in batches:
-            rows.extend(batch.to_rows())
-        return rows
+        batch = self._scan_batch(part, self.schema.names()) if kernels else None
+        return self._scan_rows(part) if batch is None else batch.to_rows()
 
     def do_execute(self) -> RDD:
         def scan(parts: Iterator[Any], ctx: Any) -> Iterator[tuple]:
@@ -220,10 +215,10 @@ class IndexedScanExec(IndexedLeafExec):
         def scan(parts: Iterator[Any], ctx: Any) -> Iterator[ColumnBatch]:
             part = next(iter(parts))
             with ctx.span("indexed_scan"):
-                batches = self._scan_batches(part, columns)
-                if batches is None:
-                    batches = [ColumnBatch.from_rows(self._scan_rows(part), schema)]
-            return iter(batches)
+                batch = self._scan_batch(part, columns)
+                if batch is None:
+                    batch = ColumnBatch.from_rows(self._scan_rows(part), schema)
+            return iter((batch,))
 
         return self.idf.rdd.map_partitions_with_context(scan, preserves_partitioning=True)
 

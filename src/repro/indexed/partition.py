@@ -484,32 +484,34 @@ class IndexedPartition:
                 out.extend(decode_all(batch.ensure_resident(), watermark, starts.get(i)))
         return out
 
-    def scan_columns(self, names: "list[str]", registry: Any = None) -> "list[ColumnBatch] | None":
-        """Full scan, column-major: one :class:`ColumnBatch` per row batch,
-        viewing the batch bytes below this version's watermark in place
-        (:meth:`RowCodec.column_batch`; nothing is stored — the views live as
-        long as the caller keeps them). Variable-width records are found from
-        the index's pointers where they tile a batch (:meth:`_index_starts`),
-        else by a walk; ``registry`` counts each viewed batch's source in
-        ``indexed_scan_starts_total{source}``. None when the version is
-        non-contiguous or a batch cannot be viewed (a NULL, a short record):
-        the caller then takes :meth:`scan_rows`, which answers the same.
+    def scan_columns(self, names: "list[str]", registry: Any = None) -> "ColumnBatch | None":
+        """Full scan, column-major: the records below this version's
+        watermarks, in placement order, as *one* :class:`ColumnBatch` over
+        ``names`` (:meth:`RowCodec.column_batch`), so a scan kernel runs once
+        a partition. A single row batch is viewed in place; several are
+        concatenated a named column at a time, and no view of a batch
+        outlives the call. Nothing is stored. Variable-width records are
+        found from the index's pointers where they tile a batch
+        (:meth:`_index_starts`), else by a walk; ``registry`` counts each
+        batch's source in ``indexed_scan_starts_total{source}``. None when
+        the version is non-contiguous or a record cannot be viewed (a NULL,
+        a short record): the caller then takes :meth:`scan_rows`, which
+        answers the same.
         """
         if not self.contiguous:
             return None
         codec = self.codec
-        starts = self._index_starts() if codec.gathers else {}
-        out: list[ColumnBatch] = []
+        index_starts = self._index_starts() if codec.gathers else {}
+        parts, starts = [], []
         for i, (batch, watermark) in enumerate(zip(self.batches, self._watermarks)):
             if watermark:
-                columns = codec.column_batch(batch.ensure_resident(), watermark, names, starts.get(i))
-                if columns is None:
-                    return None
-                out.append(columns)
-        if registry is not None and codec.gathers:
-            registry.inc("indexed_scan_starts_total", len(starts), source="index")
-            registry.inc("indexed_scan_starts_total", len(out) - len(starts), source="walk")
-        return out
+                parts.append((batch.ensure_resident(), watermark))
+                starts.append(index_starts.get(i))
+        columns = codec.column_batch(parts, names, starts)
+        if columns is not None and registry is not None and codec.gathers:
+            registry.inc("indexed_scan_starts_total", len(index_starts), source="index")
+            registry.inc("indexed_scan_starts_total", len(parts) - len(index_starts), source="walk")
+        return columns
 
     def visible_watermarks(self) -> list[int]:
         """Per-batch byte counts visible to this version's sequential scans."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -290,7 +290,7 @@ class RowCodec:
         if starts is None and self.gathers:
             starts = self.record_starts(buf, end)
         names = self.schema.names()
-        batch = self.column_batch(buf, end, names, starts)
+        batch = self.column_batch([(buf, end)], names, [starts])
         if batch is not None:
             return batch.to_rows()
         if starts is None:  # fixed width: a NULL shortened a record
@@ -325,41 +325,70 @@ class RowCodec:
 
     def column_batch(
         self,
-        buf: "bytearray | memoryview",
-        end: int,
+        parts: "Sequence[tuple[bytearray | memoryview, int]]",
         names: "list[str]",
-        starts: "np.ndarray | None" = None,
+        starts: "Sequence[np.ndarray | None] | None" = None,
     ) -> "ColumnBatch | None":
-        """The records laid back-to-back in ``buf[0:end]`` as a column batch
-        over ``names`` — without decoding rows and without copying the batch.
+        """The records laid back-to-back in each ``buf[0:end]`` of ``parts``
+        (a partition's row batches and their watermarks, in order) as *one*
+        column batch over ``names``, without decoding rows (DESIGN.md §18).
 
-        String-free schemas: each column is a read-only strided view of
-        ``buf`` (INTEGER is widened to the int64 every column batch stores
-        it as — the one copy). Schemas with strings (:attr:`gathers`): the
-        record starts are ``starts`` when the caller has them (the index's
-        pointers, DESIGN.md §18), else :meth:`record_starts`; fixed-width
-        columns are gathered from them and string columns are *deferred*
-        (:class:`ColumnBatch`): decoded on first use, for the rows still
-        selected. Returns None — the caller takes :meth:`decode_all`, same
-        answer — when a record holds a NULL (fixed-width: is short of full
-        size).
+        String-free schemas: each batch's records are viewed in place, their
+        lengths and bitmaps checked in one pass over all of them, and each
+        named column is one concatenation of its field's views (INTEGER
+        widened to the int64 every column batch stores it as, in the same
+        copy). A single batch's columns are read-only strided views of its
+        bytes. Schemas with strings (:attr:`gathers`): batch ``i``'s record
+        starts are ``starts[i]`` when the caller has them (the index's
+        pointers), else :meth:`record_starts`; the batches' visible bytes
+        are one ``uint8`` concatenation (a single batch: its own buffer),
+        fixed-width columns are gathered from it and string columns are
+        *deferred* (:class:`ColumnBatch`): decoded on first use, for the rows
+        still selected. With no ``names`` no byte is copied. Returns None —
+        the caller decodes rows, same answer — when a record holds a NULL
+        (fixed-width: is short of full size).
         """
+        if not parts:
+            parts, starts = [(b"", 0)], None
+        starts = [None] * len(parts) if starts is None else starts
         if self._record_dtype is None:
-            if starts is None:
-                starts = self.record_starts(buf, end)
-            if starts is None or self._null_records(buf, end, starts).any():
-                return None
-            return self._gathered_batch(buf, end, names, starts)
+            return self._gathered_parts(parts, names, starts)
         size = self._record_dtype.itemsize
-        if end % size:
+        if any(end % size for _, end in parts):
             return None
-        records = np.frombuffer(buf, dtype=self._record_dtype, count=end // size)
-        records.flags.writeable = False
-        if (records["len"] != size - ROW_HEADER_SIZE).any() or records["nulls"].any():
+        views = [np.frombuffer(buf, dtype=self._record_dtype, count=end // size) for buf, end in parts]
+        views[0].flags.writeable = False  # a single batch's columns are views of it
+        if (_joined(views, "len") != size - ROW_HEADER_SIZE).any() or _joined(views, "nulls").any():
             return None
         index_of = self.schema.index_of
-        columns = {n: _widen(records[f"f{index_of(n)}"]) for n in names}
-        return ColumnBatch(self.schema.select(names), columns, len(records))
+        columns = {n: _joined(views, f"f{index_of(n)}") for n in names}
+        return ColumnBatch(self.schema.select(names), columns, sum(map(len, views)))
+
+    def _gathered_parts(
+        self,
+        parts: "Sequence[tuple[bytearray | memoryview, int]]",
+        names: "list[str]",
+        starts: "Sequence[np.ndarray | None]",
+    ) -> "ColumnBatch | None":
+        """:meth:`column_batch` for a schema with strings."""
+        starts = [self.record_starts(buf, end) if at is None else at for (buf, end), at in zip(parts, starts)]
+        if any(at is None for at in starts):
+            return None
+        if not names:  # nothing to gather: test each batch in place
+            if any(self._null_records(buf, end, at).any() for (buf, end), at in zip(parts, starts)):
+                return None
+            return ColumnBatch(self.schema.select([]), {}, sum(map(len, starts)))
+        if len(parts) == 1:
+            (buf, end), at = parts[0], starts[0]
+        else:
+            sizes = [end for _, end in parts]
+            offsets = (np.cumsum(sizes) - sizes).tolist()  # where each batch's bytes start in ``buf``
+            buf = np.concatenate([np.frombuffer(b, np.uint8, e) for b, e in parts])
+            at = np.concatenate([s + offset for s, offset in zip(starts, offsets)])
+            end = len(buf)
+        if self._null_records(buf, end, at).any():
+            return None
+        return self._gathered_batch(buf, end, names, at)
 
     def record_starts(self, buf: "bytearray | memoryview", end: int) -> "np.ndarray | None":
         """Where each record laid back-to-back in ``buf[0:end]`` starts: one
@@ -458,6 +487,15 @@ _LE_U2 = np.dtype("<u2")
 def _widen(column: np.ndarray) -> np.ndarray:
     """INTEGER is 4 bytes in a record and int64 in every column batch."""
     return column.astype(np.int64) if column.dtype.itemsize == 4 else column
+
+
+def _joined(records: "list[np.ndarray]", field: str) -> np.ndarray:
+    """Field ``field`` of the record arrays ``records`` end to end: a view of
+    the one array when there is one, else one copy, INTEGER widened in it."""
+    columns = [r[field] for r in records]
+    if len(columns) == 1:
+        return _widen(columns[0])
+    return np.concatenate(columns, dtype=np.int64 if columns[0].dtype.itemsize == 4 else None)
 
 
 def _window(buf: "bytearray | memoryview", end: int, dtype: np.dtype) -> np.ndarray:

@@ -462,13 +462,13 @@ class ShardRouter:
         still verifies, its partition is the repair source
         (``"replica_copy"``); when none does, the damaged cached blocks are
         quarantined and the split is re-pinned from lineage
-        (``"lineage_repin"`` — the rebuild cost lands on the cache
-        manager's ``lineage_rebuild`` attribution, not double-counted
-        here). Either way the served pin takes the verified copy of the
-        split (same version: what :meth:`pinned` readers see) and the
-        replication factor is restored before returning, so the
-        zero-wrong-answers contract holds with no degraded window beyond
-        this call.
+        (``"lineage_repin"`` — the repair is counted by
+        :meth:`~repro.engine.context.EngineContext.quarantine_corrupt` or the
+        cache manager's rebuild, not here). Either way the served pin takes
+        the verified copy of the split (same version: what :meth:`pinned`
+        readers see) and the replication factor is restored before
+        returning, so the zero-wrong-answers contract holds with no degraded
+        window beyond this call.
         """
         with self._admin_lock:
             pin, table = self._pinned[view], self._tables[view]
@@ -494,12 +494,8 @@ class ShardRouter:
                 how = "replica_copy"
             else:
                 how = "lineage_repin"
-                matched = self.context.quarantine_corrupt(exc)
+                self.context.quarantine_corrupt(exc)
                 source = PinnedSnapshot.pin(pin.idf).partitions[split]
-                if matched == 0:
-                    # Nothing was cached: the re-pin itself is the repair
-                    # (otherwise the cache manager's rebuild attributes it).
-                    self.registry.inc("corruption_repaired_total", how="repin")
             pin.partitions[split] = source
             # Restore the replication factor with the verified source.
             installs: dict[int, Any] = {}

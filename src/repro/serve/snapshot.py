@@ -54,8 +54,9 @@ class PinnedSnapshot:
         checksums are verified (or anchored, on first pin) before the
         snapshot is served. A mismatch quarantines the damaged blocks and
         re-materializes from lineage, up to once per partition (each audit
-        stops at the first damaged batch) — the repair itself is attributed
-        by the cache manager's rebuild path, not double-counted here.
+        stops at the first damaged batch) — the repair itself is counted by
+        the quarantine (a partition no cached block holds any more) or the
+        cache manager's rebuild, not here.
         """
         context = idf.session.context
         for _ in range(idf.num_partitions):

@@ -7,10 +7,11 @@ producers share it, and so share the kernels that consume it
 (:meth:`ColumnBatch.scan`, the vectorised partial aggregate):
 
 * the baseline cache (``df.cache()``) stores one batch per partition;
-* the row-wise Indexed DataFrame *views* its binary row batches as column
-  batches for the length of one task (DESIGN.md §18) — fixed-width columns
-  are strided views of the row bytes, string columns are **deferred**:
-  decoded on first use, and only for the rows still selected by then.
+* the row-wise Indexed DataFrame reads a partition's binary row batches as
+  one column batch for the length of one task (DESIGN.md §18) — fixed-width
+  columns are strided views of a lone row batch's bytes or one copy of
+  several, string columns are **deferred**: decoded on first use, and only
+  for the rows still selected by then.
 """
 
 from __future__ import annotations

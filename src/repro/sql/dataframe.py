@@ -181,7 +181,13 @@ class DataFrame:
         return [Row(t, schema) for t in self.collect_tuples()]
 
     def count(self) -> int:
-        return self.session.plan_physical(self.plan).execute().count()
+        """``count(*)``, planned as a global aggregate: over a scan with the
+        column kernels on, each partition's batch reports its row count and
+        no row is decoded; otherwise the partial aggregate folds rows."""
+        from repro.sql.functions import count
+
+        rows = self.agg(count()).collect_tuples()
+        return rows[0][0] if rows else 0
 
     def first(self) -> Row | None:
         rows = self.limit(1).collect()

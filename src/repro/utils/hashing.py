@@ -93,13 +93,20 @@ def hash_column(values: "np.ndarray | Iterable[object]") -> np.ndarray:
     Integer, bool and float arrays are mixed entirely in numpy. A list is
     made an array only when every key is an int, every one a float or every
     one a bool: numpy would promote a mix (``[7, 2.5]`` to floats, an int
-    past ``2**63`` to a float) and hash what it made. Anything else
+    past ``2**63`` to a float) and hash what it made. A list of tuples of
+    one arity (group keys) is hashed a position at a time, with
+    :func:`hash64`'s tuple rule over each position's column. Anything else
     (strings, None, mixed) is hashed key by key; every path equals
     :func:`hash64`, which property tests assert.
     """
     if not isinstance(values, np.ndarray):
         keys = list(values)
         kinds = set(map(type, keys))
+        if kinds == {tuple} and len(set(map(len, keys))) == 1:
+            h = np.full(len(keys), 0x345678, np.uint64)
+            for column in zip(*keys):
+                h = _splitmix64_np(h ^ hash_column(column))
+            return h
         dtype = _BULK_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
         try:
             values = None if dtype is None else np.array(keys, dtype)

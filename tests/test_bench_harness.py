@@ -143,6 +143,38 @@ class TestReducedFigures:
         fig = experiments.fig12_fault_tolerance(n_rows=10_000, n_queries=10, kill_at=5)
         assert [ok for desc, ok in fig.shape_checks if "pre-failure answer" in desc] == [True]
 
+    def test_fig12_summary_when_the_slowest_query_is_the_last(self):
+        """Nothing follows the spike: the table says so and the return check
+        fails with that reason; no other check changes."""
+        latencies = [0.010, 0.011, 0.009, 0.010, 0.012, 0.010, 0.011, 0.010, 0.009, 0.050]
+        rows, checks = experiments.fig12_summary(latencies, [0.010] * 10, kill_at=8)
+        table = dict(rows)
+        assert table["spike (query 10) (s)"] == 0.050
+        assert table["median after recovery (s)"] == "no query after the spike"
+        assert table["never-killed twin, after / before"] == "no query after the spike"
+        (returns,) = [check for check in checks if check[0].startswith("latency returns to normal")]
+        assert returns == (
+            "latency returns to normal after recovery (within 50%, net of the twin's drift): "
+            "no query followed the spike",
+            False,
+        )
+        others = dict(check for check in checks if check is not returns)
+        assert others == {
+            "failure query pays a visible recovery spike (>2x normal)": True,
+            "spike occurs at (or right after) the kill point": True,
+        }
+
+    def test_fig12_summary_judges_recovery_net_of_the_twin(self):
+        latencies = [0.010] * 4 + [0.060] + [0.014] * 5
+        twin = [0.010] * 5 + [0.012] * 5
+        rows, checks = experiments.fig12_summary(latencies, twin, kill_at=5)
+        table = dict(rows)
+        assert table["median after recovery (s)"] == 0.014
+        assert table["never-killed twin, after / before"] == pytest.approx(1.2)
+        assert all(ok for _, ok in checks)
+        slower = experiments.fig12_summary([0.010] * 4 + [0.060] + [0.020] * 5, twin, kill_at=5)[1]
+        assert [ok for _, ok in slower] == [True, False, True]
+
     def test_join_strategies_agree(self):
         fig = experiments.ablation_joins(n_rows=5_000, reps=1)
         assert [ok for desc, ok in fig.shape_checks if "same rows" in desc] == [True]

@@ -259,10 +259,6 @@ def mixed_rows(n, seed=5):
     ]
 
 
-def rows_of(batches):
-    return [row for batch in batches for row in batch.to_rows()]
-
-
 def placed(rows):
     """Where a first build of ``WIDE_SCHEMA`` rows sits: the array layout
     places it in key order, each key's rows in arrival order."""
@@ -282,24 +278,31 @@ def exported(buf) -> bool:
 
 class TestScanColumns:
     def test_fixed_width_columns_are_views_of_the_batch_bytes(self):
+        """A one-batch partition is viewed in place; several row batches are
+        one column batch of copied columns, and no view of a row batch
+        outlives the call."""
+        one = make_partition(WIDE_SCHEMA, "k", batch_size=4096)
+        one.insert_rows(wide_rows(100))
+        assert len(one.batches) == 1
+        columns = one.scan_columns(["k", "w", "ok"])
+        raw = np.frombuffer(one.batches[0].buf, dtype=np.uint8)
+        for name in ("k", "w", "ok"):
+            view = columns.column(name)
+            assert np.shares_memory(view, raw), name
+            assert not view.flags.writeable
         p = make_partition(WIDE_SCHEMA, "k", batch_size=512)
-        rows = wide_rows(100)
-        p.insert_rows(rows)
-        batches = p.scan_columns(["k", "w", "ok"])
-        assert len(batches) == len(p.batches) > 3
-        for columns, batch in zip(batches, p.batches):
-            raw = np.frombuffer(batch.buf, dtype=np.uint8)
-            for name in ("k", "w", "ok"):
-                view = columns.column(name)
-                assert np.shares_memory(view, raw), name
-                assert not view.flags.writeable
-        assert rows_of(batches) == [(r[0], r[2], r[3]) for r in p.scan_rows()]
+        p.insert_rows(wide_rows(100))
+        assert len(p.batches) > 3
+        columns = p.scan_columns(["k", "w", "ok"])
+        assert len(columns) == 100
+        assert not any(exported(batch.buf) for batch in p.batches)
+        assert columns.to_rows() == [(r[0], r[2], r[3]) for r in p.scan_rows()]
 
     def test_integer_is_widened_to_the_column_batch_dtype(self):
         p = make_partition(WIDE_SCHEMA, "k", batch_size=4096)
         rows = wide_rows(50)
         p.insert_rows(rows)
-        (columns,) = p.scan_columns(["i"])
+        columns = p.scan_columns(["i"])
         assert columns.column("i").dtype == np.int64
         assert columns.column("i").tolist() == [r[1] for r in placed(rows)]
 
@@ -310,16 +313,16 @@ class TestScanColumns:
             if schema is WIDE_SCHEMA:
                 rows = placed(rows)  # strings take the row layout: arrival order
             names = schema.names()
-            assert rows_of(p.scan_columns(names)) == p.scan_rows() == rows
+            assert p.scan_columns(names).to_rows() == p.scan_rows() == rows
             back = names[::-1]
-            assert rows_of(p.scan_columns(back)) == [r[::-1] for r in rows]
-            assert sum(len(b) for b in p.scan_columns([])) == 300
+            assert p.scan_columns(back).to_rows() == [r[::-1] for r in rows]
+            assert len(p.scan_columns([])) == 300
 
     def test_strings_decode_only_when_used_and_only_for_selected_rows(self):
         p = make_partition(MIXED_SCHEMA, "k", batch_size=1 << 16)
         rows = mixed_rows(200)
         p.insert_rows(rows)
-        (columns,) = p.scan_columns(["k", "mid", "tail"])
+        columns = p.scan_columns(["k", "mid", "tail"])
         assert set(columns.deferred) == {"mid", "tail"} and set(columns.columns) == {"k"}
         decoded = []
         for name in ("mid", "tail"):
@@ -366,9 +369,9 @@ class TestScanColumns:
         v1 = v0.snapshot(1)
         extra = wide_rows(10, seed=8)
         v1.insert_rows(extra)  # same tail batch: bytes beyond v0's watermark
-        assert rows_of(v1.scan_columns(["k", "w"])) == [(r[0], r[2]) for r in rows + extra]
-        assert rows_of(v0.scan_columns(["k", "w"])) == [(r[0], r[2]) for r in rows]
-        assert rows_of(before) == [(r[0], r[2]) for r in rows]  # the old views too
+        assert v1.scan_columns(["k", "w"]).to_rows() == [(r[0], r[2]) for r in rows + extra]
+        assert v0.scan_columns(["k", "w"]).to_rows() == [(r[0], r[2]) for r in rows]
+        assert before.to_rows() == [(r[0], r[2]) for r in rows]  # the old views too
 
     def test_spilled_batches_fault_in_and_no_view_outlives_the_caller(self, tmp_path):
         from repro.indexed.row_batch import spill_partition
@@ -378,15 +381,26 @@ class TestScanColumns:
         p.insert_rows(rows)
         spill_partition(p, spill_dir=str(tmp_path), keep_tail=False)
         assert not any(b.resident for b in p.batches)
-        batches = p.scan_columns(["k", "i"])
-        assert p.spill_faults() == len(p.batches)
-        assert rows_of(batches) == [(r[0], r[1]) for r in placed(rows)]
-        buffers = [b.buf for b in p.batches]
-        assert all(exported(buf) for buf in buffers)
-        del batches
-        # Nothing was stored on the partition or its batches: with the
-        # caller's views gone the bytes are free to be released.
-        assert not any(exported(buf) for buf in buffers)
+        columns = p.scan_columns(["k", "i"])
+        assert p.spill_faults() == len(p.batches) > 1  # each batch faulted in once
+        want = [(r[0], r[1]) for r in placed(rows)]
+        assert columns.to_rows() == want
+        # Several batches are copied: with the column batch alive no batch
+        # buffer is exported, and every batch can spill again.
+        assert not any(exported(b.buf) for b in p.batches)
         for b in p.batches:
             b.spill()
         assert not any(b.resident for b in p.batches)
+        assert columns.to_rows() == want
+        # One batch is viewed: its views live as long as the caller keeps them.
+        one = make_partition(WIDE_SCHEMA, "k", batch_size=4096)
+        one.insert_rows(rows)
+        spill_partition(one, spill_dir=str(tmp_path), keep_tail=False)
+        columns = one.scan_columns(["k", "i"])
+        assert one.spill_faults() == 1 and columns.to_rows() == want
+        buf = one.batches[0].buf
+        assert exported(buf)
+        del columns
+        # Nothing was stored on the partition or its batch: with the
+        # caller's views gone the bytes are free to be released.
+        assert not exported(buf)

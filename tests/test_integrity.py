@@ -258,7 +258,7 @@ class TestScrubber:
         other replica the split is re-pinned from lineage, the served pin
         takes the verified copy, and the ledger balances — attributed to
         the cache manager's rebuild when the damaged block was cached, to
-        the re-pin (``how=repin``) when the block store no longer held it."""
+        the re-read (``how=reread``) when the block store no longer held it."""
         from repro.integrity import audit_partition
         from repro.serve.scrub import SnapshotScrubber
 
@@ -268,7 +268,7 @@ class TestScrubber:
         assert stats["found"] == 1 and stats["repaired"] == 1
         detected, repaired = counters(s)
         assert detected == repaired > 0
-        repins = s.context.registry.counter_value("corruption_repaired_total", how="repin")
+        repins = s.context.registry.counter_value("corruption_repaired_total", how="reread")
         assert repins == (1 if evicted else 0)
         pin = server.pinned("v")
         audit_partition(pin.partitions[0], where="test")  # verified bytes now
@@ -387,6 +387,71 @@ class TestScrubber:
         detected, repaired = counters(s)
         assert detected == repaired > 0
         assert s.context.faults.corruptions
+
+
+class TestOneRepairPerDetection:
+    """Every detection is matched by exactly one repair, also when no cached
+    block is left for its quarantine to mark."""
+
+    def test_two_tasks_hit_one_damaged_batch(self, tmp_path):
+        """Two concurrent tasks fault in the same damaged spill file: two
+        detections; the first quarantine marks the block for rebuild, the
+        second finds nothing left to mark and its task's re-read repairs."""
+        import threading
+
+        from repro.engine.rdd import MapPartitionsRDD, PrunedRDD
+
+        s = Session(config=Config(
+            default_parallelism=2, shuffle_partitions=2, scheduler_mode="threads",
+            task_retry_backoff=0.0, small_stage_inline_threshold=0, small_stage_inline_rows=0,
+        ))
+        rows = make_rows(2000, keys=20)
+        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
+        (part,) = PrunedRDD(idf.rdd, [0]).collect()
+        batch = part.batches[0]
+        batch.spill(str(tmp_path))
+        corrupt_file(batch._path, batch._spill_len, "bit_flip")
+        both_hold_it = threading.Barrier(2, timeout=10)
+        first_attempts: set[int] = set()
+
+        def read(parts, split, ctx):
+            held = next(iter(parts))
+            if split not in first_attempts:  # both tasks hold the damaged copy, then fault it in
+                first_attempts.add(split)
+                both_hold_it.wait()
+            return [len(held.scan_rows())]
+
+        counts = MapPartitionsRDD(PrunedRDD(idf.rdd, [0, 0]), read).collect()
+        assert counts == [part.row_count] * 2
+        reg = s.context.registry
+        assert reg.counter_by_label("corruption_detected_total", "where") == {"spill_fault_in": 2}
+        assert reg.counter_by_label("corruption_repaired_total", "how") == {"lineage_rebuild": 1, "reread": 1}
+
+    def test_pin_of_a_partition_no_block_holds(self, monkeypatch):
+        """The pin's audit finds damage in a partition its job returned but
+        the block store no longer holds (a concurrent task's memory squeeze
+        evicted it): no block to mark, and the re-pin's rebuild repairs."""
+        from repro.serve.snapshot import PinnedSnapshot
+
+        s = Session(config=Config(default_parallelism=2, shuffle_partitions=2))
+        rows = make_rows(2000, keys=20)
+        idf = s.create_dataframe(rows, EDGE, "edges").create_index("src").cache_index()
+        first = PinnedSnapshot.pin(idf)  # anchors every partition
+        assert _corrupt_pinned(first.partitions[0])
+        materialize = idf.materialize_partitions
+
+        def evicted_once_read():
+            parts = materialize()
+            for split in range(idf.num_partitions):
+                s.context.invalidate_block((idf.rdd.rdd_id, split))
+            return parts
+
+        monkeypatch.setattr(idf, "materialize_partitions", evicted_once_read)
+        repinned = PinnedSnapshot.pin(idf)
+        reg = s.context.registry
+        assert reg.counter_by_label("corruption_detected_total", "where") == {"pin": 1}
+        assert reg.counter_by_label("corruption_repaired_total", "how") == {"reread": 1}
+        assert sorted(repinned.lookup(7)) == sorted(t for t in rows if t[0] == 7)
 
 
 # ---------------------------------------------------------------------------

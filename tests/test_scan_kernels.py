@@ -1,5 +1,9 @@
 """The full-scan kernels of DESIGN.md §18 and the aggregate's dense group ids.
 
+* One column batch a partition: ``scan_columns`` over every visible row
+  batch answers the projected ``scan_rows``, or None exactly where a record
+  cannot be viewed (a NULL, a short record) or the version is not
+  contiguous — a seeded differential over many small batches.
 * Record starts from the index: where this version's index pointers tile a
   row batch, they are its record starts — the same the ``row_len`` walk
   finds; every other batch is walked, and the column batch is the same.
@@ -23,7 +27,7 @@ from repro.indexed.row_codec import RowCodec
 from repro.sql import aggregates
 from repro.sql.aggregates import _group_rows
 from repro.sql.functions import col
-from repro.sql.types import DOUBLE, LONG, STRING, Schema
+from repro.sql.types import BOOLEAN, DOUBLE, INTEGER, LONG, STRING, Schema
 
 #: Fixed-length strings make every record 26 bytes: 10 a batch of 260.
 STR_SCHEMA = Schema.of(("s", STRING), ("x", LONG))
@@ -61,17 +65,127 @@ def assert_index_starts_are_the_walks(p, every_batch=True):
     return index
 
 
-def rows_of(batches):
-    return [row for batch in batches for row in batch.to_rows()]
-
-
 def walk_only(p, names):
     """``scan_columns`` with every batch's starts walked."""
-    return [
-        p.codec.column_batch(batch.buf, wm, names)
-        for batch, wm in zip(p.batches, p.visible_watermarks())
-        if wm
-    ]
+    return p.codec.column_batch(
+        [(batch.buf, wm) for batch, wm in zip(p.batches, p.visible_watermarks()) if wm], names
+    )
+
+
+#: The differential's schemas: every fixed-width type, and strings before,
+#: between and after fixed-width columns.
+DIFF_SCHEMAS = (
+    Schema.of(("k", LONG), ("i", INTEGER), ("w", DOUBLE), ("ok", BOOLEAN)),
+    Schema.of(("head", STRING), ("k", LONG), ("mid", STRING), ("w", DOUBLE), ("i", INTEGER), ("tail", STRING)),
+)
+
+
+def random_row(rng, schema, null_share=0.0):
+    values = []
+    for field in schema.fields:
+        if rng.random() < null_share:
+            values.append(None)
+        elif field.name == "k":
+            values.append(rng.randrange(40))  # duplicate keys: chains and walked starts
+        elif field.dtype == LONG:
+            values.append(rng.randrange(-(2**63), 2**63))
+        elif field.dtype == INTEGER:
+            values.append(rng.randrange(-(2**31), 2**31))
+        elif field.dtype == DOUBLE:
+            values.append(rng.uniform(-1e6, 1e6))
+        elif field.dtype == BOOLEAN:
+            values.append(rng.random() < 0.5)
+        else:
+            values.append("".join(rng.choice("ab zé日") for _ in range(rng.randrange(12))))
+    return tuple(values)
+
+
+def scan_differential(seed: int, spill_dir: str) -> int:
+    """One seeded partition history — a first build, appended versions, a
+    NULL now and then, a diverged sibling, spilled batches — and, for every
+    version, ``scan_columns`` of random names against the projected
+    ``scan_rows()``. Returns how many versions were viewed."""
+    rng = random.Random(seed)
+    schema = rng.choice(DIFF_SCHEMAS)
+    key = rng.choice([n for n in ("k", "head") if n in schema.names()])
+    part = IndexedPartition(
+        schema, key, batch_size=rng.randrange(256, 4097), ordered_compact_threshold=rng.choice([0, 4, 512])
+    )
+    versions = [part]
+    if rng.random() < 0.9:
+        part.insert_rows([random_row(rng, schema) for _ in range(rng.randrange(1, 300))])
+    for _ in range(rng.randrange(4)):
+        version = versions[-1].snapshot(len(versions))
+        share = 0.2 if rng.random() < 0.15 else 0.0
+        version.insert_rows([random_row(rng, schema, share) for _ in range(rng.randrange(1, 80))])
+        versions.append(version)
+    if rng.random() < 0.2:  # siblings writing into one shared tail
+        parent = versions[-1]
+        for sibling in (parent.snapshot(len(versions)), parent.snapshot(len(versions))):
+            sibling.insert_rows([random_row(rng, schema) for _ in range(rng.randrange(1, 4))])
+            versions.append(sibling)
+    if rng.random() < 0.3:
+        spill_partition(rng.choice(versions), spill_dir=spill_dir, keep_tail=rng.random() < 0.5)
+    viewed = 0
+    for version in versions:
+        names = rng.sample(schema.names(), rng.randrange(len(schema) + 1))
+        batch = version.scan_columns(names)
+        rows = version.scan_rows()
+        if not version.contiguous or any(None in row for row in rows):
+            assert batch is None, (seed, version.version)
+            continue
+        assert batch.num_rows == len(rows), (seed, version.version)
+        ordinals = [schema.index_of(n) for n in names]
+        assert batch.to_rows() == [tuple(row[i] for i in ordinals) for row in rows], (seed, names)
+        viewed += 1
+    return viewed
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [range(40), pytest.param(range(40, 440), marks=pytest.mark.slow)],
+    ids=["40-seeds", "400-seeds"],
+)
+def test_one_column_batch_is_the_projected_row_scan(seeds, tmp_path):
+    viewed = [scan_differential(seed, str(tmp_path)) for seed in seeds]
+    assert sum(viewed) > len(viewed)  # most histories are viewable
+
+
+class TestOneBatchAPartition:
+    def test_many_batches_are_one_column_batch(self):
+        p = make(str_rows(range(95)))
+        assert len(p.batches) == 10
+        batch = p.scan_columns(["x", "s"])
+        assert batch.num_rows == 95 and batch.to_rows() == [(k, f"s{k:04d}") for k in range(95)]
+
+    def test_no_names_copies_no_string_bytes(self, monkeypatch):
+        p = make(str_rows(range(95)))
+        joined, concatenate = [], np.concatenate
+        monkeypatch.setattr(
+            np, "concatenate", lambda arrays, *a, **kw: joined.extend(arrays) or concatenate(arrays, *a, **kw)
+        )
+        assert p.scan_columns(["x"]) is not None
+        assert any(part.dtype == np.uint8 for part in joined)  # the bytes, joined for a gather
+        joined.clear()
+        batch = p.scan_columns([])
+        assert not any(part.dtype == np.uint8 for part in joined)
+        assert batch.num_rows == 95 and not batch.columns and not batch.deferred
+
+    def test_an_empty_partition_is_an_empty_batch(self):
+        for schema, key in ((STR_SCHEMA, "x"), (DIFF_SCHEMAS[0], "k")):
+            batch = make(schema=schema, key=key).scan_columns(schema.names())
+            assert batch.num_rows == 0 and batch.to_rows() == []
+            assert all(len(batch.column(n)) == 0 for n in schema.names())
+
+    def test_starts_are_counted_per_batch(self):
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        p = make(str_rows(list(range(10)) + [9] + list(range(11, 30))))  # batch 0 does not tile
+        assert p.scan_columns(["s"], registry) is not None
+        counts = registry.counter_by_label("indexed_scan_starts_total", "source")
+        assert counts == {"index": len(p._index_starts()), "walk": 1}
+        assert sum(counts.values()) == len(p.batches) == 3
 
 
 class TestStartsFromTheIndex:
@@ -124,7 +238,7 @@ class TestBatchesThatDoNotTile:
         assert set(walked(p)) - set(index) == set(untiled)
         names = ["x", "s"]
         got = p.scan_columns(names)
-        assert rows_of(got) == rows_of(walk_only(p, names)) == [(r[1], r[0]) for r in p.scan_rows()]
+        assert got.to_rows() == walk_only(p, names).to_rows() == [(r[1], r[0]) for r in p.scan_rows()]
 
     def test_duplicate_keys(self):
         rows = str_rows(random.Random(2).choices(range(12), k=95))
@@ -165,9 +279,9 @@ class TestBatchesThatDoNotTile:
         assert not any(b.resident for b in p.batches)
         assert len(p._index_starts()) == len(p.batches)  # the index reads no batch
         assert p.spill_faults() == 0
-        batches = p.scan_columns(["x", "s"])
+        batch = p.scan_columns(["x", "s"])
         assert p.spill_faults() == len(p.batches)
-        assert rows_of(batches) == [(k, f"s{k:04d}") for k in range(95)]
+        assert batch.to_rows() == [(k, f"s{k:04d}") for k in range(95)]
 
     def test_a_non_contiguous_sibling_is_none(self):
         parent = make(str_rows(range(5)))
@@ -175,7 +289,7 @@ class TestBatchesThatDoNotTile:
         a.insert_rows(str_rows([100]))
         b.insert_rows(str_rows([200]))  # lands after a's row in the shared tail
         assert_index_starts_are_the_walks(a)
-        assert rows_of(a.scan_columns(["x"])) == [(k,) for k in [0, 1, 2, 3, 4, 100]]
+        assert a.scan_columns(["x"]).to_rows() == [(k,) for k in [0, 1, 2, 3, 4, 100]]
         assert not b.contiguous and b.scan_columns(["x"]) is None
 
 
@@ -235,9 +349,9 @@ class TestWindowDecode:
     )
     def test_values_equal_the_utf8_decode(self, values):
         codec, buf = codec_batch(values)
-        batch = codec.column_batch(buf, len(buf), ["s", "x"])
+        batch = codec.column_batch([(buf, len(buf))], ["s", "x"])
         assert batch.column("s").tolist() == values
-        decode = codec.column_batch(buf, len(buf), ["s"]).deferred["s"]
+        decode = codec.column_batch([(buf, len(buf))], ["s"]).deferred["s"]
         for rows in ([0], [len(values) - 1], [2, 0], list(range(len(values)))[::-1], []):
             assert decode(np.array(rows, np.intp)).tolist() == [values[r] for r in rows]
 
@@ -247,12 +361,12 @@ class TestWindowDecode:
         codec, buf = codec_batch(values)
         with pytest.raises(ValueError):
             codec.encode(("m" * (longest + 1), 0), 0)
-        assert codec.column_batch(buf, len(buf), ["s"]).column("s").tolist() == values
+        assert codec.column_batch([(buf, len(buf))], ["s"]).column("s").tolist() == values
 
     def test_ascii_rows_selected_beside_non_ascii_ones(self):
         values = ["ab", "ü", "cd", "ß", "ef"]
         codec, buf = codec_batch(values)
-        batch = codec.column_batch(buf, len(buf), ["s", "x"])
+        batch = codec.column_batch([(buf, len(buf))], ["s", "x"])
         kept = batch.scan(col("x") % 2 == 0, ["s"])
         assert kept.to_rows() == [("ab",), ("cd",), ("ef",)]
         kept = batch.scan(col("x") > 0, ["s"])
@@ -264,11 +378,11 @@ class TestWindowDecode:
         buf[at + 1] = 0xFF  # an invalid start byte inside the second string
         with pytest.raises(UnicodeDecodeError) as expected:
             str(buf[at : at + 4], "utf-8")
-        batch = codec.column_batch(buf, len(buf), ["s"])
+        batch = codec.column_batch([(buf, len(buf))], ["s"])
         with pytest.raises(UnicodeDecodeError) as raised:
             batch.column("s")
         assert str(raised.value) == str(expected.value)
-        decode = codec.column_batch(buf, len(buf), ["s"]).deferred["s"]
+        decode = codec.column_batch([(buf, len(buf))], ["s"]).deferred["s"]
         assert decode(np.array([0, 2], np.intp)).tolist() == ["good", "fine"]  # the bad row not asked
 
 

@@ -191,3 +191,62 @@ class TestSQLEndToEnd:
             "SELECT id, gid FROM t JOIN d ON grp = g WHERE id < 8"
         ).collect_tuples()
         assert sorted(out) == [(i, i % 4) for i in range(8)]
+
+
+def counted_rows(frame) -> int:
+    """What ``count()`` answered before it was an aggregate: the executed
+    plan's rows, counted one by one."""
+    return frame.session.plan_physical(frame.plan).execute().count()
+
+
+class TestCount:
+    """``count()`` plans ``count(*)``: the same number as counting rows."""
+
+    def test_equals_counting_the_rows(self, session, df):
+        empty = session.create_dataframe([], SCHEMA, "empty")
+        dims = session.create_dataframe(
+            [("g0", 1), ("g2", 2), ("g2", 3)], Schema.of(("g", STRING), ("w", LONG)), "dims"
+        )
+        frames = {
+            "all": df,
+            "empty": empty,
+            "empty filtered": empty.where(col("id") > 1),
+            "filtered to nothing": df.where(col("id") > 1000),
+            "filtered": df.where(col("v") > 10),
+            "join": df.join(dims, on=("grp", "g")),
+            "limit": df.limit(7),
+            "limit 0": df.limit(0),
+            "limit past the end": df.where(col("id") < 50).limit(80),
+            "union": df.union(df),
+            "grouped": df.group_by("grp").count(),
+        }
+        for name, frame in frames.items():
+            assert frame.count() == counted_rows(frame), name
+
+    def test_an_indexed_view_counts_batches_and_decodes_no_row(self, session, monkeypatch):
+        from repro.indexed.partition import IndexedPartition
+
+        rows = [(i, f"g{i % 4}", i * 0.5) for i in range(300)]
+        idf = session.create_dataframe(rows, SCHEMA, "t").create_index("id").cache_index()
+        view = idf.to_df()
+        scans, decoded = [], []
+        scan_columns, scan_rows = IndexedPartition.scan_columns, IndexedPartition.scan_rows
+
+        def spy_columns(part, names, registry=None):
+            batch = scan_columns(part, names, registry)
+            scans.append((list(names), len(batch.columns) + len(batch.deferred)))
+            return batch
+
+        def spy_rows(part):
+            decoded.append(part)
+            return scan_rows(part)
+
+        monkeypatch.setattr(IndexedPartition, "scan_columns", spy_columns)
+        monkeypatch.setattr(IndexedPartition, "scan_rows", spy_rows)
+        assert view.count() == idf.count() == 300
+        assert scans and all(scan == ([], 0) for scan in scans) and decoded == []
+        assert view.where(col("v") > 100).count() == counted_rows(view.where(col("v") > 100)) == 99
+        session.context.config.indexed_column_kernels = False
+        scans.clear()
+        assert view.count() == 300
+        assert decoded and scans == []  # the row-only configuration folds rows

@@ -169,3 +169,45 @@ class TestPartitionArray:
     def test_a_mixed_list_is_not_promoted_to_floats(self):
         part = HashPartitioner(8)
         assert part.partition_array([7, 2.5]).tolist() == [part.partition(7), part.partition(2.5)]
+
+
+#: A group-key position: any scalar, a nested pair, or the empty tuple.
+key_parts = any_key | st.tuples(any_key, any_key) | st.just(())
+
+
+@st.composite
+def tuple_key_lists(draw):
+    """Tuples of one arity (0-3), as an aggregate's group keys are."""
+    arity = draw(st.integers(0, 3))
+    return draw(st.lists(st.tuples(*[key_parts] * arity), max_size=30))
+
+
+class TestTupleColumns:
+    """Tuple keys (the aggregate's partial shuffle) are hashed a position at
+    a time with ``hash64``'s tuple rule; ragged or mixed lists key by key."""
+
+    @given(tuple_key_lists() | st.lists(st.tuples(any_key) | st.tuples(any_key, any_key) | any_key, max_size=30))
+    @settings(max_examples=200)
+    def test_tuple_column_is_hash64_key_by_key(self, keys):
+        assert hash_column(keys).tolist() == [hash64(k) for k in keys]
+
+    def test_every_kind_of_position(self):
+        keys = [
+            (2**63, 7.0, float("nan"), -0.0, True, None, "é", (1, (2.5,)), ()),
+            (2**64 - 1, 7.5, 0.0, 0.0, False, None, "", (1, (3,)), ()),
+            (-(2**63), 2.0**70, float("-inf"), 1.0, 1, "x", "a", (None, ("b",)), ()),
+        ]
+        assert hash_column(keys).tolist() == [hash64(k) for k in keys]
+        assert hash_column([(), ()]).tolist() == [hash64(())] * 2
+        assert hash_column([(1,), (1.0,), (True,)]).tolist() == [hash64((1,))] * 3
+
+    def test_no_per_key_hash64_for_scalar_positions(self, monkeypatch):
+        from repro.utils import hashing
+
+        calls = []
+        real = hashing.hash64
+        monkeypatch.setattr(hashing, "hash64", lambda k: calls.append(k) or real(k))
+        keys = [(i % 7, i * 0.5, i % 2 == 0) for i in range(100)]
+        got = hash_column(keys).tolist()
+        assert calls == []
+        assert got == [real(k) for k in keys]
