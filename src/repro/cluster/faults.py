@@ -141,7 +141,7 @@ class FaultInjector:
     #: given seed kills the same shards at the same operations every run.
     shard_kill_prob: float = 0.0
     #: Corruption chaos (DESIGN.md §16): probability that real bytes get
-    #: damaged in a spill file after it is written. The damage mode
+    #: damaged in a batch's spill region after it is written. The damage mode
     #: (bit-flip / truncation / garbled header) is drawn from the same
     #: site. Each injection must be *detected* by a checksum boundary and
     #: repaired from lineage or a replica — never decoded into an answer.
@@ -385,7 +385,7 @@ class FaultInjector:
         return CORRUPTION_MODES[min(i, len(CORRUPTION_MODES) - 1)]
 
     def on_spill_write(self) -> "str | None":
-        """Corruption mode for the spill file just written, or None.
+        """Corruption mode for the spill region just written, or None.
 
         Keyed by a monotonic spill counter (spill order is deterministic
         per seed in sequential mode; in parallel modes the *count* of

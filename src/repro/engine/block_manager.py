@@ -69,9 +69,9 @@ class BlockManager:
         from repro.indexed.row_batch import discard_resident_files
 
         with self._lock:
-            # Resident batches' spill files are stale caches — unlink them
-            # now; files of still-spilled batches are reclaimed by their GC
-            # finalizers once the last sharing version drops.
+            # Resident batches' spill regions are stale caches — drop them
+            # now (a file goes with its last region); regions of
+            # still-spilled batches go once the last sharing version drops.
             for value in self._blocks.values():
                 discard_resident_files(value)
             self._blocks.clear()

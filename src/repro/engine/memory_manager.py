@@ -6,7 +6,8 @@ executor's block store inside a byte budget instead of OOM-ing (DESIGN.md §10):
 * **Metering** — a :class:`~repro.utils.memory.Ledger` of the blocks' parts,
   charged in LRU order so MVCC versions sharing structure count it once.
 * **Tier 1, spill** — sealed row batches of the coldest blocks go to disk in
-  place (:func:`repro.indexed.row_batch.spill_partition`), so every version
+  place, one file per block spilled
+  (:func:`repro.indexed.row_batch.spill_partition`), so every version
   sharing a batch sees the spill; indexes stay queryable.
 * **Tier 2, evict** — whole blocks go, LRU or lowest value density first
   (``eviction_policy="cost"``, DESIGN.md §17), rebuilt from lineage on request.
@@ -207,26 +208,27 @@ class MemoryManager:
         self.context.registry.inc(counter, executor=self.executor_id)
 
     def _spill_block(self, block_id: BlockId, value: Any) -> int:
-        """Tier-1 spill of one stored block; returns the batch bytes released.
-        Once per residency: a partition each of whose sealed batches is
-        spilled, or was faulted back in, holds only what readers faulted back
-        (DESIGN.md §10)."""
+        """Tier-1 spill of one stored block into one file; returns the batch
+        bytes released. Once per residency: a partition each of whose sealed
+        batches is spilled, or was faulted back in, holds only what readers
+        faulted back (DESIGN.md §10)."""
         if value is None:
             return 0
-        freed = 0
         with self.context.tracer.start_span("spill", kind="memory", executor=self.executor_id,
                                             rdd=block_id[0], partition=block_id[1]) as span:
-            for item in value if isinstance(value, (list, tuple)) else [value]:
-                sealed = getattr(item, "batches", ())[:-1]
-                if not all(b.faults or not b.resident for b in sealed):
-                    freed += self.spill_partition(item)
+            spillable = [
+                item for item in (value if isinstance(value, (list, tuple)) else [value])
+                if not all(b.faults or not b.resident for b in getattr(item, "batches", ())[:-1])
+            ]
+            freed = self.spill_partition(spillable) if spillable else 0
             span.set_attr("freed", freed)
         return freed
 
     def spill_partition(self, partition: Any, keep_tail: bool = True) -> int:
-        """Spill a partition's sealed batches here, reactively or for
-        ``IndexedDataFrame.spill_index``: each carries this executor's fault
-        meter and the context's corruption chaos hook."""
+        """Spill the sealed batches of a partition (or of a block's list of
+        them) into one file, reactively or for ``IndexedDataFrame.spill_index``:
+        each carries this executor's fault meter and the context's corruption
+        chaos hook."""
         from repro.indexed.row_batch import spill_partition
 
         return spill_partition(

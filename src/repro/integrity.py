@@ -7,7 +7,7 @@ decode into a silently wrong answer. The checks themselves live on the
 one row batch type (:class:`~repro.indexed.row_batch.RowBatch`): CRC32
 *prefix marks* anchored at a trust-establishing moment (sealing a batch,
 pinning a serve snapshot) and verified whenever the same bytes re-enter
-across a boundary (pin, scrub), and a spill-file CRC checked on every
+across a boundary (pin, scrub), and a spill-region CRC checked on every
 fault-in. The checks are always on. This module holds what the boundaries
 share: the error type, the partition-level anchor and audit, and the chaos
 damage patterns.
@@ -88,7 +88,7 @@ def audit_partition(partition, where: str = "scrub") -> tuple[int, int]:
 
     Returns ``(verified, anchored)``. Raises :class:`CorruptBlockError` on
     the first mismatch. Spilled batches fault in through ``buf`` — their
-    own spill-file CRC check runs first and raises the same error type.
+    own spill-region CRC check runs first and raises the same error type.
     """
     verified = anchored = 0
     for batch, upto in zip(partition.batches, partition.visible_watermarks()):
@@ -146,16 +146,19 @@ def corrupt_buffer(buf, nbytes: int, mode: str, salt: int = 0) -> str:
     return f"flipped bit 0 of byte {i}"
 
 
-def corrupt_file(path: str, nbytes: int, mode: str, salt: int = 0) -> str:
-    """Damage an on-disk spill file. ``truncate`` genuinely shortens it
-    (detected by the length check before the CRC); other modes XOR bytes."""
-    if mode == "truncate":
+def corrupt_file(path: str, nbytes: int, mode: str, salt: int = 0, offset: int = 0) -> str:
+    """Damage the ``nbytes`` region at ``offset`` of an on-disk spill file,
+    and nothing else in it. ``truncate`` genuinely shortens the file when the
+    region ends it (detected by the length check before the CRC) and smashes
+    the region's tail otherwise; other modes XOR bytes."""
+    if mode == "truncate" and offset + nbytes == os.path.getsize(path):
         keep = max(0, nbytes - max(1, nbytes // 4))
-        os.truncate(path, keep)
+        os.truncate(path, offset + keep)
         return f"truncated to {keep}/{nbytes} bytes"
     with open(path, "r+b") as f:
-        data = bytearray(f.read())
-        desc = corrupt_buffer(data, min(nbytes, len(data)), mode, salt)
-        f.seek(0)
+        f.seek(offset)
+        data = bytearray(f.read(nbytes))
+        desc = corrupt_buffer(data, len(data), mode, salt)
+        f.seek(offset)
         f.write(data)
     return desc

@@ -44,7 +44,24 @@ def _fold_rows(
     group_exprs: list[Expression],
     aggs: list[AggregateExpression],
 ) -> None:
-    """The row fold: update ``accs`` with every row."""
+    """The row fold: update ``accs`` with every row. With no group
+    expressions every row folds into one accumulator list, with no key built
+    or looked up per row."""
+    if not group_exprs:
+        acc = accs.get(())
+        if acc is None:
+            acc = accs[()] = [a.init() for a in aggs]
+        if len(aggs) == 1:
+            update, value = aggs[0].update, acc[0]
+            for row in rows:
+                value = update(value, row)
+            acc[0] = value
+            return
+        updates = list(enumerate(a.update for a in aggs))
+        for row in rows:
+            for i, update in updates:
+                acc[i] = update(acc[i], row)
+        return
     for row in rows:
         k = tuple(e.eval(row) for e in group_exprs)
         acc = accs.get(k)
@@ -127,7 +144,8 @@ class HashAggregateExec(PhysicalPlan):
 
     Plan shape mirrors Spark: partial aggregate per input partition,
     shuffle the (group-key, accumulators) pairs, merge + finish per output
-    partition. With no group keys the final merge happens on one partition.
+    partition. With no group keys the final merge happens on one partition,
+    which answers exactly one row, over no input rows too.
     """
 
     def __init__(
@@ -177,6 +195,10 @@ class HashAggregateExec(PhysicalPlan):
         def final(pairs: Iterator[tuple[tuple, tuple]]) -> Iterator[tuple]:
             merged: dict[tuple, list[Any]] = {}
             _merge_pairs(merged, pairs, aggs)
+            if not group_exprs and not merged:
+                # A global aggregate answers one row, over no rows too (the
+                # one reduce partition runs even when no partial arrives).
+                merged[()] = [a.init() for a in aggs]
             for k, acc in merged.items():
                 yield k + tuple(a.finish(v) for a, v in zip(aggs, acc))
 

@@ -186,8 +186,7 @@ class DataFrame:
         no row is decoded; otherwise the partial aggregate folds rows."""
         from repro.sql.functions import count
 
-        rows = self.agg(count()).collect_tuples()
-        return rows[0][0] if rows else 0
+        return self.agg(count()).collect_tuples()[0][0]
 
     def first(self) -> Row | None:
         rows = self.limit(1).collect()

@@ -623,16 +623,24 @@ class AggregateExpression(Expression):
 
 
 class Sum(AggregateExpression):
+    """SQL ``sum``: NULL over no non-NULL value."""
+
     name = "sum"
 
     def init(self) -> Any:
-        return 0
+        return None
 
     def update(self, acc: Any, row: tuple) -> Any:
         v = self.child.eval(row)
-        return acc if v is None else acc + v
+        if v is None:
+            return acc
+        return (0 if acc is None else acc) + v
 
     def merge(self, a: Any, b: Any) -> Any:
+        if a is None:
+            return b
+        if b is None:
+            return a
         return a + b
 
     def reduce_vector(self, values: "np.ndarray | None", groups: RowGroups) -> list:

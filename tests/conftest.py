@@ -38,18 +38,28 @@ def private_temp_dir():
         shutil.rmtree(private, ignore_errors=True)
 
 
+def spill_files(*roots: str) -> set[str]:
+    """Every spill file under ``roots``, at any depth: a block's file
+    (``block-*.spill``) or any other ``*.spill``."""
+    return {
+        os.path.realpath(path) for root in roots  # pytest's "*current" links name a file twice
+        for path in glob.glob(os.path.join(root, "**", "*.spill"), recursive=True)
+    }
+
+
 @pytest.fixture(autouse=True, scope="module")
-def no_leaked_spill_files(private_temp_dir):
-    """Fail a module that leaves more row-batch spill files in the session's
-    temp dir than it found: once its fixtures are gone and a collection has
-    run, every spilled batch it made is unreachable and its finalizer has
-    unlinked the file."""
-    pattern = os.path.join(private_temp_dir, "rowbatch-*.spill")
-    before = len(glob.glob(pattern))
+def no_leaked_spill_files(private_temp_dir, tmp_path_factory):
+    """Fail a module that leaves a spill file it did not find, in the
+    session's temp dir or under any ``tmp_path`` a test passed as its
+    ``spill_dir``: once its fixtures are gone and a collection has run, every
+    spilled batch it made is unreachable, so no batch holds a region of the
+    file and its finalizer has unlinked it."""
+    roots = (private_temp_dir, str(tmp_path_factory.getbasetemp()))
+    before = spill_files(*roots)
     yield
     gc.collect()
-    leaked = len(glob.glob(pattern)) - before
-    assert leaked <= 0, f"{leaked} spill file(s) left behind in {private_temp_dir}"
+    leaked = sorted(spill_files(*roots) - before)
+    assert not leaked, f"{len(leaked)} spill file(s) left behind: {leaked[:5]}"
 
 
 @pytest.fixture(autouse=True, scope="module")

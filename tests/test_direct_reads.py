@@ -349,8 +349,10 @@ def corrupted_point_read(tmp_path, direct: bool):
     )
     damaged = 0
     for batch in block[0].batches:
-        if getattr(batch, "_path", None) is not None and not batch.resident:
-            corrupt_file(batch._path, batch._spill_len, "bit_flip")
+        region = batch.spill_region()
+        if region is not None and not batch.resident:
+            path, offset, length = region
+            corrupt_file(path, length, "bit_flip", offset=offset)
             damaged += 1
     assert damaged
     if direct:

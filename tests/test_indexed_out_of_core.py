@@ -239,3 +239,43 @@ class TestFileLifecycle:
         bm.put((1, 0), [p])
         bm.clear()
         assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_spills_and_fault_ins_of_shared_batches(tmp_path):
+    """Threads spilling and reading MVCC siblings that share every sealed
+    batch: each read sees the rows, and once the work is done every file on
+    disk is one some batch still holds a region of."""
+    import gc
+    import os
+    import sys
+    import threading
+
+    parent = IndexedPartition(SCHEMA, "k", batch_size=512)
+    parent.insert_rows([(i % 25, i, float(i)) for i in range(400)])
+    versions = [parent, *(parent.snapshot(v) for v in range(1, 4))]
+    want = sorted(parent.scan_rows())
+    errors: list = []
+
+    def worker(i):
+        try:
+            for r in range(25):
+                part = versions[(i + r) % len(versions)]
+                spill_partition(part, spill_dir=str(tmp_path), keep_tail=r % 2 == 0)
+                assert sorted(part.scan_rows()) == want
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    gc.collect()
+    held = {os.path.basename(r[0]) for b in parent.batches if (r := b.spill_region())}
+    assert {p.name for p in tmp_path.iterdir()} <= held

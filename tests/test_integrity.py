@@ -18,6 +18,7 @@ Covers the whole detect → quarantine → repair pipeline:
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import pytest
@@ -26,7 +27,7 @@ from repro.cluster.faults import FaultInjector
 from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.indexed.partition import IndexedPartition
-from repro.indexed.row_batch import RowBatch
+from repro.indexed.row_batch import RowBatch, spill_partition
 from repro.integrity import (
     CORRUPTION_MODES,
     CorruptBlockError,
@@ -39,7 +40,7 @@ from repro.integrity import (
 )
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, Schema
-from tests.conftest import recovery_counts
+from tests.conftest import MODES, recovery_counts
 
 EDGE = Schema.of(("src", LONG), ("dst", LONG), ("w", DOUBLE))
 
@@ -175,7 +176,9 @@ class TestSpillBoundary:
         batch = RowBatch(8192)
         batch.append(b"y" * 5000)
         batch.spill(str(tmp_path))
-        corrupt_file(batch._path, 5000, mode)
+        path, offset, length = batch.spill_region()
+        assert length == 5000
+        corrupt_file(path, length, mode, offset=offset)
         with pytest.raises(CorruptBlockError) as err:
             batch.ensure_resident()
         assert err.value.where == "spill_fault_in"
@@ -188,6 +191,92 @@ class TestSpillBoundary:
         batch.spill(str(tmp_path))
         with pytest.raises(CorruptBlockError):
             batch.ensure_resident()
+
+
+class TestSpillRegions:
+    """One spill file holds a region per batch; damage stays in its region."""
+
+    @staticmethod
+    def spilled(tmp_path, hook=None):
+        part = IndexedPartition(EDGE, "src", batch_size=512)
+        part.insert_rows(make_rows(400, keys=25))
+        sealed = part.batches[:-1]
+        assert len(sealed) > 3
+        want = [bytes(b.buf[: b.used]) for b in sealed]
+        spill_partition(part, spill_dir=str(tmp_path), corruption_hook=hook)
+        assert len({b.spill_region()[0] for b in sealed}) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [
+            os.path.basename(sealed[0].spill_region()[0])]
+        return part, sealed, want
+
+    @staticmethod
+    def check_only(sealed, want, damaged):
+        for i, batch in enumerate(sealed):
+            if i in damaged:
+                with pytest.raises(CorruptBlockError) as err:
+                    batch.ensure_resident()
+                assert err.value.where == "spill_fault_in" and err.value.batch is batch
+                assert not batch.resident
+            else:
+                assert bytes(batch.ensure_resident()[: batch.used]) == want[i]
+
+    @pytest.mark.parametrize("mode", CORRUPTION_MODES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_damage_to_one_region_fails_that_batch_only(self, tmp_path, mode, where):
+        part, sealed, want = self.spilled(tmp_path)
+        i = {"first": 0, "middle": len(sealed) // 2, "last": len(sealed) - 1}[where]
+        path, offset, length = sealed[i].spill_region()
+        corrupt_file(path, length, mode, offset=offset)
+        self.check_only(sealed, want, {i})
+
+    def test_each_damaged_region_is_detected_on_its_own_fault_in(self, tmp_path):
+        part, sealed, want = self.spilled(tmp_path)
+        damaged = {0, 2, len(sealed) - 1}
+        for i, mode in zip(sorted(damaged), ("garble_header", "bit_flip", "truncate")):
+            path, offset, length = sealed[i].spill_region()
+            corrupt_file(path, length, mode, offset=offset)
+        self.check_only(sealed, want, damaged)
+
+    @pytest.mark.parametrize("mode", CORRUPTION_MODES)
+    def test_the_chaos_hook_damages_only_its_batchs_region(self, tmp_path, mode):
+        calls = []
+
+        def hook(path):  # damage the second region written
+            calls.append(path)
+            return mode if len(calls) == 2 else None
+
+        part, sealed, want = self.spilled(tmp_path, hook)
+        assert len(calls) == len(sealed) and len(set(calls)) == 1
+        self.check_only(sealed, want, {1})
+
+    @pytest.mark.parametrize("sched", MODES)
+    def test_quarantine_and_rebuild_repair_a_damaged_region(self, tmp_path, sched):
+        """A damaged region fails its batch's fault-in; the quarantine drops
+        the block and lineage rebuilds it, answers unchanged, and the file's
+        other batches still fault in intact."""
+        from repro.engine.rdd import PrunedRDD
+
+        rows = make_rows()
+        s = Session(config=Config(
+            default_parallelism=2, shuffle_partitions=2, spill_dir=str(tmp_path),
+            row_batch_size=4096, task_retry_backoff=0.0, scheduler_mode=sched,
+        ))
+        idf = s.create_dataframe(rows, EDGE, "e").create_index("src").cache_index()
+        (part,) = PrunedRDD(idf.rdd, [0]).collect()
+        sealed = part.batches[:-1]
+        want = [bytes(b.buf[: b.used]) for b in sealed]
+        assert idf.spill_index() > 0
+        assert len({b.spill_region()[0] for b in sealed}) == 1
+        i = len(sealed) // 2
+        path, offset, length = sealed[i].spill_region()
+        corrupt_file(path, length, "bit_flip", offset=offset)
+        assert sorted(map(tuple, idf.collect())) == sorted(rows)
+        reg = s.context.registry
+        assert reg.counter_by_label("corruption_detected_total", "where") == {"spill_fault_in": 1}
+        assert reg.counter_by_label("corruption_repaired_total", "how") == {"lineage_rebuild": 1}
+        (rebuilt,) = PrunedRDD(idf.rdd, [0]).collect()
+        assert rebuilt is not part
+        self.check_only(sealed, want, {i})
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +499,8 @@ class TestOneRepairPerDetection:
         (part,) = PrunedRDD(idf.rdd, [0]).collect()
         batch = part.batches[0]
         batch.spill(str(tmp_path))
-        corrupt_file(batch._path, batch._spill_len, "bit_flip")
+        path, offset, length = batch.spill_region()
+        corrupt_file(path, length, "bit_flip", offset=offset)
         both_hold_it = threading.Barrier(2, timeout=10)
         first_attempts: set[int] = set()
 

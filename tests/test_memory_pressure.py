@@ -26,6 +26,7 @@ from repro.config import Config
 from repro.engine.context import EngineContext
 from repro.engine.memory_manager import MemoryManager, MemoryPressureError
 from repro.engine.scheduler import TaskFailure
+from repro.indexed import row_batch
 from repro.indexed.row_batch import RowBatch
 from repro.sql.session import Session
 from repro.sql.types import DOUBLE, LONG, STRING, Schema
@@ -345,13 +346,13 @@ class TestTieredShedding:
         sum(faults x capacity) over every batch a metered executor spilled
         — evicted ones included — whichever path spilled them."""
         made: dict[int, RowBatch] = {}
-        spill = RowBatch.spill
+        spill = row_batch.spill_batches
 
-        def tracking(batch, spill_dir=None):
-            made[id(batch)] = batch
-            return spill(batch, spill_dir)
+        def tracking(batches, spill_dir=None):
+            made.update((id(batch), batch) for batch in batches)
+            return spill(batches, spill_dir)
 
-        monkeypatch.setattr(RowBatch, "spill", tracking)
+        monkeypatch.setattr(row_batch, "spill_batches", tracking)
         s = make_session("sequential", tmp_path, executor_memory_bytes=budget)
         idf = cached_index(s, baseline_rows)
         reg = s.context.registry
@@ -372,13 +373,13 @@ class TestTieredShedding:
         released — also when readers faulted batches back in between spills,
         which a re-walk of the store nets out of the difference it counted."""
         released: list[int] = []
-        spill = RowBatch.spill
+        spill = row_batch.spill_batches
 
-        def counting(batch, spill_dir=None):
-            released.append(spill(batch, spill_dir))
+        def counting(batches, spill_dir=None):
+            released.append(spill(batches, spill_dir))
             return released[-1]
 
-        monkeypatch.setattr(RowBatch, "spill", counting)
+        monkeypatch.setattr(row_batch, "spill_batches", counting)
         s = make_session("sequential", tmp_path, executor_memory_bytes=120_000)
         idf = cached_index(s, baseline_rows)  # spills
         assert collected(idf) == baseline  # faults them back in
@@ -396,13 +397,13 @@ class TestTieredShedding:
         in is evicted, not spilled again; its rebuild from lineage is
         spillable again."""
         spilled: list[RowBatch] = []
-        spill = RowBatch.spill
+        spill = row_batch.spill_batches
 
-        def counting(batch, spill_dir=None):
-            spilled.append(batch)
-            return spill(batch, spill_dir)
+        def counting(batches, spill_dir=None):
+            spilled.extend(batches)
+            return spill(batches, spill_dir)
 
-        monkeypatch.setattr(RowBatch, "spill", counting)
+        monkeypatch.setattr(row_batch, "spill_batches", counting)
         s = make_session("sequential", tmp_path)
         idf = cached_index(s, baseline_rows)
         stores = [runtime.block_manager for runtime in s.context.executors.values()]
@@ -416,6 +417,115 @@ class TestTieredShedding:
         assert 0 < first < len(spilled)  # rebuilt blocks spilled again
         assert reg.counter_total("memory_evictions_total") > 0
         assert len({id(b) for b in spilled}) == len(spilled)  # each batch once
+
+
+# ---------------------------------------------------------------------------
+# Spill files: one per block spill, a region per batch
+# ---------------------------------------------------------------------------
+
+
+def spill_file_names(tmp_path) -> list:
+    return sorted(p.name for p in tmp_path.rglob("*.spill"))
+
+
+def first_partition(idf):
+    from repro.engine.rdd import PrunedRDD
+
+    (part,) = PrunedRDD(idf.rdd, [0]).collect()
+    return part
+
+
+class TestSpillFiles:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_file_per_block_spill(self, mode, tmp_path, monkeypatch, baseline_rows, baseline):
+        """Each block spill writes its sealed batches into one new file, a
+        region each: files made == ``memory_spills_total``, and a file holds
+        several batches."""
+        made: list[str] = []
+
+        class Counted(row_batch.SpillFile):
+            __slots__ = ()
+
+            def __init__(self, spill_dir, data):
+                super().__init__(spill_dir, data)
+                made.append(self.path)
+
+        regions: dict[str, set] = {}
+        spill = row_batch.spill_batches
+
+        def tracking(batches, spill_dir=None):
+            freed = spill(batches, spill_dir)
+            for batch in batches:
+                region = batch.spill_region()
+                if region is not None:
+                    regions.setdefault(region[0], set()).add(id(batch))
+            return freed
+
+        monkeypatch.setattr(row_batch, "SpillFile", Counted)
+        monkeypatch.setattr(row_batch, "spill_batches", tracking)
+        s = make_session(mode, tmp_path, executor_memory_bytes=50_000)
+        idf = cached_index(s, baseline_rows)
+        for _ in range(2):
+            assert collected(idf) == baseline
+        reg = s.context.registry
+        assert reg.counter_total("memory_evictions_total") > 0
+        assert len(made) == len(set(made)) == reg.counter_total("memory_spills_total") > 0
+        assert set(regions) == set(made)
+        assert max(map(len, regions.values())) > 1
+        assert len(spill_file_names(tmp_path)) <= len(made)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_siblings_that_share_a_spilled_batch_both_fault_it_in(self, mode, tmp_path):
+        """MVCC siblings share batch objects, so they share each batch's
+        region: one sibling's spill is the other's, an untouched batch
+        re-spills into its region (no new file), and each read of either
+        version faults the shared batch in from that one region."""
+        s = make_session(mode, tmp_path)
+        rows = make_rows(600, keys=20)
+        parent = cached_index(s, rows, num_partitions=1)
+        child = parent.append_rows([(3, 0.5, "appended")])
+        child_rows = sorted(rows + [(3, 0.5, "appended")])
+        assert collected(child) == child_rows
+        p, c = first_partition(parent), first_partition(child)
+        shared = [b for b in p.batches[:-1] if any(b is x for x in c.batches)]
+        assert len(shared) > 1
+        assert child.spill_index() > 0
+        (name,) = spill_file_names(tmp_path)
+        assert all(not b.resident for b in shared)
+        assert len({b.spill_region()[0] for b in shared}) == 1
+        assert collected(parent) == sorted(rows)  # faults the shared batches in
+        assert [b.faults for b in shared] == [1] * len(shared)
+        assert parent.spill_index() > 0  # untouched: back into their regions
+        assert spill_file_names(tmp_path) == [name]
+        assert collected(child) == child_rows
+        assert [b.faults for b in shared] == [2] * len(shared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_file_goes_with_its_last_batch(self, mode, tmp_path):
+        """A spill file stays while any batch holds a region of it — a
+        faulted-in batch keeps its region until a write drops it — and is
+        unlinked once no batch does."""
+        import gc
+
+        s = make_session(mode, tmp_path)
+        idf = cached_index(s, make_rows(600, keys=20), num_partitions=1)
+        part = first_partition(idf)
+        assert idf.spill_index() > 0
+        (name,) = spill_file_names(tmp_path)
+        sealed = part.batches[:-1]
+        for batch in sealed[1:]:
+            batch.ensure_resident()
+            batch.discard_file()  # what a write after the fault-in does
+        assert spill_file_names(tmp_path) == [name]  # the first batch still holds its region
+        sealed[0].ensure_resident()
+        assert spill_file_names(tmp_path) == [name]  # resident, region kept
+        sealed[0].write(0, bytes(sealed[0].buf[:1]))  # a write drops it: the last region
+        assert spill_file_names(tmp_path) == []
+        assert idf.spill_index() > 0  # a new file, dropped with the last batch holding it
+        assert len(spill_file_names(tmp_path)) == 1
+        del s, idf, part, sealed, batch
+        gc.collect()
+        assert spill_file_names(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -226,3 +226,50 @@ class TestVectorRowParity:
         assert sorted(session.table("n_cached").collect_tuples(), key=repr) == sorted(
             rows, key=repr
         )
+
+
+class TestGlobalAggregateOverNoRows:
+    """A global aggregate answers exactly one row, as SQL does, whatever the
+    input: checked against stdlib ``sqlite3`` over the same rows."""
+
+    QUERIES = [
+        "SELECT count(*) FROM t WHERE id > 1000",
+        "SELECT max(v) FROM t WHERE id > 1000",
+        "SELECT sum(v), count(*) FROM t WHERE id > 1000",
+        "SELECT min(id), avg(v), count(v) FROM t WHERE id > 1000",
+        "SELECT sum(v), count(*) FROM t",
+        "SELECT count(*) FROM t WHERE id < 7",
+        "SELECT id, count(*) FROM t WHERE id > 1000 GROUP BY id",
+    ]
+
+    @staticmethod
+    def sqlite_answers(rows: list) -> dict:
+        import sqlite3
+
+        db = sqlite3.connect(":memory:")
+        db.execute("CREATE TABLE t (id INTEGER, name TEXT, v REAL)")
+        db.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        return {q: db.execute(q).fetchall() for q in TestGlobalAggregateOverNoRows.QUERIES}
+
+    @pytest.mark.parametrize("kernels", [True, False])
+    @pytest.mark.parametrize("shuffle_partitions", [1, 3])
+    @pytest.mark.parametrize("view", ["plain", "cached", "indexed"])
+    @pytest.mark.parametrize("rows", [ROWS, []], ids=["60 rows", "empty"])
+    def test_matches_sqlite(self, view, kernels, shuffle_partitions, rows):
+        session = Session(config=Config(
+            default_parallelism=3, shuffle_partitions=shuffle_partitions,
+            indexed_column_kernels=kernels,
+        ))
+        df = session.create_dataframe(rows, SCHEMA, name="t")
+        if view == "cached":
+            df = df.cache()
+        elif view == "indexed":
+            df = df.create_index("id").cache_index()
+        df.create_or_replace_temp_view("t")
+        for query, want in self.sqlite_answers(rows).items():
+            assert sorted(session.sql(query).collect_tuples()) == sorted(want), query
+
+    def test_dataframe_count_of_no_rows(self, session):
+        df = session.create_dataframe(ROWS, SCHEMA, name="t")
+        assert df.where(col("id") > 1000).count() == 0
+        assert session.create_dataframe([], SCHEMA, name="e").count() == 0
